@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import core, oracle, suites
 from .core import CauchyDist, PositiveQuadratic
@@ -55,25 +56,16 @@ def format_record(record: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# job execution shared by the single-shot subcommands and batch mode
+# the op table shared by the single-shot subcommands and batch mode
 # --------------------------------------------------------------------------
-
-_PARAM_ORDER = {
-    "kl": ("l1", "s1", "l2", "s2"),
-    "cross-entropy": ("l1", "s1", "l2", "s2"),
-    "entropy": ("l", "s"),
-    "integral-a": ("a", "b", "c", "d", "e", "f"),
-    "prudnikov": ("a", "b", "z"),
-    "mc": ("l1", "s1", "l2", "s2"),
-}
-_CONFIG_KEYS = ("numeric", "rtol", "atol", "max_depth", "samples", "seed")
-_NUMERIC_OPS = ("kl", "cross-entropy", "integral-a")
-
 
 def _number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"parameter {name!r} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"parameter {name!r} must be finite, got {value!r}")
+    return value
 
 
 def _int_config(config: dict, key: str, default: int) -> int:
@@ -83,11 +75,12 @@ def _int_config(config: dict, key: str, default: int) -> int:
     return value
 
 
-def _quad_config(config: dict) -> oracle.QuadratureConfig:
+def _quadrature_config(config: dict) -> oracle.QuadratureConfig:
+    default = oracle.DEFAULT_CONFIG
     return oracle.QuadratureConfig(
-        relative_tolerance=float(config.get("rtol", 1e-10)),
-        absolute_tolerance=float(config.get("atol", 1e-14)),
-        max_refinement_depth=_int_config(config, "max_depth", 20),
+        relative_tolerance=float(config.get("rtol", default.relative_tolerance)),
+        absolute_tolerance=float(config.get("atol", default.absolute_tolerance)),
+        max_refinement_depth=_int_config(config, "max_depth", default.max_refinement_depth),
     )
 
 
@@ -95,60 +88,79 @@ def _pair(p: dict) -> tuple[CauchyDist, CauchyDist]:
     return CauchyDist(p["l1"], p["s1"]), CauchyDist(p["l2"], p["s2"])
 
 
-def _quadrature_diag(result: oracle.QuadratureResult) -> dict:
-    return {
-        "error_estimate": result.error_estimate,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-    }
+def _quadratics(p: dict) -> tuple[PositiveQuadratic, PositiveQuadratic]:
+    return PositiveQuadratic(p["a"], p["b"], p["c"]), PositiveQuadratic(p["d"], p["e"], p["f"])
 
 
-def _run_kl(p: dict, config: dict):
-    if config.get("numeric"):
-        r = oracle.kl_numeric(*_pair(p), _quad_config(config))
-        return r.value, _quadrature_diag(r)
-    return core.kl_closed(*_pair(p)), None
+# Config keys in echo order, each with the keyword arguments of its
+# subcommand flag (--max-depth for max_depth).
+_CONFIG_FLAGS: dict[str, dict[str, Any]] = {
+    "numeric": {"action": "store_true",
+                "help": "evaluate by adaptive quadrature instead of the closed form"},
+    "rtol": {"type": float, "default": None, "help": "quadrature relative tolerance"},
+    "atol": {"type": float, "default": None, "help": "quadrature absolute tolerance"},
+    "max_depth": {"type": int, "default": None, "help": "quadrature refinement depth"},
+    "samples": {"type": int, "default": oracle.DEFAULT_SAMPLES},
+    "seed": {"type": int, "default": 0},
+}
+_QUADRATURE_FLAGS = ("numeric", "rtol", "atol", "max_depth")
+_PAIR_PARAMS = ("l1", "s1", "l2", "s2")
 
 
-def _run_cross_entropy(p: dict, config: dict):
-    if config.get("numeric"):
-        r = oracle.cross_entropy_numeric(*_pair(p), _quad_config(config))
-        return r.value, _quadrature_diag(r)
-    return core.cross_entropy_closed(*_pair(p)), None
+class _Op(NamedTuple):
+    """One operation: parameter names in echo order, its calls, its config flags.
+
+    Both calls take the validated params and the raw config. `closed`
+    returns a float (a MonteCarloResult for mc); `quadrature`, used when
+    config["numeric"] is set, returns a QuadratureResult. The calls look
+    layer functions up through their module each time, so rebinding a
+    module attribute reaches them.
+    """
+
+    params: tuple[str, ...]
+    closed: Callable[[dict, dict], Any]
+    quadrature: Callable[[dict, dict], oracle.QuadratureResult] | None = None
+    flags: tuple[str, ...] = ()
 
 
-def _run_entropy(p: dict, config: dict):
-    return core.entropy_closed(CauchyDist(p["l"], p["s"])), None
-
-
-def _run_integral_a(p: dict, config: dict):
-    q1 = PositiveQuadratic(p["a"], p["b"], p["c"])
-    q2 = PositiveQuadratic(p["d"], p["e"], p["f"])
-    if config.get("numeric"):
-        r = oracle.integral_a_numeric(q1, q2, _quad_config(config))
-        return r.value, _quadrature_diag(r)
-    return core.integral_a(q1, q2), None
-
-
-def _run_prudnikov(p: dict, config: dict):
-    return core.prudnikov_special(p["a"], p["b"], p["z"]), None
-
-
-def _run_mc(p: dict, config: dict):
-    samples = _int_config(config, "samples", 1_000_000)
-    seed = _int_config(config, "seed", 0)
-    r = oracle.kl_monte_carlo(*_pair(p), samples=samples, seed=seed)
-    diag = {"standard_error": r.standard_error, "samples": r.samples, "seed": r.seed}
-    return r.estimate, diag
-
-
-_EXECUTORS: dict[str, Callable[[dict, dict], tuple[float, dict | None]]] = {
-    "kl": _run_kl,
-    "cross-entropy": _run_cross_entropy,
-    "entropy": _run_entropy,
-    "integral-a": _run_integral_a,
-    "prudnikov": _run_prudnikov,
-    "mc": _run_mc,
+_OPS: dict[str, _Op] = {
+    "kl": _Op(
+        _PAIR_PARAMS,
+        lambda p, c: core.kl_closed(*_pair(p)),
+        lambda p, c: oracle.kl_numeric(*_pair(p), _quadrature_config(c)),
+        _QUADRATURE_FLAGS,
+    ),
+    "cross-entropy": _Op(
+        _PAIR_PARAMS,
+        lambda p, c: core.cross_entropy_closed(*_pair(p)),
+        lambda p, c: oracle.cross_entropy_numeric(*_pair(p), _quadrature_config(c)),
+        _QUADRATURE_FLAGS,
+    ),
+    "mc": _Op(
+        _PAIR_PARAMS,
+        # Keyword order keeps the config checks ahead of the parameter checks.
+        lambda p, c: oracle.kl_monte_carlo(
+            samples=_int_config(c, "samples", oracle.DEFAULT_SAMPLES),
+            seed=_int_config(c, "seed", 0),
+            p1=CauchyDist(p["l1"], p["s1"]),
+            p2=CauchyDist(p["l2"], p["s2"]),
+        ),
+        flags=("samples", "seed"),
+    ),
+    "entropy": _Op(
+        ("l", "s"),
+        lambda p, c: core.entropy_closed(CauchyDist(p["l"], p["s"])),
+    ),
+    "integral-a": _Op(
+        ("a", "b", "c", "d", "e", "f"),
+        lambda p, c: core.integral_a(*_quadratics(p)),
+        lambda p, c: oracle.integral_a_numeric(*_quadratics(p), _quadrature_config(c)),
+        _QUADRATURE_FLAGS,
+    ),
+    "prudnikov": _Op(
+        ("a", "b", "z"),
+        lambda p, c: core.prudnikov_special(p["a"], p["b"], p["z"]),
+    ),
 }
 
 
@@ -157,45 +169,59 @@ def execute_job(record: Any) -> dict:
 
     A job record is {"op": name, "params": {...}, "config": {...}?}; the
     result echoes op/params/config and adds status, value and optional
-    diagnostics, or status "error" with a message.
+    diagnostics, or status "error" with a message. A value that is not
+    finite is an error too, so every record is valid JSON.
     """
     if not isinstance(record, dict):
         return {"input": record, "status": "error", "error": "record must be a JSON object"}
     op = record.get("op")
     echo: dict[str, Any] = {"op": op if isinstance(op, str) else repr(op)}
     try:
-        if op not in _EXECUTORS:
+        if op not in _OPS:
             raise ParameterError(
-                f"unknown operation {op!r}; expected one of {sorted(_EXECUTORS)}"
+                f"unknown operation {op!r}; expected one of {sorted(_OPS)}"
             )
+        spec = _OPS[op]
         raw_params = record.get("params", {})
         if not isinstance(raw_params, dict):
             raise ParameterError("params must be an object of name -> number")
-        order = _PARAM_ORDER[op]
-        unknown = sorted(set(raw_params) - set(order))
+        unknown = sorted(set(raw_params) - set(spec.params))
         if unknown:
             raise ParameterError(f"unknown parameters {unknown} for operation {op!r}")
-        missing = [k for k in order if k not in raw_params]
+        missing = [k for k in spec.params if k not in raw_params]
         if missing:
             raise ParameterError(f"missing parameters {missing} for operation {op!r}")
-        params = {k: _number(raw_params[k], k) for k in order}
+        params = {k: _number(raw_params[k], k) for k in spec.params}
         echo["params"] = params
         config = record.get("config", {})
         if not isinstance(config, dict):
             raise ParameterError("config must be an object")
-        unknown = sorted(set(config) - set(_CONFIG_KEYS))
+        unknown = sorted(set(config) - set(_CONFIG_FLAGS))
         if unknown:
             raise ParameterError(f"unknown config keys {unknown}")
         if config:
-            echo["config"] = {k: config[k] for k in _CONFIG_KEYS if k in config}
-        value, diagnostics = _EXECUTORS[op](params, config)
+            echo["config"] = {k: config[k] for k in _CONFIG_FLAGS if k in config}
+        call = spec.quadrature if spec.quadrature and config.get("numeric") else spec.closed
+        out = call(params, config)
+        if isinstance(out, float):
+            value, diagnostics = out, None
+        elif isinstance(out, oracle.QuadratureResult):
+            value = out.value
+            diagnostics = {"error_estimate": out.error_estimate,
+                           "evaluations": out.evaluations, "converged": out.converged}
+        else:
+            value = out.estimate
+            diagnostics = {"standard_error": out.standard_error,
+                           "samples": out.samples, "seed": out.seed}
+        if not math.isfinite(value):
+            raise ArithmeticError(f"result is not finite: {value!r}")
         result = dict(echo)
         result["status"] = "ok"
         result["value"] = value
         if diagnostics is not None:
             result["diagnostics"] = diagnostics
         return result
-    except (CauchyKLError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         result = dict(echo)
         result["status"] = "error"
         result["error"] = str(exc) or exc.__class__.__name__
@@ -206,28 +232,16 @@ def execute_job(record: Any) -> dict:
 # subcommand handlers
 # --------------------------------------------------------------------------
 
-def _single_record_from_args(args: argparse.Namespace) -> dict:
-    params = {name: getattr(args, name.replace("-", "_")) for name in _PARAM_ORDER[args.op]}
-    config: dict[str, Any] = {}
-    if args.op in _NUMERIC_OPS and args.numeric:
-        config["numeric"] = True
-        if args.rtol is not None:
-            config["rtol"] = args.rtol
-        if args.atol is not None:
-            config["atol"] = args.atol
-        if args.max_depth is not None:
-            config["max_depth"] = args.max_depth
-    if args.op == "mc":
-        config["samples"] = args.samples
-        config["seed"] = args.seed
-    record = {"op": args.op, "params": params}
-    if config:
-        record["config"] = config
-    return record
-
-
 def _handle_single(args: argparse.Namespace) -> int:
-    result = execute_job(_single_record_from_args(args))
+    spec = _OPS[args.op]
+    record: dict[str, Any] = {"op": args.op, "params": {k: getattr(args, k) for k in spec.params}}
+    # Quadrature flags count only with --numeric; unset ones fall back to the defaults.
+    flags = {k: getattr(args, k) for k in spec.flags}
+    if flags.get("numeric", True):
+        config = {k: v for k, v in flags.items() if v is not None}
+        if config:
+            record["config"] = config
+    result = execute_job(record)
     line = format_record(result)
     if result["status"] == "ok":
         print(line)
@@ -282,14 +296,6 @@ def _handle_verify(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _add_numeric_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--numeric", action="store_true",
-                     help="evaluate by adaptive quadrature instead of the closed form")
-    sub.add_argument("--rtol", type=float, default=None, help="quadrature relative tolerance")
-    sub.add_argument("--atol", type=float, default=None, help="quadrature absolute tolerance")
-    sub.add_argument("--max-depth", type=int, default=None, help="quadrature refinement depth")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cauchykl",
@@ -298,32 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="op", required=True)
 
-    for op in ("kl", "cross-entropy", "mc"):
+    for op, spec in _OPS.items():
         sub = subparsers.add_parser(op)
-        for flag in ("--l1", "--s1", "--l2", "--s2"):
-            sub.add_argument(flag, type=float, required=True)
-        if op == "mc":
-            sub.add_argument("--samples", type=int, default=1_000_000)
-            sub.add_argument("--seed", type=int, default=0)
-        else:
-            _add_numeric_flags(sub)
+        for name in spec.params:
+            sub.add_argument(f"--{name}", type=float, required=True)
+        for key in spec.flags:
+            sub.add_argument("--" + key.replace("_", "-"), **_CONFIG_FLAGS[key])
         sub.set_defaults(handler=_handle_single)
-
-    sub = subparsers.add_parser("entropy")
-    sub.add_argument("--l", type=float, required=True)
-    sub.add_argument("--s", type=float, required=True)
-    sub.set_defaults(handler=_handle_single)
-
-    sub = subparsers.add_parser("integral-a")
-    for flag in ("--a", "--b", "--c", "--d", "--e", "--f"):
-        sub.add_argument(flag, type=float, required=True)
-    _add_numeric_flags(sub)
-    sub.set_defaults(handler=_handle_single)
-
-    sub = subparsers.add_parser("prudnikov")
-    for flag in ("--a", "--b", "--z"):
-        sub.add_argument(flag, type=float, required=True)
-    sub.set_defaults(handler=_handle_single)
 
     sub = subparsers.add_parser("batch")
     sub.set_defaults(handler=_handle_batch)
@@ -333,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--count", type=int, default=None,
                      help="check points per suite (default: per-suite standard count)")
     sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--samples", type=int, default=1_000_000,
+    sub.add_argument("--samples", type=int, default=oracle.DEFAULT_SAMPLES,
                      help="samples per monte-carlo estimate")
     sub.set_defaults(handler=_handle_verify)
 

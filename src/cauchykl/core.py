@@ -217,16 +217,11 @@ def entropy_closed(p: CauchyDist) -> float:
 def kl_scale_family(s1: float, s2: float) -> float:
     """KL divergence for a common location: 2*log((s1+s2) / (2*sqrt(s1*s2))).
 
-    Evaluated square-root-free as log((s1+s2)^2 / (4*s1*s2)), the same
-    assembly kl_closed uses, so the two agree bit-for-bit at equal
+    Evaluated as kl_closed at location 0, square-root-free as
+    log((s1+s2)^2 / (4*s1*s2)), so the two agree bit-for-bit at equal
     locations.
     """
-    s1 = _require_finite("s1", s1)
-    s2 = _require_finite("s2", s2)
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise ParameterError(f"scales must be positive, got {s1!r}, {s2!r}")
-    ds = s1 + s2
-    return math.log(ds * ds / ((4.0 * s1) * s2))
+    return kl_closed(CauchyDist(0.0, s1), CauchyDist(0.0, s2))
 
 
 def kl_location_family(l1: float, l2: float, s: float) -> float:

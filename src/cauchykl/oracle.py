@@ -42,6 +42,7 @@ __all__ = [
     "QuadratureResult",
     "MonteCarloResult",
     "DEFAULT_CONFIG",
+    "DEFAULT_SAMPLES",
     "integrate_real_line",
     "integral_a_numeric",
     "kl_numeric",
@@ -111,6 +112,8 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+# Monte-Carlo sample count used wherever the caller does not choose one.
+DEFAULT_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -269,23 +272,6 @@ def integral_a_numeric(
     return integrate_real_line(integrand, config, _quadratic_breakpoints(q1, q2))
 
 
-def _log_density_ratio_factory(p1: CauchyDist, p2: CauchyDist) -> Callable[[float], float]:
-    l1, s1 = p1.location, p1.scale
-    l2, s2 = p2.location, p2.scale
-    scale_ratio = s1 / s2
-    s1sq = s1 * s1
-    s2sq = s2 * s2
-
-    def log_ratio(x: float) -> float:
-        u1 = x - l1
-        u2 = x - l2
-        # Forming the ratio before the log keeps the tails exact: the
-        # quotient tends to s1/s2, never to an indeterminate difference.
-        return math.log(scale_ratio * ((s2sq + u2 * u2) / (s1sq + u1 * u1)))
-
-    return log_ratio
-
-
 def kl_numeric(
     p1: CauchyDist,
     p2: CauchyDist,
@@ -293,12 +279,18 @@ def kl_numeric(
 ) -> QuadratureResult:
     """Quadrature value of KL(p1 : p2) = integral of p1(x) * log(p1(x)/p2(x))."""
     l1, s1 = p1.location, p1.scale
-    log_ratio = _log_density_ratio_factory(p1, p2)
+    l2, s2 = p2.location, p2.scale
+    scale_ratio = s1 / s2
     s1sq = s1 * s1
+    s2sq = s2 * s2
 
     def integrand(x: float) -> float:
         u1 = x - l1
-        return s1 / (math.pi * (s1sq + u1 * u1)) * log_ratio(x)
+        u2 = x - l2
+        q1x = s1sq + u1 * u1
+        # Forming the ratio before the log keeps the tails exact: the
+        # quotient tends to s1/s2, never to an indeterminate difference.
+        return s1 / (math.pi * q1x) * math.log(scale_ratio * ((s2sq + u2 * u2) / q1x))
 
     return integrate_real_line(integrand, config, _cauchy_breakpoints(p1, p2))
 

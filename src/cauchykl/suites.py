@@ -30,8 +30,6 @@ __all__ = [
     "monte_carlo_suite",
 ]
 
-SUITE_NAMES = ("closed-vs-quadrature", "certificate", "ode", "monte-carlo", "all")
-
 # Frozen transcription checksums: every certificate polynomial evaluated
 # at (d, e, f, x) = (1, 1, 1, 1).
 CHECKSUM_POINT = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
@@ -213,7 +211,8 @@ def ode_suite(count: int, seed: int) -> list[CheckOutcome]:
     return outcomes
 
 
-def monte_carlo_suite(count: int, seed: int, samples: int = 1_000_000) -> list[CheckOutcome]:
+def monte_carlo_suite(count: int, seed: int,
+                      samples: int = oracle.DEFAULT_SAMPLES) -> list[CheckOutcome]:
     """Seeded Monte-Carlo KL estimates against the closed form.
 
     Each estimate should land within 4 standard errors of the closed
@@ -242,31 +241,26 @@ def monte_carlo_suite(count: int, seed: int, samples: int = 1_000_000) -> list[C
     )]
 
 
-_DEFAULT_COUNTS = {
-    "closed-vs-quadrature": 1000,
-    "certificate": 500,
-    "ode": 200,
-    "monte-carlo": 20,
+# Suite name -> (default count, runner(count, seed, samples)). Runners look
+# the suite functions up at call time, so rebinding them takes effect.
+_SUITES = {
+    "closed-vs-quadrature": (1000, lambda n, seed, samples: closed_vs_quadrature_suite(n, seed)),
+    "certificate": (500, lambda n, seed, samples: certificate_suite(n, seed)),
+    "ode": (200, lambda n, seed, samples: ode_suite(n, seed)),
+    "monte-carlo": (20, lambda n, seed, samples: monte_carlo_suite(n, seed, samples)),
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, count: int | None, seed: int,
-              samples: int = 1_000_000) -> list[CheckOutcome]:
+              samples: int = oracle.DEFAULT_SAMPLES) -> list[CheckOutcome]:
     """Run one named suite (or all of them) and collect outcomes."""
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if count is not None and count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
-    names = SUITE_NAMES[:-1] if name == "all" else (name,)
     outcomes: list[CheckOutcome] = []
-    for suite_name in names:
-        n = count if count is not None else _DEFAULT_COUNTS[suite_name]
-        if suite_name == "closed-vs-quadrature":
-            outcomes.extend(closed_vs_quadrature_suite(n, seed))
-        elif suite_name == "certificate":
-            outcomes.extend(certificate_suite(n, seed))
-        elif suite_name == "ode":
-            outcomes.extend(ode_suite(n, seed))
-        else:
-            outcomes.extend(monte_carlo_suite(n, seed, samples))
+    for suite_name in _SUITES if name == "all" else (name,):
+        default_count, runner = _SUITES[suite_name]
+        outcomes.extend(runner(default_count if count is None else count, seed, samples))
     return outcomes

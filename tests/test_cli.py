@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cauchykl.cli import execute_job, format_record, main
+from cauchykl.cli import _OPS, execute_job, format_record, main
 from cauchykl.core import CauchyDist, kl_closed
 
 BATCH_INPUT = """\
@@ -179,6 +179,58 @@ def test_batch_round_trip(monkeypatch, capsys):
         if "config" in original:
             assert parsed["config"] == original["config"]
         assert format_record(parsed) == line
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_batch_non_finite_and_arithmetic_errors_keep_stream(monkeypatch, capsys):
+    # Each of the first four raised or printed a bare nan before; the
+    # last record must still run after them.
+    text = ('{"op":"kl","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1e300,"l2":0,"s2":1e300}}\n'
+            '{"op":"integral-a","params":{"a":1e200,"b":0,"c":1e200,"d":1,"e":0,"f":1}}\n'
+            '{"op":"kl","params":{"l1":NaN,"s1":1,"l2":0,"s2":1}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert [r["status"] for r in lines] == ["error"] * 4 + ["ok"]
+    assert all("nan" in r["error"] for r in lines[1:4])
+    assert lines[4]["value"] == kl_closed(CauchyDist(0, 1), CauchyDist(1, 1))
+
+
+# Per op: the single-shot flags and the batch job they stand for.
+SINGLE_VS_BATCH = {
+    "kl": (["--l1", "0", "--s1", "1", "--l2", "1", "--s2", "2",
+            "--numeric", "--rtol", "1e-8", "--max-depth", "12"],
+           {"params": {"l1": 0, "s1": 1, "l2": 1, "s2": 2},
+            "config": {"numeric": True, "rtol": 1e-8, "max_depth": 12}}),
+    "cross-entropy": (["--l1", "-1", "--s1", "2", "--l2", "3", "--s2", "0.5",
+                       "--numeric", "--rtol", "1e-9", "--max-depth", "15"],
+                      {"params": {"l1": -1, "s1": 2, "l2": 3, "s2": 0.5},
+                       "config": {"numeric": True, "rtol": 1e-9, "max_depth": 15}}),
+    "mc": (["--l1", "0", "--s1", "1", "--l2", "0", "--s2", "3", "--samples", "5000", "--seed", "0"],
+           {"params": {"l1": 0, "s1": 1, "l2": 0, "s2": 3},
+            "config": {"samples": 5000, "seed": 0}}),
+    "entropy": (["--l", "2", "--s", "3"], {"params": {"l": 2, "s": 3}}),
+    "integral-a": (["--a", "2", "--b", "1", "--c", "3", "--d", "1", "--e", "-1", "--f", "5",
+                    "--numeric", "--rtol", "1e-8", "--max-depth", "10"],
+                   {"params": {"a": 2, "b": 1, "c": 3, "d": 1, "e": -1, "f": 5},
+                    "config": {"numeric": True, "rtol": 1e-8, "max_depth": 10}}),
+    "prudnikov": (["--a", "2", "--b", "0.5", "--z", "1"], {"params": {"a": 2, "b": 0.5, "z": 1}}),
+}
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+def test_single_shot_matches_batch(op, monkeypatch, capsys):
+    flags, job = SINGLE_VS_BATCH[op]
+    assert main([op, *flags]) == 0
+    single = capsys.readouterr().out
+    code, batch = run_batch(monkeypatch, capsys, json.dumps({"op": op, **job}) + "\n")
+    assert code == 0
+    assert single == batch
 
 
 # ---------------------------------------------------------------------------
