@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -199,6 +200,9 @@ def execute_job(record: Any) -> dict:
         unknown = sorted(set(config) - set(_CONFIG_FLAGS))
         if unknown:
             raise ParameterError(f"unknown config keys {unknown}")
+        for key, value in config.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"config {key!r} must be finite, got {value!r}")
         if config:
             echo["config"] = {k: config[k] for k in _CONFIG_FLAGS if k in config}
         call = spec.quadrature if spec.quadrature and config.get("numeric") else spec.closed
@@ -250,6 +254,16 @@ def _handle_single(args: argparse.Namespace) -> int:
     return 1
 
 
+def _reject_constant(name: str) -> None:
+    # json.loads accepts NaN, Infinity and -Infinity, which are not JSON.
+    raise ValueError(f"non-finite number {float(name)!r}")
+
+
+# One decoder for the whole stream: json.loads with a keyword builds a new
+# one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _handle_batch(args: argparse.Namespace) -> int:
     errors = 0
     for raw in sys.stdin:
@@ -257,8 +271,8 @@ def _handle_batch(args: argparse.Namespace) -> int:
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = _DECODER.decode(line)
+        except ValueError as exc:
             result = {"input": line, "status": "error", "error": f"malformed record: {exc}"}
         else:
             result = execute_job(record)
@@ -329,7 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`cauchykl batch | head -1`). Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cauchykl
 from cauchykl.cli import _OPS, execute_job, format_record, main
 from cauchykl.core import CauchyDist, kl_closed
 
@@ -203,6 +208,86 @@ def test_batch_non_finite_and_arithmetic_errors_keep_stream(monkeypatch, capsys)
     assert lines[1]["value"] == 0.0
     assert all("nan" in r["error"] for r in lines[2:4])
     assert lines[4]["value"] == kl_closed(CauchyDist(0, 1), CauchyDist(1, 1))
+
+
+def _run_cli(args, stdin):
+    """`python -m cauchykl.cli ARGS` in a fresh process, with stdin from a file."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchykl.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "cauchykl.cli", *args], stdin=stdin,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_batch_full_range_numeric_records_keep_stream_and_stderr(tmp_path):
+    # Quadrature over parameters whose squares underflow or overflow: each
+    # is an error record naming the abscissa of the first non-finite
+    # sample, nothing reaches stderr, and the last record still runs.
+    numeric = ',"config":{"numeric":true}}'
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(
+        '{"op":"kl","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}' + numeric + "\n"
+        '{"op":"kl","params":{"l1":0,"s1":1e300,"l2":0,"s2":2e300}' + numeric + "\n"
+        '{"op":"kl","params":{"l1":0,"s1":1,"l2":1e200,"s2":1}' + numeric + "\n"
+        '{"op":"cross-entropy","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}' + numeric + "\n"
+        '{"op":"cross-entropy","params":{"l1":0,"s1":1e300,"l2":0,"s2":2e300}' + numeric + "\n"
+        '{"op":"cross-entropy","params":{"l1":0,"s1":1,"l2":1e200,"s2":1}' + numeric + "\n"
+        '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}' + numeric + "\n")
+    with stream.open() as stdin:
+        proc = _run_cli(["batch"], stdin)
+        out, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
+    lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert [r["status"] for r in lines] == ["error"] * 6 + ["ok"]
+    assert all(r["error"].startswith("integrand returned non-finite value") for r in lines[:6])
+    assert lines[6]["diagnostics"]["evaluations"] == 1515
+
+
+def test_batch_rejects_non_finite_json_constants(monkeypatch, capsys):
+    # json.loads accepts NaN and Infinity; echoing them would print bare
+    # nan/inf, so such a line is a malformed record.
+    text = ('NaN\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1},"config":{"atol":NaN}}\n'
+            '{"op":"mc","params":{"l1":0,"s1":1,"l2":1,"s2":1},"config":{"samples":Infinity}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert [r["status"] for r in lines] == ["error", "error", "error", "ok"]
+    for record, source in zip(lines[:3], text.splitlines()):
+        assert record["input"] == source
+        assert record["error"].startswith("malformed record: non-finite number")
+
+
+def test_non_finite_config_is_rejected_before_echo(capsys):
+    assert main(["kl", "--l1", "0", "--s1", "1", "--l2", "1", "--s2", "1",
+                 "--numeric", "--rtol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err, parse_constant=_reject_constant)
+    assert record["error"] == "config 'rtol' must be finite, got nan"
+    assert "config" not in record
+    for key, value in (("atol", math.nan), ("samples", math.inf), ("rtol", -math.inf)):
+        record = execute_job({"op": "kl", "params": {"l1": 0, "s1": 1, "l2": 1, "s2": 1},
+                              "config": {"numeric": True, key: value}})
+        json.loads(format_record(record), parse_constant=_reject_constant)
+        assert record["status"] == "error"
+        assert record["error"] == f"config {key!r} must be finite, got {value!r}"
+
+
+def test_batch_into_closed_pipe_exits_without_traceback(tmp_path):
+    # `cauchykl batch < stream | head -1`: the reader leaves after one line.
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text('{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n' * 20000)
+    with stream.open() as stdin:
+        proc = _run_cli(["batch"], stdin)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert json.loads(first)["status"] == "ok"
+    assert err == b""
+    assert code == 1
 
 
 # Per op: the single-shot flags and the batch job they stand for.

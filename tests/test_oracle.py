@@ -23,6 +23,14 @@ from cauchykl import (
     standardize_pair,
 )
 from cauchykl.oracle import correctly_rounded_sum
+from helpers import (
+    draw_pairs,
+    reference_cross_entropy,
+    reference_f_divergence,
+    reference_integral_a,
+    reference_integrate,
+    reference_kl,
+)
 
 
 def hellinger(t: float) -> float:
@@ -216,6 +224,91 @@ def test_monte_carlo_deterministic():
     assert a == b
     c = kl_monte_carlo(CauchyDist(0, 1), CauchyDist(2, 3), 10_000, seed=124)
     assert c.estimate != a.estimate
+
+
+# ---------------------------------------------------------------------------
+# batched panels against the scalar reference: the same bits
+# ---------------------------------------------------------------------------
+
+def _quadratic_pairs(seed: int, count: int):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = []
+    for _ in range(count):
+        a, c, d, f = (float(v) for v in 10.0 ** rng.uniform(-2, 2, 4))
+        b = float(rng.uniform(-0.99, 0.99)) * math.sqrt(4.0 * a * c)
+        e = float(rng.uniform(-0.99, 0.99)) * math.sqrt(4.0 * d * f)
+        pairs.append((PositiveQuadratic(a, b, c), PositiveQuadratic(d, e, f)))
+    return pairs
+
+
+# Criterion-3 pairs (0, s1) and (gap, s1 * ratio), both orders, chosen
+# among those that take at most about 60k evaluations.
+_EXTREME_PAIRS = [
+    (ratio, gap, s1, swap)
+    for ratio, gap, s1 in ((1.0, 1.0, 1e-6), (1.0, 1e6, 1e-6), (1e6, 1e6, 1e-6),
+                           (1e6, 1e12, 1e-6), (1e12, 1.0, 1e6), (1e12, 1e12, 1e-6))
+    for swap in (False, True)
+]
+
+
+def _bit_identity_cases():
+    for p1, p2 in draw_pairs(4001, 15):
+        yield "kl", kl_numeric, reference_kl, (p1, p2)
+    for p1, p2 in draw_pairs(4002, 15):
+        yield "cross-entropy", cross_entropy_numeric, reference_cross_entropy, (p1, p2)
+    for q1, q2 in _quadratic_pairs(4003, 10):
+        yield "integral-a", integral_a_numeric, reference_integral_a, (q1, q2)
+    for p1, p2 in draw_pairs(4004, 6):
+        yield ("hellinger", lambda a, b: f_divergence_numeric(hellinger, a, b),
+               lambda a, b: reference_f_divergence(hellinger, a, b), (p1, p2))
+    for ratio, gap, s1, swap in _EXTREME_PAIRS:
+        pair = (CauchyDist(0.0, s1), CauchyDist(gap, s1 * ratio))
+        pair = pair[::-1] if swap else pair
+        yield "kl extreme", kl_numeric, reference_kl, pair
+        yield "cross-entropy extreme", cross_entropy_numeric, reference_cross_entropy, pair
+
+
+def test_batched_quadrature_matches_scalar_reference():
+    checked = 0
+    for name, batched, reference, args in _bit_identity_cases():
+        assert batched(*args) == reference(*args), (name, args)
+        checked += 1
+    assert checked == 70
+
+
+def test_batched_quadrature_matches_reference_when_unconverged():
+    config = QuadratureConfig(max_refinement_depth=1)
+    pair = (CauchyDist(50.0, 0.001), CauchyDist(0.0, 1.0))
+    r = kl_numeric(*pair, config)
+    assert not r.converged
+    assert r == reference_kl(*pair, config)
+
+    # A scalar integrand goes through the same engine, element by element.
+    config = QuadratureConfig(relative_tolerance=1e-13, absolute_tolerance=1e-15,
+                              max_refinement_depth=1)
+    def rough(x):
+        return abs(x - 0.3371) ** 1.5 / (1.0 + x ** 4)
+
+    r = integrate_real_line(rough, config)
+    assert not r.converged
+    assert r == reference_integrate(rough, config)
+
+
+def test_first_non_finite_sample_matches_reference():
+    # s1 * s1 overflows, so every sample is nan; the error names the first
+    # node of the first panel in the scalar evaluation order.
+    pair = (CauchyDist(0.0, 1e300), CauchyDist(0.0, 2e300))
+    with pytest.raises(IntegrandEvaluationError) as batched:
+        kl_numeric(*pair)
+    with pytest.raises(IntegrandEvaluationError) as reference:
+        reference_kl(*pair)
+    assert str(batched.value) == str(reference.value)
+    assert batched.value.abscissa == reference.value.abscissa
+
+
+def test_kl_numeric_evaluation_count_is_pinned():
+    # The README's --numeric example; the count does not depend on the machine.
+    assert kl_numeric(CauchyDist(0, 1), CauchyDist(1, 1)).evaluations == 1515
 
 
 # ---------------------------------------------------------------------------
