@@ -51,10 +51,9 @@ from math import isqrt
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError, SingularPointError
 from .jets import Jet
-from .oracle import QuadratureConfig, integral_a_numeric
+from .oracle import integral_a_numeric
 
 __all__ = [
-    "Rational",
     "rational_sqrt",
     "phi_partial_d",
     "operator_coefficients",
@@ -69,8 +68,6 @@ __all__ = [
     "ConstantZeroReport",
     "GFactorizationReport",
 ]
-
-Rational = Fraction
 
 
 def rational_sqrt(value: Fraction) -> Fraction:
@@ -207,28 +204,24 @@ class ConstantZeroReport:
     passed: bool
 
 
-def verify_integration_constant(
-    config: QuadratureConfig | None = None,
-    d_values: tuple = (1, 2, 5),
-    tolerance: float = 1e-8,
-) -> ConstantZeroReport:
+def verify_integration_constant() -> ConstantZeroReport:
     """Confirm the integration constant in A(1,0,1; d,e,f) = pi*log(G1) + const is zero.
 
     The primitive of dA/dd determines A only up to a function of (e, f),
     already known to be an additive constant. Here the closed form
     pi*log(d + f + sqrt(4*d*f - e^2)) is compared against the quadrature
-    oracle on the grid f = d, e in {0, d, 3*d/2}; any nonzero constant
-    would show up as a common offset.
+    oracle on the grid d = f in {1, 2, 5}, e in {0, d, 3*d/2}, at the
+    default quadrature tolerances; any nonzero constant would show up as a
+    common offset above the 1e-8 tolerance.
     """
-    config = config or QuadratureConfig()
+    tolerance = 1e-8
     weight = PositiveQuadratic(1.0, 0.0, 1.0)
     cases = []
     worst = 0.0
-    for d in d_values:
-        d = float(d)
+    for d in (1.0, 2.0, 5.0):
         for e in (0.0, d, 1.5 * d):
             closed = integral_a_canonical(d, e, d)
-            numeric = integral_a_numeric(weight, PositiveQuadratic(d, e, d), config)
+            numeric = integral_a_numeric(weight, PositiveQuadratic(d, e, d))
             deviation = abs(closed - numeric.value)
             worst = max(worst, deviation)
             cases.append((d, e, deviation))

@@ -69,20 +69,8 @@ def _number(value: Any, name: str) -> float:
     return value
 
 
-def _int_config(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"config {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _quadrature_config(config: dict) -> oracle.QuadratureConfig:
-    default = oracle.DEFAULT_CONFIG
-    return oracle.QuadratureConfig(
-        relative_tolerance=float(config.get("rtol", default.relative_tolerance)),
-        absolute_tolerance=float(config.get("atol", default.absolute_tolerance)),
-        max_refinement_depth=_int_config(config, "max_depth", default.max_refinement_depth),
-    )
+def _quadrature_config(c: dict) -> oracle.QuadratureConfig:
+    return oracle.QuadratureConfig(float(c["rtol"]), float(c["atol"]), c["max_depth"])
 
 
 def _pair(p: dict) -> tuple[CauchyDist, CauchyDist]:
@@ -93,17 +81,26 @@ def _quadratics(p: dict) -> tuple[PositiveQuadratic, PositiveQuadratic]:
     return PositiveQuadratic(p["a"], p["b"], p["c"]), PositiveQuadratic(p["d"], p["e"], p["f"])
 
 
-# Config keys in echo order, each with the keyword arguments of its
-# subcommand flag (--max-depth for max_depth).
-_CONFIG_FLAGS: dict[str, dict[str, Any]] = {
-    "numeric": {"action": "store_true",
-                "help": "evaluate by adaptive quadrature instead of the closed form"},
-    "rtol": {"type": float, "default": None, "help": "quadrature relative tolerance"},
-    "atol": {"type": float, "default": None, "help": "quadrature absolute tolerance"},
-    "max_depth": {"type": int, "default": None, "help": "quadrature refinement depth"},
-    "samples": {"type": int, "default": oracle.DEFAULT_SAMPLES},
-    "seed": {"type": int, "default": 0},
+# Config key -> (JSON type, value when absent, keyword arguments of its
+# subcommand flag: --max-depth for max_depth), in echo order.
+_CONFIG: dict[str, tuple[str, Any, dict[str, Any]]] = {
+    "numeric": ("a boolean", False,
+                {"action": "store_true",
+                 "help": "evaluate by adaptive quadrature instead of the closed form"}),
+    "rtol": ("a number", oracle.DEFAULT_CONFIG.relative_tolerance,
+             {"type": float, "default": None, "help": "quadrature relative tolerance"}),
+    "atol": ("a number", oracle.DEFAULT_CONFIG.absolute_tolerance,
+             {"type": float, "default": None, "help": "quadrature absolute tolerance"}),
+    "max_depth": ("an integer", oracle.DEFAULT_CONFIG.max_refinement_depth,
+                  {"type": int, "default": None, "help": "quadrature refinement depth"}),
+    "samples": ("an integer", oracle.DEFAULT_SAMPLES,
+                {"type": int, "default": oracle.DEFAULT_SAMPLES}),
+    "seed": ("an integer", 0, {"type": int, "default": 0}),
 }
+# The exact Python types that json decodes each JSON type to.
+_JSON_TYPES = {"a boolean": (bool,), "an integer": (int,), "a number": (float, int)}
+# Rows read a record's config filled: {**_DEFAULTS, **config}.
+_DEFAULTS = {key: default for key, (_, default, _) in _CONFIG.items()}
 _QUADRATURE_FLAGS = ("numeric", "rtol", "atol", "max_depth")
 _PAIR_PARAMS = ("l1", "s1", "l2", "s2")
 
@@ -111,7 +108,7 @@ _PAIR_PARAMS = ("l1", "s1", "l2", "s2")
 class _Op(NamedTuple):
     """One operation: parameter names in echo order, its calls, its config flags.
 
-    Both calls take the validated params and the raw config. `closed`
+    Both calls take the validated params and the filled config. `closed`
     returns a float (a MonteCarloResult for mc); `quadrature`, used when
     config["numeric"] is set, returns a QuadratureResult. The calls look
     layer functions up through their module each time, so rebinding a
@@ -139,13 +136,7 @@ _OPS: dict[str, _Op] = {
     ),
     "mc": _Op(
         _PAIR_PARAMS,
-        # Keyword order keeps the config checks ahead of the parameter checks.
-        lambda p, c: oracle.kl_monte_carlo(
-            samples=_int_config(c, "samples", oracle.DEFAULT_SAMPLES),
-            seed=_int_config(c, "seed", 0),
-            p1=CauchyDist(p["l1"], p["s1"]),
-            p2=CauchyDist(p["l2"], p["s2"]),
-        ),
+        lambda p, c: oracle.kl_monte_carlo(*_pair(p), c["samples"], c["seed"]),
         flags=("samples", "seed"),
     ),
     "entropy": _Op(
@@ -197,15 +188,19 @@ def execute_job(record: Any) -> dict:
         config = record.get("config", {})
         if not isinstance(config, dict):
             raise ParameterError("config must be an object")
-        unknown = sorted(set(config) - set(_CONFIG_FLAGS))
+        unknown = sorted(set(config) - set(_CONFIG))
         if unknown:
             raise ParameterError(f"unknown config keys {unknown}")
         for key, value in config.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ParameterError(f"config {key!r} must be finite, got {value!r}")
+            kind = _CONFIG[key][0]
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ParameterError(f"config {key!r} must be {kind}, got {value!r}")
         if config:
-            echo["config"] = {k: config[k] for k in _CONFIG_FLAGS if k in config}
-        call = spec.quadrature if spec.quadrature and config.get("numeric") else spec.closed
+            echo["config"] = {k: config[k] for k in _CONFIG if k in config}
+        config = {**_DEFAULTS, **config}
+        call = spec.quadrature if spec.quadrature and config["numeric"] else spec.closed
         out = call(params, config)
         if isinstance(out, float):
             value, diagnostics = out, None
@@ -276,6 +271,9 @@ def _handle_batch(args: argparse.Namespace) -> int:
             result = {"input": line, "status": "error", "error": f"malformed record: {exc}"}
         else:
             result = execute_job(record)
+            if not isinstance(record, dict):
+                # Echo the line as read: the value may hold a number that overflowed to inf.
+                result["input"] = line
         errors += result["status"] != "ok"
         print(format_record(result))
     return 0 if errors == 0 else 1
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in spec.params:
             sub.add_argument(f"--{name}", type=float, required=True)
         for key in spec.flags:
-            sub.add_argument("--" + key.replace("_", "-"), **_CONFIG_FLAGS[key])
+            sub.add_argument("--" + key.replace("_", "-"), **_CONFIG[key][2])
         sub.set_defaults(handler=_handle_single)
 
     sub = subparsers.add_parser("batch")

@@ -23,9 +23,15 @@ generator) are applied to each element from libm, never through numpy's
 SIMD np.tan/np.log, which differ from libm in the last bit on some
 inputs and CPUs. The Kronrod and Gauss sums accumulate node by node in a
 fixed order, so results are bit-identical to evaluating one node at a
-time, and the same on every CPU for a given libm. The nodes of the panels between consecutive ladder boundaries are the same
-for every integral; their tangents are computed once per process, on
+time, and the same on every CPU for a given libm. The nodes of the
+panels between consecutive ladder boundaries are the same for every
+integral; their tangents are computed once per process, on
 first use, into one table of 98 rows (split panels are not cached).
+
+KL, cross-entropy and f-divergence between two Cauchy densities share
+one integrand builder, `_pair_integral`: it forms the pair of quadratics
+s_i^2 + (x - l_i)^2 at every node, places the six breakpoints l_i and
+l_i -/+ s_i, and integrates the divergence's function of that pair.
 
 Results report the value, the summed error estimate, the number of
 integrand evaluations and a convergence flag; exhausting the refinement
@@ -203,12 +209,12 @@ def _gk15(
     f: Callable[[np.ndarray], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
-    x: np.ndarray | None = None,
+    x: np.ndarray,
 ) -> tuple[list[float], list[float]]:
     """Gauss-Kronrod 7/15 on every panel [a_i, b_i] at once.
 
     `f` maps a 1-D array of abscissae to the integrand's values there;
-    `x` optionally supplies the panels' tan nodes. Returns the Kronrod
+    `x` holds the panels' tan nodes, one row per panel. Returns the Kronrod
     values and the error estimates |K15 - G7| * h. The plain difference
     overestimates the Kronrod error by orders of magnitude on smooth
     panels, which keeps the reported estimate on the safe side. Both
@@ -216,8 +222,6 @@ def _gk15(
     every panel gets the bits of a scalar evaluation. The first
     non-finite sample in evaluation order raises IntegrandEvaluationError.
     """
-    if x is None:
-        x = _tan_nodes(a, b)
     x = x.ravel()
     y = f(x) * (1.0 + x * x)
     if not math.isfinite(y.sum()):
@@ -344,7 +348,8 @@ def _integrate(
                 break
             continue
         mid = 0.5 * (a + b)
-        (v1, v2), (e1, e2) = _gk15(f, np.array((a, mid)), np.array((mid, b)))
+        lo, hi = np.array((a, mid)), np.array((mid, b))
+        (v1, v2), (e1, e2) = _gk15(f, lo, hi, _tan_nodes(lo, hi))
         evaluations += 30
         total_value += (v1 + v2) - value
         total_error += (e1 + e2) - (-neg_err)
@@ -371,14 +376,6 @@ def _quadratic_breakpoints(*quadratics: PositiveQuadratic) -> list[float]:
     return points
 
 
-def _cauchy_breakpoints(*dists: CauchyDist) -> list[float]:
-    points: list[float] = []
-    for p in dists:
-        l, s = p.location, p.scale
-        points.extend((l - s, l, l + s))
-    return points
-
-
 def integral_a_numeric(
     q1: PositiveQuadratic,
     q2: PositiveQuadratic,
@@ -393,27 +390,44 @@ def integral_a_numeric(
                                vectorized=True)
 
 
-def kl_numeric(
+def _pair_integral(
     p1: CauchyDist,
     p2: CauchyDist,
-    config: QuadratureConfig = DEFAULT_CONFIG,
+    config: QuadratureConfig,
+    term: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> QuadratureResult:
-    """Quadrature value of KL(p1 : p2) = integral of p1(x) * log(p1(x)/p2(x))."""
+    """Integral over R of term(q1(x), q2(x)), where q_i(x) = s_i^2 + (x - l_i)^2.
+
+    Every divergence between two Cauchy densities is an integral of a
+    function of this pair of quadratics; panel boundaries go at l_i and
+    l_i -/+ s_i, where each density is sharpest.
+    """
     l1, s1 = p1.location, p1.scale
     l2, s2 = p2.location, p2.scale
-    scale_ratio = s1 / s2
     s1sq = s1 * s1
     s2sq = s2 * s2
 
     def integrand(x: np.ndarray) -> np.ndarray:
         u1 = x - l1
         u2 = x - l2
-        q1x = s1sq + u1 * u1
-        # Forming the ratio before the log keeps the tails exact: the
-        # quotient tends to s1/s2, never to an indeterminate difference.
-        return s1 / (math.pi * q1x) * _log(scale_ratio * ((s2sq + u2 * u2) / q1x))
+        return term(s1sq + u1 * u1, s2sq + u2 * u2)
 
-    return integrate_real_line(integrand, config, _cauchy_breakpoints(p1, p2), vectorized=True)
+    return integrate_real_line(integrand, config, (l1 - s1, l1, l1 + s1, l2 - s2, l2, l2 + s2),
+                               vectorized=True)
+
+
+def kl_numeric(
+    p1: CauchyDist,
+    p2: CauchyDist,
+    config: QuadratureConfig = DEFAULT_CONFIG,
+) -> QuadratureResult:
+    """Quadrature value of KL(p1 : p2) = integral of p1(x) * log(p1(x)/p2(x))."""
+    s1 = p1.scale
+    scale_ratio = s1 / p2.scale
+    # Forming the ratio before the log keeps the tails exact: the quotient
+    # tends to s1/s2, never to an indeterminate difference.
+    return _pair_integral(p1, p2, config, lambda q1x, q2x:
+                          s1 / (math.pi * q1x) * _log(scale_ratio * (q2x / q1x)))
 
 
 def cross_entropy_numeric(
@@ -422,19 +436,10 @@ def cross_entropy_numeric(
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
     """Quadrature value of the cross-entropy, -integral of p1(x) * log(p2(x))."""
-    l1, s1 = p1.location, p1.scale
-    l2, s2 = p2.location, p2.scale
-    s1sq = s1 * s1
-    s2sq = s2 * s2
-    log_coeff = math.log(s2 / math.pi)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        u1 = x - l1
-        u2 = x - l2
-        p1x = s1 / (math.pi * (s1sq + u1 * u1))
-        return -p1x * (log_coeff - _log(s2sq + u2 * u2))
-
-    return integrate_real_line(integrand, config, _cauchy_breakpoints(p1, p2), vectorized=True)
+    s1 = p1.scale
+    log_coeff = math.log(p2.scale / math.pi)
+    return _pair_integral(p1, p2, config, lambda q1x, q2x:
+                          -(s1 / (math.pi * q1x)) * (log_coeff - _log(q2x)))
 
 
 def f_divergence_numeric(
@@ -449,22 +454,11 @@ def f_divergence_numeric(
     caller's responsibility and is not checked. generator(t) = t*log(t)
     recovers KL.
     """
-    l1, s1 = p1.location, p1.scale
-    l2, s2 = p2.location, p2.scale
-    scale_ratio = s1 / s2
-    s1sq = s1 * s1
-    s2sq = s2 * s2
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        u1 = x - l1
-        u2 = x - l2
-        q1x = s1sq + u1 * u1
-        q2x = s2sq + u2 * u2
-        ratio = scale_ratio * (q2x / q1x)
-        p2x = s2 / (math.pi * q2x)
-        return _elementwise(generator, ratio) * p2x
-
-    return integrate_real_line(integrand, config, _cauchy_breakpoints(p1, p2), vectorized=True)
+    s2 = p2.scale
+    scale_ratio = p1.scale / s2
+    return _pair_integral(p1, p2, config, lambda q1x, q2x:
+                          _elementwise(generator, scale_ratio * (q2x / q1x))
+                          * (s2 / (math.pi * q2x)))
 
 
 def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cauchykl
-from cauchykl.cli import _OPS, execute_job, format_record, main
+from cauchykl.cli import _CONFIG, _OPS, execute_job, format_record, main
 from cauchykl.core import CauchyDist, kl_closed
 
 BATCH_INPUT = """\
@@ -256,6 +256,66 @@ def test_batch_rejects_non_finite_json_constants(monkeypatch, capsys):
     for record, source in zip(lines[:3], text.splitlines()):
         assert record["input"] == source
         assert record["error"].startswith("malformed record: non-finite number")
+
+
+def test_batch_echoes_non_object_lines_as_read(monkeypatch, capsys):
+    # 1e999 is a number literal, not a constant: it decodes to inf. A
+    # non-object line is echoed as the raw string, and a config value
+    # holding inf fails its type check before the config is echoed.
+    text = ('1e999\n'
+            '[1e999]\n'
+            '[1, 2]\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1},"config":{"seed":[1e999]}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert [r["status"] for r in lines] == ["error"] * 4 + ["ok"]
+    for record, source in zip(lines[:3], text.splitlines()):
+        assert record["input"] == source
+        assert record["error"] == "record must be a JSON object"
+    assert "config" not in lines[3]
+    assert lines[3]["error"] == "config 'seed' must be an integer, got [inf]"
+    assert execute_job([1, 2])["input"] == [1, 2]
+
+
+# Per config key: values of the wrong JSON type.
+WRONG_TYPED_CONFIG = {
+    "numeric": ("a boolean", [[True], "true", 1, 0.0]),
+    "rtol": ("a number", [[1e-3], "1e-3", True]),
+    "atol": ("a number", [[1e-14], "1e-14", False]),
+    "max_depth": ("an integer", [[12], "12", True, 12.0]),
+    "samples": ("an integer", [[5000], "5000", True, 5000.0]),
+    "seed": ("an integer", [[1], "1", False, 1.0]),
+}
+
+
+def test_wrong_typed_config_covers_every_key():
+    assert list(WRONG_TYPED_CONFIG) == list(_CONFIG)
+
+
+@pytest.mark.parametrize("key, kind, value", [
+    (key, kind, value) for key, (kind, values) in WRONG_TYPED_CONFIG.items() for value in values
+])
+def test_wrong_typed_config_is_rejected_before_echo(key, kind, value):
+    # Quadrature keys ride on a numeric kl; the others go to a closed-form
+    # kl, which ignores them but checks them all the same.
+    config = {"numeric": True, key: value} if key in ("rtol", "atol", "max_depth") else {key: value}
+    record = execute_job({"op": "kl", "params": {"l1": 0, "s1": 1, "l2": 1, "s2": 1},
+                          "config": config})
+    json.loads(format_record(record), parse_constant=_reject_constant)
+    assert record["status"] == "error"
+    assert record["error"] == f"config {key!r} must be {kind}, got {value!r}"
+    assert "config" not in record
+
+
+def test_parameter_errors_come_before_config_range_errors(capsys):
+    assert main(["kl", "--l1", "0", "--s1", "1", "--l2", "1", "--s2", "0",
+                 "--numeric", "--rtol", "-1"]) == 1
+    assert "scale must be positive" in json.loads(capsys.readouterr().err)["error"]
+    record = execute_job({"op": "mc", "params": {"l1": 0, "s1": 1, "l2": 1, "s2": 1},
+                          "config": {"samples": 1}})
+    assert record["error"] == "samples must be >= 2, got 1"
 
 
 def test_non_finite_config_is_rejected_before_echo(capsys):
