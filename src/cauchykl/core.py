@@ -174,10 +174,17 @@ def density(dist: CauchyDist, x: float) -> float:
 def quantile(dist: CauchyDist, u: float) -> float:
     """Inverse CDF l + s*tan(pi*(u - 1/2)) for u in the open interval (0, 1).
 
-    Strictly increasing in u; used to drive the seeded Monte-Carlo sampler.
+    Below 1/4 it is l - s/tan(pi*u), above 3/4 l + s/tan(pi*(1 - u)):
+    u - 1/2 would drop a small u's low bits, and tan near -/+pi/2 would
+    amplify the rounding of pi*(u - 1/2). The tangent is within about
+    2.5 ulps; neighbouring doubles u may still give one value.
     """
     if not 0.0 < u < 1.0:
         raise ParameterError(f"quantile level must lie in (0, 1), got {u!r}")
+    if u < 0.25:
+        return dist.location - dist.scale / math.tan(math.pi * u)
+    if u > 0.75:
+        return dist.location + dist.scale / math.tan(math.pi * (1.0 - u))
     return dist.location + dist.scale * math.tan(math.pi * (u - 0.5))
 
 

@@ -20,7 +20,11 @@ class SingularPointError(CauchyKLError, ArithmeticError):
 
 
 class IntegrandEvaluationError(CauchyKLError, RuntimeError):
-    """The integrand returned a non-finite value at a quadrature node."""
+    """The integrand returned a non-finite value at a quadrature node.
+
+    For the integrals over a pair of densities or quadratics, the abscissa
+    is the frame variable t = (x - l1)/s1 (or (x - v1)/w1), not x.
+    """
 
     def __init__(self, abscissa: float, value: float):
         self.abscissa = abscissa

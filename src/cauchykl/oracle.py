@@ -3,41 +3,37 @@
 Everything here integrates over the real line through the compactifying
 substitution x = tan(theta), which maps R onto (-pi/2, pi/2) and turns
 the heavy Cauchy tails into a bounded factor: for the standard density,
-p(tan(theta)) * sec^2(theta) is the constant 1/pi. The finite interval is
-then covered by panels and refined adaptively with an embedded
-Gauss(7)/Kronrod(15) pair, always splitting the panel with the largest
-error estimate. Two kinds of panel boundaries are installed up front:
+p(tan(theta)) * sec^2(theta) is the constant 1/pi. Panels cover the
+interval and are refined with an embedded Gauss(7)/Kronrod(15) pair,
+always splitting the panel with the largest error estimate.
 
-* the vertices and half-widths of the quadratics involved (callers pass
-  them as `breakpoints`), where the log factor or the density is sharpest;
-* a geometric ladder accumulating at theta = +/-pi/2, because integrands
-  carrying a bare log factor grow like log|tan(theta)| toward the
-  endpoints and bisection alone is slow against that.
+Integrals over a pair of densities (or quadratics) are taken in the
+standard frame of the first: t = (x - l1)/s1, or t = (x - v1)/w1 from
+q1's vertex and half-width. With alpha = (l2 - l1)/s1, beta = s2/s1,
+n(t) = beta^2 + (t - alpha)^2 and m(t) = 1 + t^2, the density ratio is
+R(t) = p1/p2 = n/(beta*m) and p1 dx is the weight dt/(pi*m). KL
+integrates log R, an f-divergence generator(R)/R. Cross-entropy and
+integral A carry log n = log m + log(n/m); log m integrates to log 4
+(Gradshteyn & Ryzhik 4.295), and log(n/m) is bounded. So every pair
+integrand is bounded and analytic in theta, with structure only where a
+density is narrow: t = 0 at width 1 and t = alpha at width beta. Panel
+boundaries grade geometrically away from each feature (c, w), at c and
+c -/+ w*4**k until the steps reach 4*(|alpha| + max(1, beta)), so a
+scale ratio or gap of 10**k costs O(k) panels. Without breakpoints,
+integrate_real_line grades around x = 0 out to 2**53 instead, which
+covers integrands whose tails grow like a log.
 
-Panels are evaluated in batches: the initial panels in one call and the
-two halves of each refinement step in one call, every node of every
-panel in one array. Arithmetic (+ - * /) runs in numpy, which rounds
-each operation exactly as Python floats do; transcendentals (math.tan at
-the nodes, math.log in the integrands, a caller's f-divergence
-generator) are applied to each element from libm, never through numpy's
-SIMD np.tan/np.log, which differ from libm in the last bit on some
-inputs and CPUs. The Kronrod and Gauss sums accumulate node by node in a
-fixed order, so results are bit-identical to evaluating one node at a
-time, and the same on every CPU for a given libm. The nodes of the
-panels between consecutive ladder boundaries are the same for every
-integral; their tangents are computed once per process, on
-first use, into one table of 98 rows (split panels are not cached).
-
-KL, cross-entropy and f-divergence between two Cauchy densities share
-one integrand builder, `_pair_integral`: it forms the pair of quadratics
-s_i^2 + (x - l_i)^2 at every node, places the six breakpoints l_i and
-l_i -/+ s_i, and integrates the divergence's function of that pair.
-
-Results report the value, the summed error estimate, the number of
-integrand evaluations and a convergence flag; exhausting the refinement
-depth yields converged=False rather than an exception, so batch drivers
-can record partial results. Everything is deterministic: identical inputs
-produce bit-identical results.
+Panels are evaluated in batches, every node of the initial panels in
+one array and then both halves of each split. Arithmetic (+ - * /) runs
+in numpy, which rounds each operation as Python floats do; math.tan,
+math.log and a caller's f-divergence generator are applied per element
+from libm, never through numpy's SIMD np.tan/np.log, which differ from
+libm in the last bit on some inputs and CPUs. The Kronrod and Gauss
+sums accumulate node by node in a fixed order, so results are
+bit-identical to evaluating one node at a time, on every CPU for a
+given libm. Results report the value, the summed error estimate, the
+number of integrand evaluations and a convergence flag; exhausting the
+refinement depth yields converged=False rather than an exception.
 
 The Monte-Carlo estimator draws through the quantile map
 l + s*tan(pi*(u - 1/2)) from numpy's seeded PCG64 generator, making every
@@ -49,8 +45,6 @@ numpy reduces an array.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -106,11 +100,9 @@ _WG = (
 )
 
 _HALF_PI = 0.5 * math.pi
-# Ladder of panel boundaries accumulating at the interval ends; the
-# innermost boundary sits at distance (pi/4) * 2**-47 ~ 5.6e-15 from the
-# endpoint, past which the leftover sliver contributes below 1e-13 even
-# for log-singular integrands.
-_ENDPOINT_LEVELS = 48
+_LOG4 = math.log(4.0)
+# Steps w*4**k span all of binary64 in this many grades, even from w = 0.
+_MAX_GRADES = 1100
 # Hard cap on refinement steps; unreachable for the integrand family this
 # oracle targets, present so a pathological user integrand cannot spin.
 _MAX_SPLITS = 200_000
@@ -198,31 +190,25 @@ _KRONROD_WEIGHTS = np.array((_WGK[7],) + _WGK[:7])
 _GAUSS_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 
 
-def _tan_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x = tan(theta) at the 15 Kronrod nodes of each panel [a_i, b_i]."""
-    c = 0.5 * (a + b)
-    theta = c[:, None] + (0.5 * (b - a))[:, None] * _NODE_OFFSETS
-    return _elementwise(math.tan, theta.ravel()).reshape(theta.shape)
-
-
 def _gk15(
     f: Callable[[np.ndarray], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
-    x: np.ndarray,
 ) -> tuple[list[float], list[float]]:
-    """Gauss-Kronrod 7/15 on every panel [a_i, b_i] at once.
+    """Gauss-Kronrod 7/15 on every panel [a_i, b_i] of theta at once.
 
-    `f` maps a 1-D array of abscissae to the integrand's values there;
-    `x` holds the panels' tan nodes, one row per panel. Returns the Kronrod
-    values and the error estimates |K15 - G7| * h. The plain difference
-    overestimates the Kronrod error by orders of magnitude on smooth
-    panels, which keeps the reported estimate on the safe side. Both
-    sums accumulate node by node (np.add.accumulate is sequential), so
-    every panel gets the bits of a scalar evaluation. The first
-    non-finite sample in evaluation order raises IntegrandEvaluationError.
+    `f` maps a 1-D array of abscissae x = tan(theta) to the integrand's
+    values there. Returns the Kronrod values and the error estimates
+    |K15 - G7| * h. The plain difference overestimates the Kronrod error
+    by orders of magnitude on smooth panels, which keeps the reported
+    estimate on the safe side. Both sums accumulate node by node
+    (np.add.accumulate is sequential), so every panel gets the bits of a
+    scalar evaluation. The first non-finite sample in evaluation order
+    raises IntegrandEvaluationError.
     """
-    x = x.ravel()
+    h = 0.5 * (b - a)
+    theta = (0.5 * (a + b))[:, None] + h[:, None] * _NODE_OFFSETS
+    x = _elementwise(math.tan, theta.ravel())
     y = f(x) * (1.0 + x * x)
     if not math.isfinite(y.sum()):
         # A sample is not finite, or the sum overflowed: look for the first.
@@ -234,51 +220,33 @@ def _gk15(
     v = np.concatenate((y[:, :1], y[:, 1::2] + y[:, 2::2]), axis=1)
     resk = np.add.accumulate(v * _KRONROD_WEIGHTS, axis=1)[:, -1]
     resg = np.add.accumulate(v[:, ::2] * _GAUSS_WEIGHTS, axis=1)[:, -1]
-    h = 0.5 * (b - a)
     return (resk * h).tolist(), (np.abs(resk - resg) * h).tolist()
 
 
-@functools.cache
-def _ladder() -> tuple[list[float], dict[tuple[float, float], int], np.ndarray]:
-    """The fixed panel boundaries and the tan nodes of the panels between them.
+def _graded_breakpoints(features: Iterable[tuple[float, float]], reach: float) -> list[float]:
+    """The abscissae c and c -/+ w*4**k, k = 0, 1, ... until w*4**k >= reach.
 
-    The boundaries are -pi/2, 0, pi/2 and the endpoint ladder, sorted.
-    Row i of the table holds the nodes of the panel the index maps to i.
-    Most initial panels of every integral are such panels, so the table
-    is built on first use and kept for the process; split panels are not
-    cached.
+    For each feature (c, w), the panels widen geometrically from width w
+    out to `reach`: a log-type dip at scale w, or log growth toward the
+    ends of the theta interval, costs O(log(reach/w)) panels.
     """
-    thetas = {-_HALF_PI, 0.0, _HALF_PI}
-    for k in range(_ENDPOINT_LEVELS):
-        delta = 0.25 * math.pi * 2.0 ** (-k)
-        thetas.add(_HALF_PI - delta)
-        thetas.add(delta - _HALF_PI)
-    pts = sorted(thetas)
-    index = {panel: i for i, panel in enumerate(zip(pts, pts[1:]))}
-    return pts, index, _tan_nodes(np.array(pts[:-1]), np.array(pts[1:]))
+    points: list[float] = []
+    for c, w in features:
+        points.append(c)
+        step = w
+        for _ in range(_MAX_GRADES):
+            points.extend((c - step, c + step))
+            if step >= reach:
+                break
+            step *= 4.0
+    return points
 
 
 def _theta_breakpoints(breakpoints: Iterable[float]) -> list[float]:
-    """The ladder with atan(x) inserted for each finite breakpoint x."""
-    pts = list(_ladder()[0])
-    for x in breakpoints:
-        if math.isfinite(x):
-            theta = math.atan(x)
-            i = bisect.bisect_left(pts, theta)
-            if pts[i] != theta:
-                pts.insert(i, theta)
-    return pts
-
-
-def _initial_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Tan nodes of the initial panels, ladder panels taken from the table."""
-    _, index, table = _ladder()
-    rows = [index.get(panel, -1) for panel in zip(left.tolist(), right.tolist())]
-    x = table[rows]  # a miss (row -1) is overwritten below
-    miss = [i for i, row in enumerate(rows) if row < 0]
-    if miss:
-        x[miss] = _tan_nodes(left[miss], right[miss])
-    return x
+    """-pi/2, pi/2 and atan(x) for each finite breakpoint x, sorted, no repeats."""
+    thetas = {-_HALF_PI, _HALF_PI}
+    thetas.update(math.atan(x) for x in breakpoints if math.isfinite(x))
+    return sorted(thetas)
 
 
 def integrate_real_line(
@@ -295,9 +263,14 @@ def integrate_real_line(
     integrands, which use numpy for + - * / and libm per element for
     transcendentals). `breakpoints` are x-space abscissae near which the
     integrand has structure (density spikes, log-factor minima); a panel
-    boundary is placed at each. A non-finite integrand sample raises
-    IntegrandEvaluationError carrying the offending abscissa; exhausting
-    the refinement depth returns converged=False instead of raising.
+    boundary is placed at each. Without breakpoints the boundaries grade
+    geometrically around x = 0, at 0 and -/+4**k out to 2**53, which suits
+    integrands that peak near the origin and whose tails grow like a
+    log. Breakpoints a caller passes replace that default grading, so a
+    caller whose integrand grows toward the ends passes its own grading.
+    A non-finite integrand sample raises IntegrandEvaluationError carrying
+    the offending abscissa; exhausting the refinement depth returns
+    converged=False instead of raising.
     """
     if vectorized:
         f = integrand
@@ -305,8 +278,9 @@ def integrate_real_line(
         def f(x: np.ndarray) -> np.ndarray:
             return _elementwise(integrand, x)
 
+    points = list(breakpoints) or _graded_breakpoints(((0.0, 1.0),), 2.0 ** 53)
     with np.errstate(all="ignore"):
-        return _integrate(f, config, _theta_breakpoints(breakpoints))
+        return _integrate(f, config, _theta_breakpoints(points))
 
 
 def _integrate(
@@ -314,9 +288,7 @@ def _integrate(
     config: QuadratureConfig,
     pts: list[float],
 ) -> QuadratureResult:
-    left = np.array(pts[:-1])
-    right = np.array(pts[1:])
-    values, errors = _gk15(f, left, right, _initial_nodes(left, right))
+    values, errors = _gk15(f, np.array(pts[:-1]), np.array(pts[1:]))
     evaluations = 15 * len(values)
     total_value = 0.0
     total_error = 0.0
@@ -348,8 +320,7 @@ def _integrate(
                 break
             continue
         mid = 0.5 * (a + b)
-        lo, hi = np.array((a, mid)), np.array((mid, b))
-        (v1, v2), (e1, e2) = _gk15(f, lo, hi, _tan_nodes(lo, hi))
+        (v1, v2), (e1, e2) = _gk15(f, np.array((a, mid)), np.array((mid, b)))
         evaluations += 30
         total_value += (v1 + v2) - value
         total_error += (e1 + e2) - (-neg_err)
@@ -368,12 +339,39 @@ def _integrate(
     return QuadratureResult(value, error, evaluations, converged)
 
 
-def _quadratic_breakpoints(*quadratics: PositiveQuadratic) -> list[float]:
-    points: list[float] = []
-    for q in quadratics:
-        v, w = q.vertex, q.half_width
-        points.extend((v - w, v, v + w))
-    return points
+def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
+                    term: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
+    """Integral over R of term(R(t)) dt / (pi * m(t)) in the frame of (v1, w1).
+
+    alpha = (v2 - v1)/w1 and beta = w2/w1; panel boundaries grade away from
+    t = 0 at width 1 and from t = alpha at width beta.
+    """
+    alpha, beta = (v2 - v1) / w1, w2 / w1
+    beta_sq = beta * beta
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        u = t - alpha
+        m = 1.0 + t * t
+        return term((beta_sq + u * u) / (beta * m)) / (math.pi * m)
+
+    reach = 4.0 * (abs(alpha) + max(1.0, beta))
+    breakpoints = _graded_breakpoints(((0.0, 1.0), (alpha, beta)), reach)
+    return integrate_real_line(integrand, config, breakpoints, vectorized=True)
+
+
+def _expected_log(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
+                  shift: float, scale: float = 1.0) -> QuadratureResult:
+    """scale * (shift + E[log((x - v2)^2 + w2^2)]) for x ~ Cauchy(v1, w1).
+
+    In the frame of (v1, w1) the log is 2*log(w1) + log(m) + log(n/m), with
+    n/m = beta*R bounded; the expectation of log(m) is log 4. The error
+    estimate is scaled with the value.
+    """
+    beta = w2 / w1
+    r = _frame_integral(v1, w1, v2, w2, config, lambda ratio: _log(beta * ratio))
+    shift += 2.0 * math.log(w1) + _LOG4
+    return QuadratureResult(scale * (shift + r.value), scale * r.error_estimate,
+                            r.evaluations, r.converged)
 
 
 def integral_a_numeric(
@@ -381,39 +379,14 @@ def integral_a_numeric(
     q2: PositiveQuadratic,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Quadrature value of A(q1; q2) = integral of log(q2(x)) / q1(x) over R."""
+    """Quadrature value of A(q1; q2) = integral of log(q2(x)) / q1(x) over R.
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return _log(q2(x)) / q1(x)
-
-    return integrate_real_line(integrand, config, _quadratic_breakpoints(q1, q2),
-                               vectorized=True)
-
-
-def _pair_integral(
-    p1: CauchyDist,
-    p2: CauchyDist,
-    config: QuadratureConfig,
-    term: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> QuadratureResult:
-    """Integral over R of term(q1(x), q2(x)), where q_i(x) = s_i^2 + (x - l_i)^2.
-
-    Every divergence between two Cauchy densities is an integral of a
-    function of this pair of quadratics; panel boundaries go at l_i and
-    l_i -/+ s_i, where each density is sharpest.
+    With q_i(x) = a_i * ((x - v_i)^2 + w_i^2), A is pi/(a1*w1) times the
+    expectation of log(q2(x)) under Cauchy(v1, w1).
     """
-    l1, s1 = p1.location, p1.scale
-    l2, s2 = p2.location, p2.scale
-    s1sq = s1 * s1
-    s2sq = s2 * s2
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        u1 = x - l1
-        u2 = x - l2
-        return term(s1sq + u1 * u1, s2sq + u2 * u2)
-
-    return integrate_real_line(integrand, config, (l1 - s1, l1, l1 + s1, l2 - s2, l2, l2 + s2),
-                               vectorized=True)
+    w1 = q1.half_width
+    return _expected_log(q1.vertex, w1, q2.vertex, q2.half_width, config,
+                         math.log(q2.a), math.pi / (q1.a * w1))
 
 
 def kl_numeric(
@@ -421,13 +394,12 @@ def kl_numeric(
     p2: CauchyDist,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Quadrature value of KL(p1 : p2) = integral of p1(x) * log(p1(x)/p2(x))."""
-    s1 = p1.scale
-    scale_ratio = s1 / p2.scale
-    # Forming the ratio before the log keeps the tails exact: the quotient
-    # tends to s1/s2, never to an indeterminate difference.
-    return _pair_integral(p1, p2, config, lambda q1x, q2x:
-                          s1 / (math.pi * q1x) * _log(scale_ratio * (q2x / q1x)))
+    """Quadrature value of KL(p1 : p2) = integral of p1(x) * log(p1(x)/p2(x)).
+
+    In the frame of p1 this is the expectation of log R(t), R = p1/p2,
+    under the standard Cauchy density.
+    """
+    return _frame_integral(p1.location, p1.scale, p2.location, p2.scale, config, _log)
 
 
 def cross_entropy_numeric(
@@ -435,11 +407,12 @@ def cross_entropy_numeric(
     p2: CauchyDist,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Quadrature value of the cross-entropy, -integral of p1(x) * log(p2(x))."""
-    s1 = p1.scale
-    log_coeff = math.log(p2.scale / math.pi)
-    return _pair_integral(p1, p2, config, lambda q1x, q2x:
-                          -(s1 / (math.pi * q1x)) * (log_coeff - _log(q2x)))
+    """Quadrature value of the cross-entropy, -integral of p1(x) * log(p2(x)).
+
+    -log(p2(x)) = log(pi/s2) + log(s2^2 + (x - l2)^2).
+    """
+    return _expected_log(p1.location, p1.scale, p2.location, p2.scale, config,
+                         math.log(math.pi / p2.scale))
 
 
 def f_divergence_numeric(
@@ -452,13 +425,11 @@ def f_divergence_numeric(
 
     `generator` should be convex with generator(1) = 0; this is the
     caller's responsibility and is not checked. generator(t) = t*log(t)
-    recovers KL.
+    recovers KL. In the frame of p1 the integrand is generator(R)/R, with
+    R = p1/p2, against the standard Cauchy density.
     """
-    s2 = p2.scale
-    scale_ratio = p1.scale / s2
-    return _pair_integral(p1, p2, config, lambda q1x, q2x:
-                          _elementwise(generator, scale_ratio * (q2x / q1x))
-                          * (s2 / (math.pi * q2x)))
+    return _frame_integral(p1.location, p1.scale, p2.location, p2.scale, config,
+                           lambda ratio: _elementwise(generator, ratio) / ratio)
 
 
 def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> float:
@@ -511,7 +482,8 @@ def kl_monte_carlo(
 ) -> MonteCarloResult:
     """Monte-Carlo estimate of KL(p1 : p2) from `samples` quantile draws.
 
-    Uniform variates come from numpy's PCG64 stream for the given seed, so
+    Uniform variates come from numpy's PCG64 stream for the given seed
+    (a non-negative integer; a negative one raises ParameterError), so
     the estimate is a pure function of (p1, p2, samples, seed). The
     log-density ratio between two Cauchy distributions is bounded, hence
     the estimator variance is finite and the standard error is
@@ -527,6 +499,8 @@ def kl_monte_carlo(
     samples = int(samples)
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     l1, s1 = p1.location, p1.scale
     l2, s2 = p2.location, p2.scale
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -43,7 +43,8 @@ def draw_pairs(seed: int, count: int):
 
 # ---------------------------------------------------------------------------
 # Scalar reference quadrature: one node at a time, Python floats and libm.
-# The batched engine in cauchykl.oracle must return == results.
+# The pair integrals are taken in the standard frame of the first density,
+# as in cauchykl.oracle, whose batched engine must return == results.
 # ---------------------------------------------------------------------------
 
 def _reference_gk15(g, a, b):
@@ -61,17 +62,23 @@ def _reference_gk15(g, a, b):
     return resk * h, abs(resk - resg) * h
 
 
+def _reference_graded(features, reach):
+    points = []
+    for c, w in features:
+        points.append(c)
+        step = w
+        for _ in range(1100):
+            points.extend((c - step, c + step))
+            if step >= reach:
+                break
+            step *= 4.0
+    return points
+
+
 def _reference_breakpoints(breakpoints):
+    points = list(breakpoints) or _reference_graded([(0.0, 1.0)], 2.0 ** 53)
     half_pi = 0.5 * math.pi
-    thetas = {-half_pi, 0.0, half_pi}
-    for x in breakpoints:
-        if math.isfinite(x):
-            thetas.add(math.atan(x))
-    for k in range(48):
-        delta = 0.25 * math.pi * 2.0 ** (-k)
-        thetas.add(half_pi - delta)
-        thetas.add(delta - half_pi)
-    return sorted(thetas)
+    return sorted({-half_pi, half_pi} | {math.atan(x) for x in points if math.isfinite(x)})
 
 
 def reference_integrate(integrand, config=oracle.DEFAULT_CONFIG, breakpoints=()):
@@ -134,58 +141,44 @@ def reference_integrate(integrand, config=oracle.DEFAULT_CONFIG, breakpoints=())
     return QuadratureResult(value, error, evaluations, converged)
 
 
-def _around(centres_and_widths):
-    return [x for v, w in centres_and_widths for x in (v - w, v, v + w)]
+def _reference_frame(v1, w1, v2, w2, term, config):
+    """Integral of term(R) dt/(pi*m) in the frame of (v1, w1), R = n/(beta*m)."""
+    alpha, beta = (v2 - v1) / w1, w2 / w1
+    beta_sq = beta * beta
+
+    def integrand(t):
+        u = t - alpha
+        m = 1.0 + t * t
+        return term((beta_sq + u * u) / (beta * m)) / (math.pi * m)
+
+    reach = 4.0 * (abs(alpha) + max(1.0, beta))
+    return reference_integrate(integrand, config,
+                               _reference_graded([(0.0, 1.0), (alpha, beta)], reach))
 
 
-def _cauchy_breakpoints(p1, p2):
-    return _around((p.location, p.scale) for p in (p1, p2))
+def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):
+    beta = w2 / w1
+    r = _reference_frame(v1, w1, v2, w2, lambda ratio: math.log(beta * ratio), config)
+    shift += 2.0 * math.log(w1) + math.log(4.0)
+    return QuadratureResult(scale * (shift + r.value), scale * r.error_estimate,
+                            r.evaluations, r.converged)
 
 
 def reference_kl(p1, p2, config=oracle.DEFAULT_CONFIG):
-    l1, s1, l2, s2 = p1.location, p1.scale, p2.location, p2.scale
-    scale_ratio = s1 / s2
-    s1sq, s2sq = s1 * s1, s2 * s2
-
-    def integrand(x):
-        u1 = x - l1
-        u2 = x - l2
-        q1x = s1sq + u1 * u1
-        return s1 / (math.pi * q1x) * math.log(scale_ratio * ((s2sq + u2 * u2) / q1x))
-
-    return reference_integrate(integrand, config, _cauchy_breakpoints(p1, p2))
+    return _reference_frame(p1.location, p1.scale, p2.location, p2.scale, math.log, config)
 
 
 def reference_cross_entropy(p1, p2, config=oracle.DEFAULT_CONFIG):
-    l1, s1, l2, s2 = p1.location, p1.scale, p2.location, p2.scale
-    s1sq, s2sq = s1 * s1, s2 * s2
-    log_coeff = math.log(s2 / math.pi)
-
-    def integrand(x):
-        u1 = x - l1
-        u2 = x - l2
-        p1x = s1 / (math.pi * (s1sq + u1 * u1))
-        return -p1x * (log_coeff - math.log(s2sq + u2 * u2))
-
-    return reference_integrate(integrand, config, _cauchy_breakpoints(p1, p2))
+    return _reference_expected_log(p1.location, p1.scale, p2.location, p2.scale, config,
+                                   math.log(math.pi / p2.scale))
 
 
 def reference_integral_a(q1, q2, config=oracle.DEFAULT_CONFIG):
-    breakpoints = _around((q.vertex, q.half_width) for q in (q1, q2))
-    return reference_integrate(lambda x: math.log(q2(x)) / q1(x), config, breakpoints)
+    w1 = q1.half_width
+    return _reference_expected_log(q1.vertex, w1, q2.vertex, q2.half_width, config,
+                                   math.log(q2.a), math.pi / (q1.a * w1))
 
 
 def reference_f_divergence(generator, p1, p2, config=oracle.DEFAULT_CONFIG):
-    l1, s1, l2, s2 = p1.location, p1.scale, p2.location, p2.scale
-    scale_ratio = s1 / s2
-    s1sq, s2sq = s1 * s1, s2 * s2
-
-    def integrand(x):
-        u1 = x - l1
-        u2 = x - l2
-        q1x = s1sq + u1 * u1
-        q2x = s2sq + u2 * u2
-        p2x = s2 / (math.pi * q2x)
-        return generator(scale_ratio * (q2x / q1x)) * p2x
-
-    return reference_integrate(integrand, config, _cauchy_breakpoints(p1, p2))
+    return _reference_frame(p1.location, p1.scale, p2.location, p2.scale,
+                            lambda ratio: generator(ratio) / ratio, config)

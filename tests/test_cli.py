@@ -31,7 +31,7 @@ BATCH_GOLDEN = """\
 {"op":"kl","params":{"l1":1,"s1":2,"l2":3,"s2":5},"status":"ok","value":0.28141245943818555}
 {"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":50000,"seed":7},"status":"ok","value":0.2854751929590636,"diagnostics":{"standard_error":0.0032656862662854671,"samples":50000,"seed":7}}
 {"op":"entropy","params":{"l":0,"s":1},"status":"ok","value":2.5310242469692907}
-{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089363,"diagnostics":{"error_estimate":2.1077194678747861e-12,"evaluations":1560,"converged":true}}
+{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":1.2974636815634246e-13,"evaluations":225,"converged":true}}
 """
 
 
@@ -149,6 +149,17 @@ def test_batch_unknown_op_continues_stream(monkeypatch, capsys):
     assert lines[1]["status"] == "ok"
 
 
+def test_batch_mc_negative_seed_names_the_seed(monkeypatch, capsys):
+    text = ('{"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":100,"seed":-1}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["status"] == "error"
+    assert lines[0]["error"] == "seed must be >= 0, got -1"
+    assert lines[1]["status"] == "ok"
+
+
 def test_batch_malformed_line_reports_input(monkeypatch, capsys):
     code, out = run_batch(monkeypatch, capsys, "not json\n")
     assert code == 1
@@ -218,9 +229,12 @@ def _run_cli(args, stdin):
 
 
 def test_batch_full_range_numeric_records_keep_stream_and_stderr(tmp_path):
-    # Quadrature over parameters whose squares underflow or overflow: each
-    # is an error record naming the abscissa of the first non-finite
-    # sample, nothing reaches stderr, and the last record still runs.
+    # Quadrature over parameters whose squares underflow or overflow. In
+    # the frame of p1 the scales 1e-200 and 1e300 are harmless and the
+    # records are exact to within their error estimates; a gap of 1e200
+    # still overflows there, which gives an error record naming the frame
+    # abscissa of the first non-finite sample. Nothing reaches stderr, and
+    # the last record still runs.
     numeric = ',"config":{"numeric":true}}'
     stream = tmp_path / "stream.jsonl"
     stream.write_text(
@@ -237,9 +251,23 @@ def test_batch_full_range_numeric_records_keep_stream_and_stderr(tmp_path):
     assert err == b""
     assert proc.returncode == 1
     lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
-    assert [r["status"] for r in lines] == ["error"] * 6 + ["ok"]
-    assert all(r["error"].startswith("integrand returned non-finite value") for r in lines[:6])
-    assert lines[6]["diagnostics"]["evaluations"] == 1515
+    assert [r["status"] for r in lines] == ["ok", "ok", "error"] * 2 + ["ok"]
+    assert all(r["error"].startswith("integrand returned non-finite value")
+               for r in (lines[2], lines[5]))
+    assert lines[6]["diagnostics"]["evaluations"] == 225
+
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for record in lines[:2] + lines[3:5]:
+        params = record["params"]
+        l1, s1, l2, s2 = (mp.mpf(params[k]) for k in ("l1", "s1", "l2", "s2"))
+        q = (s1 + s2) ** 2 + (l1 - l2) ** 2
+        exact = float(mp.log(q / (4 * s1 * s2)) if record["op"] == "kl"
+                      else mp.log(mp.pi * q / s2))
+        bound = record["diagnostics"]["error_estimate"] + 4.0 * math.ulp(exact)
+        assert record["diagnostics"]["converged"]
+        assert abs(record["value"] - exact) <= bound, (record, exact)
 
 
 def test_batch_rejects_non_finite_json_constants(monkeypatch, capsys):

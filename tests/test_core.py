@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cauchykl import (
     CanonicalReduction,
@@ -110,6 +110,7 @@ def test_quantile_fixtures():
 
 
 @given(dists, st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+@example(CauchyDist(0.0, 1.0), 0.001, math.nextafter(0.001, 1.0))
 def test_quantile_strictly_increasing(dist, u1, u2):
     if u1 == u2:
         return
