@@ -40,14 +40,17 @@ __all__ = ["main", "execute_job", "format_record"]
 # --------------------------------------------------------------------------
 
 def _fmt(value: Any) -> str:
+    # Floats first: they are most of what a record holds.
+    if isinstance(value, float):
+        return "%.17g" % value
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_fmt(v)}" for k, v in value.items()) + "}"
+        return "{" + ",".join([f"{_JSON_TEXT[k]}:{_fmt(v)}" for k, v in value.items()]) + "}"
+    if isinstance(value, str):
+        return _JSON_TEXT[value]
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return "%.17g" % value
     return json.dumps(value)
 
 
@@ -61,9 +64,10 @@ def format_record(record: dict) -> str:
 # --------------------------------------------------------------------------
 
 def _number(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"parameter {name!r} must be a number, got {value!r}")
-    value = float(value)
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(f"parameter {name!r} must be a number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ParameterError(f"parameter {name!r} must be finite, got {value!r}")
     return value
@@ -99,7 +103,7 @@ _CONFIG: dict[str, tuple[str, Any, dict[str, Any]]] = {
 }
 # The exact Python types that json decodes each JSON type to.
 _JSON_TYPES = {"a boolean": (bool,), "an integer": (int,), "a number": (float, int)}
-# Rows read a record's config filled: {**_DEFAULTS, **config}.
+# Rows read a record's config filled, {**_DEFAULTS, **config}, or _DEFAULTS itself.
 _DEFAULTS = {key: default for key, (_, default, _) in _CONFIG.items()}
 _QUADRATURE_FLAGS = ("numeric", "rtol", "atol", "max_depth")
 _PAIR_PARAMS = ("l1", "s1", "l2", "s2")
@@ -154,6 +158,24 @@ _OPS: dict[str, _Op] = {
         lambda p, c: core.prudnikov_special(p["a"], p["b"], p["z"]),
     ),
 }
+# Each op's parameter names as a set, to compare a record's keys against.
+_PARAM_SETS = {op: frozenset(spec.params) for op, spec in _OPS.items()}
+
+
+class _JSONText(dict):
+    """JSON text of the strings records are built from; others are encoded on lookup."""
+
+    def __missing__(self, key: Any) -> str:
+        return json.dumps(key)
+
+
+# The fixed strings of every batch record: its keys, op names and statuses.
+_JSON_TEXT = _JSONText((s, json.dumps(s)) for s in (
+    "op", "params", "config", "status", "value", "error", "diagnostics", "input",
+    "error_estimate", "evaluations", "converged", "standard_error",
+    "ok", *_OPS, *_CONFIG,
+    *(name for spec in _OPS.values() for name in spec.params),
+))
 
 
 def execute_job(record: Any) -> dict:
@@ -177,29 +199,31 @@ def execute_job(record: Any) -> dict:
         raw_params = record.get("params", {})
         if not isinstance(raw_params, dict):
             raise ParameterError("params must be an object of name -> number")
-        unknown = sorted(set(raw_params) - set(spec.params))
-        if unknown:
-            raise ParameterError(f"unknown parameters {unknown} for operation {op!r}")
-        missing = [k for k in spec.params if k not in raw_params]
-        if missing:
+        if raw_params.keys() != _PARAM_SETS[op]:
+            unknown = sorted(set(raw_params) - _PARAM_SETS[op])
+            if unknown:
+                raise ParameterError(f"unknown parameters {unknown} for operation {op!r}")
+            missing = [k for k in spec.params if k not in raw_params]
             raise ParameterError(f"missing parameters {missing} for operation {op!r}")
         params = {k: _number(raw_params[k], k) for k in spec.params}
         echo["params"] = params
-        config = record.get("config", {})
-        if not isinstance(config, dict):
-            raise ParameterError("config must be an object")
-        unknown = sorted(set(config) - set(_CONFIG))
-        if unknown:
-            raise ParameterError(f"unknown config keys {unknown}")
-        for key, value in config.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"config {key!r} must be finite, got {value!r}")
-            kind = _CONFIG[key][0]
-            if type(value) not in _JSON_TYPES[kind]:
-                raise ParameterError(f"config {key!r} must be {kind}, got {value!r}")
-        if config:
-            echo["config"] = {k: config[k] for k in _CONFIG if k in config}
-        config = {**_DEFAULTS, **config}
+        config = _DEFAULTS
+        if "config" in record:
+            config = record["config"]
+            if not isinstance(config, dict):
+                raise ParameterError("config must be an object")
+            unknown = sorted(set(config) - set(_CONFIG))
+            if unknown:
+                raise ParameterError(f"unknown config keys {unknown}")
+            for key, value in config.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ParameterError(f"config {key!r} must be finite, got {value!r}")
+                kind = _CONFIG[key][0]
+                if type(value) not in _JSON_TYPES[kind]:
+                    raise ParameterError(f"config {key!r} must be {kind}, got {value!r}")
+            if config:
+                echo["config"] = {k: config[k] for k in _CONFIG if k in config}
+            config = {**_DEFAULTS, **config}
         call = spec.quadrature if spec.quadrature and config["numeric"] else spec.closed
         out = call(params, config)
         if isinstance(out, float):
@@ -214,17 +238,15 @@ def execute_job(record: Any) -> dict:
                            "samples": out.samples, "seed": out.seed}
         if not math.isfinite(value):
             raise ArithmeticError(f"result is not finite: {value!r}")
-        result = dict(echo)
-        result["status"] = "ok"
-        result["value"] = value
+        echo["status"] = "ok"
+        echo["value"] = value
         if diagnostics is not None:
-            result["diagnostics"] = diagnostics
-        return result
+            echo["diagnostics"] = diagnostics
+        return echo
     except (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        result = dict(echo)
-        result["status"] = "error"
-        result["error"] = str(exc) or exc.__class__.__name__
-        return result
+        echo["status"] = "error"
+        echo["error"] = str(exc) or exc.__class__.__name__
+        return echo
 
 
 # --------------------------------------------------------------------------

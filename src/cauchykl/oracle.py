@@ -365,12 +365,17 @@ def _expected_log(v1: float, w1: float, v2: float, w2: float, config: Quadrature
 
     In the frame of (v1, w1) the log is 2*log(w1) + log(m) + log(n/m), with
     n/m = beta*R bounded; the expectation of log(m) is log 4. The error
-    estimate is scaled with the value.
+    estimate is scaled with the value and covers the rounding of the shift.
     """
     beta = w2 / w1
     r = _frame_integral(v1, w1, v2, w2, config, lambda ratio: _log(beta * ratio))
-    shift += 2.0 * math.log(w1) + _LOG4
-    return QuadratureResult(scale * (shift + r.value), scale * r.error_estimate,
+    log_w1_sq = 2.0 * math.log(w1)
+    # Each log and sum rounds by at most an ulp of the terms' summed
+    # magnitude, which they may cancel to far less; scale and the product
+    # with it add a few ulps of the value. 8 ulps of that magnitude bound all.
+    rounding = 8.0 * math.ulp(abs(shift) + abs(log_w1_sq) + _LOG4 + abs(r.value))
+    shift += log_w1_sq + _LOG4
+    return QuadratureResult(scale * (shift + r.value), scale * (r.error_estimate + rounding),
                             r.evaluations, r.converged)
 
 

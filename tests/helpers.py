@@ -159,8 +159,10 @@ def _reference_frame(v1, w1, v2, w2, term, config):
 def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):
     beta = w2 / w1
     r = _reference_frame(v1, w1, v2, w2, lambda ratio: math.log(beta * ratio), config)
-    shift += 2.0 * math.log(w1) + math.log(4.0)
-    return QuadratureResult(scale * (shift + r.value), scale * r.error_estimate,
+    log_w1_sq = 2.0 * math.log(w1)
+    rounding = 8.0 * math.ulp(abs(shift) + abs(log_w1_sq) + math.log(4.0) + abs(r.value))
+    shift += log_w1_sq + math.log(4.0)
+    return QuadratureResult(scale * (shift + r.value), scale * (r.error_estimate + rounding),
                             r.evaluations, r.converged)
 
 

@@ -6,11 +6,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import cauchykl
+from cauchykl import cli
 from cauchykl.cli import _CONFIG, _OPS, execute_job, format_record, main
 from cauchykl.core import CauchyDist, kl_closed
 
@@ -31,7 +35,7 @@ BATCH_GOLDEN = """\
 {"op":"kl","params":{"l1":1,"s1":2,"l2":3,"s2":5},"status":"ok","value":0.28141245943818555}
 {"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":50000,"seed":7},"status":"ok","value":0.2854751929590636,"diagnostics":{"standard_error":0.0032656862662854671,"samples":50000,"seed":7}}
 {"op":"entropy","params":{"l":0,"s":1},"status":"ok","value":2.5310242469692907}
-{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":1.2974636815634246e-13,"evaluations":225,"converged":true}}
+{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":1.3440090163583302e-13,"evaluations":225,"converged":true}}
 """
 
 
@@ -105,6 +109,47 @@ def test_floats_round_trip_through_17_digits():
         assert json.loads(record)["value"] == value
 
 
+def _plain_format(value):
+    """Reference formatter: json.dumps for keys and non-floats, 17 digits for floats."""
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _plain_format(v) for k, v in value.items()) + "}"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return json.dumps(value)
+
+
+# Strings records are built from, drawn as keys and values next to arbitrary text.
+_RECORD_STRINGS = st.sampled_from(["op", "params", "config", "status", "value", "error",
+                                   "diagnostics", "input", "l1", "s2", "seed", "ok", "kl"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _RECORD_STRINGS
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_RECORD_STRINGS | st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(_RECORD_STRINGS | st.text(), _JSON_VALUES, max_size=6))
+@example({"value": -0.0, "tiny": 5e-324, "big": 1e300, "list": [-0.0, 5e-324, 1e300]})
+@example({"\u00fc": {"\u00e9": [None, True, 0.1], "kl": "\u2200"}, "status": "ok"})
+def test_format_record_matches_plain_formatter(record):
+    line = format_record(record)
+    assert line == _plain_format(record)
+    assert json.loads(line) == record
+
+
+def test_format_record_of_subclasses_is_pinned():
+    # Subclasses take the generic path: numpy scalars print 17 digits like
+    # float, an OrderedDict prints like a dict.
+    assert format_record({"value": np.float64(0.1), "z": np.float64(-0.0)}) == \
+        '{"value":0.10000000000000001,"z":-0}'
+    record = OrderedDict([("b", 1), ("a", np.float64(1e300)),
+                          ("c", OrderedDict(x=[0.1, -0.0, None, True]))])
+    assert format_record(record) == \
+        '{"b":1,"a":1.0000000000000001e+300,"c":{"x":[0.1, -0.0, null, true]}}'
+
+
 def test_record_key_order_is_stable():
     result = execute_job({"op": "kl", "params": {"s2": 1, "l2": 1, "l1": 0, "s1": 1}})
     line = format_record(result)
@@ -125,9 +170,75 @@ def test_execute_job_validates_records():
          "config": {"mode": 3}})["error"]
 
 
+def test_execute_job_edge_cases_are_pinned():
+    entropy = {"op": "entropy", "params": {"l": np.float64(0.5), "s": 1}}
+    result = execute_job(entropy)
+    assert result["status"] == "ok"
+    assert type(result["params"]["l"]) is float
+    assert format_record(result) == \
+        '{"op":"entropy","params":{"l":0.5,"s":1},"status":"ok","value":2.5310242469692907}'
+    assert execute_job({"op": "entropy", "params": {"l": True, "s": 1}}) == {
+        "op": "entropy", "status": "error",
+        "error": "parameter 'l' must be a number, got True"}
+    assert execute_job({"op": "entropy", "params": {"l": 10**400, "s": 1}}) == {
+        "op": "entropy", "status": "error", "error": "int too large to convert to float"}
+    assert execute_job({"op": "entropy", "params": {"l": 0, "s": 1}, "config": None}) == {
+        "op": "entropy", "params": {"l": 0.0, "s": 1.0}, "status": "error",
+        "error": "config must be an object"}
+    assert execute_job({"op": "kl", "params": {"l1": 0, "q": 1}})["error"] == \
+        "unknown parameters ['q'] for operation 'kl'"
+    assert execute_job({"op": "kl", "params": {"l1": 0, "l2": 0}})["error"] == \
+        "missing parameters ['s1', 's2'] for operation 'kl'"
+
+
+def test_numeric_records_lie_within_their_own_estimate():
+    # The golden integral-a record and a cross-entropy whose closed-form
+    # shift is -458 while the integral is 0: the estimate covers the
+    # shift's rounding, with no allowance in ulps.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    golden = json.loads(BATCH_GOLDEN.splitlines()[4])
+    record = execute_job(json.loads(BATCH_INPUT.splitlines()[4]))
+    assert record == golden
+    a, b, c, d, e, f = (mp.mpf(golden["params"][k]) for k in "abcdef")
+    v1, w1 = -b / (2 * a), mp.sqrt(4 * a * c - b * b) / (2 * a)
+    v2, w2 = -e / (2 * d), mp.sqrt(4 * d * f - e * e) / (2 * d)
+    exact = mp.pi / (a * w1) * (mp.log(d) + mp.log((w1 + w2) ** 2 + (v1 - v2) ** 2))
+    assert abs(golden["value"] - exact) <= golden["diagnostics"]["error_estimate"]
+
+    record = execute_job({"op": "cross-entropy", "config": {"numeric": True},
+                          "params": {"l1": 0, "s1": 1e-200, "l2": 0, "s2": 1e-200}})
+    s = mp.mpf(1e-200)
+    exact = mp.log(4 * mp.pi * s)
+    assert record["diagnostics"]["converged"]
+    assert abs(record["value"] - exact) <= record["diagnostics"]["error_estimate"]
+
+
 # ---------------------------------------------------------------------------
 # batch mode
 # ---------------------------------------------------------------------------
+
+def test_batch_looks_up_execute_and_format_through_the_module(monkeypatch, capsys):
+    # Tracers wrap cli.execute_job and cli.format_record by rebinding the
+    # module attributes; batch must call whatever they are bound to.
+    calls = []
+
+    def execute(record):
+        calls.append("execute")
+        return {"status": "ok", "value": record["n"]}
+
+    def fmt(record):
+        calls.append("format")
+        return f"formatted {record['value']}"
+
+    monkeypatch.setattr(cli, "execute_job", execute)
+    monkeypatch.setattr(cli, "format_record", fmt)
+    code, out = run_batch(monkeypatch, capsys, '{"n":1}\n{"n":2}\n')
+    assert code == 0
+    assert out == "formatted 1\nformatted 2\n"
+    assert calls == ["execute", "format"] * 2
+
 
 def test_batch_happy_path_two_records(monkeypatch, capsys):
     text = ('{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n'
