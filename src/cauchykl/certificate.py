@@ -27,9 +27,9 @@ trusting them:
 * the telescoping relation is evaluated in exact rational arithmetic at
   arbitrary rational points (d,e,f,x), combining a d-jet of order 3 with
   an x-jet of order 1; the residual must be exactly zero;
-* the ODE L[dA/dd] = 0 is checked exactly at rational points whose
-  discriminant 4*d*f - e^2 is a rational square m^2, so the square-root
-  jet stays in Q;
+* the ODE L[dA/dd] = 0 is checked exactly for core's dA/dd formula at
+  rational points whose discriminant 4*d*f - e^2 is a rational square
+  m^2, so the square-root jet stays in Q;
 * the tail limits of psi, the vanishing integration constant and the
   factorization G1*G2 = (d-f)^2 + e^2 behind the final log simplification
   are checked numerically against the quadrature oracle.
@@ -48,8 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from . import core
 from .core import PositiveQuadratic, integral_a_canonical
-from .errors import ParameterError, SingularPointError
+from .errors import ParameterError
 from .jets import Jet
 from .oracle import integral_a_numeric
 
@@ -115,10 +116,15 @@ def apply_operator(d, e, f, y: Jet):
             + c1 * y.derivative(1) + c0 * y.derivative(0))
 
 
+def _leading_coefficient(d, e, f):
+    """The x^5 coefficient p5 of P."""
+    return e * (d**2 * f**2 - 4 * d * e**2 * f - 9 * d * f**3 - e**4 - 7 * e**2 * f**2 - 6 * f**4)
+
+
 def certificate_polynomial(d, e, f, x):
     """The degree-5 polynomial P(d,e,f; x) in the numerator of psi."""
     return (
-        e * (d**2 * f**2 - 4 * d * e**2 * f - 9 * d * f**3 - e**4 - 7 * e**2 * f**2 - 6 * f**4) * x**5
+        _leading_coefficient(d, e, f) * x**5
         - 3 * f * (3 * d * e**2 * f + 4 * d * f**3 + 2 * e**4 + 11 * e**2 * f**2 + 4 * f**4) * x**4
         + e * (d**2 * f**2 - 4 * d * e**2 * f - 18 * d * f**3 - e**4 - 16 * e**2 * f**2 - 51 * f**4) * x**3
         - f * (9 * d * e**2 * f + 16 * d * f**3 + 6 * e**4 + 37 * e**2 * f**2 + 32 * f**4) * x**2
@@ -134,14 +140,10 @@ def psi(d, e, f, x):
 
 
 def psi_limit(d, e, f):
-    """Common limit of psi at x -> +oo and x -> -oo:
-
-        -2*e*(d^2*f^2 - 4*d*e^2*f - 9*d*f^3 - e^4 - 7*e^2*f^2 - 6*f^4) / d^3.
-    """
+    """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P."""
     if d == 0:
         raise ParameterError("the tail limit of psi requires d != 0")
-    return -2 * e * (d**2 * f**2 - 4 * d * e**2 * f - 9 * d * f**3
-                     - e**4 - 7 * e**2 * f**2 - 6 * f**4) / d**3
+    return -2 * _leading_coefficient(d, e, f) / d**3
 
 
 def _rational_triple(d, e, f) -> tuple[Fraction, Fraction, Fraction]:
@@ -173,6 +175,7 @@ def verify_telescoping(d, e, f, x) -> Fraction:
 def verify_ode_dadd(d, e, f) -> Fraction:
     """Exact residual of L[dA/dd] at a rational point with square discriminant.
 
+    dA/dd is core's formula, the one integral_a_dd runs, on a d-jet.
     Requires 4*d*f - e^2 = m^2 for a rational m > 0, so the square-root
     jet seeded with m keeps every Taylor coefficient of dA/dd rational.
     The constant factor pi is dropped: L is linear, so L[dA/dd] = 0 iff
@@ -180,18 +183,10 @@ def verify_ode_dadd(d, e, f) -> Fraction:
     rejected, as the closed form of dA/dd is undefined there.
     """
     d, e, f = _rational_triple(d, e, f)
-    if d == f and e == 0:
-        raise SingularPointError(
-            f"(d, e, f) = ({d}, {e}, {f}) lies on the singular set d = f, e = 0"
-        )
+    core._check_regular_point(d, e, f)
     m = rational_sqrt(4 * d * f - e * e)
-    d_jet = Jet.variable(d, 3)
-    disc = 4 * d_jet * f - e * e
-    root = disc.sqrt(head=m)
-    g3 = (d_jet - f) * (d_jet - f) + e * e
-    numerator = (d_jet - f) * disc + (-2 * d_jet * f + e * e + 2 * f * f) * root
-    da_dd_over_pi = numerator / (g3 * disc)
-    return apply_operator(d, e, f, da_dd_over_pi)
+    num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, lambda disc: disc.sqrt(head=m))
+    return apply_operator(d, e, f, num / den)
 
 
 @dataclass(frozen=True)

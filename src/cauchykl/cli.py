@@ -243,7 +243,7 @@ def execute_job(record: Any) -> dict:
         if diagnostics is not None:
             echo["diagnostics"] = diagnostics
         return echo
-    except (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         echo["status"] = "error"
         echo["error"] = str(exc) or exc.__class__.__name__
         return echo

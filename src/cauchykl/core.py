@@ -152,14 +152,9 @@ class CanonicalReduction:
     K: float
 
     def __post_init__(self) -> None:
-        for name in ("D", "E", "F", "K"):
-            _require_finite(name, getattr(self, name))
-        if self.K <= 0.0:
+        self.reduced_quadratic()
+        if _require_finite("K", self.K) <= 0.0:
             raise ParameterError(f"K must be positive, got {self.K!r}")
-        if self.D <= 0.0 or self.F <= 0.0 or 4.0 * self.D * self.F - self.E * self.E <= 0.0:
-            raise ParameterError(
-                f"reduced quadratic ({self.D!r}, {self.E!r}, {self.F!r}) is not positive"
-            )
 
     def reduced_quadratic(self) -> PositiveQuadratic:
         return PositiveQuadratic(self.D, self.E, self.F)
@@ -197,14 +192,30 @@ def kl_closed(p1: CauchyDist, p2: CauchyDist) -> float:
     the chi-square form of Nielsen & Okamura (arXiv:2101.12459). It is
     evaluated as log1p(((l1-l2)^2 + (s1-s2)^2) / (4*s1*s2)), which avoids
     the cancellation of log(num/den) when num is close to den. Always
-    finite for in-range parameters, symmetric in (p1, p2) bit-for-bit
-    (each building block is exchange-symmetric in floating point), and
-    exactly 0.0 when the two parameter pairs coincide: the numerator is
-    then exactly 0.
+    finite, symmetric in (p1, p2) bit-for-bit (each building block is
+    exchange-symmetric in floating point), and exactly 0.0 when the
+    two parameter pairs coincide. Terms that would
+    leave the normal range are first scaled by powers of two, which is
+    exact, so the result holds over the whole finite double range.
     """
     dl = p1.location - p2.location
     ds = p1.scale - p2.scale
-    return math.log1p((dl * dl + ds * ds) / ((4.0 * p1.scale) * p2.scale))
+    num = dl * dl + ds * ds
+    den = (4.0 * p1.scale) * p2.scale
+    if 2.0 ** -969 < num < 2.0 ** 511 and 2.0 ** -511 < den < 2.0 ** 1023:
+        return math.log1p(num / den)
+    h = math.isinf(dl)
+    if h:  # |l1 - l2| overflows: carry half of it
+        dl, ds = 0.5 * p1.location - 0.5 * p2.location, 0.5 * ds
+    j = math.frexp(max(abs(dl), abs(ds)))[1]
+    (u, k1), (v, k2) = math.frexp(p1.scale), math.frexp(p2.scale)
+    a, b = math.ldexp(dl, -j), math.ldexp(ds, -j)
+    # chi2/2 = x * 2**e with x in [1/16, 2), or x = 0 for equal pairs.
+    x = (a * a + b * b) / ((4.0 * u) * v)
+    e = 2 * (j + h) - k1 - k2
+    if e > 1000 and x > 0.0:  # log1p(x * 2**e) = log(x) + e*log(2) + O(2**-1000)
+        return math.log(x) + e * math.log(2.0)
+    return math.log1p(math.ldexp(x, e))
 
 
 def cross_entropy_closed(p1: CauchyDist, p2: CauchyDist) -> float:
@@ -225,24 +236,13 @@ def entropy_closed(p: CauchyDist) -> float:
 
 
 def kl_scale_family(s1: float, s2: float) -> float:
-    """KL divergence for a common location: 2*log((s1+s2) / (2*sqrt(s1*s2))).
-
-    Evaluated as kl_closed at location 0, square-root-free as
-    log1p((s1-s2)^2 / (4*s1*s2)), so the two agree bit-for-bit at equal
-    locations.
-    """
+    """KL divergence 2*log((s1+s2) / (2*sqrt(s1*s2))) for a common location: kl_closed at 0."""
     return kl_closed(CauchyDist(0.0, s1), CauchyDist(0.0, s2))
 
 
 def kl_location_family(l1: float, l2: float, s: float) -> float:
-    """KL divergence for a common scale: log(1 + (l1-l2)^2 / (4*s^2))."""
-    l1 = _require_finite("l1", l1)
-    l2 = _require_finite("l2", l2)
-    s = _require_finite("s", s)
-    if s <= 0.0:
-        raise ParameterError(f"scale must be positive, got {s!r}")
-    t = (l1 - l2) / (2.0 * s)
-    return math.log1p(t * t)
+    """KL divergence log(1 + (l1-l2)^2 / (4*s^2)) for a common scale: kl_closed at scale s."""
+    return kl_closed(CauchyDist(l1, s), CauchyDist(l2, s))
 
 
 def standardize_pair(p1: CauchyDist, p2: CauchyDist) -> tuple[CauchyDist, CauchyDist]:
@@ -301,14 +301,13 @@ def canonical_reduce(q1: PositiveQuadratic, q2: PositiveQuadratic) -> CanonicalR
     return CanonicalReduction(D, E, F, K)
 
 
-def _check_regular_point(d: float, e: float, f: float) -> PositiveQuadratic:
-    q = PositiveQuadratic(d, e, f)
-    if d == f and e == 0.0:
+def _check_regular_point(d, e, f) -> None:
+    """Reject the singular set d = f, e = 0 of dA/dd, for floats and Fractions alike."""
+    if d == f and e == 0:
         raise SingularPointError(
-            f"(d, e, f) = ({d!r}, {e!r}, {f!r}) lies on the singular set d = f, e = 0 "
+            f"(d, e, f) = ({d}, {e}, {f}) lies on the singular set d = f, e = 0 "
             "where (d - f)^2 + e^2 vanishes"
         )
-    return q
 
 
 def integral_a_dd(d: float, e: float, f: float) -> float:
@@ -321,12 +320,19 @@ def integral_a_dd(d: float, e: float, f: float) -> float:
     A itself is smooth there and its derivative can be taken directly on
     pi*log(d + f + sqrt(4*d*f - e^2)).
     """
-    q = _check_regular_point(d, e, f)
-    disc = q.discriminant_guard
-    r = math.sqrt(disc)
+    q = PositiveQuadratic(d, e, f)
+    _check_regular_point(d, e, f)
+    num, den = _dadd_over_pi(q.a, q.b, q.c, math.sqrt)
+    return math.pi * num / den
+
+
+def _dadd_over_pi(d, e, f, sqrt):
+    """Numerator and denominator of dA/dd / pi from + - * / and `sqrt` only,
+    so `cauchykl.certificate` can run this very formula on exact jets."""
+    disc = 4 * d * f - e * e
     g3 = (d - f) * (d - f) + e * e
-    num = (d - f) * disc + (-2.0 * d * f + e * e + 2.0 * f * f) * r
-    return math.pi * num / (g3 * disc)
+    num = (d - f) * disc + (-2 * d * f + e * e + 2 * f * f) * sqrt(disc)
+    return num, g3 * disc
 
 
 def _primitive_b_raw(d: float, e: float, f: float, x: float) -> float:
@@ -355,6 +361,7 @@ def primitive_b(d: float, e: float, f: float, x: float) -> float:
     tail limits of B equals integral_a_dd(d, e, f). Shares the singular
     set d = f, e = 0 with integral_a_dd.
     """
+    PositiveQuadratic(d, e, f)
     _check_regular_point(d, e, f)
     x = _require_finite("x", x)
     return _primitive_b_raw(d, e, f, x) - _primitive_b_raw(d, e, f, 0.0)

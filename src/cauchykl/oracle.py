@@ -35,12 +35,13 @@ given libm. Results report the value, the summed error estimate, the
 number of integrand evaluations and a convergence flag; exhausting the
 refinement depth yields converged=False rather than an exception.
 
-The Monte-Carlo estimator draws through the quantile map
-l + s*tan(pi*(u - 1/2)) from numpy's seeded PCG64 generator, making every
-estimate reproducible from (inputs, samples, seed). Its mean and standard
-error are built from correctly rounded sums (math.fsum semantics, summed
-by `correctly_rounded_sum`), so they do not depend on the order in which
-numpy reduces an array.
+The Monte-Carlo estimator samples the same frame: it averages log R(t)
+over t = tan(pi*(u - 1/2)), u from numpy's seeded PCG64 generator, since
+x - l1 for x = l1 + s1*t would round t away when s1 is small against
+ulp(l1). Every estimate is reproducible from (inputs, samples, seed). Its
+mean and standard error are built from correctly rounded sums (math.fsum
+semantics, by `correctly_rounded_sum`), so they do not depend on the
+order in which numpy reduces an array.
 """
 
 from __future__ import annotations
@@ -339,6 +340,16 @@ def _integrate(
     return QuadratureResult(value, error, evaluations, converged)
 
 
+def _frame_ratio(t: np.ndarray, m: np.ndarray, alpha: float, beta: float, out=None) -> np.ndarray:
+    """R(t) = (beta^2 + (t - alpha)^2)/(beta*m) into `out` (t works); m = 1 + t^2 becomes beta*m."""
+    r = np.subtract(t, alpha, out=out)
+    r *= r
+    r += beta * beta
+    m *= beta
+    r /= m
+    return r
+
+
 def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
                     term: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Integral over R of term(R(t)) dt / (pi * m(t)) in the frame of (v1, w1).
@@ -347,12 +358,11 @@ def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: Quadratu
     t = 0 at width 1 and from t = alpha at width beta.
     """
     alpha, beta = (v2 - v1) / w1, w2 / w1
-    beta_sq = beta * beta
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        u = t - alpha
         m = 1.0 + t * t
-        return term((beta_sq + u * u) / (beta * m)) / (math.pi * m)
+        weight = math.pi * m  # before _frame_ratio scales m by beta
+        return term(_frame_ratio(t, m, alpha, beta)) / weight
 
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
     breakpoints = _graded_breakpoints(((0.0, 1.0), (alpha, beta)), reach)
@@ -489,10 +499,11 @@ def kl_monte_carlo(
 
     Uniform variates come from numpy's PCG64 stream for the given seed
     (a non-negative integer; a negative one raises ParameterError), so
-    the estimate is a pure function of (p1, p2, samples, seed). The
-    log-density ratio between two Cauchy distributions is bounded, hence
-    the estimator variance is finite and the standard error is
-    meaningful. With L the n = `samples` log-ratios, the moments are
+    the estimate is a pure function of (p1, p2, samples, seed). It averages
+    log R(t) over draws t in p1's frame, the frame kl_numeric integrates in:
+    x = l1 + s1*t would round t away when s1 is small against ulp(l1). R is
+    bounded, so the variance is finite. With L the n = `samples` log-ratios,
+    the moments are
 
         estimate       = fsum(L) / n
         variance       = fsum((L - estimate)**2) / (n - 1)
@@ -506,29 +517,19 @@ def kl_monte_carlo(
         raise ParameterError(f"samples must be >= 2, got {samples!r}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
-    l1, s1 = p1.location, p1.scale
-    l2, s2 = p2.location, p2.scale
+    alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
     rng = np.random.Generator(np.random.PCG64(seed))
-    # x = l1 + s1*tan(pi*(u - 1/2)), then the log of
-    # (s1/s2) * ((s2^2 + (x-l2)^2) / (s1^2 + (x-l1)^2)), all in place.
-    x = rng.random(samples)
-    x -= 0.5
-    x *= np.pi
-    np.tan(x, out=x)
-    x *= s1
-    x += l1
-    q1 = x - l1
-    q1 *= q1
-    q1 += s1 * s1
-    x -= l2
-    x *= x
-    x += s2 * s2
-    x /= q1
-    x *= s1 / s2
-    log_ratio = np.log(x, out=x)
-    estimate = correctly_rounded_sum(log_ratio, work=q1) / samples
-    deviation = np.subtract(log_ratio, estimate, out=x)
+    # t = tan(pi*(u - 1/2)), then log R(t), all in place in t and m.
+    t = rng.random(samples)
+    t -= 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    m = np.multiply(t, t)
+    m += 1.0
+    log_ratio = np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
+    estimate = correctly_rounded_sum(log_ratio, work=m) / samples
+    deviation = np.subtract(log_ratio, estimate, out=t)
     deviation *= deviation
-    variance = correctly_rounded_sum(deviation, work=q1) / (samples - 1)
+    variance = correctly_rounded_sum(deviation, work=m) / (samples - 1)
     standard_error = math.sqrt(variance) / math.sqrt(samples)
     return MonteCarloResult(estimate, standard_error, samples, int(seed))

@@ -122,15 +122,12 @@ def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
     tol = 1e-8
     return [
         CheckOutcome(
-            "kl closed vs quadrature", worst_kl <= tol, worst_kl,
-            f"{count} pairs, worst |closed - numeric|/(1+|closed|) = {worst_kl:.3e}, "
-            f"tolerance {tol:.1e}, unconverged {unconverged}",
-        ),
-        CheckOutcome(
-            "cross-entropy closed vs quadrature", worst_ce <= tol, worst_ce,
-            f"{count} pairs, worst |closed - numeric|/(1+|closed|) = {worst_ce:.3e}, "
-            f"tolerance {tol:.1e}",
-        ),
+            f"{name} closed vs quadrature", worst <= tol, worst,
+            f"{count} pairs, worst |closed - numeric|/(1+|closed|) = {worst:.3e}, "
+            f"tolerance {tol:.1e}{tail}",
+        )
+        for name, worst, tail in (("kl", worst_kl, f", unconverged {unconverged}"),
+                                  ("cross-entropy", worst_ce, ""))
     ]
 
 
@@ -158,12 +155,9 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    nonzero = 0
-    for _ in range(count):
-        d, e, f = random_certificate_point(rng)
-        x = _random_rational(rng)
-        if certificate.verify_telescoping(d, e, f, x) != 0:
-            nonzero += 1
+    nonzero = sum(
+        certificate.verify_telescoping(*random_certificate_point(rng), _random_rational(rng)) != 0
+        for _ in range(count))
     outcomes.append(CheckOutcome(
         "telescoping residual", nonzero == 0, float(nonzero),
         f"{count - nonzero}/{count} exact-zero residuals in rational arithmetic",
@@ -191,11 +185,8 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
 def ode_suite(count: int, seed: int) -> list[CheckOutcome]:
     """Exact ODE residuals of dA/dd plus the integration-constant check."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    nonzero = 0
-    for _ in range(count):
-        d, e, f = random_certificate_point(rng)
-        if certificate.verify_ode_dadd(d, e, f) != 0:
-            nonzero += 1
+    nonzero = sum(certificate.verify_ode_dadd(*random_certificate_point(rng)) != 0
+                  for _ in range(count))
     outcomes = [CheckOutcome(
         "ode residual of dA/dd", nonzero == 0, float(nonzero),
         f"{count - nonzero}/{count} exact-zero residuals at square-discriminant points",
@@ -257,6 +248,8 @@ def run_suite(name: str, count: int | None, seed: int,
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if count is not None and count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     outcomes: list[CheckOutcome] = []
     for suite_name in _SUITES if name == "all" else (name,):
         default_count, runner = _SUITES[suite_name]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cauchykl import ParameterError, SingularPointError
+from cauchykl import ParameterError, SingularPointError, core, integral_a_dd
 from cauchykl.certificate import (
     certificate_polynomial,
     operator_coefficients,
@@ -124,6 +124,20 @@ def test_ode_random_points():
     for _ in range(25):
         d, e, f = random_certificate_point(rng)
         assert verify_ode_dadd(d, e, f) == 0
+
+
+def test_ode_check_runs_the_shipped_dadd(monkeypatch):
+    d, e, f = 1, 3, Fraction(5, 2)
+    shipped = integral_a_dd(float(d), float(e), float(f))
+    dadd_over_pi = core._dadd_over_pi
+
+    def perturbed(d, e, f, sqrt):
+        num, den = dadd_over_pi(d, e, f, sqrt)
+        return num + d * d, den
+
+    monkeypatch.setattr(core, "_dadd_over_pi", perturbed)
+    assert integral_a_dd(float(d), float(e), float(f)) != shipped
+    assert verify_ode_dadd(d, e, f) != 0
 
 
 def test_integration_constant_report():

@@ -33,7 +33,7 @@ BATCH_INPUT = """\
 BATCH_GOLDEN = """\
 {"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1},"status":"ok","value":0.22314355131420976}
 {"op":"kl","params":{"l1":1,"s1":2,"l2":3,"s2":5},"status":"ok","value":0.28141245943818555}
-{"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":50000,"seed":7},"status":"ok","value":0.2854751929590636,"diagnostics":{"standard_error":0.0032656862662854671,"samples":50000,"seed":7}}
+{"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":50000,"seed":7},"status":"ok","value":0.28547519295906365,"diagnostics":{"standard_error":0.0032656862662854671,"samples":50000,"seed":7}}
 {"op":"entropy","params":{"l":0,"s":1},"status":"ok","value":2.5310242469692907}
 {"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":1.3440090163583302e-13,"evaluations":225,"converged":true}}
 """
@@ -271,6 +271,21 @@ def test_batch_mc_negative_seed_names_the_seed(monkeypatch, capsys):
     assert lines[1]["status"] == "ok"
 
 
+def test_batch_mc_unallocatable_samples_keeps_stream(monkeypatch, capsys):
+    # 1e15 samples need 8 PB. That exceeds the default user address space
+    # of Linux on x86-64 and arm64 (47 or 48 bits, 128-256 TiB), so the
+    # allocation fails before it touches any memory.
+    text = ('{"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},'
+            '"config":{"samples":1000000000000000}}\n'
+            '{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["status"] == "error"
+    assert lines[0]["config"] == {"samples": 1000000000000000}
+    assert lines[1]["status"] == "ok"
+
+
 def test_batch_malformed_line_reports_input(monkeypatch, capsys):
     code, out = run_batch(monkeypatch, capsys, "not json\n")
     assert code == 1
@@ -315,9 +330,9 @@ def _reject_constant(name):
 
 
 def test_batch_non_finite_and_arithmetic_errors_keep_stream(monkeypatch, capsys):
-    # Each of the first four raised or printed a bare nan before; the
-    # last record must still run after them. Two identical distributions
-    # at s = 1e300 have KL exactly 0.
+    # The integral-a and NaN records are errors; the last record must
+    # still run after them. Two identical distributions at s = 1e-200 or
+    # s = 1e300 have KL exactly 0.
     text = ('{"op":"kl","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}}\n'
             '{"op":"kl","params":{"l1":0,"s1":1e300,"l2":0,"s2":1e300}}\n'
             '{"op":"integral-a","params":{"a":1e200,"b":0,"c":1e200,"d":1,"e":0,"f":1}}\n'
@@ -326,8 +341,8 @@ def test_batch_non_finite_and_arithmetic_errors_keep_stream(monkeypatch, capsys)
     code, out = run_batch(monkeypatch, capsys, text)
     assert code == 1
     lines = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
-    assert [r["status"] for r in lines] == ["error", "ok", "error", "error", "ok"]
-    assert lines[1]["value"] == 0.0
+    assert [r["status"] for r in lines] == ["ok", "ok", "error", "error", "ok"]
+    assert lines[0]["value"] == lines[1]["value"] == 0.0
     assert all("nan" in r["error"] for r in lines[2:4])
     assert lines[4]["value"] == kl_closed(CauchyDist(0, 1), CauchyDist(1, 1))
 
@@ -564,6 +579,14 @@ def test_verify_rejects_zero_count(capsys):
     assert code == 1
     record = json.loads(captured.err)
     assert "count must be >= 1" in record["error"]
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code = main(["verify", "--suite", "ode", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"status": "error", "error": "seed must be >= 0, got -1"}
 
 
 def test_verify_deterministic_output(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cauchykl import (
     CanonicalReduction,
@@ -261,9 +261,71 @@ def test_location_family_fixtures():
 
 @given(locations, locations, scales)
 def test_location_family_matches_kl(l1, l2, s):
-    a = kl_location_family(l1, l2, s)
-    b = kl_closed(CauchyDist(l1, s), CauchyDist(l2, s))
-    assert ulps_apart(a, b) <= 2.0
+    assert kl_location_family(l1, l2, s) == kl_closed(CauchyDist(l1, s), CauchyDist(l2, s))
+
+
+def test_location_family_full_range():
+    """KL depends on (l1 - l2)/s alone, down to subnormal and up to the largest scales."""
+    unit = kl_location_family(0.0, 1.0, 1.0)
+    assert unit == pytest.approx(math.log(1.25), rel=1e-15)
+    for s in (5e-324, 1e-300, 1e-200, 1e200, 1e300, 1.7e308):
+        assert kl_location_family(0.0, s, s) == unit
+        assert kl_location_family(s, 0.0, s) == unit
+        assert kl_location_family(s, s, s) == 0.0
+        assert kl_location_family(0.0, 0.0, s) == 0.0
+
+
+def test_kl_closed_full_range_fixtures():
+    """Inputs whose direct products over- or underflow, against 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    cases = [
+        ((0.0, 1e-200), (1e-200, 1e-200)),
+        ((0.0, 1e-200), (0.0, 3e-200)),
+        ((0.0, 1e300), (0.0, 2e300)),
+        ((0.0, 1.0), (1e200, 1.0)),
+        ((-1e308, 5e-324), (1e308, 1e-300)),
+        ((0.0, 5e-324), (0.0, 1.7e308)),
+        ((1e-300, 1e-300), (-1e-300, 1e300)),
+    ]
+    for (l1, s1), (l2, s2) in cases:
+        p1, p2 = CauchyDist(l1, s1), CauchyDist(l2, s2)
+        dl, ds = mp.mpf(l1) - mp.mpf(l2), mp.mpf(s1) - mp.mpf(s2)
+        exact = mp.log1p((dl * dl + ds * ds) / (4 * mp.mpf(s1) * mp.mpf(s2)))
+        value = kl_closed(p1, p2)
+        assert value == kl_closed(p2, p1)
+        assert float(abs(value - exact) / exact) <= 4 * 2.0 ** -52, (p1, p2, value)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(finite, positive, finite, positive)
+def test_kl_closed_full_range_against_mpmath(l1, s1, l2, s2):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    p1, p2 = CauchyDist(l1, s1), CauchyDist(l2, s2)
+    value = kl_closed(p1, p2)
+    assert value == kl_closed(p2, p1)
+    if p1 == p2:
+        assert value == 0.0
+    dl, ds = mp.mpf(l1) - mp.mpf(l2), mp.mpf(s1) - mp.mpf(s2)
+    exact = mp.log1p((dl * dl + ds * ds) / (4 * mp.mpf(s1) * mp.mpf(s2)))
+    if exact >= 2.0 ** -1022:
+        assert float(abs(value - exact) / exact) <= 4 * 2.0 ** -52
+
+
+@given(dists, dists, st.integers(-900, 900))
+def test_kl_closed_invariant_under_power_of_two_scaling(p1, p2, k):
+    """Scaling all four parameters by 2**k is exact, and so must leave KL's bits alone."""
+    scaled = [math.ldexp(v, k) for v in (p1.location, p1.scale, p2.location, p2.scale)]
+    assume(all(math.ldexp(v, -k) == w for v, w in zip(scaled, (p1.location, p1.scale,
+                                                                p2.location, p2.scale))))
+    q1, q2 = CauchyDist(*scaled[:2]), CauchyDist(*scaled[2:])
+    assert kl_closed(q1, q2) == kl_closed(p1, p2)
 
 
 def test_standardize_fixtures():

@@ -1,6 +1,7 @@
 """Quadrature and Monte-Carlo oracle: fixtures, determinism, error honesty."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,25 @@ def test_monte_carlo_seeded_estimates():
     assert abs(r.estimate - math.log(4 / 3)) <= 4.0 * r.standard_error
 
 
+def test_monte_carlo_keeps_narrow_pairs_far_from_the_origin():
+    # ulp(1e10) is about 2*s1: sampling x = l1 + s1*t and subtracting l1
+    # again put this estimate 13 standard errors off the closed form.
+    p1, p2 = CauchyDist(1e10, 1e-6), CauchyDist(1e10 + 1e-6, 2e-6)
+    r = kl_monte_carlo(p1, p2, 200_000, seed=7)
+    assert abs(r.estimate - kl_closed(p1, p2)) <= 4.0 * r.standard_error
+
+
+def test_monte_carlo_peak_memory_is_two_sample_arrays():
+    samples = 200_000
+    tracemalloc.start()
+    try:
+        kl_monte_carlo(CauchyDist(1, 2), CauchyDist(3, 5), samples, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * samples
+
+
 def test_monte_carlo_rejects_tiny_sample_counts():
     with pytest.raises(ParameterError):
         kl_monte_carlo(CauchyDist(0, 1), CauchyDist(0, 2), 1, seed=0)
@@ -442,15 +462,13 @@ def test_correctly_rounded_sum_fast_path_on_sample_moments(monkeypatch):
 
 
 def _reference_monte_carlo(p1, p2, samples, seed):
-    """The per-sample log-ratios as first written, moments by math.fsum."""
+    """The per-sample log-ratios in p1's frame, written out, moments by math.fsum."""
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(samples)
-    x = p1.location + p1.scale * np.tan(np.pi * (u - 0.5))
-    u1 = x - p1.location
-    u2 = x - p2.location
-    ratio = (p1.scale / p2.scale) * (
-        (p2.scale * p2.scale + u2 * u2) / (p1.scale * p1.scale + u1 * u1)
-    )
+    t = np.tan(np.pi * (u - 0.5))
+    alpha = (p2.location - p1.location) / p1.scale
+    beta = p2.scale / p1.scale
+    ratio = (beta * beta + (t - alpha) * (t - alpha)) / (beta * (1.0 + t * t))
     log_ratio = np.log(ratio)
     estimate = math.fsum(log_ratio) / samples
     variance = math.fsum((log_ratio - estimate) ** 2) / (samples - 1)
