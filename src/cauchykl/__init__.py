@@ -10,25 +10,8 @@ derivation behind the closed form in exact rational arithmetic
 (`cauchykl.cli`, installed as the `cauchykl` command).
 """
 
-from .core import (
-    CanonicalReduction,
-    CauchyDist,
-    PositiveQuadratic,
-    canonical_reduce,
-    cross_entropy_closed,
-    density,
-    entropy_closed,
-    integral_a,
-    integral_a_canonical,
-    integral_a_dd,
-    kl_closed,
-    kl_location_family,
-    kl_scale_family,
-    primitive_b,
-    prudnikov_special,
-    quantile,
-    standardize_pair,
-)
+from . import core
+from .core import *  # noqa: F403 -- the closed forms, as listed in core.__all__
 from .errors import (
     CauchyKLError,
     IntegrandEvaluationError,
@@ -52,37 +35,21 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalReduction",
-    "CauchyDist",
+    *core.__all__,
     "CauchyKLError",
     "DEFAULT_CONFIG",
     "IntegrandEvaluationError",
     "Jet",
     "MonteCarloResult",
     "ParameterError",
-    "PositiveQuadratic",
     "QuadratureConfig",
     "QuadratureResult",
     "SingularPointError",
-    "canonical_reduce",
-    "cross_entropy_closed",
     "cross_entropy_numeric",
-    "density",
-    "entropy_closed",
     "f_divergence_numeric",
-    "integral_a",
-    "integral_a_canonical",
-    "integral_a_dd",
     "integral_a_numeric",
     "integrate_real_line",
-    "kl_closed",
-    "kl_location_family",
     "kl_monte_carlo",
     "kl_numeric",
-    "kl_scale_family",
-    "primitive_b",
-    "prudnikov_special",
-    "quantile",
-    "standardize_pair",
     "__version__",
 ]

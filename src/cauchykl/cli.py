@@ -304,7 +304,7 @@ def _handle_batch(args: argparse.Namespace) -> int:
 def _handle_verify(args: argparse.Namespace) -> int:
     try:
         outcomes = suites.run_suite(args.suite, args.count, args.seed, args.samples)
-    except ParameterError as exc:
+    except (ParameterError, MemoryError) as exc:
         print(format_record({"status": "error", "error": str(exc)}), file=sys.stderr)
         return 1
     failed = 0

@@ -27,6 +27,9 @@ h(p_{l,s}) = log(4*pi*s), and the headline divergence formula
 
 which is finite for every parameter pair and symmetric under exchange;
 kl_closed evaluates it as log1p(((l1-l2)^2 + (s1-s2)^2) / (4*s1*s2)).
+It and the cross-entropy read one kernel that scales by powers of two
+where a term would leave the normal range (`_scaled_ratio`), so KL,
+cross-entropy and entropy hold over every finite input.
 The general-to-canonical reduction A(a,b,c; .) = K * A(1,0,1; D,E,F),
 the derivative dA/dd of the canonical integral, and a primitive B of
 the differentiated integrand are also provided; the derivation chain
@@ -183,51 +186,66 @@ def quantile(dist: CauchyDist, u: float) -> float:
     return dist.location + dist.scale * math.tan(math.pi * (u - 0.5))
 
 
+def _scaled_ratio(p1: CauchyDist, p2: CauchyDist, t: float, k: float, c: float) -> tuple[float, int]:
+    """x and e with x * 2**e = k*((l1-l2)^2 + (s1+t)^2) / (c*s2), for every finite input.
+
+    kl_closed passes t = -s2, k = 1/4, c = s1 (so 4*s1 cannot overflow),
+    cross_entropy_closed t = s2, k = pi, c = 1. While the sum of squares
+    lies in (2^-969, 2^511) and c*s2 in (2^-511, 2^1023) it is the direct
+    quotient with e = 0: every product, and for cross-entropy (num/s2 >= s2)
+    the quotient, stays normal. Otherwise the terms are scaled by powers of
+    two (exact), both differences halved first if either overflows: the
+    direct bits wherever those stay normal, and x in [1/16, 8*pi] unless
+    both differences are 0.
+    """
+    dl = p1.location - p2.location
+    ds = p1.scale + t
+    num = dl * dl + ds * ds
+    den = c * p2.scale
+    if 2.0 ** -969 < num < 2.0 ** 511 and 2.0 ** -511 < den < 2.0 ** 1023:
+        return k * num / den, 0
+    h = math.isinf(dl) or math.isinf(ds)
+    if h:  # a difference overflows: carry half of each
+        dl, ds = 0.5 * p1.location - 0.5 * p2.location, 0.5 * p1.scale + 0.5 * t
+    j = math.frexp(max(abs(dl), abs(ds)))[1]
+    (u, m), (v, n) = math.frexp(c), math.frexp(p2.scale)
+    a, b = math.ldexp(dl, -j), math.ldexp(ds, -j)
+    return k * (a * a + b * b) / (u * v), 2 * (j + h) - m - n
+
+
 def kl_closed(p1: CauchyDist, p2: CauchyDist) -> float:
     """Kullback-Leibler divergence between two Cauchy distributions.
 
         KL = log( ((s1+s2)^2 + (l1-l2)^2) / (4*s1*s2) ) = log1p(chi2 / 2),
         chi2 = ((l1-l2)^2 + (s1-s2)^2) / (2*s1*s2),
 
-    the chi-square form of Nielsen & Okamura (arXiv:2101.12459). It is
-    evaluated as log1p(((l1-l2)^2 + (s1-s2)^2) / (4*s1*s2)), which avoids
-    the cancellation of log(num/den) when num is close to den. Always
-    finite, symmetric in (p1, p2) bit-for-bit (each building block is
-    exchange-symmetric in floating point), and exactly 0.0 when the
-    two parameter pairs coincide. Terms that would
-    leave the normal range are first scaled by powers of two, which is
-    exact, so the result holds over the whole finite double range.
+    the chi-square form of Nielsen & Okamura (arXiv:2101.12459), which
+    avoids the cancellation of log(num/den) when num is close to den.
+    Finite over the whole finite double range (chi2/2 comes from
+    `_scaled_ratio`), symmetric in (p1, p2) bit-for-bit, and exactly 0.0
+    when the two parameter pairs coincide.
     """
-    dl = p1.location - p2.location
-    ds = p1.scale - p2.scale
-    num = dl * dl + ds * ds
-    den = (4.0 * p1.scale) * p2.scale
-    if 2.0 ** -969 < num < 2.0 ** 511 and 2.0 ** -511 < den < 2.0 ** 1023:
-        return math.log1p(num / den)
-    h = math.isinf(dl)
-    if h:  # |l1 - l2| overflows: carry half of it
-        dl, ds = 0.5 * p1.location - 0.5 * p2.location, 0.5 * ds
-    j = math.frexp(max(abs(dl), abs(ds)))[1]
-    (u, k1), (v, k2) = math.frexp(p1.scale), math.frexp(p2.scale)
-    a, b = math.ldexp(dl, -j), math.ldexp(ds, -j)
-    # chi2/2 = x * 2**e with x in [1/16, 2), or x = 0 for equal pairs.
-    x = (a * a + b * b) / ((4.0 * u) * v)
-    e = 2 * (j + h) - k1 - k2
+    x, e = _scaled_ratio(p1, p2, -p2.scale, 0.25, p1.scale)
     if e > 1000 and x > 0.0:  # log1p(x * 2**e) = log(x) + e*log(2) + O(2**-1000)
         return math.log(x) + e * math.log(2.0)
     return math.log1p(math.ldexp(x, e))
 
 
 def cross_entropy_closed(p1: CauchyDist, p2: CauchyDist) -> float:
-    """Cross-entropy  h(p1 : p2) = log( pi*((s1+s2)^2 + (l1-l2)^2) / s2 )."""
-    ds = p1.scale + p2.scale
-    dl = p1.location - p2.location
-    num = ds * ds + dl * dl
-    return math.log(math.pi * num / p2.scale)
+    """Cross-entropy  h(p1 : p2) = log( pi*((s1+s2)^2 + (l1-l2)^2) / s2 ).
+
+    The argument of the log is `_scaled_ratio`'s x * 2**e; beyond 2**+-1000
+    the result is log(x) + e*log(2). So it holds over every finite input,
+    as kl_closed does, with the direct formula's bits in range.
+    """
+    x, e = _scaled_ratio(p1, p2, p2.scale, math.pi, 1.0)
+    if -1000 <= e <= 1000:
+        return math.log(math.ldexp(x, e))
+    return math.log(x) + e * math.log(2.0)  # x * 2**e may be out of the normal range
 
 
 def entropy_closed(p: CauchyDist) -> float:
-    """Differential entropy log(4*pi*s).
+    """Differential entropy log(4*pi*s), for every finite s > 0 (-741.9 at s = 5e-324).
 
     Computed as the self cross-entropy so the decomposition
     KL = cross-entropy - entropy holds as tightly as the formulas allow.

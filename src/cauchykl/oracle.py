@@ -519,17 +519,19 @@ def kl_monte_carlo(
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
     alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
     rng = np.random.Generator(np.random.PCG64(seed))
-    # t = tan(pi*(u - 1/2)), then log R(t), all in place in t and m.
+    # t = tan(pi*(u - 1/2)), then log R(t), in place in t and m. An overflow needs
+    # no warning: it makes the estimate non-finite, which callers check.
     t = rng.random(samples)
-    t -= 0.5
-    t *= np.pi
-    np.tan(t, out=t)
-    m = np.multiply(t, t)
-    m += 1.0
-    log_ratio = np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
-    estimate = correctly_rounded_sum(log_ratio, work=m) / samples
-    deviation = np.subtract(log_ratio, estimate, out=t)
-    deviation *= deviation
-    variance = correctly_rounded_sum(deviation, work=m) / (samples - 1)
+    with np.errstate(all="ignore"):
+        t -= 0.5
+        t *= np.pi
+        np.tan(t, out=t)
+        m = np.multiply(t, t)
+        m += 1.0
+        log_ratio = np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
+        estimate = correctly_rounded_sum(log_ratio, work=m) / samples
+        deviation = np.subtract(log_ratio, estimate, out=t)
+        deviation *= deviation
+        variance = correctly_rounded_sum(deviation, work=m) / (samples - 1)
     standard_error = math.sqrt(variance) / math.sqrt(samples)
     return MonteCarloResult(estimate, standard_error, samples, int(seed))

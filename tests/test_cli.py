@@ -286,6 +286,28 @@ def test_batch_mc_unallocatable_samples_keeps_stream(monkeypatch, capsys):
     assert lines[1]["status"] == "ok"
 
 
+def test_mc_whose_log_ratios_overflow_is_an_error_record():
+    # beta*beta or alpha*alpha overflows in p1's frame: the record reports a
+    # non-finite result, and numpy's RuntimeWarning (an error under this
+    # suite's warning filter) is not raised.
+    for params in ({"l1": 0, "s1": 1, "l2": 0, "s2": 1e160},
+                   {"l1": 0, "s1": 1, "l2": 1e160, "s2": 1}):
+        record = execute_job({"op": "mc", "params": params, "config": {"samples": 1000}})
+        assert record["status"] == "error"
+        assert "not finite" in record["error"]
+
+
+def test_batch_cross_entropy_and_entropy_over_the_full_range(monkeypatch, capsys):
+    text = ('{"op":"cross-entropy","params":{"l1":0,"s1":1e300,"l2":0,"s2":2e300}}\n'
+            '{"op":"cross-entropy","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}}\n'
+            '{"op":"entropy","params":{"l":0,"s":1e-300}}\n'
+            '{"op":"entropy","params":{"l":0,"s":5e-324}}\n')
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 0
+    values = [json.loads(line)["value"] for line in out.splitlines()]
+    assert values == pytest.approx([693.42, -457.99, -688.24, -741.91], abs=0.01)
+
+
 def test_batch_malformed_line_reports_input(monkeypatch, capsys):
     code, out = run_batch(monkeypatch, capsys, "not json\n")
     assert code == 1
@@ -587,6 +609,20 @@ def test_verify_rejects_negative_seed(capsys):
     assert code == 1
     assert captured.out == ""
     assert json.loads(captured.err) == {"status": "error", "error": "seed must be >= 0, got -1"}
+
+
+def test_verify_monte_carlo_unallocatable_samples_is_an_error_record(capsys):
+    # As in test_batch_mc_unallocatable_samples_keeps_stream: 1e15 samples
+    # need 8 PB, beyond the 47- or 48-bit user address space of Linux on
+    # x86-64 and arm64, so the allocation fails before it touches memory.
+    code = main(["verify", "--suite", "monte-carlo", "--count", "1",
+                 "--samples", "1000000000000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["status"] == "error"
+    assert "allocate" in record["error"]
 
 
 def test_verify_deterministic_output(capsys):

@@ -328,6 +328,75 @@ def test_kl_closed_invariant_under_power_of_two_scaling(p1, p2, k):
     assert kl_closed(q1, q2) == kl_closed(p1, p2)
 
 
+def _eps_of_unit(value, exact):
+    """|value - exact| in eps of max(1, |exact|)."""
+    return float(abs(value - exact) / max(1, abs(exact))) / 2.0 ** -52
+
+
+def _mp50():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    return mp
+
+
+def _cross_entropy_exact(mp, l1, s1, l2, s2):
+    dl, ss = mp.mpf(l1) - mp.mpf(l2), mp.mpf(s1) + mp.mpf(s2)
+    return mp.log(mp.pi * (dl * dl + ss * ss) / mp.mpf(s2))
+
+
+def test_cross_entropy_and_entropy_full_range_fixtures():
+    """Inputs whose direct products over- or underflow, against 50-digit mpmath."""
+    mp = _mp50()
+    cases = [
+        ((0.0, 1e300), (0.0, 2e300)),  # (s1 + s2)^2 overflowed: inf
+        ((0.0, 1e-200), (0.0, 1e-200)),  # it underflowed: log(0)
+        ((0.0, 1.7e308), (0.0, 1e-300)),  # 4*s1 would overflow
+        ((0.0, 1.7e308), (0.0, 1.0)),
+        ((0.0, 1.7e308), (0.0, 1.7e308)),  # s1 + s2 overflows
+        ((-1e308, 1.0), (1e308, 1.0)),  # l1 - l2 overflows
+        ((-1e308, 1.7e308), (1e308, 5e-324)),
+    ]
+    for (l1, s1), (l2, s2) in cases:
+        p1, p2 = CauchyDist(l1, s1), CauchyDist(l2, s2)
+        value = cross_entropy_closed(p1, p2)
+        assert _eps_of_unit(value, _cross_entropy_exact(mp, l1, s1, l2, s2)) <= 4.0, (p1, p2)
+        dl, ds = mp.mpf(l1) - mp.mpf(l2), mp.mpf(s1) - mp.mpf(s2)
+        kl = mp.log1p((dl * dl + ds * ds) / (4 * mp.mpf(s1) * mp.mpf(s2)))
+        assert kl_closed(p1, p2) == kl_closed(p2, p1)
+        assert abs(kl_closed(p1, p2) - kl) <= 4 * 2.0 ** -52 * kl, (p1, p2)
+    for s, approx in ((1e-300, -688.2), (5e-324, -741.9), (1.7e308, 712.26)):
+        value = entropy_closed(CauchyDist(0.0, s))
+        assert value == pytest.approx(approx, abs=0.05)
+        assert _eps_of_unit(value, mp.log(4 * mp.pi * mp.mpf(s))) <= 4.0
+
+
+@given(finite, positive, finite, positive)
+def test_cross_entropy_full_range_against_mpmath(l1, s1, l2, s2):
+    mp = _mp50()
+    value = cross_entropy_closed(CauchyDist(l1, s1), CauchyDist(l2, s2))
+    assert _eps_of_unit(value, _cross_entropy_exact(mp, l1, s1, l2, s2)) <= 4.0
+
+
+@given(finite, positive)
+def test_entropy_full_range_against_mpmath(l, s):
+    mp = _mp50()
+    assert _eps_of_unit(entropy_closed(CauchyDist(l, s)), mp.log(4 * mp.pi * mp.mpf(s))) <= 4.0
+
+
+@given(st.floats(-2.0 ** 500, 2.0 ** 500), st.floats(2.0 ** -500, 2.0 ** 500),
+       st.floats(-2.0 ** 500, 2.0 ** 500), st.floats(2.0 ** -500, 2.0 ** 500))
+def test_cross_entropy_is_the_direct_formula_where_it_stays_normal(l1, s1, l2, s2):
+    """Where every product stays normal and the log's argument lies within
+    2**+-990, the power-of-two scaling must not move a bit."""
+    dl, ds = l1 - l2, s1 + s2
+    terms = (dl * dl, ds * ds, ds * ds + dl * dl, math.pi * (ds * ds + dl * dl))
+    assume(all(v == 0.0 or 2.0 ** -1022 <= v < math.inf for v in terms))
+    argument = math.pi * (ds * ds + dl * dl) / s2
+    assume(2.0 ** -990 <= argument <= 2.0 ** 990)
+    assert cross_entropy_closed(CauchyDist(l1, s1), CauchyDist(l2, s2)) == math.log(argument)
+
+
 def test_standardize_fixtures():
     std = CauchyDist(0, 1)
     assert standardize_pair(CauchyDist(0, 1), CauchyDist(3, 2)) == (std, CauchyDist(3, 2))

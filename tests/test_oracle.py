@@ -236,23 +236,38 @@ def test_f_divergence_standardization_invariance():
 
 
 def test_f_divergences_depend_on_chi2_alone():
-    # Four pairs with chi2 = ((l1-l2)^2 + (s1-s2)^2)/(2*s1*s2) = 9/8.
-    pairs = [
-        (CauchyDist(0, 1), CauchyDist(0, 4)),
-        (CauchyDist(0, 1), CauchyDist(0, 0.25)),
-        (CauchyDist(3, 2), CauchyDist(3, 8)),
-        (CauchyDist(0, 1), CauchyDist(1.5, 1)),
+    # Each family holds pairs of different shape with one
+    # chi2 = ((l1-l2)^2 + (s1-s2)^2)/(2*s1*s2): 9/8, then 1/2 through a
+    # location shift, a pure scale change, a mix of both, and the image of
+    # the mix under x -> 3x + 5.
+    golden = (3.0 + math.sqrt(5.0)) / 2.0
+    families = [
+        (9.0 / 8.0, [
+            (CauchyDist(0, 1), CauchyDist(0, 4)),
+            (CauchyDist(0, 1), CauchyDist(0, 0.25)),
+            (CauchyDist(3, 2), CauchyDist(3, 8)),
+            (CauchyDist(0, 1), CauchyDist(1.5, 1)),
+        ]),
+        (0.5, [
+            (CauchyDist(0, 1), CauchyDist(1, 1)),
+            (CauchyDist(0, 1), CauchyDist(0, golden)),
+            (CauchyDist(0, 1), CauchyDist(1, 2)),
+            (CauchyDist(5, 3), CauchyDist(8, 6)),
+        ]),
     ]
-    generators = [
-        (hellinger, None),
-        (lambda t: (t - 1.0) ** 2, 9.0 / 8.0),  # Pearson: chi2 itself
-        (t_log_t, math.log1p(9.0 / 16.0)),  # KL = log1p(chi2/2)
-    ]
-    for generator, exact in generators:
-        values = [f_divergence_numeric(generator, p1, p2).value for p1, p2 in pairs]
-        assert max(values) - min(values) <= 1e-12, values
-        if exact is not None:
-            assert abs(values[0] - exact) <= 1e-12
+    for chi2, pairs in families:
+        generators = [
+            (hellinger, None),
+            (lambda t: (t - 1.0) ** 2, chi2),  # Pearson: chi2 itself
+            (t_log_t, math.log1p(chi2 / 2.0)),  # KL = log1p(chi2/2)
+        ]
+        for generator, exact in generators:
+            values = [f_divergence_numeric(generator, p1, p2).value for p1, p2 in pairs]
+            assert max(values) - min(values) <= 1e-12, values
+            if exact is not None:
+                assert abs(values[0] - exact) <= 1e-12
+        # values holds t*log t last: each must be the closed-form KL
+        assert all(abs(v - kl_closed(p1, p2)) <= 1e-12 for v, (p1, p2) in zip(values, pairs))
 
 
 # ---------------------------------------------------------------------------
