@@ -24,12 +24,17 @@ This module transcribes the certificate data (L, psi and the degree-5
 numerator polynomial P of psi) and *verifies* the claims instead of
 trusting them:
 
-* the telescoping relation is evaluated in exact rational arithmetic at
+* the telescoping relation is evaluated in exact arithmetic at
   arbitrary rational points (d,e,f,x), combining a d-jet of order 3 with
   an x-jet of order 1; the residual must be exactly zero;
 * the ODE L[dA/dd] = 0 is checked exactly for core's dA/dd formula at
   rational points whose discriminant 4*d*f - e^2 is a rational square
   m^2, so the square-root jet stays in Q;
+* both exact residuals are homogeneous of degree 2 in (d,e,f) (and m),
+  so each check clears the common denominator D of its point once,
+  evaluates at the integer point D*(d,e,f) on fraction-free jets
+  (`cauchykl.jets`), where the operator and P have int coefficients,
+  and divides by D^2; a residual that is not an exact Fraction raises;
 * the tail limits of psi, the vanishing integration constant and the
   factorization G1*G2 = (d-f)^2 + e^2 behind the final log simplification
   are checked numerically against the quadrature oracle.
@@ -157,19 +162,34 @@ def _rational_triple(d, e, f) -> tuple[Fraction, Fraction, Fraction]:
     return d, e, f
 
 
+def _integer_point(*values: Fraction) -> tuple[int, ...]:
+    """(D, D*v1, D*v2, ...) for the least D > 0 that makes every D*v an int."""
+    D = math.lcm(*(v.denominator for v in values))
+    return (D, *(v.numerator * (D // v.denominator) for v in values))
+
+
+def _exact(residual, D: int) -> Fraction:
+    """residual / D^2, refusing a residual that is not an exact Fraction."""
+    if not isinstance(residual, Fraction):
+        raise TypeError(f"the exact check produced an inexact residual {residual!r}")
+    return residual / (D * D)
+
+
 def verify_telescoping(d, e, f, x) -> Fraction:
     """Exact residual  L[dphi/dd] - dpsi/dx  at a rational point.
 
     Returns a Fraction that must be exactly zero if the certificate data
-    is a valid telescoping pair for dphi/dd.
+    is a valid telescoping pair for dphi/dd. The residual is homogeneous
+    of degree 2 in (d, e, f) at fixed x (c3..c0 have degrees 6..3, the
+    k-th d-derivative of dphi/dd degree -1-k, P degree 5), so it is
+    evaluated at the integer point D*(d, e, f), D the common denominator,
+    where the operator and P have int coefficients, and divided by D^2.
     """
-    d, e, f = _rational_triple(d, e, f)
+    D, d, e, f = _integer_point(*_rational_triple(d, e, f))
     x = Fraction(x)
-    d_jet = Jet.variable(d, 3)
-    lhs = apply_operator(d, e, f, phi_partial_d(d_jet, e, f, x))
-    x_jet = Jet.variable(x, 1)
-    rhs = psi(d, e, f, x_jet).derivative(1)
-    return lhs - rhs
+    lhs = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f, x))
+    rhs = psi(d, e, f, Jet.variable(x, 1)).derivative(1)
+    return _exact(lhs - rhs, D)
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
@@ -179,14 +199,18 @@ def verify_ode_dadd(d, e, f) -> Fraction:
     Requires 4*d*f - e^2 = m^2 for a rational m > 0, so the square-root
     jet seeded with m keeps every Taylor coefficient of dA/dd rational.
     The constant factor pi is dropped: L is linear, so L[dA/dd] = 0 iff
-    L[dA/dd / pi] = 0. Points on the singular set d = f, e = 0 are
-    rejected, as the closed form of dA/dd is undefined there.
+    L[dA/dd / pi] = 0. With m scaling along, dA/dd / pi is homogeneous of
+    degree -1 in (d, e, f) (numerator degree 3, denominator degree 4),
+    so L[dA/dd] has degree 2: it is evaluated at the integer point
+    D*(d, e, f, m), D the common denominator, and divided by D^2.
+    Points on the singular set d = f, e = 0 are rejected, as the closed
+    form of dA/dd is undefined there.
     """
     d, e, f = _rational_triple(d, e, f)
     core._check_regular_point(d, e, f)
-    m = rational_sqrt(4 * d * f - e * e)
+    D, d, e, f, m = _integer_point(d, e, f, rational_sqrt(4 * d * f - e * e))
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, lambda disc: disc.sqrt(head=m))
-    return apply_operator(d, e, f, num / den)
+    return _exact(apply_operator(d, e, f, num / den), D)
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,12 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
     For b < 1 this coincides with integral_a applied to (1, 0, z^2) and
     (1, -2*a*b, a^2). The boundary b = 1 (inner quadratic (x - a)^2, zero
     discriminant) is accepted here but is outside integral_a's domain.
+
+    While max(a, z) lies in (2^-510, 2^510) the log argument is formed
+    directly: it stays normal and finite. Outside, a and z are scaled by
+    a common power of two 2^-j (exact) and 2*j*log(2) is added back to
+    the log, so the argument neither overflows nor underflows for any
+    finite input.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
@@ -405,4 +411,9 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
     if not -1.0 < b <= 1.0:
         raise ParameterError(f"b must lie in (-1, 1], got {b!r}")
     root = math.sqrt((1.0 - b) * (1.0 + b))
-    return math.pi / z * math.log(z * z + 2.0 * a * z * root + a * a)
+    big = max(a, z)
+    if 2.0 ** -510 < big < 2.0 ** 510:
+        return math.pi / z * math.log(z * z + 2.0 * a * z * root + a * a)
+    j = math.frexp(big)[1]
+    u, w = math.ldexp(a, -j), math.ldexp(z, -j)
+    return math.pi / z * (math.log(w * w + 2.0 * u * w * root + u * u) + 2 * j * math.log(2.0))

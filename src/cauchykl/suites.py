@@ -106,6 +106,18 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
             return d, e, f
 
 
+def _exact_zeros(check, names: str, points) -> tuple[int, str]:
+    """Number of points where the exact `check` is nonzero, and a detail suffix
+    naming the first of them in exact fractions, so one call reproduces it."""
+    nonzero, witness = 0, ""
+    for point in points:
+        if check(*point) != 0:
+            if not nonzero:
+                witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
+            nonzero += 1
+    return nonzero, witness
+
+
 def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
     """Closed-form KL and cross-entropy against the quadrature oracle at its default tolerances."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -155,12 +167,11 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    nonzero = sum(
-        certificate.verify_telescoping(*random_certificate_point(rng), _random_rational(rng)) != 0
-        for _ in range(count))
+    nonzero, witness = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)", (
+        (*random_certificate_point(rng), _random_rational(rng)) for _ in range(count)))
     outcomes.append(CheckOutcome(
         "telescoping residual", nonzero == 0, float(nonzero),
-        f"{count - nonzero}/{count} exact-zero residuals in rational arithmetic",
+        f"{count - nonzero}/{count} exact-zero residuals in rational arithmetic{witness}",
     ))
 
     worst = 0.0
@@ -185,11 +196,11 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
 def ode_suite(count: int, seed: int) -> list[CheckOutcome]:
     """Exact ODE residuals of dA/dd plus the integration-constant check."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    nonzero = sum(certificate.verify_ode_dadd(*random_certificate_point(rng)) != 0
-                  for _ in range(count))
+    nonzero, witness = _exact_zeros(certificate.verify_ode_dadd, "(d, e, f)", (
+        random_certificate_point(rng) for _ in range(count)))
     outcomes = [CheckOutcome(
         "ode residual of dA/dd", nonzero == 0, float(nonzero),
-        f"{count - nonzero}/{count} exact-zero residuals at square-discriminant points",
+        f"{count - nonzero}/{count} exact-zero residuals at square-discriminant points{witness}",
     )]
     report = certificate.verify_integration_constant()
     outcomes.append(CheckOutcome(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cauchykl import ParameterError, SingularPointError, core, integral_a_dd
+from cauchykl import ParameterError, SingularPointError, certificate, core, integral_a_dd
 from cauchykl.certificate import (
     certificate_polynomial,
     operator_coefficients,
@@ -21,6 +21,8 @@ from cauchykl.certificate import (
 )
 from cauchykl.suites import (
     CHECKSUMS,
+    certificate_suite,
+    ode_suite,
     random_certificate_point,
     random_tame_point,
 )
@@ -175,3 +177,100 @@ def test_g_factorization_random_points():
         d, e, f = (float(v) for v in random_tame_point(rng))
         report = verify_g_factorization(d, e, f)
         assert report.passed, (d, e, f, report)
+
+
+def _random_nonzero_rational(rng):
+    num = int(rng.integers(1, 1001)) * (1 if rng.integers(2) else -1)
+    return Fraction(num, int(rng.integers(1, 1001)))
+
+
+def test_exact_residuals_are_fractions():
+    for point in [(1, 0, 2, Fraction(1, 3)), (Fraction(3, 2), Fraction(1, 2), 5, Fraction(-7, 4)),
+                  (1, 0, 1, 0)]:
+        assert type(verify_telescoping(*point)) is Fraction
+    for point in [(1, 3, Fraction(5, 2)), (2, 1, Fraction(17, 8))]:
+        assert type(verify_ode_dadd(*point)) is Fraction
+
+
+def test_inexact_residual_is_refused(monkeypatch):
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + 0.5 * x)
+    with pytest.raises(TypeError):
+        verify_telescoping(1, 0, 2, Fraction(1, 3))
+
+
+def test_certificate_is_homogeneous():
+    # The exact checks evaluate at D*(d, e, f) and divide by D^2; that
+    # rests on these degrees, pinned here at random points and scalings.
+    rng = np.random.Generator(np.random.PCG64(113))
+    for _ in range(30):
+        d, e, f = random_certificate_point(rng)
+        x, lam = _random_nonzero_rational(rng), _random_nonzero_rational(rng)
+        c = operator_coefficients(d, e, f)
+        assert operator_coefficients(lam * d, lam * e, lam * f) == tuple(
+            lam ** k * ck for k, ck in zip((6, 5, 4, 3), c))
+        assert (certificate_polynomial(lam * d, lam * e, lam * f, x)
+                == lam ** 5 * certificate_polynomial(d, e, f, x))
+        lam = abs(lam)  # m = sqrt(4*d*f - e^2) scales with |lam|
+        num, den = core._dadd_over_pi(d, e, f, rational_sqrt)
+        scaled_num, scaled_den = core._dadd_over_pi(lam * d, lam * e, lam * f, rational_sqrt)
+        assert (scaled_num, scaled_den) == (lam ** 3 * num, lam ** 4 * den)
+
+
+def test_non_homogeneous_perturbation_is_caught(monkeypatch):
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + x**5)
+    assert verify_telescoping(1, 0, 2, Fraction(1, 3)) != 0
+    rng = np.random.Generator(np.random.PCG64(127))
+    for _ in range(10):
+        assert verify_telescoping(*random_certificate_point(rng), _random_nonzero_rational(rng)) != 0
+
+
+def _sympy_residual(sympy, d, e, f, x):
+    """L[dphi/dd] - dpsi/dx by sympy differentiation of the shipped expressions."""
+    dd, xx = sympy.symbols("d x")
+    e_, f_ = sympy.Rational(e.numerator, e.denominator), sympy.Rational(f.numerator, f.denominator)
+    at = {dd: sympy.Rational(d.numerator, d.denominator), xx: sympy.Rational(x.numerator, x.denominator)}
+    y = phi_partial_d(dd, e_, f_, xx)
+    c3, c2, c1, c0 = (sympy.Rational(c.numerator, c.denominator) for c in operator_coefficients(d, e, f))
+    lhs = sum(c * sympy.diff(y, dd, k).subs(at) for k, c in zip((3, 2, 1, 0), (c3, c2, c1, c0)))
+    rhs = sympy.diff(psi(dd, e_, f_, xx), xx).subs(at)
+    r = sympy.Rational(lhs - rhs)
+    return Fraction(int(r.p), int(r.q))
+
+
+def test_telescoping_residual_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    point = (Fraction(5, 3), Fraction(-7, 2), Fraction(11, 4), Fraction(2, 5))
+    assert _sympy_residual(sympy, *point) == verify_telescoping(*point) == 0
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
+    residual = verify_telescoping(*point)
+    assert residual != 0
+    assert _sympy_residual(sympy, *point) == residual
+
+
+def _witness(detail):
+    return tuple(Fraction(v) for v in detail.split(" = (")[-1].rstrip(")").split(", "))
+
+
+def test_failing_checks_name_a_reproducing_witness(monkeypatch):
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + (x + 1) * d**5)
+    telescoping = certificate_suite(5, 1)[1]
+    assert not telescoping.passed
+    point = _witness(telescoping.detail)
+    assert len(point) == 4 and verify_telescoping(*point) != 0
+
+    dadd_over_pi = core._dadd_over_pi
+    monkeypatch.setattr(core, "_dadd_over_pi",
+                        lambda d, e, f, sqrt: (dadd_over_pi(d, e, f, sqrt)[0] + d * d,
+                                               dadd_over_pi(d, e, f, sqrt)[1]))
+    ode = ode_suite(3, 1)[0]
+    assert not ode.passed
+    point = _witness(ode.detail)
+    assert len(point) == 3 and verify_ode_dadd(*point) != 0

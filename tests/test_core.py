@@ -516,6 +516,19 @@ def test_prudnikov_domain_errors():
             prudnikov_special(a, b, z)
 
 
+def test_prudnikov_full_range_fixtures():
+    """Inputs whose log argument over- or underflows, against 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for a, b, z in [(1e200, 0.5, 1e200), (1e-200, 0.5, 1e-200), (1e300, -0.9, 1e-300),
+                    (1e-300, 0.3, 1e300), (1.7e308, 1.0, 1.7e308), (1e-300, 0.0, 2e-300)]:
+        A, B, Z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        exact = mp.pi / Z * mp.log(Z * Z + 2 * A * Z * mp.sqrt((1 - B) * (1 + B)) + A * A)
+        value = prudnikov_special(a, b, z)
+        assert float(abs(value - exact) / abs(exact)) <= 4 * 2.0 ** -52, (a, b, z, value)
+
+
 def test_prudnikov_matches_integral_a():
     assert rel_err(prudnikov_special(1, 0.5, 1),
                    integral_a(PositiveQuadratic(1, 0, 1), PositiveQuadratic(1, -1, 1))) <= 1e-14

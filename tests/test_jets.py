@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchykl import Jet, ParameterError, integral_a_dd
+from cauchykl import Jet, ParameterError, integral_a_dd, jets
 
 
 def test_variable_and_constant():
@@ -61,6 +61,10 @@ def test_exact_sqrt_jet_with_rational_head():
     assert (root * root).coefficients == disc.coefficients
     with pytest.raises(ParameterError):
         disc.sqrt(head=Fraction(2))
+    # an int head is exact too: int / int would be a float, and no step divides
+    int_root = disc.sqrt(head=1)
+    assert all(isinstance(c, Fraction) for c in int_root.coefficients)
+    assert int_root.coefficients == root.coefficients
 
 
 def test_division_roundtrip_exact():
@@ -68,6 +72,23 @@ def test_division_roundtrip_exact():
     num = 3 * t * t - t + Fraction(1, 7)
     den = t * t * t + 5
     assert ((num / den) * den).coefficients == num.coefficients
+
+
+def test_exact_arithmetic_builds_no_fraction(monkeypatch):
+    # +, -, *, / and sqrt stay on int numerators over one denominator;
+    # Fractions appear only when the coefficients are read.
+    t = Jet.variable(Fraction(2, 3), 3)
+    s = Jet.variable(Fraction(5, 7), 3)
+    built = []
+    real = jets.Fraction
+    monkeypatch.setattr(jets, "Fraction", lambda *a: built.append(a) or real(*a))
+    r = (3 * t * s - t / (s * s + Fraction(1, 2)) + 1) / (4 * t * t + 1)
+    root = (9 * t * t).sqrt(head=2)
+    assert built == []
+    monkeypatch.undo()
+    tf, sf = Fraction(2, 3), Fraction(5, 7)
+    assert r.coefficients[0] == (3 * tf * sf - tf / (sf * sf + Fraction(1, 2)) + 1) / (4 * tf * tf + 1)
+    assert root.coefficients == (2, 3, 0, 0)
 
 
 def test_power_matches_repeated_multiplication():
