@@ -55,7 +55,20 @@ def _fmt(value: Any) -> str:
 
 
 def format_record(record: dict) -> str:
-    """Serialize a result record to one JSON line with stable key order."""
+    """Serialize a result record to one JSON line with stable key order.
+
+    A record with exactly the keys op/params/status/value, status "ok",
+    an op of _OPS and float params in the op's order and value fills the
+    op's line template; it prints what _fmt prints. Every other record
+    goes through _fmt.
+    """
+    if [*record] == _OK_KEYS and record["status"] == "ok" and type(record["op"]) is str:
+        names, types, template = _OK_LINES.get(record["op"], _NO_LINE)
+        params = record["params"]
+        if type(params) is dict and [*params] == names:
+            values = (*params.values(), record["value"])
+            if tuple(map(type, values)) == types:
+                return template % values
     return _fmt(record)
 
 
@@ -112,8 +125,9 @@ _PAIR_PARAMS = ("l1", "s1", "l2", "s2")
 class _Op(NamedTuple):
     """One operation: parameter names in echo order, its calls, its config flags.
 
-    Both calls take the validated params and the filled config. `closed`
-    returns a float (a MonteCarloResult for mc); `quadrature`, used when
+    Both calls take the validated params, finite floats in `params` order,
+    and the filled config. `closed` returns a float from core's float
+    entry point (a MonteCarloResult for mc); `quadrature`, used when
     config["numeric"] is set, returns a QuadratureResult. The calls look
     layer functions up through their module each time, so rebinding a
     module attribute reaches them.
@@ -128,13 +142,13 @@ class _Op(NamedTuple):
 _OPS: dict[str, _Op] = {
     "kl": _Op(
         _PAIR_PARAMS,
-        lambda p, c: core.kl_closed(*_pair(p)),
+        lambda p, c: core.kl_floats(*p.values()),
         lambda p, c: oracle.kl_numeric(*_pair(p), _quadrature_config(c)),
         _QUADRATURE_FLAGS,
     ),
     "cross-entropy": _Op(
         _PAIR_PARAMS,
-        lambda p, c: core.cross_entropy_closed(*_pair(p)),
+        lambda p, c: core.cross_entropy_floats(*p.values()),
         lambda p, c: oracle.cross_entropy_numeric(*_pair(p), _quadrature_config(c)),
         _QUADRATURE_FLAGS,
     ),
@@ -145,17 +159,17 @@ _OPS: dict[str, _Op] = {
     ),
     "entropy": _Op(
         ("l", "s"),
-        lambda p, c: core.entropy_closed(CauchyDist(p["l"], p["s"])),
+        lambda p, c: core.entropy_floats(*p.values()),
     ),
     "integral-a": _Op(
         ("a", "b", "c", "d", "e", "f"),
-        lambda p, c: core.integral_a(*_quadratics(p)),
+        lambda p, c: core.integral_a_floats(*p.values()),
         lambda p, c: oracle.integral_a_numeric(*_quadratics(p), _quadrature_config(c)),
         _QUADRATURE_FLAGS,
     ),
     "prudnikov": _Op(
         ("a", "b", "z"),
-        lambda p, c: core.prudnikov_special(p["a"], p["b"], p["z"]),
+        lambda p, c: core.prudnikov_floats(*p.values()),
     ),
 }
 # Each op's parameter names as a set, to compare a record's keys against.
@@ -176,6 +190,19 @@ _JSON_TEXT = _JSONText((s, json.dumps(s)) for s in (
     "ok", *_OPS, *_CONFIG,
     *(name for spec in _OPS.values() for name in spec.params),
 ))
+
+# Per op: its param names, the types an ok record's params and value must
+# have, and its ok line {"op":..,"params":{..},"status":"ok","value":..}
+# with a %.17g slot per float. mc's ok records carry diagnostics, so they
+# never take it.
+_OK_KEYS = ["op", "params", "status", "value"]
+_OK_LINES = {
+    op: (list(spec.params), (float,) * (len(spec.params) + 1),
+         '{"op":%s,"params":{%s},"status":"ok","value":%%.17g}'
+         % (_JSON_TEXT[op], ",".join(_JSON_TEXT[k] + ":%.17g" for k in spec.params)))
+    for op, spec in _OPS.items()
+}
+_NO_LINE = (None, None, "")
 
 
 def execute_job(record: Any) -> dict:
@@ -279,16 +306,34 @@ def _reject_constant(name: str) -> None:
 # One decoder for the whole stream: json.loads with a keyword builds a new
 # one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_SCAN = _DECODER.scan_once
+
+
+def _decode(line: str) -> Any:
+    """The JSON value of a line: the value or error _DECODER.decode gives.
+
+    The C scanner reads the line from its first character; a line it
+    cannot read whole (leading or trailing text included) goes through
+    decode, which skips whitespace and raises with the error message.
+    """
+    try:
+        record, end = _SCAN(line, 0)
+        if end == len(line):
+            return record
+    except (StopIteration, ValueError):
+        pass
+    return _DECODER.decode(line)
 
 
 def _handle_batch(args: argparse.Namespace) -> int:
     errors = 0
+    write = sys.stdout.write
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
             continue
         try:
-            record = _DECODER.decode(line)
+            record = _decode(line)
         except ValueError as exc:
             result = {"input": line, "status": "error", "error": f"malformed record: {exc}"}
         else:
@@ -297,7 +342,7 @@ def _handle_batch(args: argparse.Namespace) -> int:
                 # Echo the line as read: the value may hold a number that overflowed to inf.
                 result["input"] = line
         errors += result["status"] != "ok"
-        print(format_record(result))
+        write(format_record(result) + "\n")
     return 0 if errors == 0 else 1
 
 

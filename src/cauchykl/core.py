@@ -29,7 +29,11 @@ which is finite for every parameter pair and symmetric under exchange;
 kl_closed evaluates it as log1p(((l1-l2)^2 + (s1-s2)^2) / (4*s1*s2)).
 It and the cross-entropy read one kernel that scales by powers of two
 where a term would leave the normal range (`_scaled_ratio`), so KL,
-cross-entropy and entropy hold over every finite input.
+cross-entropy and entropy hold over every finite input. Each closed form
+is computed by a float entry point (`kl_floats`, `cross_entropy_floats`,
+`entropy_floats`, `integral_a_floats`, `prudnikov_floats`) that takes
+finite floats and checks only the domain; the functions of
+`CauchyDist` and `PositiveQuadratic` are one-line wrappers over them.
 The general-to-canonical reduction A(a,b,c; .) = K * A(1,0,1; D,E,F),
 the derivative dA/dd of the canonical integral, and a primitive B of
 the differentiated integrand are also provided; the derivation chain
@@ -55,15 +59,20 @@ __all__ = [
     "kl_closed",
     "cross_entropy_closed",
     "entropy_closed",
+    "kl_floats",
+    "cross_entropy_floats",
+    "entropy_floats",
     "kl_scale_family",
     "kl_location_family",
     "standardize_pair",
     "integral_a",
+    "integral_a_floats",
     "integral_a_canonical",
     "canonical_reduce",
     "integral_a_dd",
     "primitive_b",
     "prudnikov_special",
+    "prudnikov_floats",
 ]
 
 
@@ -72,6 +81,26 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_scale(scale: float) -> None:
+    """The domain check of CauchyDist: scale > 0."""
+    if scale <= 0.0:
+        raise ParameterError(f"scale must be positive, got {scale!r}")
+
+
+def _require_quadratic(a: float, b: float, c: float) -> float:
+    """The domain check of PositiveQuadratic; returns its guard 4*a*c - b^2 > 0."""
+    if a <= 0.0:
+        raise ParameterError(f"leading coefficient must be positive, got {a!r}")
+    if c <= 0.0:
+        raise ParameterError(f"constant coefficient must be positive, got {c!r}")
+    guard = 4.0 * a * c - b * b
+    if guard <= 0.0:
+        raise ParameterError(
+            f"quadratic ({a!r}, {b!r}, {c!r}) must satisfy 4*a*c - b^2 > 0, got {guard!r}"
+        )
+    return guard
 
 
 @dataclass(frozen=True)
@@ -88,8 +117,7 @@ class CauchyDist:
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", _require_finite("location", self.location))
         object.__setattr__(self, "scale", _require_finite("scale", self.scale))
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale!r}")
+        _require_scale(self.scale)
 
 
 @dataclass(frozen=True)
@@ -110,15 +138,7 @@ class PositiveQuadratic:
         object.__setattr__(self, "a", _require_finite("a", self.a))
         object.__setattr__(self, "b", _require_finite("b", self.b))
         object.__setattr__(self, "c", _require_finite("c", self.c))
-        if self.a <= 0.0:
-            raise ParameterError(f"leading coefficient must be positive, got {self.a!r}")
-        if self.c <= 0.0:
-            raise ParameterError(f"constant coefficient must be positive, got {self.c!r}")
-        if self.discriminant_guard <= 0.0:
-            raise ParameterError(
-                f"quadratic ({self.a!r}, {self.b!r}, {self.c!r}) must satisfy "
-                f"4*a*c - b^2 > 0, got {self.discriminant_guard!r}"
-            )
+        _require_quadratic(self.a, self.b, self.c)
 
     @property
     def discriminant_guard(self) -> float:
@@ -186,11 +206,12 @@ def quantile(dist: CauchyDist, u: float) -> float:
     return dist.location + dist.scale * math.tan(math.pi * (u - 0.5))
 
 
-def _scaled_ratio(p1: CauchyDist, p2: CauchyDist, t: float, k: float, c: float) -> tuple[float, int]:
+def _scaled_ratio(l1: float, s1: float, l2: float, s2: float,
+                  t: float, k: float, c: float) -> tuple[float, int]:
     """x and e with x * 2**e = k*((l1-l2)^2 + (s1+t)^2) / (c*s2), for every finite input.
 
-    kl_closed passes t = -s2, k = 1/4, c = s1 (so 4*s1 cannot overflow),
-    cross_entropy_closed t = s2, k = pi, c = 1. While the sum of squares
+    kl_floats passes t = -s2, k = 1/4, c = s1 (so 4*s1 cannot overflow),
+    cross_entropy_floats t = s2, k = pi, c = 1. While the sum of squares
     lies in (2^-969, 2^511) and c*s2 in (2^-511, 2^1023) it is the direct
     quotient with e = 0: every product, and for cross-entropy (num/s2 >= s2)
     the quotient, stays normal. Otherwise the terms are scaled by powers of
@@ -198,22 +219,22 @@ def _scaled_ratio(p1: CauchyDist, p2: CauchyDist, t: float, k: float, c: float) 
     direct bits wherever those stay normal, and x in [1/16, 8*pi] unless
     both differences are 0.
     """
-    dl = p1.location - p2.location
-    ds = p1.scale + t
+    dl = l1 - l2
+    ds = s1 + t
     num = dl * dl + ds * ds
-    den = c * p2.scale
+    den = c * s2
     if 2.0 ** -969 < num < 2.0 ** 511 and 2.0 ** -511 < den < 2.0 ** 1023:
         return k * num / den, 0
     h = math.isinf(dl) or math.isinf(ds)
     if h:  # a difference overflows: carry half of each
-        dl, ds = 0.5 * p1.location - 0.5 * p2.location, 0.5 * p1.scale + 0.5 * t
+        dl, ds = 0.5 * l1 - 0.5 * l2, 0.5 * s1 + 0.5 * t
     j = math.frexp(max(abs(dl), abs(ds)))[1]
-    (u, m), (v, n) = math.frexp(c), math.frexp(p2.scale)
+    (u, m), (v, n) = math.frexp(c), math.frexp(s2)
     a, b = math.ldexp(dl, -j), math.ldexp(ds, -j)
     return k * (a * a + b * b) / (u * v), 2 * (j + h) - m - n
 
 
-def kl_closed(p1: CauchyDist, p2: CauchyDist) -> float:
+def kl_floats(l1: float, s1: float, l2: float, s2: float) -> float:
     """Kullback-Leibler divergence between two Cauchy distributions.
 
         KL = log( ((s1+s2)^2 + (l1-l2)^2) / (4*s1*s2) ) = log1p(chi2 / 2),
@@ -222,35 +243,56 @@ def kl_closed(p1: CauchyDist, p2: CauchyDist) -> float:
     the chi-square form of Nielsen & Okamura (arXiv:2101.12459), which
     avoids the cancellation of log(num/den) when num is close to den.
     Finite over the whole finite double range (chi2/2 comes from
-    `_scaled_ratio`), symmetric in (p1, p2) bit-for-bit, and exactly 0.0
-    when the two parameter pairs coincide.
+    `_scaled_ratio`), symmetric in the two pairs bit-for-bit, and exactly
+    0.0 when they coincide. The float entry point: the arguments must be
+    finite floats; the scales are checked as CauchyDist checks them.
     """
-    x, e = _scaled_ratio(p1, p2, -p2.scale, 0.25, p1.scale)
+    _require_scale(s1)
+    _require_scale(s2)
+    x, e = _scaled_ratio(l1, s1, l2, s2, -s2, 0.25, s1)
     if e > 1000 and x > 0.0:  # log1p(x * 2**e) = log(x) + e*log(2) + O(2**-1000)
         return math.log(x) + e * math.log(2.0)
     return math.log1p(math.ldexp(x, e))
 
 
-def cross_entropy_closed(p1: CauchyDist, p2: CauchyDist) -> float:
+def kl_closed(p1: CauchyDist, p2: CauchyDist) -> float:
+    """Kullback-Leibler divergence KL(p1 : p2); see `kl_floats`."""
+    return kl_floats(p1.location, p1.scale, p2.location, p2.scale)
+
+
+def cross_entropy_floats(l1: float, s1: float, l2: float, s2: float) -> float:
     """Cross-entropy  h(p1 : p2) = log( pi*((s1+s2)^2 + (l1-l2)^2) / s2 ).
 
     The argument of the log is `_scaled_ratio`'s x * 2**e; beyond 2**+-1000
     the result is log(x) + e*log(2). So it holds over every finite input,
-    as kl_closed does, with the direct formula's bits in range.
+    as kl_floats does, with the direct formula's bits in range. The
+    arguments must be finite floats, as for kl_floats.
     """
-    x, e = _scaled_ratio(p1, p2, p2.scale, math.pi, 1.0)
+    _require_scale(s1)
+    _require_scale(s2)
+    x, e = _scaled_ratio(l1, s1, l2, s2, s2, math.pi, 1.0)
     if -1000 <= e <= 1000:
         return math.log(math.ldexp(x, e))
     return math.log(x) + e * math.log(2.0)  # x * 2**e may be out of the normal range
 
 
-def entropy_closed(p: CauchyDist) -> float:
+def cross_entropy_closed(p1: CauchyDist, p2: CauchyDist) -> float:
+    """Cross-entropy h(p1 : p2); see `cross_entropy_floats`."""
+    return cross_entropy_floats(p1.location, p1.scale, p2.location, p2.scale)
+
+
+def entropy_floats(l: float, s: float) -> float:
     """Differential entropy log(4*pi*s), for every finite s > 0 (-741.9 at s = 5e-324).
 
     Computed as the self cross-entropy so the decomposition
     KL = cross-entropy - entropy holds as tightly as the formulas allow.
     """
-    return cross_entropy_closed(p, p)
+    return cross_entropy_floats(l, s, l, s)
+
+
+def entropy_closed(p: CauchyDist) -> float:
+    """Differential entropy h(p); see `entropy_floats`."""
+    return entropy_floats(p.location, p.scale)
 
 
 def kl_scale_family(s1: float, s2: float) -> float:
@@ -274,21 +316,26 @@ def standardize_pair(p1: CauchyDist, p2: CauchyDist) -> tuple[CauchyDist, Cauchy
     return CauchyDist(0.0, 1.0), CauchyDist(lam, sig)
 
 
-def integral_a(q1: PositiveQuadratic, q2: PositiveQuadratic) -> float:
-    """Closed form of A(a,b,c; d,e,f) with (a,b,c) from q1 and (d,e,f) from q2.
+def integral_a_floats(a: float, b: float, c: float, d: float, e: float, f: float) -> float:
+    """Closed form of A(a,b,c; d,e,f):
 
     A = 2*pi*(log(2*a*f - b*e + 2*c*d + sqrt(4*a*c - b^2)*sqrt(4*d*f - e^2))
               - log(2*a)) / sqrt(4*a*c - b^2)
 
     The log argument is strictly positive for valid quadratics:
     2*a*f + 2*c*d >= 4*sqrt(a*c*d*f) > |b*e| by the discriminant guards.
+    The float entry point: the arguments must be finite floats; both
+    triples are checked as PositiveQuadratic checks them.
     """
-    a, b, c = q1.a, q1.b, q1.c
-    d, e, f = q2.a, q2.b, q2.c
-    r1 = math.sqrt(q1.discriminant_guard)
-    r2 = math.sqrt(q2.discriminant_guard)
+    r1 = math.sqrt(_require_quadratic(a, b, c))
+    r2 = math.sqrt(_require_quadratic(d, e, f))
     arg = 2.0 * a * f - b * e + 2.0 * c * d + r1 * r2
     return 2.0 * math.pi * (math.log(arg) - math.log(2.0 * a)) / r1
+
+
+def integral_a(q1: PositiveQuadratic, q2: PositiveQuadratic) -> float:
+    """A(a,b,c; d,e,f) with (a,b,c) from q1 and (d,e,f) from q2; see `integral_a_floats`."""
+    return integral_a_floats(q1.a, q1.b, q1.c, q2.a, q2.b, q2.c)
 
 
 def integral_a_canonical(d: float, e: float, f: float) -> float:
@@ -394,6 +441,14 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
     For b < 1 this coincides with integral_a applied to (1, 0, z^2) and
     (1, -2*a*b, a^2). The boundary b = 1 (inner quadratic (x - a)^2, zero
     discriminant) is accepted here but is outside integral_a's domain.
+    Checks that the arguments are finite, then runs `prudnikov_floats`.
+    """
+    return prudnikov_floats(_require_finite("a", a), _require_finite("b", b),
+                            _require_finite("z", z))
+
+
+def prudnikov_floats(a: float, b: float, z: float) -> float:
+    """`prudnikov_special` for finite floats: checks only the domain.
 
     While max(a, z) lies in (2^-510, 2^510) the log argument is formed
     directly: it stays normal and finite. Outside, a and z are scaled by
@@ -401,9 +456,6 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
     the log, so the argument neither overflows nor underflows for any
     finite input.
     """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    z = _require_finite("z", z)
     if a <= 0.0:
         raise ParameterError(f"a must be positive, got {a!r}")
     if z <= 0.0:

@@ -118,28 +118,44 @@ def _exact_zeros(check, names: str, points) -> tuple[int, str]:
     return nonzero, witness
 
 
+def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
+    """Detail suffix naming the pair (and sampler seed) of a worst residual exactly,
+    with %r, so one CLI call reproduces it; empty when no pair was checked."""
+    if pair is None:
+        return ""
+    p1, p2 = pair
+    at = "" if seed is None else f"seed {seed}, "
+    return "; worst at %s(l1, s1, l2, s2) = (%r, %r, %r, %r)" % (
+        at, p1.location, p1.scale, p2.location, p2.scale)
+
+
 def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
-    """Closed-form KL and cross-entropy against the quadrature oracle at its default tolerances."""
+    """Closed-form KL and cross-entropy against the quadrature oracle at its default tolerances.
+
+    Each detail ends with the pair of its worst residual.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst_kl = worst_ce = 0.0
+    checks = (("kl", core.kl_closed, oracle.kl_numeric),
+              ("cross-entropy", core.cross_entropy_closed, oracle.cross_entropy_numeric))
+    worst = {name: (0.0, None) for name, _, _ in checks}  # name -> (residual, pair)
     unconverged = 0
     for p1, p2 in _random_pairs(rng, count):
-        kl_c = core.kl_closed(p1, p2)
-        kl_n = oracle.kl_numeric(p1, p2)
-        worst_kl = max(worst_kl, abs(kl_c - kl_n.value) / (1.0 + abs(kl_c)))
-        ce_c = core.cross_entropy_closed(p1, p2)
-        ce_n = oracle.cross_entropy_numeric(p1, p2)
-        worst_ce = max(worst_ce, abs(ce_c - ce_n.value) / (1.0 + abs(ce_c)))
-        unconverged += (not kl_n.converged) + (not ce_n.converged)
+        for name, closed, numeric in checks:
+            value = closed(p1, p2)
+            result = numeric(p1, p2)
+            residual = abs(value - result.value) / (1.0 + abs(value))
+            if residual >= worst[name][0]:
+                worst[name] = residual, (p1, p2)
+            unconverged += not result.converged
     tol = 1e-8
+    tails = {"kl": f", unconverged {unconverged}", "cross-entropy": ""}
     return [
         CheckOutcome(
-            f"{name} closed vs quadrature", worst <= tol, worst,
-            f"{count} pairs, worst |closed - numeric|/(1+|closed|) = {worst:.3e}, "
-            f"tolerance {tol:.1e}{tail}",
+            f"{name} closed vs quadrature", residual <= tol, residual,
+            f"{count} pairs, worst |closed - numeric|/(1+|closed|) = {residual:.3e}, "
+            f"tolerance {tol:.1e}{tails[name]}{_worst_at(pair)}",
         )
-        for name, worst, tail in (("kl", worst_kl, f", unconverged {unconverged}"),
-                                  ("cross-entropy", worst_ce, ""))
+        for name, (residual, pair) in worst.items()
     ]
 
 
@@ -221,7 +237,7 @@ def monte_carlo_suite(count: int, seed: int,
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     misses = 0
-    worst_sigmas = 0.0
+    worst_sigmas, worst_seed, worst_pair = 0.0, None, None
     for index, (p1, p2) in enumerate(_random_pairs(rng, count)):
         closed = core.kl_closed(p1, p2)
         result = oracle.kl_monte_carlo(p1, p2, samples, seed=seed + index)
@@ -231,13 +247,15 @@ def monte_carlo_suite(count: int, seed: int,
         else:
             sigmas = abs(result.estimate - closed) / result.standard_error
             hit = sigmas <= 4.0
-        worst_sigmas = max(worst_sigmas, sigmas)
+        if sigmas >= worst_sigmas:
+            worst_sigmas, worst_seed, worst_pair = sigmas, seed + index, (p1, p2)
         misses += not hit
     allowed = max(1, count // 20)
     return [CheckOutcome(
         "monte-carlo 4-sigma coverage", misses <= allowed, float(misses),
         f"{count - misses}/{count} estimates within 4 standard errors "
-        f"(worst {worst_sigmas:.2f} sigma, {samples} samples each, up to {allowed} misses allowed)",
+        f"(worst {worst_sigmas:.2f} sigma, {samples} samples each, up to {allowed} misses allowed)"
+        f"{_worst_at(worst_pair, worst_seed)}",
     )]
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -14,9 +15,19 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cauchykl
-from cauchykl import cli
+from cauchykl import cli, oracle
 from cauchykl.cli import _CONFIG, _OPS, execute_job, format_record, main
-from cauchykl.core import CauchyDist, kl_closed
+from cauchykl.core import (
+    CauchyDist,
+    PositiveQuadratic,
+    cross_entropy_closed,
+    entropy_closed,
+    integral_a,
+    kl_closed,
+    prudnikov_special,
+)
+from cauchykl.errors import CauchyKLError
+from cauchykl.suites import closed_vs_quadrature_suite, monte_carlo_suite
 
 BATCH_INPUT = """\
 {"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}
@@ -130,9 +141,30 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@given(st.dictionaries(_RECORD_STRINGS | st.text(), _JSON_VALUES, max_size=6))
+# Floats an ok record holds, the ends of the double range among them.
+_RECORD_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+# Ok records of each op's shape, the shape format_record fills a line template
+# for; a non-float value or an ok record with a key too many takes the generic path.
+_OK_RECORDS = st.sampled_from(list(_OPS.items())).flatmap(lambda item: st.fixed_dictionaries(
+    {"op": st.just(item[0]),
+     "params": st.fixed_dictionaries({name: _RECORD_FLOATS for name in item[1].params}),
+     "status": st.just("ok"),
+     "value": _RECORD_FLOATS | st.integers() | st.booleans()},
+    optional={"diagnostics": _JSON_VALUES}))
+
+
+@given(st.dictionaries(_RECORD_STRINGS | st.text(), _JSON_VALUES, max_size=6) | _OK_RECORDS)
 @example({"value": -0.0, "tiny": 5e-324, "big": 1e300, "list": [-0.0, 5e-324, 1e300]})
 @example({"\u00fc": {"\u00e9": [None, True, 0.1], "kl": "\u2200"}, "status": "ok"})
+@example({"op": "kl", "params": {"l1": -0.0, "s1": 5e-324, "l2": 1.7976931348623157e308,
+                                 "s2": 1.0}, "status": "ok", "value": -0.0})
+@example({"op": "entropy", "params": {"l": 0, "s": 1.0}, "status": "ok", "value": 2.5})
+@example({"op": "entropy", "params": {"s": 1.0, "l": 0.0}, "status": "ok", "value": 2.5})
+@example({"op": "prudnikov", "params": {"a": 1.0, "b": 0.5, "z": 2.0}, "status": "ok",
+          "value": True})
+@example({"params": {"l": 0.0, "s": 1.0}, "op": "entropy", "status": "ok", "value": 2.5})
+@example({"op": "entropy", "params": {"l": 0.0, "s": 1.0}, "status": "okay", "value": 2.5})
 def test_format_record_matches_plain_formatter(record):
     line = format_record(record)
     assert line == _plain_format(record)
@@ -345,6 +377,199 @@ def test_batch_round_trip(monkeypatch, capsys):
         if "config" in original:
             assert parsed["config"] == original["config"]
         assert format_record(parsed) == line
+
+
+# ---------------------------------------------------------------------------
+# differential test: the batch stream against a per-line reference built from
+# the dataclass functions and _plain_format
+# ---------------------------------------------------------------------------
+
+def _pair_of(p):
+    return CauchyDist(p["l1"], p["s1"]), CauchyDist(p["l2"], p["s2"])
+
+
+def _quadratics_of(p):
+    return PositiveQuadratic(p["a"], p["b"], p["c"]), PositiveQuadratic(p["d"], p["e"], p["f"])
+
+
+def _quadrature(result):
+    return result.value, {"error_estimate": result.error_estimate,
+                          "evaluations": result.evaluations, "converged": result.converged}
+
+
+# Per op: parameter names in echo order, the closed form and the quadrature,
+# each returning (value, diagnostics or None), from the public dataclass API.
+_REFERENCE_OPS = {
+    "kl": (("l1", "s1", "l2", "s2"), lambda p, c: (kl_closed(*_pair_of(p)), None),
+           lambda p: _quadrature(oracle.kl_numeric(*_pair_of(p)))),
+    "cross-entropy": (("l1", "s1", "l2", "s2"),
+                      lambda p, c: (cross_entropy_closed(*_pair_of(p)), None),
+                      lambda p: _quadrature(oracle.cross_entropy_numeric(*_pair_of(p)))),
+    "mc": (("l1", "s1", "l2", "s2"), lambda p, c: _monte_carlo(p, c), None),
+    "entropy": (("l", "s"), lambda p, c: (entropy_closed(CauchyDist(p["l"], p["s"])), None), None),
+    "integral-a": (("a", "b", "c", "d", "e", "f"),
+                   lambda p, c: (integral_a(*_quadratics_of(p)), None),
+                   lambda p: _quadrature(oracle.integral_a_numeric(*_quadratics_of(p)))),
+    "prudnikov": (("a", "b", "z"), lambda p, c: (prudnikov_special(p["a"], p["b"], p["z"]), None),
+                  None),
+}
+
+
+def _monte_carlo(p, config):
+    result = oracle.kl_monte_carlo(*_pair_of(p), config["samples"], config["seed"])
+    return result.estimate, {"standard_error": result.standard_error,
+                             "samples": result.samples, "seed": result.seed}
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite number {float(name)!r}")
+
+
+def _reference_record(line):
+    """The result record of one stripped batch line, from the public dataclass functions."""
+    try:
+        record = json.loads(line, parse_constant=_reject_non_finite)
+    except ValueError as exc:
+        return {"input": line, "status": "error", "error": f"malformed record: {exc}"}
+    if not isinstance(record, dict):
+        return {"input": line, "status": "error", "error": "record must be a JSON object"}
+    op, raw = record["op"], record["params"]
+    if op not in _REFERENCE_OPS:
+        return {"op": op, "status": "error", "error": f"unknown operation {op!r}; expected one "
+                "of ['cross-entropy', 'entropy', 'integral-a', 'kl', 'mc', 'prudnikov']"}
+    names, closed, numeric = _REFERENCE_OPS[op]
+    missing = [k for k in names if k not in raw]
+    if missing:
+        return {"op": op, "status": "error",
+                "error": f"missing parameters {missing} for operation {op!r}"}
+    for k in names:
+        if not isinstance(raw[k], (int, float)) or isinstance(raw[k], bool):
+            return {"op": op, "status": "error",
+                    "error": f"parameter {k!r} must be a number, got {raw[k]!r}"}
+    params = {k: float(raw[k]) for k in names}
+    result = {"op": op, "params": params}
+    config = record.get("config", {})  # written in echo order
+    if config:
+        result["config"] = config
+    try:
+        if config.get("numeric") and numeric:
+            value, diagnostics = numeric(params)
+        else:
+            value, diagnostics = closed(params, {"samples": 1_000_000, "seed": 0, **config})
+        if not math.isfinite(value):
+            raise ArithmeticError(f"result is not finite: {value!r}")
+    except (CauchyKLError, ValueError, ArithmeticError) as exc:
+        return {**result, "status": "error", "error": str(exc)}
+    result.update(status="ok", value=value)
+    if diagnostics is not None:
+        result["diagnostics"] = diagnostics
+    return result
+
+
+# Parameter values at the ends of the double range and of JSON's number forms.
+_EDGE_VALUES = [0, 1, 3, -0.0, 0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+
+def _draw_value(rng, scale, wide=True):
+    """A location (scale False) or scale: in range, or when wide sometimes anywhere."""
+    u = rng.random() if wide else 1.0
+    if u < 0.1:
+        return _EDGE_VALUES[rng.integers(len(_EDGE_VALUES))]
+    if u < 0.3:
+        magnitude = float(10.0 ** rng.uniform(-300.0, 300.0))
+        return magnitude if scale or rng.random() < 0.5 else -magnitude
+    return float(rng.uniform(0.01, 100.0) if scale else rng.uniform(-100.0, 100.0))
+
+
+def _draw_params(rng, op, wide=True):
+    if op in ("kl", "cross-entropy", "mc"):
+        return {"l1": _draw_value(rng, False, wide), "s1": _draw_value(rng, True, wide),
+                "l2": _draw_value(rng, False, wide), "s2": _draw_value(rng, True, wide)}
+    if op == "entropy":
+        return {"l": _draw_value(rng, False), "s": _draw_value(rng, True)}
+    if op == "prudnikov":
+        b = 1.0 if rng.random() < 0.05 else float(rng.uniform(-1.1, 1.1))
+        return {"a": _draw_value(rng, True), "b": b, "z": _draw_value(rng, True)}
+    params = {}
+    for names in (("a", "b", "c"), ("d", "e", "f")):
+        a, c = _draw_value(rng, True, wide), _draw_value(rng, True, wide)
+        # |t| beyond 1 breaks the guard 4*a*c - b^2 > 0; b is clamped to stay finite.
+        b = float(rng.uniform(-1.05, 1.05)) * 2.0 * math.sqrt(abs(a)) * math.sqrt(abs(c))
+        b = max(-1e308, min(b, 1e308))
+        params.update(zip(names, (a, b, c)))
+    return params
+
+
+def _invalid_record(rng, k):
+    """An invalid record of one of the five kinds of the batch-closed benchmark stream, in range."""
+    kind = k % 5
+    if kind == 0:
+        return {"op": "kl-divergence", "params": _draw_params(rng, "kl", False)}
+    if kind == 1:
+        params = _draw_params(rng, "kl", False)
+        del params["s2"]
+        return {"op": "kl", "params": params}
+    if kind == 2:
+        params = _draw_params(rng, "entropy", False)
+        params["s"] = repr(params["s"])
+        return {"op": "entropy", "params": params}
+    if kind == 3:
+        params = _draw_params(rng, "cross-entropy", False)
+        params["s1"] = -params["s1"] if k % 2 else 0.0
+        return {"op": "cross-entropy", "params": params}
+    params = _draw_params(rng, "integral-a", False)
+    params["e"] = float(rng.uniform(1.01, 3.0)) * 2.0 * math.sqrt(params["d"] * params["f"])
+    return {"op": "integral-a", "params": params}
+
+
+# Closed records carry these configs now and then: closed forms check them and
+# echo them, but do not read them (an empty config is not echoed).
+_CLOSED_CONFIGS = [{}, {"numeric": False}, {"rtol": 1e-3, "max_depth": 4}, {"samples": 7, "seed": 3}]
+_MALFORMED_LINES = ["not json", '{"op":"kl"} x', '{"a":1}{"b":2}', "NaN", "[1e999]", "["]
+
+
+def _differential_stream(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    closed_ops = ["kl", "cross-entropy", "entropy", "integral-a", "prudnikov"]
+    lines = []
+    for k in range(count):
+        u = rng.random()
+        if u < 0.009:  # quadrature and Monte-Carlo records, in range
+            op = ["kl", "cross-entropy", "integral-a"][k % 3]
+            record = {"op": op, "params": _draw_params(rng, op, False),
+                      "config": {"numeric": True}}
+        elif u < 0.012:
+            record = {"op": "mc", "params": _draw_params(rng, "mc", False),
+                      "config": {"samples": 2000, "seed": k}}
+        elif u < 0.05:
+            record = _invalid_record(rng, k)
+        else:
+            op = closed_ops[rng.integers(len(closed_ops))]
+            record = {"op": op, "params": _draw_params(rng, op)}
+            if rng.random() < 0.05:
+                record["config"] = _CLOSED_CONFIGS[rng.integers(len(_CLOSED_CONFIGS))]
+            if rng.random() < 0.05:  # keys out of echo order
+                record["params"] = dict(reversed(record["params"].items()))
+        line = json.dumps(record, separators=(",", ":") if rng.random() < 0.5 else None)
+        lines.append(f"  {line}\t" if rng.random() < 0.02 else line)
+    for bad in _MALFORMED_LINES + ["", "   "]:
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+    return lines
+
+
+def test_batch_matches_dataclass_reference_line_by_line(monkeypatch, capsys):
+    # The lean record path (core's float kernels, per-op line templates,
+    # the scanner) prints, byte for byte, what the public dataclass
+    # functions and the plain formatter give for every line.
+    lines = _differential_stream(20261018, 2000)
+    code, out = run_batch(monkeypatch, capsys, "".join(line + "\n" for line in lines))
+    expected = [_reference_record(line.strip()) for line in lines if line.strip()]
+    assert code == 1
+    assert {r["status"] for r in expected} == {"ok", "error"}
+    assert {r["op"] for r in expected if r["status"] == "ok"} == set(_OPS)
+    assert out.splitlines() == [_plain_format(r) for r in expected]
+    assert out == "".join(_plain_format(r) + "\n" for r in expected)
 
 
 def _reject_constant(name):
@@ -631,3 +856,37 @@ def test_verify_deterministic_output(capsys):
     out1 = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == out1
+
+
+def _cli_record(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _witness_flags(detail):
+    """--l1 .. --s2 flags of the pair a float check's detail ends with."""
+    values = detail.split("(l1, s1, l2, s2) = (")[-1].rstrip(")").split(", ")
+    return [arg for name, value in zip(("l1", "s1", "l2", "s2"), values)
+            for arg in ("--" + name, value)]
+
+
+def test_float_check_witnesses_reproduce_through_the_cli(capsys):
+    # Each closed-vs-quadrature detail names the pair of its worst residual
+    # exactly: the closed and --numeric single-shot calls on it give that
+    # residual to the bit.
+    for outcome, op in zip(closed_vs_quadrature_suite(6, 2), ("kl", "cross-entropy")):
+        flags = _witness_flags(outcome.detail)
+        closed = _cli_record(capsys, [op, *flags])["value"]
+        numeric = _cli_record(capsys, [op, *flags, "--numeric"])["value"]
+        assert abs(closed - numeric) / (1.0 + abs(closed)) == outcome.worst
+    # The worst over the first n pairs never falls as n grows.
+    prefixes = [[o.worst for o in closed_vs_quadrature_suite(n, 2)] for n in range(1, 7)]
+    assert prefixes == sorted(prefixes, key=lambda w: w[0]) == sorted(prefixes, key=lambda w: w[1])
+    # The monte-carlo detail names the seed and pair of its worst estimate.
+    (outcome,) = monte_carlo_suite(4, 5, samples=3000)
+    flags = _witness_flags(outcome.detail)
+    seed = re.search(r"worst at seed (\d+), ", outcome.detail).group(1)
+    closed = _cli_record(capsys, ["kl", *flags])["value"]
+    record = _cli_record(capsys, ["mc", *flags, "--samples", "3000", "--seed", seed])
+    sigmas = abs(record["value"] - closed) / record["diagnostics"]["standard_error"]
+    assert f"(worst {sigmas:.2f} sigma, 3000 samples each" in outcome.detail
