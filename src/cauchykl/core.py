@@ -90,13 +90,18 @@ def _require_scale(scale: float) -> None:
 
 
 def _require_quadratic(a: float, b: float, c: float) -> float:
-    """The domain check of PositiveQuadratic; returns its guard 4*a*c - b^2 > 0."""
+    """The domain check of PositiveQuadratic; returns its guard 4*a*c - b^2.
+
+    The guard is > 0, or NaN for a valid triple whose 4*a*c and b^2 overflow.
+    """
     if a <= 0.0:
         raise ParameterError(f"leading coefficient must be positive, got {a!r}")
     if c <= 0.0:
         raise ParameterError(f"constant coefficient must be positive, got {c!r}")
     guard = 4.0 * a * c - b * b
-    if guard <= 0.0:
+    # The guard is NaN when 4*a*c and b^2 both overflow; the comparison
+    # |b|/2 < sqrt(a)*sqrt(c) then decides without overflowing.
+    if not guard > 0.0 and (guard <= 0.0 or not abs(b) * 0.5 < math.sqrt(a) * math.sqrt(c)):
         raise ParameterError(
             f"quadratic ({a!r}, {b!r}, {c!r}) must satisfy 4*a*c - b^2 > 0, got {guard!r}"
         )
@@ -142,7 +147,7 @@ class PositiveQuadratic:
 
     @property
     def discriminant_guard(self) -> float:
-        """4*a*c - b^2, strictly positive for a valid instance."""
+        """4*a*c - b^2, strictly positive for a valid instance unless it overflows (NaN)."""
         return 4.0 * self.a * self.c - self.b * self.b
 
     @property

@@ -41,7 +41,11 @@ x - l1 for x = l1 + s1*t would round t away when s1 is small against
 ulp(l1). Every estimate is reproducible from (inputs, samples, seed). Its
 mean and standard error are built from correctly rounded sums (math.fsum
 semantics, by `correctly_rounded_sum`), so they do not depend on the
-order in which numpy reduces an array.
+order in which numpy reduces an array. The estimator keeps one sample
+array, the log-ratios, and runs every per-sample pass (draws, transforms,
+sums) on blocks of _BLOCK elements that stay in cache; the steps are
+elementwise and the sums order-free, so the bits are those of a
+whole-array evaluation.
 """
 
 from __future__ import annotations
@@ -134,6 +138,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 DEFAULT_SAMPLES = 1_000_000
 # Unit roundoff of binary64.
 _U = 2.0 ** -53
+# Elements per block of the Monte-Carlo passes and of correctly_rounded_sum:
+# 128 KiB of float64, so a block and its work buffer stay in cache.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -448,21 +455,24 @@ def f_divergence_numeric(
 
 
 def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> float:
-    """Sum of a float64 array, correctly rounded: the same bits as math.fsum(x).
+    """Sum of a 1-D float64 array, correctly rounded: the same bits as math.fsum(x).
 
     The result does not depend on summation order, numpy build or CPU.
-    One vectorised extraction splits every x_i exactly into q_i + r_i:
-    with sigma = 2**(exponent(max|x|) + bit_length(n)), q_i = (x_i +
-    sigma) - sigma is a multiple of 2**-53 * sigma and every partial sum
-    of the q_i stays within sigma, so sum(q) is exact in any order, and
-    r_i = x_i - q_i is exact with |r_i| <= 2**-53 * sigma. The residuals are summed in
-    floating point under the a-priori bound 2*n*u * n*u*sigma (u =
-    2**-53) on the error of any summation order; when both ends of that
-    interval, added to sum(q), round to the same double, that double is
-    the correctly rounded sum. Otherwise (and for inputs that are not
+    After one max/min pass, an extraction splits every x_i exactly into
+    q_i + r_i: with sigma = 2**(exponent(max|x|) + bit_length(n)), q_i =
+    (x_i + sigma) - sigma is a multiple of 2**-53 * sigma and every partial
+    sum of the q_i stays within sigma, so sum(q) is exact in any order, and
+    r_i = x_i - q_i is exact with |r_i| <= 2**-53 * sigma. The residuals
+    are summed in floating point under the a-priori bound 2*n*u * n*u*sigma
+    (u = 2**-53) on the error of any summation order; when both ends of
+    that interval, added to sum(q), round to the same double, that double
+    is the correctly rounded sum. Otherwise (and for inputs that are not
     finite, that span the far ends of the exponent range, or hold 2**26
-    or more values) the result is math.fsum(x). `work`, if given, is a
-    float64 array of x's shape that is overwritten.
+    or more values) the result is math.fsum(x). Since neither sum depends
+    on the order, the split runs on blocks of _BLOCK elements that stay
+    in cache, with the bits of one whole-array pass. `work`, if given, is
+    a float64 array of at least min(n, _BLOCK) elements that is
+    overwritten; one of x's shape works.
     """
     n = x.size
     if n == 0:
@@ -476,11 +486,16 @@ def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> floa
     if k > 1023 or k < -1021 or n >= 1 << 26:
         return math.fsum(x)
     sigma = math.ldexp(1.0, k)
-    t = np.add(x, sigma, out=work)
-    t -= sigma
-    exact = float(t.sum())
-    np.subtract(x, t, out=t)
-    residual = float(t.sum())
+    if work is None:
+        work = np.empty(min(n, _BLOCK))
+    exact = residual = 0.0
+    for start in range(0, n, _BLOCK):
+        block = x[start:start + _BLOCK]
+        t = np.add(block, sigma, out=work[:block.size])
+        t -= sigma
+        exact += float(t.sum())
+        np.subtract(block, t, out=t)
+        residual += float(t.sum())
     bound = (2.0 * n * _U) * (n * _U * sigma)
     lo = exact + math.nextafter(residual - bound, -math.inf)
     hi = exact + math.nextafter(residual + bound, math.inf)
@@ -510,7 +525,11 @@ def kl_monte_carlo(
         standard_error = sqrt(variance) / sqrt(n),
 
     each sum correctly rounded (correctly_rounded_sum), so they do not
-    depend on how numpy orders a reduction.
+    depend on how numpy orders a reduction. L is the one sample array:
+    each block of _BLOCK draws is transformed in place while it is in
+    cache, with one block-sized work buffer for m(t). Every step is
+    elementwise and a float64 draw takes one word of the stream, so the
+    bits are those of evaluating each step on the whole array at once.
     """
     samples = int(samples)
     if samples < 2:
@@ -519,19 +538,24 @@ def kl_monte_carlo(
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
     alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
     rng = np.random.Generator(np.random.PCG64(seed))
-    # t = tan(pi*(u - 1/2)), then log R(t), in place in t and m. An overflow needs
-    # no warning: it makes the estimate non-finite, which callers check.
-    t = rng.random(samples)
+    log_ratio = np.empty(samples)
+    work = np.empty(min(samples, _BLOCK))
+    blocks = [log_ratio[i:i + _BLOCK] for i in range(0, samples, _BLOCK)]
+    # t = tan(pi*(u - 1/2)), then log R(t), in place. An overflow needs no
+    # warning: it makes the estimate non-finite, which callers check.
     with np.errstate(all="ignore"):
-        t -= 0.5
-        t *= np.pi
-        np.tan(t, out=t)
-        m = np.multiply(t, t)
-        m += 1.0
-        log_ratio = np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
-        estimate = correctly_rounded_sum(log_ratio, work=m) / samples
-        deviation = np.subtract(log_ratio, estimate, out=t)
-        deviation *= deviation
-        variance = correctly_rounded_sum(deviation, work=m) / (samples - 1)
+        for t in blocks:
+            rng.random(t.size, out=t)
+            t -= 0.5
+            t *= np.pi
+            np.tan(t, out=t)
+            m = np.multiply(t, t, out=work[:t.size])
+            m += 1.0
+            np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
+        estimate = correctly_rounded_sum(log_ratio, work) / samples
+        for deviation in blocks:
+            deviation -= estimate
+            deviation *= deviation
+        variance = correctly_rounded_sum(log_ratio, work) / (samples - 1)
     standard_error = math.sqrt(variance) / math.sqrt(samples)
     return MonteCarloResult(estimate, standard_error, samples, int(seed))

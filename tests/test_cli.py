@@ -329,6 +329,18 @@ def test_mc_whose_log_ratios_overflow_is_an_error_record():
         assert "not finite" in record["error"]
 
 
+def test_integral_a_whose_guard_overflows():
+    # 4*a*c - b^2 is inf - inf = NaN for both triples: the invalid one
+    # (4ac < b^2) gets the guard message, the valid one a non-finite result.
+    invalid = {"a": 1e300, "b": 3e300, "c": 1e300, "d": 1, "e": 0, "f": 1}
+    record = execute_job({"op": "integral-a", "params": invalid})
+    assert record["error"] == ("quadratic (1e+300, 3e+300, 1e+300) "
+                               "must satisfy 4*a*c - b^2 > 0, got nan")
+    valid = {"a": 1e300, "b": 1.9e300, "c": 1e300, "d": 1, "e": 0, "f": 1}
+    record = execute_job({"op": "integral-a", "params": valid})
+    assert record["error"] == "result is not finite: nan"
+
+
 def test_batch_cross_entropy_and_entropy_over_the_full_range(monkeypatch, capsys):
     text = ('{"op":"cross-entropy","params":{"l1":0,"s1":1e300,"l2":0,"s2":2e300}}\n'
             '{"op":"cross-entropy","params":{"l1":0,"s1":1e-200,"l2":0,"s2":1e-200}}\n'

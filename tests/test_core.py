@@ -27,6 +27,7 @@ from cauchykl import (
     quantile,
     standardize_pair,
 )
+from cauchykl.core import integral_a_floats
 from helpers import draw_pairs, rel_err, ulps_apart
 
 locations = st.floats(-100.0, 100.0)
@@ -72,6 +73,17 @@ def test_positive_quadratic_invariants():
         PositiveQuadratic(1.0, 3.0, 1.0)
     with pytest.raises(ParameterError):
         PositiveQuadratic(1.0, math.nan, 1.0)
+
+
+def test_positive_quadratic_guard_that_overflows():
+    # 4*a*c and b^2 both overflow, so 4*a*c - b^2 is inf - inf = NaN; the
+    # check still rejects 4ac < b^2 and keeps 4ac > b^2.
+    with pytest.raises(ParameterError, match=r"must satisfy 4\*a\*c - b\^2 > 0, got nan"):
+        PositiveQuadratic(1e300, 3e300, 1e300)
+    with pytest.raises(ParameterError, match="must satisfy"):
+        integral_a_floats(1.0, 0.0, 1.0, 1e300, -3e300, 1e300)
+    q = PositiveQuadratic(1e300, 1.9e300, 1e300)
+    assert math.isnan(q.discriminant_guard)
 
 
 def test_positive_quadratic_from_cauchy():

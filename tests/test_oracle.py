@@ -23,7 +23,7 @@ from cauchykl import (
     kl_numeric,
     standardize_pair,
 )
-from cauchykl.oracle import correctly_rounded_sum
+from cauchykl.oracle import _BLOCK, correctly_rounded_sum
 from helpers import (
     draw_pairs,
     reference_cross_entropy,
@@ -411,15 +411,17 @@ def test_monte_carlo_keeps_narrow_pairs_far_from_the_origin():
     assert abs(r.estimate - kl_closed(p1, p2)) <= 4.0 * r.standard_error
 
 
-def test_monte_carlo_peak_memory_is_two_sample_arrays():
+def test_monte_carlo_peak_memory_is_one_sample_array():
     samples = 200_000
+    kl_monte_carlo(CauchyDist(1, 2), CauchyDist(3, 5), 100, seed=11)  # warm up numpy
     tracemalloc.start()
     try:
         kl_monte_carlo(CauchyDist(1, 2), CauchyDist(3, 5), samples, seed=11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * samples
+    # The log-ratios plus the block buffers, never a second sample array.
+    assert peak < 8 * samples + 16 * _BLOCK
 
 
 def test_monte_carlo_rejects_tiny_sample_counts():
@@ -437,7 +439,7 @@ def _adversarial_arrays():
     yield np.array([1.0, 2.0 ** -53, 2.0 ** -105])  # just above the tie
     yield np.array([1e16, 1.0, -1e16])
     yield np.array([1e300, 1e-300, -1e300])
-    for n in (2, 3, 17, 1000, 5000):
+    for n in (2, 3, 17, 1000, 5000, 3 * _BLOCK + 5):
         yield rng.standard_normal(n)
         big = rng.standard_normal(n) * 1e16
         small = rng.standard_normal(n)
@@ -449,9 +451,10 @@ def _adversarial_arrays():
 
 def test_correctly_rounded_sum_equals_fsum_bit_for_bit():
     for x in _adversarial_arrays():
-        assert correctly_rounded_sum(x).hex() == math.fsum(x).hex()
-        work = np.empty_like(x)
-        assert correctly_rounded_sum(x, work=work).hex() == math.fsum(x).hex()
+        expected = math.fsum(x).hex()
+        assert correctly_rounded_sum(x).hex() == expected
+        for work in (np.empty_like(x), np.empty(_BLOCK)):
+            assert correctly_rounded_sum(x, work=work).hex() == expected
 
 
 def test_correctly_rounded_sum_of_zeros_and_non_finite():
@@ -490,7 +493,8 @@ def _reference_monte_carlo(p1, p2, samples, seed):
     return estimate, math.sqrt(variance) / math.sqrt(samples)
 
 
-@pytest.mark.parametrize("samples", [2, 1000, 200_000])
+@pytest.mark.parametrize("samples", [2, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                                     200_000])
 def test_monte_carlo_moments_match_fsum_reference(samples):
     cases = [
         (CauchyDist(0, 1), CauchyDist(0, 3), 7),
@@ -502,3 +506,17 @@ def test_monte_carlo_moments_match_fsum_reference(samples):
         estimate, standard_error = _reference_monte_carlo(p1, p2, samples, seed)
         assert r.estimate.hex() == estimate.hex()
         assert r.standard_error.hex() == standard_error.hex()
+
+
+def test_monte_carlo_moments_take_the_fast_path(monkeypatch):
+    # Both block-wise sums of a 200 000-sample estimate stay on the
+    # vectorised path; the reference moments are taken before fsum goes.
+    p1, p2 = CauchyDist(1, 2), CauchyDist(3, 5)
+    estimate, standard_error = _reference_monte_carlo(p1, p2, 200_000, 11)
+
+    def no_fsum(values):
+        raise AssertionError("fell back to math.fsum")
+
+    monkeypatch.setattr(math, "fsum", no_fsum)
+    r = kl_monte_carlo(p1, p2, 200_000, seed=11)
+    assert (r.estimate, r.standard_error) == (estimate, standard_error)
