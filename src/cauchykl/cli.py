@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, NamedTuple
 
 from . import core, oracle, suites
@@ -44,9 +45,9 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return "%.17g" % value
     if isinstance(value, dict):
-        return "{" + ",".join([f"{_JSON_TEXT[k]}:{_fmt(v)}" for k, v in value.items()]) + "}"
+        return "{" + ",".join([f"{_json_str(k)}:{_fmt(v)}" for k, v in value.items()]) + "}"
     if isinstance(value, str):
-        return _JSON_TEXT[value]
+        return _json_str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -176,21 +177,6 @@ _OPS: dict[str, _Op] = {
 _PARAM_SETS = {op: frozenset(spec.params) for op, spec in _OPS.items()}
 
 
-class _JSONText(dict):
-    """JSON text of the strings records are built from; others are encoded on lookup."""
-
-    def __missing__(self, key: Any) -> str:
-        return json.dumps(key)
-
-
-# The fixed strings of every batch record: its keys, op names and statuses.
-_JSON_TEXT = _JSONText((s, json.dumps(s)) for s in (
-    "op", "params", "config", "status", "value", "error", "diagnostics", "input",
-    "error_estimate", "evaluations", "converged", "standard_error",
-    "ok", *_OPS, *_CONFIG,
-    *(name for spec in _OPS.values() for name in spec.params),
-))
-
 # Per op: its param names, the types an ok record's params and value must
 # have, and its ok line {"op":..,"params":{..},"status":"ok","value":..}
 # with a %.17g slot per float. mc's ok records carry diagnostics, so they
@@ -199,7 +185,7 @@ _OK_KEYS = ["op", "params", "status", "value"]
 _OK_LINES = {
     op: (list(spec.params), (float,) * (len(spec.params) + 1),
          '{"op":%s,"params":{%s},"status":"ok","value":%%.17g}'
-         % (_JSON_TEXT[op], ",".join(_JSON_TEXT[k] + ":%.17g" for k in spec.params)))
+         % (_json_str(op), ",".join(_json_str(k) + ":%.17g" for k in spec.params)))
     for op, spec in _OPS.items()
 }
 _NO_LINE = (None, None, "")

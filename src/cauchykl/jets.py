@@ -1,9 +1,9 @@
-"""Truncated Taylor (jet) arithmetic, fraction-free.
+"""Truncated Taylor (jet) arithmetic, exact and fraction-free.
 
 A Jet stands for the coefficients (c0, ..., cn) of a Taylor expansion
 sum_k c_k * t^k around a point, so c_k = f^(k) / k!. It stores them as
-numerators over one shared denominator, c_k = num_k / den, and every
-operation is one arithmetic path on those numerators:
+int numerators over one shared int denominator, c_k = num_k / den, and
+every operation is one arithmetic path on those numerators:
 
 * +, - and * convolve or add the numerators and multiply the
   denominators (a common denominator is kept as it is);
@@ -14,19 +14,14 @@ operation is one arithmetic path on those numerators:
 
   so the quotient's coefficients are Z_k / v0^(k+1), and put back over
   one denominator;
-* sqrt(head=) runs the analogous recurrence for the square root.
+* sqrt() runs the analogous recurrence for the square root, after
+  finding the head's root as isqrt(num_0 * den) / |den|.
 
-With int or `fractions.Fraction` inputs the numerators and denominators
-are Python ints: no operation constructs a Fraction or takes a gcd, and
-every result stays exact, which is what the certificate checks in
-`cauchykl.certificate` rely on. `coefficients` and `derivative` return
-Fractions for such jets. Square roots stay exact when the head value is
-rational and supplied explicitly (`sqrt(head=m)` with m*m equal to the
-head coefficient); an int head is exact too, as nothing is ever divided.
-The same path serves float coefficients, for cross-checks at moderate
-magnitudes: a quotient's denominator carries v0^(n+1), which can leave
-the float range long before the coefficients do. Logarithms force a
-float head and are meant for those cross-checks.
+Jets are exact only: every coefficient and scalar operand must be an int
+or a rational (`fractions.Fraction`), and anything else raises TypeError
+at the operation that receives it. No operation constructs a Fraction or
+takes a gcd; `coefficients` and `derivative` return Fractions. This is
+what the certificate checks in `cauchykl.certificate` rely on.
 """
 
 from __future__ import annotations
@@ -34,24 +29,40 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import ParameterError
 
-__all__ = ["Jet"]
-
-Scalar = Any  # int, float, fractions.Fraction, or any field-like scalar
+__all__ = ["Jet", "rational_sqrt"]
 
 
-def _split(x: Scalar) -> tuple:
-    """(numerator, denominator) of a rational scalar, (x, 1) of any other."""
+def _split(x: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of an int or rational scalar."""
     if type(x) is int:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)
-    return x, 1
+    raise TypeError(f"jets are exact: expected an int or a rational, got {x!r}")
+
+
+def _root(n: int, den: int) -> tuple[int, int]:
+    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|.
+
+    n/den is a rational square exactly when n*den is an integer square,
+    so no Fraction is built and no gcd is taken.
+    """
+    square = n * den
+    p = math.isqrt(max(square, 0))
+    if p * p != square:
+        raise ParameterError(f"{Fraction(n, den)} is not the square of a rational")
+    return p, abs(den)
+
+
+def rational_sqrt(value: Rational) -> Fraction:
+    """Exact square root of a nonnegative rational, if one exists."""
+    return Fraction(*_root(*_split(value)))
 
 
 class Jet:
@@ -59,57 +70,46 @@ class Jet:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coefficients: Iterable[Scalar]):
-        coefficients = tuple(coefficients)
-        if not coefficients:
+    def __init__(self, coefficients: Iterable[Rational]):
+        parts = [_split(c) for c in coefficients]
+        if not parts:
             raise ParameterError("a jet needs at least the order-0 coefficient")
-        if all(isinstance(c, Rational) for c in coefficients):
-            den = math.lcm(*(int(c.denominator) for c in coefficients))
-            self._num = tuple(int(c.numerator) * (den // int(c.denominator))
-                              for c in coefficients)
-            self._den = den
-        else:
-            self._num, self._den = coefficients, 1
+        den = math.lcm(*(q for _, q in parts))
+        self._num = tuple(p * (den // q) for p, q in parts)
+        self._den = den
 
     @classmethod
-    def _make(cls, num: tuple, den) -> "Jet":
+    def _make(cls, num: tuple, den: int) -> "Jet":
         jet = object.__new__(cls)
         jet._num, jet._den = num, den
         return jet
 
     @classmethod
-    def variable(cls, value: Scalar, order: int) -> "Jet":
+    def variable(cls, value: Rational, order: int) -> "Jet":
         """The identity jet t -> value + t, truncated at `order`."""
         if order < 1:
             raise ParameterError(f"variable jets need order >= 1, got {order!r}")
         p, q = _split(value)
-        return cls._make((p, 0 * p + q) + (0 * p,) * (order - 1), q)
+        return cls._make((p, q) + (0,) * (order - 1), q)
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "Jet":
+    def constant(cls, value: Rational, order: int) -> "Jet":
         p, q = _split(value)
-        return cls._make((p,) + (0 * p,) * order, q)
-
-    def _ratio(self, n: Scalar) -> Scalar:
-        """n / den: a Fraction when every numerator and the denominator are ints."""
-        den = self._den
-        if type(den) is int and all(type(x) is int for x in self._num):
-            return Fraction(n, den)
-        return n / den
+        return cls._make((p,) + (0,) * order, q)
 
     @property
     def coefficients(self) -> tuple:
-        return tuple(self._ratio(n) for n in self._num)
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     @property
     def order(self) -> int:
         return len(self._num) - 1
 
-    def derivative(self, k: int) -> Scalar:
+    def derivative(self, k: int) -> Fraction:
         """k-th derivative at the expansion point: k! * c_k."""
         if not 0 <= k <= self.order:
             raise ParameterError(f"derivative order {k!r} outside jet order {self.order}")
-        return self._ratio(math.factorial(k) * self._num[k])
+        return Fraction(math.factorial(k) * self._num[k], self._den)
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -192,21 +192,15 @@ class Jet:
                 base = base * base
         return Jet.constant(1, self.order) if result is None else result
 
-    def sqrt(self, head: Scalar | None = None) -> "Jet":
-        """Square root jet; pass `head` with head*head == c0 to stay exact.
+    def sqrt(self) -> "Jet":
+        """Square root jet; raises ParameterError unless c0 is a rational square.
 
-        With head = p/q, c_k = f_k/den and c = 2*p, the coefficients are
-        p/q and T_k / (den^k * c^(2k-1)) for k >= 1, where
+        With head p/q = sqrt(c0), c_k = f_k/den and c = 2*p, the
+        coefficients are p/q and T_k / (den^k * c^(2k-1)) for k >= 1, where
         T_k = q * (f_k * den^(k-1) * c^(2k-2) - sum_{0<j<k} T_j * T_{k-j}).
         """
         f, den = self._num, self._den
-        if head is None:
-            p, q = math.sqrt(f[0] / den), 1
-        else:
-            p, q = _split(head)
-            if p * p * den != f[0] * q * q:
-                raise ParameterError(
-                    f"head {head!r} is not a square root of {self.coefficients[0]!r}")
+        p, q = _root(f[0], den)
         n = len(f) - 1
         c = 2 * p
         if n and c == 0:
@@ -225,17 +219,6 @@ class Jet:
         out = [p * den**n * c2**n]
         out.extend(t[k] * q * den ** (n - k) * c2 ** (n - k) * c for k in range(1, n + 1))
         return Jet._make(tuple(out), q * den**n * c2**n)
-
-    def log(self) -> "Jet":
-        """Logarithm jet with float head math.log(c0)."""
-        f = self.coefficients
-        out: list = [math.log(f[0])]
-        for k in range(1, self.order + 1):
-            acc = k * f[k]
-            for j in range(1, k):
-                acc = acc - j * out[j] * f[k - j]
-            out.append(acc / (k * f[0]))
-        return Jet(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Jet) and self.coefficients == other.coefficients

@@ -121,6 +121,16 @@ def test_ode_rejects_singular_and_nonsquare():
         verify_ode_dadd(1, 2, 1)  # discriminant guard zero
 
 
+def test_lcm_of_d_e_f_denominators_clears_m():
+    # verify_ode_dadd scales by D = lcm of the d, e, f denominators only:
+    # (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2 is an integer square, so D*m is an int.
+    rng = np.random.Generator(np.random.PCG64(109))
+    for _ in range(200):
+        d, e, f = random_certificate_point(rng)
+        D = certificate._integer_point(d, e, f)[0]
+        assert (D * rational_sqrt(4 * d * f - e * e)).denominator == 1
+
+
 def test_ode_random_points():
     rng = np.random.Generator(np.random.PCG64(107))
     for _ in range(25):

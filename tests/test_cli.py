@@ -1,5 +1,6 @@
 """CLI: record format, exit-status contract, batch streaming, verify suites."""
 
+import importlib.util
 import io
 import json
 import math
@@ -902,3 +903,16 @@ def test_float_check_witnesses_reproduce_through_the_cli(capsys):
     record = _cli_record(capsys, ["mc", *flags, "--samples", "3000", "--seed", seed])
     sigmas = abs(record["value"] - closed) / record["diagnostics"]["standard_error"]
     assert f"(worst {sigmas:.2f} sigma, 3000 samples each" in outcome.detail
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer (perfbench/spans.py) getattr()s each of its
+    # TARGETS in the module cauchykl.<layer>; a missing one would crash
+    # every traced run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.TARGETS.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"cauchykl.{module}"), name)), (module, name)

@@ -1,21 +1,23 @@
-"""Jet arithmetic against known Taylor expansions, exact and floating."""
+"""Exact jet arithmetic against known Taylor expansions."""
 
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cauchykl import Jet, ParameterError, integral_a_dd, jets
+from cauchykl import Jet, ParameterError, core, jets
+from cauchykl.jets import rational_sqrt
+from cauchykl.suites import random_certificate_point
 
 
 def test_variable_and_constant():
     t = Jet.variable(Fraction(3), 4)
     assert t.coefficients == (Fraction(3), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     assert t.order == 4
-    c = Jet.constant(2.5, 3)
-    assert c.coefficients == (2.5, 0.0, 0.0, 0.0)
+    c = Jet.constant(Fraction(5, 2), 3)
+    assert c.coefficients == (Fraction(5, 2), 0, 0, 0)
     with pytest.raises(ParameterError):
-        Jet.variable(1.0, 0)
+        Jet.variable(1, 0)
     with pytest.raises(ParameterError):
         Jet(())
 
@@ -37,18 +39,24 @@ def test_geometric_series():
     assert g.coefficients == tuple(Fraction(1) for _ in range(6))
 
 
-def test_log_series():
-    t = Jet.variable(0.0, 5)
-    g = (1 + t).log()
-    expected = (0.0, 1.0, -0.5, 1 / 3, -0.25, 0.2)
-    assert g.coefficients == pytest.approx(expected, abs=1e-15)
-
-
 def test_sqrt_series():
-    t = Jet.variable(0.0, 4)
+    t = Jet.variable(0, 4)
     g = (1 + t).sqrt()
-    expected = (1.0, 0.5, -1 / 8, 1 / 16, -5 / 128)
-    assert g.coefficients == pytest.approx(expected, abs=1e-15)
+    assert g.coefficients == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128))
+    assert Jet.constant(Fraction(9, 4), 2).sqrt().coefficients == (Fraction(3, 2), 0, 0)
+
+
+def test_sqrt_over_a_negative_denominator():
+    # Dividing by a jet with head -1 leaves the shared denominator
+    # (-1)^3 = -1: -4/t at t = -1 + s is 4/(1 - s) with numerators (-4, ...).
+    t = Jet.variable(-1, 2)
+    g = -4 / t
+    assert g._den < 0
+    root = g.sqrt()
+    assert root.coefficients == (2, 1, Fraction(3, 4))
+    assert (root * root).coefficients == g.coefficients
+    with pytest.raises(ParameterError):
+        (-g).sqrt()
 
 
 def test_exact_sqrt_jet_with_rational_head():
@@ -56,13 +64,15 @@ def test_exact_sqrt_jet_with_rational_head():
     # square root stays rational and squares back exactly.
     d = Jet.variable(Fraction(1), 3)
     disc = 4 * d * Fraction(5, 2) - 9
-    root = disc.sqrt(head=Fraction(1))
+    root = disc.sqrt()
+    assert root.coefficients[0] == 1
     assert all(isinstance(c, Fraction) for c in root.coefficients)
     assert (root * root).coefficients == disc.coefficients
-    with pytest.raises(ParameterError):
-        disc.sqrt(head=Fraction(2))
-    # an int head is exact too: int / int would be a float, and no step divides
-    int_root = disc.sqrt(head=1)
+    for not_a_square in (disc + 1, disc / 3, disc - 2):  # heads 2, 1/3, -1
+        with pytest.raises(ParameterError):
+            not_a_square.sqrt()
+    # an int jet gives the same root: int / int would be a float, and no step divides
+    int_root = (10 * Jet.variable(1, 3) - 9).sqrt()
     assert all(isinstance(c, Fraction) for c in int_root.coefficients)
     assert int_root.coefficients == root.coefficients
 
@@ -83,7 +93,7 @@ def test_exact_arithmetic_builds_no_fraction(monkeypatch):
     real = jets.Fraction
     monkeypatch.setattr(jets, "Fraction", lambda *a: built.append(a) or real(*a))
     r = (3 * t * s - t / (s * s + Fraction(1, 2)) + 1) / (4 * t * t + 1)
-    root = (9 * t * t).sqrt(head=2)
+    root = (9 * t * t).sqrt()
     assert built == []
     monkeypatch.undo()
     tf, sf = Fraction(2, 3), Fraction(5, 7)
@@ -107,13 +117,26 @@ def test_scalar_mixing():
 
 def test_order_mismatch_rejected():
     with pytest.raises(ParameterError):
-        Jet.variable(1.0, 2) + Jet.variable(1.0, 3)
+        Jet.variable(Fraction(1, 2), 2) + Jet.variable(Fraction(1, 2), 3)
 
 
-def test_float_jet_differentiates_closed_form():
-    # d/dd of pi*log(d + f + sqrt(4*d*f - e^2)) must reproduce the closed
-    # derivative of the canonical integral.
-    for d, e, f in [(2.0, 0.0, 1.0), (1.0, 1.0, 3.0), (0.5, -0.25, 2.0)]:
+def test_non_rational_scalars_are_refused():
+    t = Jet.variable(1, 2)
+    for build in (lambda: Jet([1, 0.5]), lambda: Jet.variable(1.0, 2),
+                  lambda: Jet.constant(2.5, 2), lambda: t * 0.5, lambda: 0.5 * t,
+                  lambda: t + 0.5, lambda: 0.5 + t, lambda: t / 0.5):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_log_g1_derivative_is_the_closed_dadd():
+    # A(1,0,1; d,e,f) = pi*log(G1), G1 = d + f + sqrt(4*d*f - e^2), so
+    # d/dd log(G1) = G1'/G1 must equal the formula core.integral_a_dd
+    # runs, divided by pi, exactly at square-discriminant points.
+    rng = np.random.Generator(np.random.PCG64(131))
+    for _ in range(200):
+        d, e, f = random_certificate_point(rng)
         dj = Jet.variable(d, 1)
-        value = math.pi * ((dj + f + (4 * dj * f - e * e).sqrt()).log())
-        assert value.derivative(1) == pytest.approx(integral_a_dd(d, e, f), rel=1e-12)
+        g1 = dj + f + (4 * dj * f - e * e).sqrt()
+        num, den = core._dadd_over_pi(d, e, f, rational_sqrt)
+        assert g1.derivative(1) / g1.derivative(0) == num / den
