@@ -455,11 +455,11 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
 def prudnikov_floats(a: float, b: float, z: float) -> float:
     """`prudnikov_special` for finite floats: checks only the domain.
 
-    While max(a, z) lies in (2^-510, 2^510) the log argument is formed
-    directly: it stays normal and finite. Outside, a and z are scaled by
-    a common power of two 2^-j (exact) and 2*j*log(2) is added back to
-    the log, so the argument neither overflows nor underflows for any
-    finite input.
+    With big = max(a, z) and r = min(a, z)/big <= 1, the log argument is
+    big^2 * (1 + u), u = r*(2*sqrt(1-b^2) + r) in [0, 3], so the value is
+    (pi/z) * (2*log(big) + log1p(u)). The argument itself is never formed,
+    so it cannot over- or underflow, and log1p keeps u where it is far
+    below an ulp of 1 (z << a or a << z).
     """
     if a <= 0.0:
         raise ParameterError(f"a must be positive, got {a!r}")
@@ -469,8 +469,5 @@ def prudnikov_floats(a: float, b: float, z: float) -> float:
         raise ParameterError(f"b must lie in (-1, 1], got {b!r}")
     root = math.sqrt((1.0 - b) * (1.0 + b))
     big = max(a, z)
-    if 2.0 ** -510 < big < 2.0 ** 510:
-        return math.pi / z * math.log(z * z + 2.0 * a * z * root + a * a)
-    j = math.frexp(big)[1]
-    u, w = math.ldexp(a, -j), math.ldexp(z, -j)
-    return math.pi / z * (math.log(w * w + 2.0 * u * w * root + u * u) + 2 * j * math.log(2.0))
+    r = min(a, z) / big
+    return math.pi / z * (2.0 * math.log(big) + math.log1p(r * (2.0 * root + r)))

@@ -38,10 +38,13 @@ refinement depth yields converged=False rather than an exception.
 The Monte-Carlo estimator samples the same frame: it averages log R(t)
 over t = tan(pi*(u - 1/2)), u from numpy's seeded PCG64 generator, since
 x - l1 for x = l1 + s1*t would round t away when s1 is small against
-ulp(l1). Every estimate is reproducible from (inputs, samples, seed). Its
-mean and standard error are built from correctly rounded sums (math.fsum
-semantics, by `correctly_rounded_sum`), so they do not depend on the
-order in which numpy reduces an array. The estimator keeps one sample
+ulp(l1). An estimate is reproducible from (inputs, samples, seed) on one
+CPU and numpy build, not across them: the per-sample np.tan and np.log
+are numpy's SIMD ufuncs, which differ from libm in the last bit on some
+inputs and CPUs (ROADMAP item 4). Its mean and standard error are built
+from correctly rounded sums (math.fsum semantics, by
+`correctly_rounded_sum`), so they do not depend on the order in which
+numpy reduces an array. The estimator keeps one sample
 array, the log-ratios, and runs every per-sample pass (draws, transforms,
 sums) on blocks of _BLOCK elements that stay in cache; the steps are
 elementwise and the sums order-free, so the bits are those of a
@@ -261,17 +264,12 @@ def integrate_real_line(
     integrand: Callable,
     config: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] = (),
-    *,
-    vectorized: bool = False,
 ) -> QuadratureResult:
-    """Integrate `integrand` over the whole real line.
+    """Integrate `integrand`, a map from float to float, over the whole real line.
 
-    `integrand` maps a float to a float, or, with `vectorized=True`, a
-    1-D float array to an array of its values (the package's own
-    integrands, which use numpy for + - * / and libm per element for
-    transcendentals). `breakpoints` are x-space abscissae near which the
-    integrand has structure (density spikes, log-factor minima); a panel
-    boundary is placed at each. Without breakpoints the boundaries grade
+    `breakpoints` are x-space abscissae near which the integrand has
+    structure (density spikes, log-factor minima); a panel boundary is
+    placed at each. Without breakpoints the boundaries grade
     geometrically around x = 0, at 0 and -/+4**k out to 2**53, which suits
     integrands that peak near the origin and whose tails grow like a
     log. Breakpoints a caller passes replace that default grading, so a
@@ -280,11 +278,8 @@ def integrate_real_line(
     the offending abscissa; exhausting the refinement depth returns
     converged=False instead of raising.
     """
-    if vectorized:
-        f = integrand
-    else:
-        def f(x: np.ndarray) -> np.ndarray:
-            return _elementwise(integrand, x)
+    def f(x: np.ndarray) -> np.ndarray:
+        return _elementwise(integrand, x)
 
     points = list(breakpoints) or _graded_breakpoints(((0.0, 1.0),), 2.0 ** 53)
     with np.errstate(all="ignore"):
@@ -337,11 +332,9 @@ def _integrate(
     else:
         converged = False
 
-    panels = [(a, value, -neg_err) for neg_err, a, _, _, value in heap]
-    panels.extend((a, value, -neg_err) for neg_err, a, _, _, value in depth_capped)
-    panels.sort(key=lambda p: p[0])
-    value = math.fsum(p[1] for p in panels)
-    error = math.fsum(p[2] for p in panels)
+    # fsum is correctly rounded, so the order of the panels does not matter.
+    value = math.fsum(p[4] for p in heap + depth_capped)
+    error = math.fsum(-p[0] for p in heap + depth_capped)
     if converged and error > config.tolerance_for(value):
         converged = False
     return QuadratureResult(value, error, evaluations, converged)
@@ -373,7 +366,8 @@ def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: Quadratu
 
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
     breakpoints = _graded_breakpoints(((0.0, 1.0), (alpha, beta)), reach)
-    return integrate_real_line(integrand, config, breakpoints, vectorized=True)
+    with np.errstate(all="ignore"):
+        return _integrate(integrand, config, _theta_breakpoints(breakpoints))
 
 
 def _expected_log(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
@@ -454,7 +448,7 @@ def f_divergence_numeric(
                            lambda ratio: _elementwise(generator, ratio) / ratio)
 
 
-def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> float:
+def correctly_rounded_sum(x: np.ndarray) -> float:
     """Sum of a 1-D float64 array, correctly rounded: the same bits as math.fsum(x).
 
     The result does not depend on summation order, numpy build or CPU.
@@ -470,9 +464,8 @@ def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> floa
     finite, that span the far ends of the exponent range, or hold 2**26
     or more values) the result is math.fsum(x). Since neither sum depends
     on the order, the split runs on blocks of _BLOCK elements that stay
-    in cache, with the bits of one whole-array pass. `work`, if given, is
-    a float64 array of at least min(n, _BLOCK) elements that is
-    overwritten; one of x's shape works.
+    in cache, with the bits of one whole-array pass, through one buffer of
+    min(n, _BLOCK) elements.
     """
     n = x.size
     if n == 0:
@@ -486,8 +479,7 @@ def correctly_rounded_sum(x: np.ndarray, work: np.ndarray | None = None) -> floa
     if k > 1023 or k < -1021 or n >= 1 << 26:
         return math.fsum(x)
     sigma = math.ldexp(1.0, k)
-    if work is None:
-        work = np.empty(min(n, _BLOCK))
+    work = np.empty(min(n, _BLOCK))
     exact = residual = 0.0
     for start in range(0, n, _BLOCK):
         block = x[start:start + _BLOCK]
@@ -513,11 +505,12 @@ def kl_monte_carlo(
     """Monte-Carlo estimate of KL(p1 : p2) from `samples` quantile draws.
 
     Uniform variates come from numpy's PCG64 stream for the given seed
-    (a non-negative integer; a negative one raises ParameterError), so
-    the estimate is a pure function of (p1, p2, samples, seed). It averages
-    log R(t) over draws t in p1's frame, the frame kl_numeric integrates in:
-    x = l1 + s1*t would round t away when s1 is small against ulp(l1). R is
-    bounded, so the variance is finite. With L the n = `samples` log-ratios,
+    (a non-negative integer; a negative one raises ParameterError), so on
+    one CPU and numpy build the estimate is a function of (p1, p2, samples,
+    seed); across them the SIMD np.tan and np.log may move its last bits
+    (ROADMAP item 4). It averages log R(t) over draws t in p1's frame, the
+    frame kl_numeric integrates in: x = l1 + s1*t would round t away when
+    s1 is small against ulp(l1). R is bounded, so the variance is finite. With L the n = `samples` log-ratios,
     the moments are
 
         estimate       = fsum(L) / n
@@ -552,10 +545,11 @@ def kl_monte_carlo(
             m = np.multiply(t, t, out=work[:t.size])
             m += 1.0
             np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
-        estimate = correctly_rounded_sum(log_ratio, work) / samples
+        del m, work  # the sums allocate their own block buffer
+        estimate = correctly_rounded_sum(log_ratio) / samples
         for deviation in blocks:
             deviation -= estimate
             deviation *= deviation
-        variance = correctly_rounded_sum(log_ratio, work) / (samples - 1)
+        variance = correctly_rounded_sum(log_ratio) / (samples - 1)
     standard_error = math.sqrt(variance) / math.sqrt(samples)
     return MonteCarloResult(estimate, standard_error, samples, int(seed))

@@ -541,6 +541,38 @@ def test_prudnikov_full_range_fixtures():
         assert float(abs(value - exact) / abs(exact)) <= 4 * 2.0 ** -52, (a, b, z, value)
 
 
+def _prudnikov_exact(a, b, z):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    A, B, Z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+    return mp.pi / Z * mp.log(Z * Z + 2 * A * Z * mp.sqrt((1 - B) * (1 + B)) + A * A)
+
+
+def test_prudnikov_keeps_the_small_term_of_its_log():
+    """Where min(a, z) << max(a, z) the log argument is 1 + tiny in units of max^2."""
+    for a, b, z in [(1, 0, 1e-20), (1, 0, 1e-8), (1e-12, -0.5, 1), (1, 1, 1e-3)]:
+        exact = _prudnikov_exact(a, b, z)
+        value = prudnikov_special(a, b, z)
+        assert float(abs(value - exact) / abs(exact)) <= 2 * 2.0 ** -52, (a, b, z, value)
+
+
+@pytest.mark.parametrize("grid", ["log-uniform [1e-2, 1e2]", "uniform [0.5, 2]"])
+def test_prudnikov_within_a_few_eps_on_seeded_grids(grid):
+    # On [0.5, 2] the argument comes near 1, where 2*log(max(a, z)) cancels
+    # against the log1p term; hence the bound in eps of max(1, |exact|).
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(2000):
+        if grid.startswith("log"):
+            a, z = (float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, 2))
+        else:
+            a, z = (float(v) for v in rng.uniform(0.5, 2.0, 2))
+        b = float(-rng.uniform(-1.0, 1.0))  # uniform on (-1, 1]
+        exact = _prudnikov_exact(a, b, z)
+        value = prudnikov_special(a, b, z)
+        assert float(abs(value - exact) / max(1, abs(exact))) <= 12 * 2.0 ** -52, (a, b, z, value)
+
+
 def test_prudnikov_matches_integral_a():
     assert rel_err(prudnikov_special(1, 0.5, 1),
                    integral_a(PositiveQuadratic(1, 0, 1), PositiveQuadratic(1, -1, 1))) <= 1e-14

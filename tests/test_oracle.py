@@ -453,8 +453,18 @@ def test_correctly_rounded_sum_equals_fsum_bit_for_bit():
     for x in _adversarial_arrays():
         expected = math.fsum(x).hex()
         assert correctly_rounded_sum(x).hex() == expected
-        for work in (np.empty_like(x), np.empty(_BLOCK)):
-            assert correctly_rounded_sum(x, work=work).hex() == expected
+
+
+def test_correctly_rounded_sum_owns_one_block_buffer():
+    x = np.random.Generator(np.random.PCG64(9)).standard_normal(4 * _BLOCK + 3)
+    correctly_rounded_sum(x[:100])  # warm up numpy
+    tracemalloc.start()
+    try:
+        correctly_rounded_sum(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _BLOCK + 4096
 
 
 def test_correctly_rounded_sum_of_zeros_and_non_finite():
