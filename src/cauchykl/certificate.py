@@ -31,12 +31,16 @@ trusting them:
   rational points whose discriminant 4*d*f - e^2 is a rational square
   m^2, so the square-root jet stays in Q;
 * both exact residuals are homogeneous of degree 2 in (d,e,f), so each
-  check clears the common denominator D of its point once, evaluates at
-  the integer point D*(d,e,f) on fraction-free jets (`cauchykl.jets`),
-  where the operator and P have int coefficients, and divides by D^2; a
-  residual that is not an exact Fraction raises;
+  check clears the common denominator D of its point once and runs on
+  ints from there: at the integer point D*(d,e,f) the operator and P
+  have int coefficients, the fraction-free jets (`cauchykl.jets`) keep
+  int numerators over one int denominator, `apply_operator` sums
+  c_k * k! * num_k on ints, and only the residual, one int over the
+  product of the denominators and D^2, becomes a Fraction; a part that
+  is not an int raises TypeError;
 * the tail limits of psi are checked in floating point, psi at
-  |x| = 1e8 against the exact limit (`psi_limit`), and the vanishing
+  |x| = 1e8 against the exact limit (`psi_limit`, which the suite reads
+  at the same integer points and rounds once), and the vanishing
   integration constant against the quadrature oracle;
 * the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
   simplification is float algebra (`verify_g_factorization`), which the
@@ -58,7 +62,7 @@ from fractions import Fraction
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, rational_sqrt
+from .jets import Jet, _split, rational_sqrt
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -102,13 +106,19 @@ def operator_coefficients(d, e, f) -> tuple:
     return c3, c2, c1, c0
 
 
-def apply_operator(d, e, f, y: Jet):
-    """L[y] for a d-jet y of order >= 3 expanded at d."""
+def apply_operator(d, e, f, y: Jet) -> tuple[int, int]:
+    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f).
+
+    There c3..c0 are ints, and with y's coefficients num_k / den the
+    numerator n = sum_k c_k * k! * num_k is one int sum: the pair
+    (n, den) is returned and no Fraction is built.
+    """
     if y.order < 3:
         raise ParameterError(f"the operator needs a jet of order >= 3, got {y.order}")
     c3, c2, c1, c0 = operator_coefficients(d, e, f)
-    return (c3 * y.derivative(3) + c2 * y.derivative(2)
-            + c1 * y.derivative(1) + c0 * y.derivative(0))
+    n = (c3 * y.derivative_numerator(3) + c2 * y.derivative_numerator(2)
+         + c1 * y.derivative_numerator(1) + c0 * y.derivative_numerator(0))
+    return n, y.denominator
 
 
 def _leading_coefficient(d, e, f):
@@ -134,35 +144,47 @@ def psi(d, e, f, x):
     return -2 * x * certificate_polynomial(d, e, f, x) / (q * q) * phi_partial_d(d, e, f, x)
 
 
-def psi_limit(d, e, f):
-    """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P."""
+def psi_limit(d, e, f) -> Fraction:
+    """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P.
+
+    Exact for int or rational (d, e, f). The limit is homogeneous of
+    degree 2, so at an integer point D*(d, e, f) it is D^2 times the limit
+    at (d, e, f), and p5 is int arithmetic there.
+    """
     if d == 0:
         raise ParameterError("the tail limit of psi requires d != 0")
-    return -2 * _leading_coefficient(d, e, f) / d**3
+    return Fraction(-2 * _leading_coefficient(d, e, f), d**3)
 
 
-def _rational_triple(d, e, f) -> tuple[Fraction, Fraction, Fraction]:
-    d, e, f = Fraction(d), Fraction(e), Fraction(f)
-    if 4 * d * f - e * e <= 0:
+def _integer_point(*values) -> tuple[int, ...]:
+    """(D, D*v1, D*v2, ...) for the least D > 0 that makes every D*v an int.
+
+    The values are ints or rationals in lowest terms; anything else
+    raises TypeError.
+    """
+    parts = [_split(v) for v in values]
+    D = math.lcm(*(q for _, q in parts))
+    return (D, *(p * (D // q) for p, q in parts))
+
+
+def _integer_triple(d, e, f) -> tuple[int, int, int, int]:
+    """The integer point (D, D*d, D*e, D*f) of a rational (d, e, f) in the domain."""
+    D, dn, en, fn = _integer_point(d, e, f)
+    if 4 * dn * fn - en * en <= 0:
         raise ParameterError(
-            f"(d, e, f) = ({d}, {e}, {f}) must satisfy 4*d*f - e^2 > 0"
+            f"(d, e, f) = ({Fraction(dn, D)}, {Fraction(en, D)}, {Fraction(fn, D)}) "
+            "must satisfy 4*d*f - e^2 > 0"
         )
-    if d <= 0 or f <= 0:
-        raise ParameterError(f"d and f must be positive, got {d}, {f}")
-    return d, e, f
+    if dn <= 0 or fn <= 0:
+        raise ParameterError(f"d and f must be positive, got {Fraction(dn, D)}, {Fraction(fn, D)}")
+    return D, dn, en, fn
 
 
-def _integer_point(*values: Fraction) -> tuple[int, ...]:
-    """(D, D*v1, D*v2, ...) for the least D > 0 that makes every D*v an int."""
-    D = math.lcm(*(v.denominator for v in values))
-    return (D, *(v.numerator * (D // v.denominator) for v in values))
-
-
-def _exact(residual, D: int) -> Fraction:
-    """residual / D^2, refusing a residual that is not an exact Fraction."""
-    if not isinstance(residual, Fraction):
-        raise TypeError(f"the exact check produced an inexact residual {residual!r}")
-    return residual / (D * D)
+def _exact(num: int, den: int, D: int) -> Fraction:
+    """The residual num / (den * D^2), refusing parts that are not ints."""
+    if type(num) is not int or type(den) is not int:
+        raise TypeError(f"the exact check produced an inexact residual {num!r} / {den!r}")
+    return Fraction(num, den * D * D)
 
 
 def verify_telescoping(d, e, f, x) -> Fraction:
@@ -173,13 +195,19 @@ def verify_telescoping(d, e, f, x) -> Fraction:
     of degree 2 in (d, e, f) at fixed x (c3..c0 have degrees 6..3, the
     k-th d-derivative of dphi/dd degree -1-k, P degree 5), so it is
     evaluated at the integer point D*(d, e, f), D the common denominator,
-    where the operator and P have int coefficients, and divided by D^2.
+    and divided by D^2. There the operator and P have int coefficients,
+    and x enters the d-jet as a constant jet, so every step runs on int
+    numerators: L[dphi/dd] is an int over the d-jet's denominator
+    (`apply_operator`), dpsi/dx an int over the x-jet's, and their
+    difference is one int over the product, which becomes the returned
+    Fraction.
     """
-    D, d, e, f = _integer_point(*_rational_triple(d, e, f))
-    x = Fraction(x)
-    lhs = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f, x))
-    rhs = psi(d, e, f, Jet.variable(x, 1)).derivative(1)
-    return _exact(lhs - rhs, D)
+    D, d, e, f = _integer_triple(d, e, f)
+    lhs, lhs_den = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f,
+                                                         Jet.constant(x, 3)))
+    rhs = psi(d, e, f, Jet.variable(x, 1))
+    rhs_den = rhs.denominator
+    return _exact(lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den, D)
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
@@ -192,16 +220,16 @@ def verify_ode_dadd(d, e, f) -> Fraction:
     L[dA/dd] = 0 iff L[dA/dd / pi] = 0. dA/dd / pi is homogeneous of
     degree -1 in (d, e, f) (numerator degree 3, denominator degree 4),
     so L[dA/dd] has degree 2: it is evaluated at the integer point
-    D*(d, e, f), D the common denominator, and divided by D^2. D*m is an
+    D*(d, e, f), D the common denominator, as an int over the jet's
+    denominator (`apply_operator`), and divided by D^2. D*m is an
     integer too, as (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2.
     Points on the singular set d = f, e = 0 are rejected, as the closed
     form of dA/dd is undefined there.
     """
-    d, e, f = _rational_triple(d, e, f)
+    D, dn, en, fn = _integer_triple(d, e, f)
     core._check_regular_point(d, e, f)
-    D, d, e, f = _integer_point(d, e, f)
-    num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
-    return _exact(apply_operator(d, e, f, num / den), D)
+    num, den = core._dadd_over_pi(Jet.variable(dn, 3), en, fn, Jet.sqrt)
+    return _exact(*apply_operator(dn, en, fn, num / den), D)
 
 
 @dataclass(frozen=True)

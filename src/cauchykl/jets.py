@@ -6,7 +6,9 @@ int numerators over one shared int denominator, c_k = num_k / den, and
 every operation is one arithmetic path on those numerators:
 
 * +, - and * convolve or add the numerators and multiply the
-  denominators (a common denominator is kept as it is);
+  denominators (a common denominator is kept as it is); an int or
+  rational scalar moves c0 only under + and - and scales the numerators
+  under *, without a constant jet;
 * / runs the fraction-free quotient recurrence (in the spirit of
   Bareiss' integer-preserving elimination, Math. Comp. 22, 1968)
 
@@ -20,8 +22,10 @@ every operation is one arithmetic path on those numerators:
 Jets are exact only: every coefficient and scalar operand must be an int
 or a rational (`fractions.Fraction`), and anything else raises TypeError
 at the operation that receives it. No operation constructs a Fraction or
-takes a gcd; `coefficients` and `derivative` return Fractions. This is
-what the certificate checks in `cauchykl.certificate` rely on.
+takes a gcd; `coefficients` and `derivative` return Fractions, while
+`derivative_numerator` over `denominator` gives a derivative as two
+ints. This is what the certificate checks in `cauchykl.certificate`
+rely on.
 """
 
 from __future__ import annotations
@@ -105,24 +109,49 @@ class Jet:
     def order(self) -> int:
         return len(self._num) - 1
 
-    def derivative(self, k: int) -> Fraction:
-        """k-th derivative at the expansion point: k! * c_k."""
+    @property
+    def denominator(self) -> int:
+        """The int denominator that every coefficient shares."""
+        return self._den
+
+    def derivative_numerator(self, k: int) -> int:
+        """k! * num_k: the k-th derivative at the expansion point over `denominator`."""
         if not 0 <= k <= self.order:
             raise ParameterError(f"derivative order {k!r} outside jet order {self.order}")
-        return Fraction(math.factorial(k) * self._num[k], self._den)
+        return math.factorial(k) * self._num[k]
+
+    def derivative(self, k: int) -> Fraction:
+        """k-th derivative at the expansion point: k! * c_k."""
+        return Fraction(self.derivative_numerator(k), self._den)
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if len(other._num) != len(self._num):
-                raise ParameterError(
-                    f"jet orders differ: {self.order} vs {other.order}"
-                )
-            return other
+            return self._same_order(other)
         return Jet.constant(other, self.order)
 
+    def _same_order(self, other: "Jet") -> "Jet":
+        if len(other._num) != len(self._num):
+            raise ParameterError(f"jet orders differ: {self.order} vs {other.order}")
+        return other
+
+    def _shift(self, other, s: int, t: int) -> "Jet":
+        """s*self + t*other for signs s, t and a scalar other, which moves c0 only."""
+        p, q = _split(other)
+        a, da = self._num, self._den
+        if s < 0:
+            a = tuple([-x for x in a])
+        if t < 0:
+            p = -p
+        if q == da:
+            return Jet._make((a[0] + p,) + a[1:], da)
+        if q == 1:
+            return Jet._make((a[0] + p * da,) + a[1:], da)
+        return Jet._make((a[0] * q + p * da,) + tuple([x * q for x in a[1:]]), da * q)
+
     def __add__(self, other) -> "Jet":
-        o = self._coerce(other)
-        a, da, b, db = self._num, self._den, o._num, o._den
+        if not isinstance(other, Jet):
+            return self._shift(other, 1, 1)
+        a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
         if da == db:
             return Jet._make(tuple([x + y for x, y in zip(a, b)]), da)
         return Jet._make(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
@@ -133,24 +162,32 @@ class Jet:
         return Jet._make(tuple([-x for x in self._num]), self._den)
 
     def __sub__(self, other) -> "Jet":
-        return self + (-self._coerce(other))
+        if not isinstance(other, Jet):
+            return self._shift(other, 1, -1)
+        a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
+        if da == db:
+            return Jet._make(tuple([x - y for x, y in zip(a, b)]), da)
+        return Jet._make(tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
 
     def __rsub__(self, other) -> "Jet":
-        return (-self) + other
+        return self._shift(other, -1, 1)
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             p, q = _split(other)
             return Jet._make(tuple([p * x for x in self._num]), q * self._den)
-        o = self._coerce(other)
-        a, b = self._num, o._num
+        a, b = self._num, self._same_order(other)._num
+        den = self._den * other._den
+        if len(a) == 2:
+            (a0, a1), (b0, b1) = a, b
+            return Jet._make((a0 * b0, a0 * b1 + a1 * b0), den)
         out = []
         for k in range(len(a)):
             acc = 0
             for j in range(k + 1):
                 acc += a[j] * b[k - j]
             out.append(acc)
-        return Jet._make(tuple(out), self._den * o._den)
+        return Jet._make(tuple(out), den)
 
     __rmul__ = __mul__
 

@@ -62,14 +62,37 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
         yield CauchyDist(float(l1), float(s1)), CauchyDist(float(l2), float(s2))
 
 
-def _random_rational(rng: np.random.Generator, positive: bool = False,
-                     bound: int = 1000) -> Fraction:
+def _random_ratio(rng: np.random.Generator, positive: bool = False,
+                  bound: int = 1000) -> tuple[int, int]:
+    """(numerator, denominator) of a random rational, in lowest terms."""
     lo = 1 if positive else -bound
     num = int(rng.integers(lo, bound + 1))
     if not positive and num == 0:
         num = 1
-    den = int(rng.integers(1, bound + 1))
-    return Fraction(num, den)
+    return _reduced(num, int(rng.integers(1, bound + 1)))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _integer_point(*ratios: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+    """(D, (D*v1, D*v2, ...)) of rationals v = p/q in lowest terms, for the least D > 0."""
+    D = math.lcm(*(q for _, q in ratios))
+    return D, tuple([p * (D // q) for p, q in ratios])
+
+
+def _certificate_point(rng: np.random.Generator) -> tuple[int, tuple[int, int, int]]:
+    """`random_certificate_point` as its integer point (D, D*(d, e, f))."""
+    while True:
+        a, b = _random_ratio(rng, positive=True)  # d = a/b
+        c, g = _random_ratio(rng)                 # e = c/g
+        h, k = _random_ratio(rng, positive=True)  # m = h/k
+        fn, fd = _reduced((c * c * k * k + h * h * g * g) * b, 4 * a * g * g * k * k)  # f = (e^2 + m^2)/(4*d)
+        D, (d, e, f) = point = _integer_point((a, b), (c, g), (fn, fd))
+        if not (d == f and e == 0):
+            return point
 
 
 def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fraction, Fraction]:
@@ -80,13 +103,18 @@ def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fracti
     the certificate expressions rational. The singular set d = f, e = 0
     is excluded by redrawing.
     """
+    D, point = _certificate_point(rng)
+    return tuple([Fraction(v, D) for v in point])
+
+
+def _tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[int, tuple[int, int, int]]:
+    """`random_tame_point` as its integer point (D, D*(d, e, f))."""
     while True:
-        d = _random_rational(rng, positive=True)
-        e = _random_rational(rng)
-        m = _random_rational(rng, positive=True)
-        f = (e * e + m * m) / (4 * d)
-        if not (d == f and e == 0):
-            return d, e, f
+        D, (d, e, f) = point = _integer_point(_random_ratio(rng, positive=True, bound=bound),
+                                              _random_ratio(rng, bound=bound),
+                                              _random_ratio(rng, positive=True, bound=bound))
+        if 4 * d * f - e * e > 0 and not (d == f and e == 0):
+            return point
 
 
 def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fraction, Fraction, Fraction]:
@@ -98,24 +126,37 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
     within a few orders of 1, unlike the exact rational checks which
     tolerate numerators and denominators up to 1e3.
     """
-    while True:
-        d = _random_rational(rng, positive=True, bound=bound)
-        e = _random_rational(rng, bound=bound)
-        f = _random_rational(rng, positive=True, bound=bound)
-        if 4 * d * f - e * e > 0 and not (d == f and e == 0):
-            return d, e, f
+    D, point = _tame_point(rng, bound)
+    return tuple([Fraction(v, D) for v in point])
 
 
 def _exact_zeros(check, names: str, points) -> tuple[int, str]:
     """Number of points where the exact `check` is nonzero, and a detail suffix
-    naming the first of them in exact fractions, so one call reproduces it."""
+    naming the first of them in exact fractions, so one call reproduces it.
+
+    Each point is (D, args): `check` runs at args, whose first three are
+    D*(d, e, f), an integer point. Both exact residuals are homogeneous of
+    degree 2 in (d, e, f), so there they are D^2 times the residual at
+    (d, e, f) and vanish with it; the witness names (d, e, f).
+    """
     nonzero, witness = 0, ""
-    for point in points:
-        if check(*point) != 0:
+    for D, args in points:
+        if check(*args) != 0:
             if not nonzero:
+                point = (*(Fraction(v, D) for v in args[:3]), *args[3:])
                 witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
             nonzero += 1
     return nonzero, witness
+
+
+def _tail_limit(D: int, point: tuple[int, int, int]) -> float:
+    """float(psi_limit(d, e, f)) from the integer point D*(d, e, f).
+
+    psi_limit there is D^2 times the limit at (d, e, f), exactly, and one
+    int true division rounds the limit correctly, as float() would.
+    """
+    scaled = certificate.psi_limit(*point)
+    return scaled.numerator / (scaled.denominator * D * D)
 
 
 def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
@@ -183,8 +224,13 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    nonzero, witness = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)", (
-        (*random_certificate_point(rng), _random_rational(rng)) for _ in range(count)))
+    def telescoping_points():
+        for _ in range(count):
+            D, point = _certificate_point(rng)
+            yield D, (*point, Fraction(*_random_ratio(rng)))
+
+    nonzero, witness = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)",
+                                    telescoping_points())
     outcomes.append(CheckOutcome(
         "telescoping residual", nonzero == 0, float(nonzero),
         f"{count - nonzero}/{count} exact-zero residuals in rational arithmetic{witness}",
@@ -192,9 +238,9 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
 
     worst = 0.0
     for _ in range(count):
-        d, e, f = random_tame_point(rng)
-        limit = float(certificate.psi_limit(d, e, f))
-        df, ef, ff = float(d), float(e), float(f)
+        D, point = _tame_point(rng)
+        limit = _tail_limit(D, point)
+        df, ef, ff = (v / D for v in point)
         dev = max(
             abs(certificate.psi(df, ef, ff, 1e8) - limit),
             abs(certificate.psi(df, ef, ff, -1e8) - limit),
@@ -213,7 +259,7 @@ def ode_suite(count: int, seed: int) -> list[CheckOutcome]:
     """Exact ODE residuals of dA/dd plus the integration-constant check."""
     rng = np.random.Generator(np.random.PCG64(seed))
     nonzero, witness = _exact_zeros(certificate.verify_ode_dadd, "(d, e, f)", (
-        random_certificate_point(rng) for _ in range(count)))
+        _certificate_point(rng) for _ in range(count)))
     outcomes = [CheckOutcome(
         "ode residual of dA/dd", nonzero == 0, float(nonzero),
         f"{count - nonzero}/{count} exact-zero residuals at square-discriminant points{witness}",

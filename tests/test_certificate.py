@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cauchykl import ParameterError, SingularPointError, certificate, core, integral_a_dd
+from cauchykl import ParameterError, SingularPointError, certificate, core, integral_a_dd, suites
 from cauchykl.certificate import (
     certificate_polynomial,
     operator_coefficients,
@@ -284,3 +284,86 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
     assert not ode.passed
     point = _witness(ode.detail)
     assert len(point) == 3 and verify_ode_dadd(*point) != 0
+
+
+def test_operator_mutation_is_caught(monkeypatch):
+    # apply_operator sums c_k * k! * num_k on ints; this shows it reads the
+    # shipped coefficients through the module attribute.
+    shipped = certificate.operator_coefficients
+    monkeypatch.setattr(certificate, "operator_coefficients",
+                        lambda d, e, f: (*shipped(d, e, f)[:3], shipped(d, e, f)[3] + 1))
+    assert verify_telescoping(1, 0, 2, Fraction(1, 3)) != 0
+    assert verify_ode_dadd(1, 3, Fraction(5, 2)) != 0
+    telescoping = certificate_suite(5, 1)[1]
+    ode = ode_suite(3, 1)[0]
+    assert not telescoping.passed and not ode.passed
+    # The first draws at seed 1, as the Fraction-based suite named them.
+    first = (Fraction(237, 256), Fraction(511, 951), Fraction(16890778240, 180262494117))
+    assert _witness(telescoping.detail) == (*first, Fraction(646, 949))
+    assert _witness(ode.detail) == first
+    assert verify_telescoping(*_witness(telescoping.detail)) != 0
+    assert verify_ode_dadd(*_witness(ode.detail)) != 0
+
+
+def test_inexact_operator_is_refused(monkeypatch):
+    shipped = certificate.operator_coefficients
+    monkeypatch.setattr(certificate, "operator_coefficients",
+                        lambda d, e, f: (*shipped(d, e, f)[:3], shipped(d, e, f)[3] + 0.5))
+    with pytest.raises(TypeError):
+        verify_telescoping(1, 0, 2, Fraction(1, 3))
+    with pytest.raises(TypeError):
+        verify_ode_dadd(1, 3, Fraction(5, 2))
+
+
+def test_exact_checks_refuse_float_points():
+    with pytest.raises(TypeError):
+        verify_telescoping(1.0, 0, 2, Fraction(1, 3))
+    with pytest.raises(TypeError):
+        verify_telescoping(1, 0, 2, 0.5)
+    with pytest.raises(TypeError):
+        verify_ode_dadd(1, 3, 2.5)
+
+
+def test_tail_limit_from_the_integer_point_is_float_of_psi_limit():
+    # The suite reads the tail limit as one int true division at the integer
+    # point; it must give float(psi_limit(d, e, f)) to the bit, 0.0 at e = 0.
+    rng = np.random.Generator(np.random.PCG64(139))
+    for _ in range(2000):
+        d, e, f = random_tame_point(rng)
+        for point in ((d, e, f), (d, Fraction(0), f)):
+            exact = psi_limit(*point)
+            assert type(exact) is Fraction
+            D, *scaled = certificate._integer_point(*point)
+            assert suites._tail_limit(D, tuple(scaled)).hex() == float(exact).hex(), point
+    assert suites._tail_limit(1, (1, 0, 1)).hex() == (0.0).hex()
+
+
+def test_exact_checks_build_one_fraction_each(monkeypatch):
+    # The exact checks run on int numerators from the point draw to the
+    # residual: only the returned residual is a Fraction. Any Fraction
+    # arithmetic on the way would show up here as more constructions.
+    rng = np.random.Generator(np.random.PCG64(149))
+    x = Fraction(-7, 4)
+    rational = random_certificate_point(rng)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+
+    def count(step):
+        start = len(built)
+        result = step()
+        return len(built) - start, result
+
+    draws, (D, point) = count(lambda: suites._certificate_point(rng))
+    tame, _ = count(lambda: suites._tame_point(rng))
+    telescoping, residual = count(lambda: verify_telescoping(*point, x))
+    ode, ode_residual = count(lambda: verify_ode_dadd(*point))
+    telescoping_rational, _ = count(lambda: verify_telescoping(*rational, x))
+    ode_rational, _ = count(lambda: verify_ode_dadd(*rational))
+    limit, _ = count(lambda: suites._tail_limit(D, point))
+    monkeypatch.undo()
+    assert (draws, tame) == (0, 0)
+    assert (telescoping, ode, telescoping_rational, ode_rational) == (1, 1, 1, 1)
+    assert limit == 1  # psi_limit's exact Fraction, read as two ints
+    assert residual == ode_residual == 0

@@ -1,5 +1,6 @@
 """CLI: record format, exit-status contract, batch streaming, verify suites."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -869,6 +870,24 @@ def test_verify_deterministic_output(capsys):
     out1 = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == out1
+
+
+# sha256 of the whole stdout of `verify --suite SUITE --seed SEED` at the
+# default counts, recorded before the exact checks moved onto int
+# numerators; any change to a point, a count or a figure shows here.
+VERIFY_GOLDEN_SHA256 = {
+    ("certificate", 1): "0c744f95f55c007ec2a6c8dbe0c3ebf4d8e34f3d192ef46670edb4dce5f326c8",
+    ("certificate", 1501): "6061e297a6823ca6ab5b66408b7355b9415896f80dd9dd00d6f6b8021a4c7bdd",
+    ("ode", 1): "85ac4bebed5cf7b1617bba4dea5c4db4d88b8c679ff444b1cb3f1bfb7a86a9c3",
+    ("ode", 1501): "238354bbcfbf23b04883db6e2dd3eea9dce86d485f687ca712c0e80792ef6471",
+}
+
+
+@pytest.mark.parametrize("suite,seed", sorted(VERIFY_GOLDEN_SHA256))
+def test_verify_exact_suites_match_golden(suite, seed, capsys):
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN_SHA256[suite, seed], out
 
 
 def _cli_record(capsys, argv):

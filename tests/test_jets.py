@@ -140,3 +140,60 @@ def test_log_g1_derivative_is_the_closed_dadd():
         g1 = dj + f + (4 * dj * f - e * e).sqrt()
         num, den = core._dadd_over_pi(d, e, f, rational_sqrt)
         assert g1.derivative(1) / g1.derivative(0) == num / den
+
+
+def _seeded_jet(rng, order):
+    """A jet with random int numerators over a random shared denominator of either sign."""
+    den = int(rng.integers(1, 40)) * (1 if rng.integers(2) else -1)
+    return Jet._make(tuple(int(v) for v in rng.integers(-50, 51, order + 1)), den)
+
+
+def test_scalar_fast_paths_match_the_constant_jet_path():
+    # Scalars skip the constant jet: + and - move c0 only, * scales. The
+    # coefficients must be those of the constant-jet path, for int and
+    # Fraction scalars, including a scalar over the jet's own denominator.
+    rng = np.random.Generator(np.random.PCG64(151))
+    for order in (1, 2, 3):
+        for _ in range(30):
+            jet = _seeded_jet(rng, order)
+            num = int(rng.integers(-30, 31))
+            for s in (num, Fraction(num, int(rng.integers(1, 12))),
+                      Fraction(num, abs(jet._den)), Fraction(1, jet._den)):
+                c = Jet.constant(s, order)
+                assert (jet + s).coefficients == (jet + c).coefficients
+                assert (s + jet).coefficients == (c + jet).coefficients
+                assert (jet - s).coefficients == (jet - c).coefficients
+                assert (s - jet).coefficients == (c - jet).coefficients
+                assert (jet * s).coefficients == (s * jet).coefficients == (jet * c).coefficients
+                assert (jet - s).coefficients == tuple(
+                    v - (s if k == 0 else 0) for k, v in enumerate(jet.coefficients))
+
+
+def test_order_one_product_and_difference():
+    rng = np.random.Generator(np.random.PCG64(157))
+    for _ in range(50):
+        a, b = _seeded_jet(rng, 1), _seeded_jet(rng, 1)
+        (a0, a1), (b0, b1) = a.coefficients, b.coefficients
+        assert (a * b).coefficients == (a0 * b0, a0 * b1 + a1 * b0)
+        assert (a - b).coefficients == (a0 - b0, a1 - b1)
+        assert (a - a).coefficients == (0, 0)
+
+
+def test_mixed_orders_are_refused_by_every_operation():
+    low, high = Jet.variable(Fraction(1, 2), 1), Jet.variable(Fraction(1, 2), 3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        for a, b in ((low, high), (high, low)):
+            with pytest.raises(ParameterError):
+                op(a, b)
+    for build in (lambda: low - 0.5, lambda: 0.5 - low, lambda: high * 0.25):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_derivative_numerator_over_denominator_is_the_derivative():
+    t = Jet.variable(Fraction(2, 3), 3)
+    g = (3 * t * t - 1) / (t + 5)
+    for k in range(4):
+        assert Fraction(g.derivative_numerator(k), g.denominator) == g.derivative(k)
+    with pytest.raises(ParameterError):
+        g.derivative_numerator(4)
