@@ -21,48 +21,52 @@ of dA/dd; a primitive in d then gives A itself up to a constant that
 turns out to be zero.
 
 This module transcribes the certificate data (L, psi and the degree-5
-numerator polynomial P of psi) and *verifies* the claims instead of
-trusting them:
+numerator polynomial P of psi) and *proves* the claims on product grids:
+a polynomial of degree at most n_i in its i-th variable that vanishes on
+a product of n_i + 1 points per variable is zero, the tensor-grid form
+of Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8,
+1999). Each identity, times a known denominator, is a polynomial; a
+degree-tracking scalar (`_Degrees`) runs the shipped formulas under
++ - * and ** to bound its degrees and to confirm it is homogeneous in
+(d,e,f), so the slice d = 1 suffices. The identities are
 
-* the telescoping relation is evaluated in exact arithmetic at
-  arbitrary rational points (d,e,f,x), combining a d-jet of order 3 with
-  an x-jet of order 1; the residual must be exactly zero;
-* the ODE L[dA/dd] = 0 is checked exactly for core's dA/dd formula at
-  rational points whose discriminant 4*d*f - e^2 is a rational square
-  m^2, so the square-root jet stays in Q;
-* both exact residuals are homogeneous of degree 2 in (d,e,f), so each
-  check clears the common denominator D of its point once and runs on
-  ints from there: at the integer point D*(d,e,f) the operator and P
-  have int coefficients, the fraction-free jets (`cauchykl.jets`) keep
-  int numerators over one int denominator, `apply_operator` sums
-  c_k * k! * num_k on ints, and only the residual, one int over the
-  product of the denominators and D^2, becomes a Fraction; a part that
-  is not an int raises TypeError;
-* the tail limits of psi are checked in floating point, psi at
-  |x| = 1e8 against the exact limit (`psi_limit`, which the suite reads
-  at the same integer points and rounds once), and the vanishing
-  integration constant against the quadrature oracle;
-* the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
-  simplification is float algebra (`verify_g_factorization`), which the
-  tests run and no `verify` suite does.
+* the telescoping relation, on a d-jet of order 3 and an x-jet of order
+  1 (`verify_telescoping`, `telescoping_degrees`);
+* the tail limits: psi(1/t) is regular at t = 0 when P has x-degree at
+  most 5, so both limits are -2*p5/d^3, which `psi_limit` must equal
+  (`verify_tail_limit`);
+* the ODE L[dA/dd] = 0 for core's dA/dd formula, at points whose
+  discriminant 4*d*f - e^2 is a rational square m^2, so the square-root
+  jet stays in Q (`verify_ode_dadd`, `ode_degrees`);
+* that formula against the residue theorem, the one outside fact
+  (Bronstein, Symbolic Integration I, Springer 2005, ch. 2): dA/dd is
+  2*pi*i times the residues at i and (-e + i*m)/(2*d)
+  (`verify_dadd_residues`, `residue_degrees`).
 
-Both sides of each exact identity are fixed rational functions of
-(d,e,f,x); agreement at a single generic point is already strong
-evidence, and the verification suites evaluate hundreds of random
-points. Any nonzero residual disproves the transcription and is
+Every check clears the common denominator D of its point once and runs
+on ints from there: the operator and P have int coefficients at the
+integer point D*(d,e,f), the fraction-free jets (`cauchykl.jets`) keep
+int numerators over one int denominator, and only the residual, one int
+over an int, becomes a Fraction; a part that is not an int raises
+TypeError. The vanishing integration constant is checked in floating
+point against the quadrature oracle, and the factorization
+G1*G2 = (d-f)^2 + e^2 behind the final log simplification is float
+algebra (`verify_g_factorization`), which the tests run and no `verify`
+suite does. Any nonzero residual disproves the transcription and is
 reported, never patched.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _split, rational_sqrt
+from .jets import Jet, _root, _split, rational_sqrt
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -75,6 +79,11 @@ __all__ = [
     "psi_limit",
     "verify_telescoping",
     "verify_ode_dadd",
+    "verify_dadd_residues",
+    "verify_tail_limit",
+    "telescoping_degrees",
+    "ode_degrees",
+    "residue_degrees",
     "verify_integration_constant",
     "verify_g_factorization",
     "ConstantZeroReport",
@@ -180,11 +189,11 @@ def _integer_triple(d, e, f) -> tuple[int, int, int, int]:
     return D, dn, en, fn
 
 
-def _exact(num: int, den: int, D: int) -> Fraction:
-    """The residual num / (den * D^2), refusing parts that are not ints."""
+def _exact(num: int, den: int) -> Fraction:
+    """The residual num / den, refusing parts that are not ints."""
     if type(num) is not int or type(den) is not int:
         raise TypeError(f"the exact check produced an inexact residual {num!r} / {den!r}")
-    return Fraction(num, den * D * D)
+    return Fraction(num, den)
 
 
 def verify_telescoping(d, e, f, x) -> Fraction:
@@ -207,7 +216,7 @@ def verify_telescoping(d, e, f, x) -> Fraction:
                                                          Jet.constant(x, 3)))
     rhs = psi(d, e, f, Jet.variable(x, 1))
     rhs_den = rhs.denominator
-    return _exact(lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den, D)
+    return _exact(lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den * D * D)
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
@@ -218,18 +227,199 @@ def verify_ode_dadd(d, e, f) -> Fraction:
     the rational head D*m and every Taylor coefficient of dA/dd stays
     rational. The constant factor pi is dropped: L is linear, so
     L[dA/dd] = 0 iff L[dA/dd / pi] = 0. dA/dd / pi is homogeneous of
-    degree -1 in (d, e, f) (numerator degree 3, denominator degree 4),
+    degree -1 in (d, e, f) (numerator degree 1, denominator degree 2),
     so L[dA/dd] has degree 2: it is evaluated at the integer point
     D*(d, e, f), D the common denominator, as an int over the jet's
     denominator (`apply_operator`), and divided by D^2. D*m is an
     integer too, as (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2.
-    Points on the singular set d = f, e = 0 are rejected, as the closed
-    form of dA/dd is undefined there.
+    Points on the singular set d = f, e = 0 are rejected, as the paper's
+    form of dA/dd is undefined there and integral_a_dd raises there.
     """
     D, dn, en, fn = _integer_triple(d, e, f)
     core._check_regular_point(d, e, f)
     num, den = core._dadd_over_pi(Jet.variable(dn, 3), en, fn, Jet.sqrt)
-    return _exact(*apply_operator(dn, en, fn, num / den), D)
+    residual, den = apply_operator(dn, en, fn, num / den)
+    return _exact(residual, den * D * D)
+
+
+def _residue_gap(d, e, f, m, dadd):
+    """(numerator, denominator) of Re(2i*(Res_i + Res_rho)) - num/den, (num, den) = dadd.
+
+    The residues are those of x^2 / (q(x) * (x^2 + 1)) at i and
+    rho = (-e + i*m) / (2*d), on Gaussian integers as (real, imaginary)
+    parts: 2i*Res_i = -1/q(i), q(i) = (f - d) + i*e, and 2i*Res_rho =
+    2*rho^2 / (m*(rho^2 + 1)) as q'(rho) = i*m, with 4*d^2*rho^2 = a + i*b
+    and 4*d^2*(rho^2 + 1) = c + i*b; Re(u/v) = Re(u*conj(v)) / |v|^2.
+    Only + - * are used, so the same lines run on ints and on `_Degrees`.
+    """
+    g = (f - d) * (f - d) + e * e  # |q(i)|^2
+    a, b = e * e - m * m, -2 * e * m
+    c = a + 4 * d * d
+    h = c * c + b * b
+    num, den = dadd
+    return ((2 * (a * c + b * b) * g - (f - d) * m * h) * den - num * g * m * h,
+            g * m * h * den)
+
+
+def verify_dadd_residues(d, e, f) -> Fraction:
+    """Exact residual of core's dA/dd against the residue theorem, at a rational
+    point with square discriminant 4*d*f - e^2 = m^2, m > 0.
+
+    There the integrand x^2 / (q(x) * (x^2 + 1)) of dA/dd has simple poles
+    at i and rho = (-e + i*m)/(2*d) in the upper half-plane, so
+    dA/dd = 2*pi*i*(Res_i + Res_rho), and dA/dd / pi, a real number, is the
+    real part of 2i*(Res_i + Res_rho) (`_residue_gap`). The residual is that
+    minus core's formula (`core._dadd_over_pi`, the one integral_a_dd runs).
+    Both are homogeneous of degree -1 in (d, e, f), so the check runs at the
+    integer point D*(d, e, f), where D*m is an integer too, and the residual
+    is D times the one found there. On the singular set d = f, e = 0, i is
+    a double pole and SingularPointError is raised.
+    """
+    D, dn, en, fn = _integer_triple(d, e, f)
+    core._check_regular_point(d, e, f)
+    m = _root(4 * dn * fn - en * en, 1)[0]
+    num, den = _residue_gap(dn, en, fn, m, core._dadd_over_pi(dn, en, fn, lambda _: m))
+    return _exact(num * D, den)
+
+
+def verify_tail_limit(d, e, f) -> Fraction:
+    """Exact residual  -2*p5/d^3 - psi_limit(d, e, f)  at a rational point.
+
+    With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
+    regular at t = 0 when P has x-degree at most 5 (`telescoping_degrees`
+    reports that degree), so both tail limits of psi are -2*p5/d^3. Here p5
+    is the x^5 Taylor coefficient of the shipped P at x = 0, read from an
+    x-jet of order 5 at the integer point D*(d, e, f); the limit is
+    homogeneous of degree 2, so the residual is the one found there over D^2.
+    """
+    D, d, e, f = _integer_triple(d, e, f)
+    p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
+    limit = psi_limit(d, e, f)
+    den = math.factorial(5) * p.denominator * d**3
+    return _exact(-2 * p.derivative_numerator(5) * limit.denominator - limit.numerator * den,
+                  den * limit.denominator * D * D)
+
+
+# Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
+# and l, and j + 2k and l + 2k, its degrees in e and m once f = (e^2 + m^2)/(4d)
+# and s = m.
+_Top = namedtuple("_Top", "d e f s sub_e sub_m")
+_CONSTANT = _Top(0, 0, 0, 0, 0, 0)
+_UNITS = (_Top(1, 0, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1, 0), _Top(0, 0, 1, 0, 2, 2),
+          _Top(0, 0, 0, 1, 0, 1))
+
+
+class _Degrees:
+    """Degree bounds of a polynomial in (d, e, f, s), carried through + - * and **.
+
+    `top` bounds the monomials' degrees (`_Top`); `lo` and `hi` bound
+    their total degree in (d, e, f, s), where s counts with the degree it
+    was made with: 0 for x, 1 for m = sqrt(4*d*f - e^2). lo == hi means
+    homogeneous. Bounds ignore cancellation, so they can exceed the true
+    degrees but never fall short of them. The int 0 stands for the zero
+    polynomial, any other int for a constant.
+    """
+
+    __slots__ = ("top", "lo", "hi")
+
+    def __init__(self, top: _Top, lo: int, hi: int):
+        self.top, self.lo, self.hi = top, lo, hi
+
+    @classmethod
+    def variables(cls, s_degree: int) -> tuple:
+        return tuple(cls(unit, t, t) for unit, t in zip(_UNITS, (1, 1, 1, s_degree)))
+
+    @property
+    def homogeneous(self) -> bool:
+        return self.lo == self.hi
+
+    def __add__(self, other):
+        if type(other) is int:
+            if other == 0:
+                return self
+            other = _Degrees(_CONSTANT, 0, 0)
+        return _Degrees(_Top(*map(max, self.top, other.top)),
+                        min(self.lo, other.lo), max(self.hi, other.hi))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return self if other else 0
+        return _Degrees(_Top(*(a + b for a, b in zip(self.top, other.top))),
+                        self.lo + other.lo, self.hi + other.hi)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        result = 1
+        for _ in range(exponent):
+            result = self * result
+        return result
+
+
+def _diff(p, var: _Degrees):
+    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var."""
+    if type(p) is int or p.top[var.top.index(1)] == 0:
+        return 0
+    return _Degrees(_Top(*(a - b for a, b in zip(p.top, var.top))), p.lo - var.lo, p.hi - var.hi)
+
+
+def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
+    """Degree bounds of the telescoping residual times q^4*(x^2+1)^2, from the
+    shipped L and P; the x-degree of psi at infinity; and bounds of P with its
+    x^5 coefficient, for `verify_tail_limit`.
+
+    The k-th d-derivative of dphi/dd is (-1)^k k! x^(2k+2) / (q^(k+1) (x^2+1)),
+    so L[dphi/dd] times q^4 (x^2+1)^2 is sum_k c_k (-1)^k k! x^(2k+2)
+    q^(3-k) (x^2+1). psi = -2 n / (q^3 (x^2+1)) with n = x^3 P, and dpsi/dx
+    times q^4 (x^2+1)^2 is n' q w - n (3 q' w + q w'), w = x^2+1: its degrees
+    in (d, e, f) are at most those of n q w. Its x-degree follows from psi's
+    order o at infinity (d > 0 keeps q of x-degree 2): psi' has order o - 1,
+    or at most -2 when o <= 0, as psi tends to a constant plus O(1/x) then.
+    """
+    d, e, f, x = _Degrees.variables(0)
+    q, w = d * (x * x) + e * x + f, x * x + 1
+    c3, c2, c1, c0 = operator_coefficients(d, e, f)
+    lhs = 0
+    for k, ck in enumerate((c0, c1, c2, c3)):
+        lhs = lhs + ck * x ** (2 * k + 2) * q ** (3 - k) * w
+    polynomial = certificate_polynomial(d, e, f, x)
+    n = x**3 * polynomial
+    order = n.top.s - (q**3 * w).top.s
+    rhs = n * q * w
+    rhs.top = rhs.top._replace(s=(q**4 * w**2).top.s + (order - 1 if order > 0 else -2))
+    return lhs + rhs, order, polynomial + _leading_coefficient(d, e, f)
+
+
+def ode_degrees() -> _Degrees:
+    """Degree bounds of L[dA/dd / pi], cleared, from the shipped L and `core._dadd_over_pi`.
+
+    With dA/dd / pi = num/den, polynomials in (d, e, f, m) for m = sqrt(4*d*f - e^2),
+    and dm/dd = 2f/m along d, the k-th d-derivative is p_k / (m^(2k) den^(k+1)) with
+    p_0 = num and p_(k+1) = m^2 den dp_k/dd + 2 f m den dp_k/dm - 4k f den p_k
+    - (k+1) m rho p_k, where rho = m dden/dd = m d_d den + 2 f d_m den. So L[dA/dd / pi]
+    times m^6 den^4 is sum_k c_k p_k m^(6-2k) den^(3-k).
+    """
+    d, e, f, m = _Degrees.variables(1)
+    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
+    rho = m * _diff(den, d) + 2 * f * _diff(den, m)
+    c3, c2, c1, c0 = operator_coefficients(d, e, f)
+    p, cleared = num, 0
+    for k, ck in enumerate((c0, c1, c2, c3)):
+        cleared = cleared + ck * p * m ** (6 - 2 * k) * den ** (3 - k)
+        p = (m * m * den * _diff(p, d) + 2 * f * m * den * _diff(p, m)
+             - 4 * k * f * den * p - (k + 1) * m * rho * p)
+    return cleared
+
+
+def residue_degrees() -> _Degrees:
+    """Degree bounds of the numerator of `_residue_gap` for core's dA/dd."""
+    d, e, f, m = _Degrees.variables(1)
+    return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))[0]
 
 
 @dataclass(frozen=True)

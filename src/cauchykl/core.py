@@ -383,12 +383,18 @@ def _check_regular_point(d, e, f) -> None:
 def integral_a_dd(d: float, e: float, f: float) -> float:
     """Derivative of the canonical integral with respect to d:
 
-        dA/dd(1,0,1; d,e,f) = pi * ( (d-f)*(4*d*f-e^2) + (-2*d*f+e^2+2*f^2)*sqrt(4*d*f-e^2) )
-                              / ( ((d-f)^2 + e^2) * (4*d*f-e^2) )
+        dA/dd(1,0,1; d,e,f) = pi * (r + 2*f) / (r * (d + f + r)),   r = sqrt(4*d*f - e^2),
 
-    Undefined on the set d = f, e = 0, where SingularPointError is raised;
-    A itself is smooth there and its derivative can be taken directly on
-    pi*log(d + f + sqrt(4*d*f - e^2)).
+    the d-derivative of pi*log(G1), G1 = d + f + r. Every term is positive,
+    so no digit cancels. The paper states it as
+
+        pi * ( (d-f)*(4*d*f-e^2) + (-2*d*f+e^2+2*f^2)*sqrt(4*d*f-e^2) )
+           / ( ((d-f)^2 + e^2) * (4*d*f-e^2) ),
+
+    the same function by G1*G2 = (d-f)^2 + e^2, G2 = d + f - r, whose
+    factor (d-f)^2 + e^2 vanishes on the set d = f, e = 0. There
+    SingularPointError is raised, as the paper's form is undefined; A is
+    smooth there and this form gives pi/(2*d).
     """
     q = PositiveQuadratic(d, e, f)
     _check_regular_point(d, e, f)
@@ -397,12 +403,10 @@ def integral_a_dd(d: float, e: float, f: float) -> float:
 
 
 def _dadd_over_pi(d, e, f, sqrt):
-    """Numerator and denominator of dA/dd / pi from + - * / and `sqrt` only,
+    """Numerator and denominator of dA/dd / pi from + - * and one `sqrt` call,
     so `cauchykl.certificate` can run this very formula on exact jets."""
-    disc = 4 * d * f - e * e
-    g3 = (d - f) * (d - f) + e * e
-    num = (d - f) * disc + (-2 * d * f + e * e + 2 * f * f) * sqrt(disc)
-    return num, g3 * disc
+    r = sqrt(4 * d * f - e * e)
+    return r + 2 * f, r * (d + f + r)
 
 
 def _primitive_b_raw(d: float, e: float, f: float, x: float) -> float:

@@ -1,14 +1,19 @@
 """Batch verification suites driven by the CLI `verify` subcommand.
 
-Each suite draws a seeded pseudorandom family of check points, runs the
-relevant closed-form / oracle / certificate comparisons and returns one
-CheckOutcome per aggregate check, carrying the worst residual observed.
-All randomness flows through numpy's PCG64 generator, so a (suite,
-count, seed) triple is fully reproducible.
+Each suite runs the relevant closed-form / oracle / certificate
+comparisons and returns one CheckOutcome per aggregate check, carrying
+the worst residual observed. The float suites (closed-vs-quadrature,
+monte-carlo) draw a seeded pseudorandom family of check points from
+numpy's PCG64 generator, so a (suite, count, seed) triple is fully
+reproducible. The exact suites (certificate, ode) draw nothing: they
+prove their identities on product grids whose sizes `cauchykl.certificate`
+derives from the shipped formulas, so --count and --seed do not change
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,36 +68,13 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
 
 
 def _random_ratio(rng: np.random.Generator, positive: bool = False,
-                  bound: int = 1000) -> tuple[int, int]:
-    """(numerator, denominator) of a random rational, in lowest terms."""
+                  bound: int = 1000) -> Fraction:
+    """A random rational; a drawn numerator 0 becomes 1 unless `positive`."""
     lo = 1 if positive else -bound
     num = int(rng.integers(lo, bound + 1))
     if not positive and num == 0:
         num = 1
-    return _reduced(num, int(rng.integers(1, bound + 1)))
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-def _integer_point(*ratios: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-    """(D, (D*v1, D*v2, ...)) of rationals v = p/q in lowest terms, for the least D > 0."""
-    D = math.lcm(*(q for _, q in ratios))
-    return D, tuple([p * (D // q) for p, q in ratios])
-
-
-def _certificate_point(rng: np.random.Generator) -> tuple[int, tuple[int, int, int]]:
-    """`random_certificate_point` as its integer point (D, D*(d, e, f))."""
-    while True:
-        a, b = _random_ratio(rng, positive=True)  # d = a/b
-        c, g = _random_ratio(rng)                 # e = c/g
-        h, k = _random_ratio(rng, positive=True)  # m = h/k
-        fn, fd = _reduced((c * c * k * k + h * h * g * g) * b, 4 * a * g * g * k * k)  # f = (e^2 + m^2)/(4*d)
-        D, (d, e, f) = point = _integer_point((a, b), (c, g), (fn, fd))
-        if not (d == f and e == 0):
-            return point
+    return Fraction(num, int(rng.integers(1, bound + 1)))
 
 
 def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fraction, Fraction]:
@@ -100,63 +82,64 @@ def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fracti
 
     Built from the parametrization f = (e^2 + m^2) / (4*d) over random
     rational (d, e, m) with d, m > 0, which keeps every square root in
-    the certificate expressions rational. The singular set d = f, e = 0
-    is excluded by redrawing.
+    the certificate expressions rational. e is never 0 (`_random_ratio`),
+    so the singular set d = f, e = 0 is never drawn.
     """
-    D, point = _certificate_point(rng)
-    return tuple([Fraction(v, D) for v in point])
-
-
-def _tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[int, tuple[int, int, int]]:
-    """`random_tame_point` as its integer point (D, D*(d, e, f))."""
-    while True:
-        D, (d, e, f) = point = _integer_point(_random_ratio(rng, positive=True, bound=bound),
-                                              _random_ratio(rng, bound=bound),
-                                              _random_ratio(rng, positive=True, bound=bound))
-        if 4 * d * f - e * e > 0 and not (d == f and e == 0):
-            return point
+    d, e, m = _random_ratio(rng, positive=True), _random_ratio(rng), _random_ratio(rng, positive=True)
+    return d, e, (e * e + m * m) / (4 * d)
 
 
 def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fraction, Fraction, Fraction]:
     """Rational (d, e, f) of moderate magnitude with 4*d*f - e^2 > 0.
 
-    Used by the floating-point tail checks: the first-order deviation of
+    Used by floating-point tail checks: the first-order deviation of
     psi (and of the primitive B) from its limit at |x| = 1e8 scales with
     powers of the coefficient magnitudes, so those checks need values
-    within a few orders of 1, unlike the exact rational checks which
-    tolerate numerators and denominators up to 1e3.
+    within a few orders of 1.
     """
-    D, point = _tame_point(rng, bound)
-    return tuple([Fraction(v, D) for v in point])
+    while True:
+        d, e, f = (_random_ratio(rng, positive=True, bound=bound), _random_ratio(rng, bound=bound),
+                   _random_ratio(rng, positive=True, bound=bound))
+        if 4 * d * f - e * e > 0:
+            return d, e, f
 
 
-def _exact_zeros(check, names: str, points) -> tuple[int, str]:
-    """Number of points where the exact `check` is nonzero, and a detail suffix
-    naming the first of them in exact fractions, so one call reproduces it.
+def _exact_zeros(check, names: str, points) -> tuple[int, int, str]:
+    """Number of points, number where the exact `check` is nonzero, and a detail
+    suffix naming the first of them in exact fractions, so one call reproduces it.
 
     Each point is (D, args): `check` runs at args, whose first three are
-    D*(d, e, f), an integer point. Both exact residuals are homogeneous of
-    degree 2 in (d, e, f), so there they are D^2 times the residual at
-    (d, e, f) and vanish with it; the witness names (d, e, f).
+    D*(d, e, f), an integer point. Every exact residual is homogeneous in
+    (d, e, f), so there it vanishes with the residual at (d, e, f), and
+    the witness names (d, e, f).
     """
-    nonzero, witness = 0, ""
+    count, nonzero, witness = 0, 0, ""
     for D, args in points:
+        count += 1
         if check(*args) != 0:
             if not nonzero:
                 point = (*(Fraction(v, D) for v in args[:3]), *args[3:])
                 witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
             nonzero += 1
-    return nonzero, witness
+    return count, nonzero, witness
 
 
-def _tail_limit(D: int, point: tuple[int, int, int]) -> float:
-    """float(psi_limit(d, e, f)) from the integer point D*(d, e, f).
+def _grid(names: str, ranges) -> str:
+    """'d = 1, e in 0..6, ...' for the product of `ranges`, one per name."""
+    return ", ".join(f"{n} = {r[0]}" if len(r) == 1 else f"{n} in {r[0]}..{r[-1]}"
+                     for n, r in zip(names.split(), ranges))
 
-    psi_limit there is D^2 times the limit at (d, e, f), exactly, and one
-    int true division rounds the limit correctly, as float() would.
-    """
-    scaled = certificate.psi_limit(*point)
-    return scaled.numerator / (scaled.denominator * D * D)
+
+def _proof(tally: tuple[int, int, str], what: str, grid: str, cleared: str,
+           degrees: tuple[int, ...], names: str, bounds, note: str = "") -> str:
+    """Detail of a grid proof: the tally, the grid and the bounds that make it a proof."""
+    count, nonzero, witness = tally
+    shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
+             else "not homogeneous in (d, e, f), so d spans the grid too")
+    return (f"{count - nonzero}/{count} exact-zero {what}, "
+            f"{'proved' if nonzero == 0 else 'disproved'} on the grid {grid} ({count} points): "
+            f"times {cleared} it is a polynomial of degree <= ({', '.join(map(str, degrees))}) "
+            f"in ({names}), {shape}{note}{witness}")
 
 
 def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
@@ -200,9 +183,9 @@ def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
     ]
 
 
-def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
-    """Transcription checksums, exact telescoping residuals, psi tail limits."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def certificate_suite() -> list[CheckOutcome]:
+    """Transcription checksums, then the telescoping identity and the psi tail
+    limits, proved on grids sized by `certificate.telescoping_degrees`."""
     outcomes = []
 
     d, e, f, x = CHECKSUM_POINT
@@ -224,46 +207,68 @@ def certificate_suite(count: int, seed: int) -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    def telescoping_points():
-        for _ in range(count):
-            D, point = _certificate_point(rng)
-            yield D, (*point, Fraction(*_random_ratio(rng)))
+    residual, order, limit = certificate.telescoping_degrees()
+    f0 = max(100, residual.top.e ** 2)  # 4*d*f > e^2 on the grid, so q > 0
 
-    nonzero, witness = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)",
-                                    telescoping_points())
+    def grid(bounds) -> tuple[range, range, range]:
+        top = bounds.top
+        return (range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.e + 1),
+                range(f0, f0 + top.f + 1))
+
+    ranges = (*grid(residual), range(residual.top.s + 1))
+    tally = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)", (
+        (1, point) for point in itertools.product(*ranges)))
     outcomes.append(CheckOutcome(
-        "telescoping residual", nonzero == 0, float(nonzero),
-        f"{count - nonzero}/{count} exact-zero residuals in rational arithmetic{witness}",
+        "telescoping residual", tally[1] == 0, float(tally[1]),
+        _proof(tally, "residuals L[dphi/dd] - dpsi/dx", _grid("d e f x", ranges),
+               "q^4*(x^2+1)^2", tuple(residual.top[:4]), "d, e, f, x", residual),
     ))
 
-    worst = 0.0
-    for _ in range(count):
-        D, point = _tame_point(rng)
-        limit = _tail_limit(D, point)
-        df, ef, ff = (v / D for v in point)
-        dev = max(
-            abs(certificate.psi(df, ef, ff, 1e8) - limit),
-            abs(certificate.psi(df, ef, ff, -1e8) - limit),
-        ) / (1.0 + abs(limit))
-        worst = max(worst, dev)
-    tol = 1e-5
+    ranges = grid(limit)
+    tally = _exact_zeros(certificate.verify_tail_limit, "(d, e, f)", (
+        (1, point) for point in itertools.product(*ranges)))
     outcomes.append(CheckOutcome(
-        "psi tail limit", worst <= tol, worst,
-        f"{count} points, worst |psi(+/-1e8) - limit|/(1+|limit|) = {worst:.3e}, "
-        f"tolerance {tol:.1e}",
+        "psi tail limit", tally[1] == 0 and order <= 0, float(tally[1] + max(order, 0)),
+        _proof(tally, "residuals -2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
+               _grid("d e f", ranges), "d^3", tuple(limit.top[:3]), "d, e, f", limit,
+               f"; psi has x-degree {order} at infinity, so psi(1/t) "
+               + ("is regular at t = 0 and both tails tend to -2*p5/d^3" if order <= 0
+                  else "has a pole at t = 0 and the tails diverge")),
     ))
     return outcomes
 
 
-def ode_suite(count: int, seed: int) -> list[CheckOutcome]:
-    """Exact ODE residuals of dA/dd plus the integration-constant check."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    nonzero, witness = _exact_zeros(certificate.verify_ode_dadd, "(d, e, f)", (
-        _certificate_point(rng) for _ in range(count)))
-    outcomes = [CheckOutcome(
-        "ode residual of dA/dd", nonzero == 0, float(nonzero),
-        f"{count - nonzero}/{count} exact-zero residuals at square-discriminant points{witness}",
-    )]
+def _square_grid(bounds) -> tuple[tuple[range, range, range], Iterator]:
+    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), and its
+    integer points (4d, (4d^2, 4de, e^2 + m^2)). m > 2d avoids the singular set
+    d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's denominator."""
+    top = bounds.top
+    ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
+    m0 = 2 * ds[-1] + 1
+    ranges = (ds, range(top.sub_e + 1), range(m0, m0 + top.sub_m + 1))
+    return ranges, ((4 * d, (4 * d * d, 4 * d * e, e * e + m * m))
+                    for d, e, m in itertools.product(*ranges))
+
+
+def ode_suite() -> list[CheckOutcome]:
+    """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on grids sized by
+    `certificate.ode_degrees` and `certificate.residue_degrees`, plus the
+    integration-constant check."""
+    details, failures = [], 0
+    for check, what, bounds, cleared in (
+            (certificate.verify_ode_dadd, "residuals of L[dA/dd] for core's dA/dd / pi = num/den",
+             certificate.ode_degrees(), "m^6*den^4"),
+            (certificate.verify_dadd_residues, "differences dA/dd - 2*pi*i*(Res_i + Res_rho)",
+             certificate.residue_degrees(), "its denominator")):
+        ranges, points = _square_grid(bounds)
+        tally = _exact_zeros(check, "(d, e, f)", points)
+        failures += tally[1]
+        top = bounds.top
+        details.append(_proof(tally, what, _grid("d e m", ranges) + " at f = (e^2 + m^2)/(4d)",
+                              f"{cleared} and d^{top.f}", (top.d + top.f, top.sub_e, top.sub_m),
+                              "d, e, m", bounds))
+    outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
+                             "; ".join(details))]
     report = certificate.verify_integration_constant()
     outcomes.append(CheckOutcome(
         "integration constant", report.passed, report.max_deviation,
@@ -306,11 +311,12 @@ def monte_carlo_suite(count: int, seed: int,
 
 
 # Suite name -> (default count, runner(count, seed, samples)). Runners look
-# the suite functions up at call time, so rebinding them takes effect.
+# the suite functions up at call time, so rebinding them takes effect. The
+# exact suites prove on derived grids and ignore count and seed.
 _SUITES = {
     "closed-vs-quadrature": (1000, lambda n, seed, samples: closed_vs_quadrature_suite(n, seed)),
-    "certificate": (500, lambda n, seed, samples: certificate_suite(n, seed)),
-    "ode": (200, lambda n, seed, samples: ode_suite(n, seed)),
+    "certificate": (None, lambda n, seed, samples: certificate_suite()),
+    "ode": (None, lambda n, seed, samples: ode_suite()),
     "monte-carlo": (20, lambda n, seed, samples: monte_carlo_suite(n, seed, samples)),
 }
 SUITE_NAMES = (*_SUITES, "all")

@@ -1,4 +1,4 @@
-"""Certificate verification: exact residuals, checksums, tail behavior."""
+"""Certificate verification: exact residuals, grid proofs, checksums, tail behavior."""
 
 import math
 from fractions import Fraction
@@ -14,9 +14,11 @@ from cauchykl.certificate import (
     psi,
     psi_limit,
     rational_sqrt,
+    verify_dadd_residues,
     verify_g_factorization,
     verify_integration_constant,
     verify_ode_dadd,
+    verify_tail_limit,
     verify_telescoping,
 )
 from cauchykl.suites import (
@@ -225,7 +227,7 @@ def test_certificate_is_homogeneous():
         lam = abs(lam)  # m = sqrt(4*d*f - e^2) scales with |lam|
         num, den = core._dadd_over_pi(d, e, f, rational_sqrt)
         scaled_num, scaled_den = core._dadd_over_pi(lam * d, lam * e, lam * f, rational_sqrt)
-        assert (scaled_num, scaled_den) == (lam ** 3 * num, lam ** 4 * den)
+        assert (scaled_num, scaled_den) == (lam * num, lam ** 2 * den)  # degree 1 - 2 = -1
 
 
 def test_non_homogeneous_perturbation_is_caught(monkeypatch):
@@ -271,8 +273,8 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + (x + 1) * d**5)
-    telescoping = certificate_suite(5, 1)[1]
-    assert not telescoping.passed
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed and "disproved" in telescoping.detail
     point = _witness(telescoping.detail)
     assert len(point) == 4 and verify_telescoping(*point) != 0
 
@@ -280,10 +282,19 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
     monkeypatch.setattr(core, "_dadd_over_pi",
                         lambda d, e, f, sqrt: (dadd_over_pi(d, e, f, sqrt)[0] + d * d,
                                                dadd_over_pi(d, e, f, sqrt)[1]))
-    ode = ode_suite(3, 1)[0]
+    ode = ode_suite()[0]
     assert not ode.passed
     point = _witness(ode.detail)
-    assert len(point) == 3 and verify_ode_dadd(*point) != 0
+    assert len(point) == 3 and verify_ode_dadd(*point) != 0 and verify_dadd_residues(*point) != 0
+
+
+def test_phi_partial_d_mutation_is_caught(monkeypatch):
+    shipped = certificate.phi_partial_d
+    monkeypatch.setattr(certificate, "phi_partial_d", lambda d, e, f, x: shipped(d, e, f, x) + 1)
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed
+    assert _witness(telescoping.detail) == (1, 0, 100, 0)  # the first grid point
+    assert verify_telescoping(1, 0, 100, 0) != 0
 
 
 def test_operator_mutation_is_caught(monkeypatch):
@@ -294,15 +305,16 @@ def test_operator_mutation_is_caught(monkeypatch):
                         lambda d, e, f: (*shipped(d, e, f)[:3], shipped(d, e, f)[3] + 1))
     assert verify_telescoping(1, 0, 2, Fraction(1, 3)) != 0
     assert verify_ode_dadd(1, 3, Fraction(5, 2)) != 0
-    telescoping = certificate_suite(5, 1)[1]
-    ode = ode_suite(3, 1)[0]
+    telescoping = certificate_suite()[1]
+    ode = ode_suite()[0]
     assert not telescoping.passed and not ode.passed
-    # The first draws at seed 1, as the Fraction-based suite named them.
-    first = (Fraction(237, 256), Fraction(511, 951), Fraction(16890778240, 180262494117))
-    assert _witness(telescoping.detail) == (*first, Fraction(646, 949))
-    assert _witness(ode.detail) == first
-    assert verify_telescoping(*_witness(telescoping.detail)) != 0
-    assert verify_ode_dadd(*_witness(ode.detail)) != 0
+    # c0 + 1 is not homogeneous, so d spans both grids; at x = 0 every
+    # d-derivative of dphi/dd vanishes, so the first nonzero has x = 1.
+    assert "d spans the grid" in telescoping.detail and "d spans the grid" in ode.detail
+    assert _witness(telescoping.detail) == (1, 0, 100, 1)
+    first = ode.detail.split("; first nonzero at (d, e, f) = (")[1].split(")")[0]
+    assert tuple(map(Fraction, first.split(", "))) == (1, 0, Fraction(41 * 41, 4))
+    assert verify_ode_dadd(1, 0, Fraction(41 * 41, 4)) != 0
 
 
 def test_inexact_operator_is_refused(monkeypatch):
@@ -324,22 +336,28 @@ def test_exact_checks_refuse_float_points():
         verify_ode_dadd(1, 3, 2.5)
 
 
-def test_tail_limit_from_the_integer_point_is_float_of_psi_limit():
-    # The suite reads the tail limit as one int true division at the integer
-    # point; it must give float(psi_limit(d, e, f)) to the bit, 0.0 at e = 0.
+def test_tail_limit_is_minus_two_p5_over_d_cubed():
+    # psi_limit against the x^5 Taylor coefficient of the shipped P, exactly,
+    # at random points and on e = 0, where the limit is 0.
     rng = np.random.Generator(np.random.PCG64(139))
-    for _ in range(2000):
+    for _ in range(200):
         d, e, f = random_tame_point(rng)
-        for point in ((d, e, f), (d, Fraction(0), f)):
-            exact = psi_limit(*point)
-            assert type(exact) is Fraction
-            D, *scaled = certificate._integer_point(*point)
-            assert suites._tail_limit(D, tuple(scaled)).hex() == float(exact).hex(), point
-    assert suites._tail_limit(1, (1, 0, 1)).hex() == (0.0).hex()
+        assert verify_tail_limit(d, e, f) == 0
+        assert verify_tail_limit(d, 0, f) == 0 == psi_limit(d, 0, f)
+    assert type(verify_tail_limit(1, 0, 1)) is Fraction
+
+
+def test_tail_limit_catches_a_changed_x5_coefficient(monkeypatch):
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
+    assert verify_tail_limit(1, 0, 100) == Fraction(-2)
+    tail = certificate_suite()[2]
+    assert not tail.passed and _witness(tail.detail) == (1, 0, 100)
 
 
 def test_exact_checks_build_one_fraction_each(monkeypatch):
-    # The exact checks run on int numerators from the point draw to the
+    # The exact checks run on int numerators from the grid point to the
     # residual: only the returned residual is a Fraction. Any Fraction
     # arithmetic on the way would show up here as more constructions.
     rng = np.random.Generator(np.random.PCG64(149))
@@ -355,15 +373,99 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
         result = step()
         return len(built) - start, result
 
-    draws, (D, point) = count(lambda: suites._certificate_point(rng))
-    tame, _ = count(lambda: suites._tame_point(rng))
-    telescoping, residual = count(lambda: verify_telescoping(*point, x))
-    ode, ode_residual = count(lambda: verify_ode_dadd(*point))
-    telescoping_rational, _ = count(lambda: verify_telescoping(*rational, x))
-    ode_rational, _ = count(lambda: verify_ode_dadd(*rational))
-    limit, _ = count(lambda: suites._tail_limit(D, point))
+    bounds, _ = count(lambda: (certificate.telescoping_degrees(), certificate.ode_degrees(),
+                               certificate.residue_degrees()))
+    grid, points = count(lambda: list(suites._square_grid(certificate.ode_degrees())[1]))
+    D, point = points[-1]
+    counts = [count(step) for step in (
+        lambda: verify_telescoping(1, 6, 106, 10),
+        lambda: verify_ode_dadd(*point),
+        lambda: verify_dadd_residues(*point),
+        lambda: verify_telescoping(*rational, x),
+        lambda: verify_ode_dadd(*rational),
+        lambda: verify_dadd_residues(*rational))]
+    tail, limit = count(lambda: verify_tail_limit(1, 6, 106))
     monkeypatch.undo()
-    assert (draws, tame) == (0, 0)
-    assert (telescoping, ode, telescoping_rational, ode_rational) == (1, 1, 1, 1)
-    assert limit == 1  # psi_limit's exact Fraction, read as two ints
-    assert residual == ode_residual == 0
+    assert (bounds, grid) == (0, 0)
+    assert [n for n, _ in counts] == [1] * 6
+    assert all(residual == 0 for _, residual in counts) and limit == 0
+    assert tail == 2  # psi_limit's Fraction and the residual
+
+
+def test_derived_grid_degrees():
+    # The bounds the tracker derives from the shipped formulas, which size
+    # the suites' grids: (d, e, f, x) for telescoping, (e, m) at d = 1 for
+    # the ODE and the residues. Each residual is homogeneous in (d, e, f).
+    residual, order, limit = certificate.telescoping_degrees()
+    assert tuple(residual.top[:4]) == (4, 6, 6, 10) and residual.homogeneous and order == 0
+    assert tuple(limit.top[:3]) == (2, 5, 5) and limit.homogeneous
+    ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
+    assert (ode.top.sub_e, ode.top.sub_m, ode.lo, ode.hi) == (24, 27, 16, 16)
+    assert (residues.top.sub_e, residues.top.sub_m, residues.lo, residues.hi) == (10, 11, 8, 8)
+
+
+def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**6)
+    residual, order, _ = certificate.telescoping_degrees()
+    assert residual.top.s == 12 and order == 1
+    telescoping, tail = certificate_suite()[1:]
+    assert "x in 0..12 (637 points)" in telescoping.detail and not telescoping.passed
+    assert not tail.passed and "the tails diverge" in tail.detail
+
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + e**7)
+    residual = certificate.telescoping_degrees()[0]
+    assert residual.top.e == 8 and not residual.homogeneous
+
+
+def _sympy_degrees(sympy, expression, variables):
+    return tuple(sympy.Poly(sympy.expand(expression), *variables).degree(v) for v in variables)
+
+
+def test_derived_degrees_bound_sympy(monkeypatch):
+    # Bounds may exceed the true degrees, never fall short: compare with
+    # sympy's degrees of each cleared half of the telescoping residual and
+    # of the residues' numerator.
+    sympy = pytest.importorskip("sympy")
+    d, e, f, x, m = sympy.symbols("d e f x m")
+    q, w = d * x**2 + e * x + f, x**2 + 1
+    c3, c2, c1, c0 = operator_coefficients(d, e, f)
+    lhs = sum(c * (-1) ** k * math.factorial(k) * x ** (2 * k + 2) * q ** (3 - k) * w
+              for k, c in enumerate((c0, c1, c2, c3)))
+    rhs = sympy.cancel(sympy.diff(psi(d, e, f, x), x) * q**4 * w**2)
+    top = certificate.telescoping_degrees()[0].top
+    for half in (lhs, rhs):
+        assert all(a <= b for a, b in zip(_sympy_degrees(sympy, half, (d, e, f, x)), top[:4]))
+    numerator = certificate._residue_gap(1, e, (e**2 + m**2) / 4, m, core._dadd_over_pi(
+        1, e, (e**2 + m**2) / 4, lambda _: m))[0]
+    residues = certificate.residue_degrees().top
+    assert _sympy_degrees(sympy, numerator, (e, m)) <= (residues.sub_e, residues.sub_m)
+
+
+def test_dadd_residues_fixtures():
+    assert verify_dadd_residues(1, 3, Fraction(5, 2)) == 0
+    assert verify_dadd_residues(2, 1, Fraction(17, 8)) == 0
+    assert verify_dadd_residues(1, 0, Fraction(9, 4)) == 0
+    rng = np.random.Generator(np.random.PCG64(151))
+    for _ in range(50):
+        assert verify_dadd_residues(*random_certificate_point(rng)) == 0
+    with pytest.raises(SingularPointError):
+        verify_dadd_residues(1, 0, 1)  # i is a double pole
+    with pytest.raises(ParameterError):
+        verify_dadd_residues(1, 1, 1)  # 4*d*f - e^2 = 3 is not a rational square
+    with pytest.raises(TypeError):
+        verify_dadd_residues(1, 3, 2.5)
+
+
+def test_dadd_residues_catch_a_changed_formula(monkeypatch):
+    # The paper's form, undone by one sign, and core's form plus d^2.
+    dadd_over_pi = core._dadd_over_pi
+    monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
+        dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
+    assert verify_dadd_residues(1, 3, Fraction(5, 2)) != 0
+    monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
+        (d - f) * (4 * d * f - e * e) - (-2 * d * f + e * e + 2 * f * f) * sqrt(4 * d * f - e * e),
+        ((d - f) ** 2 + e * e) * (4 * d * f - e * e)))
+    assert verify_dadd_residues(1, 3, Fraction(5, 2)) != 0

@@ -872,14 +872,38 @@ def test_verify_deterministic_output(capsys):
     assert capsys.readouterr().out == out1
 
 
+def test_exact_suites_draw_no_random_numbers():
+    # In a fresh interpreter: the exact suites never import numpy.random,
+    # and their checks read the same for any --seed. Only the summary
+    # record, which echoes the arguments, names the seed.
+    script = ("import sys\nfrom cauchykl.cli import main\n"
+              "for suite in ('certificate', 'ode'):\n"
+              "    main(['verify', '--suite', suite, '--seed', sys.argv[1]])\n"
+              "print('numpy.random' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchykl.__file__).resolve().parents[1]))
+    runs = [subprocess.run([sys.executable, "-c", script, seed], capture_output=True, text=True,
+                           env=env, check=True) for seed in ("1", "7")]
+    assert [run.stderr for run in runs] == ["False\n", "False\n"]
+    records = [[json.loads(line) for line in run.stdout.splitlines()] for run in runs]
+    assert records[0] != records[1]
+    for record in records[1]:
+        if "seed" in record:
+            record["seed"] = 1
+    assert records[0] == records[1]
+    assert [r["check"] for r in records[0] if "check" in r] == [
+        "transcription checksums", "telescoping residual", "psi tail limit",
+        "ode residual of dA/dd", "integration constant"]
+
+
 # sha256 of the whole stdout of `verify --suite SUITE --seed SEED` at the
-# default counts, recorded before the exact checks moved onto int
-# numerators; any change to a point, a count or a figure shows here.
+# default counts, recorded when the exact checks moved from random points
+# to derived proof grids; any change to a grid, a bound or a figure shows
+# here.
 VERIFY_GOLDEN_SHA256 = {
-    ("certificate", 1): "0c744f95f55c007ec2a6c8dbe0c3ebf4d8e34f3d192ef46670edb4dce5f326c8",
-    ("certificate", 1501): "6061e297a6823ca6ab5b66408b7355b9415896f80dd9dd00d6f6b8021a4c7bdd",
-    ("ode", 1): "85ac4bebed5cf7b1617bba4dea5c4db4d88b8c679ff444b1cb3f1bfb7a86a9c3",
-    ("ode", 1501): "238354bbcfbf23b04883db6e2dd3eea9dce86d485f687ca712c0e80792ef6471",
+    ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
+    ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
+    ("ode", 1): "91e0749dbc419de1b7ac56960993db1be408d3a909a1d7ce6ee1c5367e439ab2",
+    ("ode", 1501): "42b47a516dc9a98a2f4ad325b941befeaef8767546ad7b5345038fbfb16f5a7b",
 }
 
 

@@ -484,6 +484,29 @@ def test_integral_a_dd_matches_finite_difference():
         assert rel_err(integral_a_dd(d, e, f), fd) <= 1e-6
 
 
+def test_integral_a_dd_relative_error_against_mpmath():
+    """A few eps against 50-digit mpmath on generic draws and within 1e-6 and
+    1e-12 of the singular set d = f, e = 0, where the paper's form cancels."""
+    mp = _mp50()
+    rng = np.random.Generator(np.random.PCG64(6))
+    points = []
+    for _ in range(1000):
+        d, f = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+        t = rng.uniform(-0.9, 0.9)  # keeps the guard 4*d*f - e^2 from cancelling
+        points.append((float(d), float(t * 2.0 * math.sqrt(d * f)), float(f)))
+    for width in (1e-6, 1e-12):
+        for _ in range(500):
+            f = float(10.0 ** rng.uniform(-2.0, 2.0))
+            dd, de = rng.uniform(-width, width, 2)
+            points.append((f * (1.0 + float(dd)), f * float(de), f))
+    worst = 0.0
+    for d, e, f in points:
+        r = mp.sqrt(4 * mp.mpf(d) * f - mp.mpf(e) ** 2)
+        exact = mp.pi * (r + 2 * f) / (r * (d + f + r))
+        worst = max(worst, float(abs(integral_a_dd(d, e, f) - exact) / exact) / 2.0 ** -52)
+    assert worst <= 4.0, f"worst relative error {worst:.3g} eps"
+
+
 def test_primitive_b_anchored_at_zero():
     assert primitive_b(1, 0, 2, 0.0) == 0.0
     assert primitive_b(1, 1, 2, 0.0) == 0.0
