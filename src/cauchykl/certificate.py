@@ -43,13 +43,19 @@ degree-tracking scalar (`_Degrees`) runs the shipped formulas under
   2*pi*i times the residues at i and (-e + i*m)/(2*d)
   (`verify_dadd_residues`, `residue_degrees`).
 
-Every check clears the common denominator D of its point once and runs
-on ints from there: the operator and P have int coefficients at the
-integer point D*(d,e,f), the fraction-free jets (`cauchykl.jets`) keep
-int numerators over one int denominator, and only the residual, one int
-over an int, becomes a Fraction; a part that is not an int raises
-TypeError. The vanishing integration constant is checked in floating
-point against the quadrature oracle, and the factorization
+Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
+returns its residual as (numerator, denominator) and runs the same lines
+on ints or on numpy object arrays of ints, one element per point of a
+grid, so a suite proves an identity in one call over its whole grid:
+the operator and P have int coefficients at an integer point, and the
+fraction-free jets (`cauchykl.jets`) keep int numerators over one int
+denominator. Each core checks its points' domain (and the singular set
+d = f, e = 0) elementwise, raising at the first point outside it. The
+public scalar check `verify_*` clears the common denominator D of a
+rational point, runs the core at the integer point D*(d,e,f), and turns
+the residual, one int over an int, into a Fraction; a part that is not
+an int raises TypeError. The vanishing integration constant is checked
+in floating point against the quadrature oracle, and the factorization
 G1*G2 = (d-f)^2 + e^2 behind the final log simplification is float
 algebra (`verify_g_factorization`), which the tests run and no `verify`
 suite does. Any nonzero residual disproves the transcription and is
@@ -63,10 +69,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _root, _split, rational_sqrt
+from .jets import Jet, _first_at, _root, _split, rational_sqrt
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -81,6 +89,10 @@ __all__ = [
     "verify_ode_dadd",
     "verify_dadd_residues",
     "verify_tail_limit",
+    "residual_telescoping",
+    "residual_ode_dadd",
+    "residual_dadd_residues",
+    "residual_tail_limit",
     "telescoping_degrees",
     "ode_degrees",
     "residue_degrees",
@@ -116,7 +128,8 @@ def operator_coefficients(d, e, f) -> tuple:
 
 
 def apply_operator(d, e, f, y: Jet) -> tuple[int, int]:
-    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f).
+    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f),
+    or at each point of a grid of them.
 
     There c3..c0 are ints, and with y's coefficients num_k / den the
     numerator n = sum_k c_k * k! * num_k is one int sum: the pair
@@ -153,6 +166,11 @@ def psi(d, e, f, x):
     return -2 * x * certificate_polynomial(d, e, f, x) / (q * q) * phi_partial_d(d, e, f, x)
 
 
+def _psi_limit_parts(d, e, f) -> tuple:
+    """(-2*p5, d^3), the numerator and denominator of `psi_limit`, on ints or int arrays."""
+    return -2 * _leading_coefficient(d, e, f), d**3
+
+
 def psi_limit(d, e, f) -> Fraction:
     """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P.
 
@@ -162,7 +180,7 @@ def psi_limit(d, e, f) -> Fraction:
     """
     if d == 0:
         raise ParameterError("the tail limit of psi requires d != 0")
-    return Fraction(-2 * _leading_coefficient(d, e, f), d**3)
+    return Fraction(*_psi_limit_parts(d, e, f))
 
 
 def _integer_point(*values) -> tuple[int, ...]:
@@ -176,17 +194,20 @@ def _integer_point(*values) -> tuple[int, ...]:
     return (D, *(p * (D // q) for p, q in parts))
 
 
-def _integer_triple(d, e, f) -> tuple[int, int, int, int]:
-    """The integer point (D, D*d, D*e, D*f) of a rational (d, e, f) in the domain."""
-    D, dn, en, fn = _integer_point(d, e, f)
-    if 4 * dn * fn - en * en <= 0:
-        raise ParameterError(
-            f"(d, e, f) = ({Fraction(dn, D)}, {Fraction(en, D)}, {Fraction(fn, D)}) "
-            "must satisfy 4*d*f - e^2 > 0"
-        )
-    if dn <= 0 or fn <= 0:
-        raise ParameterError(f"d and f must be positive, got {Fraction(dn, D)}, {Fraction(fn, D)}")
-    return D, dn, en, fn
+def _check_domain(d, e, f) -> None:
+    """Raise ParameterError at the first integer point (d, e, f), of ints or int
+    arrays, outside 4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
+    outside = (4 * d * f - e * e <= 0) | (d <= 0) | (f <= 0)
+    if np.any(outside):
+        raise ParameterError(f"(d, e, f) proportional to {_first_at(outside, d, e, f)} "
+                             "must satisfy 4*d*f - e^2 > 0, d > 0 and f > 0")
+
+
+def _check_regular(d, e, f) -> None:
+    """`core._check_regular_point` at the first point of d = f, e = 0, if any."""
+    singular = (d == f) & (e == 0)
+    if np.any(singular):
+        core._check_regular_point(*_first_at(singular, d, e, f))
 
 
 def _exact(num: int, den: int) -> Fraction:
@@ -211,12 +232,20 @@ def verify_telescoping(d, e, f, x) -> Fraction:
     difference is one int over the product, which becomes the returned
     Fraction.
     """
-    D, d, e, f = _integer_triple(d, e, f)
+    D, d, e, f = _integer_point(d, e, f)
+    num, den = residual_telescoping(d, e, f, x)
+    return _exact(num, den * D * D)
+
+
+def residual_telescoping(d, e, f, x) -> tuple:
+    """(num, den) of L[dphi/dd] - dpsi/dx at an integer point (d, e, f) and a rational
+    x, or elementwise for int arrays (d, e, f, x) of one grid (`verify_telescoping`)."""
+    _check_domain(d, e, f)
     lhs, lhs_den = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f,
                                                          Jet.constant(x, 3)))
     rhs = psi(d, e, f, Jet.variable(x, 1))
     rhs_den = rhs.denominator
-    return _exact(lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den * D * D)
+    return lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
@@ -235,11 +264,18 @@ def verify_ode_dadd(d, e, f) -> Fraction:
     Points on the singular set d = f, e = 0 are rejected, as the paper's
     form of dA/dd is undefined there and integral_a_dd raises there.
     """
-    D, dn, en, fn = _integer_triple(d, e, f)
-    core._check_regular_point(d, e, f)
-    num, den = core._dadd_over_pi(Jet.variable(dn, 3), en, fn, Jet.sqrt)
-    residual, den = apply_operator(dn, en, fn, num / den)
-    return _exact(residual, den * D * D)
+    D, d, e, f = _integer_point(d, e, f)
+    num, den = residual_ode_dadd(d, e, f)
+    return _exact(num, den * D * D)
+
+
+def residual_ode_dadd(d, e, f) -> tuple:
+    """(num, den) of L[dA/dd / pi] at an integer point (d, e, f) with square
+    discriminant, or elementwise for int arrays of one grid (`verify_ode_dadd`)."""
+    _check_domain(d, e, f)
+    _check_regular(d, e, f)
+    num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
+    return apply_operator(d, e, f, num / den)
 
 
 def _residue_gap(d, e, f, m, dadd):
@@ -275,11 +311,19 @@ def verify_dadd_residues(d, e, f) -> Fraction:
     is D times the one found there. On the singular set d = f, e = 0, i is
     a double pole and SingularPointError is raised.
     """
-    D, dn, en, fn = _integer_triple(d, e, f)
-    core._check_regular_point(d, e, f)
-    m = _root(4 * dn * fn - en * en, 1)[0]
-    num, den = _residue_gap(dn, en, fn, m, core._dadd_over_pi(dn, en, fn, lambda _: m))
+    D, d, e, f = _integer_point(d, e, f)
+    num, den = residual_dadd_residues(d, e, f)
     return _exact(num * D, den)
+
+
+def residual_dadd_residues(d, e, f) -> tuple:
+    """(num, den) of Re(2i*(Res_i + Res_rho)) - dA/dd / pi at an integer point (d, e, f)
+    with square discriminant, or elementwise for int arrays of one grid
+    (`verify_dadd_residues`)."""
+    _check_domain(d, e, f)
+    _check_regular(d, e, f)
+    m = _root(4 * d * f - e * e, 1)[0]
+    return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))
 
 
 def verify_tail_limit(d, e, f) -> Fraction:
@@ -292,12 +336,20 @@ def verify_tail_limit(d, e, f) -> Fraction:
     x-jet of order 5 at the integer point D*(d, e, f); the limit is
     homogeneous of degree 2, so the residual is the one found there over D^2.
     """
-    D, d, e, f = _integer_triple(d, e, f)
+    D, d, e, f = _integer_point(d, e, f)
+    num, den = residual_tail_limit(d, e, f)
+    return _exact(num, den * D * D)
+
+
+def residual_tail_limit(d, e, f) -> tuple:
+    """(num, den) of -2*p5/d^3 - psi_limit at an integer point (d, e, f), or
+    elementwise for int arrays of one grid (`verify_tail_limit`); the limit is
+    `psi_limit`'s own arithmetic (`_psi_limit_parts`)."""
+    _check_domain(d, e, f)
     p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
-    limit = psi_limit(d, e, f)
+    limit, limit_den = _psi_limit_parts(d, e, f)
     den = math.factorial(5) * p.denominator * d**3
-    return _exact(-2 * p.derivative_numerator(5) * limit.denominator - limit.numerator * den,
-                  den * limit.denominator * D * D)
+    return -2 * p.derivative_numerator(5) * limit_den - limit * den, den * limit_den
 
 
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
@@ -338,6 +390,7 @@ class _Degrees:
             if other == 0:
                 return self
             other = _Degrees(_CONSTANT, 0, 0)
+        _refuse_inexact(other)
         return _Degrees(_Top(*map(max, self.top, other.top)),
                         min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -349,6 +402,7 @@ class _Degrees:
     def __mul__(self, other):
         if type(other) is int:
             return self if other else 0
+        _refuse_inexact(other)
         return _Degrees(_Top(*(a + b for a, b in zip(self.top, other.top))),
                         self.lo + other.lo, self.hi + other.hi)
 
@@ -359,6 +413,12 @@ class _Degrees:
         for _ in range(exponent):
             result = self * result
         return result
+
+
+def _refuse_inexact(other) -> None:
+    """A polynomial with a coefficient that is not an int has no exact check: TypeError."""
+    if type(other) is not _Degrees:
+        raise TypeError(f"the degree bounds take int coefficients, got {other!r}")
 
 
 def _diff(p, var: _Degrees):

@@ -6,9 +6,9 @@ int numerators over one shared int denominator, c_k = num_k / den, and
 every operation is one arithmetic path on those numerators:
 
 * +, - and * convolve or add the numerators and multiply the
-  denominators (a common denominator is kept as it is); an int or
-  rational scalar moves c0 only under + and - and scales the numerators
-  under *, without a constant jet;
+  denominators (a denominator shared by the operands is kept as it is);
+  a scalar moves c0 only under + and - and scales the numerators under *,
+  without a constant jet;
 * / runs the fraction-free quotient recurrence (in the spirit of
   Bareiss' integer-preserving elimination, Math. Comp. 22, 1968)
 
@@ -19,13 +19,18 @@ every operation is one arithmetic path on those numerators:
 * sqrt() runs the analogous recurrence for the square root, after
   finding the head's root as isqrt(num_0 * den) / |den|.
 
-Jets are exact only: every coefficient and scalar operand must be an int
-or a rational (`fractions.Fraction`), and anything else raises TypeError
-at the operation that receives it. No operation constructs a Fraction or
-takes a gcd; `coefficients` and `derivative` return Fractions, while
-`derivative_numerator` over `denominator` gives a derivative as two
-ints. This is what the certificate checks in `cauchykl.certificate`
-rely on.
+Jets are exact only. A scalar is an int, a rational
+(`fractions.Fraction`), or a numpy array of dtype object holding Python
+ints: then every numerator is such an array and one jet carries the
+expansions at every point of a grid, each elementwise + - * ** running
+exact int arithmetic inside numpy's loop (`Jet.__array_ufunc__ = None`
+makes array-jet operators dispatch to the jet). Anything else, an int64
+array that would wrap included, raises TypeError at the operation that
+receives it. No operation constructs a Fraction or takes a gcd;
+`coefficients` and `derivative` return Fractions for scalar jets, while
+`derivative_numerator` over `denominator` gives a derivative as two ints
+or int arrays. This is what the certificate checks in
+`cauchykl.certificate` rely on.
 """
 
 from __future__ import annotations
@@ -35,31 +40,55 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ParameterError
 
 __all__ = ["Jet", "rational_sqrt"]
 
 
 def _split(x: Rational) -> tuple[int, int]:
-    """(numerator, denominator) of an int or rational scalar."""
+    """(numerator, denominator) of an int or rational scalar, or (x, 1) for an
+    object array of ints (its elements are checked where the result is read)."""
     if type(x) is int:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
+    if type(x) is np.ndarray:
+        if x.dtype != object:
+            raise TypeError(f"jets are exact: arrays must hold Python ints (dtype object), "
+                            f"got dtype {x.dtype}")
+        return x, 1
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)
     raise TypeError(f"jets are exact: expected an int or a rational, got {x!r}")
 
 
+def _exact_isqrt(square: int) -> int:
+    """isqrt(square) if square is an integer square, else -1."""
+    p = math.isqrt(max(square, 0))
+    return p if p * p == square else -1
+
+
+_isqrt = np.frompyfunc(_exact_isqrt, 1, 1)  # elementwise on arrays, an int on an int
+
+
+def _first_at(mask, *values) -> tuple:
+    """The values at the first index where `mask` holds; scalars stand for every index."""
+    k = np.flatnonzero(mask)[0]
+    return tuple(v.flat[k] if type(v) is np.ndarray else v for v in values)
+
+
 def _root(n: int, den: int) -> tuple[int, int]:
-    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|.
+    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|,
+    elementwise on arrays.
 
     n/den is a rational square exactly when n*den is an integer square,
     so no Fraction is built and no gcd is taken.
     """
-    square = n * den
-    p = math.isqrt(max(square, 0))
-    if p * p != square:
+    p = _isqrt(n * den)
+    if np.any(p < 0):
+        n, den = _first_at(p < 0, n, den)
         raise ParameterError(f"{Fraction(n, den)} is not the square of a rational")
     return p, abs(den)
 
@@ -73,6 +102,7 @@ class Jet:
     """Taylor coefficients of one scalar quantity in one variable."""
 
     __slots__ = ("_num", "_den")
+    __array_ufunc__ = None  # array + - * / jet: numpy defers to the jet
 
     def __init__(self, coefficients: Iterable[Rational]):
         parts = [_split(c) for c in coefficients]
@@ -142,17 +172,17 @@ class Jet:
             a = tuple([-x for x in a])
         if t < 0:
             p = -p
-        if q == da:
-            return Jet._make((a[0] + p,) + a[1:], da)
         if q == 1:
             return Jet._make((a[0] + p * da,) + a[1:], da)
+        if q is da:
+            return Jet._make((a[0] + p,) + a[1:], da)
         return Jet._make((a[0] * q + p * da,) + tuple([x * q for x in a[1:]]), da * q)
 
     def __add__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return self._shift(other, 1, 1)
         a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
-        if da == db:
+        if da is db:
             return Jet._make(tuple([x + y for x, y in zip(a, b)]), da)
         return Jet._make(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
 
@@ -165,7 +195,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._shift(other, 1, -1)
         a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
-        if da == db:
+        if da is db:
             return Jet._make(tuple([x - y for x, y in zip(a, b)]), da)
         return Jet._make(tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
 
@@ -196,7 +226,7 @@ class Jet:
         u, v = self._num, o._num
         n = len(u) - 1
         v0 = v[0]
-        if v0 == 0:
+        if np.any(v0 == 0):
             raise ZeroDivisionError("jet division by a jet with zero head")
         powers = [1]  # v0^0 .. v0^(n+1)
         for _ in range(n + 1):
@@ -240,7 +270,7 @@ class Jet:
         p, q = _root(f[0], den)
         n = len(f) - 1
         c = 2 * p
-        if n and c == 0:
+        if n and np.any(c == 0):
             raise ZeroDivisionError("the square root of a jet with zero head has no Taylor series")
         c2 = c * c
         t: list = [0]

@@ -8,7 +8,10 @@ numpy's PCG64 generator, so a (suite, count, seed) triple is fully
 reproducible. The exact suites (certificate, ode) draw nothing: they
 prove their identities on product grids whose sizes `cauchykl.certificate`
 derives from the shipped formulas, so --count and --seed do not change
-them.
+them. Each grid is a tuple of numpy object arrays of Python ints, one
+per coordinate in itertools.product order, and each identity runs once
+over the whole grid through its integer-point core
+(`certificate.residual_*`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from . import certificate, core, oracle
 from .core import CauchyDist
 from .errors import ParameterError
+from .jets import _first_at
 
 __all__ = [
     "CheckOutcome",
@@ -104,24 +108,32 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
             return d, e, f
 
 
-def _exact_zeros(check, names: str, points) -> tuple[int, int, str]:
-    """Number of points, number where the exact `check` is nonzero, and a detail
+def _product(ranges) -> tuple[np.ndarray, ...]:
+    """The product grid of `ranges` as one object array of Python ints per coordinate,
+    in itertools.product order."""
+    return tuple(np.array(column, dtype=object) for column in zip(*itertools.product(*ranges)))
+
+
+def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
+    """Number of points, number where the exact residual is nonzero, and a detail
     suffix naming the first of them in exact fractions, so one call reproduces it.
 
-    Each point is (D, args): `check` runs at args, whose first three are
-    D*(d, e, f), an integer point. Every exact residual is homogeneous in
-    (d, e, f), so there it vanishes with the residual at (d, e, f), and
-    the witness names (d, e, f).
+    `residual` is a `certificate.residual_*` core, run once on the grid `args`,
+    whose first three arrays are D*(d, e, f), integer points. Every part of
+    its (num, den) must be an int, else TypeError. Every exact residual is
+    homogeneous in (d, e, f), so it vanishes with the residual at (d, e, f),
+    and the witness names (d, e, f).
     """
-    count, nonzero, witness = 0, 0, ""
-    for D, args in points:
-        count += 1
-        if check(*args) != 0:
-            if not nonzero:
-                point = (*(Fraction(v, D) for v in args[:3]), *args[3:])
-                witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
-            nonzero += 1
-    return count, nonzero, witness
+    num, den = (np.broadcast_to(v, args[0].shape) for v in residual(*args))
+    if not all(type(v) is int for v in itertools.chain(num.flat, den.flat)):
+        raise TypeError("the exact check produced an inexact residual")
+    nonzero = num != 0
+    witness = ""
+    if np.any(nonzero):
+        scale, *point = _first_at(nonzero, D, *args)
+        point = (*(Fraction(v, scale) for v in point[:3]), *point[3:])
+        witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
+    return num.size, int(np.count_nonzero(nonzero)), witness
 
 
 def _grid(names: str, ranges) -> str:
@@ -216,8 +228,7 @@ def certificate_suite() -> list[CheckOutcome]:
                 range(f0, f0 + top.f + 1))
 
     ranges = (*grid(residual), range(residual.top.s + 1))
-    tally = _exact_zeros(certificate.verify_telescoping, "(d, e, f, x)", (
-        (1, point) for point in itertools.product(*ranges)))
+    tally = _exact_zeros(certificate.residual_telescoping, "(d, e, f, x)", 1, _product(ranges))
     outcomes.append(CheckOutcome(
         "telescoping residual", tally[1] == 0, float(tally[1]),
         _proof(tally, "residuals L[dphi/dd] - dpsi/dx", _grid("d e f x", ranges),
@@ -225,8 +236,7 @@ def certificate_suite() -> list[CheckOutcome]:
     ))
 
     ranges = grid(limit)
-    tally = _exact_zeros(certificate.verify_tail_limit, "(d, e, f)", (
-        (1, point) for point in itertools.product(*ranges)))
+    tally = _exact_zeros(certificate.residual_tail_limit, "(d, e, f)", 1, _product(ranges))
     outcomes.append(CheckOutcome(
         "psi tail limit", tally[1] == 0 and order <= 0, float(tally[1] + max(order, 0)),
         _proof(tally, "residuals -2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
@@ -238,16 +248,17 @@ def certificate_suite() -> list[CheckOutcome]:
     return outcomes
 
 
-def _square_grid(bounds) -> tuple[tuple[range, range, range], Iterator]:
-    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), and its
-    integer points (4d, (4d^2, 4de, e^2 + m^2)). m > 2d avoids the singular set
-    d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's denominator."""
+def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]:
+    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), its
+    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays. m > 2d avoids
+    the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
+    denominator."""
     top = bounds.top
     ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
     m0 = 2 * ds[-1] + 1
     ranges = (ds, range(top.sub_e + 1), range(m0, m0 + top.sub_m + 1))
-    return ranges, ((4 * d, (4 * d * d, 4 * d * e, e * e + m * m))
-                    for d, e, m in itertools.product(*ranges))
+    d, e, m = _product(ranges)
+    return ranges, 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
 
 
 def ode_suite() -> list[CheckOutcome]:
@@ -255,13 +266,13 @@ def ode_suite() -> list[CheckOutcome]:
     `certificate.ode_degrees` and `certificate.residue_degrees`, plus the
     integration-constant check."""
     details, failures = [], 0
-    for check, what, bounds, cleared in (
-            (certificate.verify_ode_dadd, "residuals of L[dA/dd] for core's dA/dd / pi = num/den",
+    for residual, what, bounds, cleared in (
+            (certificate.residual_ode_dadd, "residuals of L[dA/dd] for core's dA/dd / pi = num/den",
              certificate.ode_degrees(), "m^6*den^4"),
-            (certificate.verify_dadd_residues, "differences dA/dd - 2*pi*i*(Res_i + Res_rho)",
+            (certificate.residual_dadd_residues, "differences dA/dd - 2*pi*i*(Res_i + Res_rho)",
              certificate.residue_degrees(), "its denominator")):
-        ranges, points = _square_grid(bounds)
-        tally = _exact_zeros(check, "(d, e, f)", points)
+        ranges, D, points = _square_grid(bounds)
+        tally = _exact_zeros(residual, "(d, e, f)", D, points)
         failures += tally[1]
         top = bounds.top
         details.append(_proof(tally, what, _grid("d e m", ranges) + " at f = (e^2 + m^2)/(4d)",

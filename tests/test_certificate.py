@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cauchykl import ParameterError, SingularPointError, certificate, core, integral_a_dd, suites
+from cauchykl import (ParameterError, SingularPointError, certificate, core, integral_a_dd, jets,
+                      suites)
 from cauchykl.certificate import (
     certificate_polynomial,
     operator_coefficients,
@@ -375,8 +376,8 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
 
     bounds, _ = count(lambda: (certificate.telescoping_degrees(), certificate.ode_degrees(),
                                certificate.residue_degrees()))
-    grid, points = count(lambda: list(suites._square_grid(certificate.ode_degrees())[1]))
-    D, point = points[-1]
+    grid, (_, _, points) = count(lambda: suites._square_grid(certificate.ode_degrees()))
+    point = tuple(v[-1] for v in points)
     counts = [count(step) for step in (
         lambda: verify_telescoping(1, 6, 106, 10),
         lambda: verify_ode_dadd(*point),
@@ -389,7 +390,7 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
     assert (bounds, grid) == (0, 0)
     assert [n for n, _ in counts] == [1] * 6
     assert all(residual == 0 for _, residual in counts) and limit == 0
-    assert tail == 2  # psi_limit's Fraction and the residual
+    assert tail == 1  # the residual: the limit is psi_limit's arithmetic without its Fraction
 
 
 def test_derived_grid_degrees():
@@ -469,3 +470,131 @@ def test_dadd_residues_catch_a_changed_formula(monkeypatch):
         (d - f) * (4 * d * f - e * e) - (-2 * d * f + e * e + 2 * f * f) * sqrt(4 * d * f - e * e),
         ((d - f) ** 2 + e * e) * (4 * d * f - e * e)))
     assert verify_dadd_residues(1, 3, Fraction(5, 2)) != 0
+
+
+def _grid(*ranges):
+    return suites._product(ranges)
+
+
+def _square(d_range, e_range, m_range):
+    """Integer points (4d^2, 4de, e^2 + m^2), as the ODE suite's grid builds them."""
+    d, e, m = _grid(d_range, e_range, m_range)
+    return 4 * d * d, 4 * d * e, e * e + m * m
+
+
+def _small_grids():
+    """(scalar check, core, grid) for each identity: grids with e = 0 and d beyond 1."""
+    square = _square(range(1, 3), range(3), range(5, 7))
+    return ((verify_telescoping, certificate.residual_telescoping,
+             _grid(range(1, 3), range(3), range(3, 5), range(3))),
+            (verify_tail_limit, certificate.residual_tail_limit,
+             _grid(range(1, 3), range(3), range(3, 5))),
+            (verify_ode_dadd, certificate.residual_ode_dadd, square),
+            (verify_dadd_residues, certificate.residual_dadd_residues, square))
+
+
+def _grid_matches_scalar(verify, core_check, args):
+    """The core's num/den at every index equals the scalar check at that integer
+    point; returns how many of them are nonzero."""
+    num, den = core_check(*args)
+    assert len(num) == len(den) == len(args[0]) > 1
+    nonzero = 0
+    for k in range(len(num)):
+        scalar = verify(*(v[k] for v in args))
+        assert Fraction(num[k], den[k]) == scalar
+        nonzero += scalar != 0
+    return nonzero
+
+
+def test_grid_cores_match_the_scalar_checks(monkeypatch):
+    # The suites run each identity once on a whole grid; the same core at one
+    # integer point is the scalar check, so the two must agree point by point,
+    # on the shipped data and under mutations that make the residuals nonzero.
+    grids = _small_grids()
+    assert [_grid_matches_scalar(*grid) for grid in grids] == [0, 0, 0, 0]
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
+    assert [_grid_matches_scalar(*grid) for grid in grids[:2]] == [36 - 12, 12]  # x = 0 vanishes
+    dadd_over_pi = core._dadd_over_pi
+    monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
+        dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
+    assert [_grid_matches_scalar(*grid) for grid in grids[2:]] == [12, 12]
+
+
+def test_grid_cores_check_every_point():
+    # The domain and the singular set are checked elementwise: one bad point
+    # in a grid raises the scalar check's exception.
+    d, e, f = _grid(range(1, 2), range(3), range(1, 3))  # e = 2, f = 1: 4*d*f - e^2 = 0
+    for core_check, args in ((certificate.residual_telescoping, (d, e, f, e)),
+                             (certificate.residual_tail_limit, (d, e, f)),
+                             (certificate.residual_ode_dadd, (d, e, f)),
+                             (certificate.residual_dadd_residues, (d, e, f))):
+        with pytest.raises(ParameterError, match=r"\(1, 2, 1\)"):
+            core_check(*args)
+    with pytest.raises(ParameterError):  # d = -1
+        certificate.residual_tail_limit(*_grid(range(1, -2, -2), range(1), range(1, 2)))
+    # (4, 0, 4) is the square-grid point d = 1, e = 0, m = 2d: d = f, e = 0
+    singular = _square(range(1, 2), range(2), range(2, 3))
+    assert (singular[0][0], singular[1][0], singular[2][0]) == (4, 0, 4)
+    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
+        with pytest.raises(SingularPointError):
+            core_check(*singular)
+    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
+        with pytest.raises(ParameterError, match="11 is not the square"):  # 16, then 11
+            core_check(*_grid(range(1, 2), range(2, 4), range(5, 6)))
+
+
+def test_grid_runner_refuses_inexact_residuals(monkeypatch):
+    # Through the tracker, the jets and the runner's own check of every part.
+    shipped = certificate.operator_coefficients
+    monkeypatch.setattr(certificate, "operator_coefficients",
+                        lambda d, e, f: (*shipped(d, e, f)[:3], shipped(d, e, f)[3] + 0.5))
+    square = _square(range(1, 2), range(3), range(3, 5))
+    for check, D, args in ((certificate.residual_telescoping, 1,
+                            _grid(range(1, 2), range(3), range(9, 11), range(3))),
+                           (certificate.residual_ode_dadd, 4, square)):
+        with pytest.raises(TypeError):
+            suites._exact_zeros(check, "(d, e, f)", D, args)
+    with pytest.raises(TypeError):
+        ode_suite()
+    monkeypatch.undo()
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + 0.5 * x)
+    with pytest.raises(TypeError):
+        certificate_suite()
+    with pytest.raises(TypeError):
+        suites._exact_zeros(certificate.residual_telescoping, "(d, e, f, x)", 1,
+                            _grid(range(1, 2), range(3), range(9, 11), range(3)))
+
+
+def test_grid_runner_builds_no_fraction_when_every_residual_vanishes(monkeypatch):
+    d = _grid(range(1, 3), range(3), range(5, 7))[0]
+    square = _square(range(1, 3), range(3), range(5, 7))
+    grids = ((1, certificate.residual_telescoping, _grid(range(1, 2), range(3), range(9, 11),
+                                                         range(4))),
+             (1, certificate.residual_tail_limit, _grid(range(1, 2), range(3), range(9, 11))),
+             (4 * d, certificate.residual_ode_dadd, square),
+             (4 * d, certificate.residual_dadd_residues, square))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+    tallies = [suites._exact_zeros(check, "(d, e, f)", D, args) for D, check, args in grids]
+    monkeypatch.undo()
+    assert built == []
+    assert tallies == [(24, 0, ""), (6, 0, ""), (12, 0, ""), (12, 0, "")]
+
+
+def test_exact_suites_build_a_few_jets(monkeypatch):
+    # Each identity runs once over its whole grid, so the jets built do not
+    # grow with the grid: one per point built about 35 000.
+    built = []
+    make, init = jets.Jet._make.__func__, jets.Jet.__init__
+    monkeypatch.setattr(jets.Jet, "_make", classmethod(
+        lambda cls, *args: built.append(1) or make(cls, *args)))
+    monkeypatch.setattr(jets.Jet, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert all(outcome.passed for outcome in certificate_suite() + ode_suite())
+    assert 0 < len(built) <= 300

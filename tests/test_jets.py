@@ -197,3 +197,43 @@ def test_derivative_numerator_over_denominator_is_the_derivative():
         assert Fraction(g.derivative_numerator(k), g.denominator) == g.derivative(k)
     with pytest.raises(ParameterError):
         g.derivative_numerator(4)
+
+
+def _ints(*values):
+    return np.array(values, dtype=object)
+
+
+def test_object_array_jets_match_scalar_jets_elementwise():
+    # One jet over an object array of ints carries the expansion at every
+    # element: each coefficient is the scalar jet's at that element.
+    heads = (1, 2, 5, -3)
+    t = Jet.variable(_ints(*heads), 3)
+    r = (3 * t * t - _ints(1, 0, 7, 2) * t + Fraction(1, 7)) / (t * t * t + 100)
+    root = (9 * t * t).sqrt()
+    for k, head in enumerate(heads):
+        s = Jet.variable(head, 3)
+        expected = (3 * s * s - (1, 0, 7, 2)[k] * s + Fraction(1, 7)) / (s * s * s + 100)
+        assert tuple(Fraction(n[k], r.denominator[k]) for n in r._num) == expected.coefficients
+        scalar_root = (9 * s * s).sqrt()
+        assert (tuple(Fraction(n[k], root.denominator[k]) for n in root._num)
+                == scalar_root.coefficients)
+    assert all(type(v) is int for n in r._num for v in n)
+
+
+def test_arrays_that_could_wrap_or_round_are_refused():
+    t = Jet.variable(1, 2)
+    for array in (np.array([1, 2]), np.array([1.0, 2.0])):  # int64 wraps, float64 rounds
+        for build in (lambda: Jet.variable(array, 2), lambda: Jet.constant(array, 2),
+                      lambda: t * array, lambda: array * t, lambda: t + array, lambda: array - t):
+            with pytest.raises(TypeError):
+                build()
+
+
+def test_array_heads_are_checked_at_every_element():
+    t = Jet.variable(_ints(1, 0, 2), 2)
+    with pytest.raises(ZeroDivisionError):
+        1 / t
+    with pytest.raises(ZeroDivisionError):
+        (t * t).sqrt()
+    with pytest.raises(ParameterError, match="3 is not the square"):
+        Jet.variable(_ints(4, 3, 2), 1).sqrt()  # 3 is the first element that is not a square
