@@ -45,12 +45,17 @@ degree-tracking scalar (`_Degrees`) runs the shipped formulas under
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
 returns its residual as (numerator, denominator) and runs the same lines
-on ints or on numpy object arrays of ints, one element per point of a
-grid, so a suite proves an identity in one call over its whole grid:
-the operator and P have int coefficients at an integer point, and the
-fraction-free jets (`cauchykl.jets`) keep int numerators over one int
-denominator. Each core checks its points' domain (and the singular set
-d = f, e = 0) elementwise, raising at the first point outside it. The
+on ints or on numpy object arrays of ints that broadcast to a grid, so a
+suite proves an identity in one call over its whole grid. On an open
+grid, one array per coordinate, every subexpression runs only over the
+coordinates it depends on: the operator's coefficients and P's
+(d, e, f)-coefficients once per (d, e, f), powers of x once per x, and
+only the mixed terms over the whole grid. The operator and P have int
+coefficients at an integer point, and the fraction-free jets
+(`cauchykl.jets`) keep int numerators over one int denominator. Each
+core checks its points' domain (and the singular set d = f, e = 0)
+elementwise, raising at the first point outside it in itertools.product
+order. The
 public scalar check `verify_*` clears the common denominator D of a
 rational point, runs the core at the integer point D*(d,e,f), and turns
 the residual, one int over an int, into a Fraction; a part that is not

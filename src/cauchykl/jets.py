@@ -24,7 +24,11 @@ Jets are exact only. A scalar is an int, a rational
 ints: then every numerator is such an array and one jet carries the
 expansions at every point of a grid, each elementwise + - * ** running
 exact int arithmetic inside numpy's loop (`Jet.__array_ufunc__ = None`
-makes array-jet operators dispatch to the jet). Anything else, an int64
+makes array-jet operators dispatch to the jet). The arrays of one grid
+may be an open grid, shaped to broadcast against each other: numpy then
+runs each operation only over the coordinates its operands depend on,
+and an error names the first offending point in C order over the
+broadcast shape, which is itertools.product order. Anything else, an int64
 array that would wrap included, raises TypeError at the operation that
 receives it. No operation constructs a Fraction or takes a gcd;
 `coefficients` and `derivative` return Fractions for scalar jets, while
@@ -74,9 +78,11 @@ _isqrt = np.frompyfunc(_exact_isqrt, 1, 1)  # elementwise on arrays, an int on a
 
 
 def _first_at(mask, *values) -> tuple:
-    """The values at the first index where `mask` holds; scalars stand for every index."""
+    """The values at the first index where `mask` holds, in C order over the mask's
+    shape; each array is broadcast to that shape, and scalars stand for every index."""
     k = np.flatnonzero(mask)[0]
-    return tuple(v.flat[k] if type(v) is np.ndarray else v for v in values)
+    return tuple(np.broadcast_to(v, mask.shape).flat[k] if type(v) is np.ndarray else v
+                 for v in values)
 
 
 def _root(n: int, den: int) -> tuple[int, int]:

@@ -8,15 +8,17 @@ numpy's PCG64 generator, so a (suite, count, seed) triple is fully
 reproducible. The exact suites (certificate, ode) draw nothing: they
 prove their identities on product grids whose sizes `cauchykl.certificate`
 derives from the shipped formulas, so --count and --seed do not change
-them. Each grid is a tuple of numpy object arrays of Python ints, one
-per coordinate in itertools.product order, and each identity runs once
-over the whole grid through its integer-point core
-(`certificate.residual_*`).
+them. Each grid is an open grid: one numpy object array of Python ints
+per coordinate, shaped to broadcast against the others, so each identity
+runs once over the whole grid through its integer-point core
+(`certificate.residual_*`) and numpy evaluates every subexpression only
+over the coordinates it depends on. Points are counted, and a witness
+is named, in C order over the broadcast shape, which is
+itertools.product order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,9 +111,9 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
 
 
 def _product(ranges) -> tuple[np.ndarray, ...]:
-    """The product grid of `ranges` as one object array of Python ints per coordinate,
-    in itertools.product order."""
-    return tuple(np.array(column, dtype=object) for column in zip(*itertools.product(*ranges)))
+    """The product grid of `ranges` as an open grid (`np.ix_`): one object array of
+    Python ints per coordinate, of length len(range) on its own axis and 1 on the others."""
+    return np.ix_(*(np.array(list(r), dtype=object) for r in ranges))
 
 
 def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
@@ -119,21 +121,22 @@ def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
     suffix naming the first of them in exact fractions, so one call reproduces it.
 
     `residual` is a `certificate.residual_*` core, run once on the grid `args`,
-    whose first three arrays are D*(d, e, f), integer points. Every part of
-    its (num, den) must be an int, else TypeError. Every exact residual is
-    homogeneous in (d, e, f), so it vanishes with the residual at (d, e, f),
-    and the witness names (d, e, f).
+    whose first three arrays are D*(d, e, f), integer points; the grid's points
+    are those of the arrays broadcast together. Every part of its (num, den)
+    must be an int, else TypeError. Every exact residual is homogeneous in
+    (d, e, f), so it vanishes with the residual at (d, e, f), and the witness
+    names (d, e, f).
     """
-    num, den = (np.broadcast_to(v, args[0].shape) for v in residual(*args))
-    if not all(type(v) is int for v in itertools.chain(num.flat, den.flat)):
+    num, den = residual(*args)
+    if not all(type(v) is int for part in (num, den) for v in np.asarray(part).flat):
         raise TypeError("the exact check produced an inexact residual")
-    nonzero = num != 0
+    nonzero = np.broadcast_to(num != 0, np.broadcast_shapes(*map(np.shape, args)))
     witness = ""
     if np.any(nonzero):
         scale, *point = _first_at(nonzero, D, *args)
         point = (*(Fraction(v, scale) for v in point[:3]), *point[3:])
         witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
-    return num.size, int(np.count_nonzero(nonzero)), witness
+    return nonzero.size, int(np.count_nonzero(nonzero)), witness
 
 
 def _grid(names: str, ranges) -> str:
@@ -250,8 +253,9 @@ def certificate_suite() -> list[CheckOutcome]:
 
 def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]:
     """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), its
-    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays. m > 2d avoids
-    the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
+    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays built from the
+    open (d, e, m) grid, so each spans only the axes of its coordinates. m > 2d
+    avoids the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
     denominator."""
     top = bounds.top
     ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)

@@ -1,5 +1,6 @@
 """Certificate verification: exact residuals, grid proofs, checksums, tail behavior."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -377,7 +378,7 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
     bounds, _ = count(lambda: (certificate.telescoping_degrees(), certificate.ode_degrees(),
                                certificate.residue_degrees()))
     grid, (_, _, points) = count(lambda: suites._square_grid(certificate.ode_degrees()))
-    point = tuple(v[-1] for v in points)
+    point = tuple(v[-1] for v in _points(*points))
     counts = [count(step) for step in (
         lambda: verify_telescoping(1, 6, 106, 10),
         lambda: verify_ode_dadd(*point),
@@ -473,11 +474,18 @@ def test_dadd_residues_catch_a_changed_formula(monkeypatch):
 
 
 def _grid(*ranges):
+    """The open grid the suites build: one array per coordinate, shaped to broadcast."""
     return suites._product(ranges)
 
 
+def _points(*arrays):
+    """The arrays broadcast together and ravelled: one element per grid point, in
+    itertools.product order."""
+    return tuple(v.ravel() for v in np.broadcast_arrays(*arrays))
+
+
 def _square(d_range, e_range, m_range):
-    """Integer points (4d^2, 4de, e^2 + m^2), as the ODE suite's grid builds them."""
+    """Integer points (4d^2, 4de, e^2 + m^2) on the open grid, as the ODE suite builds them."""
     d, e, m = _grid(d_range, e_range, m_range)
     return 4 * d * d, 4 * d * e, e * e + m * m
 
@@ -496,11 +504,11 @@ def _small_grids():
 def _grid_matches_scalar(verify, core_check, args):
     """The core's num/den at every index equals the scalar check at that integer
     point; returns how many of them are nonzero."""
-    num, den = core_check(*args)
-    assert len(num) == len(den) == len(args[0]) > 1
+    num, den, *points = _points(*core_check(*args), *args)
+    assert len(num) == len(den) == len(points[0]) > 1
     nonzero = 0
     for k in range(len(num)):
-        scalar = verify(*(v[k] for v in args))
+        scalar = verify(*(v[k] for v in points))
         assert Fraction(num[k], den[k]) == scalar
         nonzero += scalar != 0
     return nonzero
@@ -536,7 +544,7 @@ def test_grid_cores_check_every_point():
         certificate.residual_tail_limit(*_grid(range(1, -2, -2), range(1), range(1, 2)))
     # (4, 0, 4) is the square-grid point d = 1, e = 0, m = 2d: d = f, e = 0
     singular = _square(range(1, 2), range(2), range(2, 3))
-    assert (singular[0][0], singular[1][0], singular[2][0]) == (4, 0, 4)
+    assert tuple(v[0] for v in _points(*singular)) == (4, 0, 4)
     for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
         with pytest.raises(SingularPointError):
             core_check(*singular)
@@ -598,3 +606,96 @@ def test_exact_suites_build_a_few_jets(monkeypatch):
                         lambda self, *args: built.append(1) or init(self, *args))
     assert all(outcome.passed for outcome in certificate_suite() + ode_suite())
     assert 0 < len(built) <= 300
+
+
+def _columns(*ranges):
+    """The product grid materialised: one flat column per coordinate, in
+    itertools.product order."""
+    return tuple(np.array(column, dtype=object) for column in zip(*itertools.product(*ranges)))
+
+
+def _layouts():
+    """(core, names, (D, open grid), (D, flat columns)) for each identity, on grids
+    with e = 0 and d in 1..2, as a residual that is not homogeneous needs."""
+    telescoping, tail, square = ((range(1, 3), range(3), range(3, 5), range(3)),
+                                 (range(1, 3), range(3), range(3, 5)),
+                                 (range(1, 3), range(3), range(5, 7)))
+    d, e, m = _columns(*square)
+    flat_square = (4 * d, (4 * d * d, 4 * d * e, e * e + m * m))
+    open_square = (4 * _grid(*square)[0], _square(*square))
+    return ((certificate.residual_telescoping, "(d, e, f, x)",
+             (1, _grid(*telescoping)), (1, _columns(*telescoping))),
+            (certificate.residual_tail_limit, "(d, e, f)", (1, _grid(*tail)), (1, _columns(*tail))),
+            (certificate.residual_ode_dadd, "(d, e, f)", open_square, flat_square),
+            (certificate.residual_dadd_residues, "(d, e, f)", open_square, flat_square))
+
+
+def _tallies_on_both_layouts():
+    """Each core's num and den on the open grid, broadcast and ravelled, equal to
+    those on the flat columns element by element; returns the runner's tallies,
+    which must not depend on the layout either."""
+    tallies = []
+    for core_check, names, (D, grid), (flat_D, columns) in _layouts():
+        on_open, on_columns = _points(*core_check(*grid), *grid)[:2], core_check(*columns)
+        for a, b in zip(on_open, on_columns):
+            assert a.shape == b.shape == columns[0].shape
+            assert all(type(v) is int for v in a) and list(a) == list(b)
+        tally = suites._exact_zeros(core_check, names, D, grid)
+        assert tally == suites._exact_zeros(core_check, names, flat_D, columns)
+        tallies.append(tally)
+    return tallies
+
+
+def test_open_grids_match_flat_columns(monkeypatch):
+    # The suites run each core on an open grid, where every subexpression spans
+    # only its own coordinates; the result, broadcast, is the one the fully
+    # materialised grid gives, and so are the counts and the first witness.
+    assert _tallies_on_both_layouts() == [(36, 0, ""), (12, 0, ""), (12, 0, ""), (12, 0, "")]
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
+    telescoping, tail, *square = _tallies_on_both_layouts()
+    assert telescoping[:2] == (36, 36 - 12) and tail[:2] == (12, 12)  # x = 0 vanishes
+    assert telescoping[2] == "; first nonzero at (d, e, f, x) = (1, 0, 3, 1)"
+    assert tail[2] == "; first nonzero at (d, e, f) = (1, 0, 3)"
+    assert square == [(12, 0, ""), (12, 0, "")]
+
+
+def test_operator_runs_on_the_e_f_plane_only(monkeypatch):
+    # On the telescoping grid d = 1, 7 values of e and f, 11 of x, the operator's
+    # coefficients depend on (d, e, f) alone, so on the open grid every array it
+    # receives or returns has at most 7*7 = 49 elements, not 539. Flat columns
+    # would fail here, not only in a timing.
+    sizes = []
+    shipped = certificate.operator_coefficients
+
+    def recording(d, e, f):
+        result = shipped(d, e, f)
+        sizes.extend(v.size for v in (d, e, f, *result) if type(v) is np.ndarray)
+        return result
+
+    monkeypatch.setattr(certificate, "operator_coefficients", recording)
+    outcomes = certificate_suite()
+    assert all(outcome.passed for outcome in outcomes)
+    assert "(539 points)" in outcomes[1].detail
+    assert max(sizes) == 49
+
+
+def test_grid_runner_counts_and_checks_every_point(monkeypatch):
+    # A residual that does not depend on a coordinate spans one element on its
+    # axis; the runner still counts it, and names its witness, at every point of
+    # the grid. An inexact denominator is refused like an inexact numerator.
+    grid = _grid(range(1, 3), range(3), range(3, 5), range(4))
+
+    def tail(d, e, f, x):
+        return certificate.residual_tail_limit(d, e, f)
+
+    assert suites._exact_zeros(tail, "(d, e, f, x)", 1, grid) == (48, 0, "")
+    with pytest.raises(TypeError):
+        suites._exact_zeros(lambda *args: (tail(*args)[0], tail(*args)[1] * 1.0),
+                            "(d, e, f, x)", 1, grid)
+    shipped = certificate.certificate_polynomial
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
+    assert suites._exact_zeros(tail, "(d, e, f, x)", 1, grid) == (
+        48, 48, "; first nonzero at (d, e, f, x) = (1, 0, 3, 0)")
