@@ -56,20 +56,7 @@ def _fmt(value: Any) -> str:
 
 
 def format_record(record: dict) -> str:
-    """Serialize a result record to one JSON line with stable key order.
-
-    A record with exactly the keys op/params/status/value, status "ok",
-    an op of _OPS and float params in the op's order and value fills the
-    op's line template; it prints what _fmt prints. Every other record
-    goes through _fmt.
-    """
-    if [*record] == _OK_KEYS and record["status"] == "ok" and type(record["op"]) is str:
-        names, types, template = _OK_LINES.get(record["op"], _NO_LINE)
-        params = record["params"]
-        if type(params) is dict and [*params] == names:
-            values = (*params.values(), record["value"])
-            if tuple(map(type, values)) == types:
-                return template % values
+    """Serialize a result record to one JSON line with stable key order."""
     return _fmt(record)
 
 
@@ -177,18 +164,18 @@ _OPS: dict[str, _Op] = {
 _PARAM_SETS = {op: frozenset(spec.params) for op, spec in _OPS.items()}
 
 
-# Per op: its param names, the types an ok record's params and value must
-# have, and its ok line {"op":..,"params":{..},"status":"ok","value":..}
-# with a %.17g slot per float. mc's ok records carry diagnostics, so they
-# never take it.
-_OK_KEYS = ["op", "params", "status", "value"]
+# Per closed op: its param names in echo order, their types in a plain
+# record, and its ok line {"op":..,"params":{..},"status":"ok","value":..}
+# with a %.17g slot per float. mc's ok records carry diagnostics, so it
+# has none.
 _OK_LINES = {
-    op: (list(spec.params), (float,) * (len(spec.params) + 1),
+    op: (list(spec.params), (float,) * len(spec.params),
          '{"op":%s,"params":{%s},"status":"ok","value":%%.17g}'
          % (_json_str(op), ",".join(_json_str(k) + ":%.17g" for k in spec.params)))
-    for op, spec in _OPS.items()
+    for op, spec in _OPS.items() if op != "mc"
 }
-_NO_LINE = (None, None, "")
+# The exceptions a failing job raises; each becomes an error record.
+_JOB_ERRORS = (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError, MemoryError)
 
 
 def execute_job(record: Any) -> dict:
@@ -256,7 +243,7 @@ def execute_job(record: Any) -> dict:
         if diagnostics is not None:
             echo["diagnostics"] = diagnostics
         return echo
-    except (CauchyKLError, KeyError, TypeError, ValueError, ArithmeticError, MemoryError) as exc:
+    except _JOB_ERRORS as exc:
         echo["status"] = "error"
         echo["error"] = str(exc) or exc.__class__.__name__
         return echo
@@ -293,6 +280,9 @@ def _reject_constant(name: str) -> None:
 # one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _SCAN = _DECODER.scan_once
+# JSON's whitespace (RFC 8259, section 2); str.strip() would also drop
+# characters such as U+00A0 and U+2028, which make a line not JSON text.
+_JSON_SPACE = " \t\r\n"
 
 
 def _decode(line: str) -> Any:
@@ -311,11 +301,41 @@ def _decode(line: str) -> Any:
     return _DECODER.decode(line)
 
 
+def _ok_line(record: Any) -> str | None:
+    """format_record(execute_job(record)) for a plain record that is ok, else None.
+
+    A plain record has exactly the keys op and params: op a closed op
+    other than mc, params op's names in echo order, each an exact finite
+    float. When op's closed call returns a finite float, the line is op's
+    template filled in. A call that raises or returns a non-finite value,
+    and every record that is not plain, gives None: batch then takes the
+    general path.
+    """
+    if type(record) is not dict or len(record) != 2:
+        return None
+    op, params = record.get("op"), record.get("params")
+    if type(op) is not str or type(params) is not dict or op not in _OK_LINES:
+        return None
+    names, types, template = _OK_LINES[op]
+    if [*params] != names:
+        return None
+    values = (*params.values(),)
+    if tuple(map(type, values)) != types or not all(map(math.isfinite, values)):
+        return None
+    try:
+        value = _OPS[op].closed(params, _DEFAULTS)
+    except _JOB_ERRORS:
+        return None
+    if type(value) is not float or not math.isfinite(value):
+        return None
+    return template % (*values, value)
+
+
 def _handle_batch(args: argparse.Namespace) -> int:
     errors = 0
     write = sys.stdout.write
     for raw in sys.stdin:
-        line = raw.strip()
+        line = raw.strip(_JSON_SPACE)
         if not line:
             continue
         try:
@@ -323,6 +343,10 @@ def _handle_batch(args: argparse.Namespace) -> int:
         except ValueError as exc:
             result = {"input": line, "status": "error", "error": f"malformed record: {exc}"}
         else:
+            ok = _ok_line(record)
+            if ok is not None:
+                write(ok + "\n")
+                continue
             result = execute_job(record)
             if not isinstance(record, dict):
                 # Echo the line as read: the value may hold a number that overflowed to inf.

@@ -11,13 +11,14 @@ import subprocess
 import sys
 from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import cauchykl
-from cauchykl import cli, oracle
+from cauchykl import cli, core, oracle
 from cauchykl.cli import _CONFIG, _OPS, execute_job, format_record, main
 from cauchykl.core import (
     CauchyDist,
@@ -143,11 +144,12 @@ _JSON_VALUES = st.recursive(
 )
 
 
-# Floats an ok record holds, the ends of the double range among them.
-_RECORD_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(
+# Floats a record holds, the ends of the double range among them.
+_RECORD_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308]) | st.floats(
     allow_nan=False, allow_infinity=False)
-# Ok records of each op's shape, the shape format_record fills a line template
-# for; a non-float value or an ok record with a key too many takes the generic path.
+# Ok records of each op's shape, most of what batch prints, with now and
+# then a value that is not a float or a diagnostics key.
 _OK_RECORDS = st.sampled_from(list(_OPS.items())).flatmap(lambda item: st.fixed_dictionaries(
     {"op": st.just(item[0]),
      "params": st.fixed_dictionaries({name: _RECORD_FLOATS for name in item[1].params}),
@@ -161,16 +163,123 @@ _OK_RECORDS = st.sampled_from(list(_OPS.items())).flatmap(lambda item: st.fixed_
 @example({"\u00fc": {"\u00e9": [None, True, 0.1], "kl": "\u2200"}, "status": "ok"})
 @example({"op": "kl", "params": {"l1": -0.0, "s1": 5e-324, "l2": 1.7976931348623157e308,
                                  "s2": 1.0}, "status": "ok", "value": -0.0})
-@example({"op": "entropy", "params": {"l": 0, "s": 1.0}, "status": "ok", "value": 2.5})
-@example({"op": "entropy", "params": {"s": 1.0, "l": 0.0}, "status": "ok", "value": 2.5})
-@example({"op": "prudnikov", "params": {"a": 1.0, "b": 0.5, "z": 2.0}, "status": "ok",
-          "value": True})
-@example({"params": {"l": 0.0, "s": 1.0}, "op": "entropy", "status": "ok", "value": 2.5})
-@example({"op": "entropy", "params": {"l": 0.0, "s": 1.0}, "status": "okay", "value": 2.5})
 def test_format_record_matches_plain_formatter(record):
     line = format_record(record)
     assert line == _plain_format(record)
     assert json.loads(line) == record
+
+
+def _is_plain(record):
+    """A plain closed-form job: exactly op and params, a closed op but mc, its
+    params in echo order, every value an exact finite float."""
+    if type(record) is not dict or set(record) != {"op", "params"}:
+        return False
+    op, params = record["op"], record["params"]
+    return (type(op) is str and op in _OPS and op != "mc" and type(params) is dict
+            and list(params) == list(_OPS[op].params)
+            and all(type(v) is float and math.isfinite(v) for v in params.values()))
+
+
+# Param values a job may hold: floats, and the ints, bools and infinities
+# (1e999 decodes to inf) that keep a record off the ok-line step.
+_PARAM_VALUES = _RECORD_FLOATS | st.integers() | st.booleans() | st.sampled_from(
+    [math.inf, -math.inf])
+_POSITIVE_FLOATS = st.sampled_from([5e-324, 1.0, 1.7976931348623157e308]) | st.floats(
+    min_value=5e-324, allow_infinity=False)
+
+
+def _valid_params(op):
+    """Floats in op's domain, in echo order: positive scales, a, z and
+    quadratic coefficients, b in (-1, 1] for prudnikov, 4ac > b^2 (unless
+    b overflows)."""
+    if op == "integral-a":
+        quadratic = st.tuples(_POSITIVE_FLOATS, _POSITIVE_FLOATS, st.floats(-0.999, 0.999)).map(
+            lambda t: (t[0], t[2] * 2.0 * math.sqrt(t[0]) * math.sqrt(t[1]), t[1]))
+        return st.tuples(quadratic, quadratic).map(lambda q: dict(zip("abcdef", q[0] + q[1])))
+    return _in_order(op, [
+        st.floats(-1.0, 1.0, exclude_min=True) if (op, name) == ("prudnikov", "b")
+        else _RECORD_FLOATS if name.startswith("l") else _POSITIVE_FLOATS
+        for name in _OPS[op].params])
+
+
+def _in_order(op, values):
+    """Params of op in echo order, one value from each strategy of `values`
+    (st.fixed_dictionaries draws its keys in any order)."""
+    return st.tuples(*values).map(lambda v: dict(zip(_OPS[op].params, v)))
+
+
+def _job_params(op):
+    """Params for op that keep its record off the ok-line step, or may: any
+    floats, any values, reordered, a key too many or too few."""
+    valid = _valid_params(op)
+    return st.one_of(
+        _in_order(op, [_RECORD_FLOATS] * len(_OPS[op].params)),
+        _in_order(op, [_PARAM_VALUES] * len(_OPS[op].params)),
+        valid.flatmap(lambda p: st.permutations(list(p.items())).map(dict)),
+        st.tuples(valid, _RECORD_STRINGS, _RECORD_FLOATS).map(lambda t: {**t[0], t[1]: t[2]}),
+        valid.map(lambda p: dict(list(p.items())[1:])),
+    )
+
+
+_CLOSED_OPS = [op for op in _OPS if op != "mc"]
+# Plain closed-form jobs in each op's domain, op and params in either order.
+_PLAIN_JOBS = st.sampled_from(_CLOSED_OPS).flatmap(lambda op: st.tuples(
+    st.just(op), _valid_params(op), st.booleans()).map(
+    lambda t: {"params": t[1], "op": t[0]} if t[2] else {"op": t[0], "params": t[1]}))
+# Job records of every op's shape, mc's among them, and near misses: other
+# params, a config, a key too many, an op that is not a str or not an op.
+_JOB_RECORDS = _PLAIN_JOBS | st.sampled_from(list(_OPS)).flatmap(lambda op: st.one_of(
+    st.fixed_dictionaries({"op": st.just(op), "params": _valid_params(op) | _job_params(op)}),
+    st.fixed_dictionaries({"op": st.just(op), "params": _valid_params(op)},
+                          optional={"config": st.just({}) | _JSON_VALUES,
+                                    "id": _JSON_VALUES}),
+    st.fixed_dictionaries({"op": _JSON_VALUES | st.just(op.upper()),
+                           "params": _valid_params(op)}),
+)) | _JSON_VALUES
+
+
+# core's float kernels, which the closed calls of _OPS look up per call.
+_FLOAT_KERNELS = ("kl_floats", "cross_entropy_floats", "entropy_floats", "integral_a_floats",
+                  "prudnikov_floats")
+
+
+def _constant_kernel(*values):
+    return 0.5
+
+
+@given(_JOB_RECORDS)
+@example({"op": "kl", "params": {"l1": -0.0, "s1": 5e-324, "l2": 1.7976931348623157e308,
+                                 "s2": 1.0}})
+@example({"op": "kl", "params": {"l1": 1.7976931348623157e308, "s1": 1.0,
+                                 "l2": -1.7976931348623157e308, "s2": 1.0}})
+@example({"op": "entropy", "params": {"l": 0, "s": 1.0}})
+@example({"op": "entropy", "params": {"l": True, "s": 1.0}})
+@example({"op": "entropy", "params": {"s": 1.0, "l": 0.0}})
+@example({"op": "entropy", "params": {"s": 2.0, "l": 3.0}})
+@example({"params": {"l": 0.0, "s": 1.0}, "op": "entropy"})
+@example({"op": "entropy", "params": {"l": 0.0, "s": 1.0}, "config": {}})
+@example({"op": ["entropy"], "params": {"l": 0.0, "s": 1.0}})
+@example({"op": "cross-entropy", "params": {"l1": 0.0, "s1": -1.0, "l2": 0.0, "s2": 1.0}})
+@example({"op": "integral-a", "params": {"a": 1.0, "b": 3.0, "c": 1.0,
+                                         "d": 1.0, "e": 0.0, "f": 1.0}})
+@example({"op": "integral-a", "params": {"a": 1e300, "b": 1.9e300, "c": 1e300,
+                                         "d": 1.0, "e": 0.0, "f": 1.0}})
+@example(cli._decode('{"op":"prudnikov","params":{"a":1e999,"b":0.5,"z":1.0}}'))
+@example({"op": "mc", "params": {"l1": 0.0, "s1": 1.0, "l2": 0.0, "s2": 3.0}})
+def test_ok_line_is_the_ok_line_of_plain_records_only(record):
+    # The ok-line step returns what the general path prints for a plain
+    # record that is ok, and None for every other record. The constant
+    # kernels accept anything, so the step's own checks (types, finiteness,
+    # key order) must match execute_job's without the kernels' domain checks.
+    for kernel in (None, _constant_kernel):
+        with mock.patch.multiple(core, **{name: kernel or getattr(core, name)
+                                          for name in _FLOAT_KERNELS}):
+            expected = None
+            if _is_plain(record):  # only then: mc records would draw a million samples
+                result = execute_job(record)
+                if result["status"] == "ok":
+                    expected = format_record(result)
+            assert cli._ok_line(record) == expected
 
 
 def test_format_record_of_subclasses_is_pinned():
@@ -255,7 +364,9 @@ def test_numeric_records_lie_within_their_own_estimate():
 
 def test_batch_looks_up_execute_and_format_through_the_module(monkeypatch, capsys):
     # Tracers wrap cli.execute_job and cli.format_record by rebinding the
-    # module attributes; batch must call whatever they are bound to.
+    # module attributes. Only records off the ok-line step (these are not
+    # plain closed-form jobs) go through them, and batch must call whatever
+    # they are bound to.
     calls = []
 
     def execute(record):
@@ -272,6 +383,65 @@ def test_batch_looks_up_execute_and_format_through_the_module(monkeypatch, capsy
     assert code == 0
     assert out == "formatted 1\nformatted 2\n"
     assert calls == ["execute", "format"] * 2
+
+
+def _count_execute_job(monkeypatch):
+    calls = []
+
+    def execute(record):
+        calls.append(record)
+        return execute_job(record)
+
+    monkeypatch.setattr(cli, "execute_job", execute)
+    return calls
+
+
+def test_plain_ok_records_never_reach_execute_job(monkeypatch, capsys):
+    # A seeded stream of plain records of every closed op, all ok, prints
+    # what the general path prints without calling it; on the golden input,
+    # where no line is plain (int params, mc, a config), each line calls it once.
+    rng = np.random.Generator(np.random.PCG64(20261019))
+    records = [{"op": op, "params": {k: float(v) for k, v in _draw_params(rng, op).items()}}
+               for op in _CLOSED_OPS * 200]
+    records = [r for r in records if execute_job(r)["status"] == "ok"]
+    assert {r["op"] for r in records} == set(_CLOSED_OPS) and len(records) > 800
+    expected = "".join(format_record(execute_job(r)) + "\n" for r in records)
+    calls = _count_execute_job(monkeypatch)
+    code, out = run_batch(monkeypatch, capsys, "".join(json.dumps(r) + "\n" for r in records))
+    assert (code, calls) == (0, [])
+    assert out == expected
+
+    code, out = run_batch(monkeypatch, capsys, BATCH_INPUT)
+    assert (code, out) == (0, BATCH_GOLDEN)
+    inputs = [json.loads(line) for line in BATCH_INPUT.splitlines()]
+    assert calls == [r for r in inputs if not _is_plain(r)] == inputs
+
+
+def test_batch_ok_line_calls_the_kernel_through_core(monkeypatch, capsys):
+    # The closed calls of _OPS look core's float kernels up per call (the
+    # _Op docstring), so rebinding core.kl_floats reaches the ok-line step.
+    text = '{"op":"kl","params":{"l1":0.0,"s1":1.0,"l2":1.0,"s2":1.0}}\n'
+    calls = _count_execute_job(monkeypatch)
+    monkeypatch.setattr(core, "kl_floats", lambda *values: sum(values) / 8)
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert (code, calls) == (0, [])
+    assert out == ('{"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1},'
+                   '"status":"ok","value":0.375}\n')
+
+
+def test_batch_strips_only_json_whitespace(monkeypatch, capsys):
+    # str.strip() would also drop U+00A0, U+0085, U+001C-U+001F and U+2028;
+    # a line padded with them is not JSON text, and a line of them only is
+    # not blank. Space, tab and CR around a record are JSON whitespace.
+    record = '{"op":"entropy","params":{"l":0,"s":1}}'
+    pads = ["\u00a0" + record + "\x1c", "\u2028" + record, record + "\x85", "\x1d\x1e\x1f"]
+    text = "".join(line + "\n" for line in [" \t" + record + "\r", *pads, " \t\r"])
+    code, out = run_batch(monkeypatch, capsys, text)
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["status"] == "ok"
+    assert [r["input"] for r in lines[1:]] == pads
+    assert all(r["error"].startswith("malformed record: ") for r in lines[1:])
 
 
 def test_batch_happy_path_two_records(monkeypatch, capsys):
@@ -440,7 +610,8 @@ def _reject_non_finite(name):
 
 
 def _reference_record(line):
-    """The result record of one stripped batch line, from the public dataclass functions."""
+    """The result record of one batch line stripped of JSON whitespace, from
+    the public dataclass functions."""
     try:
         record = json.loads(line, parse_constant=_reject_non_finite)
     except ValueError as exc:
@@ -541,11 +712,13 @@ def _invalid_record(rng, k):
 # echo them, but do not read them (an empty config is not echoed).
 _CLOSED_CONFIGS = [{}, {"numeric": False}, {"rtol": 1e-3, "max_depth": 4}, {"samples": 7, "seed": 3}]
 _MALFORMED_LINES = ["not json", '{"op":"kl"} x', '{"a":1}{"b":2}', "NaN", "[1e999]", "["]
+# Characters str.strip() drops that are not JSON whitespace (RFC 8259, section 2).
+_NON_JSON_SPACE = "\u00a0\u0085\u001c\u001d\u001e\u001f\u2028"
+_JSON_SPACE = " \t\r\n"
 
 
 def _differential_stream(seed, count):
     rng = np.random.Generator(np.random.PCG64(seed))
-    closed_ops = ["kl", "cross-entropy", "entropy", "integral-a", "prudnikov"]
     lines = []
     for k in range(count):
         u = rng.random()
@@ -559,7 +732,7 @@ def _differential_stream(seed, count):
         elif u < 0.05:
             record = _invalid_record(rng, k)
         else:
-            op = closed_ops[rng.integers(len(closed_ops))]
+            op = _CLOSED_OPS[rng.integers(len(_CLOSED_OPS))]
             record = {"op": op, "params": _draw_params(rng, op)}
             if rng.random() < 0.05:
                 record["config"] = _CLOSED_CONFIGS[rng.integers(len(_CLOSED_CONFIGS))]
@@ -567,7 +740,10 @@ def _differential_stream(seed, count):
                 record["params"] = dict(reversed(record["params"].items()))
         line = json.dumps(record, separators=(",", ":") if rng.random() < 0.5 else None)
         lines.append(f"  {line}\t" if rng.random() < 0.02 else line)
-    for bad in _MALFORMED_LINES + ["", "   "]:
+    for pad in _NON_JSON_SPACE:  # records padded with them are malformed
+        line = lines[int(rng.integers(len(lines)))]
+        lines.insert(int(rng.integers(len(lines) + 1)), pad + line + pad)
+    for bad in _MALFORMED_LINES + ["", "   ", _NON_JSON_SPACE]:
         lines.insert(int(rng.integers(len(lines) + 1)), bad)
     return lines
 
@@ -578,7 +754,8 @@ def test_batch_matches_dataclass_reference_line_by_line(monkeypatch, capsys):
     # functions and the plain formatter give for every line.
     lines = _differential_stream(20261018, 2000)
     code, out = run_batch(monkeypatch, capsys, "".join(line + "\n" for line in lines))
-    expected = [_reference_record(line.strip()) for line in lines if line.strip()]
+    expected = [_reference_record(line.strip(_JSON_SPACE)) for line in lines
+                if line.strip(_JSON_SPACE)]
     assert code == 1
     assert {r["status"] for r in expected} == {"ok", "error"}
     assert {r["op"] for r in expected if r["status"] == "ok"} == set(_OPS)
