@@ -55,16 +55,18 @@ coefficients at an integer point, and the fraction-free jets
 (`cauchykl.jets`) keep int numerators over one int denominator. Each
 core checks its points' domain (and the singular set d = f, e = 0)
 elementwise, raising at the first point outside it in itertools.product
-order. The
-public scalar check `verify_*` clears the common denominator D of a
-rational point, runs the core at the integer point D*(d,e,f), and turns
-the residual, one int over an int, into a Fraction; a part that is not
-an int raises TypeError. The vanishing integration constant is checked
-in floating point against the quadrature oracle, and the factorization
-G1*G2 = (d-f)^2 + e^2 behind the final log simplification is float
-algebra (`verify_g_factorization`), which the tests run and no `verify`
-suite does. Any nonzero residual disproves the transcription and is
-reported, never patched.
+order. One runner, `_at_rational`, makes each public scalar check
+`verify_*` from its core and the core's degree of homogeneity: it clears
+the common denominator D of a rational point (`jets._clear`), runs the
+core at the integer point D*(d,e,f) and rescales the residual by
+D**degree into one Fraction. A residual part that is not an int raises
+TypeError (`_exact_residual`, which the grid suites run too). The
+vanishing integration constant is checked in floating point against the
+quadrature oracle, and the factorization G1*G2 = (d-f)^2 + e^2 behind
+the final log simplification is float algebra
+(`verify_g_factorization`), which the tests run and no `verify` suite
+does. Any nonzero residual disproves the transcription and is reported,
+never patched.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import numpy as np
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _first_at, _root, _split, rational_sqrt
+from .jets import Jet, _clear, _first_at, _root, rational_sqrt
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -188,17 +190,6 @@ def psi_limit(d, e, f) -> Fraction:
     return Fraction(*_psi_limit_parts(d, e, f))
 
 
-def _integer_point(*values) -> tuple[int, ...]:
-    """(D, D*v1, D*v2, ...) for the least D > 0 that makes every D*v an int.
-
-    The values are ints or rationals in lowest terms; anything else
-    raises TypeError.
-    """
-    parts = [_split(v) for v in values]
-    D = math.lcm(*(q for _, q in parts))
-    return (D, *(p * (D // q) for p, q in parts))
-
-
 def _check_domain(d, e, f) -> None:
     """Raise ParameterError at the first integer point (d, e, f), of ints or int
     arrays, outside 4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
@@ -215,36 +206,47 @@ def _check_regular(d, e, f) -> None:
         core._check_regular_point(*_first_at(singular, d, e, f))
 
 
-def _exact(num: int, den: int) -> Fraction:
-    """The residual num / den, refusing parts that are not ints."""
-    if type(num) is not int or type(den) is not int:
-        raise TypeError(f"the exact check produced an inexact residual {num!r} / {den!r}")
-    return Fraction(num, den)
+def _exact_residual(residual, *args) -> tuple:
+    """(num, den) = residual(*args), each part an int or an object array of ints;
+    any other element raises TypeError, naming the first. Each part is checked
+    over its own elements, before any broadcast."""
+    num, den = residual(*args)
+    for part in (num, den):
+        for v in part.flat if type(part) is np.ndarray else (part,):
+            if type(v) is not int:
+                raise TypeError(f"the exact check produced an inexact residual part {v!r}")
+    return num, den
+
+
+def _at_rational(residual, degree: int, d, e, f, *rest) -> Fraction:
+    """The residual of the integer-point core `residual` at a rational point, one Fraction.
+
+    The core runs at D*(d, e, f), D the least common denominator of (d, e, f), with
+    the rest of the point (x) as it is. Its residual is homogeneous of `degree` in
+    (d, e, f), so the one found there is D**degree times the one at (d, e, f).
+    """
+    (d, e, f), D = _clear((d, e, f))
+    num, den = _exact_residual(residual, d, e, f, *rest)
+    return Fraction(num, den * D**degree) if degree >= 0 else Fraction(num * D**-degree, den)
 
 
 def verify_telescoping(d, e, f, x) -> Fraction:
-    """Exact residual  L[dphi/dd] - dpsi/dx  at a rational point.
-
-    Returns a Fraction that must be exactly zero if the certificate data
-    is a valid telescoping pair for dphi/dd. The residual is homogeneous
-    of degree 2 in (d, e, f) at fixed x (c3..c0 have degrees 6..3, the
-    k-th d-derivative of dphi/dd degree -1-k, P degree 5), so it is
-    evaluated at the integer point D*(d, e, f), D the common denominator,
-    and divided by D^2. There the operator and P have int coefficients,
-    and x enters the d-jet as a constant jet, so every step runs on int
-    numerators: L[dphi/dd] is an int over the d-jet's denominator
-    (`apply_operator`), dpsi/dx an int over the x-jet's, and their
-    difference is one int over the product, which becomes the returned
-    Fraction.
-    """
-    D, d, e, f = _integer_point(d, e, f)
-    num, den = residual_telescoping(d, e, f, x)
-    return _exact(num, den * D * D)
+    """Exact residual L[dphi/dd] - dpsi/dx at a rational point, zero if the certificate
+    data is a valid telescoping pair for dphi/dd: `residual_telescoping`, of degree 2
+    in (d, e, f) at fixed x (c3..c0 have degrees 6..3, the k-th d-derivative of
+    dphi/dd degree -1-k, P degree 5)."""
+    return _at_rational(residual_telescoping, 2, d, e, f, x)
 
 
 def residual_telescoping(d, e, f, x) -> tuple:
     """(num, den) of L[dphi/dd] - dpsi/dx at an integer point (d, e, f) and a rational
-    x, or elementwise for int arrays (d, e, f, x) of one grid (`verify_telescoping`)."""
+    x, or elementwise for int arrays (d, e, f, x) of one grid.
+
+    The operator and P have int coefficients there, and x enters the d-jet as a
+    constant jet, so L[dphi/dd] is an int over the d-jet's denominator
+    (`apply_operator`), dpsi/dx an int over the x-jet's, and their difference one
+    int over the product.
+    """
     _check_domain(d, e, f)
     lhs, lhs_den = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f,
                                                          Jet.constant(x, 3)))
@@ -254,29 +256,22 @@ def residual_telescoping(d, e, f, x) -> tuple:
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
-    """Exact residual of L[dA/dd] at a rational point with square discriminant.
-
-    dA/dd is core's formula, the one integral_a_dd runs, on a d-jet.
-    Requires 4*d*f - e^2 = m^2 for a rational m > 0, so `Jet.sqrt` finds
-    the rational head D*m and every Taylor coefficient of dA/dd stays
-    rational. The constant factor pi is dropped: L is linear, so
-    L[dA/dd] = 0 iff L[dA/dd / pi] = 0. dA/dd / pi is homogeneous of
-    degree -1 in (d, e, f) (numerator degree 1, denominator degree 2),
-    so L[dA/dd] has degree 2: it is evaluated at the integer point
-    D*(d, e, f), D the common denominator, as an int over the jet's
-    denominator (`apply_operator`), and divided by D^2. D*m is an
-    integer too, as (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2.
-    Points on the singular set d = f, e = 0 are rejected, as the paper's
-    form of dA/dd is undefined there and integral_a_dd raises there.
-    """
-    D, d, e, f = _integer_point(d, e, f)
-    num, den = residual_ode_dadd(d, e, f)
-    return _exact(num, den * D * D)
+    """Exact residual of L[dA/dd / pi] at a rational point whose discriminant
+    4*d*f - e^2 is m^2 for a rational m > 0: `residual_ode_dadd`, of degree 2, as
+    dA/dd / pi has degree -1. D*m is an int, as (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2."""
+    return _at_rational(residual_ode_dadd, 2, d, e, f)
 
 
 def residual_ode_dadd(d, e, f) -> tuple:
     """(num, den) of L[dA/dd / pi] at an integer point (d, e, f) with square
-    discriminant, or elementwise for int arrays of one grid (`verify_ode_dadd`)."""
+    discriminant, or elementwise for int arrays of one grid.
+
+    dA/dd / pi is core's formula, the one integral_a_dd runs, on a d-jet: `Jet.sqrt`
+    finds the integer head m, so every Taylor coefficient stays rational. L is
+    linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0. Points on the singular set
+    d = f, e = 0 are rejected, as the paper's form of dA/dd is undefined there and
+    integral_a_dd raises there.
+    """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
@@ -303,28 +298,22 @@ def _residue_gap(d, e, f, m, dadd):
 
 
 def verify_dadd_residues(d, e, f) -> Fraction:
-    """Exact residual of core's dA/dd against the residue theorem, at a rational
-    point with square discriminant 4*d*f - e^2 = m^2, m > 0.
-
-    There the integrand x^2 / (q(x) * (x^2 + 1)) of dA/dd has simple poles
-    at i and rho = (-e + i*m)/(2*d) in the upper half-plane, so
-    dA/dd = 2*pi*i*(Res_i + Res_rho), and dA/dd / pi, a real number, is the
-    real part of 2i*(Res_i + Res_rho) (`_residue_gap`). The residual is that
-    minus core's formula (`core._dadd_over_pi`, the one integral_a_dd runs).
-    Both are homogeneous of degree -1 in (d, e, f), so the check runs at the
-    integer point D*(d, e, f), where D*m is an integer too, and the residual
-    is D times the one found there. On the singular set d = f, e = 0, i is
-    a double pole and SingularPointError is raised.
-    """
-    D, d, e, f = _integer_point(d, e, f)
-    num, den = residual_dadd_residues(d, e, f)
-    return _exact(num * D, den)
+    """Exact residual of core's dA/dd against the residue theorem at a rational point
+    with square discriminant 4*d*f - e^2 = m^2, m > 0: `residual_dadd_residues`, of
+    degree -1."""
+    return _at_rational(residual_dadd_residues, -1, d, e, f)
 
 
 def residual_dadd_residues(d, e, f) -> tuple:
     """(num, den) of Re(2i*(Res_i + Res_rho)) - dA/dd / pi at an integer point (d, e, f)
-    with square discriminant, or elementwise for int arrays of one grid
-    (`verify_dadd_residues`)."""
+    with square discriminant, or elementwise for int arrays of one grid.
+
+    The integrand x^2 / (q(x) * (x^2 + 1)) of dA/dd has simple poles at i and
+    rho = (-e + i*m)/(2*d) in the upper half-plane, so dA/dd = 2*pi*i*(Res_i + Res_rho),
+    and dA/dd / pi is the real part of 2i*(Res_i + Res_rho) (`_residue_gap`); core's
+    formula is `core._dadd_over_pi`, the one integral_a_dd runs. On the singular set
+    d = f, e = 0, i is a double pole and SingularPointError is raised.
+    """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
     m = _root(4 * d * f - e * e, 1)[0]
@@ -332,24 +321,21 @@ def residual_dadd_residues(d, e, f) -> tuple:
 
 
 def verify_tail_limit(d, e, f) -> Fraction:
-    """Exact residual  -2*p5/d^3 - psi_limit(d, e, f)  at a rational point.
-
-    With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
-    regular at t = 0 when P has x-degree at most 5 (`telescoping_degrees`
-    reports that degree), so both tail limits of psi are -2*p5/d^3. Here p5
-    is the x^5 Taylor coefficient of the shipped P at x = 0, read from an
-    x-jet of order 5 at the integer point D*(d, e, f); the limit is
-    homogeneous of degree 2, so the residual is the one found there over D^2.
-    """
-    D, d, e, f = _integer_point(d, e, f)
-    num, den = residual_tail_limit(d, e, f)
-    return _exact(num, den * D * D)
+    """Exact residual -2*p5/d^3 - psi_limit(d, e, f) at a rational point, p5 the x^5
+    coefficient of the shipped P: `residual_tail_limit`, of degree 2."""
+    return _at_rational(residual_tail_limit, 2, d, e, f)
 
 
 def residual_tail_limit(d, e, f) -> tuple:
     """(num, den) of -2*p5/d^3 - psi_limit at an integer point (d, e, f), or
-    elementwise for int arrays of one grid (`verify_tail_limit`); the limit is
-    `psi_limit`'s own arithmetic (`_psi_limit_parts`)."""
+    elementwise for int arrays of one grid.
+
+    With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
+    regular at t = 0 when P has x-degree at most 5 (`telescoping_degrees` reports
+    that degree), so both tail limits of psi are -2*p5/d^3. p5 is read as the x^5
+    Taylor coefficient of P at x = 0 from an x-jet of order 5; the limit is
+    `psi_limit`'s own arithmetic (`_psi_limit_parts`).
+    """
     _check_domain(d, e, f)
     p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
     limit, limit_den = _psi_limit_parts(d, e, f)

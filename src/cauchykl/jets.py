@@ -68,6 +68,15 @@ def _split(x: Rational) -> tuple[int, int]:
     raise TypeError(f"jets are exact: expected an int or a rational, got {x!r}")
 
 
+def _clear(values) -> tuple[tuple, int]:
+    """(numerators, D) for the least D > 0 that makes every D*v an int: v is its
+    numerator over D. The values are ints, rationals or object arrays of ints
+    (`_split`); anything else raises TypeError."""
+    parts = [_split(v) for v in values]
+    den = math.lcm(*(q for _, q in parts))
+    return tuple(p * (den // q) for p, q in parts), den
+
+
 def _exact_isqrt(square: int) -> int:
     """isqrt(square) if square is an integer square, else -1."""
     p = math.isqrt(max(square, 0))
@@ -111,12 +120,9 @@ class Jet:
     __array_ufunc__ = None  # array + - * / jet: numpy defers to the jet
 
     def __init__(self, coefficients: Iterable[Rational]):
-        parts = [_split(c) for c in coefficients]
-        if not parts:
+        self._num, self._den = _clear(coefficients)
+        if not self._num:
             raise ParameterError("a jet needs at least the order-0 coefficient")
-        den = math.lcm(*(q for _, q in parts))
-        self._num = tuple(p * (den // q) for p, q in parts)
-        self._den = den
 
     @classmethod
     def _make(cls, num: tuple, den: int) -> "Jet":

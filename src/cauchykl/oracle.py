@@ -41,7 +41,7 @@ x - l1 for x = l1 + s1*t would round t away when s1 is small against
 ulp(l1). An estimate is reproducible from (inputs, samples, seed) on one
 CPU and numpy build, not across them: the per-sample np.tan and np.log
 are numpy's SIMD ufuncs, which differ from libm in the last bit on some
-inputs and CPUs (ROADMAP item 4). Its mean and standard error are built
+inputs and CPUs (ROADMAP item 5). Its mean and standard error are built
 from correctly rounded sums (math.fsum semantics, by
 `correctly_rounded_sum`), so they do not depend on the order in which
 numpy reduces an array. The estimator keeps one sample
@@ -508,7 +508,7 @@ def kl_monte_carlo(
     (a non-negative integer; a negative one raises ParameterError), so on
     one CPU and numpy build the estimate is a function of (p1, p2, samples,
     seed); across them the SIMD np.tan and np.log may move its last bits
-    (ROADMAP item 4). It averages log R(t) over draws t in p1's frame, the
+    (ROADMAP item 5). It averages log R(t) over draws t in p1's frame, the
     frame kl_numeric integrates in: x = l1 + s1*t would round t away when
     s1 is small against ulp(l1). R is bounded, so the variance is finite. With L the n = `samples` log-ratios,
     the moments are

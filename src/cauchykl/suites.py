@@ -98,10 +98,11 @@ def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fracti
 def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fraction, Fraction, Fraction]:
     """Rational (d, e, f) of moderate magnitude with 4*d*f - e^2 > 0.
 
-    Used by floating-point tail checks: the first-order deviation of
-    psi (and of the primitive B) from its limit at |x| = 1e8 scales with
-    powers of the coefficient magnitudes, so those checks need values
-    within a few orders of 1.
+    No suite draws it; the tests do, for the tail limits of psi, the G
+    factorization and the primitive B (acceptance criteria 09-10). Their
+    floating-point checks need values within a few orders of 1: the
+    first-order deviation of psi (and of B) from its limit at |x| = 1e8
+    scales with powers of the coefficient magnitudes.
     """
     while True:
         d, e, f = (_random_ratio(rng, positive=True, bound=bound), _random_ratio(rng, bound=bound),
@@ -123,13 +124,11 @@ def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
     `residual` is a `certificate.residual_*` core, run once on the grid `args`,
     whose first three arrays are D*(d, e, f), integer points; the grid's points
     are those of the arrays broadcast together. Every part of its (num, den)
-    must be an int, else TypeError. Every exact residual is homogeneous in
-    (d, e, f), so it vanishes with the residual at (d, e, f), and the witness
-    names (d, e, f).
+    must be an int, else TypeError (`certificate._exact_residual`). Every exact
+    residual is homogeneous in (d, e, f), so it vanishes with the residual at
+    (d, e, f), and the witness names (d, e, f).
     """
-    num, den = residual(*args)
-    if not all(type(v) is int for part in (num, den) for v in np.asarray(part).flat):
-        raise TypeError("the exact check produced an inexact residual")
+    num, den = certificate._exact_residual(residual, *args)
     nonzero = np.broadcast_to(num != 0, np.broadcast_shapes(*map(np.shape, args)))
     witness = ""
     if np.any(nonzero):

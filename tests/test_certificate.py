@@ -131,7 +131,7 @@ def test_lcm_of_d_e_f_denominators_clears_m():
     rng = np.random.Generator(np.random.PCG64(109))
     for _ in range(200):
         d, e, f = random_certificate_point(rng)
-        D = certificate._integer_point(d, e, f)[0]
+        D = jets._clear((d, e, f))[1]
         assert (D * rational_sqrt(4 * d * f - e * e)).denominator == 1
 
 
@@ -154,6 +154,36 @@ def test_ode_check_runs_the_shipped_dadd(monkeypatch):
     monkeypatch.setattr(core, "_dadd_over_pi", perturbed)
     assert integral_a_dd(float(d), float(e), float(f)) != shipped
     assert verify_ode_dadd(d, e, f) != 0
+
+
+def test_scalar_checks_rescale_by_their_degree(monkeypatch):
+    # Each scalar check runs its core at D*(d, e, f) and divides by D^degree. Under
+    # perturbations that keep each residual homogeneous of its degree and nonzero,
+    # it must equal the same formulas run in Fractions at the point itself, D = 2.
+    shipped_p, shipped_dadd = certificate.certificate_polynomial, core._dadd_over_pi
+
+    def perturbed_dadd(d, e, f, sqrt):
+        num, den = shipped_dadd(d, e, f, sqrt)
+        return num + d, den
+
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped_p(d, e, f, x) + d**5 * x**5)
+    monkeypatch.setattr(core, "_dadd_over_pi", perturbed_dadd)
+    d, e, f, x = 1, 3, Fraction(5, 2), Fraction(2, 5)
+    Jet = jets.Jet
+    n, den = certificate.apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f,
+                                                               Jet.constant(x, 3)))
+    telescoping = n / den - psi(d, e, f, Jet.variable(x, 1)).derivative(1)
+    num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
+    n, den = certificate.apply_operator(d, e, f, num / den)
+    m = rational_sqrt(4 * d * f - e * e)
+    gap, gap_den = certificate._residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))
+    p = certificate.certificate_polynomial(d, e, f, Jet.variable(0, 5))
+    tail = -2 * p.derivative(5) / math.factorial(5) / d**3 - psi_limit(d, e, f)
+    direct = (telescoping, n / den, gap / gap_den, tail)
+    assert all(type(r) is Fraction and r != 0 for r in direct)
+    assert (verify_telescoping(d, e, f, x), verify_ode_dadd(d, e, f),
+            verify_dadd_residues(d, e, f), verify_tail_limit(d, e, f)) == direct
 
 
 def test_integration_constant_report():
