@@ -400,10 +400,11 @@ class _Degrees:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        result = 1
-        for _ in range(exponent):
-            result = self * result
-        return result
+        # Every bound of p^n is n times p's: what n - 1 products would give.
+        if exponent == 0:
+            return 1
+        return _Degrees(_Top(*(exponent * a for a in self.top)),
+                        exponent * self.lo, exponent * self.hi)
 
 
 def _refuse_inexact(other) -> None:

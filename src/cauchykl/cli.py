@@ -17,11 +17,18 @@ verify
 Records are JSON objects with a fixed key order, one per line; floats
 are printed with 17 significant digits so values round-trip exactly.
 Exit status is 0 iff every record succeeded (or every check passed).
+
+A process builds one argparse parser, on its first `main` (or
+`build_parser`) call, not at import. A one-shot `cauchykl` process pays
+that one build, as it always has; code that calls `main` many times in
+one process (tests, the benchmark worker, an embedding program) pays it
+once rather than on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -385,7 +392,18 @@ def _handle_verify(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cauchykl` parser: built on the first call, the same object after.
+
+    The handlers, the verify suite names and the flag defaults are bound
+    when the parser is built, so rebinding `_handle_batch` or
+    `suites.SUITE_NAMES` afterwards does not reach it; the handlers
+    themselves look the layers up through their modules on every call.
+    `build_parser.cache_clear()` makes the next call build afresh.
+    Parsing leaves no state in the parser: each `parse_args` call fills
+    a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="cauchykl",
         description="Closed-form divergences between Cauchy distributions, "
@@ -418,6 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `cauchykl` command line (sys.argv[1:] by default); return its exit status.
+
+    The parser is the process's one `build_parser()`, so only the first
+    call pays for building it. A usage error exits with status 2 through
+    SystemExit, as argparse does.
+    """
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
@@ -425,7 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader went away (`cauchykl batch | head -1`). Point stdout at
         # devnull so the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return code
 

@@ -436,6 +436,23 @@ def test_derived_grid_degrees():
     assert (residues.top.sub_e, residues.top.sub_m, residues.lo, residues.hi) == (10, 11, 8, 8)
 
 
+def test_degree_power_is_repeated_product():
+    # p**n scales every bound by n in closed form; n - 1 products of p
+    # give the same top, lo and hi (and n = 0 the constant 1).
+    d, e, f, x = certificate._Degrees.variables(0)
+    polynomials = [*certificate._Degrees.variables(0), *certificate._Degrees.variables(1),
+                   d * x * x + e * x + f]
+    for p in polynomials:
+        product = 1
+        for n in range(13):
+            power = p**n
+            if n == 0:
+                assert power == 1
+            else:
+                assert (power.top, power.lo, power.hi) == (product.top, product.lo, product.hi)
+            product = p * product
+
+
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",

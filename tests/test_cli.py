@@ -1,5 +1,6 @@
 """CLI: record format, exit-status contract, batch streaming, verify suites."""
 
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -942,6 +943,25 @@ def test_batch_into_closed_pipe_exits_without_traceback(tmp_path):
     assert code == 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_leaves_no_open_descriptor(monkeypatch):
+    # In process, stdout a pipe whose reader has gone: main points stdout
+    # at devnull and must close the descriptor it opened to do so.
+    def call():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr("sys.stdout", stdout)
+            assert main(["kl", "--l1", "0", "--s1", "1", "--l2", "1", "--s2", "1"]) == 1
+            monkeypatch.undo()
+
+    call()  # build the parser and load everything a call uses first
+    before = len(os.listdir("/proc/self/fd"))
+    call()
+    call()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 # Per op: the single-shot flags and the batch job they stand for.
 SINGLE_VS_BATCH = {
     "kl": (["--l1", "0", "--s1", "1", "--l2", "1", "--s2", "2",
@@ -1123,6 +1143,71 @@ def test_float_check_witnesses_reproduce_through_the_cli(capsys):
     record = _cli_record(capsys, ["mc", *flags, "--samples", "3000", "--seed", seed])
     sigmas = abs(record["value"] - closed) / record["diagnostics"]["standard_error"]
     assert f"(worst {sigmas:.2f} sigma, 3000 samples each" in outcome.detail
+
+
+# Every subcommand of the parser, in the order build_parser adds them.
+SUBCOMMANDS = (*_OPS, "batch", "verify")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    # The first main call builds the parser tree (the top parser and one
+    # per subcommand); later calls construct no ArgumentParser at all.
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    cli.build_parser.cache_clear()
+    argv = ["entropy", "--l", "0", "--s", "1"]
+    assert main(argv) == 0
+    tree = len(built)
+    assert tree == 1 + len(SUBCOMMANDS)
+    for _ in range(3):
+        assert main(argv) == 0
+    assert main(["verify", "--suite", "ode"]) == 0
+    assert len(built) == tree
+
+
+def _outcome(monkeypatch, capsys, argv, stdin=""):
+    """(exit status, stdout, stderr) of main(argv), a usage error's SystemExit included."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cached_parser_matches_a_fresh_one(monkeypatch, capsys):
+    # The cached parser carries nothing from one call to the next: a
+    # sequence run on it, usage error included, prints what a parser
+    # built afresh for each call prints, and so does every --help.
+    sequence = [
+        (["verify", "--suite", "ode"], ""),
+        (["kl", "--l1", "0", "--s1", "1", "--l2", "1"], ""),
+        (["kl", "--l1", "0", "--s1", "1", "--l2", "1", "--s2", "2"], ""),
+        (["batch"], BATCH_INPUT),
+    ]
+    sequence += [(["--help"], "")] + [([op, "--help"], "") for op in SUBCOMMANDS]
+
+    def run(fresh):
+        outcomes = []
+        for argv, stdin in sequence:
+            if fresh:
+                cli.build_parser.cache_clear()
+            outcomes.append(_outcome(monkeypatch, capsys, argv, stdin))
+        return outcomes
+
+    fresh = run(fresh=True)
+    cached = run(fresh=False)
+    assert cached == fresh
+    assert cached == run(fresh=False)
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 2, 0, 0] + [0] * (1 + len(SUBCOMMANDS))
+    assert "the following arguments are required: --s2" in cached[1][2]
+    assert cached[1][2].startswith("usage: cauchykl kl ") and cached[1][1] == ""
+    assert cached[3][1] == BATCH_GOLDEN
+    assert all(out.startswith("usage: cauchykl") for _, out, _ in cached[4:])
 
 
 def test_every_traced_name_resolves():
