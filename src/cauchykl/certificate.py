@@ -28,7 +28,10 @@ of Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8,
 1999). Each identity, times a known denominator, is a polynomial; a
 degree-tracking scalar (`_Degrees`) runs the shipped formulas under
 + - * and ** to bound its degrees and to confirm it is homogeneous in
-(d,e,f), so the slice d = 1 suffices. The identities are
+(d,e,f), so the slice d = 1 suffices. It also derives a parity in e and
+a least degree in m: a polynomial even in e needs grid values only for
+e^2, and one that m^k divides needs k fewer values of m > 0. The
+identities are
 
 * the telescoping relation, on a d-jet of order 3 and an x-jet of order
   1 (`verify_telescoping`, `telescoping_degrees`);
@@ -352,25 +355,38 @@ _UNITS = (_Top(1, 0, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1, 0), _Top(0, 0, 1, 0, 2, 2)
           _Top(0, 0, 0, 1, 0, 1))
 
 
+def _parity_sum(a, b):
+    """Parity in e of a product of polynomials of parities a and b (None: mixed)."""
+    return None if a is None or b is None else (a + b) % 2
+
+
 class _Degrees:
     """Degree bounds of a polynomial in (d, e, f, s), carried through + - * and **.
 
     `top` bounds the monomials' degrees (`_Top`); `lo` and `hi` bound
     their total degree in (d, e, f, s), where s counts with the degree it
     was made with: 0 for x, 1 for m = sqrt(4*d*f - e^2). lo == hi means
-    homogeneous. Bounds ignore cancellation, so they can exceed the true
-    degrees but never fall short of them. The int 0 stands for the zero
+    homogeneous. `parity` is that of every monomial's degree in e: 0 even,
+    1 odd, None mixed; e is odd and d, f, s and int constants are even, so
+    it holds after f = (e^2 + m^2)/(4d) too. `least_s` bounds the
+    monomials' degree in s from below, so s^least_s divides the polynomial,
+    and m^least_s divides it after that substitution, as f brings no factor
+    m. Bounds ignore cancellation: top and hi can exceed the true degrees,
+    lo and least_s fall short of them, never the other way round, and no
+    cancellation breaks a parity. The int 0 stands for the zero
     polynomial, any other int for a constant.
     """
 
-    __slots__ = ("top", "lo", "hi")
+    __slots__ = ("top", "lo", "hi", "parity", "least_s")
 
-    def __init__(self, top: _Top, lo: int, hi: int):
-        self.top, self.lo, self.hi = top, lo, hi
+    def __init__(self, top: _Top, lo: int, hi: int, parity, least_s: int):
+        self.top, self.lo, self.hi, self.parity, self.least_s = top, lo, hi, parity, least_s
 
     @classmethod
     def variables(cls, s_degree: int) -> tuple:
-        return tuple(cls(unit, t, t) for unit, t in zip(_UNITS, (1, 1, 1, s_degree)))
+        return tuple(cls(unit, t, t, parity, least)
+                     for unit, t, parity, least in zip(_UNITS, (1, 1, 1, s_degree), (0, 1, 0, 0),
+                                                       (0, 0, 0, 1)))
 
     @property
     def homogeneous(self) -> bool:
@@ -380,10 +396,12 @@ class _Degrees:
         if type(other) is int:
             if other == 0:
                 return self
-            other = _Degrees(_CONSTANT, 0, 0)
+            other = _Degrees(_CONSTANT, 0, 0, 0, 0)
         _refuse_inexact(other)
         return _Degrees(_Top(*map(max, self.top, other.top)),
-                        min(self.lo, other.lo), max(self.hi, other.hi))
+                        min(self.lo, other.lo), max(self.hi, other.hi),
+                        self.parity if self.parity == other.parity else None,
+                        min(self.least_s, other.least_s))
 
     __radd__ = __sub__ = __rsub__ = __add__
 
@@ -395,7 +413,8 @@ class _Degrees:
             return self if other else 0
         _refuse_inexact(other)
         return _Degrees(_Top(*(a + b for a, b in zip(self.top, other.top))),
-                        self.lo + other.lo, self.hi + other.hi)
+                        self.lo + other.lo, self.hi + other.hi,
+                        _parity_sum(self.parity, other.parity), self.least_s + other.least_s)
 
     __rmul__ = __mul__
 
@@ -404,7 +423,9 @@ class _Degrees:
         if exponent == 0:
             return 1
         return _Degrees(_Top(*(exponent * a for a in self.top)),
-                        exponent * self.lo, exponent * self.hi)
+                        exponent * self.lo, exponent * self.hi,
+                        None if self.parity is None else exponent * self.parity % 2,
+                        exponent * self.least_s)
 
 
 def _refuse_inexact(other) -> None:
@@ -414,10 +435,13 @@ def _refuse_inexact(other) -> None:
 
 
 def _diff(p, var: _Degrees):
-    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var."""
+    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var.
+    Like a division by var, it moves the parity by var's and the least s-degree
+    down by var's, to no lower than 0."""
     if type(p) is int or p.top[var.top.index(1)] == 0:
         return 0
-    return _Degrees(_Top(*(a - b for a, b in zip(p.top, var.top))), p.lo - var.lo, p.hi - var.hi)
+    return _Degrees(_Top(*(a - b for a, b in zip(p.top, var.top))), p.lo - var.lo, p.hi - var.hi,
+                    _parity_sum(p.parity, var.parity), max(p.least_s - var.least_s, 0))
 
 
 def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
@@ -428,10 +452,10 @@ def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
     The k-th d-derivative of dphi/dd is (-1)^k k! x^(2k+2) / (q^(k+1) (x^2+1)),
     so L[dphi/dd] times q^4 (x^2+1)^2 is sum_k c_k (-1)^k k! x^(2k+2)
     q^(3-k) (x^2+1). psi = -2 n / (q^3 (x^2+1)) with n = x^3 P, and dpsi/dx
-    times q^4 (x^2+1)^2 is n' q w - n (3 q' w + q w'), w = x^2+1: its degrees
-    in (d, e, f) are at most those of n q w. Its x-degree follows from psi's
-    order o at infinity (d > 0 keeps q of x-degree 2): psi' has order o - 1,
-    or at most -2 when o <= 0, as psi tends to a constant plus O(1/x) then.
+    times q^4 (x^2+1)^2 is n' q w - n (3 q' w + q w'), w = x^2+1. Its x-degree
+    follows from psi's order o at infinity (d > 0 keeps q of x-degree 2):
+    psi' has order o - 1, or at most -2 when o <= 0, as psi tends to a
+    constant plus O(1/x) then.
     """
     d, e, f, x = _Degrees.variables(0)
     q, w = d * (x * x) + e * x + f, x * x + 1
@@ -442,7 +466,7 @@ def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
     polynomial = certificate_polynomial(d, e, f, x)
     n = x**3 * polynomial
     order = n.top.s - (q**3 * w).top.s
-    rhs = n * q * w
+    rhs = _diff(n, x) * q * w - n * (3 * _diff(q, x) * w + q * _diff(w, x))
     rhs.top = rhs.top._replace(s=(q**4 * w**2).top.s + (order - 1 if order > 0 else -2))
     return lhs + rhs, order, polynomial + _leading_coefficient(d, e, f)
 
@@ -454,7 +478,9 @@ def ode_degrees() -> _Degrees:
     and dm/dd = 2f/m along d, the k-th d-derivative is p_k / (m^(2k) den^(k+1)) with
     p_0 = num and p_(k+1) = m^2 den dp_k/dd + 2 f m den dp_k/dm - 4k f den p_k
     - (k+1) m rho p_k, where rho = m dden/dd = m d_d den + 2 f d_m den. So L[dA/dd / pi]
-    times m^6 den^4 is sum_k c_k p_k m^(6-2k) den^(3-k).
+    times m^6 den^4 is sum_k c_k p_k m^(6-2k) den^(3-k). For the shipped formulas it
+    is even in e, and m^3 divides it: den = m*(d + f + m) brings a factor m to every
+    term of the recursion, so m^k divides p_k, and c3*p3 has the fewest.
     """
     d, e, f, m = _Degrees.variables(1)
     num, den = core._dadd_over_pi(d, e, f, lambda _: m)
@@ -469,7 +495,10 @@ def ode_degrees() -> _Degrees:
 
 
 def residue_degrees() -> _Degrees:
-    """Degree bounds of the numerator of `_residue_gap` for core's dA/dd."""
+    """Degree bounds of the numerator of `_residue_gap` for core's dA/dd. For the
+    shipped formulas it is even in e, as b = -2*e*m, its one odd part, enters only
+    squared, and m divides it, as one term carries den = m*(d + f + m) and the
+    other m."""
     d, e, f, m = _Degrees.variables(1)
     return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))[0]
 

@@ -8,8 +8,11 @@ numpy's PCG64 generator, so a (suite, count, seed) triple is fully
 reproducible. The exact suites (certificate, ode) draw nothing: they
 prove their identities on product grids whose sizes `cauchykl.certificate`
 derives from the shipped formulas, so --count and --seed do not change
-them. Each grid is an open grid: one numpy object array of Python ints
-per coordinate, shaped to broadcast against the others, so each identity
+them. The ode suite's grids also use the derived parity in e and factor
+m^k of each polynomial: they span only enough values of e^2 and k fewer
+values of m > 0 (`_square_grid`). Each grid is an open grid: one numpy
+object array of Python ints per coordinate, shaped to broadcast against
+the others, so each identity
 runs once over the whole grid through its integer-point core
 (`certificate.residual_*`) and numpy evaluates every subexpression only
 over the coordinates it depends on. Points are counted, and a witness
@@ -146,7 +149,9 @@ def _grid(names: str, ranges) -> str:
 
 def _proof(tally: tuple[int, int, str], what: str, grid: str, cleared: str,
            degrees: tuple[int, ...], names: str, bounds, note: str = "") -> str:
-    """Detail of a grid proof: the tally, the grid and the bounds that make it a proof."""
+    """Detail of a grid proof: the tally, the grid and the bounds that make it a proof,
+    then `note`, which for the square grids names the parity in e and the factor m^k
+    the grid relies on (`_reductions`), then the witness, last."""
     count, nonzero, witness = tally
     shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
              else "not homogeneous in (d, e, f), so d spans the grid too")
@@ -255,19 +260,43 @@ def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]
     scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays built from the
     open (d, e, m) grid, so each spans only the axes of its coordinates. m > 2d
     avoids the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
-    denominator."""
+    denominator.
+
+    The grid spans only the values the bounds' parity and factor m^k need. Even in
+    e, the cleared residual is Q(e^2, m) with deg_(e^2) Q <= sub_e // 2, so e in
+    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e times such a Q of
+    degree <= (sub_e - 1) // 2, so as many values start at e = 1. Of mixed parity,
+    e spans 0..sub_e. m^k divides it and every m is positive, so the quotient, of
+    degree <= sub_m - k in m, needs sub_m - k + 1 values of m.
+    """
     top = bounds.top
     ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
+    es = {0: range(top.sub_e // 2 + 1), 1: range(1, (top.sub_e + 1) // 2 + 1),
+          None: range(top.sub_e + 1)}[bounds.parity]
     m0 = 2 * ds[-1] + 1
-    ranges = (ds, range(top.sub_e + 1), range(m0, m0 + top.sub_m + 1))
+    ranges = (ds, es, range(m0, m0 + top.sub_m - bounds.least_s + 1))
     d, e, m = _product(ranges)
     return ranges, 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
 
 
+def _reductions(bounds) -> str:
+    """Detail suffix naming the parity in e and the factor m^k that `_square_grid`
+    relies on, with the degrees left in e^2 and m."""
+    top, k = bounds.top, bounds.least_s
+    parity = {0: f"even in e, so of degree <= {top.sub_e // 2} in e^2",
+              1: f"odd in e, so e times a polynomial of degree <= {(top.sub_e - 1) // 2} in e^2",
+              None: "of mixed parity in e"}[bounds.parity]
+    power = "m" if k == 1 else f"m^{k}"
+    factor = (f"a multiple of {power}, so of degree <= {top.sub_m - k} in m once {power} is "
+              "divided out" if k else "no known multiple of m")
+    return f"; it is {parity}, and {factor}"
+
+
 def ode_suite() -> list[CheckOutcome]:
     """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on grids sized by
-    `certificate.ode_degrees` and `certificate.residue_degrees`, plus the
-    integration-constant check."""
+    `certificate.ode_degrees` and `certificate.residue_degrees` (`_square_grid`), plus
+    the integration-constant check. Each detail names its grid, its point count and
+    the parity in e and the factor m^k that the grid relies on."""
     details, failures = [], 0
     for residual, what, bounds, cleared in (
             (certificate.residual_ode_dadd, "residuals of L[dA/dd] for core's dA/dd / pi = num/den",
@@ -280,7 +309,7 @@ def ode_suite() -> list[CheckOutcome]:
         top = bounds.top
         details.append(_proof(tally, what, _grid("d e m", ranges) + " at f = (e^2 + m^2)/(4d)",
                               f"{cleared} and d^{top.f}", (top.d + top.f, top.sub_e, top.sub_m),
-                              "d, e, m", bounds))
+                              "d, e, m", bounds, _reductions(bounds)))
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(details))]
     report = certificate.verify_integration_constant()

@@ -434,11 +434,61 @@ def test_derived_grid_degrees():
     ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
     assert (ode.top.sub_e, ode.top.sub_m, ode.lo, ode.hi) == (24, 27, 16, 16)
     assert (residues.top.sub_e, residues.top.sub_m, residues.lo, residues.hi) == (10, 11, 8, 8)
+    # Both are even in e and multiples of m^3 and m: their grids span e^2 for
+    # e in 0..sub_e//2 and sub_m - k + 1 values of m.
+    assert (ode.parity, ode.least_s, residues.parity, residues.least_s) == (0, 3, 0, 1)
+    ranges = [suites._square_grid(bounds)[0] for bounds in (ode, residues)]
+    assert ranges == [(range(1, 2), range(13), range(3, 28)), (range(1, 2), range(6), range(3, 14))]
+    assert [math.prod(map(len, r)) for r in ranges] == [325, 66]
+    detail = ode_suite()[0].detail
+    for grid in ("d = 1, e in 0..12, m in 3..27", "(325 points)", "even in e",
+                 "a multiple of m^3", "d = 1, e in 0..5, m in 3..13", "(66 points)",
+                 "a multiple of m, "):
+        assert grid in detail
+
+
+def _ode_witnesses(detail):
+    """Each first nonzero point the ODE check's detail names, one per failing grid."""
+    return [tuple(Fraction(v) for v in part.split(")")[0].split(", "))
+            for part in detail.split("first nonzero at (d, e, f) = (")[1:]]
+
+
+# Changes to dA/dd's (numerator, denominator): an odd term in e, which leaves the
+# residuals of mixed parity, and a term without m of the same degree (so d = 1
+# still suffices), which leaves the residues' numerator with no factor m and
+# the ODE's with only the one the chain rule dm/dd = 2f/m brings to each p_k.
+_DADD_CHANGES = {"numerator + e": lambda d, e: (e, 0), "denominator + d^2": lambda d, e: (0, d * d)}
+
+
+def _change_dadd(monkeypatch, change):
+    shipped = core._dadd_over_pi
+    monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: tuple(
+        a + b for a, b in zip(shipped(d, e, f, sqrt), _DADD_CHANGES[change](d, e))))
+
+
+@pytest.mark.parametrize("change, facts, grids", [
+    ("numerator + e", (None, 3, None, 1), ("e in 0..24, m in 3..27", "(625 points)",
+                                           "e in 0..10, m in 3..13", "(121 points)")),
+    ("denominator + d^2", (0, 1, 0, 0), ("e in 0..12, m in 3..29", "(351 points)",
+                                         "e in 0..5, m in 3..14", "(72 points)")),
+], ids=["numerator + e", "denominator + d^2"])
+def test_changed_dadd_widens_its_grids(monkeypatch, change, facts, grids):
+    # Without the parity or the power of m, each grid spans e or m over its
+    # whole degree again, and both checks fail at a point that the scalar
+    # checks reproduce.
+    _change_dadd(monkeypatch, change)
+    ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
+    assert (ode.parity, ode.least_s, residues.parity, residues.least_s) == facts
+    assert ode.homogeneous and residues.homogeneous
+    outcome = ode_suite()[0]
+    assert not outcome.passed and all(grid in outcome.detail for grid in grids)
+    ode_point, residues_point = _ode_witnesses(outcome.detail)
+    assert verify_ode_dadd(*ode_point) != 0 and verify_dadd_residues(*residues_point) != 0
 
 
 def test_degree_power_is_repeated_product():
     # p**n scales every bound by n in closed form; n - 1 products of p
-    # give the same top, lo and hi (and n = 0 the constant 1).
+    # give the same bounds (and n = 0 the constant 1).
     d, e, f, x = certificate._Degrees.variables(0)
     polynomials = [*certificate._Degrees.variables(0), *certificate._Degrees.variables(1),
                    d * x * x + e * x + f]
@@ -449,8 +499,28 @@ def test_degree_power_is_repeated_product():
             if n == 0:
                 assert power == 1
             else:
-                assert (power.top, power.lo, power.hi) == (product.top, product.lo, product.hi)
+                assert _bounds(power) == _bounds(product)
             product = p * product
+
+
+def _bounds(p):
+    return p.top, p.lo, p.hi, p.parity, p.least_s
+
+
+def test_parity_and_least_m_degree_rules():
+    # e is odd and d, f, m and constants even; parities add under *, and survive
+    # + only where they agree. The least m-degree takes the min under +, the sum
+    # under *, and d/dm lowers it by 1, to no lower than 0.
+    d, e, f, m = certificate._Degrees.variables(1)
+    assert [(v.parity, v.least_s) for v in (d, e, f, m)] == [(0, 0), (1, 0), (0, 0), (0, 1)]
+    assert ((e * e).parity, (e * m).parity, (e + 1).parity, (e + e * f).parity) == (0, 1, None, 1)
+    assert ((m * m + m * d).least_s, (m**3 * e).least_s, (m + 1).least_s) == (1, 3, 0)
+    diff = certificate._diff
+    assert (diff(m**3 + m * e, m).least_s, diff(m + d, m).least_s, diff(m**2 * d, d).least_s) == (
+        0, 0, 2)
+    assert (diff(e * e * m, e).parity, diff(e * m, m).parity, diff(e * d, d).parity) == (1, 1, 1)
+    # Odd in e: e times a polynomial of degree 1 in e^2, two values from e = 1.
+    assert suites._square_grid(e**3 + e * d * f)[0] == (range(1, 2), range(1, 3), range(3, 6))
 
 
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
@@ -476,7 +546,8 @@ def _sympy_degrees(sympy, expression, variables):
 def test_derived_degrees_bound_sympy(monkeypatch):
     # Bounds may exceed the true degrees, never fall short: compare with
     # sympy's degrees of each cleared half of the telescoping residual and
-    # of the residues' numerator.
+    # of the residues' numerator, and sympy's parities and powers of m with
+    # the parity in e and the least m-degree that size the square grids.
     sympy = pytest.importorskip("sympy")
     d, e, f, x, m = sympy.symbols("d e f x m")
     q, w = d * x**2 + e * x + f, x**2 + 1
@@ -491,6 +562,44 @@ def test_derived_degrees_bound_sympy(monkeypatch):
         1, e, (e**2 + m**2) / 4, lambda _: m))[0]
     residues = certificate.residue_degrees().top
     assert _sympy_degrees(sympy, numerator, (e, m)) <= (residues.sub_e, residues.sub_m)
+    _parity_and_m_factor_hold(sympy, vanishing=True)
+
+
+@pytest.mark.parametrize("change", sorted(_DADD_CHANGES))
+def test_derived_parity_and_m_factor_of_a_changed_dadd_hold_in_sympy(change, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    _change_dadd(monkeypatch, change)
+    _parity_and_m_factor_hold(sympy, vanishing=False)
+
+
+def _parity_and_m_factor_hold(sympy, vanishing):
+    """The tracker's parity in e and least m-degree hold for the polynomials sympy
+    expands: each term c_k*p_k*m^(6-2k)*den^(3-k) of the cleared ODE residual, in
+    (d, e, f, m) and at d = 1, f = (e^2 + m^2)/4, and the residues' numerator in
+    (d, e, f, m). For core's dA/dd (`vanishing`), the terms' sum and the numerator
+    vanish at that f. A parity may be claimed only where sympy finds it, and the
+    least m-degree may fall short of sympy's, never exceed it."""
+    d, e, f, m = sympy.symbols("d e f m")
+    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
+    rho = m * sympy.diff(den, d) + 2 * f * sympy.diff(den, m)
+    p, terms = num, []
+    for k, ck in enumerate(operator_coefficients(d, e, f)[::-1]):
+        terms.append(ck * p * m ** (6 - 2 * k) * den ** (3 - k))
+        p = (m * m * den * sympy.diff(p, d) + 2 * f * m * den * sympy.diff(p, m)
+             - 4 * k * f * den * p - (k + 1) * m * rho * p)
+    at = {d: 1, f: (e**2 + m**2) / 4}
+    residues = certificate._residue_gap(d, e, f, m, (num, den))[0]
+    if vanishing:
+        assert sympy.expand(sum(terms).subs(at)) == 0 == sympy.expand(residues.subs(at))
+    for bounds, polynomials in ((certificate.ode_degrees(),
+                                 [*terms, *(term.subs(at) for term in terms)]),
+                                (certificate.residue_degrees(), [residues])):
+        for polynomial in polynomials:
+            expanded = sympy.expand(polynomial)
+            assert expanded != 0
+            monomials = sympy.Poly(expanded, e, m).monoms()
+            assert bounds.parity is None or {i % 2 for i, _ in monomials} == {bounds.parity}
+            assert bounds.least_s <= min(j for _, j in monomials)
 
 
 def test_dadd_residues_fixtures():

@@ -1094,13 +1094,14 @@ def test_exact_suites_draw_no_random_numbers():
 
 # sha256 of the whole stdout of `verify --suite SUITE --seed SEED` at the
 # default counts, recorded when the exact checks moved from random points
-# to derived proof grids; any change to a grid, a bound or a figure shows
-# here.
+# to derived proof grids, and for `ode` again when its grids came to span
+# e^2 and leave out the factor m^k; any change to a grid, a bound or a
+# figure shows here.
 VERIFY_GOLDEN_SHA256 = {
     ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
     ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
-    ("ode", 1): "91e0749dbc419de1b7ac56960993db1be408d3a909a1d7ce6ee1c5367e439ab2",
-    ("ode", 1501): "42b47a516dc9a98a2f4ad325b941befeaef8767546ad7b5345038fbfb16f5a7b",
+    ("ode", 1): "a9fbaf54c0e0d9836abde3a5464522c2cfa3febcdc6d46a31f41f18fcd76fff4",
+    ("ode", 1501): "f789262ee30356d3316a12add0cf6cbab91d0d1fd76efe09bff48cfa8e64bff0",
 }
 
 
@@ -1109,6 +1110,23 @@ def test_verify_exact_suites_match_golden(suite, seed, capsys):
     assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN_SHA256[suite, seed], out
+
+
+def test_exact_check_details_start_with_their_point_counts(capsys):
+    # Each exact check's detail starts "N/N exact-zero", N its grid's point
+    # count, and so does each further grid it proves; the benchmark's checker
+    # reads its machine-independent exact-point count from that prefix.
+    counts = {}
+    for suite in ("certificate", "ode"):
+        assert main(["verify", "--suite", suite]) == 0
+        for record in map(json.loads, capsys.readouterr().out.splitlines()[:-1]):
+            tallies = re.findall(r"(?:^|; )(\d+)/(\d+) exact-zero", record["detail"])
+            assert all(zero == count for zero, count in tallies)
+            if tallies:
+                assert re.match(r"\d+/\d+ exact-zero", record["detail"])
+                counts[record["check"]] = [int(count) for _, count in tallies]
+    assert counts == {"telescoping residual": [539], "psi tail limit": [36],
+                      "ode residual of dA/dd": [325, 66]}
 
 
 def _cli_record(capsys, argv):
