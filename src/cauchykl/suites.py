@@ -5,19 +5,19 @@ comparisons and returns one CheckOutcome per aggregate check, carrying
 the worst residual observed. The float suites (closed-vs-quadrature,
 monte-carlo) draw a seeded pseudorandom family of check points from
 numpy's PCG64 generator, so a (suite, count, seed) triple is fully
-reproducible. The exact suites (certificate, ode) draw nothing: they
-prove their identities on product grids whose sizes `cauchykl.certificate`
-derives from the shipped formulas, so --count and --seed do not change
-them. The ode suite's grids also use the derived parity in e and factor
-m^k of each polynomial: they span only enough values of e^2 and k fewer
-values of m > 0 (`_square_grid`). Each grid is an open grid: one numpy
-object array of Python ints per coordinate, shaped to broadcast against
-the others, so each identity
-runs once over the whole grid through its integer-point core
-(`certificate.residual_*`) and numpy evaluates every subexpression only
-over the coordinates it depends on. Points are counted, and a witness
-is named, in C order over the broadcast shape, which is
-itertools.product order.
+reproducible. The exact suites (certificate, ode) draw nothing, so
+--count and --seed do not change them: each of their identities goes
+through one runner (`_prove`), which builds the product grid that the
+identity's degree bounds (`cauchykl.certificate`) need, in (d, e, f[, x])
+or in (d, e, m) at f = (e^2 + m^2)/(4d), runs the identity's integer-point
+core (`certificate.residual_*`) once over it and writes the detail. A
+(d, e, m) grid also uses the derived parity in e and factor m^k: it spans
+only enough values of e^2 and k fewer values of m > 0 (`_square_grid`).
+Each grid is an open grid: one numpy object array of Python ints per
+coordinate, shaped to broadcast against the others, so numpy evaluates
+every subexpression only over the coordinates it depends on. Points are
+counted, and a witness is named, in C order over the broadcast shape,
+which is itertools.product order.
 """
 
 from __future__ import annotations
@@ -141,24 +141,72 @@ def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
     return nonzero.size, int(np.count_nonzero(nonzero)), witness
 
 
-def _grid(names: str, ranges) -> str:
-    """'d = 1, e in 0..6, ...' for the product of `ranges`, one per name."""
-    return ", ".join(f"{n} = {r[0]}" if len(r) == 1 else f"{n} in {r[0]}..{r[-1]}"
-                     for n, r in zip(names.split(), ranges))
+def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]:
+    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), its
+    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays built from the
+    open (d, e, m) grid, so each spans only the axes of its coordinates. m > 2d
+    avoids the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
+    denominator.
+
+    The grid spans only the values the bounds' parity and factor m^k need. Even in
+    e, the cleared residual is Q(e^2, m) with deg_(e^2) Q <= sub_e // 2, so e in
+    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e times such a Q of
+    degree <= (sub_e - 1) // 2, so as many values start at e = 1. Of mixed parity,
+    e spans 0..sub_e. m^k divides it and every m is positive, so the quotient, of
+    degree <= sub_m - k in m, needs sub_m - k + 1 values of m.
+    """
+    top = bounds.top
+    ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
+    es = {0: range(top.sub_e // 2 + 1), 1: range(1, (top.sub_e + 1) // 2 + 1),
+          None: range(top.sub_e + 1)}[bounds.parity]
+    m0 = 2 * ds[-1] + 1
+    ranges = (ds, es, range(m0, m0 + top.sub_m - bounds.least_s + 1))
+    d, e, m = _product(ranges)
+    return ranges, 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
 
 
-def _proof(tally: tuple[int, int, str], what: str, grid: str, cleared: str,
-           degrees: tuple[int, ...], names: str, bounds, note: str = "") -> str:
-    """Detail of a grid proof: the tally, the grid and the bounds that make it a proof,
-    then `note`, which for the square grids names the parity in e and the factor m^k
-    the grid relies on (`_reductions`), then the witness, last."""
-    count, nonzero, witness = tally
+def _prove(core, bounds, coordinates: str, what: str, cleared: str,
+           note: str = "") -> tuple[int, str]:
+    """Prove one identity on the grid its degree bounds need; return the number of
+    nonzero residuals and the detail.
+
+    `_exact_zeros` runs `core`, a `certificate.residual_*` core, once over the grid
+    in `coordinates`: "d e f x" or "d e f", with f from max(100, deg_e^2) up, so
+    4*d*f > e^2 and q > 0, or "d e m" at f = (e^2 + m^2)/(4d) (`_square_grid`).
+    `what` names the residuals, `cleared` what makes them polynomials. The detail
+    gives the tally, the grid and the bounds that make it a proof, on (d, e, m) the
+    parity in e and the factor m^k the grid relies on, then `note`, then the
+    witness, in (d, e, f[, x]), last.
+    """
+    top, names = bounds.top, coordinates.split()
+    if coordinates == "d e m":
+        ranges, D, points = _square_grid(bounds)
+        k = bounds.least_s
+        power = "m" if k == 1 else f"m^{k}"
+        parity = {0: f"even in e, so of degree <= {top.sub_e // 2} in e^2",
+                  1: f"odd in e, so e times a polynomial of degree <= {(top.sub_e - 1) // 2} in e^2",
+                  None: "of mixed parity in e"}[bounds.parity]
+        factor = (f"a multiple of {power}, so of degree <= {top.sub_m - k} in m once {power} is "
+                  "divided out" if k else "no known multiple of m")
+        degrees, cleared, at = ((top.d + top.f, top.sub_e, top.sub_m), f"{cleared} and d^{top.f}",
+                                " at f = (e^2 + m^2)/(4d)")
+        note = f"; it is {parity}, and {factor}{note}"
+    else:
+        f0 = max(100, top.e ** 2)
+        ranges = (range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.e + 1),
+                  range(f0, f0 + top.f + 1), range(top.s + 1))[:len(names)]
+        D, points, degrees, at = 1, _product(ranges), top[:len(names)], ""
+    count, nonzero, witness = _exact_zeros(
+        core, f"({', '.join(coordinates.replace('m', 'f').split())})", D, points)
+    grid = ", ".join(f"{n} = {r[0]}" if len(r) == 1 else f"{n} in {r[0]}..{r[-1]}"
+                     for n, r in zip(names, ranges))
     shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
              else "not homogeneous in (d, e, f), so d spans the grid too")
-    return (f"{count - nonzero}/{count} exact-zero {what}, "
-            f"{'proved' if nonzero == 0 else 'disproved'} on the grid {grid} ({count} points): "
-            f"times {cleared} it is a polynomial of degree <= ({', '.join(map(str, degrees))}) "
-            f"in ({names}), {shape}{note}{witness}")
+    return nonzero, (
+        f"{count - nonzero}/{count} exact-zero {what}, "
+        f"{'proved' if nonzero == 0 else 'disproved'} on the grid {grid}{at} ({count} points): "
+        f"times {cleared} it is a polynomial of degree <= ({', '.join(map(str, degrees))}) "
+        f"in ({', '.join(names)}), {shape}{note}{witness}")
 
 
 def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
@@ -227,91 +275,31 @@ def certificate_suite() -> list[CheckOutcome]:
     ))
 
     residual, order, limit = certificate.telescoping_degrees()
-    f0 = max(100, residual.top.e ** 2)  # 4*d*f > e^2 on the grid, so q > 0
-
-    def grid(bounds) -> tuple[range, range, range]:
-        top = bounds.top
-        return (range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.e + 1),
-                range(f0, f0 + top.f + 1))
-
-    ranges = (*grid(residual), range(residual.top.s + 1))
-    tally = _exact_zeros(certificate.residual_telescoping, "(d, e, f, x)", 1, _product(ranges))
-    outcomes.append(CheckOutcome(
-        "telescoping residual", tally[1] == 0, float(tally[1]),
-        _proof(tally, "residuals L[dphi/dd] - dpsi/dx", _grid("d e f x", ranges),
-               "q^4*(x^2+1)^2", tuple(residual.top[:4]), "d, e, f, x", residual),
-    ))
-
-    ranges = grid(limit)
-    tally = _exact_zeros(certificate.residual_tail_limit, "(d, e, f)", 1, _product(ranges))
-    outcomes.append(CheckOutcome(
-        "psi tail limit", tally[1] == 0 and order <= 0, float(tally[1] + max(order, 0)),
-        _proof(tally, "residuals -2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
-               _grid("d e f", ranges), "d^3", tuple(limit.top[:3]), "d, e, f", limit,
-               f"; psi has x-degree {order} at infinity, so psi(1/t) "
-               + ("is regular at t = 0 and both tails tend to -2*p5/d^3" if order <= 0
-                  else "has a pole at t = 0 and the tails diverge")),
-    ))
+    nonzero, detail = _prove(certificate.residual_telescoping, residual, "d e f x",
+                             "residuals L[dphi/dd] - dpsi/dx", "q^4*(x^2+1)^2")
+    outcomes.append(CheckOutcome("telescoping residual", nonzero == 0, float(nonzero), detail))
+    nonzero, detail = _prove(
+        certificate.residual_tail_limit, limit, "d e f",
+        "residuals -2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P", "d^3",
+        f"; psi has x-degree {order} at infinity, so psi(1/t) "
+        + ("is regular at t = 0 and both tails tend to -2*p5/d^3" if order <= 0
+           else "has a pole at t = 0 and the tails diverge"))
+    outcomes.append(CheckOutcome("psi tail limit", nonzero == 0 and order <= 0,
+                                 float(nonzero + max(order, 0)), detail))
     return outcomes
 
 
-def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]:
-    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), its
-    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays built from the
-    open (d, e, m) grid, so each spans only the axes of its coordinates. m > 2d
-    avoids the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
-    denominator.
-
-    The grid spans only the values the bounds' parity and factor m^k need. Even in
-    e, the cleared residual is Q(e^2, m) with deg_(e^2) Q <= sub_e // 2, so e in
-    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e times such a Q of
-    degree <= (sub_e - 1) // 2, so as many values start at e = 1. Of mixed parity,
-    e spans 0..sub_e. m^k divides it and every m is positive, so the quotient, of
-    degree <= sub_m - k in m, needs sub_m - k + 1 values of m.
-    """
-    top = bounds.top
-    ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
-    es = {0: range(top.sub_e // 2 + 1), 1: range(1, (top.sub_e + 1) // 2 + 1),
-          None: range(top.sub_e + 1)}[bounds.parity]
-    m0 = 2 * ds[-1] + 1
-    ranges = (ds, es, range(m0, m0 + top.sub_m - bounds.least_s + 1))
-    d, e, m = _product(ranges)
-    return ranges, 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
-
-
-def _reductions(bounds) -> str:
-    """Detail suffix naming the parity in e and the factor m^k that `_square_grid`
-    relies on, with the degrees left in e^2 and m."""
-    top, k = bounds.top, bounds.least_s
-    parity = {0: f"even in e, so of degree <= {top.sub_e // 2} in e^2",
-              1: f"odd in e, so e times a polynomial of degree <= {(top.sub_e - 1) // 2} in e^2",
-              None: "of mixed parity in e"}[bounds.parity]
-    power = "m" if k == 1 else f"m^{k}"
-    factor = (f"a multiple of {power}, so of degree <= {top.sub_m - k} in m once {power} is "
-              "divided out" if k else "no known multiple of m")
-    return f"; it is {parity}, and {factor}"
-
-
 def ode_suite() -> list[CheckOutcome]:
-    """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on grids sized by
-    `certificate.ode_degrees` and `certificate.residue_degrees` (`_square_grid`), plus
-    the integration-constant check. Each detail names its grid, its point count and
-    the parity in e and the factor m^k that the grid relies on."""
-    details, failures = [], 0
-    for residual, what, bounds, cleared in (
-            (certificate.residual_ode_dadd, "residuals of L[dA/dd] for core's dA/dd / pi = num/den",
-             certificate.ode_degrees(), "m^6*den^4"),
-            (certificate.residual_dadd_residues, "differences dA/dd - 2*pi*i*(Res_i + Res_rho)",
-             certificate.residue_degrees(), "its denominator")):
-        ranges, D, points = _square_grid(bounds)
-        tally = _exact_zeros(residual, "(d, e, f)", D, points)
-        failures += tally[1]
-        top = bounds.top
-        details.append(_proof(tally, what, _grid("d e m", ranges) + " at f = (e^2 + m^2)/(4d)",
-                              f"{cleared} and d^{top.f}", (top.d + top.f, top.sub_e, top.sub_m),
-                              "d, e, m", bounds, _reductions(bounds)))
+    """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on the (d, e, m) grids
+    that `certificate.ode_degrees` and `certificate.residue_degrees` size, plus the
+    integration-constant check."""
+    proofs = [_prove(certificate.residual_ode_dadd, certificate.ode_degrees(), "d e m",
+                     "residuals of L[dA/dd] for core's dA/dd / pi = num/den", "m^6*den^4"),
+              _prove(certificate.residual_dadd_residues, certificate.residue_degrees(), "d e m",
+                     "differences dA/dd - 2*pi*i*(Res_i + Res_rho)", "its denominator")]
+    failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
-                             "; ".join(details))]
+                             "; ".join(detail for _, detail in proofs))]
     report = certificate.verify_integration_constant()
     outcomes.append(CheckOutcome(
         "integration constant", report.passed, report.max_deviation,

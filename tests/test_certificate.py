@@ -431,6 +431,11 @@ def test_derived_grid_degrees():
     residual, order, limit = certificate.telescoping_degrees()
     assert tuple(residual.top[:4]) == (4, 6, 6, 10) and residual.homogeneous and order == 0
     assert tuple(limit.top[:3]) == (2, 5, 5) and limit.homogeneous
+    # Their (d, e, f[, x]) grids: d = 1, e up to its degree, f from 100 over
+    # deg_f + 1 values, x over deg_x + 1.
+    telescoping, tail = (outcome.detail for outcome in certificate_suite()[1:])
+    assert "on the grid d = 1, e in 0..6, f in 100..106, x in 0..10 (539 points)" in telescoping
+    assert "on the grid d = 1, e in 0..5, f in 100..105 (36 points)" in tail
     ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
     assert (ode.top.sub_e, ode.top.sub_m, ode.lo, ode.hi) == (24, 27, 16, 16)
     assert (residues.top.sub_e, residues.top.sub_m, residues.lo, residues.hi) == (10, 11, 8, 8)
@@ -537,6 +542,17 @@ def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
                         lambda d, e, f, x: shipped(d, e, f, x) + e**7)
     residual = certificate.telescoping_degrees()[0]
     assert residual.top.e == 8 and not residual.homogeneous
+
+    # f starts at max(100, deg_e^2) of each grid's own identity: with e^11 in P
+    # the telescoping residual has e-degree 12 and the tail limit 11.
+    monkeypatch.setattr(certificate, "certificate_polynomial",
+                        lambda d, e, f, x: shipped(d, e, f, x) + e**11)
+    residual, _, limit = certificate.telescoping_degrees()
+    assert (residual.top.e, limit.top.e) == (12, 11)
+    telescoping, tail = certificate_suite()[1:]
+    assert "e in 0..12, f in 144..150, x in 0..10 (5005 points)" in telescoping.detail
+    assert "e in 0..11, f in 121..126 (216 points)" in tail.detail
+    assert not telescoping.passed and tail.passed
 
 
 def _sympy_degrees(sympy, expression, variables):
