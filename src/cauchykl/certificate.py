@@ -75,6 +75,7 @@ never patched.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -398,7 +399,7 @@ class _Degrees:
                 return self
             other = _Degrees(_CONSTANT, 0, 0, 0, 0)
         _refuse_inexact(other)
-        return _Degrees(_Top(*map(max, self.top, other.top)),
+        return _Degrees(_Top._make(map(max, self.top, other.top)),
                         min(self.lo, other.lo), max(self.hi, other.hi),
                         self.parity if self.parity == other.parity else None,
                         min(self.least_s, other.least_s))
@@ -412,7 +413,7 @@ class _Degrees:
         if type(other) is int:
             return self if other else 0
         _refuse_inexact(other)
-        return _Degrees(_Top(*(a + b for a, b in zip(self.top, other.top))),
+        return _Degrees(_Top._make(map(operator.add, self.top, other.top)),
                         self.lo + other.lo, self.hi + other.hi,
                         _parity_sum(self.parity, other.parity), self.least_s + other.least_s)
 
@@ -422,7 +423,7 @@ class _Degrees:
         # Every bound of p^n is n times p's: what n - 1 products would give.
         if exponent == 0:
             return 1
-        return _Degrees(_Top(*(exponent * a for a in self.top)),
+        return _Degrees(_Top._make(map(exponent.__mul__, self.top)),
                         exponent * self.lo, exponent * self.hi,
                         None if self.parity is None else exponent * self.parity % 2,
                         exponent * self.least_s)
@@ -440,7 +441,7 @@ def _diff(p, var: _Degrees):
     down by var's, to no lower than 0."""
     if type(p) is int or p.top[var.top.index(1)] == 0:
         return 0
-    return _Degrees(_Top(*(a - b for a, b in zip(p.top, var.top))), p.lo - var.lo, p.hi - var.hi,
+    return _Degrees(_Top._make(map(operator.sub, p.top, var.top)), p.lo - var.lo, p.hi - var.hi,
                     _parity_sum(p.parity, var.parity), max(p.least_s - var.least_s, 0))
 
 

@@ -19,6 +19,15 @@ every operation is one arithmetic path on those numerators:
 * sqrt() runs the analogous recurrence for the square root, after
   finding the head's root as isqrt(num_0 * den) / |den|.
 
+A numerator or denominator that is exactly the Python int 0 or 1 is
+structural, and every jet has some: a variable jet is (v, 1, 0, ...) over
+1, a constant jet (c, 0, ...) over 1. Every product and sum above goes
+through `_mul`, `_add` or `_sub`, which return the other operand itself,
+0 or its negation for such an int, with no pass over a grid; every
+coefficient is the same exact rational. A result may thus be an
+operand's own array, so no operation updates a value in place: each
+step rebinds (acc = _sub(acc, ...), never acc -= ...).
+
 Jets are exact only. A scalar is an int, a rational
 (`fractions.Fraction`), or a numpy array of dtype object holding Python
 ints: then every numerator is such an array and one jet carries the
@@ -51,6 +60,34 @@ from .errors import ParameterError
 __all__ = ["Jet", "rational_sqrt"]
 
 
+def _mul(a, b):
+    """a * b, with the int 0 or 1 in either place structural: the product is then 0
+    or the other operand itself, and no pass over a grid is made."""
+    if type(a) is int and (a == 0 or a == 1):
+        return b if a else 0
+    if type(b) is int and (b == 0 or b == 1):
+        return a if b else 0
+    return a * b
+
+
+def _add(a, b):
+    """a + b, with the int 0 in either place structural: the other operand itself."""
+    if type(a) is int and a == 0:
+        return b
+    if type(b) is int and b == 0:
+        return a
+    return a + b
+
+
+def _sub(a, b):
+    """a - b, with the int 0 in either place structural: a itself, or -b."""
+    if type(b) is int and b == 0:
+        return a
+    if type(a) is int and a == 0:
+        return -b
+    return a - b
+
+
 def _split(x: Rational) -> tuple[int, int]:
     """(numerator, denominator) of an int or rational scalar, or (x, 1) for an
     object array of ints (its elements are checked where the result is read)."""
@@ -74,7 +111,7 @@ def _clear(values) -> tuple[tuple, int]:
     (`_split`); anything else raises TypeError."""
     parts = [_split(v) for v in values]
     den = math.lcm(*(q for _, q in parts))
-    return tuple(p * (den // q) for p, q in parts), den
+    return tuple(_mul(p, den // q) for p, q in parts), den
 
 
 def _exact_isqrt(square: int) -> int:
@@ -101,7 +138,7 @@ def _root(n: int, den: int) -> tuple[int, int]:
     n/den is a rational square exactly when n*den is an integer square,
     so no Fraction is built and no gcd is taken.
     """
-    p = _isqrt(n * den)
+    p = _isqrt(_mul(n, den))
     if np.any(p < 0):
         n, den = _first_at(p < 0, n, den)
         raise ParameterError(f"{Fraction(n, den)} is not the square of a rational")
@@ -160,7 +197,7 @@ class Jet:
         """k! * num_k: the k-th derivative at the expansion point over `denominator`."""
         if not 0 <= k <= self.order:
             raise ParameterError(f"derivative order {k!r} outside jet order {self.order}")
-        return math.factorial(k) * self._num[k]
+        return _mul(math.factorial(k), self._num[k])
 
     def derivative(self, k: int) -> Fraction:
         """k-th derivative at the expansion point: k! * c_k."""
@@ -184,19 +221,19 @@ class Jet:
             a = tuple([-x for x in a])
         if t < 0:
             p = -p
-        if q == 1:
-            return Jet._make((a[0] + p * da,) + a[1:], da)
         if q is da:
-            return Jet._make((a[0] + p,) + a[1:], da)
-        return Jet._make((a[0] * q + p * da,) + tuple([x * q for x in a[1:]]), da * q)
+            return Jet._make((_add(a[0], p),) + a[1:], da)
+        return Jet._make((_add(_mul(a[0], q), _mul(p, da)),) + tuple([_mul(x, q) for x in a[1:]]),
+                         _mul(da, q))
 
     def __add__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return self._shift(other, 1, 1)
         a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
         if da is db:
-            return Jet._make(tuple([x + y for x, y in zip(a, b)]), da)
-        return Jet._make(tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
+            return Jet._make(tuple([_add(x, y) for x, y in zip(a, b)]), da)
+        return Jet._make(tuple([_add(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
+                         _mul(da, db))
 
     __radd__ = __add__
 
@@ -208,8 +245,9 @@ class Jet:
             return self._shift(other, 1, -1)
         a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
         if da is db:
-            return Jet._make(tuple([x - y for x, y in zip(a, b)]), da)
-        return Jet._make(tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
+            return Jet._make(tuple([_sub(x, y) for x, y in zip(a, b)]), da)
+        return Jet._make(tuple([_sub(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
+                         _mul(da, db))
 
     def __rsub__(self, other) -> "Jet":
         return self._shift(other, -1, 1)
@@ -217,17 +255,17 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             p, q = _split(other)
-            return Jet._make(tuple([p * x for x in self._num]), q * self._den)
+            return Jet._make(tuple([_mul(p, x) for x in self._num]), _mul(q, self._den))
         a, b = self._num, self._same_order(other)._num
-        den = self._den * other._den
+        den = _mul(self._den, other._den)
         if len(a) == 2:
             (a0, a1), (b0, b1) = a, b
-            return Jet._make((a0 * b0, a0 * b1 + a1 * b0), den)
+            return Jet._make((_mul(a0, b0), _add(_mul(a0, b1), _mul(a1, b0))), den)
         out = []
         for k in range(len(a)):
             acc = 0
             for j in range(k + 1):
-                acc += a[j] * b[k - j]
+                acc = _add(acc, _mul(a[j], b[k - j]))
             out.append(acc)
         return Jet._make(tuple(out), den)
 
@@ -242,17 +280,17 @@ class Jet:
             raise ZeroDivisionError("jet division by a jet with zero head")
         powers = [1]  # v0^0 .. v0^(n+1)
         for _ in range(n + 1):
-            powers.append(powers[-1] * v0)
+            powers.append(_mul(powers[-1], v0))
         z: list = []
         for k in range(n + 1):
-            acc = u[k] * powers[k]
+            acc = _mul(u[k], powers[k])
             for j in range(k):
-                acc -= z[j] * powers[k - j - 1] * v[k - j]
+                acc = _sub(acc, _mul(z[j], _mul(powers[k - j - 1], v[k - j])))
             z.append(acc)
         # U/V has coefficients (Z_k / v0^(k+1)) * (dv / du).
         dv = o._den
-        return Jet._make(tuple([z[k] * powers[n - k] * dv for k in range(n + 1)]),
-                         self._den * powers[n + 1])
+        return Jet._make(tuple([_mul(_mul(z[k], powers[n - k]), dv) for k in range(n + 1)]),
+                         _mul(self._den, powers[n + 1]))
 
     def __rtruediv__(self, other) -> "Jet":
         return self._coerce(other) / self
@@ -284,20 +322,21 @@ class Jet:
         c = 2 * p
         if n and np.any(c == 0):
             raise ZeroDivisionError("the square root of a jet with zero head has no Taylor series")
-        c2 = c * c
+        step = _mul(den, c * c)
+        scales = [1]  # (den * c^2)^0 .. (den * c^2)^n
+        for _ in range(n):
+            scales.append(_mul(scales[-1], step))
         t: list = [0]
-        scale = 1  # den^(k-1) * c^(2k-2)
         for k in range(1, n + 1):
-            acc = f[k] * scale
+            acc = _mul(f[k], scales[k - 1])
             for j in range(1, k):
-                acc -= t[j] * t[k - j]
-            t.append(q * acc)
-            scale *= den * c2
+                acc = _sub(acc, _mul(t[j], t[k - j]))
+            t.append(_mul(q, acc))
         # Over the shared denominator q * den^n * c^(2n): numerator k >= 1 is
         # T_k * q * den^(n-k) * c^(2(n-k)+1), and the head's is p * den^n * c^(2n).
-        out = [p * den**n * c2**n]
-        out.extend(t[k] * q * den ** (n - k) * c2 ** (n - k) * c for k in range(1, n + 1))
-        return Jet._make(tuple(out), q * den**n * c2**n)
+        out = [_mul(p, scales[n])]
+        out.extend(_mul(_mul(t[k], q), _mul(scales[n - k], c)) for k in range(1, n + 1))
+        return Jet._make(tuple(out), _mul(q, scales[n]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Jet) and self.coefficients == other.coefficients

@@ -45,8 +45,10 @@ __all__ = [
 ]
 
 # Frozen transcription checksums: every certificate polynomial evaluated
-# at (d, e, f, x) = (1, 1, 1, 1).
-CHECKSUM_POINT = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+# at (d, e, f, x) = (1, 1, 1, 1). d, e and f are ints, which keeps the
+# polynomials on int arithmetic; x stays a Fraction, so phi_partial_d's
+# one division is exact.
+CHECKSUM_POINT = (1, 1, 1, Fraction(1))
 CHECKSUMS = {
     "operator_c3": Fraction(27),
     "operator_c2": Fraction(84),

@@ -1,5 +1,6 @@
 """Exact jet arithmetic against known Taylor expansions."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -237,3 +238,115 @@ def test_array_heads_are_checked_at_every_element():
         (t * t).sqrt()
     with pytest.raises(ParameterError, match="3 is not the square"):
         Jet.variable(_ints(4, 3, 2), 1).sqrt()  # 3 is the first element that is not a square
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _dense(jet, shape):
+    """`jet` with each int numerator and its int denominator as an object array of
+    `shape`: the same values, but no structural 0 or 1 left for an operation to skip."""
+    def fill(v):
+        return np.full(shape, v, dtype=object) if type(v) is int else v
+    return Jet._make(tuple(map(fill, jet._num)), fill(jet._den))
+
+
+def _at_points(jet, shape):
+    """The jet's coefficients as Fractions at every point of `shape`, in C order."""
+    *nums, den = (np.broadcast_to(np.asarray(v, dtype=object), shape)
+                  for v in (*jet._num, jet._den))
+    return [tuple(Fraction(n[i], den[i]) for n in nums) for i in np.ndindex(*shape)]
+
+
+def test_skipping_structural_zeros_and_ones_changes_no_value():
+    # Variable, constant and int-1 jets carry their 0s and 1s as Python ints,
+    # which + - * / ** and sqrt skip; the same jets with those values as object
+    # arrays ("dense") run every product and sum. Both must give the same
+    # coefficients at every point, over ints, Fractions and an open grid.
+    domains = (((2, -3), (1,)), ((Fraction(2, 3), Fraction(-5, 7)), (1,)),
+               ((_ints(1, 2, 5).reshape(3, 1), _ints(-3, 4).reshape(1, 2)), (3, 2)))
+    for (a, b), shape in domains:
+        for order in (1, 3):
+            jets_ = [Jet.variable(a, order), Jet.variable(b, order), Jet.constant(b, order),
+                     Jet.variable(1, order), Jet.constant(1, order)]
+            jets_.append(jets_[0] * jets_[1] + 1)
+            for x in jets_:
+                dx = _dense(x, shape)
+                for y in jets_:
+                    for op in _BINARY:
+                        assert (_at_points(op(x, y), shape)
+                                == _at_points(op(dx, _dense(y, shape)), shape))
+                for s in (0, 1, -1, 2, Fraction(1), Fraction(3, 2), a):
+                    for op in _BINARY:
+                        assert _at_points(op(s, x), shape) == _at_points(op(s, dx), shape)
+                    for op in _BINARY[:3] if type(s) is int and s == 0 else _BINARY:
+                        assert _at_points(op(x, s), shape) == _at_points(op(dx, s), shape)
+                for e in (0, 1, 2, 3):
+                    assert _at_points(x**e, shape) == _at_points(dx**e, shape)
+                square = x * x
+                assert (_at_points(square.sqrt(), shape)
+                        == _at_points(_dense(square, shape).sqrt(), shape))
+
+
+def test_no_operation_updates_an_operand():
+    # A skipped product hands back an operand's own array, so an in-place
+    # update of the result would change the operand. Int-1 heads and
+    # denominators make division and sqrt skip their scalings.
+    g = _ints(1, 2, 5).reshape(3, 1) * _ints(-3, 4).reshape(1, 2)
+    head_one = Jet._make((1, g, g + 1, 2 * g), 1)
+    squares = (head_one, head_one * head_one, Jet.variable(1, 3), Jet._make((g * g, g, 0, g), 1))
+    operands = squares + (Jet.variable(g, 3), Jet.constant(g, 3))
+    unary = (lambda x: x.sqrt(), lambda x: x**3, lambda x: 1 - x, lambda x: 1 / x,
+             lambda x: g * x, lambda x: x + g, lambda x: Fraction(1, 3) - x)
+
+    def snapshot(*jets_):
+        return [np.array(v, dtype=object) for j in jets_ for v in (*j._num, j._den)]
+
+    def unchanged(before, *jets_):
+        return all(np.array_equal(u, v) for u, v in zip(before, snapshot(*jets_)))
+
+    for x in operands:
+        for y in operands:
+            for op in _BINARY:
+                before = snapshot(x, y)
+                op(x, y)
+                assert unchanged(before, x, y)
+    for x in squares:
+        for op in unary:
+            before = snapshot(x)
+            op(x)
+            assert unchanged(before, x)
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = [0]
+
+    def __mul__(self, other):
+        self.products[0] += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_variable_times_constant_skips_the_structural_products():
+    # (v, 1, 0, 0) * (c, 0, 0, 0) over a 4-point grid: only v * c runs, one
+    # product per point. With every 0 and 1 an array of counted ints, the
+    # same product runs all 10 convolution terms and the denominators' product.
+    v = np.array([_Counted(k) for k in (1, 2, 3, 4)], dtype=object)
+    c = np.array([_Counted(k) for k in (5, 6, 7, 8)], dtype=object)
+    t, k = Jet.variable(v, 3), Jet.constant(c, 3)
+    _Counted.products[0] = 0
+    r = t * k
+    assert _Counted.products[0] == 4
+    assert _at_points(r, (4,)) == [(5, 5, 0, 0), (12, 6, 0, 0), (21, 7, 0, 0), (32, 8, 0, 0)]
+
+    def dense(jet):
+        def fill(n):
+            return np.array([_Counted(n)] * 4, dtype=object) if type(n) is int else n
+        return Jet._make(tuple(map(fill, jet._num)), fill(jet._den))
+
+    _Counted.products[0] = 0
+    assert _at_points(dense(t) * dense(k), (4,)) == _at_points(r, (4,))
+    assert _Counted.products[0] == 4 * 11
