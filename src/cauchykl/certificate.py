@@ -85,11 +85,10 @@ import numpy as np
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _clear, _first_at, _root, rational_sqrt
+from .jets import Jet, _clear, _first_at, _root
 from .oracle import integral_a_numeric
 
 __all__ = [
-    "rational_sqrt",
     "phi_partial_d",
     "operator_coefficients",
     "apply_operator",

@@ -5,10 +5,12 @@ sum_k c_k * t^k around a point, so c_k = f^(k) / k!. It stores them as
 int numerators over one shared int denominator, c_k = num_k / den, and
 every operation is one arithmetic path on those numerators:
 
-* +, - and * convolve or add the numerators and multiply the
-  denominators (a denominator shared by the operands is kept as it is);
-  a scalar moves c0 only under + and - and scales the numerators under *,
-  without a constant jet;
+* + and - are one combine, which adds or subtracts the numerators, each
+  times the other operand's denominator, over the product of the
+  denominators (a denominator the operands share is kept as it is); *
+  convolves the numerators and multiplies the denominators. A scalar p/q
+  enters as the constant jet (p, 0, ...)/q, whose structural 0s (below)
+  leave + and - moving c0 only and * scaling the numerators;
 * / runs the fraction-free quotient recurrence (in the spirit of
   Bareiss' integer-preserving elimination, Math. Comp. 22, 1968)
 
@@ -43,7 +45,9 @@ receives it. No operation constructs a Fraction or takes a gcd;
 `coefficients` and `derivative` return Fractions for scalar jets, while
 `derivative_numerator` over `denominator` gives a derivative as two ints
 or int arrays. This is what the certificate checks in
-`cauchykl.certificate` rely on.
+`cauchykl.certificate` rely on. A grid jet's repr names the grid's shape
+and the coefficients at its first point; == compares every point, and a
+grid jet has no hash.
 """
 
 from __future__ import annotations
@@ -204,36 +208,24 @@ class Jet:
         return Fraction(self.derivative_numerator(k), self._den)
 
     def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self._same_order(other)
-        return Jet.constant(other, self.order)
-
-    def _same_order(self, other: "Jet") -> "Jet":
+        """other as a jet of this order: a scalar p/q is the constant jet (p, 0, ...)/q."""
+        if not isinstance(other, Jet):
+            return Jet.constant(other, self.order)
         if len(other._num) != len(self._num):
             raise ParameterError(f"jet orders differ: {self.order} vs {other.order}")
         return other
 
-    def _shift(self, other, s: int, t: int) -> "Jet":
-        """s*self + t*other for signs s, t and a scalar other, which moves c0 only."""
-        p, q = _split(other)
-        a, da = self._num, self._den
-        if s < 0:
-            a = tuple([-x for x in a])
-        if t < 0:
-            p = -p
-        if q is da:
-            return Jet._make((_add(a[0], p),) + a[1:], da)
-        return Jet._make((_add(_mul(a[0], q), _mul(p, da)),) + tuple([_mul(x, q) for x in a[1:]]),
-                         _mul(da, q))
+    def _combine(self, other, op) -> "Jet":
+        """self op other for op `_add` or `_sub`, over the numerator tuples."""
+        o = self._coerce(other)
+        a, da, b, db = self._num, self._den, o._num, o._den
+        if da is db:
+            return Jet._make(tuple([op(x, y) for x, y in zip(a, b)]), da)
+        return Jet._make(tuple([op(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
+                         _mul(da, db))
 
     def __add__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return self._shift(other, 1, 1)
-        a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
-        if da is db:
-            return Jet._make(tuple([_add(x, y) for x, y in zip(a, b)]), da)
-        return Jet._make(tuple([_add(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
-                         _mul(da, db))
+        return self._combine(other, _add)
 
     __radd__ = __add__
 
@@ -241,33 +233,21 @@ class Jet:
         return Jet._make(tuple([-x for x in self._num]), self._den)
 
     def __sub__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return self._shift(other, 1, -1)
-        a, da, b, db = self._num, self._den, self._same_order(other)._num, other._den
-        if da is db:
-            return Jet._make(tuple([_sub(x, y) for x, y in zip(a, b)]), da)
-        return Jet._make(tuple([_sub(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
-                         _mul(da, db))
+        return self._combine(other, _sub)
 
     def __rsub__(self, other) -> "Jet":
-        return self._shift(other, -1, 1)
+        return -self + other
 
     def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            p, q = _split(other)
-            return Jet._make(tuple([_mul(p, x) for x in self._num]), _mul(q, self._den))
-        a, b = self._num, self._same_order(other)._num
-        den = _mul(self._den, other._den)
-        if len(a) == 2:
-            (a0, a1), (b0, b1) = a, b
-            return Jet._make((_mul(a0, b0), _add(_mul(a0, b1), _mul(a1, b0))), den)
+        o = self._coerce(other)
+        a, b = self._num, o._num
         out = []
         for k in range(len(a)):
             acc = 0
             for j in range(k + 1):
                 acc = _add(acc, _mul(a[j], b[k - j]))
             out.append(acc)
-        return Jet._make(tuple(out), den)
+        return Jet._make(tuple(out), _mul(self._den, o._den))
 
     __rmul__ = __mul__
 
@@ -338,11 +318,27 @@ class Jet:
         out.extend(_mul(_mul(t[k], q), _mul(scales[n - k], c)) for k in range(1, n + 1))
         return Jet._make(tuple(out), _mul(q, scales[n]))
 
+    def _grid(self) -> tuple | None:
+        """The broadcast shape of the jet's arrays, or None for a jet over no grid."""
+        shapes = [v.shape for v in (*self._num, self._den) if type(v) is np.ndarray]
+        return np.broadcast_shapes(*shapes) if shapes else None
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Jet) and self.coefficients == other.coefficients
+        """Whether other is a jet of the same order with the same exact coefficients at
+        every point of the grid both broadcast to; a scalar stands for every point."""
+        if not isinstance(other, Jet) or len(other._num) != len(self._num):
+            return False
+        da, db = self._den, other._den
+        return all(np.all(_mul(x, db) == _mul(y, da)) for x, y in zip(self._num, other._num))
 
     def __hash__(self):
+        if self._grid() is not None:
+            raise TypeError("a jet over a grid is unhashable")
         return hash(self.coefficients)
 
     def __repr__(self) -> str:
-        return f"Jet({list(self.coefficients)!r})"
+        shape = self._grid()
+        if shape is None:
+            return f"Jet({list(self.coefficients)!r})"
+        *num, den = (v.flat[0] if type(v) is np.ndarray else v for v in (*self._num, self._den))
+        return f"Jet(grid of shape {shape}, first point {[Fraction(n, den) for n in num]!r})"

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +40,44 @@ def draw_pairs(seed: int, count: int):
         s1, s2 = (float(v) for v in rng.uniform(0.01, 100.0, 2))
         pairs.append((CauchyDist(l1, s1), CauchyDist(l2, s2)))
     return pairs
+
+
+def _random_ratio(rng: np.random.Generator, positive: bool = False,
+                  bound: int = 1000) -> Fraction:
+    """A random rational; a drawn numerator 0 becomes 1 unless `positive`."""
+    lo = 1 if positive else -bound
+    num = int(rng.integers(lo, bound + 1))
+    if not positive and num == 0:
+        num = 1
+    return Fraction(num, int(rng.integers(1, bound + 1)))
+
+
+def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fraction, Fraction]:
+    """Rational (d, e, f) with 4*d*f - e^2 a strictly positive rational square.
+
+    Built from the parametrization f = (e^2 + m^2) / (4*d) over random
+    rational (d, e, m) with d, m > 0, which keeps every square root in
+    the certificate expressions rational. e is never 0 (`_random_ratio`),
+    so the singular set d = f, e = 0 is never drawn.
+    """
+    d, e, m = _random_ratio(rng, positive=True), _random_ratio(rng), _random_ratio(rng, positive=True)
+    return d, e, (e * e + m * m) / (4 * d)
+
+
+def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fraction, Fraction, Fraction]:
+    """Rational (d, e, f) of moderate magnitude with 4*d*f - e^2 > 0.
+
+    No suite draws it; the tests do, for the tail limits of psi, the G
+    factorization and the primitive B (acceptance criteria 09-10). Their
+    floating-point checks need values within a few orders of 1: the
+    first-order deviation of psi (and of B) from its limit at |x| = 1e8
+    scales with powers of the coefficient magnitudes.
+    """
+    while True:
+        d, e, f = (_random_ratio(rng, positive=True, bound=bound), _random_ratio(rng, bound=bound),
+                   _random_ratio(rng, positive=True, bound=bound))
+        if 4 * d * f - e * e > 0:
+            return d, e, f
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from cauchykl import (
     standardize_pair,
 )
 from cauchykl.certificate import psi, psi_limit, verify_ode_dadd, verify_telescoping
-from cauchykl.suites import random_certificate_point, random_tame_point
-from helpers import draw_pairs, rel_err, ulps_apart
+from helpers import draw_pairs, random_certificate_point, random_tame_point, rel_err, ulps_apart
 
 
 def report(number: int, passed: bool, name: str, detail: str) -> None:

@@ -15,7 +15,6 @@ from cauchykl.certificate import (
     phi_partial_d,
     psi,
     psi_limit,
-    rational_sqrt,
     verify_dadd_residues,
     verify_g_factorization,
     verify_integration_constant,
@@ -23,13 +22,9 @@ from cauchykl.certificate import (
     verify_tail_limit,
     verify_telescoping,
 )
-from cauchykl.suites import (
-    CHECKSUMS,
-    certificate_suite,
-    ode_suite,
-    random_certificate_point,
-    random_tame_point,
-)
+from cauchykl.jets import rational_sqrt
+from cauchykl.suites import CHECKSUMS, certificate_suite, ode_suite
+from helpers import random_certificate_point, random_tame_point
 
 ONE = Fraction(1)
 

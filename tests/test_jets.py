@@ -8,7 +8,7 @@ import pytest
 
 from cauchykl import Jet, ParameterError, core, jets
 from cauchykl.jets import rational_sqrt
-from cauchykl.suites import random_certificate_point
+from helpers import random_certificate_point
 
 
 def test_variable_and_constant():
@@ -150,9 +150,10 @@ def _seeded_jet(rng, order):
 
 
 def test_scalar_fast_paths_match_the_constant_jet_path():
-    # Scalars skip the constant jet: + and - move c0 only, * scales. The
-    # coefficients must be those of the constant-jet path, for int and
-    # Fraction scalars, including a scalar over the jet's own denominator.
+    # A scalar enters as the constant jet, whose structural 0s leave + and -
+    # moving c0 only and * scaling. The coefficients must be those of an
+    # explicit constant jet, for int and Fraction scalars, including a scalar
+    # over the jet's own denominator.
     rng = np.random.Generator(np.random.PCG64(151))
     for order in (1, 2, 3):
         for _ in range(30):
@@ -256,6 +257,25 @@ def _at_points(jet, shape):
     *nums, den = (np.broadcast_to(np.asarray(v, dtype=object), shape)
                   for v in (*jet._num, jet._den))
     return [tuple(Fraction(n[i], den[i]) for n in nums) for i in np.ndindex(*shape)]
+
+
+def test_grid_jets_are_readable():
+    # A grid jet's repr names its broadcast shape and its first point, == compares
+    # the exact coefficients at every point, and it has no hash; scalar jets read
+    # as they always did.
+    x = Jet.variable(_ints(1, 2, 5).reshape(3, 1), 2) / _ints(-3, 4).reshape(1, 2)
+    assert repr(x) == ("Jet(grid of shape (3, 2), first point "
+                       "[Fraction(-1, 3), Fraction(-1, 3), Fraction(0, 1)])")
+    last = Jet.constant(_ints(0, 0, 0, 0, 0, 1).reshape(3, 2), 2)
+    assert x == x * 3 / 3 == _dense(x, (3, 2)) and x * 2 == x + x
+    assert x != x + last and x + last != x and x != Jet.variable(1, 2) and x != 1
+    assert Jet.constant(_ints(2, 2), 1) == Jet.constant(2, 1)
+    assert Jet.constant(_ints(2, 3), 1) != Jet.constant(2, 1) != Jet.constant(2, 2)
+    with pytest.raises(TypeError, match="grid is unhashable"):
+        hash(x)
+    s = Jet.variable(Fraction(1, 2), 1)
+    assert repr(s) == "Jet([Fraction(1, 2), Fraction(1, 1)])"
+    assert s == Jet([Fraction(2, 4), 1]) and len({s, Jet([Fraction(2, 4), 1]), 2 * s}) == 2
 
 
 def test_skipping_structural_zeros_and_ones_changes_no_value():
