@@ -44,7 +44,11 @@ identities are
 * that formula against the residue theorem, the one outside fact
   (Bronstein, Symbolic Integration I, Springer 2005, ch. 2): dA/dd is
   2*pi*i times the residues at i and (-e + i*m)/(2*d)
-  (`verify_dadd_residues`, `residue_degrees`).
+  (`verify_dadd_residues`, `residue_degrees`);
+* the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
+  simplification, G1 read from core's dA/dd formula
+  (`verify_g_factorization`), which the tests run and no `verify` suite
+  does yet.
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
 returns its residual as (numerator, denominator) and runs the same lines
@@ -64,12 +68,9 @@ the common denominator D of a rational point (`jets._clear`), runs the
 core at the integer point D*(d,e,f) and rescales the residual by
 D**degree into one Fraction. A residual part that is not an int raises
 TypeError (`_exact_residual`, which the grid suites run too). The
-vanishing integration constant is checked in floating point against the
-quadrature oracle, and the factorization G1*G2 = (d-f)^2 + e^2 behind
-the final log simplification is float algebra
-(`verify_g_factorization`), which the tests run and no `verify` suite
-does. Any nonzero residual disproves the transcription and is reported,
-never patched.
+vanishing integration constant, the one float check left, is checked
+against the quadrature oracle. Any nonzero residual disproves the
+transcription and is reported, never patched.
 """
 
 from __future__ import annotations
@@ -103,13 +104,13 @@ __all__ = [
     "residual_ode_dadd",
     "residual_dadd_residues",
     "residual_tail_limit",
+    "residual_g_factorization",
     "telescoping_degrees",
     "ode_degrees",
     "residue_degrees",
     "verify_integration_constant",
     "verify_g_factorization",
     "ConstantZeroReport",
-    "GFactorizationReport",
 ]
 
 
@@ -346,6 +347,27 @@ def residual_tail_limit(d, e, f) -> tuple:
     return -2 * p.derivative_numerator(5) * limit_den - limit * den, den * limit_den
 
 
+def verify_g_factorization(d, e, f) -> Fraction:
+    """Exact residual m*(G1*G2 - (d-f)^2 - e^2) at a rational point with square
+    discriminant 4*d*f - e^2 = m^2, m > 0: `residual_g_factorization`, of degree 3."""
+    return _at_rational(residual_g_factorization, 3, d, e, f)
+
+
+def residual_g_factorization(d, e, f) -> tuple:
+    """(num, den) of m*(G1*G2 - G3) at an integer point (d, e, f) with square
+    discriminant m^2, or elementwise for int arrays of one grid, where
+    G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
+
+    The identity turns (log G1 - log G2 + log G3)/2 into log G1 in the closed
+    form of A. G1 is read from core's dA/dd formula (`core._dadd_over_pi`), whose
+    denominator is m*G1. On the singular set d = f, e = 0 both sides are 0.
+    """
+    _check_domain(d, e, f)
+    m = _root(4 * d * f - e * e, 1)[0]
+    den = core._dadd_over_pi(d, e, f, lambda _: m)[1]
+    return den * (d + f - m) - m * ((d - f) * (d - f) + e * e), 1
+
+
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
 # and l, and j + 2k and l + 2k, its degrees in e and m once f = (e^2 + m^2)/(4d)
 # and s = m.
@@ -535,49 +557,3 @@ def verify_integration_constant() -> ConstantZeroReport:
             worst = max(worst, deviation)
             cases.append((d, e, deviation))
     return ConstantZeroReport(tuple(cases), worst, tolerance, worst <= tolerance)
-
-
-@dataclass(frozen=True)
-class GFactorizationReport:
-    """Outcome of the factor check G1 * G2 = (d - f)^2 + e^2."""
-
-    g1: float
-    g2: float
-    g3: float
-    residual: float
-    tolerance: float
-    positivity_checked: bool
-    positivity_ok: bool
-    passed: bool
-
-
-def verify_g_factorization(d: float, e: float, f: float) -> GFactorizationReport:
-    """Check G1*G2 = G3 for G1,2 = d + f +/- sqrt(4*d*f - e^2), G3 = (d-f)^2 + e^2.
-
-    This identity justifies replacing (log G1 - log G2 + log G3)/2 by
-    log G1 in the closed form of A. The tolerance tracks the floating
-    sqrt: |fl(G1*G2) - G3| is of order eps*(d+f)^2, with a floor of 1e-12
-    for unit-scale inputs. Positivity of G1 and G2 holds strictly for
-    every valid quadratic except on the boundary d = f, e = 0, where
-    G2 = 0 and the sub-check is skipped.
-    """
-    q = PositiveQuadratic(d, e, f)
-    d, e, f = q.a, q.b, q.c
-    r = math.sqrt(q.discriminant_guard)
-    g1 = d + f + r
-    g2 = d + f - r
-    g3 = (d - f) * (d - f) + e * e
-    residual = abs(g1 * g2 - g3)
-    tolerance = max(4.0 * math.ulp(max(g3, (d + f) * (d + f))), 1e-12 * max(1.0, g3))
-    boundary = d == f and e == 0.0
-    positivity_ok = True if boundary else (g1 > 0.0 and g2 > 0.0)
-    return GFactorizationReport(
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        residual=residual,
-        tolerance=tolerance,
-        positivity_checked=not boundary,
-        positivity_ok=positivity_ok,
-        passed=residual <= tolerance and positivity_ok,
-    )

@@ -19,8 +19,8 @@ integrand is bounded and analytic in theta, with structure only where a
 density is narrow: t = 0 at width 1 and t = alpha at width beta. Panel
 boundaries grade geometrically away from each feature (c, w), at c and
 c -/+ w*4**k until the steps reach 4*(|alpha| + max(1, beta)), so a
-scale ratio or gap of 10**k costs O(k) panels. Without breakpoints,
-integrate_real_line grades around x = 0 out to 2**53 instead, which
+scale ratio or gap of 10**k costs O(k) panels. integrate_real_line,
+which has no pair, grades around x = 0 out to 2**53 instead, which
 covers integrands whose tails grow like a log.
 
 Panels are evaluated in batches, every node of the initial panels in
@@ -41,8 +41,9 @@ x - l1 for x = l1 + s1*t would round t away when s1 is small against
 ulp(l1). An estimate is reproducible from (inputs, samples, seed) on one
 CPU and numpy build, not across them: the per-sample np.tan and np.log
 are numpy's SIMD ufuncs, which differ from libm in the last bit on some
-inputs and CPUs (ROADMAP item 5). Its mean and standard error are built
-from correctly rounded sums (math.fsum semantics, by
+inputs and CPUs (the ROADMAP item on seeded Monte-Carlo with the same
+bits on every CPU). Its mean and standard error are built from
+correctly rounded sums (math.fsum semantics, by
 `correctly_rounded_sum`), so they do not depend on the order in which
 numpy reduces an array. The estimator keeps one sample
 array, the log-ratios, and runs every per-sample pass (draws, transforms,
@@ -56,7 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -129,8 +130,10 @@ class QuadratureConfig:
             raise ParameterError(f"relative_tolerance must be > 0, got {self.relative_tolerance!r}")
         if not (self.absolute_tolerance > 0.0 and math.isfinite(self.absolute_tolerance)):
             raise ParameterError(f"absolute_tolerance must be > 0, got {self.absolute_tolerance!r}")
-        if int(self.max_refinement_depth) < 1:
-            raise ParameterError(f"max_refinement_depth must be >= 1, got {self.max_refinement_depth!r}")
+        # An integer (numpy's too), not a bool; CLI error records carry this message.
+        depth = self.max_refinement_depth
+        if not (isinstance(depth, (int, np.integer)) and type(depth) is not bool and depth >= 1):
+            raise ParameterError(f"max_refinement_depth must be >= 1, got {depth!r}")
 
     def tolerance_for(self, value: float) -> float:
         return max(self.absolute_tolerance, self.relative_tolerance * abs(value))
@@ -263,25 +266,19 @@ def _theta_breakpoints(breakpoints: Iterable[float]) -> list[float]:
 def integrate_real_line(
     integrand: Callable,
     config: QuadratureConfig = DEFAULT_CONFIG,
-    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate `integrand`, a map from float to float, over the whole real line.
 
-    `breakpoints` are x-space abscissae near which the integrand has
-    structure (density spikes, log-factor minima); a panel boundary is
-    placed at each. Without breakpoints the boundaries grade
-    geometrically around x = 0, at 0 and -/+4**k out to 2**53, which suits
-    integrands that peak near the origin and whose tails grow like a
-    log. Breakpoints a caller passes replace that default grading, so a
-    caller whose integrand grows toward the ends passes its own grading.
-    A non-finite integrand sample raises IntegrandEvaluationError carrying
-    the offending abscissa; exhausting the refinement depth returns
-    converged=False instead of raising.
+    Panel boundaries grade geometrically around x = 0, at 0 and -/+4**k
+    out to 2**53, which suits integrands that peak near the origin and
+    whose tails grow like a log. A non-finite integrand sample raises
+    IntegrandEvaluationError carrying the offending abscissa; exhausting
+    the refinement depth returns converged=False instead of raising.
     """
     def f(x: np.ndarray) -> np.ndarray:
         return _elementwise(integrand, x)
 
-    points = list(breakpoints) or _graded_breakpoints(((0.0, 1.0),), 2.0 ** 53)
+    points = _graded_breakpoints(((0.0, 1.0),), 2.0 ** 53)
     with np.errstate(all="ignore"):
         return _integrate(f, config, _theta_breakpoints(points))
 
@@ -508,7 +505,8 @@ def kl_monte_carlo(
     (a non-negative integer; a negative one raises ParameterError), so on
     one CPU and numpy build the estimate is a function of (p1, p2, samples,
     seed); across them the SIMD np.tan and np.log may move its last bits
-    (ROADMAP item 5). It averages log R(t) over draws t in p1's frame, the
+    (the ROADMAP item on seeded Monte-Carlo with the same bits on every
+    CPU). It averages log R(t) over draws t in p1's frame, the
     frame kl_numeric integrates in: x = l1 + s1*t would round t away when
     s1 is small against ulp(l1). R is bounded, so the variance is finite. With L the n = `samples` log-ratios,
     the moments are

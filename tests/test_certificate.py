@@ -192,30 +192,29 @@ def test_integration_constant_report():
 
 
 def test_g_factorization_fixtures():
-    report = verify_g_factorization(1, 0, 2)
-    assert report.passed
-    assert report.g1 == pytest.approx(3 + 2 * math.sqrt(2), rel=1e-15)
-    assert report.g2 == pytest.approx(3 - 2 * math.sqrt(2), rel=1e-14)
-    assert report.g3 == 1.0
-    assert report.positivity_checked and report.positivity_ok
-
-    report = verify_g_factorization(1, 1, 1)
-    assert report.passed
-    assert report.g3 == 1.0
-
-    # boundary d = f, e = 0: G2 = 0, positivity sub-check excluded
-    report = verify_g_factorization(2, 0, 2)
-    assert report.passed
-    assert not report.positivity_checked
-    assert report.g2 == pytest.approx(0.0, abs=1e-15)
+    # (1, 0, 1) lies on the singular set, where G2 = G3 = 0.
+    for point in ((1, 0, 1), (2, 0, Fraction(1, 2)), (1, 3, Fraction(5, 2)), (1, 0, Fraction(9, 4))):
+        residual = verify_g_factorization(*point)
+        assert type(residual) is Fraction and residual == 0
+    with pytest.raises(ParameterError):
+        verify_g_factorization(1, 1, 1)  # 4*d*f - e^2 = 3 is not a rational square
+    with pytest.raises(ParameterError):
+        verify_g_factorization(1, 2, 1)  # discriminant guard zero
 
 
 def test_g_factorization_random_points():
     rng = np.random.Generator(np.random.PCG64(109))
     for _ in range(200):
-        d, e, f = (float(v) for v in random_tame_point(rng))
-        report = verify_g_factorization(d, e, f)
-        assert report.passed, (d, e, f, report)
+        d, e, f = random_certificate_point(rng)
+        assert verify_g_factorization(d, e, f) == 0, (d, e, f)
+
+
+def test_g_factorization_reads_the_shipped_dadd_denominator(monkeypatch):
+    # G1 comes from core's dA/dd denominator m*G1: with d^2 added to it the
+    # residual is d^2*G2, 5/2 at (1, 3, 5/2), where m = 1 and G2 = 5/2.
+    _change_dadd(monkeypatch, "denominator + d^2")
+    residual = verify_g_factorization(1, 3, Fraction(5, 2))
+    assert type(residual) is Fraction and residual == Fraction(5, 2)
 
 
 def _random_nonzero_rational(rng):
@@ -324,6 +323,19 @@ def test_phi_partial_d_mutation_is_caught(monkeypatch):
     assert verify_telescoping(1, 0, 100, 0) != 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: the telescoping grid is sized from hand-written forms of phi_partial_d "
+    "and psi, so a term that vanishes with its x-derivative at every grid x passes the suite"))
+@pytest.mark.parametrize("name", ["phi_partial_d", "psi"])
+def test_grid_blind_bump_fails_the_certificate_suite(monkeypatch, name):
+    shipped = getattr(certificate, name)
+    monkeypatch.setattr(certificate, name, lambda d, e, f, x: shipped(d, e, f, x) + math.prod(
+        (x - k) ** 2 for k in range(11)))
+    if verify_telescoping(1, 1, 100, Fraction(1, 2)) == 0:
+        pytest.fail("the bump must break the telescoping identity off the grid")
+    assert not all(outcome.passed for outcome in certificate_suite())
+
+
 def test_operator_mutation_is_caught(monkeypatch):
     # apply_operator sums c_k * k! * num_k on ints; this shows it reads the
     # shipped coefficients through the module attribute.
@@ -361,6 +373,8 @@ def test_exact_checks_refuse_float_points():
         verify_telescoping(1, 0, 2, 0.5)
     with pytest.raises(TypeError):
         verify_ode_dadd(1, 3, 2.5)
+    with pytest.raises(TypeError):
+        verify_g_factorization(1, 3, 2.5)
 
 
 def test_tail_limit_is_minus_two_p5_over_d_cubed():
@@ -665,7 +679,8 @@ def _small_grids():
             (verify_tail_limit, certificate.residual_tail_limit,
              _grid(range(1, 3), range(3), range(3, 5))),
             (verify_ode_dadd, certificate.residual_ode_dadd, square),
-            (verify_dadd_residues, certificate.residual_dadd_residues, square))
+            (verify_dadd_residues, certificate.residual_dadd_residues, square),
+            (verify_g_factorization, certificate.residual_g_factorization, square))
 
 
 def _grid_matches_scalar(verify, core_check, args):
@@ -686,7 +701,7 @@ def test_grid_cores_match_the_scalar_checks(monkeypatch):
     # integer point is the scalar check, so the two must agree point by point,
     # on the shipped data and under mutations that make the residuals nonzero.
     grids = _small_grids()
-    assert [_grid_matches_scalar(*grid) for grid in grids] == [0, 0, 0, 0]
+    assert [_grid_matches_scalar(*grid) for grid in grids] == [0, 0, 0, 0, 0]
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x**5)
@@ -694,7 +709,11 @@ def test_grid_cores_match_the_scalar_checks(monkeypatch):
     dadd_over_pi = core._dadd_over_pi
     monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
         dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
-    assert [_grid_matches_scalar(*grid) for grid in grids[2:]] == [12, 12]
+    # The G factorization reads only the denominator, which this change keeps.
+    assert [_grid_matches_scalar(*grid) for grid in grids[2:]] == [12, 12, 0]
+    monkeypatch.setattr(core, "_dadd_over_pi", dadd_over_pi)
+    _change_dadd(monkeypatch, "denominator + d^2")
+    assert _grid_matches_scalar(*grids[4]) == 12  # d^2*G2, and G2 > 0 off d = f, e = 0
 
 
 def test_grid_cores_check_every_point():
@@ -704,7 +723,8 @@ def test_grid_cores_check_every_point():
     for core_check, args in ((certificate.residual_telescoping, (d, e, f, e)),
                              (certificate.residual_tail_limit, (d, e, f)),
                              (certificate.residual_ode_dadd, (d, e, f)),
-                             (certificate.residual_dadd_residues, (d, e, f))):
+                             (certificate.residual_dadd_residues, (d, e, f)),
+                             (certificate.residual_g_factorization, (d, e, f))):
         with pytest.raises(ParameterError, match=r"\(1, 2, 1\)"):
             core_check(*args)
     with pytest.raises(ParameterError):  # d = -1
@@ -715,7 +735,8 @@ def test_grid_cores_check_every_point():
     for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
         with pytest.raises(SingularPointError):
             core_check(*singular)
-    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
+    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues,
+                       certificate.residual_g_factorization):
         with pytest.raises(ParameterError, match="11 is not the square"):  # 16, then 11
             core_check(*_grid(range(1, 2), range(2, 4), range(5, 6)))
 

@@ -1092,6 +1092,17 @@ def test_exact_suites_draw_no_random_numbers():
         "ode residual of dA/dd", "integration constant"]
 
 
+def test_runtime_imports_no_test_only_package():
+    # mpmath, sympy, hypothesis and pytest are test tools: importing the package,
+    # its CLI and its verification modules in a fresh interpreter loads none.
+    script = ("import sys, cauchykl, cauchykl.cli, cauchykl.suites, cauchykl.certificate\n"
+              "print([m for m in ('mpmath', 'sympy', 'hypothesis', 'pytest') if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchykl.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout == "[]\n"
+
+
 # sha256 of the whole stdout of `verify --suite SUITE --seed SEED` at the
 # default counts, recorded when the exact checks moved from random points
 # to derived proof grids, and for `ode` again when its grids came to span

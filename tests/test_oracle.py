@@ -99,8 +99,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(relative_tolerance=0.0)
     with pytest.raises(ParameterError):
         QuadratureConfig(absolute_tolerance=-1e-10)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(max_refinement_depth=0)
+    for depth in (0, 2.5, True, "3", math.nan, np.bool_(True), None):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(max_refinement_depth=depth)
+    for depth in (1, 3, np.int64(3), np.uint8(3)):
+        assert QuadratureConfig(max_refinement_depth=depth).max_refinement_depth == depth
 
 
 def test_breakpoints_accelerate_narrow_spikes():
