@@ -117,6 +117,12 @@ _MAX_GRADES = 1100
 _MAX_SPLITS = 200_000
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    """Raise ParameterError unless `value` is an int (numpy's too), not a bool, and >= least."""
+    if not (isinstance(value, (int, np.integer)) and type(value) is not bool and value >= least):
+        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and refinement budget for the adaptive integrator."""
@@ -126,14 +132,13 @@ class QuadratureConfig:
     max_refinement_depth: int = 20
 
     def __post_init__(self) -> None:
-        if not (self.relative_tolerance > 0.0 and math.isfinite(self.relative_tolerance)):
-            raise ParameterError(f"relative_tolerance must be > 0, got {self.relative_tolerance!r}")
-        if not (self.absolute_tolerance > 0.0 and math.isfinite(self.absolute_tolerance)):
-            raise ParameterError(f"absolute_tolerance must be > 0, got {self.absolute_tolerance!r}")
-        # An integer (numpy's too), not a bool; CLI error records carry this message.
-        depth = self.max_refinement_depth
-        if not (isinstance(depth, (int, np.integer)) and type(depth) is not bool and depth >= 1):
-            raise ParameterError(f"max_refinement_depth must be >= 1, got {depth!r}")
+        # A real number (numpy's too), not a bool; CLI error records carry these messages.
+        for name in ("relative_tolerance", "absolute_tolerance"):
+            tol = getattr(self, name)
+            if not (isinstance(tol, (int, float, np.integer, np.floating))
+                    and type(tol) is not bool and 0.0 < tol < math.inf):
+                raise ParameterError(f"{name} must be > 0, got {tol!r}")
+        _check_integer(self.max_refinement_depth, "max_refinement_depth", 1)
 
     def tolerance_for(self, value: float) -> float:
         return max(self.absolute_tolerance, self.relative_tolerance * abs(value))
@@ -237,32 +242,6 @@ def _gk15(
     return (resk * h).tolist(), (np.abs(resk - resg) * h).tolist()
 
 
-def _graded_breakpoints(features: Iterable[tuple[float, float]], reach: float) -> list[float]:
-    """The abscissae c and c -/+ w*4**k, k = 0, 1, ... until w*4**k >= reach.
-
-    For each feature (c, w), the panels widen geometrically from width w
-    out to `reach`: a log-type dip at scale w, or log growth toward the
-    ends of the theta interval, costs O(log(reach/w)) panels.
-    """
-    points: list[float] = []
-    for c, w in features:
-        points.append(c)
-        step = w
-        for _ in range(_MAX_GRADES):
-            points.extend((c - step, c + step))
-            if step >= reach:
-                break
-            step *= 4.0
-    return points
-
-
-def _theta_breakpoints(breakpoints: Iterable[float]) -> list[float]:
-    """-pi/2, pi/2 and atan(x) for each finite breakpoint x, sorted, no repeats."""
-    thetas = {-_HALF_PI, _HALF_PI}
-    thetas.update(math.atan(x) for x in breakpoints if math.isfinite(x))
-    return sorted(thetas)
-
-
 def integrate_real_line(
     integrand: Callable,
     config: QuadratureConfig = DEFAULT_CONFIG,
@@ -275,59 +254,75 @@ def integrate_real_line(
     IntegrandEvaluationError carrying the offending abscissa; exhausting
     the refinement depth returns converged=False instead of raising.
     """
-    def f(x: np.ndarray) -> np.ndarray:
-        return _elementwise(integrand, x)
-
-    points = _graded_breakpoints(((0.0, 1.0),), 2.0 ** 53)
-    with np.errstate(all="ignore"):
-        return _integrate(f, config, _theta_breakpoints(points))
+    return _integrate(lambda x: _elementwise(integrand, x), config, ((0.0, 1.0),), 2.0 ** 53)
 
 
 def _integrate(
     f: Callable[[np.ndarray], np.ndarray],
     config: QuadratureConfig,
-    pts: list[float],
+    features: Iterable[tuple[float, float]],
+    reach: float,
 ) -> QuadratureResult:
-    values, errors = _gk15(f, np.array(pts[:-1]), np.array(pts[1:]))
-    evaluations = 15 * len(values)
-    total_value = 0.0
-    total_error = 0.0
-    # Heap entries: (-error, left, depth, right, value). Left endpoints are
-    # unique across live panels, so ordering is total and deterministic.
-    heap: list[tuple[float, float, int, float, float]] = []
-    for a, b, value, err in zip(pts, pts[1:], values, errors):
-        total_value += value
-        total_error += err
-        heap.append((-err, a, 0, b, value))
-    heapq.heapify(heap)
+    """Integral of f(x) dx over R by GK15 on theta panels, the worst one split first.
 
-    depth_capped: list[tuple[float, float, int, float, float]] = []
-    capped_error = 0.0
-    converged = True
-    for _ in range(_MAX_SPLITS):
-        if total_error <= config.tolerance_for(total_value):
-            break
-        if not heap:
-            converged = False
-            break
-        neg_err, a, depth, b, value = heapq.heappop(heap)
-        if depth >= config.max_refinement_depth:
-            depth_capped.append((neg_err, a, depth, b, value))
-            capped_error += -neg_err
-            if capped_error > config.tolerance_for(total_value):
-                # The irreducible panels alone already exceed the budget.
+    The first panel edges are -pi/2, pi/2 and atan(x) for each finite x among
+    c and c -/+ w*4**k, k = 0, 1, ... until w*4**k >= reach, for each feature
+    (c, w); c or w can be inf or nan. So panels widen geometrically from width
+    w out to `reach`: a log-type dip at scale w, or log growth toward the ends
+    of the theta interval, costs O(log(reach/w)) panels. Float warnings are
+    off; a non-finite sample raises IntegrandEvaluationError.
+    """
+    points: list[float] = []
+    for c, w in features:
+        points.append(c)
+        step = w
+        for _ in range(_MAX_GRADES):
+            points.extend((c - step, c + step))
+            if step >= reach:
+                break
+            step *= 4.0
+    pts = sorted({-_HALF_PI, _HALF_PI, *(math.atan(x) for x in points if math.isfinite(x))})
+    with np.errstate(all="ignore"):
+        values, errors = _gk15(f, np.array(pts[:-1]), np.array(pts[1:]))
+        evaluations = 15 * len(values)
+        total_value = 0.0
+        total_error = 0.0
+        # Heap entries: (-error, left, depth, right, value). Left endpoints are
+        # unique across live panels, so ordering is total and deterministic.
+        heap: list[tuple[float, float, int, float, float]] = []
+        for a, b, value, err in zip(pts, pts[1:], values, errors):
+            total_value += value
+            total_error += err
+            heap.append((-err, a, 0, b, value))
+        heapq.heapify(heap)
+
+        depth_capped: list[tuple[float, float, int, float, float]] = []
+        capped_error = 0.0
+        converged = True
+        for _ in range(_MAX_SPLITS):
+            if total_error <= config.tolerance_for(total_value):
+                break
+            if not heap:
                 converged = False
                 break
-            continue
-        mid = 0.5 * (a + b)
-        (v1, v2), (e1, e2) = _gk15(f, np.array((a, mid)), np.array((mid, b)))
-        evaluations += 30
-        total_value += (v1 + v2) - value
-        total_error += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, a, depth + 1, mid, v1))
-        heapq.heappush(heap, (-e2, mid, depth + 1, b, v2))
-    else:
-        converged = False
+            neg_err, a, depth, b, value = heapq.heappop(heap)
+            if depth >= config.max_refinement_depth:
+                depth_capped.append((neg_err, a, depth, b, value))
+                capped_error += -neg_err
+                if capped_error > config.tolerance_for(total_value):
+                    # The irreducible panels alone already exceed the budget.
+                    converged = False
+                    break
+                continue
+            mid = 0.5 * (a + b)
+            (v1, v2), (e1, e2) = _gk15(f, np.array((a, mid)), np.array((mid, b)))
+            evaluations += 30
+            total_value += (v1 + v2) - value
+            total_error += (e1 + e2) - (-neg_err)
+            heapq.heappush(heap, (-e1, a, depth + 1, mid, v1))
+            heapq.heappush(heap, (-e2, mid, depth + 1, b, v2))
+        else:
+            converged = False
 
     # fsum is correctly rounded, so the order of the panels does not matter.
     value = math.fsum(p[4] for p in heap + depth_capped)
@@ -362,9 +357,7 @@ def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: Quadratu
         return term(_frame_ratio(t, m, alpha, beta)) / weight
 
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
-    breakpoints = _graded_breakpoints(((0.0, 1.0), (alpha, beta)), reach)
-    with np.errstate(all="ignore"):
-        return _integrate(integrand, config, _theta_breakpoints(breakpoints))
+    return _integrate(integrand, config, ((0.0, 1.0), (alpha, beta)), reach)
 
 
 def _expected_log(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
@@ -499,10 +492,10 @@ def kl_monte_carlo(
     samples: int,
     seed: int,
 ) -> MonteCarloResult:
-    """Monte-Carlo estimate of KL(p1 : p2) from `samples` quantile draws.
+    """Monte-Carlo estimate of KL(p1 : p2) from `samples` (an int >= 2) quantile draws.
 
     Uniform variates come from numpy's PCG64 stream for the given seed
-    (a non-negative integer; a negative one raises ParameterError), so on
+    (an int >= 0; anything else raises ParameterError, as for samples), so on
     one CPU and numpy build the estimate is a function of (p1, p2, samples,
     seed); across them the SIMD np.tan and np.log may move its last bits
     (the ROADMAP item on seeded Monte-Carlo with the same bits on every
@@ -522,11 +515,9 @@ def kl_monte_carlo(
     elementwise and a float64 draw takes one word of the stream, so the
     bits are those of evaluating each step on the whole array at once.
     """
+    _check_integer(samples, "samples", 2)
+    _check_integer(seed, "seed", 0)
     samples = int(samples)
-    if samples < 2:
-        raise ParameterError(f"samples must be >= 2, got {samples!r}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
     rng = np.random.Generator(np.random.PCG64(seed))
     log_ratio = np.empty(samples)

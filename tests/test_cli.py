@@ -1250,3 +1250,14 @@ def test_every_traced_name_resolves():
     for module, names in spans.TARGETS.items():
         for name in names:
             assert callable(getattr(importlib.import_module(f"cauchykl.{module}"), name)), (module, name)
+
+
+@pytest.mark.parametrize("module", ["cauchykl", "cauchykl.core", "cauchykl.oracle", "cauchykl.jets",
+                                    "cauchykl.certificate", "cauchykl.suites", "cauchykl.cli"])
+def test_every_exported_name_resolves(module):
+    # A name left in __all__ after its definition is gone breaks `import *`.
+    names = importlib.import_module(module).__all__
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(names) <= namespace.keys()

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from cauchykl import (
     kl_numeric,
     standardize_pair,
 )
-from cauchykl.oracle import _BLOCK, correctly_rounded_sum
+from cauchykl import suites
+from cauchykl.oracle import _BLOCK, _log, correctly_rounded_sum
 from helpers import (
     draw_pairs,
     reference_cross_entropy,
@@ -95,15 +97,46 @@ def test_converged_flag_respects_tolerances():
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(ParameterError):
-        QuadratureConfig(relative_tolerance=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(absolute_tolerance=-1e-10)
+    for name in ("relative_tolerance", "absolute_tolerance"):
+        for tol in (0.0, -1e-10, math.inf, math.nan, "1e-3", None, True, np.bool_(True), 1e-3j):
+            with pytest.raises(ParameterError, match=f"^{name} must be > 0, got "):
+                QuadratureConfig(**{name: tol})
+        for tol in (1e-3, np.float64(1e-3), np.float32(1e-3), 1, np.int64(1), 10**400):
+            assert getattr(QuadratureConfig(**{name: tol}), name) == tol
     for depth in (0, 2.5, True, "3", math.nan, np.bool_(True), None):
         with pytest.raises(ParameterError):
             QuadratureConfig(max_refinement_depth=depth)
     for depth in (1, 3, np.int64(3), np.uint8(3)):
         assert QuadratureConfig(max_refinement_depth=depth).max_refinement_depth == depth
+
+
+@pytest.mark.parametrize("name,least,call", [
+    pytest.param("samples", 2, lambda v: kl_monte_carlo(CauchyDist(0, 1), CauchyDist(1, 2), v, 0),
+                 id="mc-samples"),
+    pytest.param("seed", 0, lambda v: kl_monte_carlo(CauchyDist(0, 1), CauchyDist(1, 2), 10, v),
+                 id="mc-seed"),
+    pytest.param("count", 1, lambda v: suites.run_suite("monte-carlo", v, 1, 10), id="suite-count"),
+    pytest.param("seed", 0, lambda v: suites.run_suite("monte-carlo", 1, v, 10), id="suite-seed"),
+])
+def test_integer_parameters_are_checked(name, least, call):
+    # Python or numpy ints, never bools, floats or strings, and none coerced.
+    for bad in (least - 1, 2.5, np.float64(100.7), "100", True, np.bool_(True), None):
+        if name == "count" and bad is None:
+            continue  # None selects the suite's default count
+        with pytest.raises(ParameterError, match=f"^{name} must be >= {least}, got "):
+            call(bad)
+    call(np.int64(least + 2))
+    call(np.uint8(least + 2))
+    r = kl_monte_carlo(CauchyDist(0, 1), CauchyDist(1, 2), np.int64(10), np.uint8(3))
+    assert (r.samples, r.seed) == (10, 3) and type(r.samples) is int and type(r.seed) is int
+
+
+def test_log_falls_back_to_ieee_values():
+    # math.log raises at 0 and below; _log then gives IEEE's -inf and nan, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = _log(np.array([2.0, 0.0, -1.0]))
+    assert y[0] == math.log(2.0) and y[1] == -math.inf and math.isnan(y[2])
 
 
 def test_breakpoints_accelerate_narrow_spikes():
