@@ -104,7 +104,8 @@ _CONFIG: dict[str, tuple[str, Any, dict[str, Any]]] = {
     "atol": ("a number", oracle.DEFAULT_CONFIG.absolute_tolerance,
              {"type": float, "default": None, "help": "quadrature absolute tolerance"}),
     "max_depth": ("an integer", oracle.DEFAULT_CONFIG.max_refinement_depth,
-                  {"type": int, "default": None, "help": "quadrature refinement depth"}),
+                  {"type": int, "default": None,
+                   "help": "quadrature refinement depth (adaptive Gauss-Kronrod only)"}),
     "samples": ("an integer", oracle.DEFAULT_SAMPLES,
                 {"type": int, "default": oracle.DEFAULT_SAMPLES}),
     "seed": ("an integer", 0, {"type": int, "default": 0}),

@@ -23,17 +23,28 @@ scale ratio or gap of 10**k costs O(k) panels. integrate_real_line,
 which has no pair, grades around x = 0 out to 2**53 instead, which
 covers integrands whose tails grow like a log.
 
+KL, cross-entropy and integral A try a second rule first: their
+integrand is the log of a positive trigonometric polynomial in theta, on
+which the N-node trapezoidal rule converges geometrically with a known
+error (_trapezoid). N, a power of two up to 1024, comes from the frame
+and the tolerances; where more nodes would be needed, the frame is
+degenerate or a sample not finite, GK15 runs as it would alone, and
+f-divergences and integrate_real_line always take it (a caller's
+integrand need not be analytic). max_refinement_depth is GK15's alone.
+The evaluation count names the rule: N, or a multiple of 15 for GK15.
+
 Panels are evaluated in batches, every node of the initial panels in
 one array and then both halves of each split. Arithmetic (+ - * /) runs
 in numpy, which rounds each operation as Python floats do; math.tan,
 math.log and a caller's f-divergence generator are applied per element
 from libm, never through numpy's SIMD np.tan/np.log, which differ from
 libm in the last bit on some inputs and CPUs. The Kronrod and Gauss
-sums accumulate node by node in a fixed order, so results are
-bit-identical to evaluating one node at a time, on every CPU for a
-given libm. Results report the value, the summed error estimate, the
-number of integrand evaluations and a convergence flag; exhausting the
-refinement depth yields converged=False rather than an exception.
+sums accumulate node by node in a fixed order and the trapezoid's by
+math.fsum, so results are bit-identical to evaluating one node at a
+time, on every CPU for a given libm. Results report the value, the
+error estimate, the number of integrand evaluations and a convergence
+flag; exhausting the refinement depth yields converged=False rather
+than an exception.
 
 The Monte-Carlo estimator samples the same frame: it averages log R(t)
 over t = tan(pi*(u - 1/2)), u from numpy's seeded PCG64 generator, since
@@ -54,6 +65,7 @@ whole-array evaluation.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -115,6 +127,8 @@ _MAX_GRADES = 1100
 # Hard cap on refinement steps; unreachable for the integrand family this
 # oracle targets, present so a pathological user integrand cannot spin.
 _MAX_SPLITS = 200_000
+# Largest trapezoid node count; a frame that needs more runs GK15.
+_TRAPEZOID_CAP = 1024
 
 
 def _check_integer(value, name: str, least: int) -> None:
@@ -125,7 +139,7 @@ def _check_integer(value, name: str, least: int) -> None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement budget for the adaptive integrator."""
+    """Tolerances for both quadrature rules; the refinement budget is GK15's alone."""
 
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-14
@@ -332,6 +346,62 @@ def _integrate(
     return QuadratureResult(value, error, evaluations, converged)
 
 
+@functools.cache
+def _trapezoid_nodes() -> np.ndarray:
+    """tan(pi*(j/N - 1/2)), j < N = 8, then odd j of N = 16, ..., the cap: N's nodes come first."""
+    levels = [(8, range(8))]
+    levels += [(2**k, range(1, 2**k, 2)) for k in range(4, _TRAPEZOID_CAP.bit_length())]
+    nodes = np.array([math.tan(math.pi * (j / n - 0.5)) for n, js in levels for j in js])
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _trapezoid(sample: Callable[[np.ndarray], np.ndarray], alpha: float, beta: float,
+               config: QuadratureConfig) -> QuadratureResult | None:
+    """Mean of sample(tan(theta)) over theta by the N-node trapezoid; None where GK15 must run.
+
+    sample, log R or log(beta*R), is the log of a trigonometric polynomial
+    zero at tan(theta) = w, conj(w), w = alpha + i*beta. With zeta = (w - i)/(w + i)
+    the error is (2/N)*log|1 - (-zeta)**N| (Trefethen & Weideman, SIAM Review
+    56, 2014); reported is its bound -(2/N)*log(1 - |zeta|**N) plus rounding.
+    N = 8 sizes the tolerance; then N is the least power of two whose bound is
+    within half of it, until bound plus rounding are. None for a degenerate
+    frame, a non-finite sample, N past the cap, or rounding over half the tolerance.
+    """
+    q = 4.0 * beta / (alpha * alpha + (beta + 1.0) * (beta + 1.0))  # 1 - |zeta|^2
+    if not q > 0.0:  # beta 0, inf or nan, or alpha not finite
+        return None
+    rho = math.sqrt(1.0 - min(q, 1.0))
+    # theta_j and its tan round by about 3u in theta, moving a term by 3u times
+    # its slope, at most 4*rho/(1 - rho); R's arithmetic adds at most 9u, the log
+    # 2u*|term|, fsum u*|T|. The rounding term exceeds their sum.
+    rounding = _U * (16.0 + 16.0 * rho * (1.0 + rho) / q)
+
+    def bound(n: int) -> float:
+        rho_n = rho ** n
+        return -2.0 / n * math.log1p(-rho_n) if rho_n < 1.0 else math.inf
+
+    nodes = _trapezoid_nodes()
+    n, n_next, values, peak = 0, 8, [], 0.0
+    while n_next <= _TRAPEZOID_CAP:
+        y = sample(nodes[n:n_next])
+        top = float(np.abs(y).max())
+        if not top < math.inf:  # a sample is nan or inf
+            return None
+        n, peak = n_next, max(peak, top)
+        values += y.tolist()
+        value = math.fsum(values) / n
+        tol = config.tolerance_for(value)
+        error = bound(n) + rounding + 4.0 * _U * peak
+        if error <= tol:
+            return QuadratureResult(value, error, n, True)
+        if bound(n) <= 0.5 * tol:  # rounding, not N, is what fails
+            return None
+        while n_next <= _TRAPEZOID_CAP and bound(n_next) > 0.5 * tol:
+            n_next *= 2
+    return None
+
+
 def _frame_ratio(t: np.ndarray, m: np.ndarray, alpha: float, beta: float, out=None) -> np.ndarray:
     """R(t) = (beta^2 + (t - alpha)^2)/(beta*m) into `out` (t works); m = 1 + t^2 becomes beta*m."""
     r = np.subtract(t, alpha, out=out)
@@ -343,13 +413,20 @@ def _frame_ratio(t: np.ndarray, m: np.ndarray, alpha: float, beta: float, out=No
 
 
 def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
-                    term: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
+                    term: Callable[[np.ndarray], np.ndarray],
+                    analytic: bool = False) -> QuadratureResult:
     """Integral over R of term(R(t)) dt / (pi * m(t)) in the frame of (v1, w1).
 
-    alpha = (v2 - v1)/w1 and beta = w2/w1; panel boundaries grade away from
-    t = 0 at width 1 and from t = alpha at width beta.
+    alpha = (v2 - v1)/w1 and beta = w2/w1. If `analytic` (term is log or
+    log(beta*.)) the trapezoid runs first; GK15 runs where it does not,
+    panel boundaries graded away from t = 0 at width 1 and t = alpha at width beta.
     """
     alpha, beta = (v2 - v1) / w1, w2 / w1
+    if analytic:
+        r = _trapezoid(lambda t: term(_frame_ratio(t, 1.0 + t * t, alpha, beta)),
+                       alpha, beta, config)
+        if r is not None:
+            return r
 
     def integrand(t: np.ndarray) -> np.ndarray:
         m = 1.0 + t * t
@@ -369,7 +446,7 @@ def _expected_log(v1: float, w1: float, v2: float, w2: float, config: Quadrature
     estimate is scaled with the value and covers the rounding of the shift.
     """
     beta = w2 / w1
-    r = _frame_integral(v1, w1, v2, w2, config, lambda ratio: _log(beta * ratio))
+    r = _frame_integral(v1, w1, v2, w2, config, lambda ratio: _log(beta * ratio), analytic=True)
     log_w1_sq = 2.0 * math.log(w1)
     # Each log and sum rounds by at most an ulp of the terms' summed
     # magnitude, which they may cancel to far less; scale and the product
@@ -405,7 +482,8 @@ def kl_numeric(
     In the frame of p1 this is the expectation of log R(t), R = p1/p2,
     under the standard Cauchy density.
     """
-    return _frame_integral(p1.location, p1.scale, p2.location, p2.scale, config, _log)
+    return _frame_integral(p1.location, p1.scale, p2.location, p2.scale, config, _log,
+                           analytic=True)
 
 
 def cross_entropy_numeric(

@@ -83,7 +83,9 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
 # ---------------------------------------------------------------------------
 # Scalar reference quadrature: one node at a time, Python floats and libm.
 # The pair integrals are taken in the standard frame of the first density,
-# as in cauchykl.oracle, whose batched engine must return == results.
+# as in cauchykl.oracle, whose batched engine must return == results: the
+# trapezoid for kl, cross-entropy and integral A where it applies, GK15
+# for everything else.
 # ---------------------------------------------------------------------------
 
 def _reference_gk15(g, a, b):
@@ -180,9 +182,60 @@ def reference_integrate(integrand, config=oracle.DEFAULT_CONFIG, breakpoints=())
     return QuadratureResult(value, error, evaluations, converged)
 
 
-def _reference_frame(v1, w1, v2, w2, term, config):
-    """Integral of term(R) dt/(pi*m) in the frame of (v1, w1), R = n/(beta*m)."""
+def reference_trapezoid(alpha, beta, term, config=oracle.DEFAULT_CONFIG):
+    """Scalar trapezoid in theta: None where GK15 must run, as in cauchykl.oracle.
+
+    One node at a time: math.tan, the shipped _frame_ratio on floats,
+    `term` (math.log of R or of beta*R) and math.fsum. N takes the values
+    the oracle's rule gives: 8, then the least power of two whose bound
+    -(2/N)*log(1 - |zeta|**N) is within half the tolerance, doubled while
+    bound plus rounding exceeds the tolerance, up to 1024.
+    """
+    q = 4.0 * beta / (alpha * alpha + (beta + 1.0) * (beta + 1.0))
+    if not q > 0.0:
+        return None
+    rho = math.sqrt(1.0 - min(q, 1.0))
+    rounding = 2.0 ** -53 * (16.0 + 16.0 * rho * (1.0 + rho) / q)
+
+    def bound(n):
+        rho_n = rho ** n
+        return -2.0 / n * math.log1p(-rho_n) if rho_n < 1.0 else math.inf
+
+    n, n_next, values = 0, 8, []
+    while n_next <= 1024:
+        while n < n_next:
+            n = 8 if n == 0 else 2 * n
+            for j in range(n) if n == 8 else range(1, n, 2):
+                t = math.tan(math.pi * (j / n - 0.5))
+                try:
+                    y = term(float(oracle._frame_ratio(t, 1.0 + t * t, alpha, beta)))
+                except ValueError:
+                    return None
+                if not math.isfinite(y):
+                    return None
+                values.append(y)
+        value = math.fsum(values) / n
+        tol = config.tolerance_for(value)
+        error = bound(n) + rounding + 4.0 * 2.0 ** -53 * max(map(abs, values))
+        if error <= tol:
+            return QuadratureResult(value, error, n, True)
+        if bound(n) <= 0.5 * tol:
+            return None
+        while n_next <= 1024 and bound(n_next) > 0.5 * tol:
+            n_next *= 2
+    return None
+
+
+def _reference_frame(v1, w1, v2, w2, term, config, analytic=False):
+    """Integral of term(R) dt/(pi*m) in the frame of (v1, w1), R = n/(beta*m).
+
+    With `analytic`, the trapezoid runs first, and GK15 where it gives None.
+    """
     alpha, beta = (v2 - v1) / w1, w2 / w1
+    if analytic:
+        r = reference_trapezoid(alpha, beta, term, config)
+        if r is not None:
+            return r
     beta_sq = beta * beta
 
     def integrand(t):
@@ -197,7 +250,7 @@ def _reference_frame(v1, w1, v2, w2, term, config):
 
 def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):
     beta = w2 / w1
-    r = _reference_frame(v1, w1, v2, w2, lambda ratio: math.log(beta * ratio), config)
+    r = _reference_frame(v1, w1, v2, w2, lambda ratio: math.log(beta * ratio), config, True)
     log_w1_sq = 2.0 * math.log(w1)
     rounding = 8.0 * math.ulp(abs(shift) + abs(log_w1_sq) + math.log(4.0) + abs(r.value))
     shift += log_w1_sq + math.log(4.0)
@@ -206,7 +259,7 @@ def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):
 
 
 def reference_kl(p1, p2, config=oracle.DEFAULT_CONFIG):
-    return _reference_frame(p1.location, p1.scale, p2.location, p2.scale, math.log, config)
+    return _reference_frame(p1.location, p1.scale, p2.location, p2.scale, math.log, config, True)
 
 
 def reference_cross_entropy(p1, p2, config=oracle.DEFAULT_CONFIG):

@@ -50,7 +50,7 @@ BATCH_GOLDEN = """\
 {"op":"kl","params":{"l1":1,"s1":2,"l2":3,"s2":5},"status":"ok","value":0.28141245943818555}
 {"op":"mc","params":{"l1":0,"s1":1,"l2":0,"s2":3},"config":{"samples":50000,"seed":7},"status":"ok","value":0.28547519295906365,"diagnostics":{"standard_error":0.0032656862662854671,"samples":50000,"seed":7}}
 {"op":"entropy","params":{"l":0,"s":1},"status":"ok","value":2.5310242469692907}
-{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":1.3440090163583302e-13,"evaluations":225,"converged":true}}
+{"op":"integral-a","params":{"a":2,"b":1,"c":3,"d":1,"e":-1,"f":5},"config":{"numeric":true},"status":"ok","value":3.2529544459089399,"diagnostics":{"error_estimate":9.4405634671705183e-15,"evaluations":32,"converged":true}}
 """
 
 
@@ -819,7 +819,7 @@ def test_batch_full_range_numeric_records_keep_stream_and_stderr(tmp_path):
     assert [r["status"] for r in lines] == ["ok", "ok", "error"] * 2 + ["ok"]
     assert all(r["error"].startswith("integrand returned non-finite value")
                for r in (lines[2], lines[5]))
-    assert lines[6]["diagnostics"]["evaluations"] == 225
+    assert lines[6]["diagnostics"]["evaluations"] == 32
 
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
@@ -1106,13 +1106,14 @@ def test_runtime_imports_no_test_only_package():
 # sha256 of the whole stdout of `verify --suite SUITE --seed SEED` at the
 # default counts, recorded when the exact checks moved from random points
 # to derived proof grids, and for `ode` again when its grids came to span
-# e^2 and leave out the factor m^k; any change to a grid, a bound or a
-# figure shows here.
+# e^2 and leave out the factor m^k, and when the integration-constant
+# check's nine integrals moved to the trapezoidal rule; any change to a
+# grid, a bound or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
     ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
     ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
-    ("ode", 1): "a9fbaf54c0e0d9836abde3a5464522c2cfa3febcdc6d46a31f41f18fcd76fff4",
-    ("ode", 1501): "f789262ee30356d3316a12add0cf6cbab91d0d1fd76efe09bff48cfa8e64bff0",
+    ("ode", 1): "819a151fe68fe504b670c72b274e223cec835f3faa04c5d0eb922c70c1c13915",
+    ("ode", 1501): "2b190377ea4d24070e6ecb4a12fd5c732f1023ee467927e148fce9ff0269729e",
 }
 
 

@@ -1,11 +1,17 @@
 """Quadrature and Monte-Carlo oracle: fixtures, determinism, error honesty."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cauchykl
 
 from cauchykl import (
     CauchyDist,
@@ -24,7 +30,7 @@ from cauchykl import (
     kl_numeric,
     standardize_pair,
 )
-from cauchykl import suites
+from cauchykl import oracle, suites
 from cauchykl.oracle import _BLOCK, _log, correctly_rounded_sum
 from helpers import (
     draw_pairs,
@@ -367,11 +373,23 @@ def _bit_identity_cases():
 
 
 def test_batched_quadrature_matches_scalar_reference():
+    # kl, cross-entropy and integral A take the trapezoid where it applies,
+    # and GK15 past its cap; the references make the same choice one node
+    # at a time. The evaluation count names the rule: a power of two for
+    # the trapezoid, a multiple of 15 for GK15.
     checked = 0
+    rules = set()
     for name, batched, reference, args in _bit_identity_cases():
-        assert batched(*args) == reference(*args), (name, args)
+        result = batched(*args)
+        assert result == reference(*args), (name, args)
+        rules.add((name, "GK15" if result.evaluations % 15 == 0 else "trapezoid"))
         checked += 1
     assert checked == 346
+    assert rules == {("kl", "trapezoid"), ("cross-entropy", "trapezoid"),
+                     ("integral-a", "trapezoid"), ("integral-a", "GK15"),
+                     ("kl extreme", "trapezoid"), ("kl extreme", "GK15"),
+                     ("cross-entropy extreme", "trapezoid"), ("cross-entropy extreme", "GK15"),
+                     ("hellinger", "GK15")}
 
 
 def test_batched_quadrature_matches_reference_when_unconverged():
@@ -414,9 +432,146 @@ def test_frame_that_underflows_or_overflows_raises():
             kl_numeric(*pair)
 
 
+# ---------------------------------------------------------------------------
+# the trapezoidal rule for kl, cross-entropy and integral A
+# ---------------------------------------------------------------------------
+
+def _is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+_LAW_PAIRS = [
+    (CauchyDist(0, 1), CauchyDist(1, 1)),
+    (CauchyDist(1, 2), CauchyDist(3, 5)),
+    (CauchyDist(-3, 0.5), CauchyDist(2, 1.5)),
+    (CauchyDist(10, 4), CauchyDist(9, 0.7)),
+    (CauchyDist(0, 1), CauchyDist(0, 3)),
+]
+
+
+def test_trapezoid_error_is_the_exact_law():
+    # In p1's frame, with w = alpha + i*beta and zeta = (w - i)/(w + i), the
+    # N-node trapezoid of log R misses KL by exactly (2/N)*log|1 - (-zeta)**N|;
+    # the computed sums agree to within a few ulps of their largest term, both
+    # at fixed N and at the N that kl_numeric chooses for three tolerances.
+    nodes = oracle._trapezoid_nodes()
+    for p1, p2 in _LAW_PAIRS:
+        alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
+        zeta = (complex(alpha, beta) - 1j) / (complex(alpha, beta) + 1j)
+        kl = kl_closed(p1, p2)
+        results = [kl_numeric(p1, p2, QuadratureConfig(relative_tolerance=rtol))
+                   for rtol in (1e-3, 1e-6, 1e-10)]
+        for n, value in [(n, None) for n in (8, 16, 32)] + [(r.evaluations, r.value) for r in results]:
+            assert _is_power_of_two(n)
+            t = nodes[:n]
+            y = _log(oracle._frame_ratio(t, 1.0 + t * t, alpha, beta))
+            if value is None:
+                value = math.fsum(y) / n
+            law = 2.0 / n * math.log(abs(1.0 - (-zeta) ** n))
+            assert abs(value - kl - law) <= 4.0 * math.ulp(max(abs(y))) + 2.0 * math.ulp(kl), \
+                (p1, p2, n, value - kl, law)
+
+
+def _workload_quadratic_pairs(seed: int, count: int):
+    """Quadratic pairs as the batch-numeric workload draws them: b = t*2*sqrt(a*c), |t| < 0.999."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = []
+    for _ in range(count):
+        coefficients = []
+        for _ in range(2):
+            a, c = (float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, 2))
+            coefficients.append((a, float(rng.uniform(-0.999, 0.999)) * 2.0 * math.sqrt(a * c), c))
+        pairs.append((PositiveQuadratic(*coefficients[0]), PositiveQuadratic(*coefficients[1])))
+    return pairs
+
+
+def _near_pairs():
+    # p2 within a relative 1e-2 .. 1e-12 of p1 in location, scale or both.
+    for k in (2, 4, 6, 8, 10, 12):
+        for l1, s1 in ((0.0, 1.0), (37.5, 0.02), (-60.0, 80.0)):
+            d = 10.0 ** -k
+            yield CauchyDist(l1, s1), CauchyDist(l1 + d * s1, s1)
+            yield CauchyDist(l1, s1), CauchyDist(l1, s1 * (1.0 + d))
+            yield CauchyDist(l1, s1), CauchyDist(l1 - d * s1, s1 * (1.0 - d))
+
+
+def test_error_estimate_bounds_the_true_error():
+    # Against 50-digit mpmath, with no slack: every result converges and its
+    # true error lies within its own estimate, on batch-numeric style draws
+    # of all three ops and on near-equal pairs. The near pairs all take the
+    # trapezoid, and so do most draws.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def pair_refs(p1, p2):
+        l1, s1, l2, s2 = (mp.mpf(v) for v in (p1.location, p1.scale, p2.location, p2.scale))
+        q = (s1 + s2) ** 2 + (l1 - l2) ** 2
+        return mp.log(q / (4 * s1 * s2)), mp.log(mp.pi * q / s2)
+
+    def integral_a_ref(q1, q2):
+        a, b, c, d, e, f = (mp.mpf(v) for v in (q1.a, q1.b, q1.c, q2.a, q2.b, q2.c))
+        r1, r2 = mp.sqrt(4 * a * c - b * b), mp.sqrt(4 * d * f - e * e)
+        return 2 * mp.pi * (mp.log(2 * a * f - b * e + 2 * c * d + r1 * r2) - mp.log(2 * a)) / r1
+
+    cases = []
+    for draws, near in ((draw_pairs(2911, 40), False), (list(_near_pairs()), True)):
+        for p1, p2 in draws:
+            kl, ce = pair_refs(p1, p2)
+            cases += [(kl_numeric, (p1, p2), kl, near), (cross_entropy_numeric, (p1, p2), ce, near)]
+    cases += [(integral_a_numeric, pair, integral_a_ref(*pair), False)
+              for pair in _workload_quadratic_pairs(2912, 40)]
+    on_trapezoid = 0
+    for numeric, args, exact, near in cases:
+        r = numeric(*args)
+        assert r.converged, (numeric.__name__, args, r)
+        assert abs(mp.mpf(r.value) - exact) <= r.error_estimate, (numeric.__name__, args, r, exact)
+        trapezoid = _is_power_of_two(r.evaluations)
+        assert trapezoid or r.evaluations % 15 == 0
+        assert trapezoid or not near, (numeric.__name__, args, r)
+        on_trapezoid += trapezoid
+    assert len(cases) == 228
+    assert on_trapezoid >= 0.8 * len(cases)
+
+
+def test_rule_selection():
+    near = (CauchyDist(0, 1), CauchyDist(0.5, 1.5))
+    # f-divergences stay on GK15, even where kl takes the trapezoid.
+    for p1, p2 in [near, *draw_pairs(2913, 5)]:
+        for generator in (hellinger, t_log_t, lambda t: abs(t - 1.0)):
+            assert f_divergence_numeric(generator, p1, p2).evaluations % 15 == 0
+    assert _is_power_of_two(kl_numeric(*near).evaluations)
+    # A scale ratio of 1e6 puts |zeta| too near 1 for 1024 nodes: GK15, same bits.
+    far = (CauchyDist(0, 1), CauchyDist(0, 1e6))
+    for numeric, reference in ((kl_numeric, reference_kl),
+                               (cross_entropy_numeric, reference_cross_entropy)):
+        r = numeric(*far)
+        assert r.evaluations % 15 == 0 and r == reference(*far)
+    # max_refinement_depth governs GK15 only; the trapezoid ignores it.
+    for numeric in (kl_numeric, cross_entropy_numeric):
+        assert numeric(*near, QuadratureConfig(max_refinement_depth=1)) == numeric(*near)
+    # A non-finite sample hands the frame to GK15; it never converges as a trapezoid.
+    calls = []
+    assert oracle._trapezoid(lambda t: calls.append(t.size) or np.full(t.size, math.nan),
+                             0.5, 1.5, oracle.DEFAULT_CONFIG) is None
+    assert calls == [8]
+
+
+def test_trapezoid_nodes_are_built_on_first_use():
+    script = ("import cauchykl.cli, cauchykl.oracle as o; "
+              "print(o._trapezoid_nodes.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchykl.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout == "0\n"
+    nodes = oracle._trapezoid_nodes()
+    assert nodes.size == 1024 and not nodes.flags.writeable
+    assert sorted(nodes.tolist()) == [math.tan(math.pi * (j / 1024 - 0.5)) for j in range(1024)]
+
+
 def test_kl_numeric_evaluation_count_is_pinned():
     # The README's --numeric example; the count does not depend on the machine.
-    assert kl_numeric(CauchyDist(0, 1), CauchyDist(1, 1)).evaluations == 225
+    assert kl_numeric(CauchyDist(0, 1), CauchyDist(1, 1)).evaluations == 32
 
 
 # ---------------------------------------------------------------------------
