@@ -10,12 +10,14 @@ always splitting the panel with the largest error estimate.
 Integrals over a pair of densities (or quadratics) are taken in the
 standard frame of the first: t = (x - l1)/s1, or t = (x - v1)/w1 from
 q1's vertex and half-width. With alpha = (l2 - l1)/s1, beta = s2/s1,
-n(t) = beta^2 + (t - alpha)^2 and m(t) = 1 + t^2, the density ratio is
-R(t) = p1/p2 = n/(beta*m) and p1 dx is the weight dt/(pi*m). KL
-integrates log R, an f-divergence generator(R)/R. Cross-entropy and
+n(t) = beta^2 + (t - alpha)^2 and m(t) = 1 + t^2, _frame_ratio alone
+forms the density ratio R(t) = p1/p2 = n/(beta*m). With t = tan(theta),
+p1 dx = dtheta/pi: both rules evaluate the one sample term(R(tan(theta))),
+and only integrate_real_line, whose variable is x, carries sec^2(theta).
+KL's term is log, an f-divergence's generator(R)/R. Cross-entropy and
 integral A carry log n = log m + log(n/m); log m integrates to log 4
 (Gradshteyn & Ryzhik 4.295), and log(n/m) is bounded. So every pair
-integrand is bounded and analytic in theta, with structure only where a
+sample is bounded and analytic in theta, with structure only where a
 density is narrow: t = 0 at width 1 and t = alpha at width beta. Panel
 boundaries grade geometrically away from each feature (c, w), at c and
 c -/+ w*4**k until the steps reach 4*(|alpha| + max(1, beta)), so a
@@ -230,11 +232,11 @@ def _gk15(
 ) -> tuple[list[float], list[float]]:
     """Gauss-Kronrod 7/15 on every panel [a_i, b_i] of theta at once.
 
-    `f` maps a 1-D array of abscissae x = tan(theta) to the integrand's
-    values there. Returns the Kronrod values and the error estimates
-    |K15 - G7| * h. The plain difference overestimates the Kronrod error
-    by orders of magnitude on smooth panels, which keeps the reported
-    estimate on the safe side. Both sums accumulate node by node
+    `f` maps a 1-D array of x = tan(theta) to the theta-integrand there;
+    no Jacobian is applied. Returns the Kronrod values and the error
+    estimates |K15 - G7| * h. The plain difference overestimates the
+    Kronrod error by orders of magnitude on smooth panels, which keeps the
+    reported estimate on the safe side. Both sums accumulate node by node
     (np.add.accumulate is sequential), so every panel gets the bits of a
     scalar evaluation. The first non-finite sample in evaluation order
     raises IntegrandEvaluationError.
@@ -242,7 +244,7 @@ def _gk15(
     h = 0.5 * (b - a)
     theta = (0.5 * (a + b))[:, None] + h[:, None] * _NODE_OFFSETS
     x = _elementwise(math.tan, theta.ravel())
-    y = f(x) * (1.0 + x * x)
+    y = f(x)
     if not math.isfinite(y.sum()):
         # A sample is not finite, or the sum overflowed: look for the first.
         finite = np.isfinite(y)
@@ -268,7 +270,8 @@ def integrate_real_line(
     IntegrandEvaluationError carrying the offending abscissa; exhausting
     the refinement depth returns converged=False instead of raising.
     """
-    return _integrate(lambda x: _elementwise(integrand, x), config, ((0.0, 1.0),), 2.0 ** 53)
+    return _integrate(lambda x: _elementwise(integrand, x) * (1.0 + x * x), config,
+                      ((0.0, 1.0),), 2.0 ** 53)
 
 
 def _integrate(
@@ -277,7 +280,7 @@ def _integrate(
     features: Iterable[tuple[float, float]],
     reach: float,
 ) -> QuadratureResult:
-    """Integral of f(x) dx over R by GK15 on theta panels, the worst one split first.
+    """Integral of f(tan(theta)) dtheta over (-pi/2, pi/2) by GK15, the worst panel split first.
 
     The first panel edges are -pi/2, pi/2 and atan(x) for each finite x among
     c and c -/+ w*4**k, k = 0, 1, ... until w*4**k >= reach, for each feature
@@ -402,12 +405,14 @@ def _trapezoid(sample: Callable[[np.ndarray], np.ndarray], alpha: float, beta: f
     return None
 
 
-def _frame_ratio(t: np.ndarray, m: np.ndarray, alpha: float, beta: float, out=None) -> np.ndarray:
-    """R(t) = (beta^2 + (t - alpha)^2)/(beta*m) into `out` (t works); m = 1 + t^2 becomes beta*m."""
+def _frame_ratio(t: np.ndarray, alpha: float, beta: float, out=None, work=None) -> np.ndarray:
+    """R(t) = (beta^2 + (t - alpha)^2)/(beta*(1 + t^2)) into `out` (t works), 1 + t^2 in `work`."""
+    m = np.multiply(t, t, out=work)
+    m += 1.0
+    m *= beta
     r = np.subtract(t, alpha, out=out)
     r *= r
     r += beta * beta
-    m *= beta
     r /= m
     return r
 
@@ -415,26 +420,22 @@ def _frame_ratio(t: np.ndarray, m: np.ndarray, alpha: float, beta: float, out=No
 def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
                     term: Callable[[np.ndarray], np.ndarray],
                     analytic: bool = False) -> QuadratureResult:
-    """Integral over R of term(R(t)) dt / (pi * m(t)) in the frame of (v1, w1).
+    """Mean over theta of the sample term(R(tan(theta))), R in the frame of (v1, w1).
 
-    alpha = (v2 - v1)/w1 and beta = w2/w1. If `analytic` (term is log or
-    log(beta*.)) the trapezoid runs first; GK15 runs where it does not,
-    panel boundaries graded away from t = 0 at width 1 and t = alpha at width beta.
+    alpha = (v2 - v1)/w1 and beta = w2/w1. If `analytic` (term is log or log(beta*.))
+    the trapezoid averages the sample first; GK15 integrates sample/pi in theta where
+    it does not, graded away from t = 0 at width 1 and t = alpha at width beta.
     """
     alpha, beta = (v2 - v1) / w1, w2 / w1
+
+    def sample(t: np.ndarray) -> np.ndarray:
+        return term(_frame_ratio(t, alpha, beta))
     if analytic:
-        r = _trapezoid(lambda t: term(_frame_ratio(t, 1.0 + t * t, alpha, beta)),
-                       alpha, beta, config)
+        r = _trapezoid(sample, alpha, beta, config)
         if r is not None:
             return r
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        m = 1.0 + t * t
-        weight = math.pi * m  # before _frame_ratio scales m by beta
-        return term(_frame_ratio(t, m, alpha, beta)) / weight
-
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
-    return _integrate(integrand, config, ((0.0, 1.0), (alpha, beta)), reach)
+    return _integrate(lambda t: sample(t) / math.pi, config, ((0.0, 1.0), (alpha, beta)), reach)
 
 
 def _expected_log(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,
@@ -609,10 +610,8 @@ def kl_monte_carlo(
             t -= 0.5
             t *= np.pi
             np.tan(t, out=t)
-            m = np.multiply(t, t, out=work[:t.size])
-            m += 1.0
-            np.log(_frame_ratio(t, m, alpha, beta, out=t), out=t)
-        del m, work  # the sums allocate their own block buffer
+            np.log(_frame_ratio(t, alpha, beta, out=t, work=work[:t.size]), out=t)
+        del work  # the sums allocate their own block buffer
         estimate = correctly_rounded_sum(log_ratio) / samples
         for deviation in blocks:
             deviation -= estimate

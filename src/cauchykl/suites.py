@@ -257,7 +257,7 @@ def certificate_suite() -> list[CheckOutcome]:
 def ode_suite() -> list[CheckOutcome]:
     """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on the (d, e, m) grids
     that `certificate.ode_degrees` and `certificate.residue_degrees` size, plus the
-    integration-constant deviations, judged at `_FLOAT_TOLERANCE`."""
+    integration-constant deviations, judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
     proofs = [_prove(certificate.residual_ode_dadd, certificate.ode_degrees(), "d e m",
                      "residuals of L[dA/dd] for core's dA/dd / pi = num/den", "m^6*den^4"),
               _prove(certificate.residual_dadd_residues, certificate.residue_degrees(), "d e m",
@@ -265,12 +265,12 @@ def ode_suite() -> list[CheckOutcome]:
     failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]
-    deviations = [deviation for _, _, deviation in certificate.verify_integration_constant()]
-    worst = max(deviations)
+    cases = certificate.verify_integration_constant()
+    d, e, worst = max(cases, key=lambda case: case[2])
     outcomes.append(CheckOutcome(
         "integration constant", worst <= _FLOAT_TOLERANCE, worst,
-        f"max |closed - quadrature| = {worst:.3e} over "
-        f"{len(deviations)} grid points, tolerance {_FLOAT_TOLERANCE:.1e}",
+        f"max |closed - quadrature| = {worst:.3e} over {len(cases)} grid points, "
+        f"tolerance {_FLOAT_TOLERANCE:.1e}; worst at (d, e, f) = ({d!r}, {e!r}, {d!r})",
     ))
     return outcomes
 

@@ -124,10 +124,15 @@ def _reference_breakpoints(breakpoints):
 
 def reference_integrate(integrand, config=oracle.DEFAULT_CONFIG, breakpoints=()):
     """Scalar GK15 with worst-panel-first refinement over the real line."""
+    return _reference_integrate_theta(lambda x: integrand(x) * (1.0 + x * x), config, breakpoints)
+
+
+def _reference_integrate_theta(sample, config, breakpoints):
+    """Scalar GK15 of sample(tan(theta)) dtheta over (-pi/2, pi/2)."""
 
     def g(theta):
         x = math.tan(theta)
-        y = integrand(x) * (1.0 + x * x)
+        y = sample(x)
         if not math.isfinite(y):
             raise IntegrandEvaluationError(x, y)
         return y
@@ -208,7 +213,7 @@ def reference_trapezoid(alpha, beta, term, config=oracle.DEFAULT_CONFIG):
             for j in range(n) if n == 8 else range(1, n, 2):
                 t = math.tan(math.pi * (j / n - 0.5))
                 try:
-                    y = term(float(oracle._frame_ratio(t, 1.0 + t * t, alpha, beta)))
+                    y = term(float(oracle._frame_ratio(t, alpha, beta)))
                 except ValueError:
                     return None
                 if not math.isfinite(y):
@@ -227,9 +232,10 @@ def reference_trapezoid(alpha, beta, term, config=oracle.DEFAULT_CONFIG):
 
 
 def _reference_frame(v1, w1, v2, w2, term, config, analytic=False):
-    """Integral of term(R) dt/(pi*m) in the frame of (v1, w1), R = n/(beta*m).
+    """Mean over theta of term(R(tan(theta))) in the frame of (v1, w1), R = n/(beta*m).
 
-    With `analytic`, the trapezoid runs first, and GK15 where it gives None.
+    With `analytic`, the trapezoid runs first, and GK15 of term(R)/pi in
+    theta where it gives None.
     """
     alpha, beta = (v2 - v1) / w1, w2 / w1
     if analytic:
@@ -238,14 +244,13 @@ def _reference_frame(v1, w1, v2, w2, term, config, analytic=False):
             return r
     beta_sq = beta * beta
 
-    def integrand(t):
+    def sample(t):
         u = t - alpha
-        m = 1.0 + t * t
-        return term((beta_sq + u * u) / (beta * m)) / (math.pi * m)
+        return term((beta_sq + u * u) / (beta * (1.0 + t * t))) / math.pi
 
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
-    return reference_integrate(integrand, config,
-                               _reference_graded([(0.0, 1.0), (alpha, beta)], reach))
+    return _reference_integrate_theta(sample, config,
+                                      _reference_graded([(0.0, 1.0), (alpha, beta)], reach))
 
 
 def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):

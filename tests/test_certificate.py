@@ -189,6 +189,22 @@ def test_integration_constant_report():
     assert max(deviation for _, _, deviation in cases) <= 1e-8
 
 
+def test_integration_constant_check_names_its_worst_point(monkeypatch):
+    # An integral_a_canonical that is off at one grid point fails the check,
+    # and the detail names that point as (d, e, f).
+    shipped = certificate.integral_a_canonical
+    monkeypatch.setattr(certificate, "integral_a_canonical", lambda d, e, f: shipped(d, e, f) + (
+        1e-6 if (d, e) == (5.0, 7.5) else 0.0))
+    outcome = ode_suite()[1]
+    assert not outcome.passed and outcome.worst > 1e-8
+    assert outcome.detail.endswith("; worst at (d, e, f) = (5.0, 7.5, 5.0)")
+
+
+def test_operator_refuses_a_jet_below_order_three():
+    with pytest.raises(ParameterError, match="the operator needs a jet of order >= 3, got 2"):
+        certificate.apply_operator(1, 1, 1, jets.Jet.variable(1, 2))
+
+
 def test_g_factorization_fixtures():
     # (1, 0, 1) lies on the singular set, where G2 = G3 = 0.
     for point in ((1, 0, 1), (2, 0, Fraction(1, 2)), (1, 3, Fraction(5, 2)), (1, 0, Fraction(9, 4))):

@@ -30,8 +30,8 @@ from cauchykl.core import (
     kl_closed,
     prudnikov_special,
 )
-from cauchykl.errors import CauchyKLError
-from cauchykl.suites import closed_vs_quadrature_suite, monte_carlo_suite
+from cauchykl.errors import CauchyKLError, ParameterError
+from cauchykl.suites import closed_vs_quadrature_suite, monte_carlo_suite, ode_suite, run_suite
 
 BATCH_INPUT = """\
 {"op":"kl","params":{"l1":0,"s1":1,"l2":1,"s2":1}}
@@ -312,6 +312,25 @@ def test_execute_job_validates_records():
     assert "unknown config keys" in execute_job(
         {"op": "kl", "params": {"l1": 0, "s1": 1, "l2": 0, "s2": 2},
          "config": {"mode": 3}})["error"]
+
+
+def test_execute_job_reports_overflowing_and_malformed_params(capsys):
+    # JSON's 1e999 parses to inf, which no parameter accepts; params that
+    # are not an object are refused by name.
+    assert execute_job({"op": "kl", "params": {"l1": 1e999, "s1": 1, "l2": 0, "s2": 1}})["error"] \
+        == "parameter 'l1' must be finite, got inf"
+    assert execute_job({"op": "kl", "params": [0, 1, 0, 1]})["error"] \
+        == "params must be an object of name -> number"
+    stdin = '{"op": "kl", "params": {"l1": 0, "s1": 1e999, "l2": 0, "s2": 1}}\n'
+    with mock.patch("sys.stdin", io.StringIO(stdin)):
+        assert main(["batch"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "op": "kl", "status": "error", "error": "parameter 's1' must be finite, got inf"}
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ParameterError, match="unknown suite 'nope'; choose from"):
+        run_suite("nope", None, 1)
 
 
 def test_execute_job_edge_cases_are_pinned():
@@ -1107,13 +1126,14 @@ def test_runtime_imports_no_test_only_package():
 # default counts, recorded when the exact checks moved from random points
 # to derived proof grids, and for `ode` again when its grids came to span
 # e^2 and leave out the factor m^k, and when the integration-constant
-# check's nine integrals moved to the trapezoidal rule; any change to a
-# grid, a bound or a figure shows here.
+# check's nine integrals moved to the trapezoidal rule, and when that
+# check's detail came to name its worst (d, e, f); any change to a grid, a
+# bound or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
     ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
     ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
-    ("ode", 1): "819a151fe68fe504b670c72b274e223cec835f3faa04c5d0eb922c70c1c13915",
-    ("ode", 1501): "2b190377ea4d24070e6ecb4a12fd5c732f1023ee467927e148fce9ff0269729e",
+    ("ode", 1): "dcb3bfd049278b5389dcdbbea5ded8f96de51a4781bd3695752e5b9cf78536e9",
+    ("ode", 1501): "7344b5f90c74133b8bc8e25ebf6752c6d23b4452ba47247ffcaf8c96e2b95be4",
 }
 
 
@@ -1173,6 +1193,23 @@ def test_float_check_witnesses_reproduce_through_the_cli(capsys):
     record = _cli_record(capsys, ["mc", *flags, "--samples", "3000", "--seed", seed])
     sigmas = abs(record["value"] - closed) / record["diagnostics"]["standard_error"]
     assert f"(worst {sigmas:.2f} sigma, 3000 samples each" in outcome.detail
+
+
+def test_integration_constant_witness_reproduces_through_the_cli(capsys):
+    # The ode suite's integration-constant detail names (d, e, f) exactly:
+    # integral-a of (1, 0, 1; d, e, f) --numeric gives the check's quadrature
+    # value to the bit. The closed call runs the general formula, within an
+    # ulp of the canonical one the check compares, so the deviation
+    # reproduces to within that ulp.
+    outcome = ode_suite()[1]
+    values = outcome.detail.split("(d, e, f) = (")[-1].rstrip(")").split(", ")
+    d, e, f = map(float, values)
+    flags = ["--a", "1", "--b", "0", "--c", "1"] + [
+        arg for name, value in zip("def", values) for arg in ("--" + name, value)]
+    closed = _cli_record(capsys, ["integral-a", *flags])["value"]
+    numeric = _cli_record(capsys, ["integral-a", *flags, "--numeric"])["value"]
+    assert abs(core.integral_a_canonical(d, e, f) - numeric) == outcome.worst
+    assert abs(abs(closed - numeric) - outcome.worst) <= math.ulp(closed)
 
 
 # Every subcommand of the parser, in the order build_parser adds them.

@@ -130,6 +130,30 @@ def test_quantile_strictly_increasing(dist, u1, u2):
     assert quantile(dist, lo) < quantile(dist, hi)
 
 
+def test_quantile_tails_are_within_three_ulps():
+    # Below 1/4 and above 3/4 the quantile reflects to s/tan(pi*u) and
+    # s/tan(pi*(1 - u)); at l = 0 each is within 3 ulps of 50-digit mpmath,
+    # on u uniform in a tail and log-uniform down to 1e-12 from its end.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    rng = np.random.Generator(np.random.PCG64(208))
+    tails = {False: 0, True: 0}
+    for k in range(4000):
+        s = float(10.0 ** rng.uniform(-3.0, 3.0))
+        if k % 4 < 2:
+            u = float(rng.uniform(0.0, 0.25))
+        else:
+            u = float(10.0 ** rng.uniform(-12.0, math.log10(0.25)))
+        u = 1.0 - u if k % 2 else u
+        if not (u < 0.25 or u > 0.75):
+            continue
+        exact = float(mp.mpf(s) * mp.tan(mp.pi * (mp.mpf(u) - mp.mpf(0.5))))
+        assert ulps_apart(quantile(CauchyDist(0.0, s), u), exact, abs(exact)) <= 3.0, (s, u)
+        tails[u > 0.75] += 1
+    assert min(tails.values()) >= 1900
+
+
 def test_quantile_domain_errors():
     for u in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ParameterError):
