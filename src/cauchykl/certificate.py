@@ -46,9 +46,14 @@ identities are
   2*pi*i times the residues at i and (-e + i*m)/(2*d)
   (`verify_dadd_residues`, `residue_degrees`);
 * the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
-  simplification, G1 read from core's dA/dd formula
-  (`verify_g_factorization`), which the tests run and no `verify` suite
-  does yet.
+  simplification (`verify_g_factorization`), which the tests run and no
+  `verify` suite does yet.
+
+These run core's own log-argument functions, not copies: the guard
+4*d*f - e^2 (`core._guard`) in every domain check and square root, G1
+and m (`core._g1`) in the factorization, and dA/dd / pi
+(`core._dadd_over_pi`, num/den from `core._g1`) in the ODE and residue
+checks, with m the exact root of the guard (`jets._root`, `Jet.sqrt`).
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
 returns its residual as (numerator, denominator) and runs the same lines
@@ -91,26 +96,13 @@ from .jets import Jet, _clear, _first_at, _root
 from .oracle import integral_a_numeric
 
 __all__ = [
-    "phi_partial_d",
-    "operator_coefficients",
-    "apply_operator",
-    "certificate_polynomial",
-    "psi",
-    "psi_limit",
-    "verify_telescoping",
-    "verify_ode_dadd",
-    "verify_dadd_residues",
-    "verify_tail_limit",
-    "residual_telescoping",
-    "residual_ode_dadd",
-    "residual_dadd_residues",
-    "residual_tail_limit",
-    "residual_g_factorization",
-    "telescoping_degrees",
-    "ode_degrees",
-    "residue_degrees",
-    "verify_integration_constant",
-    "verify_g_factorization",
+    "phi_partial_d", "operator_coefficients", "apply_operator", "certificate_polynomial",
+    "psi", "psi_limit",
+    "verify_telescoping", "verify_ode_dadd", "verify_dadd_residues", "verify_tail_limit",
+    "residual_telescoping", "residual_ode_dadd", "residual_dadd_residues",
+    "residual_tail_limit", "residual_g_factorization",
+    "telescoping_degrees", "ode_degrees", "residue_degrees",
+    "verify_integration_constant", "verify_g_factorization",
 ]
 
 
@@ -197,7 +189,7 @@ def psi_limit(d, e, f) -> Fraction:
 def _check_domain(d, e, f) -> None:
     """Raise ParameterError at the first integer point (d, e, f), of ints or int
     arrays, outside 4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
-    outside = (4 * d * f - e * e <= 0) | (d <= 0) | (f <= 0)
+    outside = (core._guard(d, e, f) <= 0) | (d <= 0) | (f <= 0)
     if np.any(outside):
         raise ParameterError(f"(d, e, f) proportional to {_first_at(outside, d, e, f)} "
                              "must satisfy 4*d*f - e^2 > 0, d > 0 and f > 0")
@@ -320,7 +312,7 @@ def residual_dadd_residues(d, e, f) -> tuple:
     """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
-    m = _root(4 * d * f - e * e, 1)[0]
+    m = _root(core._guard(d, e, f), 1)[0]
     return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))
 
 
@@ -359,13 +351,12 @@ def residual_g_factorization(d, e, f) -> tuple:
     G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
 
     The identity turns (log G1 - log G2 + log G3)/2 into log G1 in the closed
-    form of A. G1 is read from core's dA/dd formula (`core._dadd_over_pi`), whose
-    denominator is m*G1. On the singular set d = f, e = 0 both sides are 0.
+    form of A. G1 and m are `core._g1`'s, the G1 whose log integral_a_canonical
+    takes. On the singular set d = f, e = 0 both sides are 0.
     """
     _check_domain(d, e, f)
-    m = _root(4 * d * f - e * e, 1)[0]
-    den = core._dadd_over_pi(d, e, f, lambda _: m)[1]
-    return den * (d + f - m) - m * ((d - f) * (d - f) + e * e), 1
+    g1, m = core._g1(d, e, f, lambda guard: _root(guard, 1)[0])
+    return m * (g1 * (d + f - m) - ((d - f) * (d - f) + e * e)), 1
 
 
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k

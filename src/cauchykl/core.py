@@ -27,20 +27,25 @@ h(p_{l,s}) = log(4*pi*s), and the headline divergence formula
 
 which is finite for every parameter pair and symmetric under exchange;
 kl_closed evaluates it as log1p(((l1-l2)^2 + (s1-s2)^2) / (4*s1*s2)).
-It and the cross-entropy read one kernel that scales by powers of two
-where a term would leave the normal range (`_scaled_ratio`), so KL,
-cross-entropy and entropy hold over every finite input. Each closed form
-is computed by a float entry point (`kl_floats`, `cross_entropy_floats`,
-`entropy_floats`, `integral_a_floats`, `prudnikov_floats`) that takes
-finite floats and checks only the domain; the functions of
-`CauchyDist` and `PositiveQuadratic` are one-line wrappers over them.
-The general-to-canonical reduction A(a,b,c; .) = K * A(1,0,1; D,E,F),
-the derivative dA/dd of the canonical integral, and a primitive B of
-the differentiated integrand are also provided; the derivation chain
-behind them is machine-checked in `cauchykl.certificate`.
+Each closed form is computed by a float entry point (`kl_floats`,
+`cross_entropy_floats`, `entropy_floats`, `integral_a_floats`,
+`prudnikov_floats`) that takes finite floats and checks only the domain;
+the functions of `CauchyDist` and `PositiveQuadratic` are one-line
+wrappers over them. Also provided: the reduction A(a,b,c; .) =
+K * A(1,0,1; D,E,F), dA/dd of the canonical integral, and a primitive B
+of the differentiated integrand.
 
-All functions are pure and operate in double precision; see
-`cauchykl.oracle` for the independent numerical counterparts.
+Each closed form is a constant times the log of one expression, formed
+in one function from + - * (prudnikov's also max, min and a division)
+and a square root the caller passes in: `_guard` (4*a*c - b^2, read by
+every domain check), `_g1` (G1 and its root), `_integral_a_arg` (A's
+num/den, given both roots), `_prudnikov_arg`, and for KL and
+cross-entropy `_scaled_ratio`, which scales by powers of two where a
+term would leave the normal range, so KL, cross-entropy and entropy hold
+over every finite input. The float kernels run them with
+math.sqrt; `cauchykl.certificate` runs `_guard`, `_g1` and
+`_dadd_over_pi` (dA/dd / pi, from `_g1`) on ints, int grids and jets
+with exact roots. `cauchykl.oracle` has the numerical counterparts.
 """
 
 from __future__ import annotations
@@ -51,28 +56,12 @@ from dataclasses import dataclass
 from .errors import ParameterError, SingularPointError
 
 __all__ = [
-    "CauchyDist",
-    "PositiveQuadratic",
-    "CanonicalReduction",
-    "density",
-    "quantile",
-    "kl_closed",
-    "cross_entropy_closed",
-    "entropy_closed",
-    "kl_floats",
-    "cross_entropy_floats",
-    "entropy_floats",
-    "kl_scale_family",
-    "kl_location_family",
-    "standardize_pair",
-    "integral_a",
-    "integral_a_floats",
-    "integral_a_canonical",
-    "canonical_reduce",
-    "integral_a_dd",
-    "primitive_b",
-    "prudnikov_special",
-    "prudnikov_floats",
+    "CauchyDist", "PositiveQuadratic", "CanonicalReduction", "density", "quantile",
+    "kl_closed", "cross_entropy_closed", "entropy_closed",
+    "kl_floats", "cross_entropy_floats", "entropy_floats",
+    "kl_scale_family", "kl_location_family", "standardize_pair",
+    "integral_a", "integral_a_floats", "integral_a_canonical", "canonical_reduce",
+    "integral_a_dd", "primitive_b", "prudnikov_special", "prudnikov_floats",
 ]
 
 
@@ -89,18 +78,41 @@ def _require_scale(scale: float) -> None:
         raise ParameterError(f"scale must be positive, got {scale!r}")
 
 
-def _require_quadratic(a: float, b: float, c: float) -> float:
-    """The domain check of PositiveQuadratic; returns its guard 4*a*c - b^2.
+def _guard(a, b, c):
+    """The discriminant guard 4*a*c - b^2 of the quadratic a*x^2 + b*x + c."""
+    return 4 * a * c - b * b
 
-    The guard is > 0, or NaN for a valid triple whose 4*a*c and b^2 overflow.
+
+def _g1(d, e, f, sqrt):
+    """(G1, r): G1 = d + f + r, the log argument of A(1,0,1; d,e,f)/pi, r = sqrt(guard)."""
+    r = sqrt(_guard(d, e, f))
+    return d + f + r, r
+
+
+def _integral_a_arg(a, b, c, d, e, f, r1, r2):
+    """(num, den) with A(a,b,c; d,e,f) = 2*pi*log(num/den)/r1, r1 and r2 the guards' roots."""
+    return 2 * a * f - b * e + 2 * c * d + r1 * r2, 2 * a
+
+
+def _prudnikov_arg(a, b, z, sqrt):
+    """(big, u) with big^2 * (1 + u) = z^2 + 2*a*z*sqrt(1-b^2) + a^2, prudnikov's log argument.
+
+    big = max(a, z), r = min(a, z)/big <= 1 and u = r*(2*sqrt(1-b^2) + r) in [0, 3]:
+    the argument itself is never formed, so it cannot over- or underflow.
     """
+    big = max(a, z)
+    r = min(a, z) / big
+    return big, r * (2 * sqrt((1 - b) * (1 + b)) + r)
+
+
+def _require_quadratic(a: float, b: float, c: float) -> float:
+    """PositiveQuadratic's domain check; returns the guard: > 0, or NaN if 4*a*c and b^2 overflow."""
     if a <= 0.0:
         raise ParameterError(f"leading coefficient must be positive, got {a!r}")
     if c <= 0.0:
         raise ParameterError(f"constant coefficient must be positive, got {c!r}")
-    guard = 4.0 * a * c - b * b
-    # The guard is NaN when 4*a*c and b^2 both overflow; the comparison
-    # |b|/2 < sqrt(a)*sqrt(c) then decides without overflowing.
+    guard = _guard(a, b, c)
+    # NaN when 4*a*c and b^2 both overflow: then |b|/2 < sqrt(a)*sqrt(c) decides.
     if not guard > 0.0 and (guard <= 0.0 or not abs(b) * 0.5 < math.sqrt(a) * math.sqrt(c)):
         raise ParameterError(
             f"quadratic ({a!r}, {b!r}, {c!r}) must satisfy 4*a*c - b^2 > 0, got {guard!r}"
@@ -148,7 +160,7 @@ class PositiveQuadratic:
     @property
     def discriminant_guard(self) -> float:
         """4*a*c - b^2, strictly positive for a valid instance unless it overflows (NaN)."""
-        return 4.0 * self.a * self.c - self.b * self.b
+        return _guard(self.a, self.b, self.c)
 
     @property
     def vertex(self) -> float:
@@ -322,20 +334,13 @@ def standardize_pair(p1: CauchyDist, p2: CauchyDist) -> tuple[CauchyDist, Cauchy
 
 
 def integral_a_floats(a: float, b: float, c: float, d: float, e: float, f: float) -> float:
-    """Closed form of A(a,b,c; d,e,f):
-
-    A = 2*pi*(log(2*a*f - b*e + 2*c*d + sqrt(4*a*c - b^2)*sqrt(4*d*f - e^2))
-              - log(2*a)) / sqrt(4*a*c - b^2)
-
-    The log argument is strictly positive for valid quadratics:
-    2*a*f + 2*c*d >= 4*sqrt(a*c*d*f) > |b*e| by the discriminant guards.
-    The float entry point: the arguments must be finite floats; both
-    triples are checked as PositiveQuadratic checks them.
+    """Closed form 2*pi*(log(num) - log(den))/sqrt(4*a*c - b^2) of A(a,b,c; d,e,f), (num, den)
+    from `_integral_a_arg`; num >= 4*sqrt(a*c*d*f) - |b*e| > 0 by the guards. The float entry
+    point: the arguments must be finite floats, both triples checked as PositiveQuadratic does.
     """
     r1 = math.sqrt(_require_quadratic(a, b, c))
-    r2 = math.sqrt(_require_quadratic(d, e, f))
-    arg = 2.0 * a * f - b * e + 2.0 * c * d + r1 * r2
-    return 2.0 * math.pi * (math.log(arg) - math.log(2.0 * a)) / r1
+    num, den = _integral_a_arg(a, b, c, d, e, f, r1, math.sqrt(_require_quadratic(d, e, f)))
+    return 2.0 * math.pi * (math.log(num) - math.log(den)) / r1
 
 
 def integral_a(q1: PositiveQuadratic, q2: PositiveQuadratic) -> float:
@@ -346,7 +351,7 @@ def integral_a(q1: PositiveQuadratic, q2: PositiveQuadratic) -> float:
 def integral_a_canonical(d: float, e: float, f: float) -> float:
     """Closed form of the canonical case: A(1,0,1; d,e,f) = pi*log(d + f + sqrt(4*d*f - e^2))."""
     q = PositiveQuadratic(d, e, f)
-    return math.pi * math.log(q.a + q.c + math.sqrt(q.discriminant_guard))
+    return math.pi * math.log(_g1(q.a, q.b, q.c, math.sqrt)[0])
 
 
 def canonical_reduce(q1: PositiveQuadratic, q2: PositiveQuadratic) -> CanonicalReduction:
@@ -403,15 +408,13 @@ def integral_a_dd(d: float, e: float, f: float) -> float:
 
 
 def _dadd_over_pi(d, e, f, sqrt):
-    """Numerator and denominator of dA/dd / pi from + - * and one `sqrt` call,
-    so `cauchykl.certificate` can run this very formula on exact jets."""
-    r = sqrt(4 * d * f - e * e)
-    return r + 2 * f, r * (d + f + r)
+    """Numerator and denominator of dA/dd / pi, (r + 2*f, r*G1) from `_g1`."""
+    g1, r = _g1(d, e, f, sqrt)
+    return r + 2 * f, r * g1
 
 
 def _primitive_b_raw(d: float, e: float, f: float, x: float) -> float:
-    disc = 4.0 * d * f - e * e
-    r = math.sqrt(disc)
+    r = math.sqrt(_guard(d, e, f))
     g3 = (d - f) * (d - f) + e * e
     inner = (
         (d - f) * math.atan(x)
@@ -457,21 +460,13 @@ def prudnikov_special(a: float, b: float, z: float) -> float:
 
 
 def prudnikov_floats(a: float, b: float, z: float) -> float:
-    """`prudnikov_special` for finite floats: checks only the domain.
-
-    With big = max(a, z) and r = min(a, z)/big <= 1, the log argument is
-    big^2 * (1 + u), u = r*(2*sqrt(1-b^2) + r) in [0, 3], so the value is
-    (pi/z) * (2*log(big) + log1p(u)). The argument itself is never formed,
-    so it cannot over- or underflow, and log1p keeps u where it is far
-    below an ulp of 1 (z << a or a << z).
-    """
+    """`prudnikov_special` for finite floats, checking only the domain: (pi/z) * (2*log(big)
+    + log1p(u)), (big, u) from `_prudnikov_arg`; log1p keeps a u far below an ulp of 1."""
     if a <= 0.0:
         raise ParameterError(f"a must be positive, got {a!r}")
     if z <= 0.0:
         raise ParameterError(f"z must be positive, got {z!r}")
     if not -1.0 < b <= 1.0:
         raise ParameterError(f"b must lie in (-1, 1], got {b!r}")
-    root = math.sqrt((1.0 - b) * (1.0 + b))
-    big = max(a, z)
-    r = min(a, z) / big
-    return math.pi / z * (2.0 * math.log(big) + math.log1p(r * (2.0 * root + r)))
+    big, u = _prudnikov_arg(a, b, z, math.sqrt)
+    return math.pi / z * (2.0 * math.log(big) + math.log1p(u))

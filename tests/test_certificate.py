@@ -1,6 +1,7 @@
 """Certificate verification: exact residuals, grid proofs, checksums, tail behavior."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -22,9 +23,12 @@ from cauchykl.certificate import (
     verify_tail_limit,
     verify_telescoping,
 )
+from cauchykl.cli import main
 from cauchykl.jets import rational_sqrt
 from cauchykl.suites import CHECKSUMS, certificate_suite, ode_suite
 from helpers import random_certificate_point, random_tame_point
+
+import test_core
 
 ONE = Fraction(1)
 
@@ -223,12 +227,72 @@ def test_g_factorization_random_points():
         assert verify_g_factorization(d, e, f) == 0, (d, e, f)
 
 
-def test_g_factorization_reads_the_shipped_dadd_denominator(monkeypatch):
-    # G1 comes from core's dA/dd denominator m*G1: with d^2 added to it the
-    # residual is d^2*G2, 5/2 at (1, 3, 5/2), where m = 1 and G2 = 5/2.
-    _change_dadd(monkeypatch, "denominator + d^2")
+# ---------------------------------------------------------------------------
+# core's log-argument functions: one changed function fails every layer that
+# runs it, the float closed forms and the exact proofs alike
+# ---------------------------------------------------------------------------
+
+def _change(monkeypatch, name, change):
+    """Rebind core's function `name` so that it returns change(shipped result, *arguments)."""
+    shipped = getattr(core, name)
+    monkeypatch.setattr(core, name, lambda *args: change(shipped(*args), *args))
+
+
+def test_g_factorization_reads_the_shipped_g1(monkeypatch):
+    # With d added to core._g1's G1, the residual m*(G1*G2 - G3) is m*d*G2, 5/2
+    # at (1, 3, 5/2), where m = 1 and G2 = 5/2. The same change moves the G1
+    # whose log integral_a_canonical takes, and dA/dd / pi, whose denominator
+    # is m*G1, so the exact ODE and residue checks fail at reproducible points.
+    _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
     residual = verify_g_factorization(1, 3, Fraction(5, 2))
     assert type(residual) is Fraction and residual == Fraction(5, 2)
+    with pytest.raises(AssertionError):
+        test_g_factorization_fixtures()
+    with pytest.raises(AssertionError):
+        test_core.test_integral_a_canonical_fixtures()
+    outcome = ode_suite()[0]
+    assert not outcome.passed
+    ode_point, residues_point = _ode_witnesses(outcome.detail)
+    assert verify_ode_dadd(*ode_point) != 0 and verify_dadd_residues(*residues_point) != 0
+
+
+def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
+    # 5*a*c - b^2 admits (1, 2, 1), whose true guard is 0, and is no square on
+    # the proof's grid, so `cauchykl verify --suite ode` stops with an error.
+    _change(monkeypatch, "_guard", lambda guard, a, b, c: guard + a * c)
+    assert core.PositiveQuadratic(1.0, 2.0, 1.0).discriminant_guard == 1.0
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        test_core.test_positive_quadratic_invariants()
+    assert main(["verify", "--suite", "ode"]) == 1
+    assert "is not the square of a rational" in capsys.readouterr().err
+    # 4 times the guard keeps every domain check and every square, but doubles
+    # the root in dA/dd: the ODE proof finds nonzero residuals.
+    monkeypatch.undo()
+    _change(monkeypatch, "_guard", lambda guard, a, b, c: 4 * guard)
+    outcome = ode_suite()[0]
+    assert not outcome.passed
+    assert verify_ode_dadd(*_ode_witnesses(outcome.detail)[0]) != 0
+
+
+@pytest.mark.parametrize("name, change, test", [
+    ("_integral_a_arg", lambda num_den, *args: (num_den[0] * (1 + 2.0**-30), num_den[1]),
+     "test_integral_a_fixtures"),
+    ("_prudnikov_arg", lambda big_u, *args: (big_u[0], big_u[1] + 2.0**-30),
+     "test_prudnikov_fixtures"),
+], ids=["integral-a", "prudnikov"])
+def test_changed_log_argument_fails_its_closed_form(monkeypatch, capsys, name, change, test):
+    # The float fixtures fail, and the CLI op, which runs the same function, moves.
+    args = (["integral-a", "--a", "1", "--b", "0", "--c", "1", "--d", "1", "--e", "0", "--f", "1"]
+            if name == "_integral_a_arg" else ["prudnikov", "--a", "1", "--b", "0", "--z", "1"])
+    values = []
+    for changed in (False, True):
+        if changed:
+            _change(monkeypatch, name, change)
+        assert main(args) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] != values[1]
+    with pytest.raises(AssertionError):
+        getattr(test_core, test)()
 
 
 def _random_nonzero_rational(rng):
@@ -723,11 +787,11 @@ def test_grid_cores_match_the_scalar_checks(monkeypatch):
     dadd_over_pi = core._dadd_over_pi
     monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
         dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
-    # The G factorization reads only the denominator, which this change keeps.
+    # The G factorization reads core._g1, which this change keeps.
     assert [_grid_matches_scalar(*grid) for grid in grids[2:]] == [12, 12, 0]
     monkeypatch.setattr(core, "_dadd_over_pi", dadd_over_pi)
-    _change_dadd(monkeypatch, "denominator + d^2")
-    assert _grid_matches_scalar(*grids[4]) == 12  # d^2*G2, and G2 > 0 off d = f, e = 0
+    _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
+    assert _grid_matches_scalar(*grids[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
 
 
 def test_grid_cores_check_every_point():
