@@ -28,8 +28,10 @@ covers integrands whose tails grow like a log.
 KL, cross-entropy and integral A try a second rule first: their
 integrand is the log of a positive trigonometric polynomial in theta, on
 which the N-node trapezoidal rule converges geometrically with a known
-error (_trapezoid). N, a power of two up to 1024, comes from the frame
-and the tolerances; where more nodes would be needed, the frame is
+error (_trapezoid). N, a power of two up to 1024, comes from the pair's
+KL, as 1 - |zeta|^2 = exp(-KL) in the frame, and the tolerance; at
+DEFAULT_CONFIG kl_numeric takes it for KL up to about 3.46. Where more
+nodes would be needed, the frame is
 degenerate or a sample not finite, GK15 runs as it would alone, and
 f-divergences and integrate_real_line always take it (a caller's
 integrand need not be analytic). max_refinement_depth is GK15's alone.
@@ -279,14 +281,18 @@ def _integrate(
     config: QuadratureConfig,
     features: Iterable[tuple[float, float]],
     reach: float,
+    floor: float = 0.0,
 ) -> QuadratureResult:
     """Integral of f(tan(theta)) dtheta over (-pi/2, pi/2) by GK15, the worst panel split first.
 
     The first panel edges are -pi/2, pi/2 and atan(x) for each finite x among
     c and c -/+ w*4**k, k = 0, 1, ... until w*4**k >= reach, for each feature
-    (c, w); c or w can be inf or nan. So panels widen geometrically from width
-    w out to `reach`: a log-type dip at scale w, or log growth toward the ends
-    of the theta interval, costs O(log(reach/w)) panels. Float warnings are
+    (c, w); c or w can be inf or nan, and (c, inf) adds the edge c alone. So
+    panels widen geometrically from width w out to `reach`: a log-type dip at
+    scale w, or log growth toward the ends of the theta interval, costs
+    O(log(reach/w)) panels. The estimate is the summed |K15 - G7| plus a
+    rounding term, 4u times the summed |panel value| plus `floor`, the rounding
+    the samples cannot show; convergence is judged on both. Float warnings are
     off; a non-finite sample raises IntegrandEvaluationError.
     """
     points: list[float] = []
@@ -302,13 +308,13 @@ def _integrate(
     with np.errstate(all="ignore"):
         values, errors = _gk15(f, np.array(pts[:-1]), np.array(pts[1:]))
         evaluations = 15 * len(values)
-        total_value = 0.0
-        total_error = 0.0
+        total_value = total_abs = total_error = 0.0
         # Heap entries: (-error, left, depth, right, value). Left endpoints are
         # unique across live panels, so ordering is total and deterministic.
         heap: list[tuple[float, float, int, float, float]] = []
         for a, b, value, err in zip(pts, pts[1:], values, errors):
             total_value += value
+            total_abs += abs(value)
             total_error += err
             heap.append((-err, a, 0, b, value))
         heapq.heapify(heap)
@@ -317,7 +323,7 @@ def _integrate(
         capped_error = 0.0
         converged = True
         for _ in range(_MAX_SPLITS):
-            if total_error <= config.tolerance_for(total_value):
+            if total_error + floor + 4.0 * _U * total_abs <= config.tolerance_for(total_value):
                 break
             if not heap:
                 converged = False
@@ -335,6 +341,7 @@ def _integrate(
             (v1, v2), (e1, e2) = _gk15(f, np.array((a, mid)), np.array((mid, b)))
             evaluations += 30
             total_value += (v1 + v2) - value
+            total_abs += (abs(v1) + abs(v2)) - abs(value)
             total_error += (e1 + e2) - (-neg_err)
             heapq.heappush(heap, (-e1, a, depth + 1, mid, v1))
             heapq.heappush(heap, (-e2, mid, depth + 1, b, v2))
@@ -343,7 +350,8 @@ def _integrate(
 
     # fsum is correctly rounded, so the order of the panels does not matter.
     value = math.fsum(p[4] for p in heap + depth_capped)
-    error = math.fsum(-p[0] for p in heap + depth_capped)
+    error = (math.fsum(-p[0] for p in heap + depth_capped) + floor
+             + 4.0 * _U * math.fsum(abs(p[4]) for p in heap + depth_capped))
     if converged and error > config.tolerance_for(value):
         converged = False
     return QuadratureResult(value, error, evaluations, converged)
@@ -370,6 +378,11 @@ def _trapezoid(sample: Callable[[np.ndarray], np.ndarray], alpha: float, beta: f
     N = 8 sizes the tolerance; then N is the least power of two whose bound is
     within half of it, until bound plus rounding are. None for a degenerate
     frame, a non-finite sample, N past the cap, or rounding over half the tolerance.
+    q = 1 - |zeta|^2 is exactly exp(-KL) of the pair, so the bound depends on the pair
+    only through its KL, and N on KL and the tolerance, sized from the 8-node value.
+    At DEFAULT_CONFIG kl_numeric takes every pair with KL below 3.456 (N = 1024 at
+    the top) and hands GK15 every pair above 3.470; in between the 8-node value
+    decides (20 000 seeded pairs of every shape).
     """
     q = 4.0 * beta / (alpha * alpha + (beta + 1.0) * (beta + 1.0))  # 1 - |zeta|^2
     if not q > 0.0:  # beta 0, inf or nan, or alpha not finite
@@ -424,7 +437,11 @@ def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: Quadratu
 
     alpha = (v2 - v1)/w1 and beta = w2/w1. If `analytic` (term is log or log(beta*.))
     the trapezoid averages the sample first; GK15 integrates sample/pi in theta where
-    it does not, graded away from t = 0 at width 1 and t = alpha at width beta.
+    it does not, graded away from t = 0 at width 1 and t = alpha at width beta. A term
+    that need not be analytic (an f-divergence's) also gets edges where R = 1, at the
+    kink a generator such as |t - 1| may have there. Each sample rounds R by a few
+    ulps, which moves a log, and a generator of slope O(1) in log R, by a few ulps of
+    1: GK15's estimate adds 4u for that rounding, which the samples cannot show.
     """
     alpha, beta = (v2 - v1) / w1, w2 / w1
 
@@ -435,7 +452,15 @@ def _frame_integral(v1: float, w1: float, v2: float, w2: float, config: Quadratu
         if r is not None:
             return r
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
-    return _integrate(lambda t: sample(t) / math.pi, config, ((0.0, 1.0), (alpha, beta)), reach)
+    features = [(0.0, 1.0), (alpha, beta)]
+    if not analytic:
+        # R = 1 at the roots of (1 - beta)*t^2 - 2*alpha*t + alpha^2 - beta*(1 - beta), whose
+        # discriminant is 4*beta*(alpha^2 + (1 - beta)^2): q/(1 - beta) and, by Vieta, c/q.
+        a = 1.0 - beta
+        q = alpha + math.copysign(math.sqrt(beta * (alpha * alpha + a * a)), alpha)
+        c = alpha * alpha - beta * a
+        features += [(q / a if a else math.nan, math.inf), (c / q if q else math.nan, math.inf)]
+    return _integrate(lambda t: sample(t) / math.pi, config, features, reach, 4.0 * _U)
 
 
 def _expected_log(v1: float, w1: float, v2: float, w2: float, config: QuadratureConfig,

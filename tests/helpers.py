@@ -127,8 +127,9 @@ def reference_integrate(integrand, config=oracle.DEFAULT_CONFIG, breakpoints=())
     return _reference_integrate_theta(lambda x: integrand(x) * (1.0 + x * x), config, breakpoints)
 
 
-def _reference_integrate_theta(sample, config, breakpoints):
-    """Scalar GK15 of sample(tan(theta)) dtheta over (-pi/2, pi/2)."""
+def _reference_integrate_theta(sample, config, breakpoints, floor=0.0):
+    """Scalar GK15 of sample(tan(theta)) dtheta over (-pi/2, pi/2); the estimate adds
+    4u times the summed |panel value| plus `floor`, as the convergence test does."""
 
     def g(theta):
         x = math.tan(theta)
@@ -140,12 +141,14 @@ def _reference_integrate_theta(sample, config, breakpoints):
     pts = _reference_breakpoints(breakpoints)
     evaluations = 0
     total_value = 0.0
+    total_abs = 0.0
     total_error = 0.0
     heap = []
     for a, b in zip(pts, pts[1:]):
         value, err = _reference_gk15(g, a, b)
         evaluations += 15
         total_value += value
+        total_abs += abs(value)
         total_error += err
         heapq.heappush(heap, (-err, a, 0, b, value))
 
@@ -153,7 +156,7 @@ def _reference_integrate_theta(sample, config, breakpoints):
     capped_error = 0.0
     converged = True
     for _ in range(200_000):
-        if total_error <= config.tolerance_for(total_value):
+        if total_error + floor + 4.0 * 2.0 ** -53 * total_abs <= config.tolerance_for(total_value):
             break
         if not heap:
             converged = False
@@ -171,6 +174,7 @@ def _reference_integrate_theta(sample, config, breakpoints):
         v2, e2 = _reference_gk15(g, mid, b)
         evaluations += 30
         total_value += (v1 + v2) - value
+        total_abs += (abs(v1) + abs(v2)) - abs(value)
         total_error += (e1 + e2) - (-neg_err)
         heapq.heappush(heap, (-e1, a, depth + 1, mid, v1))
         heapq.heappush(heap, (-e2, mid, depth + 1, b, v2))
@@ -181,7 +185,8 @@ def _reference_integrate_theta(sample, config, breakpoints):
     panels.extend((a, value, -neg_err) for neg_err, a, _, _, value in depth_capped)
     panels.sort(key=lambda p: p[0])
     value = math.fsum(p[1] for p in panels)
-    error = math.fsum(p[2] for p in panels)
+    error = (math.fsum(p[2] for p in panels) + floor
+             + 4.0 * 2.0 ** -53 * math.fsum(abs(p[1]) for p in panels))
     if converged and error > config.tolerance_for(value):
         converged = False
     return QuadratureResult(value, error, evaluations, converged)
@@ -249,8 +254,15 @@ def _reference_frame(v1, w1, v2, w2, term, config, analytic=False):
         return term((beta_sq + u * u) / (beta * (1.0 + t * t))) / math.pi
 
     reach = 4.0 * (abs(alpha) + max(1.0, beta))
-    return _reference_integrate_theta(sample, config,
-                                      _reference_graded([(0.0, 1.0), (alpha, beta)], reach))
+    points = _reference_graded([(0.0, 1.0), (alpha, beta)], reach)
+    if not analytic:  # edges at the roots of R = 1, where a generator may have a kink
+        a = 1.0 - beta
+        q = alpha + math.copysign(math.sqrt(beta * (alpha * alpha + a * a)), alpha)
+        if a:
+            points.append(q / a)
+        if q:
+            points.append((alpha * alpha - beta * a) / q)
+    return _reference_integrate_theta(sample, config, points, 4.0 * 2.0 ** -53)
 
 
 def _reference_expected_log(v1, w1, v2, w2, config, shift, scale=1.0):

@@ -274,21 +274,19 @@ def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
     assert verify_ode_dadd(*_ode_witnesses(outcome.detail)[0]) != 0
 
 
-@pytest.mark.parametrize("name, change, test", [
+@pytest.mark.parametrize("name, change, test, argv", [
     ("_integral_a_arg", lambda num_den, *args: (num_den[0] * (1 + 2.0**-30), num_den[1]),
-     "test_integral_a_fixtures"),
+     "test_integral_a_fixtures", "integral-a --a 1 --b 0 --c 1 --d 1 --e 0 --f 1"),
     ("_prudnikov_arg", lambda big_u, *args: (big_u[0], big_u[1] + 2.0**-30),
-     "test_prudnikov_fixtures"),
+     "test_prudnikov_fixtures", "prudnikov --a 1 --b 0 --z 1"),
 ], ids=["integral-a", "prudnikov"])
-def test_changed_log_argument_fails_its_closed_form(monkeypatch, capsys, name, change, test):
+def test_changed_log_argument_fails_its_closed_form(monkeypatch, capsys, name, change, test, argv):
     # The float fixtures fail, and the CLI op, which runs the same function, moves.
-    args = (["integral-a", "--a", "1", "--b", "0", "--c", "1", "--d", "1", "--e", "0", "--f", "1"]
-            if name == "_integral_a_arg" else ["prudnikov", "--a", "1", "--b", "0", "--z", "1"])
     values = []
     for changed in (False, True):
         if changed:
             _change(monkeypatch, name, change)
-        assert main(args) == 0
+        assert main(argv.split()) == 0
         values.append(json.loads(capsys.readouterr().out)["value"])
     assert values[0] != values[1]
     with pytest.raises(AssertionError):
@@ -553,9 +551,8 @@ _DADD_CHANGES = {"numerator + e": lambda d, e: (e, 0), "denominator + d^2": lamb
 
 
 def _change_dadd(monkeypatch, change):
-    shipped = core._dadd_over_pi
-    monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: tuple(
-        a + b for a, b in zip(shipped(d, e, f, sqrt), _DADD_CHANGES[change](d, e))))
+    _change(monkeypatch, "_dadd_over_pi", lambda num_den, d, e, f, sqrt: tuple(
+        a + b for a, b in zip(num_den, _DADD_CHANGES[change](d, e))))
 
 
 @pytest.mark.parametrize("change, facts, grids", [

@@ -326,6 +326,32 @@ def test_f_divergences_depend_on_chi2_alone():
         assert all(abs(v - kl_closed(p1, p2)) <= 1e-12 for v, (p1, p2) in zip(values, pairs))
 
 
+def _total_variation(t: float) -> float:
+    return abs(t - 1.0) / 2.0
+
+
+def test_total_variation_lies_within_its_estimate():
+    # |t - 1| has a kink where the densities cross, at R = 1; GK15 places a panel
+    # edge there. Total variation is (2/pi)*atan(sqrt(chi2/2)), chi2/2 = exp(KL) - 1,
+    # for every Cauchy pair (Nielsen & Okamura, arXiv:2101.12459). Without the edges
+    # 40 of these 200 pairs, and the first pair below by 1.7e-7, lay outside.
+    def reference(p1, p2):
+        return 2.0 / math.pi * math.atan(math.sqrt(math.expm1(kl_closed(p1, p2))))
+
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(200):
+        l1, l2 = rng.normal(0.0, 3.0, 2)
+        s1, s2 = np.exp(rng.normal(0.0, 2.0, 2))
+        pairs.append((CauchyDist(float(l1), float(s1)), CauchyDist(float(l2), float(s2))))
+    cases = [(CauchyDist(0.9003953860516731, 0.09364158089904256),
+              CauchyDist(1.3045110764393937, 0.948531060915459), QuadratureConfig(1e-12, 1e-15))]
+    cases += [(p1, p2, oracle.DEFAULT_CONFIG) for p1, p2 in pairs]
+    for p1, p2, config in cases:
+        r = f_divergence_numeric(_total_variation, p1, p2, config)
+        assert r.converged and abs(r.value - reference(p1, p2)) <= r.error_estimate, (p1, p2, r)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -587,10 +613,6 @@ def test_trapezoid_hands_off_to_gk15_at_its_rounding_floor():
     assert _is_power_of_two(kl_numeric(*_ROUNDING_FLOOR_PAIR).evaluations)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the GK15 rounding-floor FOUND in CHANGES.md (ROADMAP Blocking): GK15's estimate, the "
-    "summed |K15 - G7|, carries no rounding term, so below the rounding floor it reports "
-    "converged=True with a true error above the estimate"))
 def test_converged_result_below_the_rounding_floor_lies_within_its_estimate():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
@@ -602,6 +624,26 @@ def test_converged_result_below_the_rounding_floor_lies_within_its_estimate():
     r = kl_numeric(p1, p2, _ROUNDING_FLOOR_CONFIG)
     assert r.converged
     assert abs(r.value - exact) <= r.error_estimate, (r, exact)
+
+
+def test_trapezoid_frame_constant_is_exp_minus_kl():
+    # q = 4*beta/(alpha^2 + (beta + 1)^2), 1 - |zeta|^2 in _trapezoid, is exp(-KL)
+    # exactly, so the trapezoid's node count depends on the pair's KL alone.
+    for p1, p2 in draw_pairs(3107, 500):
+        alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
+        q = 4.0 * beta / (alpha * alpha + (beta + 1.0) * (beta + 1.0))
+        assert abs(q - math.exp(-kl_closed(p1, p2))) <= 4 * math.ulp(q), (p1, p2)
+
+
+@pytest.mark.parametrize("kl, trapezoid", [(3.45, True), (3.47, False)])
+def test_trapezoid_reach_is_set_by_kl(kl, trapezoid):
+    # At the default tolerances kl_numeric takes the trapezoid below KL = 3.456
+    # and GK15 above 3.470, whatever the pair's shape: location pairs at two scales.
+    for s in (1.0, 1e-3):
+        gap = 2.0 * s * math.sqrt(math.expm1(kl))  # KL = log(1 + gap^2/(4*s^2))
+        r = kl_numeric(CauchyDist(0.0, s), CauchyDist(gap, s))
+        assert abs(r.value - kl) <= 1e-9
+        assert (_is_power_of_two(r.evaluations) if trapezoid else r.evaluations % 15 == 0), r
 
 
 def test_trapezoid_nodes_are_built_on_first_use():
