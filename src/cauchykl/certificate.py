@@ -49,11 +49,11 @@ identities are
   simplification (`verify_g_factorization`), which the tests run and no
   `verify` suite does yet.
 
-These run core's own log-argument functions, not copies: the guard
-4*d*f - e^2 (`core._guard`) in every domain check and square root, G1
-and m (`core._g1`) in the factorization, and dA/dd / pi
-(`core._dadd_over_pi`, num/den from `core._g1`) in the ODE and residue
-checks, with m the exact root of the guard (`jets._root`, `Jet.sqrt`).
+These run core's own formulas, not copies: the guard (`core._guard`) in every
+domain check and root, q(x) and x^2 + 1 (`core._quadratic`) in phi_partial_d,
+psi and `telescoping_degrees`, G3 (`core._g3`) in the residue check and, with
+G1 and m (`core._g1`), in the factorization, and dA/dd / pi (`core._dadd_over_pi`)
+in the ODE and residue checks, m the guard's exact root (`jets._root`, `Jet.sqrt`).
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
 returns its residual as (numerator, denominator) and runs the same lines
@@ -112,7 +112,7 @@ def phi_partial_d(d, e, f, x):
     Polymorphic over the scalar domain: exact with Fraction arguments,
     and `d` may be a Jet to propagate derivatives in d.
     """
-    return x * x / ((d * (x * x) + e * x + f) * (x * x + 1))
+    return x * x / (core._quadratic(d, e, f, x) * core._quadratic(1, 0, 1, x))
 
 
 def operator_coefficients(d, e, f) -> tuple:
@@ -165,7 +165,7 @@ def certificate_polynomial(d, e, f, x):
 
 def psi(d, e, f, x):
     """The certificate  psi = -2*x*P / (d*x^2+e*x+f)^2 * dphi/dd."""
-    q = d * (x * x) + e * x + f
+    q = core._quadratic(d, e, f, x)
     return -2 * x * certificate_polynomial(d, e, f, x) / (q * q) * phi_partial_d(d, e, f, x)
 
 
@@ -284,7 +284,7 @@ def _residue_gap(d, e, f, m, dadd):
     and 4*d^2*(rho^2 + 1) = c + i*b; Re(u/v) = Re(u*conj(v)) / |v|^2.
     Only + - * are used, so the same lines run on ints and on `_Degrees`.
     """
-    g = (f - d) * (f - d) + e * e  # |q(i)|^2
+    g = core._g3(d, e, f)  # |q(i)|^2
     a, b = e * e - m * m, -2 * e * m
     c = a + 4 * d * d
     h = c * c + b * b
@@ -356,7 +356,7 @@ def residual_g_factorization(d, e, f) -> tuple:
     """
     _check_domain(d, e, f)
     g1, m = core._g1(d, e, f, lambda guard: _root(guard, 1)[0])
-    return m * (g1 * (d + f - m) - ((d - f) * (d - f) + e * e)), 1
+    return m * (g1 * (d + f - m) - core._g3(d, e, f)), 1
 
 
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
@@ -471,7 +471,7 @@ def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
     constant plus O(1/x) then.
     """
     d, e, f, x = _Degrees.variables(0)
-    q, w = d * (x * x) + e * x + f, x * x + 1
+    q, w = core._quadratic(d, e, f, x), core._quadratic(1, 0, 1, x)
     c3, c2, c1, c0 = operator_coefficients(d, e, f)
     lhs = 0
     for k, ck in enumerate((c0, c1, c2, c3)):

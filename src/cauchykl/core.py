@@ -42,10 +42,12 @@ every domain check), `_g1` (G1 and its root), `_integral_a_arg` (A's
 num/den, given both roots), `_prudnikov_arg`, and for KL and
 cross-entropy `_scaled_ratio`, which scales by powers of two where a
 term would leave the normal range, so KL, cross-entropy and entropy hold
-over every finite input. The float kernels run them with
-math.sqrt; `cauchykl.certificate` runs `_guard`, `_g1` and
-`_dadd_over_pi` (dA/dd / pi, from `_g1`) on ints, int grids and jets
-with exact roots. `cauchykl.oracle` has the numerical counterparts.
+over every finite input. q(x) by Horner's rule (`_quadratic`; x^2 + 1 is
+`_quadratic(1, 0, 1, x)`) and G3 = (d-f)^2 + e^2 = G1*G2 (`_g3`), read by
+PositiveQuadratic and primitive B, are formed once too. The float kernels
+run these with math.sqrt; `cauchykl.certificate` runs `_quadratic`, `_guard`,
+`_g1`, `_g3` and `_dadd_over_pi` (dA/dd / pi) on ints, int grids, jets and
+degree bounds; `cauchykl.oracle` has the numerical counterparts.
 """
 
 from __future__ import annotations
@@ -78,9 +80,19 @@ def _require_scale(scale: float) -> None:
         raise ParameterError(f"scale must be positive, got {scale!r}")
 
 
+def _quadratic(a, b, c, x):
+    """q(x) = a*x^2 + b*x + c by Horner's rule; x^2 + 1 is _quadratic(1, 0, 1, x)."""
+    return (a * x + b) * x + c
+
+
 def _guard(a, b, c):
     """The discriminant guard 4*a*c - b^2 of the quadratic a*x^2 + b*x + c."""
     return 4 * a * c - b * b
+
+
+def _g3(d, e, f):
+    """G3 = (d - f)^2 + e^2 = G1*G2, G2 = d + f - r: |q(i)|^2 for q = (d, e, f)."""
+    return (d - f) * (d - f) + e * e
 
 
 def _g1(d, e, f, sqrt):
@@ -173,7 +185,7 @@ class PositiveQuadratic:
         return math.sqrt(self.discriminant_guard) / (2.0 * self.a)
 
     def __call__(self, x: float) -> float:
-        return (self.a * x + self.b) * x + self.c
+        return _quadratic(self.a, self.b, self.c, x)
 
     @classmethod
     def from_cauchy(cls, dist: CauchyDist) -> "PositiveQuadratic":
@@ -415,14 +427,10 @@ def _dadd_over_pi(d, e, f, sqrt):
 
 def _primitive_b_raw(d: float, e: float, f: float, x: float) -> float:
     r = math.sqrt(_guard(d, e, f))
-    g3 = (d - f) * (d - f) + e * e
-    inner = (
-        (d - f) * math.atan(x)
-        - 0.5 * e * math.log((d * x + e) * x + f)
-        + 0.5 * e * math.log(x * x + 1.0)
-    )
+    inner = ((d - f) * math.atan(x) - 0.5 * e * math.log(_quadratic(d, e, f, x))
+             + 0.5 * e * math.log(_quadratic(1, 0, 1, x)))
     return (2.0 * r * inner - 4.0 * (d * f - 0.5 * e * e - f * f)
-            * math.atan((2.0 * d * x + e) / r)) / (2.0 * g3 * r)
+            * math.atan((2.0 * d * x + e) / r)) / (2.0 * _g3(d, e, f) * r)
 
 
 def primitive_b(d: float, e: float, f: float, x: float) -> float:

@@ -274,6 +274,32 @@ def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
     assert verify_ode_dadd(*_ode_witnesses(outcome.detail)[0]) != 0
 
 
+def test_changed_quadratic_fails_the_float_call_and_the_telescoping_proof(monkeypatch):
+    # One more a*x^2 in core._quadratic moves q(x) and x^2 + 1 alike: the float
+    # call, primitive B against its derivative, and the telescoping proof, on a
+    # grid sized by the degree bounds of the same changed formula.
+    _change(monkeypatch, "_quadratic", lambda q, a, b, c, x: q + a * x * x)
+    assert core.PositiveQuadratic(1.0, 0.0, 1.0)(1.0) == 3.0
+    with pytest.raises(AssertionError):
+        test_core.test_primitive_b_derivative_is_phi_partial_d()
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed
+    assert verify_telescoping(*_witness(telescoping.detail)) != 0
+
+
+def test_changed_g3_fails_primitive_b_and_the_exact_checks(monkeypatch):
+    # d^2 more in core._g3 moves primitive B's denominator, leaves the
+    # factorization residual m*(G1*G2 - G3) at -m*d^2, -1 at (1, 3, 5/2) where
+    # m = 1, and moves |q(i)|^2 in the residue check.
+    _change(monkeypatch, "_g3", lambda g3, d, e, f: g3 + d * d)
+    with pytest.raises(AssertionError):
+        test_core.test_primitive_b_tail_difference()
+    assert verify_g_factorization(1, 3, Fraction(5, 2)) == -1
+    outcome = ode_suite()[0]
+    assert not outcome.passed
+    assert verify_dadd_residues(*_ode_witnesses(outcome.detail)[0]) != 0
+
+
 @pytest.mark.parametrize("name, change, test, argv", [
     ("_integral_a_arg", lambda num_den, *args: (num_den[0] * (1 + 2.0**-30), num_den[1]),
      "test_integral_a_fixtures", "integral-a --a 1 --b 0 --c 1 --d 1 --e 0 --f 1"),

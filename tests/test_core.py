@@ -27,6 +27,7 @@ from cauchykl import (
     quantile,
     standardize_pair,
 )
+from cauchykl import core
 from cauchykl.core import integral_a_floats
 from helpers import draw_pairs, rel_err, ulps_apart
 
@@ -529,6 +530,14 @@ def test_integral_a_dd_relative_error_against_mpmath():
         exact = mp.pi * (r + 2 * f) / (r * (d + f + r))
         worst = max(worst, float(abs(integral_a_dd(d, e, f) - exact) / exact) / 2.0 ** -52)
     assert worst <= 4.0, f"worst relative error {worst:.3g} eps"
+
+
+def test_quadratic_one_zero_one_rounds_as_x_squared_plus_one():
+    # (1*x + 0)*x + 1 is x*x + 1.0 to the bit: 1*x is exact, and x + 0 only
+    # turns -0.0 into 0.0, whose square is 0.0 either way.
+    for x in (0.0, -0.0, 5e-324, -3.5, 0.1, 1e154, -1e155, math.inf, -math.inf, math.nan):
+        assert repr(core._quadratic(1, 0, 1, x)) == repr(x * x + 1.0)
+        assert repr(core._quadratic(2.0, -3.0, 4.0, x)) == repr((2.0 * x - 3.0) * x + 4.0)
 
 
 def test_primitive_b_anchored_at_zero():
