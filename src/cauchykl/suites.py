@@ -175,6 +175,12 @@ def _prove(core, bounds, coordinates: str, what: str, cleared: str,
         f"in ({', '.join(names)}), {shape}{note}{witness}")
 
 
+def _rank(residual: float) -> tuple[bool, float]:
+    """Sort key that picks a float check's worst residual: a NaN, which no comparison
+    ranks, above every number (the first NaN stays), and numbers by their value."""
+    return math.isnan(residual), residual
+
+
 def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
     """Detail suffix naming the pair (and sampler seed) of a worst residual exactly,
     with %r, so one CLI call reproduces it; empty when no pair was checked."""
@@ -201,7 +207,7 @@ def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
             value = closed(p1, p2)
             result = numeric(p1, p2)
             residual = abs(value - result.value) / (1.0 + abs(value))
-            if residual >= worst[name][0]:
+            if _rank(residual) >= _rank(worst[name][0]):
                 worst[name] = residual, (p1, p2)
             unconverged += not result.converged
     tails = {"kl": f", unconverged {unconverged}", "cross-entropy": ""}
@@ -266,7 +272,7 @@ def ode_suite() -> list[CheckOutcome]:
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]
     cases = certificate.verify_integration_constant()
-    d, e, worst = max(cases, key=lambda case: case[2])
+    d, e, worst = max(cases, key=lambda case: _rank(case[2]))
     outcomes.append(CheckOutcome(
         "integration constant", worst <= _FLOAT_TOLERANCE, worst,
         f"max |closed - quadrature| = {worst:.3e} over {len(cases)} grid points, "
@@ -295,7 +301,7 @@ def monte_carlo_suite(count: int, seed: int,
         else:
             sigmas = abs(result.estimate - closed) / result.standard_error
             hit = sigmas <= 4.0
-        if sigmas >= worst_sigmas:
+        if _rank(sigmas) >= _rank(worst_sigmas):
             worst_sigmas, worst_seed, worst_pair = sigmas, seed + index, (p1, p2)
         misses += not hit
     allowed = max(1, count // 20)

@@ -1,6 +1,7 @@
 """CLI: record format, exit-status contract, batch streaming, verify suites."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cauchykl
-from cauchykl import cli, core, oracle
+from cauchykl import certificate, cli, core, oracle, suites
 from cauchykl.cli import _CONFIG, _OPS, execute_job, format_record, main
 from cauchykl.core import (
     CauchyDist,
@@ -1193,6 +1194,44 @@ def test_float_check_witnesses_reproduce_through_the_cli(capsys):
     record = _cli_record(capsys, ["mc", *flags, "--samples", "3000", "--seed", seed])
     sigmas = abs(record["value"] - closed) / record["diagnostics"]["standard_error"]
     assert f"(worst {sigmas:.2f} sigma, 3000 samples each" in outcome.detail
+
+
+def _nan_at(monkeypatch, module, name, at):
+    """Rebind module.name to return NaN where `at(*arguments)` holds, its value elsewhere."""
+    shipped = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: (
+        math.nan if at(*args) else shipped(*args, **kwargs)))
+
+
+def test_nan_closed_form_is_the_worst_closed_vs_quadrature_residual(monkeypatch):
+    # A NaN residual, which no comparison ranks, fails the check and is named.
+    pairs = list(suites._random_pairs(np.random.Generator(np.random.PCG64(1)), 5))
+    _nan_at(monkeypatch, core, "kl_closed", lambda p1, p2: (p1, p2) == pairs[2])
+    kl, cross_entropy = closed_vs_quadrature_suite(5, 1)
+    assert not kl.passed and math.isnan(kl.worst)
+    assert "worst |closed - numeric|/(1+|closed|) = nan," in kl.detail
+    assert kl.detail.endswith(suites._worst_at(pairs[2]))
+    assert cross_entropy.passed
+
+
+def test_nan_closed_form_is_the_worst_integration_constant_deviation(monkeypatch):
+    _nan_at(monkeypatch, certificate, "integral_a_canonical", lambda d, e, f: (d, e) == (1.0, 1.0))
+    outcome = ode_suite()[1]
+    assert not outcome.passed and math.isnan(outcome.worst)
+    assert outcome.detail.startswith("max |closed - quadrature| = nan over 9 grid points")
+    assert outcome.detail.endswith("worst at (d, e, f) = (1.0, 1.0, 1.0)")
+
+
+def test_nan_monte_carlo_estimate_is_the_worst_and_a_miss(monkeypatch):
+    pairs = list(suites._random_pairs(np.random.Generator(np.random.PCG64(5)), 4))
+    shipped = oracle.kl_monte_carlo
+    monkeypatch.setattr(oracle, "kl_monte_carlo", lambda p1, p2, samples, seed: (
+        dataclasses.replace(shipped(p1, p2, samples, seed=seed), estimate=math.nan)
+        if seed == 7 else shipped(p1, p2, samples, seed=seed)))
+    (outcome,) = monte_carlo_suite(4, 5, samples=3000)
+    assert outcome.worst == 1.0 and "3/4 estimates" in outcome.detail
+    assert "(worst nan sigma, 3000 samples each" in outcome.detail
+    assert outcome.detail.endswith(suites._worst_at(pairs[2], 7))
 
 
 def test_integration_constant_witness_reproduces_through_the_cli(capsys):
