@@ -658,3 +658,52 @@ def test_cross_entropy_assembly_from_integral_a():
             PositiveQuadratic.from_cauchy(p1), PositiveQuadratic.from_cauchy(p2))
         tol = max(1e-12, eps * ((l1 / s1) ** 2 + (l2 / s2) ** 2))
         assert rel_err(cross_entropy_closed(p1, p2), assembled) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Known defects of ROADMAP item 1 (Blocking), pinned as strict xfails: each
+# turns into a failing XPASS once item 1 mends it, and its marker goes then.
+# ---------------------------------------------------------------------------
+
+def _integral_a_mp(mp, a, b, c, d, e, f):
+    """A(a,b,c; d,e,f) by its closed form at 50 digits."""
+    a, b, c, d, e, f = map(mp.mpf, (a, b, c, d, e, f))
+    r1, r2 = mp.sqrt(4 * a * c - b * b), mp.sqrt(4 * d * f - e * e)
+    return 2 * mp.pi * mp.log((2 * a * f - b * e + 2 * c * d + r1 * r2) / (2 * a)) / r1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: prudnikov's 2*log(big) + log1p(u) cancels where its argument is within "
+    "1e-6 of 1: 1.6e9 eps of relative error at this point"))
+def test_prudnikov_near_its_zero_is_within_eight_ulps():
+    mp = _mp50()
+    a, b, z = 0.32024979084276084, 0.772872554144168, 0.7656666414748257
+    A, B, Z = map(mp.mpf, (a, b, z))
+    exact = float(mp.pi / Z * mp.log(Z * Z + 2 * A * Z * mp.sqrt(1 - B * B) + A * A))
+    assert ulps_apart(prudnikov_special(a, b, z), exact, abs(exact)) <= 8.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1, the integral_a_floats FOUND after PR 14 in CHANGES.md: "
+    "log(num) - log(2*a) cancels: 892.8 eps of relative error on that record"))
+def test_integral_a_on_the_found_record_is_within_eight_ulps():
+    record = (1.2589780556051946, -0.08389740331771517, 0.017162295839330263,
+              0.31595692054044666, 0.5689281435285461, 0.8782984359326295)
+    exact = float(_integral_a_mp(_mp50(), *record))
+    assert ulps_apart(integral_a_floats(*record), exact, abs(exact)) <= 8.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1, the full-range FOUND in CHANGES.md: integral_a at a = c = 1e200 "
+    "is NaN, as 4*a*c overflows"))
+def test_integral_a_of_a_huge_quadratic_is_within_eight_ulps():
+    q = PositiveQuadratic(1e200, 0.0, 1e200)
+    exact = float(_integral_a_mp(_mp50(), 1e200, 0.0, 1e200, 1e200, 0.0, 1e200))
+    assert ulps_apart(integral_a(q, q), exact, abs(exact)) <= 8.0
+
+
+@pytest.mark.xfail(strict=True, raises=ParameterError, reason=(
+    "ROADMAP item 1, the full-range FOUND in CHANGES.md: 4*a*c underflows to 0, so "
+    "PositiveQuadratic(1e-200, 0, 1e-200) is rejected"))
+def test_tiny_positive_quadratic_is_accepted():
+    assert PositiveQuadratic(1e-200, 0.0, 1e-200)(0.0) == 1e-200

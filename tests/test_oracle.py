@@ -817,3 +817,16 @@ def test_monte_carlo_moments_take_the_fast_path(monkeypatch):
     monkeypatch.setattr(math, "fsum", no_fsum)
     r = kl_monte_carlo(p1, p2, 200_000, seed=11)
     assert (r.estimate, r.standard_error) == (estimate, standard_error)
+
+
+@pytest.mark.xfail(strict=True, raises=IntegrandEvaluationError, reason=(
+    "ROADMAP item 1, the _frame_ratio FOUND in CHANGES.md: beta*beta and (t - alpha)^2 "
+    "overflow, so the integrand raises where the closed form is finite"))
+@pytest.mark.parametrize("numeric, closed, p2", [
+    (kl_numeric, kl_closed, CauchyDist(0.0, 1e160)),
+    (cross_entropy_numeric, cross_entropy_closed, CauchyDist(1e160, 1.0)),
+], ids=["kl", "cross-entropy"])
+def test_quadrature_at_huge_parameters_matches_the_closed_form(numeric, closed, p2):
+    p1 = CauchyDist(0.0, 1.0)
+    value, r = closed(p1, p2), numeric(p1, p2)
+    assert r.converged and abs(r.value - value) <= 1e-8 * (1.0 + abs(value)), (r, value)
