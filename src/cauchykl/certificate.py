@@ -101,7 +101,7 @@ __all__ = [
     "verify_telescoping", "verify_ode_dadd", "verify_dadd_residues", "verify_tail_limit",
     "residual_telescoping", "residual_ode_dadd", "residual_dadd_residues",
     "residual_tail_limit", "residual_g_factorization",
-    "telescoping_degrees", "ode_degrees", "residue_degrees",
+    "telescoping_degrees", "ode_degrees", "residue_degrees", "g_factorization_degrees",
     "verify_integration_constant", "verify_g_factorization",
 ]
 
@@ -355,8 +355,14 @@ def residual_g_factorization(d, e, f) -> tuple:
     takes. On the singular set d = f, e = 0 both sides are 0.
     """
     _check_domain(d, e, f)
-    g1, m = core._g1(d, e, f, lambda guard: _root(guard, 1)[0])
-    return m * (g1 * (d + f - m) - core._g3(d, e, f)), 1
+    return _g_gap(d, e, f, lambda guard: _root(guard, 1)[0]), 1
+
+
+def _g_gap(d, e, f, sqrt):
+    """m*(G1*G2 - G3) with G1 and m = sqrt(guard) from `core._g1` and G3 from `core._g3`.
+    Only + - * are used, so the same lines run on ints and on `_Degrees`."""
+    g1, m = core._g1(d, e, f, sqrt)
+    return m * (g1 * (d + f - m) - core._g3(d, e, f))
 
 
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
@@ -514,6 +520,14 @@ def residue_degrees() -> _Degrees:
     other m."""
     d, e, f, m = _Degrees.variables(1)
     return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))[0]
+
+
+def g_factorization_degrees() -> _Degrees:
+    """Degree bounds of `residual_g_factorization`'s numerator, from core's `_g1` and
+    `_g3`. It is homogeneous of degree 3, even in e, as e enters only as e^2, and m
+    divides it, as its outer factor."""
+    d, e, f, m = _Degrees.variables(1)
+    return _g_gap(d, e, f, lambda _: m)
 
 
 def verify_integration_constant() -> tuple[tuple[float, float, float], ...]:

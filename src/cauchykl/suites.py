@@ -261,13 +261,17 @@ def certificate_suite() -> list[CheckOutcome]:
 
 
 def ode_suite() -> list[CheckOutcome]:
-    """L[dA/dd] = 0 and dA/dd against the residue theorem, proved on the (d, e, m) grids
-    that `certificate.ode_degrees` and `certificate.residue_degrees` size, plus the
-    integration-constant deviations, judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
+    """L[dA/dd] = 0, dA/dd against the residue theorem and the log factorization
+    G1*G2 = (d-f)^2 + e^2, proved on the (d, e, m) grids that `certificate.ode_degrees`,
+    `certificate.residue_degrees` and `certificate.g_factorization_degrees` size, in one
+    check, plus the integration-constant deviations, judged at `_FLOAT_TOLERANCE`, naming
+    the worst (d, e, f)."""
     proofs = [_prove(certificate.residual_ode_dadd, certificate.ode_degrees(), "d e m",
                      "residuals of L[dA/dd] for core's dA/dd / pi = num/den", "m^6*den^4"),
               _prove(certificate.residual_dadd_residues, certificate.residue_degrees(), "d e m",
-                     "differences dA/dd - 2*pi*i*(Res_i + Res_rho)", "its denominator")]
+                     "differences dA/dd - 2*pi*i*(Res_i + Res_rho)", "its denominator"),
+              _prove(certificate.residual_g_factorization, certificate.g_factorization_degrees(),
+                     "d e m", "residuals G1*G2 - (d-f)^2 - e^2, G1,2 = d + f +/- m", "m")]
     failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]

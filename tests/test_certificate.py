@@ -242,7 +242,8 @@ def test_g_factorization_reads_the_shipped_g1(monkeypatch):
     # With d added to core._g1's G1, the residual m*(G1*G2 - G3) is m*d*G2, 5/2
     # at (1, 3, 5/2), where m = 1 and G2 = 5/2. The same change moves the G1
     # whose log integral_a_canonical takes, and dA/dd / pi, whose denominator
-    # is m*G1, so the exact ODE and residue checks fail at reproducible points.
+    # is m*G1, so the exact ODE, residue and factorization proofs fail at
+    # reproducible points.
     _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
     residual = verify_g_factorization(1, 3, Fraction(5, 2))
     assert type(residual) is Fraction and residual == Fraction(5, 2)
@@ -252,8 +253,9 @@ def test_g_factorization_reads_the_shipped_g1(monkeypatch):
         test_core.test_integral_a_canonical_fixtures()
     outcome = ode_suite()[0]
     assert not outcome.passed
-    ode_point, residues_point = _ode_witnesses(outcome.detail)
+    ode_point, residues_point, factorization_point = _ode_witnesses(outcome.detail)
     assert verify_ode_dadd(*ode_point) != 0 and verify_dadd_residues(*residues_point) != 0
+    assert verify_g_factorization(*factorization_point) != 0
 
 
 def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
@@ -290,14 +292,17 @@ def test_changed_quadratic_fails_the_float_call_and_the_telescoping_proof(monkey
 def test_changed_g3_fails_primitive_b_and_the_exact_checks(monkeypatch):
     # d^2 more in core._g3 moves primitive B's denominator, leaves the
     # factorization residual m*(G1*G2 - G3) at -m*d^2, -1 at (1, 3, 5/2) where
-    # m = 1, and moves |q(i)|^2 in the residue check.
+    # m = 1, and moves |q(i)|^2 in the residue check: the ode suite's residue
+    # and factorization proofs fail, its ODE proof does not.
     _change(monkeypatch, "_g3", lambda g3, d, e, f: g3 + d * d)
     with pytest.raises(AssertionError):
         test_core.test_primitive_b_tail_difference()
     assert verify_g_factorization(1, 3, Fraction(5, 2)) == -1
     outcome = ode_suite()[0]
-    assert not outcome.passed
-    assert verify_dadd_residues(*_ode_witnesses(outcome.detail)[0]) != 0
+    assert not outcome.passed and outcome.detail.startswith("325/325 exact-zero")
+    residues_point, factorization_point = _ode_witnesses(outcome.detail)
+    assert verify_dadd_residues(*residues_point) != 0
+    assert verify_g_factorization(*factorization_point) != 0
 
 
 @pytest.mark.parametrize("name, change, test, argv", [
@@ -412,7 +417,7 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
                                                dadd_over_pi(d, e, f, sqrt)[1]))
     ode = ode_suite()[0]
     assert not ode.passed
-    point = _witness(ode.detail)
+    point = _ode_witnesses(ode.detail)[-1]
     assert len(point) == 3 and verify_ode_dadd(*point) != 0 and verify_dadd_residues(*point) != 0
 
 
@@ -689,6 +694,20 @@ def test_derived_degrees_bound_sympy(monkeypatch):
     residues = certificate.residue_degrees().top
     assert _sympy_degrees(sympy, numerator, (e, m)) <= (residues.sub_e, residues.sub_m)
     _parity_and_m_factor_hold(sympy, vanishing=True)
+
+
+def test_g_factorization_degrees_hold_in_sympy():
+    # m*(G1*G2 - G3) in (d, e, f, m), before f = (e^2 + m^2)/(4d) makes it 0:
+    # the bounds dominate sympy's degrees, and it is homogeneous of degree 3,
+    # even in e and a multiple of m, as the tracker derives for its grid.
+    sympy = pytest.importorskip("sympy")
+    d, e, f, m = sympy.symbols("d e f m")
+    gap = sympy.Poly(sympy.expand(certificate._g_gap(d, e, f, lambda _: m)), d, e, f, m)
+    bounds = certificate.g_factorization_degrees()
+    assert all(gap.degree(v) <= b for v, b in zip((d, e, f, m), bounds.top[:4]))
+    assert (bounds.lo, bounds.hi, bounds.parity, bounds.least_s) == (3, 3, 0, 1)
+    assert gap.homogeneous_order() == 3
+    assert all(k[1] % 2 == 0 and k[3] >= 1 for k in gap.monoms())
 
 
 @pytest.mark.parametrize("change", sorted(_DADD_CHANGES))

@@ -1127,14 +1127,15 @@ def test_runtime_imports_no_test_only_package():
 # default counts, recorded when the exact checks moved from random points
 # to derived proof grids, and for `ode` again when its grids came to span
 # e^2 and leave out the factor m^k, and when the integration-constant
-# check's nine integrals moved to the trapezoidal rule, and when that
-# check's detail came to name its worst (d, e, f); any change to a grid, a
-# bound or a figure shows here.
+# check's nine integrals moved to the trapezoidal rule, when that check's
+# detail came to name its worst (d, e, f), and when the ODE check came to
+# prove the factorization G1*G2 = (d-f)^2 + e^2 too; any change to a grid,
+# a bound or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
     ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
     ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
-    ("ode", 1): "dcb3bfd049278b5389dcdbbea5ded8f96de51a4781bd3695752e5b9cf78536e9",
-    ("ode", 1501): "7344b5f90c74133b8bc8e25ebf6752c6d23b4452ba47247ffcaf8c96e2b95be4",
+    ("ode", 1): "261168d321b71d02423343ff202228ed015ae2106a3a3814eeaae7535ac1aac2",
+    ("ode", 1501): "73ee1b85c247a80f1f15d1d78dd1554719d3c04707d11ef5b848854abcb73cbc",
 }
 
 
@@ -1159,7 +1160,7 @@ def test_exact_check_details_start_with_their_point_counts(capsys):
                 assert re.match(r"\d+/\d+ exact-zero", record["detail"])
                 counts[record["check"]] = [int(count) for _, count in tallies]
     assert counts == {"telescoping residual": [539], "psi tail limit": [36],
-                      "ode residual of dA/dd": [325, 66]}
+                      "ode residual of dA/dd": [325, 66, 15]}
 
 
 def _cli_record(capsys, argv):
