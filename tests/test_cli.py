@@ -1235,6 +1235,21 @@ def test_nan_monte_carlo_estimate_is_the_worst_and_a_miss(monkeypatch):
     assert outcome.detail.endswith(suites._worst_at(pairs[2], 7))
 
 
+def test_monte_carlo_estimate_with_zero_standard_error(monkeypatch):
+    # An identical pair samples log R = 0 exactly, so the estimate and its
+    # standard error are 0: a hit at 0 sigma while the closed form is 0 too,
+    # a miss at infinitely many sigma when it is not.
+    p = CauchyDist(3.0, 2.0)
+    monkeypatch.setattr(suites, "_random_pairs", lambda rng, count: iter([(p, p)] * count))
+    (outcome,) = monte_carlo_suite(2, 5, samples=1000)
+    assert outcome.passed and outcome.worst == 0.0
+    assert "2/2 estimates within 4 standard errors (worst 0.00 sigma" in outcome.detail
+    monkeypatch.setattr(core, "kl_closed", lambda p1, p2: 0.5)
+    (outcome,) = monte_carlo_suite(2, 5, samples=1000)
+    assert not outcome.passed and outcome.worst == 2.0
+    assert "0/2 estimates within 4 standard errors (worst inf sigma" in outcome.detail
+
+
 def test_integration_constant_witness_reproduces_through_the_cli(capsys):
     # The ode suite's integration-constant detail names (d, e, f) exactly:
     # integral-a of (1, 0, 1; d, e, f) --numeric gives the check's quadrature

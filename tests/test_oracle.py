@@ -108,6 +108,17 @@ def test_depth_capped_panel_under_budget_is_set_aside():
     assert r == reference_integrate(wave, config)
 
 
+def test_refinement_that_splits_every_panel_ends_unconverged():
+    # A relative tolerance of 1e-17 lies below GK15's rounding term, so no
+    # estimate meets it; at depth 1 each of the 56 first panels splits once,
+    # and the driver stops when no panel is left: 56 * (15 + 30) evaluations,
+    # converged=False, the value pi to the bit.
+    config = QuadratureConfig(1e-17, 1e-300, 1)
+    r = integrate_real_line(lambda x: 1.0 / (1.0 + x * x), config)
+    assert (r.value, r.evaluations, r.converged) == (math.pi, 2520, False)
+    assert r == reference_integrate(lambda x: 1.0 / (1.0 + x * x), config)
+
+
 def test_converged_flag_respects_tolerances():
     config = QuadratureConfig()
     r = integrate_real_line(lambda x: 1.0 / (math.pi * (1.0 + x * x)), config)
