@@ -46,14 +46,14 @@ identities are
   2*pi*i times the residues at i and (-e + i*m)/(2*d)
   (`verify_dadd_residues`, `residue_degrees`);
 * the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
-  simplification (`verify_g_factorization`), which the tests run and no
-  `verify` suite does yet.
+  simplification (`verify_g_factorization`, `g_factorization_degrees`).
 
-These run core's own formulas, not copies: the guard (`core._guard`) in every
-domain check and root, q(x) and x^2 + 1 (`core._quadratic`) in phi_partial_d,
-psi and `telescoping_degrees`, G3 (`core._g3`) in the residue check and, with
-G1 and m (`core._g1`), in the factorization, and dA/dd / pi (`core._dadd_over_pi`)
-in the ODE and residue checks, m the guard's exact root (`jets._root`, `Jet.sqrt`).
+These run core's own formulas, not copies: the guard (`core._guard`) in
+every domain check and square root, q(x) and x^2 + 1 (`core._quadratic`)
+in phi_partial_d, psi and `telescoping_degrees`, G3 (`core._g3`) in the
+residue check and, with G1 and m (`core._g1`), in the factorization, and
+dA/dd / pi (`core._dadd_over_pi`) in the ODE and residue checks, with m
+the exact root of the guard (`jets._root`, `Jet.sqrt`).
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
 returns its residual as (numerator, denominator) and runs the same lines

@@ -2,10 +2,11 @@
 
 Each suite runs the relevant closed-form / oracle / certificate
 comparisons and returns one CheckOutcome per aggregate check, carrying
-the worst residual observed. The float suites (closed-vs-quadrature,
-monte-carlo) draw a seeded pseudorandom family of check points from
-numpy's PCG64 generator, so a (suite, count, seed) triple is fully
-reproducible. The exact suites (certificate, ode) draw nothing, so
+the worst residual observed; a NaN ranks above every number (`_rank`),
+so it fails its check and is the case named. The float suites
+(closed-vs-quadrature, monte-carlo) draw a seeded pseudorandom family of
+check points from numpy's PCG64 generator, so a (suite, count, seed)
+triple is fully reproducible. The exact suites (certificate, ode) draw nothing, so
 --count and --seed do not change them: each of their identities goes
 through one runner (`_prove`), which builds the product grid that the
 identity's degree bounds (`cauchykl.certificate`) need, in (d, e, f[, x])
@@ -177,7 +178,7 @@ def _prove(core, bounds, coordinates: str, what: str, cleared: str,
 
 def _rank(residual: float) -> tuple[bool, float]:
     """Sort key that picks a float check's worst residual: a NaN, which no comparison
-    ranks, above every number (the first NaN stays), and numbers by their value."""
+    ranks, above every number, and numbers by their value."""
     return math.isnan(residual), residual
 
 
