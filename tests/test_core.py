@@ -684,7 +684,7 @@ def test_prudnikov_near_its_zero_is_within_eight_ulps():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1, the integral_a_floats FOUND after PR 14 in CHANGES.md: "
+    "ROADMAP item 1, the integral_a_floats FOUND in CHANGES.md that names this record: "
     "log(num) - log(2*a) cancels: 892.8 eps of relative error on that record"))
 def test_integral_a_on_the_found_record_is_within_eight_ulps():
     record = (1.2589780556051946, -0.08389740331771517, 0.017162295839330263,

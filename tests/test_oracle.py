@@ -111,7 +111,7 @@ def test_depth_capped_panel_under_budget_is_set_aside():
 def test_refinement_that_splits_every_panel_ends_unconverged():
     # A relative tolerance of 1e-17 lies below GK15's rounding term, so no
     # estimate meets it; at depth 1 each of the 56 first panels splits once,
-    # and the driver stops when no panel is left: 56 * (15 + 30) evaluations,
+    # and `_integrate` stops when no panel is left: 56 * (15 + 30) evaluations,
     # converged=False, the value pi to the bit.
     config = QuadratureConfig(1e-17, 1e-300, 1)
     r = integrate_real_line(lambda x: 1.0 / (1.0 + x * x), config)
