@@ -61,8 +61,9 @@ on ints or on numpy object arrays of ints that broadcast to a grid, so a
 suite proves an identity in one call over its whole grid. On an open
 grid, one array per coordinate, every subexpression runs only over the
 coordinates it depends on: the operator's coefficients and P's
-(d, e, f)-coefficients once per (d, e, f), powers of x once per x, and
-only the mixed terms over the whole grid. The operator and P have int
+(d, e, f)-coefficients once per (d, e, f), each term as transcribed but
+over e^2, f^2, d^2, e^4, f^3 and d*f formed once (`_powers`), and only
+Horner's rule for P in x over the whole grid. The operator and P have int
 coefficients at an integer point, and the fraction-free jets
 (`cauchykl.jets`) keep int numerators over one int denominator. Each
 core checks its points' domain (and the singular set d = f, e = 0)
@@ -115,18 +116,27 @@ def phi_partial_d(d, e, f, x):
     return x * x / (core._quadratic(d, e, f, x) * core._quadratic(1, 0, 1, x))
 
 
+def _powers(d, e, f) -> tuple:
+    """(e^2, f^2, d^2, e^4, f^3, d*f), formed once for each certificate polynomial."""
+    e2, f2 = e * e, f * f
+    return e2, f2, d * d, e2 * e2, f2 * f, d * f
+
+
 def operator_coefficients(d, e, f) -> tuple:
     """Coefficients (c3, c2, c1, c0) of the telescoping operator
 
-        L[y] = c3 * y''' + c2 * y'' + c1 * y' + c0 * y   (derivatives in d).
+        L[y] = c3 * y''' + c2 * y'' + c1 * y' + c0 * y   (derivatives in d),
+
+    each term as transcribed, over powers formed once (`_powers`).
     """
-    c3 = (2 * d * f + e**2 + 6 * f**2) * (4 * d * f - e**2) * (d**2 - 2 * d * f + e**2 + f**2)
-    c2 = (60 * d**3 * f**2 + 24 * d**2 * e**2 * f + 132 * d**2 * f**3
-          - 6 * d * e**4 - 60 * d * e**2 * f**2 - 252 * d * f**4
-          + 18 * e**4 * f + 108 * e**2 * f**3 + 60 * f**5)
-    c1 = (96 * d**2 * f**2 + 60 * d * e**2 * f + 336 * d * f**3
-          - 6 * e**4 - 84 * e**2 * f**2 - 240 * f**4)
-    c0 = 24 * (d * f + e**2 + 5 * f**2) * f
+    e2, f2, d2, e4, f3, df = _powers(d, e, f)
+    c3 = (2 * df + e2 + 6 * f2) * (4 * df - e2) * (d2 - 2 * df + e2 + f2)
+    c2 = (60 * d2 * df * f + 24 * d2 * e2 * f + 132 * d2 * f3
+          - 6 * d * e4 - 60 * df * e2 * f - 252 * df * f3
+          + 18 * e4 * f + 108 * e2 * f3 + 60 * f3 * f2)
+    c1 = (96 * df * df + 60 * df * e2 + 336 * df * f2
+          - 6 * e4 - 84 * e2 * f2 - 240 * f2 * f2)
+    c0 = 24 * (df + e2 + 5 * f2) * f
     return c3, c2, c1, c0
 
 
@@ -146,21 +156,25 @@ def apply_operator(d, e, f, y: Jet) -> tuple[int, int]:
     return n, y.denominator
 
 
-def _leading_coefficient(d, e, f):
-    """The x^5 coefficient p5 of P."""
-    return e * (d**2 * f**2 - 4 * d * e**2 * f - 9 * d * f**3 - e**4 - 7 * e**2 * f**2 - 6 * f**4)
+def _leading_coefficient(d, e, f, powers=None):
+    """The x^5 coefficient p5 of P, over `powers` = `_powers(d, e, f)` if given."""
+    e2, f2, d2, e4, f3, df = powers or _powers(d, e, f)
+    return e * (d2 * f2 - 4 * df * e2 - 9 * df * f2 - e4 - 7 * e2 * f2 - 6 * f2 * f2)
 
 
 def certificate_polynomial(d, e, f, x):
-    """The degree-5 polynomial P(d,e,f; x) in the numerator of psi."""
-    return (
-        _leading_coefficient(d, e, f) * x**5
-        - 3 * f * (3 * d * e**2 * f + 4 * d * f**3 + 2 * e**4 + 11 * e**2 * f**2 + 4 * f**4) * x**4
-        + e * (d**2 * f**2 - 4 * d * e**2 * f - 18 * d * f**3 - e**4 - 16 * e**2 * f**2 - 51 * f**4) * x**3
-        - f * (9 * d * e**2 * f + 16 * d * f**3 + 6 * e**4 + 37 * e**2 * f**2 + 32 * f**4) * x**2
-        - 9 * e * f**2 * (d * f + e**2 + 5 * f**2) * x
-        - 4 * f**3 * (d * f + e**2 + 5 * f**2)
-    )
+    """The degree-5 polynomial P(d,e,f; x) = sum_k p_k * x^k in the numerator of psi,
+    by Horner's rule in x: each p_k as transcribed, over the powers of `_powers`,
+    with d*f + e^2 + 5*f^2, common to p1 and p0, formed once."""
+    powers = e2, f2, d2, e4, f3, df = _powers(d, e, f)
+    s = df + e2 + 5 * f2
+    p5 = _leading_coefficient(d, e, f, powers)
+    p4 = -3 * f * (3 * df * e2 + 4 * df * f2 + 2 * e4 + 11 * e2 * f2 + 4 * f2 * f2)
+    p3 = e * (d2 * f2 - 4 * df * e2 - 18 * df * f2 - e4 - 16 * e2 * f2 - 51 * f2 * f2)
+    p2 = -f * (9 * df * e2 + 16 * df * f2 + 6 * e4 + 37 * e2 * f2 + 32 * f2 * f2)
+    p1 = -9 * e * f2 * s
+    p0 = -4 * f3 * s
+    return ((((p5 * x + p4) * x + p3) * x + p2) * x + p1) * x + p0
 
 
 def psi(d, e, f, x):

@@ -29,9 +29,11 @@ KL, cross-entropy and integral A try a second rule first: their
 integrand is the log of a positive trigonometric polynomial in theta, on
 which the N-node trapezoidal rule converges geometrically with a known
 error (_trapezoid). N, a power of two up to 1024, comes from the pair's
-KL, as 1 - |zeta|^2 = exp(-KL) in the frame, and the tolerance; at
-DEFAULT_CONFIG kl_numeric takes it for KL up to about 3.46. Where more
-nodes would be needed, the frame is
+KL, as 1 - |zeta|^2 = exp(-KL) in the frame, and the tolerance. N's
+nodes extend N/2's, and each level (8, 16, ...) is built once per
+process, at the first call that reaches it (_trapezoid_nodes). At
+DEFAULT_CONFIG kl_numeric takes the trapezoid for KL up to about 3.46.
+Where more nodes would be needed, the frame is
 degenerate or a sample not finite, GK15 runs as it would alone, and
 f-divergences and integrate_real_line always take it (a caller's
 integrand need not be analytic). max_refinement_depth is GK15's alone.
@@ -358,11 +360,15 @@ def _integrate(
 
 
 @functools.cache
-def _trapezoid_nodes() -> np.ndarray:
-    """tan(pi*(j/N - 1/2)), j < N = 8, then odd j of N = 16, ..., the cap: N's nodes come first."""
-    levels = [(8, range(8))]
-    levels += [(2**k, range(1, 2**k, 2)) for k in range(4, _TRAPEZOID_CAP.bit_length())]
-    nodes = np.array([math.tan(math.pi * (j / n - 0.5)) for n, js in levels for j in js])
+def _trapezoid_nodes(n: int) -> np.ndarray:
+    """The first n nodes, read-only, n = 8, 16, ..., the cap: tan(pi*(j/8 - 1/2)), j < 8,
+    then tan(pi*(j/N - 1/2)) for the odd j of each level N = 16, 32, ..., n, so N's
+    nodes come first. Each level is built once, at the first call that reaches it."""
+    if n == 8:
+        nodes = np.array([math.tan(math.pi * (j / 8 - 0.5)) for j in range(8)])
+    else:
+        nodes = np.concatenate((_trapezoid_nodes(n // 2),
+                                [math.tan(math.pi * (j / n - 0.5)) for j in range(1, n, 2)]))
     nodes.flags.writeable = False
     return nodes
 
@@ -397,10 +403,9 @@ def _trapezoid(sample: Callable[[np.ndarray], np.ndarray], alpha: float, beta: f
         rho_n = rho ** n
         return -2.0 / n * math.log1p(-rho_n) if rho_n < 1.0 else math.inf
 
-    nodes = _trapezoid_nodes()
     n, n_next, values, peak = 0, 8, [], 0.0
     while n_next <= _TRAPEZOID_CAP:
-        y = sample(nodes[n:n_next])
+        y = sample(_trapezoid_nodes(n_next)[n:])
         top = float(np.abs(y).max())
         if not top < math.inf:  # a sample is nan or inf
             return None

@@ -505,7 +505,7 @@ def test_trapezoid_error_is_the_exact_law():
     # N-node trapezoid of log R misses KL by exactly (2/N)*log|1 - (-zeta)**N|;
     # the computed sums agree to within a few ulps of their largest term, both
     # at fixed N and at the N that kl_numeric chooses for three tolerances.
-    nodes = oracle._trapezoid_nodes()
+    nodes = oracle._trapezoid_nodes(1024)
     for p1, p2 in _LAW_PAIRS:
         alpha, beta = (p2.location - p1.location) / p1.scale, p2.scale / p1.scale
         zeta = (complex(alpha, beta) - 1j) / (complex(alpha, beta) + 1j)
@@ -664,9 +664,29 @@ def test_trapezoid_nodes_are_built_on_first_use():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                          check=True)
     assert run.stdout == "0\n"
-    nodes = oracle._trapezoid_nodes()
+    nodes = oracle._trapezoid_nodes(1024)
     assert nodes.size == 1024 and not nodes.flags.writeable
     assert sorted(nodes.tolist()) == [math.tan(math.pi * (j / 1024 - 0.5)) for j in range(1024)]
+
+
+def test_trapezoid_nodes_are_built_per_level_reached():
+    # A call that stops at N nodes builds the levels 8, 16, ..., N and no more:
+    # 32 nodes for the README's pair and for the ode suite's nine integrals.
+    script = ("import cauchykl.oracle as o, cauchykl.certificate as c; "
+              "r = o.kl_numeric(o.CauchyDist(0, 1), o.CauchyDist(1, 1)); "
+              "print(r.evaluations, o._trapezoid_nodes.cache_info().currsize); "
+              "c.verify_integration_constant(); print(o._trapezoid_nodes.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchykl.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout == "32 3\n3\n"
+    # The 8 nodes of N = 8, then the odd j of each N = 16, ..., 1024, in that
+    # order, so each N's nodes are the first N of the next level's.
+    levels = [(8, range(8))] + [(2**k, range(1, 2**k, 2)) for k in range(4, 11)]
+    nodes = [math.tan(math.pi * (j / n - 0.5)) for n, js in levels for j in js]
+    for k in range(3, 11):
+        level = oracle._trapezoid_nodes(2**k)
+        assert not level.flags.writeable and level.tolist() == nodes[:2**k]
 
 
 def test_kl_numeric_evaluation_count_is_pinned():
