@@ -292,14 +292,17 @@ def monte_carlo_suite(count: int, seed: int,
 
     Each estimate should land within 4 standard errors of the closed
     form; a single 4-sigma excursion among the batch is statistically
-    unremarkable, so one miss per 20 pairs is tolerated.
+    unremarkable, so one miss per 20 pairs is tolerated. An estimate or
+    standard error that is not finite is a defect, not an excursion: it
+    fails the check, whatever the allowance.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    misses = 0
+    misses = nonfinite = 0
     worst_sigmas, worst_seed, worst_pair = 0.0, None, None
     for index, (p1, p2) in enumerate(_random_pairs(rng, count)):
         closed = core.kl_closed(p1, p2)
         result = oracle.kl_monte_carlo(p1, p2, samples, seed=seed + index)
+        nonfinite += not (math.isfinite(result.estimate) and math.isfinite(result.standard_error))
         if result.standard_error == 0.0:
             hit = result.estimate == closed
             sigmas = 0.0 if hit else math.inf
@@ -311,10 +314,10 @@ def monte_carlo_suite(count: int, seed: int,
         misses += not hit
     allowed = max(1, count // 20)
     return [CheckOutcome(
-        "monte-carlo 4-sigma coverage", misses <= allowed, float(misses),
+        "monte-carlo 4-sigma coverage", misses <= allowed and not nonfinite, float(misses),
         f"{count - misses}/{count} estimates within 4 standard errors "
-        f"(worst {worst_sigmas:.2f} sigma, {samples} samples each, up to {allowed} misses allowed)"
-        f"{_worst_at(worst_pair, worst_seed)}",
+        f"(worst {worst_sigmas:.2f} sigma, {samples} samples each, up to {allowed} misses allowed"
+        f"{f', {nonfinite} not finite' if nonfinite else ''}){_worst_at(worst_pair, worst_seed)}",
     )]
 
 

@@ -81,6 +81,42 @@ def random_tame_point(rng: np.random.Generator, bound: int = 10) -> tuple[Fracti
 
 
 # ---------------------------------------------------------------------------
+# The certificate polynomials in their expanded, printed form: each
+# coefficient of L and of P written out in powers of d, e and f. cauchykl
+# evaluates them over shared powers and P by Horner's rule in x; the two
+# must be the same polynomials.
+# ---------------------------------------------------------------------------
+
+def reference_operator_coefficients(d, e, f) -> tuple:
+    """(c3, c2, c1, c0) of the telescoping operator, expanded."""
+    c3 = (2 * d * f + e**2 + 6 * f**2) * (4 * d * f - e**2) * (d**2 - 2 * d * f + e**2 + f**2)
+    c2 = (60 * d**3 * f**2 + 24 * d**2 * e**2 * f + 132 * d**2 * f**3
+          - 6 * d * e**4 - 60 * d * e**2 * f**2 - 252 * d * f**4
+          + 18 * e**4 * f + 108 * e**2 * f**3 + 60 * f**5)
+    c1 = (96 * d**2 * f**2 + 60 * d * e**2 * f + 336 * d * f**3
+          - 6 * e**4 - 84 * e**2 * f**2 - 240 * f**4)
+    c0 = 24 * (d * f + e**2 + 5 * f**2) * f
+    return c3, c2, c1, c0
+
+
+def reference_leading_coefficient(d, e, f):
+    """The x^5 coefficient p5 of P, expanded."""
+    return e * (d**2 * f**2 - 4 * d * e**2 * f - 9 * d * f**3 - e**4 - 7 * e**2 * f**2 - 6 * f**4)
+
+
+def reference_certificate_polynomial(d, e, f, x):
+    """P(d,e,f; x), expanded in powers of x."""
+    return (
+        reference_leading_coefficient(d, e, f) * x**5
+        - 3 * f * (3 * d * e**2 * f + 4 * d * f**3 + 2 * e**4 + 11 * e**2 * f**2 + 4 * f**4) * x**4
+        + e * (d**2 * f**2 - 4 * d * e**2 * f - 18 * d * f**3 - e**4 - 16 * e**2 * f**2 - 51 * f**4) * x**3
+        - f * (9 * d * e**2 * f + 16 * d * f**3 + 6 * e**4 + 37 * e**2 * f**2 + 32 * f**4) * x**2
+        - 9 * e * f**2 * (d * f + e**2 + 5 * f**2) * x
+        - 4 * f**3 * (d * f + e**2 + 5 * f**2)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Scalar reference quadrature: one node at a time, Python floats and libm.
 # The pair integrals are taken in the standard frame of the first density,
 # as in cauchykl.oracle, whose batched engine must return == results: the

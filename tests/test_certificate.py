@@ -26,7 +26,9 @@ from cauchykl.certificate import (
 from cauchykl.cli import main
 from cauchykl.jets import rational_sqrt
 from cauchykl.suites import CHECKSUMS, certificate_suite, ode_suite
-from helpers import random_certificate_point, random_tame_point
+from helpers import (random_certificate_point, random_tame_point,
+                     reference_certificate_polynomial, reference_leading_coefficient,
+                     reference_operator_coefficients)
 
 import test_core
 
@@ -675,10 +677,11 @@ def _sympy_degrees(sympy, expression, variables):
 
 
 def test_derived_degrees_bound_sympy(monkeypatch):
-    # Bounds may exceed the true degrees, never fall short: compare with
-    # sympy's degrees of each cleared half of the telescoping residual and
-    # of the residues' numerator, and sympy's parities and powers of m with
-    # the parity in e and the least m-degree that size the square grids.
+    # Bounds may exceed the true degrees, never fall short: compare, one
+    # variable at a time, with sympy's degrees of each cleared half of the
+    # telescoping residual and of the residues' numerator (which vanishes, so
+    # its halves are compared), and sympy's parities and powers of m with the
+    # parity in e and the least m-degree that size the square grids.
     sympy = pytest.importorskip("sympy")
     d, e, f, x, m = sympy.symbols("d e f x m")
     q, w = d * x**2 + e * x + f, x**2 + 1
@@ -688,12 +691,45 @@ def test_derived_degrees_bound_sympy(monkeypatch):
     rhs = sympy.cancel(sympy.diff(psi(d, e, f, x), x) * q**4 * w**2)
     top = certificate.telescoping_degrees()[0].top
     for half in (lhs, rhs):
-        assert all(a <= b for a, b in zip(_sympy_degrees(sympy, half, (d, e, f, x)), top[:4]))
-    numerator = certificate._residue_gap(1, e, (e**2 + m**2) / 4, m, core._dadd_over_pi(
-        1, e, (e**2 + m**2) / 4, lambda _: m))[0]
+        assert _bounded(_sympy_degrees(sympy, half, (d, e, f, x)), top[:4])
+    num, den = core._dadd_over_pi(1, e, (e**2 + m**2) / 4, lambda _: m)
+    halves = [_sympy_degrees(sympy, certificate._residue_gap(1, e, (e**2 + m**2) / 4, m, dadd)[0],
+                             (e, m)) for dadd in ((0, den), (num, 0))]
     residues = certificate.residue_degrees().top
-    assert _sympy_degrees(sympy, numerator, (e, m)) <= (residues.sub_e, residues.sub_m)
+    assert all(_bounded(half, (residues.sub_e, residues.sub_m)) for half in halves)
+    # Both halves reach (sub_e, sub_m), so a bound one lower in either fails.
+    assert not any(_bounded(half, (residues.sub_e, residues.sub_m - 1)) for half in halves)
+    assert not any(_bounded(half, (residues.sub_e - 1, residues.sub_m)) for half in halves)
     _parity_and_m_factor_hold(sympy, vanishing=True)
+
+
+def _bounded(degrees, bounds) -> bool:
+    """Whether each degree is at most its own bound."""
+    return all(a <= b for a, b in zip(degrees, bounds, strict=True))
+
+
+def test_kernels_are_the_expanded_polynomials(monkeypatch):
+    # Shared powers and Horner's rule change how c3..c0, p5 and P are
+    # evaluated, not what they are: each minus its expanded form is 0 in
+    # sympy, and the degree trackers derive the same bounds from either.
+    sympy = pytest.importorskip("sympy")
+    d, e, f, x = sympy.symbols("d e f x")
+    shipped = (*operator_coefficients(d, e, f), certificate._leading_coefficient(d, e, f),
+               certificate_polynomial(d, e, f, x))
+    expanded = (*reference_operator_coefficients(d, e, f), reference_leading_coefficient(d, e, f),
+                reference_certificate_polynomial(d, e, f, x))
+    assert all(sympy.expand(a - b) == 0 for a, b in zip(shipped, expanded, strict=True))
+
+    def bounds():
+        residual, order, limit = certificate.telescoping_degrees()
+        return [(b.top, b.lo, b.hi, b.parity, b.least_s)
+                for b in (residual, limit, certificate.ode_degrees())] + [order]
+    before = bounds()
+    monkeypatch.setattr(certificate, "operator_coefficients", reference_operator_coefficients)
+    monkeypatch.setattr(certificate, "certificate_polynomial", reference_certificate_polynomial)
+    monkeypatch.setattr(certificate, "_leading_coefficient",
+                        lambda d, e, f, powers=None: reference_leading_coefficient(d, e, f))
+    assert bounds() == before
 
 
 def test_g_factorization_degrees_hold_in_sympy():

@@ -1230,9 +1230,24 @@ def test_nan_monte_carlo_estimate_is_the_worst_and_a_miss(monkeypatch):
         dataclasses.replace(shipped(p1, p2, samples, seed=seed), estimate=math.nan)
         if seed == 7 else shipped(p1, p2, samples, seed=seed)))
     (outcome,) = monte_carlo_suite(4, 5, samples=3000)
+    assert not outcome.passed
     assert outcome.worst == 1.0 and "3/4 estimates" in outcome.detail
     assert "(worst nan sigma, 3000 samples each" in outcome.detail
+    assert "up to 1 misses allowed, 1 not finite)" in outcome.detail
     assert outcome.detail.endswith(suites._worst_at(pairs[2], 7))
+
+
+def test_infinite_monte_carlo_standard_error_fails_the_check(monkeypatch):
+    # An infinite standard error puts every estimate within 4 of it, a hit at
+    # 0 sigma; it is not finite, so the check fails all the same.
+    shipped = oracle.kl_monte_carlo
+    monkeypatch.setattr(oracle, "kl_monte_carlo", lambda p1, p2, samples, seed: (
+        dataclasses.replace(shipped(p1, p2, samples, seed=seed), standard_error=math.inf)
+        if seed == 7 else shipped(p1, p2, samples, seed=seed)))
+    (outcome,) = monte_carlo_suite(4, 5, samples=3000)
+    assert not outcome.passed and outcome.worst == 0.0
+    assert outcome.detail.startswith("4/4 estimates within 4 standard errors")
+    assert "up to 1 misses allowed, 1 not finite)" in outcome.detail
 
 
 def test_monte_carlo_estimate_with_zero_standard_error(monkeypatch):
