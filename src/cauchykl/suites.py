@@ -313,11 +313,12 @@ def monte_carlo_suite(count: int, seed: int,
             worst_sigmas, worst_seed, worst_pair = sigmas, seed + index, (p1, p2)
         misses += not hit
     allowed = max(1, count // 20)
+    tally = f", {nonfinite} not finite" if nonfinite else ""
     return [CheckOutcome(
         "monte-carlo 4-sigma coverage", misses <= allowed and not nonfinite, float(misses),
         f"{count - misses}/{count} estimates within 4 standard errors "
         f"(worst {worst_sigmas:.2f} sigma, {samples} samples each, up to {allowed} misses allowed"
-        f"{f', {nonfinite} not finite' if nonfinite else ''}){_worst_at(worst_pair, worst_seed)}",
+        f"{tally}){_worst_at(worst_pair, worst_seed)}",
     )]
 
 
