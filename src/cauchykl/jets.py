@@ -33,7 +33,7 @@ step rebinds (acc = _sub(acc, ...), never acc -= ...).
 Jets are exact only. A scalar is an int, a rational
 (`fractions.Fraction`), or a numpy array of dtype object holding Python
 ints: then every numerator is such an array and one jet carries the
-expansions at every point of a grid, each elementwise + - * ** running
+expansions at every point of a grid, each elementwise + - * running
 exact int arithmetic inside numpy's loop (`Jet.__array_ufunc__ = None`
 makes array-jet operators dispatch to the jet). The arrays of one grid
 may be an open grid, shaped to broadcast against each other: numpy then
@@ -42,7 +42,7 @@ and an error names the first offending point in C order over the
 broadcast shape, which is itertools.product order. Anything else, an int64
 array that would wrap included, raises TypeError at the operation that
 receives it. No operation constructs a Fraction or takes a gcd;
-`coefficients` and `derivative` return Fractions for scalar jets, while
+`coefficients` returns Fractions for scalar jets, while
 `derivative_numerator` over `denominator` gives a derivative as two ints
 or int arrays. This is what the certificate checks in
 `cauchykl.certificate` rely on. A grid jet's repr names the grid's shape
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Jet", "rational_sqrt"]
+__all__ = ["Jet"]
 
 
 def _mul(a, b):
@@ -149,11 +149,6 @@ def _root(n: int, den: int) -> tuple[int, int]:
     return p, abs(den)
 
 
-def rational_sqrt(value: Rational) -> Fraction:
-    """Exact square root of a nonnegative rational, if one exists."""
-    return Fraction(*_root(*_split(value)))
-
-
 class Jet:
     """Taylor coefficients of one scalar quantity in one variable."""
 
@@ -202,10 +197,6 @@ class Jet:
         if not 0 <= k <= self.order:
             raise ParameterError(f"derivative order {k!r} outside jet order {self.order}")
         return _mul(math.factorial(k), self._num[k])
-
-    def derivative(self, k: int) -> Fraction:
-        """k-th derivative at the expansion point: k! * c_k."""
-        return Fraction(self.derivative_numerator(k), self._den)
 
     def _coerce(self, other) -> "Jet":
         """other as a jet of this order: a scalar p/q is the constant jet (p, 0, ...)/q."""
@@ -274,20 +265,6 @@ class Jet:
 
     def __rtruediv__(self, other) -> "Jet":
         return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "Jet":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ParameterError(f"jet powers must be nonnegative integers, got {exponent!r}")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Jet.constant(1, self.order) if result is None else result
 
     def sqrt(self) -> "Jet":
         """Square root jet; raises ParameterError unless c0 is a rational square.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cauchykl import CauchyDist, IntegrandEvaluationError, oracle
+from cauchykl import CauchyDist, IntegrandEvaluationError, jets, oracle
 from cauchykl.oracle import QuadratureResult
 
 
@@ -50,6 +50,11 @@ def _random_ratio(rng: np.random.Generator, positive: bool = False,
     if not positive and num == 0:
         num = 1
     return Fraction(num, int(rng.integers(1, bound + 1)))
+
+
+def rational_sqrt(value) -> Fraction:
+    """Exact square root of a nonnegative rational, if one exists (`jets._root`)."""
+    return Fraction(*jets._root(*jets._split(value)))
 
 
 def random_certificate_point(rng: np.random.Generator) -> tuple[Fraction, Fraction, Fraction]:
