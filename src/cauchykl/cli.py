@@ -199,7 +199,7 @@ def execute_job(record: Any) -> dict:
     op = record.get("op")
     echo: dict[str, Any] = {"op": op if isinstance(op, str) else repr(op)}
     try:
-        if op not in _OPS:
+        if not isinstance(op, str) or op not in _OPS:  # a list or object op is unhashable
             raise ParameterError(
                 f"unknown operation {op!r}; expected one of {sorted(_OPS)}"
             )

@@ -213,9 +213,23 @@ class CanonicalReduction:
 
 
 def density(dist: CauchyDist, x: float) -> float:
-    """Density s / (pi * (s^2 + (x - l)^2)); strictly positive on R."""
-    u = x - dist.location
-    return dist.scale / (math.pi * (dist.scale * dist.scale + u * u))
+    """Density s / (pi * (s^2 + (x - l)^2)); strictly positive on R.
+
+    While s^2 + u^2, u = x - l, lies in (2^-969, 2^1021) this is the direct
+    formula. Otherwise s and u are scaled by one power of two (exact), u
+    halved first if it overflows, as `_scaled_ratio` does, so the value is
+    not lost to an underflowing or overflowing square.
+    """
+    s, u = dist.scale, x - dist.location
+    num = s * s + u * u
+    if 2.0 ** -969 < num < 2.0 ** 1021:
+        return s / (math.pi * num)
+    h = math.isinf(u)
+    if h:  # x - l overflows: carry half of it
+        u = 0.5 * x - 0.5 * dist.location
+    j = math.frexp(max(s, abs(u)))[1]
+    a, b = math.ldexp(s, -j - h), math.ldexp(u, -j)
+    return math.ldexp(a / (math.pi * (a * a + b * b)), -j - h)
 
 
 def quantile(dist: CauchyDist, u: float) -> float:
@@ -427,8 +441,11 @@ def _dadd_over_pi(d, e, f, sqrt):
 
 def _primitive_b_raw(d: float, e: float, f: float, x: float) -> float:
     r = math.sqrt(_guard(d, e, f))
-    inner = ((d - f) * math.atan(x) - 0.5 * e * math.log(_quadratic(d, e, f, x))
-             + 0.5 * e * math.log(_quadratic(1, 0, 1, x)))
+    if abs(x) > 1.0:  # q(x)/(x^2 + 1) as q's reversal over 1 + y^2 at y = 1/x: no x^2
+        q, w = _quadratic(f, e, d, 1.0 / x), _quadratic(1, 0, 1, 1.0 / x)
+    else:
+        q, w = _quadratic(d, e, f, x), _quadratic(1, 0, 1, x)
+    inner = (d - f) * math.atan(x) - 0.5 * e * math.log(q) + 0.5 * e * math.log(w)
     return (2.0 * r * inner - 4.0 * (d * f - 0.5 * e * e - f * f)
             * math.atan((2.0 * d * x + e) / r)) / (2.0 * _g3(d, e, f) * r)
 

@@ -182,11 +182,9 @@ def _rank(residual: float) -> tuple[bool, float]:
     return math.isnan(residual), residual
 
 
-def _worst_at(pair: tuple[CauchyDist, CauchyDist] | None, seed: int | None = None) -> str:
+def _worst_at(pair: tuple[CauchyDist, CauchyDist], seed: int | None = None) -> str:
     """Detail suffix naming the pair (and sampler seed) of a worst residual exactly,
-    with %r, so one CLI call reproduces it; empty when no pair was checked."""
-    if pair is None:
-        return ""
+    with %r, so one CLI call reproduces it."""
     p1, p2 = pair
     at = "" if seed is None else f"seed {seed}, "
     return "; worst at %s(l1, s1, l2, s2) = (%r, %r, %r, %r)" % (
@@ -198,6 +196,7 @@ def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
 
     Each detail ends with the pair of its worst residual.
     """
+    oracle._check_integer(count, "count", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     checks = (("kl", core.kl_closed, oracle.kl_numeric),
               ("cross-entropy", core.cross_entropy_closed, oracle.cross_entropy_numeric))
@@ -296,6 +295,7 @@ def monte_carlo_suite(count: int, seed: int,
     standard error that is not finite is a defect, not an excursion: it
     fails the check, whatever the allowance.
     """
+    oracle._check_integer(count, "count", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     misses = nonfinite = 0
     worst_sigmas, worst_seed, worst_pair = 0.0, None, None

@@ -315,6 +315,18 @@ def test_execute_job_validates_records():
          "config": {"mode": 3}})["error"]
 
 
+def test_list_or_object_op_is_an_unknown_operation(monkeypatch, capsys):
+    # An unhashable op is refused by its type before the table lookup, with the
+    # message any unknown name gets, through execute_job and through batch.
+    expected = f"; expected one of {sorted(_OPS)}"
+    for op in (["kl"], {"x": 1}):
+        record = {"op": op, "params": {"l1": 0, "s1": 1, "l2": 0, "s2": 2}}
+        assert execute_job(record) == {
+            "op": repr(op), "status": "error", "error": f"unknown operation {op!r}{expected}"}
+        code, out = run_batch(monkeypatch, capsys, json.dumps(record) + "\n")
+        assert (code, json.loads(out)) == (1, execute_job(record))
+
+
 def test_execute_job_reports_overflowing_and_malformed_params(capsys):
     # JSON's 1e999 parses to inf, which no parameter accepts; params that
     # are not an object are refused by name.
@@ -1057,6 +1069,14 @@ def test_verify_rejects_zero_count(capsys):
     assert code == 1
     record = json.loads(captured.err)
     assert "count must be >= 1" in record["error"]
+
+
+@pytest.mark.parametrize("suite", [closed_vs_quadrature_suite, monte_carlo_suite])
+def test_float_suites_refuse_a_count_below_one(suite):
+    # A count of 0 checked nothing and passed; both suites now refuse it as run_suite does.
+    for count in (0, -1, True):
+        with pytest.raises(ParameterError, match=f"count must be >= 1, got {count!r}"):
+            suite(count, 1)
 
 
 def test_verify_rejects_negative_seed(capsys):

@@ -1,6 +1,7 @@
 """Closed-form layer: fixtures from the defining formulas plus invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cauchykl import (
 )
 from cauchykl import core
 from cauchykl.core import integral_a_floats
-from helpers import draw_pairs, rel_err, ulps_apart
+from helpers import draw_pairs, random_tame_point, rel_err, ulps_apart
 
 locations = st.floats(-100.0, 100.0)
 scales = st.floats(0.01, 100.0)
@@ -114,6 +115,30 @@ def test_density_fixtures():
 @given(dists, st.floats(-1e6, 1e6))
 def test_density_positive(dist, x):
     assert density(dist, x) > 0.0
+
+
+def test_density_is_within_three_ulps_over_the_full_range():
+    # s, l and x log-uniform over 1e+-300, and every other x at a distance from l
+    # within 1e+-3 of s: within 3 ulps of 50-digit mpmath, where the direct
+    # formula's s*s or pi*(s^2 + u^2) underflows or overflows too.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    assert density(CauchyDist(0.0, 1e-300), 0.0) == pytest.approx(1.0 / (math.pi * 1e-300))
+    assert density(CauchyDist(0.0, 1e-170), 1e-170) == pytest.approx(0.5 / (math.pi * 1e-170))
+    assert density(CauchyDist(0.0, 1e300), 0.0) == pytest.approx(1.0 / (math.pi * 1e300))
+    rng = np.random.Generator(np.random.PCG64(216))
+
+    def signed_power():
+        return float(10.0 ** rng.uniform(-300, 300)) * (1 if rng.integers(2) else -1)
+
+    for k in range(2000):
+        s, l, x = abs(signed_power()), signed_power(), signed_power()
+        if k % 2:
+            x = l + s * float(10.0 ** rng.uniform(-3, 3)) * (1 if rng.integers(2) else -1)
+        u = mp.mpf(x) - mp.mpf(l)
+        exact = float(mp.mpf(s) / (mp.pi * (mp.mpf(s) ** 2 + u * u)))
+        assert ulps_apart(density(CauchyDist(l, s), x), exact, exact) <= 3.0, (l, s, x)
 
 
 def test_quantile_fixtures():
@@ -551,6 +576,22 @@ def test_primitive_b_tail_difference():
     v = integral_a_dd(1, 0, 2)
     diff = primitive_b(1, 0, 2, 1e8) - primitive_b(1, 0, 2, -1e8)
     assert abs(diff - v) <= 1e-5 * (1.0 + abs(v))
+
+
+def test_primitive_b_is_finite_up_to_the_largest_double():
+    # Beyond |x| = 1 the log ratio log(q(x) / (x^2 + 1)) is taken from q's reversal
+    # at 1/x, so no square overflows: at +-max B's tail difference is dA/dd within
+    # 11 eps (10.1 measured) on criterion 10's draws, where the two logs of x^2
+    # once gave -inf from x = 1e154 and NaN from 1e155.
+    big = sys.float_info.max
+    for x in (1e154, 1e155, big, -big):
+        assert math.isfinite(primitive_b(2, 0.5, 1, x))
+    rng = np.random.Generator(np.random.PCG64(1010))
+    for _ in range(100):
+        d, e, f = (float(v) for v in random_tame_point(rng, bound=20))
+        v = integral_a_dd(d, e, f)
+        diff = primitive_b(d, e, f, big) - primitive_b(d, e, f, -big)
+        assert abs(diff - v) <= 11 * 2.0 ** -52 * (1.0 + abs(v)), (d, e, f)
 
 
 def test_primitive_b_derivative_is_phi_partial_d():

@@ -119,6 +119,17 @@ def test_refinement_that_splits_every_panel_ends_unconverged():
     assert r == reference_integrate(lambda x: 1.0 / (1.0 + x * x), config)
 
 
+def test_split_cap_ends_unconverged(monkeypatch):
+    # With the cap at 3 splits an oscillating integrand is far from its tolerance
+    # and far from the depth cap, so the split loop runs out: its else clause marks
+    # the result unconverged after 15 evaluations on each of the 56 first panels
+    # and 30 per split.
+    monkeypatch.setattr(oracle, "_MAX_SPLITS", 3)
+    r = integrate_real_line(lambda x: abs(math.sin(50.0 * x)) / (1.0 + x * x))
+    assert r.converged is False
+    assert r.evaluations == 15 * 56 + 30 * 3
+
+
 def test_converged_flag_respects_tolerances():
     config = QuadratureConfig()
     r = integrate_real_line(lambda x: 1.0 / (math.pi * (1.0 + x * x)), config)
