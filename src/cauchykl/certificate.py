@@ -21,17 +21,27 @@ of dA/dd; a primitive in d then gives A itself up to a constant that
 turns out to be zero.
 
 This module transcribes the certificate data (L, psi and the degree-5
-numerator polynomial P of psi) and *proves* the claims on product grids:
-a polynomial of degree at most n_i in its i-th variable that vanishes on
-a product of n_i + 1 points per variable is zero, the tensor-grid form
-of Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8,
-1999). Each identity, times a known denominator, is a polynomial; a
+numerator polynomial P of psi) and *proves* the claims on grids: a
+polynomial of degree at most n_i in its i-th variable that vanishes on a
+product of n_i + 1 points per variable is zero, the tensor-grid form of
+Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8, 1999).
+Each identity, times a known denominator, is a polynomial; a
 degree-tracking scalar (`_Degrees`) runs the shipped formulas under
 + - * and ** to bound its degrees and to confirm it is homogeneous in
 (d,e,f), so the slice d = 1 suffices. It also derives a parity in e and
 a least degree in m: a polynomial even in e needs grid values only for
-e^2, and one that m^k divides needs k fewer values of m > 0. The
-identities are
+e^2, and one that m^k divides needs k fewer values of m > 0. And it
+bounds two total degrees, in (e, f) and in (e, m) once
+f = (e^2 + m^2)/(4d), so a staircase of (e, f) or (e, m) pairs replaces
+their box (Chung & Yao, SIAM J. Numer. Anal. 14, 1977). In Newton's form
+in the outer variable u, sum_i c_i(v) * prod_{j<i} (u - u_j), a
+polynomial of total degree at most T in (u, v) has c_i of degree at most
+T - i in v, or T - 2i where u = e^2 and T counts degrees in e. Row by row,
+T - i + 1 (or T - 2i + 1) values of v at u_i make c_i vanish once
+c_0..c_(i-1) do, so the staircase proves the polynomial zero with about
+half the box's points. Each proof also runs its core at one point far
+off its grid (`suites._prove`), where a change to code the tracker does
+not run, which a grid can miss, shows. The identities are
 
 * the telescoping relation, on a d-jet of order 3 and an x-jet of order
   1 (`verify_telescoping`, `telescoping_degrees`);
@@ -380,12 +390,13 @@ def _g_gap(d, e, f, sqrt):
 
 
 # Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
-# and l, and j + 2k and l + 2k, its degrees in e and m once f = (e^2 + m^2)/(4d)
-# and s = m.
-_Top = namedtuple("_Top", "d e f s sub_e sub_m")
-_CONSTANT = _Top(0, 0, 0, 0, 0, 0)
-_UNITS = (_Top(1, 0, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1, 0), _Top(0, 0, 1, 0, 2, 2),
-          _Top(0, 0, 0, 1, 0, 1))
+# and l; j + 2k and l + 2k, its degrees in e and m once f = (e^2 + m^2)/(4d)
+# and s = m; j + k, its total degree in (e, f); and j + 2k + l, its total
+# degree in (e, m) after that substitution.
+_Top = namedtuple("_Top", "d e f s sub_e sub_m ef em")
+_CONSTANT = _Top(0, 0, 0, 0, 0, 0, 0, 0)
+_UNITS = (_Top(1, 0, 0, 0, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1, 0, 1, 1),
+          _Top(0, 0, 1, 0, 2, 2, 1, 2), _Top(0, 0, 0, 1, 0, 1, 0, 1))
 
 
 def _parity_sum(a, b):

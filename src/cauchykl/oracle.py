@@ -347,8 +347,6 @@ def _integrate(
             total_error += (e1 + e2) - (-neg_err)
             heapq.heappush(heap, (-e1, a, depth + 1, mid, v1))
             heapq.heappush(heap, (-e2, mid, depth + 1, b, v2))
-        else:
-            converged = False
 
     # fsum is correctly rounded, so the order of the panels does not matter.
     value = math.fsum(p[4] for p in heap + depth_capped)

@@ -8,17 +8,19 @@ so it fails its check and is the case named. The float suites
 check points from numpy's PCG64 generator, so a (suite, count, seed)
 triple is fully reproducible. The exact suites (certificate, ode) draw nothing, so
 --count and --seed do not change them: each of their identities goes
-through one runner (`_prove`), which builds the product grid that the
-identity's degree bounds (`cauchykl.certificate`) need, in (d, e, f[, x])
-or in (d, e, m) at f = (e^2 + m^2)/(4d), runs the identity's integer-point
-core (`certificate.residual_*`) once over it and writes the detail. A
-(d, e, m) grid also uses the derived parity in e and factor m^k: it spans
-only enough values of e^2 and k fewer values of m > 0 (`_square_grid`).
-Each grid is an open grid: one numpy object array of Python ints per
-coordinate, shaped to broadcast against the others, so numpy evaluates
+through one runner (`_prove`), which builds the grid that the identity's
+degree bounds (`cauchykl.certificate`) need, in (d, e, f[, x]) or in
+(d, e, m) at f = (e^2 + m^2)/(4d), runs the identity's integer-point core
+(`certificate.residual_*`) once over it and once at a fixed point off it,
+and writes the detail. The pairs (e, f) or (e, m) form a staircase sized
+by the total degree in them (`_staircase`); a (d, e, m) grid also uses the
+derived parity in e and factor m^k: it spans only enough values of e^2 and
+k fewer values of m > 0 (`_square_grid`). Each grid is an open grid: one
+numpy object array of Python ints per coordinate, shaped to broadcast
+against the others, with e and f (or m) on one axis, so numpy evaluates
 every subexpression only over the coordinates it depends on. Points are
-counted, and a witness is named, in C order over the broadcast shape,
-which is itertools.product order.
+counted, and a witness is named, in C order over the broadcast shape:
+d, then the pairs row by row, then x.
 """
 
 from __future__ import annotations
@@ -81,10 +83,14 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
         yield CauchyDist(float(l1), float(s1)), CauchyDist(float(l2), float(s2))
 
 
-def _product(ranges) -> tuple[np.ndarray, ...]:
-    """The product grid of `ranges` as an open grid (`np.ix_`): one object array of
-    Python ints per coordinate, of length len(range) on its own axis and 1 on the others."""
-    return np.ix_(*(np.array(list(r), dtype=object) for r in ranges))
+def _open_grid(axes) -> tuple[np.ndarray, ...]:
+    """One object array of Python ints per column of `axes`, a sequence of axes that
+    each hold equal-length columns: a column spans its own axis and is 1 long on the
+    others, so the columns of one axis vary together and those of different axes
+    broadcast to their product."""
+    return tuple(np.array(list(column), dtype=object).reshape(
+        [-1 if axis == k else 1 for axis in range(len(axes))])
+        for k, columns in enumerate(axes) for column in columns)
 
 
 def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
@@ -93,61 +99,122 @@ def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
 
     `residual` is a `certificate.residual_*` core, run once on the grid `args`,
     whose first three arrays are D*(d, e, f), integer points; the grid's points
-    are those of the arrays broadcast together. Every part of its (num, den)
-    must be an int, else TypeError (`certificate._exact_residual`). Every exact
-    residual is homogeneous in (d, e, f), so it vanishes with the residual at
-    (d, e, f), and the witness names (d, e, f).
+    are those of the arrays broadcast together, and ints make a grid of one point.
+    Every part of its (num, den) must be an int, else TypeError
+    (`certificate._exact_residual`). Every exact residual is homogeneous in
+    (d, e, f), so it vanishes with the residual at (d, e, f), and the witness
+    names (d, e, f).
     """
     num, den = certificate._exact_residual(residual, *args)
     nonzero = np.broadcast_to(num != 0, np.broadcast_shapes(*map(np.shape, args)))
     witness = ""
     if np.any(nonzero):
-        scale, *point = _first_at(nonzero, D, *args)
-        point = (*(Fraction(v, scale) for v in point[:3]), *point[3:])
-        witness = f"; first nonzero at {names} = ({', '.join(map(str, point))})"
+        witness = f"; first nonzero at {_at(names, *_first_at(nonzero, D, *args))}"
     return nonzero.size, int(np.count_nonzero(nonzero)), witness
 
 
-def _square_grid(bounds) -> tuple[tuple[range, range, range], np.ndarray, tuple]:
-    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d), its
-    scale 4d and its integer points (4d^2, 4de, e^2 + m^2), as arrays built from the
-    open (d, e, m) grid, so each spans only the axes of its coordinates. m > 2d
-    avoids the singular set d = f, e = 0 (there m = 2d); over d, d^deg_f clears f's
-    denominator.
+def _at(names: str, scale, *point) -> str:
+    """`names` = the integer point with its (d, e, f) divided by `scale`, exactly."""
+    point = (*(Fraction(v, scale) for v in point[:3]), *point[3:])
+    return f"{names} = ({', '.join(map(str, point))})"
 
-    The grid spans only the values the bounds' parity and factor m^k need. Even in
-    e, the cleared residual is Q(e^2, m) with deg_(e^2) Q <= sub_e // 2, so e in
-    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e times such a Q of
-    degree <= (sub_e - 1) // 2, so as many values start at e = 1. Of mixed parity,
-    e spans 0..sub_e. m^k divides it and every m is positive, so the quotient, of
-    degree <= sub_m - k in m, needs sub_m - k + 1 values of m.
-    """
+
+def _span(name: str, values) -> str:
+    """"name = v" for one value, else "name in first..last"."""
+    return f"{name} = {values[0]}" if len(values) == 1 else f"{name} in {values[0]}..{values[-1]}"
+
+
+def _staircase(names: str, rows: range, start: int, cap: int, total: int, w: int) -> tuple:
+    """Columns (u, v) of the points (rows[i], start + j), j <= min(cap, total - w*i), row
+    by row; their description; and the rule they prove with. A polynomial in (u, v) whose
+    coefficient at the i-th u in Newton's form in u (in u^2 for w = 2, u^2 distinct on
+    the rows) has degree <= min(cap, total - w*i) in v is zero if it vanishes there: row
+    i fixes the i-th coefficient once the earlier ones are known to vanish."""
+    pairs = [(u, start + j) for i, u in enumerate(rows) for j in range(min(cap, total - w * i) + 1)]
+    u, v = names.split()
+    lead = u if rows[0] == 0 else f"({u} - {rows[0]})"
+    outer, lead, step = (u, lead, "i") if w == 1 else (f"{u}^{w}", f"{w}*{lead}", f"{w}*i")
+    return tuple(zip(*pairs)), (
+        f"{_span(u, rows)} and {_span(v, range(start, start + cap + 1))} with "
+        f"{lead} + ({v} - {start}) <= {total}"), (
+        f"in Newton's form in {outer} the coefficient at the i-th {u} has degree "
+        f"<= min({cap}, {total} - {step}) in {v}")
+
+
+def _plane_grid(bounds, names: list[str]) -> tuple[str, int, tuple, str]:
+    """The grid (d, e, f[, x]) for an identity in (d, e, f[, x]): its description, its
+    scale 1, its points and the rule that sizes its rows (`_staircase`). The pairs
+    (e, f) lie on one axis, f from max(100, deg_e^2) up, so 4*d*f > e^2 and q > 0; with
+    f - f0 for f, the residual keeps its degrees and its total degree ef in (e, f), so
+    row e takes min(deg_f, ef - e) + 1 values of f, and x spans 0..deg_x."""
     top = bounds.top
+    f0 = max(100, top.e ** 2)
+    ds, xs = range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.s + 1)
+    pairs, plane, rows = _staircase("e f", range(top.e + 1), f0, top.f, top.ef, 1)
+    axes = [(ds,), pairs, (xs,)][:len(names) - 1]
+    grid = ", ".join([_span("d", ds), plane, *([_span("x", xs)] if len(names) == 4 else [])])
+    return grid, 1, _open_grid(axes), rows
+
+
+def _square_points(d, e, m) -> tuple:
+    """The scale 4d and the integer point (4d^2, 4de, e^2 + m^2) of (d, e, m), on ints or
+    open-grid arrays: (d, e, f) times 4d at f = (e^2 + m^2)/(4d)."""
+    return 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
+
+
+def _square_grid(bounds) -> tuple[str, np.ndarray, tuple, str]:
+    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d): its
+    description, its scale, its integer points (`_square_points`), as arrays built from
+    the open grid, so each spans only the axes of its coordinates, and the rule that
+    sizes its rows. m > 2d avoids the singular set d = f, e = 0 (there m = 2d); over d,
+    d^deg_f clears f's denominator, and the pairs (e, m) lie on one axis.
+
+    The grid spans only the values the bounds' parity, factor m^k and total degree em
+    in (e, m) need. Even in e, the cleared residual is m^k*Q(e^2, m), and e in
+    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e*m^k*Q(e^2, m), and as
+    many values start at e = 1. Q has degree <= sub_m - k in m and total degree
+    <= T = em - k (em - 1 - k if odd) in (e, m), so row i of e takes
+    min(sub_m - k, T - 2i) + 1 values of m > 0 (`_staircase`). Of mixed parity, e
+    spans 0..sub_e, Q(e, m) has total degree <= em - k, and row i takes
+    min(sub_m - k, T - i) + 1 values.
+    """
+    top, k = bounds.top, bounds.least_s
     ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
     es = {0: range(top.sub_e // 2 + 1), 1: range(1, (top.sub_e + 1) // 2 + 1),
           None: range(top.sub_e + 1)}[bounds.parity]
-    m0 = 2 * ds[-1] + 1
-    ranges = (ds, es, range(m0, m0 + top.sub_m - bounds.least_s + 1))
-    d, e, m = _product(ranges)
-    return ranges, 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
+    pairs, plane, rows = _staircase("e m", es, 2 * ds[-1] + 1, top.sub_m - k,
+                                    top.em - k - (bounds.parity == 1),
+                                    1 if bounds.parity is None else 2)
+    d, e, m = _open_grid([(ds,), pairs])
+    return f"{_span('d', ds)}, {plane}", *_square_points(d, e, m), rows
+
+
+# An integer point far from every grid and on no special set, where each proof also
+# runs its core: (d, e, f, x) on (d, e, f[, x]) grids and (d, e, m) on (d, e, m) grids.
+# A change in code the degree bounds do not run can vanish on a grid, but hardly
+# also here.
+_OFF_GRID = (1, 1009, 10**6 + 3, 10007)
+_OFF_SQUARE = (1, 1009, 10007)
 
 
 def _prove(core, bounds, coordinates: str, what: str, cleared: str,
            note: str = "") -> tuple[int, str]:
-    """Prove one identity on the grid its degree bounds need; return the number of
-    nonzero residuals and the detail.
+    """Prove one identity on the grid its degree bounds need, and check it at one
+    point off the grid; return the number of nonzero residuals and the detail.
 
     `_exact_zeros` runs `core`, a `certificate.residual_*` core, once over the grid
-    in `coordinates`: "d e f x" or "d e f", with f from max(100, deg_e^2) up, so
-    4*d*f > e^2 and q > 0, or "d e m" at f = (e^2 + m^2)/(4d) (`_square_grid`).
-    `what` names the residuals, `cleared` what makes them polynomials. The detail
-    gives the tally, the grid and the bounds that make it a proof, on (d, e, m) the
-    parity in e and the factor m^k the grid relies on, then `note`, then the
-    witness, in (d, e, f[, x]), last.
+    in `coordinates`: "d e f x" or "d e f" (`_plane_grid`), or "d e m" at
+    f = (e^2 + m^2)/(4d) (`_square_grid`), then once at `_OFF_GRID` or `_OFF_SQUARE`,
+    on ints. `what` names the residuals, `cleared` what makes them polynomials. The
+    detail gives the tally, the grid and the bounds that make it a proof: the degrees,
+    on (d, e, m) the parity in e and the factor m^k, and the total degree that sizes
+    the rows; then `note`, the off-grid point, zero or not, and, last, the first
+    nonzero point on the grid, in (d, e, f[, x]), if there is one.
     """
     top, names = bounds.top, coordinates.split()
     if coordinates == "d e m":
-        ranges, D, points = _square_grid(bounds)
+        grid, D, points, rows = _square_grid(bounds)
+        off_D, off = _square_points(*_OFF_SQUARE)
         k = bounds.least_s
         power = "m" if k == 1 else f"m^{k}"
         parity = {0: f"even in e, so of degree <= {top.sub_e // 2} in e^2",
@@ -157,23 +224,26 @@ def _prove(core, bounds, coordinates: str, what: str, cleared: str,
                   "divided out" if k else "no known multiple of m")
         degrees, cleared, at = ((top.d + top.f, top.sub_e, top.sub_m), f"{cleared} and d^{top.f}",
                                 " at f = (e^2 + m^2)/(4d)")
-        note = f"; it is {parity}, and {factor}{note}"
+        note = (f"; it is {parity}, {factor}, and of total degree <= {top.em} in (e, m), "
+                f"so {rows}{note}")
+        total = ""
     else:
-        f0 = max(100, top.e ** 2)
-        ranges = (range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.e + 1),
-                  range(f0, f0 + top.f + 1), range(top.s + 1))[:len(names)]
-        D, points, degrees, at = 1, _product(ranges), top[:len(names)], ""
-    count, nonzero, witness = _exact_zeros(
-        core, f"({', '.join(coordinates.replace('m', 'f').split())})", D, points)
-    grid = ", ".join(f"{n} = {r[0]}" if len(r) == 1 else f"{n} in {r[0]}..{r[-1]}"
-                     for n, r in zip(names, ranges))
+        grid, D, points, rows = _plane_grid(bounds, names)
+        off_D, off = 1, _OFF_GRID[:len(names)]
+        degrees, at = top[:len(names)], ""
+        total = f", and of total degree <= {top.ef} in (e, f), so {rows}"
+    at_names = f"({', '.join(coordinates.replace('m', 'f').split())})"
+    count, nonzero, witness = _exact_zeros(core, at_names, D, points)
+    off_nonzero = _exact_zeros(core, at_names, off_D, off)[1]
     shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
              else "not homogeneous in (d, e, f), so d spans the grid too")
-    return nonzero, (
+    return nonzero + off_nonzero, (
         f"{count - nonzero}/{count} exact-zero {what}, "
-        f"{'proved' if nonzero == 0 else 'disproved'} on the grid {grid}{at} ({count} points): "
-        f"times {cleared} it is a polynomial of degree <= ({', '.join(map(str, degrees))}) "
-        f"in ({', '.join(names)}), {shape}{note}{witness}")
+        f"{'disproved' if nonzero or off_nonzero else 'proved'} on the grid {grid}{at} "
+        f"({count} points): times {cleared} it is a polynomial of degree "
+        f"<= ({', '.join(map(str, degrees))}) in ({', '.join(names)}), {shape}{total}{note}; "
+        f"{'nonzero' if off_nonzero else 'zero'} off the grid at {_at(at_names, off_D, *off)}"
+        f"{witness}")
 
 
 def _rank(residual: float) -> tuple[bool, float]:

@@ -302,7 +302,7 @@ def test_changed_g3_fails_primitive_b_and_the_exact_checks(monkeypatch):
         test_core.test_primitive_b_tail_difference()
     assert verify_g_factorization(1, 3, Fraction(5, 2)) == -1
     outcome = ode_suite()[0]
-    assert not outcome.passed and outcome.detail.startswith("325/325 exact-zero")
+    assert not outcome.passed and outcome.detail.startswith("169/169 exact-zero")
     residues_point, factorization_point = _ode_witnesses(outcome.detail)
     assert verify_dadd_residues(*residues_point) != 0
     assert verify_g_factorization(*factorization_point) != 0
@@ -411,6 +411,7 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
                         lambda d, e, f, x: shipped(d, e, f, x) + (x + 1) * d**5)
     telescoping = certificate_suite()[1]
     assert not telescoping.passed and "disproved" in telescoping.detail
+    assert "; first nonzero at (d, e, f, x) = (" in telescoping.detail  # on the grid
     point = _witness(telescoping.detail)
     assert len(point) == 4 and verify_telescoping(*point) != 0
 
@@ -433,17 +434,38 @@ def test_phi_partial_d_mutation_is_caught(monkeypatch):
     assert verify_telescoping(1, 0, 100, 0) != 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: the telescoping grid is sized from hand-written forms of phi_partial_d "
-    "and psi, so a term that vanishes with its x-derivative at every grid x passes the suite"))
 @pytest.mark.parametrize("name", ["phi_partial_d", "psi"])
 def test_grid_blind_bump_fails_the_certificate_suite(monkeypatch, name):
+    # The telescoping grid is sized from hand-written forms of phi_partial_d and
+    # psi (ROADMAP item 4), so a term that vanishes with its x-derivative at every
+    # grid x passes the grid; the off-grid point catches it and names itself.
     shipped = getattr(certificate, name)
     monkeypatch.setattr(certificate, name, lambda d, e, f, x: shipped(d, e, f, x) + math.prod(
         (x - k) * (x - k) for k in range(11)))
     if verify_telescoping(1, 1, 100, Fraction(1, 2)) == 0:
         pytest.fail("the bump must break the telescoping identity off the grid")
-    assert not all(outcome.passed for outcome in certificate_suite())
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed and telescoping.detail.startswith("308/308 exact-zero")
+    assert telescoping.detail.endswith("; nonzero off the grid at (d, e, f, x) = "
+                                       "(1, 1009, 1000003, 10007)")
+    assert verify_telescoping(*_witness(telescoping.detail)) != 0
+
+
+def test_e_f_bump_off_the_staircase_fails_the_certificate_suite(monkeypatch):
+    # A term in phi_partial_d that vanishes on the 28 (e, f) pairs of the
+    # telescoping staircase, e + (f - 100) <= 6, though not on the other 21 pairs
+    # of the 7 x 7 box it replaced: the tracker does not run it, so only the
+    # off-grid point catches it.
+    shipped = certificate.phi_partial_d
+    monkeypatch.setattr(certificate, "phi_partial_d", lambda d, e, f, x: shipped(d, e, f, x)
+                        + math.prod(e + f - 100 - i for i in range(7)))
+    e, f = suites._plane_grid(certificate.telescoping_degrees()[0], "d e f x".split())[2][1:3]
+    assert all(math.prod(a + b - 100 - i for i in range(7)) == 0 for a, b in zip(e.flat, f.flat))
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed and telescoping.detail.startswith("308/308 exact-zero")
+    assert "disproved" in telescoping.detail
+    point = _witness(telescoping.detail)
+    assert point == (1, 1009, 1000003, 10007) and verify_telescoping(*point) != 0
 
 
 def test_operator_mutation_is_caught(monkeypatch):
@@ -526,7 +548,7 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
 
     bounds, _ = count(lambda: (certificate.telescoping_degrees(), certificate.ode_degrees(),
                                certificate.residue_degrees()))
-    grid, (_, _, points) = count(lambda: suites._square_grid(certificate.ode_degrees()))
+    grid, (_, _, points, _) = count(lambda: suites._square_grid(certificate.ode_degrees()))
     point = tuple(v[-1] for v in _points(*points))
     counts = [count(step) for step in (
         lambda: verify_telescoping(1, 6, 106, 10),
@@ -550,25 +572,89 @@ def test_derived_grid_degrees():
     residual, order, limit = certificate.telescoping_degrees()
     assert tuple(residual.top[:4]) == (4, 6, 6, 10) and residual.homogeneous and order == 0
     assert tuple(limit.top[:3]) == (2, 5, 5) and limit.homogeneous
-    # Their (d, e, f[, x]) grids: d = 1, e up to its degree, f from 100 over
-    # deg_f + 1 values, x over deg_x + 1.
+    assert (residual.top.ef, limit.top.ef) == (6, 5)
+    # Their (d, e, f[, x]) grids: d = 1, the (e, f) pairs with e + (f - 100) <= ef
+    # from f = 100 over at most deg_f + 1 values, x over deg_x + 1.
     telescoping, tail = (outcome.detail for outcome in certificate_suite()[1:])
-    assert "on the grid d = 1, e in 0..6, f in 100..106, x in 0..10 (539 points)" in telescoping
-    assert "on the grid d = 1, e in 0..5, f in 100..105 (36 points)" in tail
+    assert ("on the grid d = 1, e in 0..6 and f in 100..106 with e + (f - 100) <= 6, "
+            "x in 0..10 (308 points)") in telescoping
+    assert "on the grid d = 1, e in 0..5 and f in 100..105 with e + (f - 100) <= 5 (21 points)" in tail
+    for detail, total in ((telescoping, 6), (tail, 5)):
+        assert (f"of total degree <= {total} in (e, f), so in Newton's form in e the coefficient "
+                f"at the i-th e has degree <= min({total}, {total} - i) in f") in detail
     ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
-    assert (ode.top.sub_e, ode.top.sub_m, ode.lo, ode.hi) == (24, 27, 16, 16)
-    assert (residues.top.sub_e, residues.top.sub_m, residues.lo, residues.hi) == (10, 11, 8, 8)
+    assert (ode.top.sub_e, ode.top.sub_m, ode.top.em, ode.lo, ode.hi) == (24, 27, 27, 16, 16)
+    assert (residues.top.sub_e, residues.top.sub_m, residues.top.em, residues.lo, residues.hi) == (
+        10, 11, 11, 8, 8)
     # Both are even in e and multiples of m^3 and m: their grids span e^2 for
-    # e in 0..sub_e//2 and sub_m - k + 1 values of m.
+    # e in 0..sub_e//2, and row e takes min(sub_m - k, em - k - 2e) + 1 values of m.
     assert (ode.parity, ode.least_s, residues.parity, residues.least_s) == (0, 3, 0, 1)
-    ranges = [suites._square_grid(bounds)[0] for bounds in (ode, residues)]
-    assert ranges == [(range(1, 2), range(13), range(3, 28)), (range(1, 2), range(6), range(3, 14))]
-    assert [math.prod(map(len, r)) for r in ranges] == [325, 66]
+    grids = [suites._square_grid(bounds) for bounds in (ode, residues)]
+    assert [grid[0] for grid in grids] == ["d = 1, e in 0..12 and m in 3..27 with 2*e + (m - 3) <= 24",
+                                           "d = 1, e in 0..5 and m in 3..13 with 2*e + (m - 3) <= 10"]
+    assert [np.broadcast_shapes(*map(np.shape, grid[2])) for grid in grids] == [(1, 169), (1, 36)]
     detail = ode_suite()[0].detail
-    for grid in ("d = 1, e in 0..12, m in 3..27", "(325 points)", "even in e",
-                 "a multiple of m^3", "d = 1, e in 0..5, m in 3..13", "(66 points)",
-                 "a multiple of m, "):
+    for grid in ("d = 1, e in 0..12 and m in 3..27 with 2*e + (m - 3) <= 24", "(169 points)",
+                 "even in e", "a multiple of m^3", "of total degree <= 27 in (e, m), so in "
+                 "Newton's form in e^2 the coefficient at the i-th e has degree <= min(24, 24 - 2*i)",
+                 "d = 1, e in 0..5 and m in 3..13 with 2*e + (m - 3) <= 10", "(36 points)",
+                 "a multiple of m, ", "(9 points)", "zero off the grid at (d, e, f) = (1, 1009, 50579065/2)"):
         assert grid in detail
+
+
+def _exact_rank(matrix) -> int:
+    """The rank of a matrix of ints, by Gaussian elimination over Fractions."""
+    rows, rank = [[Fraction(v) for v in row] for row in matrix], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for r in range(rank + 1, len(rows)):
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            rank += 1
+    return rank
+
+
+def _unisolvent(pairs, monomials) -> bool:
+    """Whether as many points as monomials u^j v^l are given, and the monomials
+    evaluated on them form a matrix of full rank: then only the zero polynomial in
+    their span vanishes on the points."""
+    return len(pairs) == len(monomials) == _exact_rank(
+        [[u**j * v**l for j, l in monomials] for u, v in pairs])
+
+
+def _made_bounds(**top):
+    """Homogeneous bounds (so d = 1) with the given `_Top` fields, the rest 0, even
+    in e unless `parity` is given, and `least_s` 0 unless given."""
+    parity, least_s = top.pop("parity", 0), top.pop("least_s", 0)
+    return certificate._Degrees(certificate._CONSTANT._replace(**top), 0, 0, parity, least_s)
+
+
+def test_staircase_grids_are_unisolvent():
+    # Each grid `_prove` builds has as many points as the polynomial space it
+    # claims has dimensions, and only 0 in that space vanishes on it: the (e, f)
+    # plane, capped by deg_e, deg_f and the total degree ef, and the (e, m) plane
+    # of every parity and factor m^k, capped by sub_e, sub_m and em.
+    for deg_e, deg_f in itertools.product(range(5), repeat=2):
+        for ef in range(deg_e + deg_f + 1):
+            bounds = _made_bounds(e=deg_e, f=deg_f, s=1, ef=ef)
+            _, _, (d, e, f, x), _ = suites._plane_grid(bounds, "d e f x".split())
+            monomials = [(j, k) for j in range(deg_e + 1) for k in range(deg_f + 1) if j + k <= ef]
+            assert np.broadcast_shapes(d.shape, e.shape, x.shape) == (1, len(monomials), 2)
+            assert _unisolvent(list(zip(e.flat, f.flat)), monomials)
+    for parity, k, em in itertools.product((0, 1, None), range(4), range(9)):
+        for sub_e, sub_m in itertools.product((em - k, (em - k) // 2), (em, em - 2)):
+            if sub_m < k or sub_e < (parity == 1):
+                continue
+            bounds = _made_bounds(sub_e=sub_e, sub_m=sub_m, em=em, parity=parity, least_s=k)
+            _, _, (_, de, square), _ = suites._square_grid(bounds)
+            e = [v // 4 for v in de.flat]
+            pairs = [(a, math.isqrt(b - a * a)) for a, b in zip(e, square.flat)]
+            assert all(m * m + a * a == b for (a, m), b in zip(pairs, square.flat))
+            monomials = [(j, l) for j in range(sub_e + 1) for l in range(k, sub_m + 1)
+                         if j + l <= em and parity in (None, j % 2)]
+            assert _unisolvent(pairs, monomials), (parity, k, em, sub_e, sub_m)
 
 
 def _ode_witnesses(detail):
@@ -590,10 +676,14 @@ def _change_dadd(monkeypatch, change):
 
 
 @pytest.mark.parametrize("change, facts, grids", [
-    ("numerator + e", (None, 3, None, 1), ("e in 0..24, m in 3..27", "(625 points)",
-                                           "e in 0..10, m in 3..13", "(121 points)")),
-    ("denominator + d^2", (0, 1, 0, 0), ("e in 0..12, m in 3..29", "(351 points)",
-                                         "e in 0..5, m in 3..14", "(72 points)")),
+    ("numerator + e", (None, 3, None, 1), ("e in 0..24 and m in 3..27 with e + (m - 3) <= 24",
+                                           "(325 points)", "min(24, 24 - i)",
+                                           "e in 0..10 and m in 3..13 with e + (m - 3) <= 10",
+                                           "(66 points)", "min(10, 10 - i)")),
+    ("denominator + d^2", (0, 1, 0, 0), ("e in 0..12 and m in 3..29 with 2*e + (m - 3) <= 26",
+                                         "(195 points)", "min(26, 26 - 2*i)",
+                                         "e in 0..5 and m in 3..14 with 2*e + (m - 3) <= 11",
+                                         "(42 points)", "min(11, 11 - 2*i)")),
 ], ids=["numerator + e", "denominator + d^2"])
 def test_changed_dadd_widens_its_grids(monkeypatch, change, facts, grids):
     # Without the parity or the power of m, each grid spans e or m over its
@@ -642,8 +732,12 @@ def test_parity_and_least_m_degree_rules():
     assert (diff(m**3 + m * e, m).least_s, diff(m + d, m).least_s, diff(m**2 * d, d).least_s) == (
         0, 0, 2)
     assert (diff(e * e * m, e).parity, diff(e * m, m).parity, diff(e * d, d).parity) == (1, 1, 1)
-    # Odd in e: e times a polynomial of degree 1 in e^2, two values from e = 1.
-    assert suites._square_grid(e**3 + e * d * f)[0] == (range(1, 2), range(1, 3), range(3, 6))
+    # Odd in e: e times a polynomial of degree 1 in e^2, two values from e = 1; of
+    # total degree 3 in (e, m), so e = 1 takes three values of m and e = 2 one.
+    grid, _, points, rows = suites._square_grid(e**3 + e * d * f)
+    assert grid == "d = 1, e in 1..2 and m in 3..5 with 2*(e - 1) + (m - 3) <= 2"
+    assert rows == "in Newton's form in e^2 the coefficient at the i-th e has degree <= min(2, 2 - 2*i) in m"
+    assert [list(v.flat) for v in points[1:]] == [[4, 4, 4, 8], [10, 17, 26, 13]]
 
 
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
@@ -653,7 +747,8 @@ def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
     residual, order, _ = certificate.telescoping_degrees()
     assert residual.top.s == 12 and order == 1
     telescoping, tail = certificate_suite()[1:]
-    assert "x in 0..12 (637 points)" in telescoping.detail and not telescoping.passed
+    assert "x in 0..12 (364 points)" in telescoping.detail and not telescoping.passed
+    assert verify_telescoping(*_witness(telescoping.detail)) != 0
     assert not tail.passed and "the tails diverge" in tail.detail
 
     monkeypatch.setattr(certificate, "certificate_polynomial",
@@ -662,15 +757,18 @@ def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
     assert residual.top.e == 8 and not residual.homogeneous
 
     # f starts at max(100, deg_e^2) of each grid's own identity: with e^11 in P
-    # the telescoping residual has e-degree 12 and the tail limit 11.
+    # the telescoping residual has e-degree 12 and the tail limit 11, and each
+    # its total degree in (e, f), so rows past e = deg_f take fewer values of f.
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + e**11)
     residual, _, limit = certificate.telescoping_degrees()
-    assert (residual.top.e, limit.top.e) == (12, 11)
+    assert (residual.top.e, residual.top.ef, limit.top.e, limit.top.ef) == (12, 12, 11, 11)
     telescoping, tail = certificate_suite()[1:]
-    assert "e in 0..12, f in 144..150, x in 0..10 (5005 points)" in telescoping.detail
-    assert "e in 0..11, f in 121..126 (216 points)" in tail.detail
+    assert ("d in 1..5, e in 0..12 and f in 144..150 with e + (f - 144) <= 12, x in 0..10 "
+            "(3850 points)") in telescoping.detail  # 5 * (7*7 + 6+5+4+3+2+1) * 11
+    assert "d in 1..3, e in 0..11 and f in 121..126 with e + (f - 121) <= 11 (171 points)" in tail.detail
     assert not telescoping.passed and tail.passed
+    assert verify_telescoping(*_witness(telescoping.detail)) != 0
 
 
 def _sympy_degrees(sympy, expression, variables):
@@ -702,6 +800,35 @@ def test_derived_degrees_bound_sympy(monkeypatch):
     assert not any(_bounded(half, (residues.sub_e, residues.sub_m - 1)) for half in halves)
     assert not any(_bounded(half, (residues.sub_e - 1, residues.sub_m)) for half in halves)
     _parity_and_m_factor_hold(sympy, vanishing=True)
+    _total_degrees_hold(sympy, lhs, rhs)
+
+
+def _total_degrees_hold(sympy, *telescoping_halves):
+    """The tracker's total degrees, ef in (e, f) and em in (e, m) once
+    f = (e^2 + m^2)/(4d), bound sympy's, each on its own, for every cleared half of
+    the five identities: the telescoping residual's, P and p5 for the tail limit, the
+    ODE residual's terms, the residues' numerator's and the factorization's. em also
+    bounds the total degree in (e, m) of each half at that f, times d^deg_f, the
+    polynomial a (d, e, m) grid proves zero; for the (d, e, f, x) identities the
+    tracker's fourth variable is x, and em counts it as it counts m."""
+    d, e, f, x, m = sympy.symbols("d e f x m")
+    residual, _, limit = certificate.telescoping_degrees()
+    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
+    identities = (
+        (residual, x, telescoping_halves),
+        (limit, x, (certificate_polynomial(d, e, f, x), certificate._leading_coefficient(d, e, f))),
+        (certificate.ode_degrees(), m, _ode_terms(sympy, d, e, f, m)),
+        (certificate.residue_degrees(), m,
+         [certificate._residue_gap(d, e, f, m, dadd)[0] for dadd in ((0, den), (num, 0))]),
+        (certificate.g_factorization_degrees(), m, [certificate._g_gap(d, e, f, lambda _: m)]))
+    for bounds, s, halves in identities:
+        for half in halves:
+            monomials = sympy.Poly(sympy.expand(half), d, e, f, s).monoms()
+            assert bounds.top.ef >= max(j + k for _, j, k, _ in monomials)
+            assert bounds.top.em >= max(j + 2 * k + l for _, j, k, l in monomials)
+            if s is m:
+                at = sympy.expand(half.subs(f, (e**2 + m**2) / (4 * d)) * d**bounds.top.f)
+                assert bounds.top.em >= sympy.Poly(at, e, m).total_degree()
 
 
 def _bounded(degrees, bounds) -> bool:
@@ -754,6 +881,19 @@ def test_derived_parity_and_m_factor_of_a_changed_dadd_hold_in_sympy(change, mon
     _parity_and_m_factor_hold(sympy, vanishing=False)
 
 
+def _ode_terms(sympy, d, e, f, m):
+    """Each term c_k*p_k*m^(6-2k)*den^(3-k) of the cleared ODE residual, in sympy, by the
+    recursion `certificate.ode_degrees` tracks."""
+    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
+    rho = m * sympy.diff(den, d) + 2 * f * sympy.diff(den, m)
+    p, terms = num, []
+    for k, ck in enumerate(operator_coefficients(d, e, f)[::-1]):
+        terms.append(ck * p * m ** (6 - 2 * k) * den ** (3 - k))
+        p = (m * m * den * sympy.diff(p, d) + 2 * f * m * den * sympy.diff(p, m)
+             - 4 * k * f * den * p - (k + 1) * m * rho * p)
+    return terms
+
+
 def _parity_and_m_factor_hold(sympy, vanishing):
     """The tracker's parity in e and least m-degree hold for the polynomials sympy
     expands: each term c_k*p_k*m^(6-2k)*den^(3-k) of the cleared ODE residual, in
@@ -763,12 +903,7 @@ def _parity_and_m_factor_hold(sympy, vanishing):
     least m-degree may fall short of sympy's, never exceed it."""
     d, e, f, m = sympy.symbols("d e f m")
     num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    rho = m * sympy.diff(den, d) + 2 * f * sympy.diff(den, m)
-    p, terms = num, []
-    for k, ck in enumerate(operator_coefficients(d, e, f)[::-1]):
-        terms.append(ck * p * m ** (6 - 2 * k) * den ** (3 - k))
-        p = (m * m * den * sympy.diff(p, d) + 2 * f * m * den * sympy.diff(p, m)
-             - 4 * k * f * den * p - (k + 1) * m * rho * p)
+    terms = _ode_terms(sympy, d, e, f, m)
     at = {d: 1, f: (e**2 + m**2) / 4}
     residues = certificate._residue_gap(d, e, f, m, (num, den))[0]
     if vanishing:
@@ -812,8 +947,9 @@ def test_dadd_residues_catch_a_changed_formula(monkeypatch):
 
 
 def _grid(*ranges):
-    """The open grid the suites build: one array per coordinate, shaped to broadcast."""
-    return suites._product(ranges)
+    """The product grid of `ranges` as the suites build an open grid: one array per
+    coordinate, each range on its own axis, shaped to broadcast (`np.ix_`)."""
+    return suites._open_grid([(r,) for r in ranges])
 
 
 def _points(*arrays):
@@ -1007,10 +1143,10 @@ def test_open_grids_match_flat_columns(monkeypatch):
 
 
 def test_operator_runs_on_the_e_f_plane_only(monkeypatch):
-    # On the telescoping grid d = 1, 7 values of e and f, 11 of x, the operator's
-    # coefficients depend on (d, e, f) alone, so on the open grid every array it
-    # receives or returns has at most 7*7 = 49 elements, not 539. Flat columns
-    # would fail here, not only in a timing.
+    # On the telescoping grid d = 1, 28 pairs (e, f) on one axis, 11 values of x,
+    # the operator's coefficients depend on (d, e, f) alone, so on the open grid
+    # every array it receives or returns has at most 28 elements, not 308. Flat
+    # columns would fail here, not only in a timing.
     sizes = []
     shipped = certificate.operator_coefficients
 
@@ -1022,8 +1158,8 @@ def test_operator_runs_on_the_e_f_plane_only(monkeypatch):
     monkeypatch.setattr(certificate, "operator_coefficients", recording)
     outcomes = certificate_suite()
     assert all(outcome.passed for outcome in outcomes)
-    assert "(539 points)" in outcomes[1].detail
-    assert max(sizes) == 49
+    assert "(308 points)" in outcomes[1].detail
+    assert max(sizes) == 28
 
 
 def test_grid_runner_counts_and_checks_every_point(monkeypatch):

@@ -1149,13 +1149,15 @@ def test_runtime_imports_no_test_only_package():
 # e^2 and leave out the factor m^k, and when the integration-constant
 # check's nine integrals moved to the trapezoidal rule, when that check's
 # detail came to name its worst (d, e, f), and when the ODE check came to
-# prove the factorization G1*G2 = (d-f)^2 + e^2 too; any change to a grid,
-# a bound or a figure shows here.
+# prove the factorization G1*G2 = (d-f)^2 + e^2 too, and for both when the
+# (e, f) and (e, m) pairs came to form staircases sized by total degree and
+# each proof came to name its off-grid point; any change to a grid, a bound
+# or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
-    ("certificate", 1): "2239e59eff4132271ea8fe9b4755a40f0e7a3b591c3e32593bf8d3f8521bedc1",
-    ("certificate", 1501): "da807b7f28112144dd051a6c90867a1a7f20aa3ad5ea515b1cc0d2430c13f1c5",
-    ("ode", 1): "261168d321b71d02423343ff202228ed015ae2106a3a3814eeaae7535ac1aac2",
-    ("ode", 1501): "73ee1b85c247a80f1f15d1d78dd1554719d3c04707d11ef5b848854abcb73cbc",
+    ("certificate", 1): "d13b3386d1bed0e03018927400b6a547e3329de8143201845af0c662d1636de3",
+    ("certificate", 1501): "f6a91dca3c09a95c992faa323b283391750754ba4ce31201ab593b4e877b7438",
+    ("ode", 1): "36484b58b52011f8e3fb19b4949e6899a7be79ce740d4d98d510b787f17dfbaf",
+    ("ode", 1501): "31d775dd28107456474561c3827f1aa309413395493351ab9ba124d71ca94572",
 }
 
 
@@ -1179,8 +1181,8 @@ def test_exact_check_details_start_with_their_point_counts(capsys):
             if tallies:
                 assert re.match(r"\d+/\d+ exact-zero", record["detail"])
                 counts[record["check"]] = [int(count) for _, count in tallies]
-    assert counts == {"telescoping residual": [539], "psi tail limit": [36],
-                      "ode residual of dA/dd": [325, 66, 15]}
+    assert counts == {"telescoping residual": [308], "psi tail limit": [21],
+                      "ode residual of dA/dd": [169, 36, 9]}
 
 
 def _cli_record(capsys, argv):

@@ -121,13 +121,28 @@ def test_refinement_that_splits_every_panel_ends_unconverged():
 
 def test_split_cap_ends_unconverged(monkeypatch):
     # With the cap at 3 splits an oscillating integrand is far from its tolerance
-    # and far from the depth cap, so the split loop runs out: its else clause marks
-    # the result unconverged after 15 evaluations on each of the 56 first panels
-    # and 30 per split.
+    # and far from the depth cap, so the split loop runs out and the final check
+    # of the summed estimate marks the result unconverged, after 15 evaluations
+    # on each of the 56 first panels and 30 per split.
     monkeypatch.setattr(oracle, "_MAX_SPLITS", 3)
     r = integrate_real_line(lambda x: abs(math.sin(50.0 * x)) / (1.0 + x * x))
     assert r.converged is False
     assert r.evaluations == 15 * 56 + 30 * 3
+
+
+def test_tolerance_met_on_the_last_split_is_converged(monkeypatch):
+    # Uncapped, this integral meets its tolerance on its 22nd split. With the
+    # cap at 22 that split is the last one the loop makes; the result must be
+    # the uncapped one, converged included.
+    def integrand(x):
+        return math.cos(5 * x) * math.exp(-x * x)
+
+    uncapped = integrate_real_line(integrand)
+    monkeypatch.setattr(oracle, "_MAX_SPLITS", 22)
+    assert integrate_real_line(integrand) == uncapped
+    assert uncapped.converged and uncapped.evaluations == 15 * 56 + 30 * 22
+    monkeypatch.setattr(oracle, "_MAX_SPLITS", 21)
+    assert not integrate_real_line(integrand).converged
 
 
 def test_converged_flag_respects_tolerances():
