@@ -21,42 +21,50 @@ of dA/dd; a primitive in d then gives A itself up to a constant that
 turns out to be zero.
 
 This module transcribes the certificate data (L, psi and the degree-5
-numerator polynomial P of psi) and *proves* the claims on grids: a
-polynomial of degree at most n_i in its i-th variable that vanishes on a
-product of n_i + 1 points per variable is zero, the tensor-grid form of
-Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8, 1999).
-Each identity, times a known denominator, is a polynomial; a
-degree-tracking scalar (`_Degrees`) runs the shipped formulas under
-+ - * and ** to bound its degrees and to confirm it is homogeneous in
-(d,e,f), so the slice d = 1 suffices. It also derives a parity in e and
-a least degree in m: a polynomial even in e needs grid values only for
-e^2, and one that m^k divides needs k fewer values of m > 0. And it
-bounds two total degrees, in (e, f) and in (e, m) once
-f = (e^2 + m^2)/(4d), so a staircase of (e, f) or (e, m) pairs replaces
-their box (Chung & Yao, SIAM J. Numer. Anal. 14, 1977). In Newton's form
-in the outer variable u, sum_i c_i(v) * prod_{j<i} (u - u_j), a
-polynomial of total degree at most T in (u, v) has c_i of degree at most
-T - i in v, or T - 2i where u = e^2 and T counts degrees in e. Row by row,
-T - i + 1 (or T - 2i + 1) values of v at u_i make c_i vanish once
-c_0..c_(i-1) do, so the staircase proves the polynomial zero with about
-half the box's points. Each proof also runs its core at one point far
-off its grid (`suites._prove`), where a change to code the tracker does
-not run, which a grid can miss, shows. The identities are
+numerator polynomial P of psi) and *proves* the claims. Each identity,
+times a known denominator, is a polynomial identity, and the classical
+exact zero test of a rational identity applies: clear the denominators and
+expand. The residual cores use only + - *, jets and one exact square
+root, and jet division is fraction-free, so their unchecked bodies
+(`_tail_gap`, `_ode_gap`, `_residue_gap`, `_g_gap`) run unchanged on exact
+polynomials (`jets._Poly`). A numerator that comes out as the zero
+polynomial, over a denominator that does not, proves the identity
+outright, with no degree bound and no grid (`suites._prove_polynomial`).
+The identities proved so are
 
-* the telescoping relation, on a d-jet of order 3 and an x-jet of order
-  1 (`verify_telescoping`, `telescoping_degrees`);
 * the tail limits: psi(1/t) is regular at t = 0 when P has x-degree at
   most 5, so both limits are -2*p5/d^3, which `psi_limit` must equal
-  (`verify_tail_limit`);
+  (`verify_tail_limit`), in Z[d, e, f];
 * the ODE L[dA/dd] = 0 for core's dA/dd formula, at points whose
   discriminant 4*d*f - e^2 is a rational square m^2, so the square-root
-  jet stays in Q (`verify_ode_dadd`, `ode_degrees`);
+  jet stays in Q (`verify_ode_dadd`);
 * that formula against the residue theorem, the one outside fact
   (Bronstein, Symbolic Integration I, Springer 2005, ch. 2): dA/dd is
   2*pi*i times the residues at i and (-e + i*m)/(2*d)
-  (`verify_dadd_residues`, `residue_degrees`);
+  (`verify_dadd_residues`);
 * the factorization G1*G2 = (d-f)^2 + e^2 behind the final log
-  simplification (`verify_g_factorization`, `g_factorization_degrees`).
+  simplification (`verify_g_factorization`).
+
+The last three run in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), 4d
+times every point with square discriminant, where the guard is (4dm)^2.
+
+The telescoping relation, on a d-jet of order 3 and an x-jet of order 1
+(`verify_telescoping`), stays on a grid, because as a polynomial in
+Z[d, e, f, x] it costs several times its grid: a polynomial of degree
+at most n_i in its i-th variable that vanishes on a product of n_i + 1
+points per variable is zero, the tensor-grid form of Alon's Combinatorial
+Nullstellensatz (Combin. Probab. Comput. 8, 1999). A degree-tracking
+scalar (`_Degrees`, `telescoping_degrees`) runs the shipped formulas
+under + - * and ** to bound the residual's degrees and to confirm it is
+homogeneous in (d,e,f), so the slice d = 1 suffices. It also bounds the
+total degree in (e, f), so a staircase of (e, f) pairs replaces their box
+(Chung & Yao, SIAM J. Numer. Anal. 14, 1977). In Newton's form in e,
+sum_i c_i(f) * prod_{j<i} (e - e_j), a polynomial of total degree at most
+T in (e, f) has c_i of degree at most T - i in f. Row by row, T - i + 1
+values of f at e_i make c_i vanish once c_0..c_(i-1) do, so the staircase
+proves the polynomial zero with about half the box's points. The proof
+also runs its core at one point far off its grid (`suites._prove`), where
+a change to code the tracker does not run, which a grid can miss, shows.
 
 These run core's own formulas, not copies: the guard (`core._guard`) in
 every domain check and square root, q(x) and x^2 + 1 (`core._quadratic`)
@@ -66,29 +74,30 @@ dA/dd / pi (`core._dadd_over_pi`) in the ODE and residue checks, with m
 the exact root of the guard (`jets._root`, `Jet.sqrt`).
 
 Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
-returns its residual as (numerator, denominator) and runs the same lines
-on ints or on numpy object arrays of ints that broadcast to a grid, so a
-suite proves an identity in one call over its whole grid. On an open
-grid, one array per coordinate, every subexpression runs only over the
-coordinates it depends on: the operator's coefficients and P's
-(d, e, f)-coefficients once per (d, e, f), each term as transcribed but
-over e^2, f^2, d^2, e^4, f^3 and d*f formed once (`_powers`), and only
-Horner's rule for P in x over the whole grid. The operator and P have int
-coefficients at an integer point, and the fraction-free jets
-(`cauchykl.jets`) keep int numerators over one int denominator. Each
-core checks its points' domain (and the singular set d = f, e = 0)
-elementwise, raising at the first point outside it in itertools.product
-order. One runner, `_at_rational`, makes each public scalar check
-`verify_*` from its core and the core's degree of homogeneity: it clears
-the common denominator D of a rational point (`jets._clear`), runs the
-core at the integer point D*(d,e,f) and rescales the residual by
-D**degree into one Fraction. A residual part that is not an int raises
-TypeError (`_exact_residual`, which the grid suites run too). The
-vanishing integration constant, the one float check left, is
-cross-checked against the quadrature oracle: `verify_integration_constant`
-returns the deviation at each of its nine points, and the ode suite
-judges them at 1e-8. Any nonzero residual disproves the transcription
-and is reported, never patched.
+checks its points and returns its residual as (numerator, denominator).
+It runs the same lines on ints or on numpy object arrays of ints that
+broadcast to a grid, so the telescoping proof runs in one call over its
+whole grid. On an open grid, one array per coordinate, every
+subexpression runs only over the coordinates it depends on: the
+operator's coefficients and P's (d, e, f)-coefficients once per
+(d, e, f), each term as transcribed but over e^2, f^2, d^2, e^4, f^3 and d*f
+formed once (`_powers`), and only Horner's rule for P in x over the
+whole grid. The operator and P have int coefficients at an integer
+point, and the fraction-free jets (`cauchykl.jets`) keep int numerators
+over one int denominator. Each core checks its points' domain (and the
+singular set d = f, e = 0) elementwise, raising at the first point
+outside it in itertools.product order. One runner, `_at_rational`, makes
+each public scalar check `verify_*` from its core and the core's degree
+of homogeneity: it clears the common denominator D of a rational point
+(`jets._clear`), runs the core at the integer point D*(d,e,f) and
+rescales the residual by D**degree into one Fraction. A residual part
+that is not an int (or a polynomial of ints) raises TypeError
+(`_exact_residual`, which the suites run too). The vanishing integration
+constant, the one float check left, is cross-checked against the
+quadrature oracle: `verify_integration_constant` returns the deviation
+at each of its nine points, and the ode suite judges them at 1e-8. Any
+nonzero residual disproves the transcription and is reported, never
+patched.
 """
 
 from __future__ import annotations
@@ -103,7 +112,7 @@ import numpy as np
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _clear, _first_at, _root
+from .jets import Jet, _Poly, _clear, _first_at, _root
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -112,7 +121,7 @@ __all__ = [
     "verify_telescoping", "verify_ode_dadd", "verify_dadd_residues", "verify_tail_limit",
     "residual_telescoping", "residual_ode_dadd", "residual_dadd_residues",
     "residual_tail_limit", "residual_g_factorization",
-    "telescoping_degrees", "ode_degrees", "residue_degrees", "g_factorization_degrees",
+    "telescoping_degrees",
     "verify_integration_constant", "verify_g_factorization",
 ]
 
@@ -227,13 +236,14 @@ def _check_regular(d, e, f) -> None:
 
 
 def _exact_residual(residual, *args) -> tuple:
-    """(num, den) = residual(*args), each part an int or an object array of ints;
-    any other element raises TypeError, naming the first. Each part is checked
-    over its own elements, before any broadcast."""
+    """(num, den) = residual(*args), each part an int, an exact polynomial
+    (`jets._Poly`, whose coefficients are ints) or an object array of ints; any other
+    element raises TypeError, naming the first. Each part is checked over its own
+    elements, before any broadcast."""
     num, den = residual(*args)
     for part in (num, den):
         for v in part.flat if type(part) is np.ndarray else (part,):
-            if type(v) is not int:
+            if type(v) is not int and type(v) is not _Poly:
                 raise TypeError(f"the exact check produced an inexact residual part {v!r}")
     return num, den
 
@@ -284,35 +294,51 @@ def verify_ode_dadd(d, e, f) -> Fraction:
 
 def residual_ode_dadd(d, e, f) -> tuple:
     """(num, den) of L[dA/dd / pi] at an integer point (d, e, f) with square
-    discriminant, or elementwise for int arrays of one grid.
+    discriminant, or elementwise for int arrays of one grid: `_ode_gap` once the
+    point is checked.
 
-    dA/dd / pi is core's formula, the one integral_a_dd runs, on a d-jet: `Jet.sqrt`
-    finds the integer head m, so every Taylor coefficient stays rational. L is
-    linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0. Points on the singular set
-    d = f, e = 0 are rejected, as the paper's form of dA/dd is undefined there and
-    integral_a_dd raises there.
+    Points on the singular set d = f, e = 0 are rejected, as the paper's form of
+    dA/dd is undefined there and integral_a_dd raises there.
     """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
+    return _ode_gap(d, e, f)
+
+
+def _ode_gap(d, e, f) -> tuple:
+    """(num, den) of L[dA/dd / pi], unchecked, on ints, int arrays or `jets._Poly`.
+
+    dA/dd / pi is core's formula, the one integral_a_dd runs, on a d-jet: `Jet.sqrt`
+    finds the head m, an int or a polynomial, so every Taylor coefficient stays
+    rational. L is linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0.
+    """
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
     return apply_operator(d, e, f, num / den)
 
 
-def _residue_gap(d, e, f, m, dadd):
-    """(numerator, denominator) of Re(2i*(Res_i + Res_rho)) - num/den, (num, den) = dadd.
+def _square_root(guard):
+    """m = sqrt(guard) of a square guard: an int, an int array or a `jets._Poly`."""
+    return _root(guard, 1)[0]
+
+
+def _residue_gap(d, e, f, sqrt=_square_root):
+    """(numerator, denominator) of Re(2i*(Res_i + Res_rho)) - num/den, unchecked, with
+    m = sqrt(guard) and (num, den) = `core._dadd_over_pi`.
 
     The residues are those of x^2 / (q(x) * (x^2 + 1)) at i and
     rho = (-e + i*m) / (2*d), on Gaussian integers as (real, imaginary)
     parts: 2i*Res_i = -1/q(i), q(i) = (f - d) + i*e, and 2i*Res_rho =
     2*rho^2 / (m*(rho^2 + 1)) as q'(rho) = i*m, with 4*d^2*rho^2 = a + i*b
     and 4*d^2*(rho^2 + 1) = c + i*b; Re(u/v) = Re(u*conj(v)) / |v|^2.
-    Only + - * are used, so the same lines run on ints and on `_Degrees`.
+    Only + - * are used after the root, so the same lines run on ints, int
+    arrays and `jets._Poly`.
     """
+    m = sqrt(core._guard(d, e, f))
     g = core._g3(d, e, f)  # |q(i)|^2
     a, b = e * e - m * m, -2 * e * m
     c = a + 4 * d * d
     h = c * c + b * b
-    num, den = dadd
+    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
     return ((2 * (a * c + b * b) * g - (f - d) * m * h) * den - num * g * m * h,
             g * m * h * den)
 
@@ -336,8 +362,7 @@ def residual_dadd_residues(d, e, f) -> tuple:
     """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
-    m = _root(core._guard(d, e, f), 1)[0]
-    return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))
+    return _residue_gap(d, e, f)
 
 
 def verify_tail_limit(d, e, f) -> Fraction:
@@ -352,11 +377,18 @@ def residual_tail_limit(d, e, f) -> tuple:
 
     With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
     regular at t = 0 when P has x-degree at most 5 (`telescoping_degrees` reports
-    that degree), so both tail limits of psi are -2*p5/d^3. p5 is read as the x^5
-    Taylor coefficient of P at x = 0 from an x-jet of order 5; the limit is
-    `psi_limit`'s own arithmetic (`_psi_limit_parts`).
+    that degree), so both tail limits of psi are -2*p5/d^3: `_tail_gap` once the
+    point is checked.
     """
     _check_domain(d, e, f)
+    return _tail_gap(d, e, f)
+
+
+def _tail_gap(d, e, f) -> tuple:
+    """(num, den) of -2*p5/d^3 - psi_limit, unchecked, on ints, int arrays or
+    `jets._Poly`. p5 is read as the x^5 Taylor coefficient of P at x = 0 from an
+    x-jet of order 5; the limit is `psi_limit`'s own arithmetic (`_psi_limit_parts`).
+    """
     p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
     limit, limit_den = _psi_limit_parts(d, e, f)
     den = math.factorial(5) * p.denominator * d**3
@@ -379,58 +411,44 @@ def residual_g_factorization(d, e, f) -> tuple:
     takes. On the singular set d = f, e = 0 both sides are 0.
     """
     _check_domain(d, e, f)
-    return _g_gap(d, e, f, lambda guard: _root(guard, 1)[0]), 1
+    return _g_gap(d, e, f)
 
 
-def _g_gap(d, e, f, sqrt):
-    """m*(G1*G2 - G3) with G1 and m = sqrt(guard) from `core._g1` and G3 from `core._g3`.
-    Only + - * are used, so the same lines run on ints and on `_Degrees`."""
+def _g_gap(d, e, f, sqrt=_square_root) -> tuple:
+    """(m*(G1*G2 - G3), 1), unchecked, with G1 and m = sqrt(guard) from `core._g1` and
+    G3 from `core._g3`. Only + - * are used after the root, so the same lines run on
+    ints, int arrays and `jets._Poly`."""
     g1, m = core._g1(d, e, f, sqrt)
-    return m * (g1 * (d + f - m) - core._g3(d, e, f))
+    return m * (g1 * (d + f - m) - core._g3(d, e, f)), 1
 
 
-# Greatest degrees of the monomials d^i e^j f^k s^l of a polynomial: i, j, k
-# and l; j + 2k and l + 2k, its degrees in e and m once f = (e^2 + m^2)/(4d)
-# and s = m; j + k, its total degree in (e, f); and j + 2k + l, its total
-# degree in (e, m) after that substitution.
-_Top = namedtuple("_Top", "d e f s sub_e sub_m ef em")
-_CONSTANT = _Top(0, 0, 0, 0, 0, 0, 0, 0)
-_UNITS = (_Top(1, 0, 0, 0, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1, 0, 1, 1),
-          _Top(0, 0, 1, 0, 2, 2, 1, 2), _Top(0, 0, 0, 1, 0, 1, 0, 1))
-
-
-def _parity_sum(a, b):
-    """Parity in e of a product of polynomials of parities a and b (None: mixed)."""
-    return None if a is None or b is None else (a + b) % 2
+# Greatest degrees of the monomials d^i e^j f^k x^l of a polynomial: i, j, k and
+# l; and j + k, its total degree in (e, f).
+_Top = namedtuple("_Top", "d e f x ef")
+_CONSTANT = _Top(0, 0, 0, 0, 0)
+_UNITS = (_Top(1, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1), _Top(0, 0, 1, 0, 1), _Top(0, 0, 0, 1, 0))
 
 
 class _Degrees:
-    """Degree bounds of a polynomial in (d, e, f, s), carried through + - * and **.
+    """Degree bounds of a polynomial in (d, e, f, x), carried through + - * and **.
 
     `top` bounds the monomials' degrees (`_Top`); `lo` and `hi` bound
-    their total degree in (d, e, f, s), where s counts with the degree it
-    was made with: 0 for x, 1 for m = sqrt(4*d*f - e^2). lo == hi means
-    homogeneous. `parity` is that of every monomial's degree in e: 0 even,
-    1 odd, None mixed; e is odd and d, f, s and int constants are even, so
-    it holds after f = (e^2 + m^2)/(4d) too. `least_s` bounds the
-    monomials' degree in s from below, so s^least_s divides the polynomial,
-    and m^least_s divides it after that substitution, as f brings no factor
-    m. Bounds ignore cancellation: top and hi can exceed the true degrees,
-    lo and least_s fall short of them, never the other way round, and no
-    cancellation breaks a parity. The int 0 stands for the zero
-    polynomial, any other int for a constant.
+    their total degree in (d, e, f), x not counted. lo == hi means
+    homogeneous in (d, e, f). Bounds ignore cancellation: top and hi can
+    exceed the true degrees, lo fall short of them, never the other way
+    round. The int 0 stands for the zero polynomial, any other int for a
+    constant.
     """
 
-    __slots__ = ("top", "lo", "hi", "parity", "least_s")
+    __slots__ = ("top", "lo", "hi")
 
-    def __init__(self, top: _Top, lo: int, hi: int, parity, least_s: int):
-        self.top, self.lo, self.hi, self.parity, self.least_s = top, lo, hi, parity, least_s
+    def __init__(self, top: _Top, lo: int, hi: int):
+        self.top, self.lo, self.hi = top, lo, hi
 
     @classmethod
-    def variables(cls, s_degree: int) -> tuple:
-        return tuple(cls(unit, t, t, parity, least)
-                     for unit, t, parity, least in zip(_UNITS, (1, 1, 1, s_degree), (0, 1, 0, 0),
-                                                       (0, 0, 0, 1)))
+    def variables(cls) -> tuple:
+        """d, e, f and x."""
+        return tuple(cls(unit, t, t) for unit, t in zip(_UNITS, (1, 1, 1, 0)))
 
     @property
     def homogeneous(self) -> bool:
@@ -440,12 +458,10 @@ class _Degrees:
         if type(other) is int:
             if other == 0:
                 return self
-            other = _Degrees(_CONSTANT, 0, 0, 0, 0)
+            other = _Degrees(_CONSTANT, 0, 0)
         _refuse_inexact(other)
         return _Degrees(_Top._make(map(max, self.top, other.top)),
-                        min(self.lo, other.lo), max(self.hi, other.hi),
-                        self.parity if self.parity == other.parity else None,
-                        min(self.least_s, other.least_s))
+                        min(self.lo, other.lo), max(self.hi, other.hi))
 
     __radd__ = __sub__ = __rsub__ = __add__
 
@@ -457,8 +473,7 @@ class _Degrees:
             return self if other else 0
         _refuse_inexact(other)
         return _Degrees(_Top._make(map(operator.add, self.top, other.top)),
-                        self.lo + other.lo, self.hi + other.hi,
-                        _parity_sum(self.parity, other.parity), self.least_s + other.least_s)
+                        self.lo + other.lo, self.hi + other.hi)
 
     __rmul__ = __mul__
 
@@ -467,9 +482,7 @@ class _Degrees:
         if exponent == 0:
             return 1
         return _Degrees(_Top._make(map(exponent.__mul__, self.top)),
-                        exponent * self.lo, exponent * self.hi,
-                        None if self.parity is None else exponent * self.parity % 2,
-                        exponent * self.least_s)
+                        exponent * self.lo, exponent * self.hi)
 
 
 def _refuse_inexact(other) -> None:
@@ -479,19 +492,15 @@ def _refuse_inexact(other) -> None:
 
 
 def _diff(p, var: _Degrees):
-    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var.
-    Like a division by var, it moves the parity by var's and the least s-degree
-    down by var's, to no lower than 0."""
+    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var."""
     if type(p) is int or p.top[var.top.index(1)] == 0:
         return 0
-    return _Degrees(_Top._make(map(operator.sub, p.top, var.top)), p.lo - var.lo, p.hi - var.hi,
-                    _parity_sum(p.parity, var.parity), max(p.least_s - var.least_s, 0))
+    return _Degrees(_Top._make(map(operator.sub, p.top, var.top)), p.lo - var.lo, p.hi - var.hi)
 
 
-def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
+def telescoping_degrees() -> tuple[_Degrees, int]:
     """Degree bounds of the telescoping residual times q^4*(x^2+1)^2, from the
-    shipped L and P; the x-degree of psi at infinity; and bounds of P with its
-    x^5 coefficient, for `verify_tail_limit`.
+    shipped L and P, and the x-degree of psi at infinity.
 
     The k-th d-derivative of dphi/dd is (-1)^k k! x^(2k+2) / (q^(k+1) (x^2+1)),
     so L[dphi/dd] times q^4 (x^2+1)^2 is sum_k c_k (-1)^k k! x^(2k+2)
@@ -501,70 +510,29 @@ def telescoping_degrees() -> tuple[_Degrees, int, _Degrees]:
     psi' has order o - 1, or at most -2 when o <= 0, as psi tends to a
     constant plus O(1/x) then.
     """
-    d, e, f, x = _Degrees.variables(0)
+    d, e, f, x = _Degrees.variables()
     q, w = core._quadratic(d, e, f, x), core._quadratic(1, 0, 1, x)
     c3, c2, c1, c0 = operator_coefficients(d, e, f)
     lhs = 0
     for k, ck in enumerate((c0, c1, c2, c3)):
         lhs = lhs + ck * x ** (2 * k + 2) * q ** (3 - k) * w
-    polynomial = certificate_polynomial(d, e, f, x)
-    n = x**3 * polynomial
-    order = n.top.s - (q**3 * w).top.s
+    n = x**3 * certificate_polynomial(d, e, f, x)
+    order = n.top.x - (q**3 * w).top.x
     rhs = _diff(n, x) * q * w - n * (3 * _diff(q, x) * w + q * _diff(w, x))
-    rhs.top = rhs.top._replace(s=(q**4 * w**2).top.s + (order - 1 if order > 0 else -2))
-    return lhs + rhs, order, polynomial + _leading_coefficient(d, e, f)
-
-
-def ode_degrees() -> _Degrees:
-    """Degree bounds of L[dA/dd / pi], cleared, from the shipped L and `core._dadd_over_pi`.
-
-    With dA/dd / pi = num/den, polynomials in (d, e, f, m) for m = sqrt(4*d*f - e^2),
-    and dm/dd = 2f/m along d, the k-th d-derivative is p_k / (m^(2k) den^(k+1)) with
-    p_0 = num and p_(k+1) = m^2 den dp_k/dd + 2 f m den dp_k/dm - 4k f den p_k
-    - (k+1) m rho p_k, where rho = m dden/dd = m d_d den + 2 f d_m den. So L[dA/dd / pi]
-    times m^6 den^4 is sum_k c_k p_k m^(6-2k) den^(3-k). For the shipped formulas it
-    is even in e, and m^3 divides it: den = m*(d + f + m) brings a factor m to every
-    term of the recursion, so m^k divides p_k, and c3*p3 has the fewest.
-    """
-    d, e, f, m = _Degrees.variables(1)
-    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    rho = m * _diff(den, d) + 2 * f * _diff(den, m)
-    c3, c2, c1, c0 = operator_coefficients(d, e, f)
-    p, cleared = num, 0
-    for k, ck in enumerate((c0, c1, c2, c3)):
-        cleared = cleared + ck * p * m ** (6 - 2 * k) * den ** (3 - k)
-        p = (m * m * den * _diff(p, d) + 2 * f * m * den * _diff(p, m)
-             - 4 * k * f * den * p - (k + 1) * m * rho * p)
-    return cleared
-
-
-def residue_degrees() -> _Degrees:
-    """Degree bounds of the numerator of `_residue_gap` for core's dA/dd. For the
-    shipped formulas it is even in e, as b = -2*e*m, its one odd part, enters only
-    squared, and m divides it, as one term carries den = m*(d + f + m) and the
-    other m."""
-    d, e, f, m = _Degrees.variables(1)
-    return _residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))[0]
-
-
-def g_factorization_degrees() -> _Degrees:
-    """Degree bounds of `residual_g_factorization`'s numerator, from core's `_g1` and
-    `_g3`. It is homogeneous of degree 3, even in e, as e enters only as e^2, and m
-    divides it, as its outer factor."""
-    d, e, f, m = _Degrees.variables(1)
-    return _g_gap(d, e, f, lambda _: m)
+    rhs.top = rhs.top._replace(x=(q**4 * w**2).top.x + (order - 1 if order > 0 else -2))
+    return lhs + rhs, order
 
 
 def verify_integration_constant() -> tuple[tuple[float, float, float], ...]:
     """(d, e, |closed - quadrature|) at nine points, for the integration constant
     in A(1,0,1; d,e,f) = pi*log(G1) + const, which should be zero.
 
-    The primitive of dA/dd determines A only up to a function of (e, f),
-    already known to be an additive constant. Here the closed form
-    pi*log(d + f + sqrt(4*d*f - e^2)) is compared against the quadrature
-    oracle on the grid d = f in {1, 2, 5}, e in {0, d, 3*d/2}, at the
-    default quadrature tolerances; any nonzero constant would show up as a
-    common offset in every deviation.
+    The primitive of dA/dd determines A only up to a function of (e, f), and
+    nothing in the program proves that function constant: this is a float
+    spot check at 9 points, all with d = f (ROADMAP item 15 proves it exactly
+    through the gradient). The closed form pi*log(d + f + sqrt(4*d*f - e^2))
+    is compared against the quadrature oracle on the grid d = f in
+    {1, 2, 5}, e in {0, d, 3*d/2}, at the default quadrature tolerances.
     """
     weight = PositiveQuadratic(1.0, 0.0, 1.0)
     cases = []

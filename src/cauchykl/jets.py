@@ -31,9 +31,11 @@ operand's own array, so no operation updates a value in place: each
 step rebinds (acc = _sub(acc, ...), never acc -= ...).
 
 Jets are exact only. A scalar is an int, a rational
-(`fractions.Fraction`), or a numpy array of dtype object holding Python
-ints: then every numerator is such an array and one jet carries the
-expansions at every point of a grid, each elementwise + - * running
+(`fractions.Fraction`), an exact polynomial with int coefficients
+(`_Poly`, so one jet carries the expansion at a symbolic point), or a
+numpy array of dtype object holding Python ints: then every numerator
+is such an array and one jet carries the expansions at every point of a
+grid, each elementwise + - * running
 exact int arithmetic inside numpy's loop (`Jet.__array_ufunc__ = None`
 makes array-jet operators dispatch to the jet). The arrays of one grid
 may be an open grid, shaped to broadcast against each other: numpy then
@@ -53,6 +55,7 @@ grid jet has no hash.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
@@ -92,10 +95,127 @@ def _sub(a, b):
     return a - b
 
 
+_FIELD = 16  # bits per exponent in a packed monomial key
+
+
+def _exponents(key: int, n: int) -> list:
+    """The n exponents packed in a monomial key, variable 0's in the lowest bits."""
+    return [(key >> (_FIELD * k)) & ((1 << _FIELD) - 1) for k in range(n)]
+
+
+class _Poly:
+    """An exact polynomial in the variables `names`: `terms` maps each monomial's
+    packed exponents (`_exponents`) to its nonzero int coefficient, so a product of
+    monomials is the sum of their keys, and keys order monomials lexicographically
+    from the last variable. + - * and ** take ints and polynomials in the same
+    variables; any other operand is left to its own type (a jet takes a polynomial
+    as a scalar) or refused with TypeError, so every coefficient stays an int.
+    `== 0` holds only for the zero polynomial."""
+
+    __slots__ = ("terms", "names")
+    __array_ufunc__ = __hash__ = None  # numpy defers to a polynomial; it is unhashable
+
+    def __init__(self, terms: dict, names: tuple):
+        self.terms, self.names = terms, names
+
+    @classmethod
+    def variables(cls, names: str) -> tuple:
+        """One polynomial per space-separated name: that variable itself."""
+        names = tuple(names.split())
+        return tuple(cls({1 << (_FIELD * k): 1}, names) for k in range(len(names)))
+
+    @staticmethod
+    def _terms(other):
+        """other's terms if it is a polynomial or an int, else None."""
+        if type(other) is int:
+            return {0: other} if other else {}
+        return other.terms if type(other) is _Poly else None
+
+    def __add__(self, other, sign: int = 1):
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + sign * c
+        return _Poly({k: c for k, c in out.items() if c}, self.names)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out: dict = {}
+        get = out.get
+        for ka, ca in self.terms.items():
+            for kb, cb in terms.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return _Poly({k: c for k, c in out.items() if c}, self.names)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        return math.prod([self] * exponent) if type(exponent) is int else NotImplemented
+
+    def __eq__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def at(self, point) -> int:
+        """The value at an int point, one int per variable."""
+        return sum(c * math.prod(map(pow, point, _exponents(k, len(point))))
+                   for k, c in self.terms.items())
+
+    def root(self) -> "_Poly":
+        """The r with r*r == self and a positive leading coefficient (at the largest
+        key); ParameterError if Z[names] has none, and then (Gauss's lemma) neither
+        has Q[names].
+
+        Term by term from the top: the leading term of self - r*r over twice r's
+        leading term is r's next term. The leading key of self - r*r falls at each
+        step and no key is negative, so the descent ends.
+        """
+        n, rest, root = len(self.names), self, _Poly({}, self.names)
+        while rest.terms:
+            k = max(rest.terms)
+            if root.terms:
+                lead = max(root.terms)
+                c, remainder = divmod(rest.terms[k], 2 * root.terms[lead])
+                remainder = remainder or min(map(operator.sub, _exponents(k, n),
+                                                 _exponents(lead, n))) < 0
+                key = k - lead
+            else:
+                c, key = _exact_isqrt(rest.terms[k]), k >> 1
+                remainder = c < 0 or any(j % 2 for j in _exponents(k, n))
+            if remainder:
+                raise ParameterError(f"{self} is not the square of a rational polynomial")
+            term = _Poly({key: c}, self.names)
+            rest, root = rest - term * (root + root + term), root + term
+        return root
+
+    def __repr__(self) -> str:
+        return " + ".join(
+            str(c) + "".join(f"*{x}" if j == 1 else f"*{x}^{j}"
+                             for x, j in zip(self.names, _exponents(k, len(self.names))) if j)
+            for k, c in sorted(self.terms.items(), reverse=True)) or "0"
+
+
 def _split(x: Rational) -> tuple[int, int]:
     """(numerator, denominator) of an int or rational scalar, or (x, 1) for an
-    object array of ints (its elements are checked where the result is read)."""
-    if type(x) is int:
+    exact polynomial (`_Poly`) or an object array of ints (its elements are checked
+    where the result is read)."""
+    if type(x) is int or type(x) is _Poly:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
@@ -140,8 +260,11 @@ def _root(n: int, den: int) -> tuple[int, int]:
     elementwise on arrays.
 
     n/den is a rational square exactly when n*den is an integer square,
-    so no Fraction is built and no gcd is taken.
+    so no Fraction is built and no gcd is taken. A `_Poly` n over an int den
+    has the root `_Poly.root` finds.
     """
+    if type(n) is _Poly:
+        return (n * den).root(), abs(den)
     p = _isqrt(_mul(n, den))
     if np.any(p < 0):
         n, den = _first_at(p < 0, n, den)

@@ -423,7 +423,7 @@ def _trapezoid(sample: Callable[[np.ndarray], np.ndarray], alpha: float, beta: f
 
 def _frame_ratio(t: np.ndarray, alpha: float, beta: float, out=None, work=None) -> np.ndarray:
     """R(t) = (beta^2 + (t - alpha)^2)/(beta*(1 + t^2)) into `out` (t works), 1 + t^2 in `work`."""
-    m = np.multiply(t, t, out=work)
+    m = np.square(t, out=work)  # the same IEEE product as t * t, in one operand
     m += 1.0
     m *= beta
     r = np.subtract(t, alpha, out=out)

@@ -6,25 +6,32 @@ the worst residual observed; a NaN ranks above every number (`_rank`),
 so it fails its check and is the case named. The float suites
 (closed-vs-quadrature, monte-carlo) draw a seeded pseudorandom family of
 check points from numpy's PCG64 generator, so a (suite, count, seed)
-triple is fully reproducible. The exact suites (certificate, ode) draw nothing, so
---count and --seed do not change them: each of their identities goes
-through one runner (`_prove`), which builds the grid that the identity's
-degree bounds (`cauchykl.certificate`) need, in (d, e, f[, x]) or in
-(d, e, m) at f = (e^2 + m^2)/(4d), runs the identity's integer-point core
-(`certificate.residual_*`) once over it and once at a fixed point off it,
-and writes the detail. The pairs (e, f) or (e, m) form a staircase sized
-by the total degree in them (`_staircase`); a (d, e, m) grid also uses the
-derived parity in e and factor m^k: it spans only enough values of e^2 and
-k fewer values of m > 0 (`_square_grid`). Each grid is an open grid: one
-numpy object array of Python ints per coordinate, shaped to broadcast
-against the others, with e and f (or m) on one axis, so numpy evaluates
-every subexpression only over the coordinates it depends on. Points are
-counted, and a witness is named, in C order over the broadcast shape:
-d, then the pairs row by row, then x.
+triple is fully reproducible. The exact suites (certificate, ode) draw
+nothing, so --count and --seed do not change them.
+
+Four of their five identities, the tail limit, the ODE, the residues and
+the factorization, are polynomial identities, proved by one runner
+(`_prove_polynomial`): it runs the identity's unchecked body once on
+exact polynomials (`jets._Poly`) and proves it when the numerator is the
+zero polynomial and the denominator is not; a failure names the first
+small integer point where the numerator is nonzero, which a scalar
+`certificate.verify_*` call reproduces. The telescoping identity stays on
+a grid, because as a polynomial it costs several times as much: its
+runner (`_prove`) builds the grid that its degree bounds
+(`certificate.telescoping_degrees`) need in (d, e, f, x), runs its
+integer-point core (`certificate.residual_telescoping`) once over it and
+once at a fixed point off it, and writes the detail. The pairs (e, f)
+form a staircase sized by the total degree in them (`_staircase`). The
+grid is an open grid: one numpy object array of Python ints per
+coordinate, shaped to broadcast against the others, with e and f on one
+axis, so numpy evaluates every subexpression only over the coordinates
+it depends on. Points are counted, and a witness is named, in C order
+over the broadcast shape: d, then the pairs row by row, then x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +42,7 @@ import numpy as np
 from . import certificate, core, oracle
 from .core import CauchyDist
 from .errors import ParameterError
-from .jets import _first_at
+from .jets import _Poly, _first_at
 
 __all__ = [
     "CheckOutcome",
@@ -124,126 +131,121 @@ def _span(name: str, values) -> str:
     return f"{name} = {values[0]}" if len(values) == 1 else f"{name} in {values[0]}..{values[-1]}"
 
 
-def _staircase(names: str, rows: range, start: int, cap: int, total: int, w: int) -> tuple:
-    """Columns (u, v) of the points (rows[i], start + j), j <= min(cap, total - w*i), row
-    by row; their description; and the rule they prove with. A polynomial in (u, v) whose
-    coefficient at the i-th u in Newton's form in u (in u^2 for w = 2, u^2 distinct on
-    the rows) has degree <= min(cap, total - w*i) in v is zero if it vanishes there: row
-    i fixes the i-th coefficient once the earlier ones are known to vanish."""
-    pairs = [(u, start + j) for i, u in enumerate(rows) for j in range(min(cap, total - w * i) + 1)]
-    u, v = names.split()
-    lead = u if rows[0] == 0 else f"({u} - {rows[0]})"
-    outer, lead, step = (u, lead, "i") if w == 1 else (f"{u}^{w}", f"{w}*{lead}", f"{w}*i")
+def _staircase(rows: range, start: int, cap: int, total: int) -> tuple:
+    """Columns (e, f) of the points (rows[i], start + j), j <= min(cap, total - i), row
+    by row; their description; and the rule they prove with. A polynomial in (e, f)
+    whose coefficient at the i-th e in Newton's form in e has degree
+    <= min(cap, total - i) in f is zero if it vanishes there: row i fixes the i-th
+    coefficient once the earlier ones are known to vanish."""
+    pairs = [(e, start + j) for i, e in enumerate(rows) for j in range(min(cap, total - i) + 1)]
     return tuple(zip(*pairs)), (
-        f"{_span(u, rows)} and {_span(v, range(start, start + cap + 1))} with "
-        f"{lead} + ({v} - {start}) <= {total}"), (
-        f"in Newton's form in {outer} the coefficient at the i-th {u} has degree "
-        f"<= min({cap}, {total} - {step}) in {v}")
+        f"{_span('e', rows)} and {_span('f', range(start, start + cap + 1))} with "
+        f"e + (f - {start}) <= {total}"), (
+        f"in Newton's form in e the coefficient at the i-th e has degree "
+        f"<= min({cap}, {total} - i) in f")
 
 
-def _plane_grid(bounds, names: list[str]) -> tuple[str, int, tuple, str]:
-    """The grid (d, e, f[, x]) for an identity in (d, e, f[, x]): its description, its
-    scale 1, its points and the rule that sizes its rows (`_staircase`). The pairs
-    (e, f) lie on one axis, f from max(100, deg_e^2) up, so 4*d*f > e^2 and q > 0; with
-    f - f0 for f, the residual keeps its degrees and its total degree ef in (e, f), so
-    row e takes min(deg_f, ef - e) + 1 values of f, and x spans 0..deg_x."""
+def _plane_grid(bounds) -> tuple[str, tuple, str]:
+    """The grid (d, e, f, x) for an identity in (d, e, f, x): its description, its
+    points and the rule that sizes its rows (`_staircase`). The pairs (e, f) lie on
+    one axis, f from max(100, deg_e^2) up, so 4*d*f > e^2 and q > 0; with f - f0 for
+    f, the residual keeps its degrees and its total degree ef in (e, f), so row e
+    takes min(deg_f, ef - e) + 1 values of f, and x spans 0..deg_x."""
     top = bounds.top
     f0 = max(100, top.e ** 2)
-    ds, xs = range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.s + 1)
-    pairs, plane, rows = _staircase("e f", range(top.e + 1), f0, top.f, top.ef, 1)
-    axes = [(ds,), pairs, (xs,)][:len(names) - 1]
-    grid = ", ".join([_span("d", ds), plane, *([_span("x", xs)] if len(names) == 4 else [])])
-    return grid, 1, _open_grid(axes), rows
+    ds, xs = range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.x + 1)
+    pairs, plane, rows = _staircase(range(top.e + 1), f0, top.f, top.ef)
+    grid = f"{_span('d', ds)}, {plane}, {_span('x', xs)}"
+    return grid, _open_grid([(ds,), pairs, (xs,)]), rows
 
 
-def _square_points(d, e, m) -> tuple:
-    """The scale 4d and the integer point (4d^2, 4de, e^2 + m^2) of (d, e, m), on ints or
-    open-grid arrays: (d, e, f) times 4d at f = (e^2 + m^2)/(4d)."""
-    return 4 * d, (4 * d * d, 4 * d * e, e * e + m * m)
-
-
-def _square_grid(bounds) -> tuple[str, np.ndarray, tuple, str]:
-    """The grid (d, e, m) for an identity in (d, e, f) at f = (e^2 + m^2)/(4d): its
-    description, its scale, its integer points (`_square_points`), as arrays built from
-    the open grid, so each spans only the axes of its coordinates, and the rule that
-    sizes its rows. m > 2d avoids the singular set d = f, e = 0 (there m = 2d); over d,
-    d^deg_f clears f's denominator, and the pairs (e, m) lie on one axis.
-
-    The grid spans only the values the bounds' parity, factor m^k and total degree em
-    in (e, m) need. Even in e, the cleared residual is m^k*Q(e^2, m), and e in
-    0..sub_e // 2 gives enough distinct e^2; odd in e, it is e*m^k*Q(e^2, m), and as
-    many values start at e = 1. Q has degree <= sub_m - k in m and total degree
-    <= T = em - k (em - 1 - k if odd) in (e, m), so row i of e takes
-    min(sub_m - k, T - 2i) + 1 values of m > 0 (`_staircase`). Of mixed parity, e
-    spans 0..sub_e, Q(e, m) has total degree <= em - k, and row i takes
-    min(sub_m - k, T - i) + 1 values.
-    """
-    top, k = bounds.top, bounds.least_s
-    ds = range(1, 2 if bounds.homogeneous else 2 + top.d + top.f)
-    es = {0: range(top.sub_e // 2 + 1), 1: range(1, (top.sub_e + 1) // 2 + 1),
-          None: range(top.sub_e + 1)}[bounds.parity]
-    pairs, plane, rows = _staircase("e m", es, 2 * ds[-1] + 1, top.sub_m - k,
-                                    top.em - k - (bounds.parity == 1),
-                                    1 if bounds.parity is None else 2)
-    d, e, m = _open_grid([(ds,), pairs])
-    return f"{_span('d', ds)}, {plane}", *_square_points(d, e, m), rows
-
-
-# An integer point far from every grid and on no special set, where each proof also
-# runs its core: (d, e, f, x) on (d, e, f[, x]) grids and (d, e, m) on (d, e, m) grids.
-# A change in code the degree bounds do not run can vanish on a grid, but hardly
-# also here.
+# An integer point (d, e, f, x) far from every grid and on no special set, where the
+# telescoping proof also runs its core. A change in code the degree bounds do not run
+# can vanish on a grid, but hardly also here.
 _OFF_GRID = (1, 1009, 10**6 + 3, 10007)
-_OFF_SQUARE = (1, 1009, 10007)
 
 
-def _prove(core, bounds, coordinates: str, what: str, cleared: str,
-           note: str = "") -> tuple[int, str]:
-    """Prove one identity on the grid its degree bounds need, and check it at one
-    point off the grid; return the number of nonzero residuals and the detail.
+def _prove(core, bounds, what: str, cleared: str) -> tuple[int, str]:
+    """Prove an identity in (d, e, f, x) on the grid its degree bounds need, and check
+    it at one point off the grid; return the number of nonzero residuals and the detail.
 
     `_exact_zeros` runs `core`, a `certificate.residual_*` core, once over the grid
-    in `coordinates`: "d e f x" or "d e f" (`_plane_grid`), or "d e m" at
-    f = (e^2 + m^2)/(4d) (`_square_grid`), then once at `_OFF_GRID` or `_OFF_SQUARE`,
-    on ints. `what` names the residuals, `cleared` what makes them polynomials. The
-    detail gives the tally, the grid and the bounds that make it a proof: the degrees,
-    on (d, e, m) the parity in e and the factor m^k, and the total degree that sizes
-    the rows; then `note`, the off-grid point, zero or not, and, last, the first
-    nonzero point on the grid, in (d, e, f[, x]), if there is one.
+    (`_plane_grid`), then once at `_OFF_GRID`, on ints. `what` names the residuals,
+    `cleared` what makes them polynomials. The detail gives the tally, the grid and
+    the bounds that make it a proof: the degrees and the total degree that sizes the
+    rows; then the off-grid point, zero or not, and, last, the first nonzero point on
+    the grid, if there is one.
     """
-    top, names = bounds.top, coordinates.split()
-    if coordinates == "d e m":
-        grid, D, points, rows = _square_grid(bounds)
-        off_D, off = _square_points(*_OFF_SQUARE)
-        k = bounds.least_s
-        power = "m" if k == 1 else f"m^{k}"
-        parity = {0: f"even in e, so of degree <= {top.sub_e // 2} in e^2",
-                  1: f"odd in e, so e times a polynomial of degree <= {(top.sub_e - 1) // 2} in e^2",
-                  None: "of mixed parity in e"}[bounds.parity]
-        factor = (f"a multiple of {power}, so of degree <= {top.sub_m - k} in m once {power} is "
-                  "divided out" if k else "no known multiple of m")
-        degrees, cleared, at = ((top.d + top.f, top.sub_e, top.sub_m), f"{cleared} and d^{top.f}",
-                                " at f = (e^2 + m^2)/(4d)")
-        note = (f"; it is {parity}, {factor}, and of total degree <= {top.em} in (e, m), "
-                f"so {rows}{note}")
-        total = ""
-    else:
-        grid, D, points, rows = _plane_grid(bounds, names)
-        off_D, off = 1, _OFF_GRID[:len(names)]
-        degrees, at = top[:len(names)], ""
-        total = f", and of total degree <= {top.ef} in (e, f), so {rows}"
-    at_names = f"({', '.join(coordinates.replace('m', 'f').split())})"
-    count, nonzero, witness = _exact_zeros(core, at_names, D, points)
-    off_nonzero = _exact_zeros(core, at_names, off_D, off)[1]
+    top, names = bounds.top, "d e f x".split()
+    grid, points, rows = _plane_grid(bounds)
+    at_names = f"({', '.join(names)})"
+    count, nonzero, witness = _exact_zeros(core, at_names, 1, points)
+    off_nonzero = _exact_zeros(core, at_names, 1, _OFF_GRID)[1]
     shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
              else "not homogeneous in (d, e, f), so d spans the grid too")
     return nonzero + off_nonzero, (
         f"{count - nonzero}/{count} exact-zero {what}, "
-        f"{'disproved' if nonzero or off_nonzero else 'proved'} on the grid {grid}{at} "
+        f"{'disproved' if nonzero or off_nonzero else 'proved'} on the grid {grid} "
         f"({count} points): times {cleared} it is a polynomial of degree "
-        f"<= ({', '.join(map(str, degrees))}) in ({', '.join(names)}), {shape}{total}{note}; "
-        f"{'nonzero' if off_nonzero else 'zero'} off the grid at {_at(at_names, off_D, *off)}"
+        f"<= ({', '.join(map(str, top[:4]))}) in ({', '.join(names)}), {shape}, and of "
+        f"total degree <= {top.ef} in (e, f), so {rows}; "
+        f"{'nonzero' if off_nonzero else 'zero'} off the grid at {_at(at_names, 1, *_OFF_GRID)}"
         f"{witness}")
+
+
+def _points(coordinates: str) -> Iterator[tuple]:
+    """Small integer points (d, e, v), by d + e + v and then in lexicographic order,
+    where a residual named at them reproduces: with v = f, those with
+    4*d*f - e^2 > 0; with v = m, those with gcd(e^2 + m^2, 4d) = 1, where
+    4d*(d, e, f) at f = (e^2 + m^2)/(4d) is already the least integer multiple, so
+    the scalar check runs its core at the very same integer point. That also keeps
+    them off the singular set e = 0, m = 2d, where e^2 + m^2 is even."""
+    for total in itertools.count(2):
+        for d in range(1, total):
+            for e in range(total - d):
+                v = total - d - e
+                if (4 * d * v > e * e if coordinates == "d e f"
+                        else math.gcd(e * e + v * v, 4 * d) == 1):
+                    yield d, e, v
+
+
+def _terms(polynomial: _Poly) -> str:
+    n = len(polynomial.terms)
+    return f"of {n} term" if n == 1 else f"of {n} terms"
+
+
+def _prove_polynomial(body, coordinates: str, what: str, note: str = "") -> tuple[int, str]:
+    """Prove one identity in (d, e, f) as a polynomial identity; return 0 or 1, the
+    number of failures, and the detail.
+
+    `body`, an unchecked `certificate` core, runs once on exact polynomials
+    (`jets._Poly`): on the variables of Z[d, e, f] for `coordinates` "d e f", or for
+    "d e m" at (4d^2, 4de, e^2 + m^2) in Z[d, e, m], 4d times the point (d, e, f) at
+    f = (e^2 + m^2)/(4d), which is every point whose guard 4*d*f - e^2 is a square
+    m^2, scaled; there the guard is (4dm)^2 and its root 4dm. When the numerator is
+    the zero polynomial and the denominator is not, the identity holds wherever the
+    denominator does not vanish: no degree bound, grid or off-grid point is needed.
+    Otherwise the detail ends with the first small point (`_points`) where numerator
+    and denominator are both nonzero, in (d, e, f), where the scalar `verify_*`
+    reproduces a nonzero residual.
+    """
+    d, e, v = _Poly.variables(coordinates)
+    scaled = (d, e, v) if coordinates == "d e f" else (4 * d * d, 4 * d * e, e * e + v * v)
+    zero = _Poly({}, d.names)
+    num, den = (zero + part for part in certificate._exact_residual(body, *scaled))
+    ring = f"Z[{', '.join(d.names)}]"
+    if coordinates == "d e m":
+        ring += " at (d, e, f) = (4d^2, 4de, e^2 + m^2), where 4*d*f - e^2 = (4dm)^2"
+    if den == 0:
+        return 1, f"{what}: disproved in {ring}, as its denominator is the zero polynomial{note}"
+    if num == 0:
+        return 0, (f"{what}: proved in {ring}, as its numerator is the zero polynomial and "
+                   f"its denominator, {_terms(den)}, is not{note}")
+    point = next(p for p in _points(coordinates) if num.at(p) != 0 and den.at(p) != 0)
+    scale = 1 if coordinates == "d e f" else 4 * point[0]
+    return 1, (f"{what}: disproved in {ring}, as its numerator, {_terms(num)}, is not the "
+               f"zero polynomial{note}; first nonzero at "
+               f"{_at('(d, e, f)', scale, *(x.at(point) for x in scaled))}")
 
 
 def _rank(residual: float) -> tuple[bool, float]:
@@ -315,13 +317,12 @@ def certificate_suite() -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    residual, order, limit = certificate.telescoping_degrees()
-    nonzero, detail = _prove(certificate.residual_telescoping, residual, "d e f x",
+    residual, order = certificate.telescoping_degrees()
+    nonzero, detail = _prove(certificate.residual_telescoping, residual,
                              "residuals L[dphi/dd] - dpsi/dx", "q^4*(x^2+1)^2")
     outcomes.append(CheckOutcome("telescoping residual", nonzero == 0, float(nonzero), detail))
-    nonzero, detail = _prove(
-        certificate.residual_tail_limit, limit, "d e f",
-        "residuals -2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P", "d^3",
+    nonzero, detail = _prove_polynomial(
+        certificate._tail_gap, "d e f", "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
         f"; psi has x-degree {order} at infinity, so psi(1/t) "
         + ("is regular at t = 0 and both tails tend to -2*p5/d^3" if order <= 0
            else "has a pole at t = 0 and the tails diverge"))
@@ -332,16 +333,15 @@ def certificate_suite() -> list[CheckOutcome]:
 
 def ode_suite() -> list[CheckOutcome]:
     """L[dA/dd] = 0, dA/dd against the residue theorem and the log factorization
-    G1*G2 = (d-f)^2 + e^2, proved on the (d, e, m) grids that `certificate.ode_degrees`,
-    `certificate.residue_degrees` and `certificate.g_factorization_degrees` size, in one
-    check, plus the integration-constant deviations, judged at `_FLOAT_TOLERANCE`, naming
-    the worst (d, e, f)."""
-    proofs = [_prove(certificate.residual_ode_dadd, certificate.ode_degrees(), "d e m",
-                     "residuals of L[dA/dd] for core's dA/dd / pi = num/den", "m^6*den^4"),
-              _prove(certificate.residual_dadd_residues, certificate.residue_degrees(), "d e m",
-                     "differences dA/dd - 2*pi*i*(Res_i + Res_rho)", "its denominator"),
-              _prove(certificate.residual_g_factorization, certificate.g_factorization_degrees(),
-                     "d e m", "residuals G1*G2 - (d-f)^2 - e^2, G1,2 = d + f +/- m", "m")]
+    G1*G2 = (d-f)^2 + e^2, each proved as a polynomial identity in Z[d, e, m]
+    (`_prove_polynomial`), in one check, plus the integration-constant deviations,
+    judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
+    proofs = [_prove_polynomial(certificate._ode_gap, "d e m",
+                                "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
+              _prove_polynomial(certificate._residue_gap, "d e m",
+                                "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
+              _prove_polynomial(certificate._g_gap, "d e m",
+                                "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m")]
     failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]
@@ -394,7 +394,8 @@ def monte_carlo_suite(count: int, seed: int,
 
 # Suite name -> (default count, runner(count, seed, samples)). Runners look
 # the suite functions up at call time, so rebinding them takes effect. The
-# exact suites prove on derived grids and ignore count and seed.
+# exact suites prove polynomial identities and the telescoping identity on its
+# derived grid, and ignore count and seed.
 _SUITES = {
     "closed-vs-quadrature": (1000, lambda n, seed, samples: closed_vs_quadrature_suite(n, seed)),
     "certificate": (None, lambda n, seed, samples: certificate_suite()),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_scalar_checks_rescale_by_their_degree(monkeypatch):
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
     n, den = certificate.apply_operator(d, e, f, num / den)
     m = rational_sqrt(4 * d * f - e * e)
-    gap, gap_den = certificate._residue_gap(d, e, f, m, core._dadd_over_pi(d, e, f, lambda _: m))
+    gap, gap_den = certificate._residue_gap(d, e, f, lambda _: m)
     p = certificate.certificate_polynomial(d, e, f, Jet.variable(0, 5))
     tail = -2 * p.coefficients[5] / d**3 - psi_limit(d, e, f)
     direct = (telescoping, n / den, gap / gap_den, tail)
@@ -296,16 +297,19 @@ def test_changed_g3_fails_primitive_b_and_the_exact_checks(monkeypatch):
     # d^2 more in core._g3 moves primitive B's denominator, leaves the
     # factorization residual m*(G1*G2 - G3) at -m*d^2, -1 at (1, 3, 5/2) where
     # m = 1, and moves |q(i)|^2 in the residue check: the ode suite's residue
-    # and factorization proofs fail, its ODE proof does not.
+    # and factorization proofs fail, each at a point its scalar check
+    # reproduces, and its ODE proof does not.
     _change(monkeypatch, "_g3", lambda g3, d, e, f: g3 + d * d)
     with pytest.raises(AssertionError):
         test_core.test_primitive_b_tail_difference()
     assert verify_g_factorization(1, 3, Fraction(5, 2)) == -1
     outcome = ode_suite()[0]
-    assert not outcome.passed and outcome.detail.startswith("169/169 exact-zero")
-    residues_point, factorization_point = _ode_witnesses(outcome.detail)
-    assert verify_dadd_residues(*residues_point) != 0
-    assert verify_g_factorization(*factorization_point) != 0
+    assert not outcome.passed and outcome.worst == 2
+    assert outcome.detail.startswith("L[dA/dd / pi] for core's dA/dd / pi on a d-jet: proved in")
+    witnesses = _proof_witnesses(outcome.detail)
+    assert witnesses["ode"] is None
+    assert verify_dadd_residues(*witnesses["residues"]) != 0
+    assert verify_g_factorization(*witnesses["factorization"]) != 0
 
 
 @pytest.mark.parametrize("name, change, test, argv", [
@@ -459,7 +463,7 @@ def test_e_f_bump_off_the_staircase_fails_the_certificate_suite(monkeypatch):
     shipped = certificate.phi_partial_d
     monkeypatch.setattr(certificate, "phi_partial_d", lambda d, e, f, x: shipped(d, e, f, x)
                         + math.prod(e + f - 100 - i for i in range(7)))
-    e, f = suites._plane_grid(certificate.telescoping_degrees()[0], "d e f x".split())[2][1:3]
+    e, f = suites._plane_grid(certificate.telescoping_degrees()[0])[1][1:3]
     assert all(math.prod(a + b - 100 - i for i in range(7)) == 0 for a, b in zip(e.flat, f.flat))
     telescoping = certificate_suite()[1]
     assert not telescoping.passed and telescoping.detail.startswith("308/308 exact-zero")
@@ -479,13 +483,14 @@ def test_operator_mutation_is_caught(monkeypatch):
     telescoping = certificate_suite()[1]
     ode = ode_suite()[0]
     assert not telescoping.passed and not ode.passed
-    # c0 + 1 is not homogeneous, so d spans both grids; at x = 0 every
-    # d-derivative of dphi/dd vanishes, so the first nonzero has x = 1.
-    assert "d spans the grid" in telescoping.detail and "d spans the grid" in ode.detail
+    # c0 + 1 is not homogeneous, so d spans the telescoping grid; at x = 0 every
+    # d-derivative of dphi/dd vanishes, so the first nonzero has x = 1. The ODE's
+    # polynomial proof names the first small point where its numerator is nonzero.
+    assert "d spans the grid" in telescoping.detail
     assert _witness(telescoping.detail) == (1, 0, 100, 1)
-    first = ode.detail.split("; first nonzero at (d, e, f) = (")[1].split(")")[0]
-    assert tuple(map(Fraction, first.split(", "))) == (1, 0, Fraction(41 * 41, 4))
-    assert verify_ode_dadd(1, 0, Fraction(41 * 41, 4)) != 0
+    assert _proof_witnesses(ode.detail) == {"ode": (1, 0, Fraction(1, 4)), "residues": None,
+                                            "factorization": None}
+    assert verify_ode_dadd(1, 0, Fraction(1, 4)) != 0
 
 
 def test_inexact_operator_is_refused(monkeypatch):
@@ -526,7 +531,8 @@ def test_tail_limit_catches_a_changed_x5_coefficient(monkeypatch):
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x)
     assert verify_tail_limit(1, 0, 100) == Fraction(-2)
     tail = certificate_suite()[2]
-    assert not tail.passed and _witness(tail.detail) == (1, 0, 100)
+    assert not tail.passed and "disproved in Z[d, e, f]" in tail.detail
+    assert _witness(tail.detail) == (1, 0, 1) and verify_tail_limit(1, 0, 1) == -2
 
 
 def test_exact_checks_build_one_fraction_each(monkeypatch):
@@ -546,10 +552,11 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
         result = step()
         return len(built) - start, result
 
-    bounds, _ = count(lambda: (certificate.telescoping_degrees(), certificate.ode_degrees(),
-                               certificate.residue_degrees()))
-    grid, (_, _, points, _) = count(lambda: suites._square_grid(certificate.ode_degrees()))
-    point = tuple(v[-1] for v in _points(*points))
+    bounds, _ = count(certificate.telescoping_degrees)
+    proofs, _ = count(lambda: (suites._prove_polynomial(certificate._tail_gap, "d e f", ""),
+                               suites._prove_polynomial(certificate._ode_gap, "d e m", ""),
+                               suites._prove_polynomial(certificate._residue_gap, "d e m", "")))
+    point = (4, 12, 10)  # 4*4*10 - 12^2 = 4^2
     counts = [count(step) for step in (
         lambda: verify_telescoping(1, 6, 106, 10),
         lambda: verify_ode_dadd(*point),
@@ -559,47 +566,35 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
         lambda: verify_dadd_residues(*rational))]
     tail, limit = count(lambda: verify_tail_limit(1, 6, 106))
     monkeypatch.undo()
-    assert (bounds, grid) == (0, 0)
+    assert (bounds, proofs) == (0, 0)
     assert [n for n, _ in counts] == [1] * 6
     assert all(residual == 0 for _, residual in counts) and limit == 0
     assert tail == 1  # the residual: the limit is psi_limit's arithmetic without its Fraction
 
 
 def test_derived_grid_degrees():
-    # The bounds the tracker derives from the shipped formulas, which size
-    # the suites' grids: (d, e, f, x) for telescoping, (e, m) at d = 1 for
-    # the ODE and the residues. Each residual is homogeneous in (d, e, f).
-    residual, order, limit = certificate.telescoping_degrees()
+    # The bounds the tracker derives from the shipped formulas, which size the
+    # telescoping grid in (d, e, f, x); the residual is homogeneous in (d, e, f).
+    residual, order = certificate.telescoping_degrees()
     assert tuple(residual.top[:4]) == (4, 6, 6, 10) and residual.homogeneous and order == 0
-    assert tuple(limit.top[:3]) == (2, 5, 5) and limit.homogeneous
-    assert (residual.top.ef, limit.top.ef) == (6, 5)
-    # Their (d, e, f[, x]) grids: d = 1, the (e, f) pairs with e + (f - 100) <= ef
-    # from f = 100 over at most deg_f + 1 values, x over deg_x + 1.
+    assert residual.top.ef == 6
+    # Its grid: d = 1, the (e, f) pairs with e + (f - 100) <= ef from f = 100 over at
+    # most deg_f + 1 values, x over deg_x + 1.
     telescoping, tail = (outcome.detail for outcome in certificate_suite()[1:])
     assert ("on the grid d = 1, e in 0..6 and f in 100..106 with e + (f - 100) <= 6, "
             "x in 0..10 (308 points)") in telescoping
-    assert "on the grid d = 1, e in 0..5 and f in 100..105 with e + (f - 100) <= 5 (21 points)" in tail
-    for detail, total in ((telescoping, 6), (tail, 5)):
-        assert (f"of total degree <= {total} in (e, f), so in Newton's form in e the coefficient "
-                f"at the i-th e has degree <= min({total}, {total} - i) in f") in detail
-    ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
-    assert (ode.top.sub_e, ode.top.sub_m, ode.top.em, ode.lo, ode.hi) == (24, 27, 27, 16, 16)
-    assert (residues.top.sub_e, residues.top.sub_m, residues.top.em, residues.lo, residues.hi) == (
-        10, 11, 11, 8, 8)
-    # Both are even in e and multiples of m^3 and m: their grids span e^2 for
-    # e in 0..sub_e//2, and row e takes min(sub_m - k, em - k - 2e) + 1 values of m.
-    assert (ode.parity, ode.least_s, residues.parity, residues.least_s) == (0, 3, 0, 1)
-    grids = [suites._square_grid(bounds) for bounds in (ode, residues)]
-    assert [grid[0] for grid in grids] == ["d = 1, e in 0..12 and m in 3..27 with 2*e + (m - 3) <= 24",
-                                           "d = 1, e in 0..5 and m in 3..13 with 2*e + (m - 3) <= 10"]
-    assert [np.broadcast_shapes(*map(np.shape, grid[2])) for grid in grids] == [(1, 169), (1, 36)]
+    assert ("of total degree <= 6 in (e, f), so in Newton's form in e the coefficient "
+            "at the i-th e has degree <= min(6, 6 - i) in f") in telescoping
+    assert telescoping.endswith("; zero off the grid at (d, e, f, x) = (1, 1009, 1000003, 10007)")
+    # The other four identities are polynomial identities, with no grid.
+    assert tail.startswith("-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P: proved in "
+                           "Z[d, e, f], as its numerator is the zero polynomial")
     detail = ode_suite()[0].detail
-    for grid in ("d = 1, e in 0..12 and m in 3..27 with 2*e + (m - 3) <= 24", "(169 points)",
-                 "even in e", "a multiple of m^3", "of total degree <= 27 in (e, m), so in "
-                 "Newton's form in e^2 the coefficient at the i-th e has degree <= min(24, 24 - 2*i)",
-                 "d = 1, e in 0..5 and m in 3..13 with 2*e + (m - 3) <= 10", "(36 points)",
-                 "a multiple of m, ", "(9 points)", "zero off the grid at (d, e, f) = (1, 1009, 50579065/2)"):
-        assert grid in detail
+    ring = ("proved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
+            "4*d*f - e^2 = (4dm)^2, as its numerator is the zero polynomial and its denominator, ")
+    assert [part.split(", is not")[0] for part in detail.split(ring)[1:]] == [
+        "of 25 terms", "of 36 terms", "of 1 term"]
+    assert "grid" not in tail + detail and "exact-zero" not in tail + detail
 
 
 def _exact_rank(matrix) -> int:
@@ -625,48 +620,52 @@ def _unisolvent(pairs, monomials) -> bool:
 
 
 def _made_bounds(**top):
-    """Homogeneous bounds (so d = 1) with the given `_Top` fields, the rest 0, even
-    in e unless `parity` is given, and `least_s` 0 unless given."""
-    parity, least_s = top.pop("parity", 0), top.pop("least_s", 0)
-    return certificate._Degrees(certificate._CONSTANT._replace(**top), 0, 0, parity, least_s)
+    """Homogeneous bounds (so d = 1) with the given `_Top` fields, the rest 0."""
+    return certificate._Degrees(certificate._CONSTANT._replace(**top), 0, 0)
 
 
 def test_staircase_grids_are_unisolvent():
-    # Each grid `_prove` builds has as many points as the polynomial space it
+    # The grid `_prove` builds has as many points as the polynomial space it
     # claims has dimensions, and only 0 in that space vanishes on it: the (e, f)
-    # plane, capped by deg_e, deg_f and the total degree ef, and the (e, m) plane
-    # of every parity and factor m^k, capped by sub_e, sub_m and em.
+    # plane, capped by deg_e, deg_f and the total degree ef.
     for deg_e, deg_f in itertools.product(range(5), repeat=2):
         for ef in range(deg_e + deg_f + 1):
-            bounds = _made_bounds(e=deg_e, f=deg_f, s=1, ef=ef)
-            _, _, (d, e, f, x), _ = suites._plane_grid(bounds, "d e f x".split())
+            bounds = _made_bounds(e=deg_e, f=deg_f, x=1, ef=ef)
+            _, (d, e, f, x), _ = suites._plane_grid(bounds)
             monomials = [(j, k) for j in range(deg_e + 1) for k in range(deg_f + 1) if j + k <= ef]
             assert np.broadcast_shapes(d.shape, e.shape, x.shape) == (1, len(monomials), 2)
             assert _unisolvent(list(zip(e.flat, f.flat)), monomials)
-    for parity, k, em in itertools.product((0, 1, None), range(4), range(9)):
-        for sub_e, sub_m in itertools.product((em - k, (em - k) // 2), (em, em - 2)):
-            if sub_m < k or sub_e < (parity == 1):
-                continue
-            bounds = _made_bounds(sub_e=sub_e, sub_m=sub_m, em=em, parity=parity, least_s=k)
-            _, _, (_, de, square), _ = suites._square_grid(bounds)
-            e = [v // 4 for v in de.flat]
-            pairs = [(a, math.isqrt(b - a * a)) for a, b in zip(e, square.flat)]
-            assert all(m * m + a * a == b for (a, m), b in zip(pairs, square.flat))
-            monomials = [(j, l) for j in range(sub_e + 1) for l in range(k, sub_m + 1)
-                         if j + l <= em and parity in (None, j % 2)]
-            assert _unisolvent(pairs, monomials), (parity, k, em, sub_e, sub_m)
 
 
 def _ode_witnesses(detail):
-    """Each first nonzero point the ODE check's detail names, one per failing grid."""
+    """Each first nonzero point the ODE check's detail names, one per failing proof."""
     return [tuple(Fraction(v) for v in part.split(")")[0].split(", "))
             for part in detail.split("first nonzero at (d, e, f) = (")[1:]]
 
 
-# Changes to dA/dd's (numerator, denominator): an odd term in e, which leaves the
-# residuals of mixed parity, and a term without m of the same degree (so d = 1
-# still suffices), which leaves the residues' numerator with no factor m and
-# the ODE's with only the one the chain rule dm/dd = 2f/m brings to each p_k.
+# The start of each polynomial proof's detail in the ode check.
+_PROOFS = {"ode": "L[dA/dd / pi] for core's dA/dd / pi", "residues": "Re(2i*(Res_i + Res_rho))",
+           "factorization": "m*(G1*G2 - (d-f)^2 - e^2)"}
+
+
+def _proof_witnesses(detail):
+    """The first nonzero point each (d, e, m) proof of the ode check names, or None."""
+    starts = sorted((detail.index(text), name) for name, text in _PROOFS.items())
+    ends = [start for start, _ in starts[1:]] + [len(detail)]
+    return {name: (_ode_witnesses(detail[start:end]) or [None])[0]
+            for (start, name), end in zip(starts, ends)}
+
+
+def _small_regular_point(point) -> bool:
+    """Whether (d, e, f) is (d, e, (e^2 + m^2)/(4d)) for ints d, m >= 1, e >= 0, all at most
+    10, off the singular set m = 2d with e = 0."""
+    d, e, f = point
+    m = rational_sqrt(4 * d * f - e * e)
+    return (all(v.denominator == 1 and 0 <= v <= 10 for v in (d, e, m)) and d >= 1 and m >= 1
+            and not (e == 0 and m == 2 * d))
+
+
+# Changes to dA/dd's (numerator, denominator): an odd term in e and a term without m.
 _DADD_CHANGES = {"numerator + e": lambda d, e: (e, 0), "denominator + d^2": lambda d, e: (0, d * d)}
 
 
@@ -675,37 +674,72 @@ def _change_dadd(monkeypatch, change):
         a + b for a, b in zip(num_den, _DADD_CHANGES[change](d, e))))
 
 
-@pytest.mark.parametrize("change, facts, grids", [
-    ("numerator + e", (None, 3, None, 1), ("e in 0..24 and m in 3..27 with e + (m - 3) <= 24",
-                                           "(325 points)", "min(24, 24 - i)",
-                                           "e in 0..10 and m in 3..13 with e + (m - 3) <= 10",
-                                           "(66 points)", "min(10, 10 - i)")),
-    ("denominator + d^2", (0, 1, 0, 0), ("e in 0..12 and m in 3..29 with 2*e + (m - 3) <= 26",
-                                         "(195 points)", "min(26, 26 - 2*i)",
-                                         "e in 0..5 and m in 3..14 with 2*e + (m - 3) <= 11",
-                                         "(42 points)", "min(11, 11 - 2*i)")),
-], ids=["numerator + e", "denominator + d^2"])
-def test_changed_dadd_widens_its_grids(monkeypatch, change, facts, grids):
-    # Without the parity or the power of m, each grid spans e or m over its
-    # whole degree again, and both checks fail at a point that the scalar
-    # checks reproduce.
+@pytest.mark.parametrize("change", sorted(_DADD_CHANGES, reverse=True))
+def test_changed_dadd_widens_its_grids(monkeypatch, change):
+    # Once the (d, e, m) grids, sized by parity and powers of m that such changes
+    # break; now the polynomial proofs need no grid, and both the ODE and the
+    # residue proofs fail at small points the scalar checks reproduce, while the
+    # factorization, which reads no dA/dd, still holds.
     _change_dadd(monkeypatch, change)
-    ode, residues = certificate.ode_degrees(), certificate.residue_degrees()
-    assert (ode.parity, ode.least_s, residues.parity, residues.least_s) == facts
-    assert ode.homogeneous and residues.homogeneous
     outcome = ode_suite()[0]
-    assert not outcome.passed and all(grid in outcome.detail for grid in grids)
-    ode_point, residues_point = _ode_witnesses(outcome.detail)
-    assert verify_ode_dadd(*ode_point) != 0 and verify_dadd_residues(*residues_point) != 0
+    assert not outcome.passed and outcome.worst == 2
+    witnesses = _proof_witnesses(outcome.detail)
+    assert witnesses["factorization"] is None
+    assert _small_regular_point(witnesses["ode"]) and _small_regular_point(witnesses["residues"])
+    assert verify_ode_dadd(*witnesses["ode"]) != 0
+    assert verify_dadd_residues(*witnesses["residues"]) != 0
+
+
+def _shipped(name, change):
+    """(module, name, changed function) for a rebinding of core's or certificate's `name`."""
+    module = core if hasattr(core, name) else certificate
+    shipped = getattr(module, name)
+    return module, name, lambda *args: change(shipped(*args), *args)
+
+
+# The mutations each polynomial proof must catch: (module function, change, the
+# proofs that must fail). `_psi_limit_parts` is the tail limit's.
+_POLYNOMIAL_MUTATIONS = {
+    "c0 + 1": ("operator_coefficients", lambda c, d, e, f: (*c[:3], c[3] + 1), {"ode"}),
+    "dA/dd numerator + d^2": ("_dadd_over_pi", lambda num_den, d, e, f, sqrt: (
+        num_den[0] + d * d, num_den[1]), {"ode", "residues"}),
+    "G3 + d*e": ("_g3", lambda g3, d, e, f: g3 + d * e, {"residues", "factorization"}),
+    "limit + d^2": ("_psi_limit_parts", lambda parts, d, e, f: (parts[0] + d * d, parts[1]),
+                    {"tail"}),
+}
+_SCALAR_CHECKS = {"ode": verify_ode_dadd, "residues": verify_dadd_residues,
+                  "factorization": verify_g_factorization, "tail": verify_tail_limit}
+
+
+@pytest.mark.parametrize("mutation", sorted(_POLYNOMIAL_MUTATIONS))
+def test_polynomial_proofs_fail_under_mutation(monkeypatch, mutation):
+    # Each mutation fails exactly the polynomial proofs that run it, with no grid
+    # and no off-grid point; each names a small integer point, off the singular
+    # set, where the matching scalar check returns a nonzero residual.
+    name, change, failing = _POLYNOMIAL_MUTATIONS[mutation]
+    monkeypatch.setattr(*_shipped(name, change))
+    tail = certificate_suite()[2]
+    ode = ode_suite()[0]
+    witnesses = {**_proof_witnesses(ode.detail),
+                 "tail": _witness(tail.detail) if "first nonzero" in tail.detail else None}
+    assert {proof for proof, point in witnesses.items() if point is not None} == failing
+    assert (tail.passed, ode.passed) == ("tail" not in failing, not failing & set(_PROOFS))
+    for proof in failing:
+        point = witnesses[proof]
+        if proof == "tail":
+            d, e, f = point
+            assert all(type(v) is Fraction and v.denominator == 1 and 0 <= v <= 10 for v in point)
+            assert 4 * d * f > e * e
+        else:
+            assert _small_regular_point(point)
+        assert _SCALAR_CHECKS[proof](*point) != 0
 
 
 def test_degree_power_is_repeated_product():
     # p**n scales every bound by n in closed form; n - 1 products of p
     # give the same bounds (and n = 0 the constant 1).
-    d, e, f, x = certificate._Degrees.variables(0)
-    polynomials = [*certificate._Degrees.variables(0), *certificate._Degrees.variables(1),
-                   d * x * x + e * x + f]
-    for p in polynomials:
+    d, e, f, x = certificate._Degrees.variables()
+    for p in (d, e, f, x, d * x * x + e * x + f):
         product = 1
         for n in range(13):
             power = p**n
@@ -717,35 +751,15 @@ def test_degree_power_is_repeated_product():
 
 
 def _bounds(p):
-    return p.top, p.lo, p.hi, p.parity, p.least_s
-
-
-def test_parity_and_least_m_degree_rules():
-    # e is odd and d, f, m and constants even; parities add under *, and survive
-    # + only where they agree. The least m-degree takes the min under +, the sum
-    # under *, and d/dm lowers it by 1, to no lower than 0.
-    d, e, f, m = certificate._Degrees.variables(1)
-    assert [(v.parity, v.least_s) for v in (d, e, f, m)] == [(0, 0), (1, 0), (0, 0), (0, 1)]
-    assert ((e * e).parity, (e * m).parity, (e + 1).parity, (e + e * f).parity) == (0, 1, None, 1)
-    assert ((m * m + m * d).least_s, (m**3 * e).least_s, (m + 1).least_s) == (1, 3, 0)
-    diff = certificate._diff
-    assert (diff(m**3 + m * e, m).least_s, diff(m + d, m).least_s, diff(m**2 * d, d).least_s) == (
-        0, 0, 2)
-    assert (diff(e * e * m, e).parity, diff(e * m, m).parity, diff(e * d, d).parity) == (1, 1, 1)
-    # Odd in e: e times a polynomial of degree 1 in e^2, two values from e = 1; of
-    # total degree 3 in (e, m), so e = 1 takes three values of m and e = 2 one.
-    grid, _, points, rows = suites._square_grid(e**3 + e * d * f)
-    assert grid == "d = 1, e in 1..2 and m in 3..5 with 2*(e - 1) + (m - 3) <= 2"
-    assert rows == "in Newton's form in e^2 the coefficient at the i-th e has degree <= min(2, 2 - 2*i) in m"
-    assert [list(v.flat) for v in points[1:]] == [[4, 4, 4, 8], [10, 17, 26, 13]]
+    return p.top, p.lo, p.hi
 
 
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x * x)
-    residual, order, _ = certificate.telescoping_degrees()
-    assert residual.top.s == 12 and order == 1
+    residual, order = certificate.telescoping_degrees()
+    assert residual.top.x == 12 and order == 1
     telescoping, tail = certificate_suite()[1:]
     assert "x in 0..12 (364 points)" in telescoping.detail and not telescoping.passed
     assert verify_telescoping(*_witness(telescoping.detail)) != 0
@@ -756,33 +770,54 @@ def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
     residual = certificate.telescoping_degrees()[0]
     assert residual.top.e == 8 and not residual.homogeneous
 
-    # f starts at max(100, deg_e^2) of each grid's own identity: with e^11 in P
-    # the telescoping residual has e-degree 12 and the tail limit 11, and each
-    # its total degree in (e, f), so rows past e = deg_f take fewer values of f.
+    # f starts at max(100, deg_e^2): with e^11 in P the telescoping residual has
+    # e-degree 12, and its total degree in (e, f), so rows past e = deg_f take fewer
+    # values of f. P's x^5 coefficient, and so the tail limit, does not move.
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + e**11)
-    residual, _, limit = certificate.telescoping_degrees()
-    assert (residual.top.e, residual.top.ef, limit.top.e, limit.top.ef) == (12, 12, 11, 11)
+    residual = certificate.telescoping_degrees()[0]
+    assert (residual.top.e, residual.top.ef) == (12, 12)
     telescoping, tail = certificate_suite()[1:]
     assert ("d in 1..5, e in 0..12 and f in 144..150 with e + (f - 144) <= 12, x in 0..10 "
             "(3850 points)") in telescoping.detail  # 5 * (7*7 + 6+5+4+3+2+1) * 11
-    assert "d in 1..3, e in 0..11 and f in 121..126 with e + (f - 121) <= 11 (171 points)" in tail.detail
     assert not telescoping.passed and tail.passed
     assert verify_telescoping(*_witness(telescoping.detail)) != 0
+
+
+def test_polynomial_proof_refuses_a_zero_denominator(monkeypatch):
+    # A dA/dd over the zero polynomial makes the residue gap 0/0: no identity is
+    # proved, and no point is named, as the residual is defined nowhere.
+    _change(monkeypatch, "_dadd_over_pi", lambda num_den, d, e, f, sqrt: (num_den[0], 0))
+    assert suites._prove_polynomial(certificate._residue_gap, "d e m", "gap") == (
+        1, "gap: disproved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
+           "4*d*f - e^2 = (4dm)^2, as its denominator is the zero polynomial")
+
+
+def test_witness_points_are_the_scalar_checks_own_integer_points():
+    # Each (d, e, m) witness is named as (d, e, (e^2 + m^2)/(4d)), whose least common
+    # denominator is 4d, so `verify_*` runs its core at (4d^2, 4de, e^2 + m^2), the
+    # point the polynomial was evaluated at; none lies on the singular set e = 0,
+    # m = 2d. Each (d, e, f) witness lies in the domain 4*d*f > e^2.
+    points = itertools.islice(suites._points("d e m"), 300)
+    assert next(suites._points("d e m")) == (1, 0, 1)
+    for d, e, m in points:
+        assert jets._clear((d, e, Fraction(e * e + m * m, 4 * d)))[1] == 4 * d
+        assert m >= 1 and not (e == 0 and m == 2 * d)
+    assert next(suites._points("d e f")) == (1, 0, 1)
+    assert all(4 * d * f > e * e and d >= 1 and f >= 1
+               for d, e, f in itertools.islice(suites._points("d e f"), 300))
 
 
 def _sympy_degrees(sympy, expression, variables):
     return tuple(sympy.Poly(sympy.expand(expression), *variables).degree(v) for v in variables)
 
 
-def test_derived_degrees_bound_sympy(monkeypatch):
+def test_derived_degrees_bound_sympy():
     # Bounds may exceed the true degrees, never fall short: compare, one
     # variable at a time, with sympy's degrees of each cleared half of the
-    # telescoping residual and of the residues' numerator (which vanishes, so
-    # its halves are compared), and sympy's parities and powers of m with the
-    # parity in e and the least m-degree that size the square grids.
+    # telescoping residual, and its total degree in (e, f) with ef.
     sympy = pytest.importorskip("sympy")
-    d, e, f, x, m = sympy.symbols("d e f x m")
+    d, e, f, x = sympy.symbols("d e f x")
     q, w = d * x**2 + e * x + f, x**2 + 1
     c3, c2, c1, c0 = operator_coefficients(d, e, f)
     lhs = sum(c * (-1) ** k * math.factorial(k) * x ** (2 * k + 2) * q ** (3 - k) * w
@@ -791,44 +826,8 @@ def test_derived_degrees_bound_sympy(monkeypatch):
     top = certificate.telescoping_degrees()[0].top
     for half in (lhs, rhs):
         assert _bounded(_sympy_degrees(sympy, half, (d, e, f, x)), top[:4])
-    num, den = core._dadd_over_pi(1, e, (e**2 + m**2) / 4, lambda _: m)
-    halves = [_sympy_degrees(sympy, certificate._residue_gap(1, e, (e**2 + m**2) / 4, m, dadd)[0],
-                             (e, m)) for dadd in ((0, den), (num, 0))]
-    residues = certificate.residue_degrees().top
-    assert all(_bounded(half, (residues.sub_e, residues.sub_m)) for half in halves)
-    # Both halves reach (sub_e, sub_m), so a bound one lower in either fails.
-    assert not any(_bounded(half, (residues.sub_e, residues.sub_m - 1)) for half in halves)
-    assert not any(_bounded(half, (residues.sub_e - 1, residues.sub_m)) for half in halves)
-    _parity_and_m_factor_hold(sympy, vanishing=True)
-    _total_degrees_hold(sympy, lhs, rhs)
-
-
-def _total_degrees_hold(sympy, *telescoping_halves):
-    """The tracker's total degrees, ef in (e, f) and em in (e, m) once
-    f = (e^2 + m^2)/(4d), bound sympy's, each on its own, for every cleared half of
-    the five identities: the telescoping residual's, P and p5 for the tail limit, the
-    ODE residual's terms, the residues' numerator's and the factorization's. em also
-    bounds the total degree in (e, m) of each half at that f, times d^deg_f, the
-    polynomial a (d, e, m) grid proves zero; for the (d, e, f, x) identities the
-    tracker's fourth variable is x, and em counts it as it counts m."""
-    d, e, f, x, m = sympy.symbols("d e f x m")
-    residual, _, limit = certificate.telescoping_degrees()
-    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    identities = (
-        (residual, x, telescoping_halves),
-        (limit, x, (certificate_polynomial(d, e, f, x), certificate._leading_coefficient(d, e, f))),
-        (certificate.ode_degrees(), m, _ode_terms(sympy, d, e, f, m)),
-        (certificate.residue_degrees(), m,
-         [certificate._residue_gap(d, e, f, m, dadd)[0] for dadd in ((0, den), (num, 0))]),
-        (certificate.g_factorization_degrees(), m, [certificate._g_gap(d, e, f, lambda _: m)]))
-    for bounds, s, halves in identities:
-        for half in halves:
-            monomials = sympy.Poly(sympy.expand(half), d, e, f, s).monoms()
-            assert bounds.top.ef >= max(j + k for _, j, k, _ in monomials)
-            assert bounds.top.em >= max(j + 2 * k + l for _, j, k, l in monomials)
-            if s is m:
-                at = sympy.expand(half.subs(f, (e**2 + m**2) / (4 * d)) * d**bounds.top.f)
-                assert bounds.top.em >= sympy.Poly(at, e, m).total_degree()
+        monomials = sympy.Poly(sympy.expand(half), d, e, f, x).monoms()
+        assert top.ef >= max(j + k for _, j, k, _ in monomials)
 
 
 def _bounded(degrees, bounds) -> bool:
@@ -839,7 +838,8 @@ def _bounded(degrees, bounds) -> bool:
 def test_kernels_are_the_expanded_polynomials(monkeypatch):
     # Shared powers and Horner's rule change how c3..c0, p5 and P are
     # evaluated, not what they are: each minus its expanded form is 0 in
-    # sympy, and the degree trackers derive the same bounds from either.
+    # sympy, and the degree tracker and the ODE's polynomial proof (the tail
+    # limit reads P on an x-jet, which has no **) give the same from either.
     sympy = pytest.importorskip("sympy")
     d, e, f, x = sympy.symbols("d e f x")
     shipped = (*operator_coefficients(d, e, f), certificate._leading_coefficient(d, e, f),
@@ -848,75 +848,129 @@ def test_kernels_are_the_expanded_polynomials(monkeypatch):
                 reference_certificate_polynomial(d, e, f, x))
     assert all(sympy.expand(a - b) == 0 for a, b in zip(shipped, expanded, strict=True))
 
-    def bounds():
-        residual, order, limit = certificate.telescoping_degrees()
-        return [(b.top, b.lo, b.hi, b.parity, b.least_s)
-                for b in (residual, limit, certificate.ode_degrees())] + [order]
-    before = bounds()
+    def results():
+        residual, order = certificate.telescoping_degrees()
+        return [_bounds(residual), order, ode_suite()[0].detail]
+    before = results()
     monkeypatch.setattr(certificate, "operator_coefficients", reference_operator_coefficients)
     monkeypatch.setattr(certificate, "certificate_polynomial", reference_certificate_polynomial)
     monkeypatch.setattr(certificate, "_leading_coefficient",
                         lambda d, e, f, powers=None: reference_leading_coefficient(d, e, f))
-    assert bounds() == before
+    assert results() == before
 
 
-def test_g_factorization_degrees_hold_in_sympy():
-    # m*(G1*G2 - G3) in (d, e, f, m), before f = (e^2 + m^2)/(4d) makes it 0:
-    # the bounds dominate sympy's degrees, and it is homogeneous of degree 3,
-    # even in e and a multiple of m, as the tracker derives for its grid.
+def _to_sympy(sympy, polynomial, symbols):
+    """A `jets._Poly` as a sympy expression in `symbols`."""
+    return sum(c * math.prod(v**j for v, j in zip(symbols, jets._exponents(k, len(symbols))))
+               for k, c in polynomial.terms.items())
+
+
+def _random_poly(rng, variables):
+    """A seeded random polynomial: up to 6 terms of degree up to 3 per variable."""
+    p = variables[0] * 0
+    for _ in range(int(rng.integers(1, 7))):
+        p = p + int(rng.integers(-9, 10)) * math.prod(v ** int(rng.integers(4)) for v in variables)
+    return p
+
+
+def test_poly_arithmetic_matches_sympy():
+    # Seeded sums, differences, products and powers, each expanded by sympy;
+    # values at int points; the root of a perfect square and the refusal of a
+    # non-square; and the refusal of any coefficient that is not an int.
     sympy = pytest.importorskip("sympy")
-    d, e, f, m = sympy.symbols("d e f m")
-    gap = sympy.Poly(sympy.expand(certificate._g_gap(d, e, f, lambda _: m)), d, e, f, m)
-    bounds = certificate.g_factorization_degrees()
-    assert all(gap.degree(v) <= b for v, b in zip((d, e, f, m), bounds.top[:4]))
-    assert (bounds.lo, bounds.hi, bounds.parity, bounds.least_s) == (3, 3, 0, 1)
-    assert gap.homogeneous_order() == 3
-    assert all(k[1] % 2 == 0 and k[3] >= 1 for k in gap.monoms())
+    symbols = sympy.symbols("d e m")
+    variables = jets._Poly.variables("d e m")
+    rng = np.random.Generator(np.random.PCG64(163))
+    for _ in range(25):
+        a, b = _random_poly(rng, variables), _random_poly(rng, variables)
+        sa, sb = (sympy.sympify(_to_sympy(sympy, p, symbols)) for p in (a, b))
+        c = int(rng.integers(-5, 6))
+        for poly, expression in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                                 (c - a * 3, c - sa * 3), (a**3, sa**3), (-b, -sb)):
+            assert sympy.expand(_to_sympy(sympy, poly, symbols) - expression) == 0
+            assert (poly == 0) == (sympy.expand(expression) == 0)
+            point = tuple(int(v) for v in rng.integers(-6, 7, 3))
+            assert poly.at(point) == expression.subs(dict(zip(symbols, point)))
+        if a != 0:
+            root = (a * a).root()
+            assert root == a or root == -a
+            lead = max(root.terms)
+            assert root.terms[lead] > 0
+            with pytest.raises(ParameterError, match="is not the square of a rational polynomial"):
+                (a * a + variables[0]).root()
+    d, e, m = variables
+    assert (16 * d * d * m * m).root() == 4 * d * m
+    assert (d * d - 2 * d * e + e * e).root() == e - d  # the leading term is at e^2
+    for square in (2 * d * d, -(d * d), d * e, d * d + 1, d**3):
+        with pytest.raises(ParameterError):
+            square.root()
+    assert jets._Poly({}, ("d",)).root() == 0
+    for bad in (0.5, Fraction(1, 2), np.int64(2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(d, bad)
+            with pytest.raises(TypeError):
+                op(bad, d)
 
 
-@pytest.mark.parametrize("change", sorted(_DADD_CHANGES))
-def test_derived_parity_and_m_factor_of_a_changed_dadd_hold_in_sympy(change, monkeypatch):
+def _scaled_symbols(sympy):
+    """(d, e, m) as positive sympy symbols and the point (4d^2, 4de, e^2 + m^2)."""
+    d, e, m = sympy.symbols("d e m", positive=True)
+    return (d, e, m), (4 * d * d, 4 * d * e, e * e + m * m)
+
+
+def _polynomial_body(body):
+    """`body`'s (num, den) at (4d^2, 4de, e^2 + m^2) in Z[d, e, m], as `_prove_polynomial`
+    runs it."""
+    d, e, m = jets._Poly.variables("d e m")
+    zero = d * 0
+    return tuple(zero + part for part in body(4 * d * d, 4 * d * e, e * e + m * m))
+
+
+@pytest.mark.parametrize("mutation", [None, "G3 + d*e", "dA/dd numerator + d^2"])
+def test_residue_and_factorization_polynomials_match_sympy(monkeypatch, mutation):
+    # The same shipped lines on sympy symbols, with the root 4dm of the guard
+    # (4dm)^2, expand to the polynomials the proofs find, numerator and
+    # denominator alike, whether the identity holds or not.
     sympy = pytest.importorskip("sympy")
-    _change_dadd(monkeypatch, change)
-    _parity_and_m_factor_hold(sympy, vanishing=False)
+    if mutation:
+        name, change, _ = _POLYNOMIAL_MUTATIONS[mutation]
+        monkeypatch.setattr(*_shipped(name, change))
+    symbols, point = _scaled_symbols(sympy)
+    d, _, m = symbols
+    for body in (certificate._residue_gap, certificate._g_gap):
+        expected = body(*point, lambda guard: 4 * d * m)
+        found = _polynomial_body(body)
+        for poly, expression in zip(found, expected):
+            assert sympy.expand(_to_sympy(sympy, poly, symbols) - expression) == 0
+    numerators = [_polynomial_body(body)[0] == 0 for body in (certificate._residue_gap,
+                                                              certificate._g_gap)]
+    assert numerators == {None: [True, True], "G3 + d*e": [False, False],
+                          "dA/dd numerator + d^2": [False, True]}[mutation]
 
 
-def _ode_terms(sympy, d, e, f, m):
-    """Each term c_k*p_k*m^(6-2k)*den^(3-k) of the cleared ODE residual, in sympy, by the
-    recursion `certificate.ode_degrees` tracks."""
-    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    rho = m * sympy.diff(den, d) + 2 * f * sympy.diff(den, m)
-    p, terms = num, []
-    for k, ck in enumerate(operator_coefficients(d, e, f)[::-1]):
-        terms.append(ck * p * m ** (6 - 2 * k) * den ** (3 - k))
-        p = (m * m * den * sympy.diff(p, d) + 2 * f * m * den * sympy.diff(p, m)
-             - 4 * k * f * den * p - (k + 1) * m * rho * p)
-    return terms
-
-
-def _parity_and_m_factor_hold(sympy, vanishing):
-    """The tracker's parity in e and least m-degree hold for the polynomials sympy
-    expands: each term c_k*p_k*m^(6-2k)*den^(3-k) of the cleared ODE residual, in
-    (d, e, f, m) and at d = 1, f = (e^2 + m^2)/4, and the residues' numerator in
-    (d, e, f, m). For core's dA/dd (`vanishing`), the terms' sum and the numerator
-    vanish at that f. A parity may be claimed only where sympy finds it, and the
-    least m-degree may fall short of sympy's, never exceed it."""
-    d, e, f, m = sympy.symbols("d e f m")
-    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    terms = _ode_terms(sympy, d, e, f, m)
-    at = {d: 1, f: (e**2 + m**2) / 4}
-    residues = certificate._residue_gap(d, e, f, m, (num, den))[0]
-    if vanishing:
-        assert sympy.expand(sum(terms).subs(at)) == 0 == sympy.expand(residues.subs(at))
-    for bounds, polynomials in ((certificate.ode_degrees(),
-                                 [*terms, *(term.subs(at) for term in terms)]),
-                                (certificate.residue_degrees(), [residues])):
-        for polynomial in polynomials:
-            expanded = sympy.expand(polynomial)
-            assert expanded != 0
-            monomials = sympy.Poly(expanded, e, m).monoms()
-            assert bounds.parity is None or {i % 2 for i, _ in monomials} == {bounds.parity}
-            assert bounds.least_s <= min(j for _, j in monomials)
+@pytest.mark.parametrize("mutation", [None, "c0 + 1"])
+def test_ode_polynomial_matches_sympy(monkeypatch, mutation):
+    # L[dA/dd / pi], by sympy differentiation of core's dA/dd / pi in d, at
+    # (4d^2, 4de, e^2 + m^2), equals num/den of the ODE proof's polynomials.
+    sympy = pytest.importorskip("sympy")
+    if mutation:
+        name, change, _ = _POLYNOMIAL_MUTATIONS[mutation]
+        monkeypatch.setattr(*_shipped(name, change))
+    symbols, point = _scaled_symbols(sympy)
+    dd, ee, ff = sympy.symbols("dd ee ff", positive=True)
+    num, den = core._dadd_over_pi(dd, ee, ff, sympy.sqrt)
+    y = num / den
+    coefficients = certificate.operator_coefficients(dd, ee, ff)
+    operator_on_y = sum(c * sympy.diff(y, dd, k) for k, c in zip((3, 2, 1, 0), coefficients))
+    expected = operator_on_y.subs(dict(zip((dd, ee, ff), point)))
+    found_num, found_den = _polynomial_body(certificate._ode_gap)
+    assert found_den != 0
+    # Cross-multiplied: sympy's num/den over a common denominator against the proof's.
+    num, den = sympy.fraction(sympy.together(expected))
+    assert sympy.expand(num * _to_sympy(sympy, found_den, symbols)
+                        - den * _to_sympy(sympy, found_num, symbols)) == 0
+    assert (found_num == 0) == (mutation is None)
 
 
 def test_dadd_residues_fixtures():

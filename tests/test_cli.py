@@ -1151,13 +1151,14 @@ def test_runtime_imports_no_test_only_package():
 # detail came to name its worst (d, e, f), and when the ODE check came to
 # prove the factorization G1*G2 = (d-f)^2 + e^2 too, and for both when the
 # (e, f) and (e, m) pairs came to form staircases sized by total degree and
-# each proof came to name its off-grid point; any change to a grid, a bound
-# or a figure shows here.
+# each proof came to name its off-grid point, and for both when the tail
+# limit, the ODE, the residues and the factorization came to be proved as
+# polynomial identities; any change to a grid, a bound or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
-    ("certificate", 1): "d13b3386d1bed0e03018927400b6a547e3329de8143201845af0c662d1636de3",
-    ("certificate", 1501): "f6a91dca3c09a95c992faa323b283391750754ba4ce31201ab593b4e877b7438",
-    ("ode", 1): "36484b58b52011f8e3fb19b4949e6899a7be79ce740d4d98d510b787f17dfbaf",
-    ("ode", 1501): "31d775dd28107456474561c3827f1aa309413395493351ab9ba124d71ca94572",
+    ("certificate", 1): "ce89488664d07ec880e1bc8d06690285ce2ddd966a36b24de7a457fb4a8ef84b",
+    ("certificate", 1501): "8eb07a6f72deea7ba225072adf586c6f35c4ac20396caec7db4da121d5c24d47",
+    ("ode", 1): "d1562a4db0e224bfb5ee12be4f3ffd8c77488b202669d1f51429d635fe5aeab7",
+    ("ode", 1501): "76a461832ec1968dea52709b93a36350aada7a4e09ffdbf70a6d75fb629f9e0e",
 }
 
 
@@ -1169,9 +1170,10 @@ def test_verify_exact_suites_match_golden(suite, seed, capsys):
 
 
 def test_exact_check_details_start_with_their_point_counts(capsys):
-    # Each exact check's detail starts "N/N exact-zero", N its grid's point
-    # count, and so does each further grid it proves; the benchmark's checker
-    # reads its machine-independent exact-point count from that prefix.
+    # A grid proof's detail starts "N/N exact-zero", N its grid's point count;
+    # the benchmark's checker reads its machine-independent exact-point count
+    # from that prefix. Only the telescoping identity is proved on a grid; the
+    # polynomial proofs have no points to count.
     counts = {}
     for suite in ("certificate", "ode"):
         assert main(["verify", "--suite", suite]) == 0
@@ -1181,8 +1183,7 @@ def test_exact_check_details_start_with_their_point_counts(capsys):
             if tallies:
                 assert re.match(r"\d+/\d+ exact-zero", record["detail"])
                 counts[record["check"]] = [int(count) for _, count in tallies]
-    assert counts == {"telescoping residual": [308], "psi tail limit": [21],
-                      "ode residual of dA/dd": [169, 36, 9]}
+    assert counts == {"telescoping residual": [308]}
 
 
 def _cli_record(capsys, argv):

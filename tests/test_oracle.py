@@ -549,6 +549,28 @@ def test_trapezoid_error_is_the_exact_law():
                 (p1, p2, n, value - kl, law)
 
 
+def test_frame_ratio_squares_t_as_the_two_operand_product():
+    # _frame_ratio forms 1 + t^2 from np.square(t), which rounds as t * t does:
+    # the same bytes on special values (+-inf, NaN, +-0, subnormals, the largest
+    # double), on seeded doubles of every magnitude and on seeded bit patterns, and
+    # so the same ratio R, which the mc golden pins too.
+    rng = np.random.Generator(np.random.PCG64(167))
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    special = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, tiny, -tiny, 3 * tiny,
+                        1e-310, 1e-160, huge, -huge, 1.0, -1.0, math.sqrt(huge),
+                        np.nextafter(math.sqrt(huge), np.inf)])
+    patterns = rng.integers(0, 2**64, 400_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    with np.errstate(all="ignore"):
+        seeded = rng.standard_normal(400_000) * 10.0 ** rng.uniform(-330.0, 308.0, 400_000)
+        t = np.concatenate([special, seeded, patterns])
+        assert np.square(t).tobytes() == np.multiply(t, t).tobytes()
+        for alpha, beta in ((0.0, 1.0), (3.5, 0.25), (-1e6, 1e3)):
+            ratio = oracle._frame_ratio(t, alpha, beta)
+            shift = t - alpha
+            expected = (shift * shift + beta * beta) / ((t * t + 1.0) * beta)
+            assert ratio.tobytes() == expected.tobytes()
+
+
 def _workload_quadratic_pairs(seed: int, count: int):
     """Quadratic pairs as the batch-numeric workload draws them: b = t*2*sqrt(a*c), |t| < 0.999."""
     rng = np.random.Generator(np.random.PCG64(seed))
