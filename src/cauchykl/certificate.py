@@ -21,20 +21,24 @@ of dA/dd; a primitive in d then gives A itself up to a constant that
 turns out to be zero.
 
 This module transcribes the certificate data (L, psi and the degree-5
-numerator polynomial P of psi) and *proves* the claims. Each identity,
-times a known denominator, is a polynomial identity, and the classical
-exact zero test of a rational identity applies: clear the denominators and
-expand. The residual cores use only + - *, jets and one exact square
-root, and jet division is fraction-free, so their unchecked bodies
-(`_tail_gap`, `_ode_gap`, `_residue_gap`, `_g_gap`) run unchanged on exact
-polynomials (`jets._Poly`). A numerator that comes out as the zero
-polynomial, over a denominator that does not, proves the identity
+numerator polynomial P of psi) and *proves* the claims. Each identity is
+one between two sides, a/b = c/d, each side a numerator over a
+denominator, and the classical exact zero test of a rational identity
+applies: clear the denominators, a*d - c*b = 0. The unchecked bodies
+(`_telescoping_sides`, `_tail_sides`, `_ode_sides`, `_residue_sides`,
+`_g_sides`) return the two sides, using only + - *, jets and one exact
+square root, and jet division is fraction-free, so they run unchanged on
+exact polynomials (`jets._Poly`). Sides whose cross difference is the
+zero polynomial, over denominators that are not, prove the identity
 outright, with no degree bound and no grid (`suites._prove_polynomial`).
 The identities proved so are
 
-* the tail limits: psi(1/t) is regular at t = 0 when P has x-degree at
-  most 5, so both limits are -2*p5/d^3, which `psi_limit` must equal
-  (`verify_tail_limit`), in Z[d, e, f];
+* the telescoping relation, on a d-jet of order 3 and an x-jet of order 1
+  (`verify_telescoping`), in Z[d, e, f, x];
+* the tail limits: psi(1/t) is regular at t = 0 when psi has x-degree at
+  most 0 at infinity, which the certificate suite reads from dpsi/dx on
+  the telescoping proof's x-jet, so both limits are -2*p5/d^3, which
+  `psi_limit` must equal (`verify_tail_limit`), in Z[d, e, f];
 * the ODE L[dA/dd] = 0 for core's dA/dd formula, at points whose
   discriminant 4*d*f - e^2 is a rational square m^2, so the square-root
   jet stays in Q (`verify_ode_dadd`);
@@ -48,71 +52,42 @@ The identities proved so are
 The last three run in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), 4d
 times every point with square discriminant, where the guard is (4dm)^2.
 
-The telescoping relation, on a d-jet of order 3 and an x-jet of order 1
-(`verify_telescoping`), stays on a grid, because as a polynomial in
-Z[d, e, f, x] it costs several times its grid: a polynomial of degree
-at most n_i in its i-th variable that vanishes on a product of n_i + 1
-points per variable is zero, the tensor-grid form of Alon's Combinatorial
-Nullstellensatz (Combin. Probab. Comput. 8, 1999). A degree-tracking
-scalar (`_Degrees`, `telescoping_degrees`) runs the shipped formulas
-under + - * and ** to bound the residual's degrees and to confirm it is
-homogeneous in (d,e,f), so the slice d = 1 suffices. It also bounds the
-total degree in (e, f), so a staircase of (e, f) pairs replaces their box
-(Chung & Yao, SIAM J. Numer. Anal. 14, 1977). In Newton's form in e,
-sum_i c_i(f) * prod_{j<i} (e - e_j), a polynomial of total degree at most
-T in (e, f) has c_i of degree at most T - i in f. Row by row, T - i + 1
-values of f at e_i make c_i vanish once c_0..c_(i-1) do, so the staircase
-proves the polynomial zero with about half the box's points. The proof
-also runs its core at one point far off its grid (`suites._prove`), where
-a change to code the tracker does not run, which a grid can miss, shows.
-
 These run core's own formulas, not copies: the guard (`core._guard`) in
 every domain check and square root, q(x) and x^2 + 1 (`core._quadratic`)
-in phi_partial_d, psi and `telescoping_degrees`, G3 (`core._g3`) in the
-residue check and, with G1 and m (`core._g1`), in the factorization, and
-dA/dd / pi (`core._dadd_over_pi`) in the ODE and residue checks, with m
-the exact root of the guard (`jets._root`, `Jet.sqrt`).
+in phi_partial_d and psi, G3 (`core._g3`) in the residue check and, with
+G1 and m (`core._g1`), in the factorization, and dA/dd / pi
+(`core._dadd_over_pi`) in the ODE and residue checks, with m the exact
+root of the guard (`jets._root`, `Jet.sqrt`).
 
-Every check is an integer-point core, `residual_*(d, e, f, ...)`, that
-checks its points and returns its residual as (numerator, denominator).
-It runs the same lines on ints or on numpy object arrays of ints that
-broadcast to a grid, so the telescoping proof runs in one call over its
-whole grid. On an open grid, one array per coordinate, every
-subexpression runs only over the coordinates it depends on: the
-operator's coefficients and P's (d, e, f)-coefficients once per
-(d, e, f), each term as transcribed but over e^2, f^2, d^2, e^4, f^3 and d*f
-formed once (`_powers`), and only Horner's rule for P in x over the
-whole grid. The operator and P have int coefficients at an integer
-point, and the fraction-free jets (`cauchykl.jets`) keep int numerators
-over one int denominator. Each core checks its points' domain (and the
-singular set d = f, e = 0) elementwise, raising at the first point
-outside it in itertools.product order. One runner, `_at_rational`, makes
-each public scalar check `verify_*` from its core and the core's degree
-of homogeneity: it clears the common denominator D of a rational point
-(`jets._clear`), runs the core at the integer point D*(d,e,f) and
-rescales the residual by D**degree into one Fraction. A residual part
-that is not an int (or a polynomial of ints) raises TypeError
-(`_exact_residual`, which the suites run too). The vanishing integration
-constant, the one float check left, is cross-checked against the
-quadrature oracle: `verify_integration_constant` returns the deviation
-at each of its nine points, and the ode suite judges them at 1e-8. Any
-nonzero residual disproves the transcription and is reported, never
-patched.
+Every check also has an integer-point core, `residual_*(d, e, f, ...)`,
+that checks its point's domain (and the singular set d = f, e = 0) and
+returns its body's sides cross-multiplied (`_cross`), the residual as
+(numerator, denominator). The operator and P have int coefficients at an
+integer point, and the fraction-free jets (`cauchykl.jets`) keep int
+numerators over one int denominator, each term of c3..c0 and P as
+transcribed but over e^2, f^2, d^2, e^4, f^3 and d*f formed once
+(`_powers`). One runner, `_at_rational`, makes each public scalar check
+`verify_*` from its core and the core's degree of homogeneity: it clears
+the common denominator D of a rational point (`jets._clear`), runs the
+core at the integer point D*(d,e,f) and rescales the residual by
+D**degree into one Fraction. A residual part that is not an int (or a
+polynomial of ints) raises TypeError (`_exact_residual`, which the
+suites run on every side too). The vanishing integration constant, the
+one float check left, is cross-checked against the quadrature oracle:
+`verify_integration_constant` returns the deviation at each of its nine
+points, and the ode suite judges them at 1e-8. Any nonzero residual
+disproves the transcription and is reported, never patched.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _Poly, _clear, _first_at, _root
+from .jets import Jet, _Poly, _clear, _root
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -121,7 +96,6 @@ __all__ = [
     "verify_telescoping", "verify_ode_dadd", "verify_dadd_residues", "verify_tail_limit",
     "residual_telescoping", "residual_ode_dadd", "residual_dadd_residues",
     "residual_tail_limit", "residual_g_factorization",
-    "telescoping_degrees",
     "verify_integration_constant", "verify_g_factorization",
 ]
 
@@ -160,8 +134,7 @@ def operator_coefficients(d, e, f) -> tuple:
 
 
 def apply_operator(d, e, f, y: Jet) -> tuple[int, int]:
-    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f),
-    or at each point of a grid of them.
+    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f).
 
     There c3..c0 are ints, and with y's coefficients num_k / den the
     numerator n = sum_k c_k * k! * num_k is one int sum: the pair
@@ -203,7 +176,7 @@ def psi(d, e, f, x):
 
 
 def _psi_limit_parts(d, e, f) -> tuple:
-    """(-2*p5, d^3), the numerator and denominator of `psi_limit`, on ints or int arrays."""
+    """(-2*p5, d^3), the numerator and denominator of `psi_limit`."""
     return -2 * _leading_coefficient(d, e, f), d**3
 
 
@@ -220,32 +193,33 @@ def psi_limit(d, e, f) -> Fraction:
 
 
 def _check_domain(d, e, f) -> None:
-    """Raise ParameterError at the first integer point (d, e, f), of ints or int
-    arrays, outside 4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
-    outside = (core._guard(d, e, f) <= 0) | (d <= 0) | (f <= 0)
-    if np.any(outside):
-        raise ParameterError(f"(d, e, f) proportional to {_first_at(outside, d, e, f)} "
+    """Raise ParameterError if the integer point (d, e, f) lies outside
+    4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
+    if core._guard(d, e, f) <= 0 or d <= 0 or f <= 0:
+        raise ParameterError(f"(d, e, f) proportional to {(d, e, f)} "
                              "must satisfy 4*d*f - e^2 > 0, d > 0 and f > 0")
 
 
 def _check_regular(d, e, f) -> None:
-    """`core._check_regular_point` at the first point of d = f, e = 0, if any."""
-    singular = (d == f) & (e == 0)
-    if np.any(singular):
-        core._check_regular_point(*_first_at(singular, d, e, f))
+    """`core._check_regular_point` at (d, e, f) if it lies on d = f, e = 0."""
+    if d == f and e == 0:
+        core._check_regular_point(d, e, f)
 
 
-def _exact_residual(residual, *args) -> tuple:
-    """(num, den) = residual(*args), each part an int, an exact polynomial
-    (`jets._Poly`, whose coefficients are ints) or an object array of ints; any other
-    element raises TypeError, naming the first. Each part is checked over its own
-    elements, before any broadcast."""
-    num, den = residual(*args)
-    for part in (num, den):
-        for v in part.flat if type(part) is np.ndarray else (part,):
-            if type(v) is not int and type(v) is not _Poly:
-                raise TypeError(f"the exact check produced an inexact residual part {v!r}")
-    return num, den
+def _exact_residual(*parts) -> tuple:
+    """The parts of a residual or of its sides, each an int or an exact polynomial
+    (`jets._Poly`, whose coefficients are ints); any other raises TypeError, naming
+    the first."""
+    for v in parts:
+        if type(v) is not int and type(v) is not _Poly:
+            raise TypeError(f"the exact check produced an inexact residual part {v!r}")
+    return parts
+
+
+def _cross(sides) -> tuple:
+    """(a*d - c*b, b*d): the residual a/b - c/d of the two sides (a, b) and (c, d)."""
+    (a, b), (c, d) = sides
+    return a * d - c * b, b * d
 
 
 def _at_rational(residual, degree: int, d, e, f, *rest) -> Fraction:
@@ -256,7 +230,7 @@ def _at_rational(residual, degree: int, d, e, f, *rest) -> Fraction:
     (d, e, f), so the one found there is D**degree times the one at (d, e, f).
     """
     (d, e, f), D = _clear((d, e, f))
-    num, den = _exact_residual(residual, d, e, f, *rest)
+    num, den = _exact_residual(*residual(d, e, f, *rest))
     return Fraction(num, den * D**degree) if degree >= 0 else Fraction(num * D**-degree, den)
 
 
@@ -270,19 +244,22 @@ def verify_telescoping(d, e, f, x) -> Fraction:
 
 def residual_telescoping(d, e, f, x) -> tuple:
     """(num, den) of L[dphi/dd] - dpsi/dx at an integer point (d, e, f) and a rational
-    x, or elementwise for int arrays (d, e, f, x) of one grid.
+    x: `_telescoping_sides` once the point is checked, cross-multiplied."""
+    _check_domain(d, e, f)
+    return _cross(_telescoping_sides(d, e, f, x))
+
+
+def _telescoping_sides(d, e, f, x) -> tuple:
+    """The sides (L[dphi/dd], its den) and (dpsi/dx, its den), unchecked, on ints or
+    `jets._Poly`.
 
     The operator and P have int coefficients there, and x enters the d-jet as a
     constant jet, so L[dphi/dd] is an int over the d-jet's denominator
-    (`apply_operator`), dpsi/dx an int over the x-jet's, and their difference one
-    int over the product.
+    (`apply_operator`), and dpsi/dx an int over the x-jet's.
     """
-    _check_domain(d, e, f)
-    lhs, lhs_den = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f,
-                                                         Jet.constant(x, 3)))
+    lhs = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f, Jet.constant(x, 3)))
     rhs = psi(d, e, f, Jet.variable(x, 1))
-    rhs_den = rhs.denominator
-    return lhs * rhs_den - rhs.derivative_numerator(1) * lhs_den, lhs_den * rhs_den
+    return lhs, (rhs.derivative_numerator(1), rhs.denominator)
 
 
 def verify_ode_dadd(d, e, f) -> Fraction:
@@ -294,53 +271,51 @@ def verify_ode_dadd(d, e, f) -> Fraction:
 
 def residual_ode_dadd(d, e, f) -> tuple:
     """(num, den) of L[dA/dd / pi] at an integer point (d, e, f) with square
-    discriminant, or elementwise for int arrays of one grid: `_ode_gap` once the
-    point is checked.
+    discriminant: `_ode_sides` once the point is checked, cross-multiplied.
 
     Points on the singular set d = f, e = 0 are rejected, as the paper's form of
     dA/dd is undefined there and integral_a_dd raises there.
     """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
-    return _ode_gap(d, e, f)
+    return _cross(_ode_sides(d, e, f))
 
 
-def _ode_gap(d, e, f) -> tuple:
-    """(num, den) of L[dA/dd / pi], unchecked, on ints, int arrays or `jets._Poly`.
+def _ode_sides(d, e, f) -> tuple:
+    """The sides (L[dA/dd / pi], its den) and 0, unchecked, on ints or `jets._Poly`.
 
     dA/dd / pi is core's formula, the one integral_a_dd runs, on a d-jet: `Jet.sqrt`
     finds the head m, an int or a polynomial, so every Taylor coefficient stays
     rational. L is linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0.
     """
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
-    return apply_operator(d, e, f, num / den)
+    return apply_operator(d, e, f, num / den), (0, 1)
 
 
 def _square_root(guard):
-    """m = sqrt(guard) of a square guard: an int, an int array or a `jets._Poly`."""
+    """m = sqrt(guard) of a square guard: an int or a `jets._Poly`."""
     return _root(guard, 1)[0]
 
 
-def _residue_gap(d, e, f, sqrt=_square_root):
-    """(numerator, denominator) of Re(2i*(Res_i + Res_rho)) - num/den, unchecked, with
-    m = sqrt(guard) and (num, den) = `core._dadd_over_pi`.
+def _residue_sides(d, e, f, sqrt=_square_root):
+    """The sides Re(2i*(Res_i + Res_rho)) and num/den, unchecked, each as (numerator,
+    denominator), with m = sqrt(guard) and (num, den) = `core._dadd_over_pi`.
 
     The residues are those of x^2 / (q(x) * (x^2 + 1)) at i and
     rho = (-e + i*m) / (2*d), on Gaussian integers as (real, imaginary)
     parts: 2i*Res_i = -1/q(i), q(i) = (f - d) + i*e, and 2i*Res_rho =
     2*rho^2 / (m*(rho^2 + 1)) as q'(rho) = i*m, with 4*d^2*rho^2 = a + i*b
     and 4*d^2*(rho^2 + 1) = c + i*b; Re(u/v) = Re(u*conj(v)) / |v|^2.
-    Only + - * are used after the root, so the same lines run on ints, int
-    arrays and `jets._Poly`.
+    Only + - * are used after the root, so the same lines run on ints and
+    `jets._Poly`.
     """
     m = sqrt(core._guard(d, e, f))
     g = core._g3(d, e, f)  # |q(i)|^2
     a, b = e * e - m * m, -2 * e * m
     c = a + 4 * d * d
     h = c * c + b * b
-    num, den = core._dadd_over_pi(d, e, f, lambda _: m)
-    return ((2 * (a * c + b * b) * g - (f - d) * m * h) * den - num * g * m * h,
-            g * m * h * den)
+    return ((2 * (a * c + b * b) * g - (f - d) * m * h, g * m * h),
+            core._dadd_over_pi(d, e, f, lambda _: m))
 
 
 def verify_dadd_residues(d, e, f) -> Fraction:
@@ -352,17 +327,17 @@ def verify_dadd_residues(d, e, f) -> Fraction:
 
 def residual_dadd_residues(d, e, f) -> tuple:
     """(num, den) of Re(2i*(Res_i + Res_rho)) - dA/dd / pi at an integer point (d, e, f)
-    with square discriminant, or elementwise for int arrays of one grid.
+    with square discriminant.
 
     The integrand x^2 / (q(x) * (x^2 + 1)) of dA/dd has simple poles at i and
     rho = (-e + i*m)/(2*d) in the upper half-plane, so dA/dd = 2*pi*i*(Res_i + Res_rho),
-    and dA/dd / pi is the real part of 2i*(Res_i + Res_rho) (`_residue_gap`); core's
+    and dA/dd / pi is the real part of 2i*(Res_i + Res_rho) (`_residue_sides`); core's
     formula is `core._dadd_over_pi`, the one integral_a_dd runs. On the singular set
     d = f, e = 0, i is a double pole and SingularPointError is raised.
     """
     _check_domain(d, e, f)
     _check_regular(d, e, f)
-    return _residue_gap(d, e, f)
+    return _cross(_residue_sides(d, e, f))
 
 
 def verify_tail_limit(d, e, f) -> Fraction:
@@ -372,27 +347,25 @@ def verify_tail_limit(d, e, f) -> Fraction:
 
 
 def residual_tail_limit(d, e, f) -> tuple:
-    """(num, den) of -2*p5/d^3 - psi_limit at an integer point (d, e, f), or
-    elementwise for int arrays of one grid.
+    """(num, den) of -2*p5/d^3 - psi_limit at an integer point (d, e, f).
 
     With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
-    regular at t = 0 when P has x-degree at most 5 (`telescoping_degrees` reports
-    that degree), so both tail limits of psi are -2*p5/d^3: `_tail_gap` once the
-    point is checked.
+    regular at t = 0 when psi has x-degree at most 0 at infinity (the certificate
+    suite reads that degree from the shipped psi on its x-jet), so both tail limits
+    of psi are -2*p5/d^3: `_tail_sides` once the point is checked, cross-multiplied.
     """
     _check_domain(d, e, f)
-    return _tail_gap(d, e, f)
+    return _cross(_tail_sides(d, e, f))
 
 
-def _tail_gap(d, e, f) -> tuple:
-    """(num, den) of -2*p5/d^3 - psi_limit, unchecked, on ints, int arrays or
-    `jets._Poly`. p5 is read as the x^5 Taylor coefficient of P at x = 0 from an
-    x-jet of order 5; the limit is `psi_limit`'s own arithmetic (`_psi_limit_parts`).
+def _tail_sides(d, e, f) -> tuple:
+    """The sides -2*p5/d^3 and psi_limit, unchecked, on ints or `jets._Poly`. p5 is
+    read as the x^5 Taylor coefficient of P at x = 0 from an x-jet of order 5; the
+    limit is `psi_limit`'s own arithmetic (`_psi_limit_parts`).
     """
     p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
-    limit, limit_den = _psi_limit_parts(d, e, f)
-    den = math.factorial(5) * p.denominator * d**3
-    return -2 * p.derivative_numerator(5) * limit_den - limit * den, den * limit_den
+    return ((-2 * p.derivative_numerator(5), math.factorial(5) * p.denominator * d**3),
+            _psi_limit_parts(d, e, f))
 
 
 def verify_g_factorization(d, e, f) -> Fraction:
@@ -403,124 +376,22 @@ def verify_g_factorization(d, e, f) -> Fraction:
 
 def residual_g_factorization(d, e, f) -> tuple:
     """(num, den) of m*(G1*G2 - G3) at an integer point (d, e, f) with square
-    discriminant m^2, or elementwise for int arrays of one grid, where
-    G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
+    discriminant m^2, where G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
 
     The identity turns (log G1 - log G2 + log G3)/2 into log G1 in the closed
     form of A. G1 and m are `core._g1`'s, the G1 whose log integral_a_canonical
     takes. On the singular set d = f, e = 0 both sides are 0.
     """
     _check_domain(d, e, f)
-    return _g_gap(d, e, f)
+    return _cross(_g_sides(d, e, f))
 
 
-def _g_gap(d, e, f, sqrt=_square_root) -> tuple:
-    """(m*(G1*G2 - G3), 1), unchecked, with G1 and m = sqrt(guard) from `core._g1` and
-    G3 from `core._g3`. Only + - * are used after the root, so the same lines run on
-    ints, int arrays and `jets._Poly`."""
+def _g_sides(d, e, f, sqrt=_square_root) -> tuple:
+    """The sides (m*G1*G2, 1) and (m*G3, 1), unchecked, with G1 and m = sqrt(guard)
+    from `core._g1` and G3 from `core._g3`. Only + - * are used after the root, so
+    the same lines run on ints and `jets._Poly`."""
     g1, m = core._g1(d, e, f, sqrt)
-    return m * (g1 * (d + f - m) - core._g3(d, e, f)), 1
-
-
-# Greatest degrees of the monomials d^i e^j f^k x^l of a polynomial: i, j, k and
-# l; and j + k, its total degree in (e, f).
-_Top = namedtuple("_Top", "d e f x ef")
-_CONSTANT = _Top(0, 0, 0, 0, 0)
-_UNITS = (_Top(1, 0, 0, 0, 0), _Top(0, 1, 0, 0, 1), _Top(0, 0, 1, 0, 1), _Top(0, 0, 0, 1, 0))
-
-
-class _Degrees:
-    """Degree bounds of a polynomial in (d, e, f, x), carried through + - * and **.
-
-    `top` bounds the monomials' degrees (`_Top`); `lo` and `hi` bound
-    their total degree in (d, e, f), x not counted. lo == hi means
-    homogeneous in (d, e, f). Bounds ignore cancellation: top and hi can
-    exceed the true degrees, lo fall short of them, never the other way
-    round. The int 0 stands for the zero polynomial, any other int for a
-    constant.
-    """
-
-    __slots__ = ("top", "lo", "hi")
-
-    def __init__(self, top: _Top, lo: int, hi: int):
-        self.top, self.lo, self.hi = top, lo, hi
-
-    @classmethod
-    def variables(cls) -> tuple:
-        """d, e, f and x."""
-        return tuple(cls(unit, t, t) for unit, t in zip(_UNITS, (1, 1, 1, 0)))
-
-    @property
-    def homogeneous(self) -> bool:
-        return self.lo == self.hi
-
-    def __add__(self, other):
-        if type(other) is int:
-            if other == 0:
-                return self
-            other = _Degrees(_CONSTANT, 0, 0)
-        _refuse_inexact(other)
-        return _Degrees(_Top._make(map(max, self.top, other.top)),
-                        min(self.lo, other.lo), max(self.hi, other.hi))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __neg__(self):
-        return self
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return self if other else 0
-        _refuse_inexact(other)
-        return _Degrees(_Top._make(map(operator.add, self.top, other.top)),
-                        self.lo + other.lo, self.hi + other.hi)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        # Every bound of p^n is n times p's: what n - 1 products would give.
-        if exponent == 0:
-            return 1
-        return _Degrees(_Top._make(map(exponent.__mul__, self.top)),
-                        exponent * self.lo, exponent * self.hi)
-
-
-def _refuse_inexact(other) -> None:
-    """A polynomial with a coefficient that is not an int has no exact check: TypeError."""
-    if type(other) is not _Degrees:
-        raise TypeError(f"the degree bounds take int coefficients, got {other!r}")
-
-
-def _diff(p, var: _Degrees):
-    """Bounds of dp/dvar, var one of `_Degrees.variables`: 0 where p has no var."""
-    if type(p) is int or p.top[var.top.index(1)] == 0:
-        return 0
-    return _Degrees(_Top._make(map(operator.sub, p.top, var.top)), p.lo - var.lo, p.hi - var.hi)
-
-
-def telescoping_degrees() -> tuple[_Degrees, int]:
-    """Degree bounds of the telescoping residual times q^4*(x^2+1)^2, from the
-    shipped L and P, and the x-degree of psi at infinity.
-
-    The k-th d-derivative of dphi/dd is (-1)^k k! x^(2k+2) / (q^(k+1) (x^2+1)),
-    so L[dphi/dd] times q^4 (x^2+1)^2 is sum_k c_k (-1)^k k! x^(2k+2)
-    q^(3-k) (x^2+1). psi = -2 n / (q^3 (x^2+1)) with n = x^3 P, and dpsi/dx
-    times q^4 (x^2+1)^2 is n' q w - n (3 q' w + q w'), w = x^2+1. Its x-degree
-    follows from psi's order o at infinity (d > 0 keeps q of x-degree 2):
-    psi' has order o - 1, or at most -2 when o <= 0, as psi tends to a
-    constant plus O(1/x) then.
-    """
-    d, e, f, x = _Degrees.variables()
-    q, w = core._quadratic(d, e, f, x), core._quadratic(1, 0, 1, x)
-    c3, c2, c1, c0 = operator_coefficients(d, e, f)
-    lhs = 0
-    for k, ck in enumerate((c0, c1, c2, c3)):
-        lhs = lhs + ck * x ** (2 * k + 2) * q ** (3 - k) * w
-    n = x**3 * certificate_polynomial(d, e, f, x)
-    order = n.top.x - (q**3 * w).top.x
-    rhs = _diff(n, x) * q * w - n * (3 * _diff(q, x) * w + q * _diff(w, x))
-    rhs.top = rhs.top._replace(x=(q**4 * w**2).top.x + (order - 1 if order > 0 else -2))
-    return lhs + rhs, order
+    return (m * g1 * (d + f - m), 1), (m * core._g3(d, e, f), 1)
 
 
 def verify_integration_constant() -> tuple[tuple[float, float, float], ...]:

@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--suite", choices=suites.SUITE_NAMES, default="all")
     sub.add_argument("--count", type=int, default=None,
                      help="check points per float suite (default: per-suite standard "
-                          "count); the exact suites prove polynomial identities and one "
-                          "derived grid, and ignore it")
+                          "count); the exact suites prove polynomial identities and "
+                          "ignore it")
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--samples", type=int, default=oracle.DEFAULT_SAMPLES,
                      help="samples per monte-carlo estimate")

@@ -46,8 +46,8 @@ over every finite input. q(x) by Horner's rule (`_quadratic`; x^2 + 1 is
 `_quadratic(1, 0, 1, x)`) and G3 = (d-f)^2 + e^2 = G1*G2 (`_g3`), read by
 PositiveQuadratic and primitive B, are formed once too. The float kernels
 run these with math.sqrt; `cauchykl.certificate` runs `_quadratic`, `_guard`,
-`_g1`, `_g3` and `_dadd_over_pi` (dA/dd / pi) on ints, int grids, jets and
-degree bounds; `cauchykl.oracle` has the numerical counterparts.
+`_g1`, `_g3` and `_dadd_over_pi` (dA/dd / pi) on ints, exact polynomials
+and jets over either; `cauchykl.oracle` has the numerical counterparts.
 """
 
 from __future__ import annotations

@@ -25,31 +25,21 @@ A numerator or denominator that is exactly the Python int 0 or 1 is
 structural, and every jet has some: a variable jet is (v, 1, 0, ...) over
 1, a constant jet (c, 0, ...) over 1. Every product and sum above goes
 through `_mul`, `_add` or `_sub`, which return the other operand itself,
-0 or its negation for such an int, with no pass over a grid; every
+0 or its negation for such an int, with no product or sum run; every
 coefficient is the same exact rational. A result may thus be an
-operand's own array, so no operation updates a value in place: each
+operand's own value, so no operation updates a value in place: each
 step rebinds (acc = _sub(acc, ...), never acc -= ...).
 
 Jets are exact only. A scalar is an int, a rational
-(`fractions.Fraction`), an exact polynomial with int coefficients
-(`_Poly`, so one jet carries the expansion at a symbolic point), or a
-numpy array of dtype object holding Python ints: then every numerator
-is such an array and one jet carries the expansions at every point of a
-grid, each elementwise + - * running
-exact int arithmetic inside numpy's loop (`Jet.__array_ufunc__ = None`
-makes array-jet operators dispatch to the jet). The arrays of one grid
-may be an open grid, shaped to broadcast against each other: numpy then
-runs each operation only over the coordinates its operands depend on,
-and an error names the first offending point in C order over the
-broadcast shape, which is itertools.product order. Anything else, an int64
-array that would wrap included, raises TypeError at the operation that
-receives it. No operation constructs a Fraction or takes a gcd;
-`coefficients` returns Fractions for scalar jets, while
+(`fractions.Fraction`) or an exact polynomial with int coefficients
+(`_Poly`, so one jet carries the expansion at a symbolic point); anything
+else, a numpy array included, raises TypeError at the operation that
+receives it (`Jet.__array_ufunc__ = None` makes numpy defer an array-jet
+operator to the jet, which refuses the array). No operation constructs a
+Fraction or takes a gcd; `coefficients` returns Fractions, while
 `derivative_numerator` over `denominator` gives a derivative as two ints
-or int arrays. This is what the certificate checks in
-`cauchykl.certificate` rely on. A grid jet's repr names the grid's shape
-and the coefficients at its first point; == compares every point, and a
-grid jet has no hash.
+or two polynomials. This is what the certificate checks in
+`cauchykl.certificate` rely on.
 """
 
 from __future__ import annotations
@@ -60,8 +50,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
 
-import numpy as np
-
 from .errors import ParameterError
 
 __all__ = ["Jet"]
@@ -69,7 +57,7 @@ __all__ = ["Jet"]
 
 def _mul(a, b):
     """a * b, with the int 0 or 1 in either place structural: the product is then 0
-    or the other operand itself, and no pass over a grid is made."""
+    or the other operand itself, and no product is run."""
     if type(a) is int and (a == 0 or a == 1):
         return b if a else 0
     if type(b) is int and (b == 0 or b == 1):
@@ -137,8 +125,12 @@ class _Poly:
             return NotImplemented
         out = dict(self.terms)
         for k, c in terms.items():
-            out[k] = out.get(k, 0) + sign * c
-        return _Poly({k: c for k, c in out.items() if c}, self.names)
+            c = out.get(k, 0) + sign * c
+            if c:
+                out[k] = c
+            else:
+                del out[k]  # c was nonzero, so out held -sign*c there
+        return _Poly(out, self.names)
 
     __radd__ = __add__
 
@@ -174,8 +166,27 @@ class _Poly:
 
     def at(self, point) -> int:
         """The value at an int point, one int per variable."""
-        return sum(c * math.prod(map(pow, point, _exponents(k, len(point))))
-                   for k, c in self.terms.items())
+        mask, total = (1 << _FIELD) - 1, 0
+        for k, c in self.terms.items():
+            for v in point:
+                c *= v ** (k & mask)
+                k >>= _FIELD
+            total += c
+        return total
+
+    def at_last(self, bits: int) -> "_Poly":
+        """self with its last variable at 2^bits: a polynomial in the others."""
+        shift = _FIELD * (len(self.names) - 1)
+        low, out = (1 << shift) - 1, {}
+        get = out.get
+        for k, c in self.terms.items():
+            key = k & low
+            out[key] = get(key, 0) + (c << (bits * (k >> shift)))
+        return _Poly({k: c for k, c in out.items() if c}, self.names[:-1])
+
+    def last_degree(self) -> int:
+        """The degree in the last variable; -1 for the zero polynomial."""
+        return max(self.terms, default=-1) >> (_FIELD * (len(self.names) - 1))
 
     def root(self) -> "_Poly":
         """The r with r*r == self and a positive leading coefficient (at the largest
@@ -213,17 +224,11 @@ class _Poly:
 
 def _split(x: Rational) -> tuple[int, int]:
     """(numerator, denominator) of an int or rational scalar, or (x, 1) for an
-    exact polynomial (`_Poly`) or an object array of ints (its elements are checked
-    where the result is read)."""
+    exact polynomial (`_Poly`)."""
     if type(x) is int or type(x) is _Poly:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
-    if type(x) is np.ndarray:
-        if x.dtype != object:
-            raise TypeError(f"jets are exact: arrays must hold Python ints (dtype object), "
-                            f"got dtype {x.dtype}")
-        return x, 1
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)
     raise TypeError(f"jets are exact: expected an int or a rational, got {x!r}")
@@ -231,7 +236,7 @@ def _split(x: Rational) -> tuple[int, int]:
 
 def _clear(values) -> tuple[tuple, int]:
     """(numerators, D) for the least D > 0 that makes every D*v an int: v is its
-    numerator over D. The values are ints, rationals or object arrays of ints
+    numerator over D. The values are ints, rationals or exact polynomials
     (`_split`); anything else raises TypeError."""
     parts = [_split(v) for v in values]
     den = math.lcm(*(q for _, q in parts))
@@ -244,20 +249,8 @@ def _exact_isqrt(square: int) -> int:
     return p if p * p == square else -1
 
 
-_isqrt = np.frompyfunc(_exact_isqrt, 1, 1)  # elementwise on arrays, an int on an int
-
-
-def _first_at(mask, *values) -> tuple:
-    """The values at the first index where `mask` holds, in C order over the mask's
-    shape; each array is broadcast to that shape, and scalars stand for every index."""
-    k = np.flatnonzero(mask)[0]
-    return tuple(np.broadcast_to(v, mask.shape).flat[k] if type(v) is np.ndarray else v
-                 for v in values)
-
-
 def _root(n: int, den: int) -> tuple[int, int]:
-    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|,
-    elementwise on arrays.
+    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|.
 
     n/den is a rational square exactly when n*den is an integer square,
     so no Fraction is built and no gcd is taken. A `_Poly` n over an int den
@@ -265,9 +258,8 @@ def _root(n: int, den: int) -> tuple[int, int]:
     """
     if type(n) is _Poly:
         return (n * den).root(), abs(den)
-    p = _isqrt(_mul(n, den))
-    if np.any(p < 0):
-        n, den = _first_at(p < 0, n, den)
+    p = _exact_isqrt(n * den)
+    if p < 0:
         raise ParameterError(f"{Fraction(n, den)} is not the square of a rational")
     return p, abs(den)
 
@@ -276,7 +268,7 @@ class Jet:
     """Taylor coefficients of one scalar quantity in one variable."""
 
     __slots__ = ("_num", "_den")
-    __array_ufunc__ = None  # array + - * / jet: numpy defers to the jet
+    __array_ufunc__ = None  # array + - * / jet: numpy defers to the jet, which refuses it
 
     def __init__(self, coefficients: Iterable[Rational]):
         self._num, self._den = _clear(coefficients)
@@ -370,7 +362,7 @@ class Jet:
         u, v = self._num, o._num
         n = len(u) - 1
         v0 = v[0]
-        if np.any(v0 == 0):
+        if v0 == 0:
             raise ZeroDivisionError("jet division by a jet with zero head")
         powers = [1]  # v0^0 .. v0^(n+1)
         for _ in range(n + 1):
@@ -400,7 +392,7 @@ class Jet:
         p, q = _root(f[0], den)
         n = len(f) - 1
         c = 2 * p
-        if n and np.any(c == 0):
+        if n and c == 0:
             raise ZeroDivisionError("the square root of a jet with zero head has no Taylor series")
         step = _mul(den, c * c)
         scales = [1]  # (den * c^2)^0 .. (den * c^2)^n
@@ -418,27 +410,15 @@ class Jet:
         out.extend(_mul(_mul(t[k], q), _mul(scales[n - k], c)) for k in range(1, n + 1))
         return Jet._make(tuple(out), _mul(q, scales[n]))
 
-    def _grid(self) -> tuple | None:
-        """The broadcast shape of the jet's arrays, or None for a jet over no grid."""
-        shapes = [v.shape for v in (*self._num, self._den) if type(v) is np.ndarray]
-        return np.broadcast_shapes(*shapes) if shapes else None
-
     def __eq__(self, other) -> bool:
-        """Whether other is a jet of the same order with the same exact coefficients at
-        every point of the grid both broadcast to; a scalar stands for every point."""
+        """Whether other is a jet of the same order with the same exact coefficients."""
         if not isinstance(other, Jet) or len(other._num) != len(self._num):
             return False
         da, db = self._den, other._den
-        return all(np.all(_mul(x, db) == _mul(y, da)) for x, y in zip(self._num, other._num))
+        return all(_mul(x, db) == _mul(y, da) for x, y in zip(self._num, other._num))
 
     def __hash__(self):
-        if self._grid() is not None:
-            raise TypeError("a jet over a grid is unhashable")
         return hash(self.coefficients)
 
     def __repr__(self) -> str:
-        shape = self._grid()
-        if shape is None:
-            return f"Jet({list(self.coefficients)!r})"
-        *num, den = (v.flat[0] if type(v) is np.ndarray else v for v in (*self._num, self._den))
-        return f"Jet(grid of shape {shape}, first point {[Fraction(n, den) for n in num]!r})"
+        return f"Jet({list(self.coefficients)!r})"

@@ -9,24 +9,15 @@ check points from numpy's PCG64 generator, so a (suite, count, seed)
 triple is fully reproducible. The exact suites (certificate, ode) draw
 nothing, so --count and --seed do not change them.
 
-Four of their five identities, the tail limit, the ODE, the residues and
-the factorization, are polynomial identities, proved by one runner
-(`_prove_polynomial`): it runs the identity's unchecked body once on
-exact polynomials (`jets._Poly`) and proves it when the numerator is the
-zero polynomial and the denominator is not; a failure names the first
-small integer point where the numerator is nonzero, which a scalar
-`certificate.verify_*` call reproduces. The telescoping identity stays on
-a grid, because as a polynomial it costs several times as much: its
-runner (`_prove`) builds the grid that its degree bounds
-(`certificate.telescoping_degrees`) need in (d, e, f, x), runs its
-integer-point core (`certificate.residual_telescoping`) once over it and
-once at a fixed point off it, and writes the detail. The pairs (e, f)
-form a staircase sized by the total degree in them (`_staircase`). The
-grid is an open grid: one numpy object array of Python ints per
-coordinate, shaped to broadcast against the others, with e and f on one
-axis, so numpy evaluates every subexpression only over the coordinates
-it depends on. Points are counted, and a witness is named, in C order
-over the broadcast shape: d, then the pairs row by row, then x.
+Their five identities, the telescoping relation, the tail limit, the
+ODE, the residues and the factorization, are polynomial identities
+between two sides a/b = c/d, each run once on exact polynomials
+(`jets._Poly`) by its unchecked body (`_sides`) and proved by one runner
+(`_prove_polynomial`): the identity holds when b and d are not the zero
+polynomial and a*d - c*b is, which one Kronecker substitution in the last
+variable decides without expanding a*d or c*b. A failure names the first
+small integer point where a*d - c*b, b and d are nonzero, which a scalar
+`certificate.verify_*` call reproduces.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ import numpy as np
 from . import certificate, core, oracle
 from .core import CauchyDist
 from .errors import ParameterError
-from .jets import _Poly, _first_at
+from .jets import _Poly
 
 __all__ = [
     "CheckOutcome",
@@ -90,123 +81,44 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
         yield CauchyDist(float(l1), float(s1)), CauchyDist(float(l2), float(s2))
 
 
-def _open_grid(axes) -> tuple[np.ndarray, ...]:
-    """One object array of Python ints per column of `axes`, a sequence of axes that
-    each hold equal-length columns: a column spans its own axis and is 1 long on the
-    others, so the columns of one axis vary together and those of different axes
-    broadcast to their product."""
-    return tuple(np.array(list(column), dtype=object).reshape(
-        [-1 if axis == k else 1 for axis in range(len(axes))])
-        for k, columns in enumerate(axes) for column in columns)
-
-
-def _exact_zeros(residual, names: str, D, args) -> tuple[int, int, str]:
-    """Number of points, number where the exact residual is nonzero, and a detail
-    suffix naming the first of them in exact fractions, so one call reproduces it.
-
-    `residual` is a `certificate.residual_*` core, run once on the grid `args`,
-    whose first three arrays are D*(d, e, f), integer points; the grid's points
-    are those of the arrays broadcast together, and ints make a grid of one point.
-    Every part of its (num, den) must be an int, else TypeError
-    (`certificate._exact_residual`). Every exact residual is homogeneous in
-    (d, e, f), so it vanishes with the residual at (d, e, f), and the witness
-    names (d, e, f).
-    """
-    num, den = certificate._exact_residual(residual, *args)
-    nonzero = np.broadcast_to(num != 0, np.broadcast_shapes(*map(np.shape, args)))
-    witness = ""
-    if np.any(nonzero):
-        witness = f"; first nonzero at {_at(names, *_first_at(nonzero, D, *args))}"
-    return nonzero.size, int(np.count_nonzero(nonzero)), witness
-
-
-def _at(names: str, scale, *point) -> str:
-    """`names` = the integer point with its (d, e, f) divided by `scale`, exactly."""
-    point = (*(Fraction(v, scale) for v in point[:3]), *point[3:])
-    return f"{names} = ({', '.join(map(str, point))})"
-
-
-def _span(name: str, values) -> str:
-    """"name = v" for one value, else "name in first..last"."""
-    return f"{name} = {values[0]}" if len(values) == 1 else f"{name} in {values[0]}..{values[-1]}"
-
-
-def _staircase(rows: range, start: int, cap: int, total: int) -> tuple:
-    """Columns (e, f) of the points (rows[i], start + j), j <= min(cap, total - i), row
-    by row; their description; and the rule they prove with. A polynomial in (e, f)
-    whose coefficient at the i-th e in Newton's form in e has degree
-    <= min(cap, total - i) in f is zero if it vanishes there: row i fixes the i-th
-    coefficient once the earlier ones are known to vanish."""
-    pairs = [(e, start + j) for i, e in enumerate(rows) for j in range(min(cap, total - i) + 1)]
-    return tuple(zip(*pairs)), (
-        f"{_span('e', rows)} and {_span('f', range(start, start + cap + 1))} with "
-        f"e + (f - {start}) <= {total}"), (
-        f"in Newton's form in e the coefficient at the i-th e has degree "
-        f"<= min({cap}, {total} - i) in f")
-
-
-def _plane_grid(bounds) -> tuple[str, tuple, str]:
-    """The grid (d, e, f, x) for an identity in (d, e, f, x): its description, its
-    points and the rule that sizes its rows (`_staircase`). The pairs (e, f) lie on
-    one axis, f from max(100, deg_e^2) up, so 4*d*f > e^2 and q > 0; with f - f0 for
-    f, the residual keeps its degrees and its total degree ef in (e, f), so row e
-    takes min(deg_f, ef - e) + 1 values of f, and x spans 0..deg_x."""
-    top = bounds.top
-    f0 = max(100, top.e ** 2)
-    ds, xs = range(1, 2 if bounds.homogeneous else 2 + top.d), range(top.x + 1)
-    pairs, plane, rows = _staircase(range(top.e + 1), f0, top.f, top.ef)
-    grid = f"{_span('d', ds)}, {plane}, {_span('x', xs)}"
-    return grid, _open_grid([(ds,), pairs, (xs,)]), rows
-
-
-# An integer point (d, e, f, x) far from every grid and on no special set, where the
-# telescoping proof also runs its core. A change in code the degree bounds do not run
-# can vanish on a grid, but hardly also here.
-_OFF_GRID = (1, 1009, 10**6 + 3, 10007)
-
-
-def _prove(core, bounds, what: str, cleared: str) -> tuple[int, str]:
-    """Prove an identity in (d, e, f, x) on the grid its degree bounds need, and check
-    it at one point off the grid; return the number of nonzero residuals and the detail.
-
-    `_exact_zeros` runs `core`, a `certificate.residual_*` core, once over the grid
-    (`_plane_grid`), then once at `_OFF_GRID`, on ints. `what` names the residuals,
-    `cleared` what makes them polynomials. The detail gives the tally, the grid and
-    the bounds that make it a proof: the degrees and the total degree that sizes the
-    rows; then the off-grid point, zero or not, and, last, the first nonzero point on
-    the grid, if there is one.
-    """
-    top, names = bounds.top, "d e f x".split()
-    grid, points, rows = _plane_grid(bounds)
-    at_names = f"({', '.join(names)})"
-    count, nonzero, witness = _exact_zeros(core, at_names, 1, points)
-    off_nonzero = _exact_zeros(core, at_names, 1, _OFF_GRID)[1]
-    shape = ("homogeneous in (d, e, f), so d = 1 suffices" if bounds.homogeneous
-             else "not homogeneous in (d, e, f), so d spans the grid too")
-    return nonzero + off_nonzero, (
-        f"{count - nonzero}/{count} exact-zero {what}, "
-        f"{'disproved' if nonzero or off_nonzero else 'proved'} on the grid {grid} "
-        f"({count} points): times {cleared} it is a polynomial of degree "
-        f"<= ({', '.join(map(str, top[:4]))}) in ({', '.join(names)}), {shape}, and of "
-        f"total degree <= {top.ef} in (e, f), so {rows}; "
-        f"{'nonzero' if off_nonzero else 'zero'} off the grid at {_at(at_names, 1, *_OFF_GRID)}"
-        f"{witness}")
-
-
 def _points(coordinates: str) -> Iterator[tuple]:
-    """Small integer points (d, e, v), by d + e + v and then in lexicographic order,
-    where a residual named at them reproduces: with v = f, those with
-    4*d*f - e^2 > 0; with v = m, those with gcd(e^2 + m^2, 4d) = 1, where
-    4d*(d, e, f) at f = (e^2 + m^2)/(4d) is already the least integer multiple, so
-    the scalar check runs its core at the very same integer point. That also keeps
-    them off the singular set e = 0, m = 2d, where e^2 + m^2 is even."""
+    """Small integer points, by the sum of their coordinates and then in lexicographic
+    order, where a residual named at them reproduces: (d, e, f) or (d, e, f, x) with
+    4*d*f - e^2 > 0; or (d, e, m) with gcd(e^2 + m^2, 4d) = 1, where 4d*(d, e, f) at
+    f = (e^2 + m^2)/(4d) is already the least integer multiple, so the scalar check
+    runs its core at the very same integer point. That also keeps them off the
+    singular set e = 0, m = 2d, where e^2 + m^2 is even."""
     for total in itertools.count(2):
         for d in range(1, total):
             for e in range(total - d):
-                v = total - d - e
-                if (4 * d * v > e * e if coordinates == "d e f"
-                        else math.gcd(e * e + v * v, 4 * d) == 1):
-                    yield d, e, v
+                rest = total - d - e
+                if coordinates == "d e m":
+                    if math.gcd(e * e + rest * rest, 4 * d) == 1:
+                        yield d, e, rest
+                elif coordinates == "d e f":
+                    if 4 * d * rest > e * e:
+                        yield d, e, rest
+                else:
+                    yield from ((d, e, f, rest - f) for f in range(1, rest + 1)
+                                if 4 * d * f > e * e)
+
+
+def _sides(body, coordinates: str) -> tuple:
+    """`body`'s two sides (a, b) and (c, d), each part a `jets._Poly`: the unchecked
+    `certificate` body runs once on the variables of Z[d, e, f] or Z[d, e, f, x] for
+    `coordinates` "d e f" or "d e f x"; for "d e m" at (4d^2, 4de, e^2 + m^2) in
+    Z[d, e, m], 4d times the point (d, e, f) at f = (e^2 + m^2)/(4d), which is every
+    point whose guard 4*d*f - e^2 is a square m^2, scaled; there the guard is
+    (4dm)^2 and its root 4dm. A part that is not an int or a polynomial raises
+    TypeError (`certificate._exact_residual`)."""
+    variables = _Poly.variables(coordinates)
+    if coordinates == "d e m":
+        d, e, m = variables
+        variables = 4 * d * d, 4 * d * e, e * e + m * m
+    zero = _Poly({}, tuple(coordinates.split()))
+    (a, b), (c, d) = body(*variables)
+    a, b, c, d = (part + zero for part in certificate._exact_residual(a, b, c, d))
+    return (a, b), (c, d)
 
 
 def _terms(polynomial: _Poly) -> str:
@@ -214,38 +126,54 @@ def _terms(polynomial: _Poly) -> str:
     return f"of {n} term" if n == 1 else f"of {n} terms"
 
 
-def _prove_polynomial(body, coordinates: str, what: str, note: str = "") -> tuple[int, str]:
-    """Prove one identity in (d, e, f) as a polynomial identity; return 0 or 1, the
-    number of failures, and the detail.
+def _norm_product(p: _Poly, q: _Poly) -> int:
+    """||p||_1 * ||q||_inf, which no coefficient of p*q exceeds in size."""
+    return sum(map(abs, p.terms.values())) * max(map(abs, q.terms.values()), default=0)
 
-    `body`, an unchecked `certificate` core, runs once on exact polynomials
-    (`jets._Poly`): on the variables of Z[d, e, f] for `coordinates` "d e f", or for
-    "d e m" at (4d^2, 4de, e^2 + m^2) in Z[d, e, m], 4d times the point (d, e, f) at
-    f = (e^2 + m^2)/(4d), which is every point whose guard 4*d*f - e^2 is a square
-    m^2, scaled; there the guard is (4dm)^2 and its root 4dm. When the numerator is
-    the zero polynomial and the denominator is not, the identity holds wherever the
-    denominator does not vanish: no degree bound, grid or off-grid point is needed.
-    Otherwise the detail ends with the first small point (`_points`) where numerator
-    and denominator are both nonzero, in (d, e, f), where the scalar `verify_*`
+
+def _nonzero_at(sides, point) -> bool:
+    """Whether a*d - c*b, b and d are all nonzero at the int point, for the sides
+    ((a, b), (c, d))."""
+    a, b, c, d = (part.at(point) for side in sides for part in side)
+    return b != 0 and d != 0 and a * d != c * b
+
+
+def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
+    """Prove the identity a/b = c/d of the sides ((a, b), (c, d)) from `_sides` in
+    their ring; return 0 or 1, the number of failures, and the detail.
+
+    It holds wherever b*d does not vanish when b and d are not the zero polynomial
+    and a*d - c*b is. The coefficients of a*d - c*b are at most bound =
+    ||a||_1*||d||_inf + ||c||_1*||b||_inf < 2^k in size, k = bound.bit_length(),
+    so its balanced digits in base X = 2^(k+1) in the last variable are unique: it
+    is zero exactly when its value at X is. That Kronecker substitution compares
+    A*D with C*B in one variable fewer and expands neither product of the full
+    sides; no degree bound, grid or off-grid point is needed. Otherwise the detail
+    ends with the first small point (`_points`) where a*d - c*b, b and d are all
+    nonzero, named in (d, e, f) or (d, e, f, x), where the scalar `verify_*`
     reproduces a nonzero residual.
     """
-    d, e, v = _Poly.variables(coordinates)
-    scaled = (d, e, v) if coordinates == "d e f" else (4 * d * d, 4 * d * e, e * e + v * v)
-    zero = _Poly({}, d.names)
-    num, den = (zero + part for part in certificate._exact_residual(body, *scaled))
-    ring = f"Z[{', '.join(d.names)}]"
-    if coordinates == "d e m":
+    (a, b), (c, d) = sides
+    names = a.names
+    ring = f"Z[{', '.join(names)}]"
+    if names == ("d", "e", "m"):
         ring += " at (d, e, f) = (4d^2, 4de, e^2 + m^2), where 4*d*f - e^2 = (4dm)^2"
-    if den == 0:
+    if b == 0 or d == 0:
         return 1, f"{what}: disproved in {ring}, as its denominator is the zero polynomial{note}"
-    if num == 0:
-        return 0, (f"{what}: proved in {ring}, as its numerator is the zero polynomial and "
-                   f"its denominator, {_terms(den)}, is not{note}")
-    point = next(p for p in _points(coordinates) if num.at(p) != 0 and den.at(p) != 0)
-    scale = 1 if coordinates == "d e f" else 4 * point[0]
-    return 1, (f"{what}: disproved in {ring}, as its numerator, {_terms(num)}, is not the "
-               f"zero polynomial{note}; first nonzero at "
-               f"{_at('(d, e, f)', scale, *(x.at(point) for x in scaled))}")
+    k = (_norm_product(a, d) + _norm_product(c, b)).bit_length()
+    if a.at_last(k + 1) * d.at_last(k + 1) == c.at_last(k + 1) * b.at_last(k + 1):
+        return 0, (f"{what}: proved in {ring}, as a*d - c*b is the zero polynomial for its "
+                   f"sides a/b and c/d: its coefficients are below 2^{k} in size and it "
+                   f"vanishes at {names[-1]} = 2^{k + 1}, while b, {_terms(b)}, and d, "
+                   f"{_terms(d)}, are not zero{note}")
+    point = next(p for p in _points(" ".join(names)) if _nonzero_at(sides, p))
+    at = f"({', '.join(names)})"
+    if names == ("d", "e", "m"):
+        d0, e0, m0 = point
+        at, point = "(d, e, f)", (d0, e0, Fraction(e0 * e0 + m0 * m0, 4 * d0))
+    return 1, (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial for "
+               f"its sides a/b and c/d{note}; first nonzero at {at} = "
+               f"({', '.join(map(str, point))})")
 
 
 def _rank(residual: float) -> tuple[bool, float]:
@@ -294,8 +222,12 @@ def closed_vs_quadrature_suite(count: int, seed: int) -> list[CheckOutcome]:
 
 
 def certificate_suite() -> list[CheckOutcome]:
-    """Transcription checksums, then the telescoping identity and the psi tail
-    limits, proved on grids sized by `certificate.telescoping_degrees`."""
+    """Transcription checksums, then the telescoping identity in Z[d, e, f, x] and the
+    psi tail limits in Z[d, e, f], each proved as a polynomial identity
+    (`_prove_polynomial`). psi's x-degree at infinity comes from dpsi/dx, the
+    telescoping identity's right side, on the shipped psi's x-jet: a rational psi
+    tends to one finite limit at both tails exactly when dpsi/dx has x-degree at
+    most -2, and has x-degree one more than dpsi/dx otherwise."""
     outcomes = []
 
     d, e, f, x = CHECKSUM_POINT
@@ -317,17 +249,19 @@ def certificate_suite() -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    residual, order = certificate.telescoping_degrees()
-    nonzero, detail = _prove(certificate.residual_telescoping, residual,
-                             "residuals L[dphi/dd] - dpsi/dx", "q^4*(x^2+1)^2")
+    sides = _sides(certificate._telescoping_sides, "d e f x")
+    nonzero, detail = _prove_polynomial(sides, "L[dphi/dd] - dpsi/dx")
     outcomes.append(CheckOutcome("telescoping residual", nonzero == 0, float(nonzero), detail))
+    slope = sides[1][0].last_degree() - sides[1][1].last_degree()
+    order = slope + 1 if slope >= 0 else 0
     nonzero, detail = _prove_polynomial(
-        certificate._tail_gap, "d e f", "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
-        f"; psi has x-degree {order} at infinity, so psi(1/t) "
-        + ("is regular at t = 0 and both tails tend to -2*p5/d^3" if order <= 0
-           else "has a pole at t = 0 and the tails diverge"))
-    outcomes.append(CheckOutcome("psi tail limit", nonzero == 0 and order <= 0,
-                                 float(nonzero + max(order, 0)), detail))
+        _sides(certificate._tail_sides, "d e f"),
+        "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
+        f"; dpsi/dx has x-degree {slope} at infinity, so psi has x-degree "
+        + (f"{order} there, psi(1/t) has a pole at t = 0 and the tails diverge" if order
+           else "<= 0 there, psi(1/t) is regular at t = 0 and both tails tend to -2*p5/d^3"))
+    outcomes.append(CheckOutcome("psi tail limit", nonzero == 0 and not order,
+                                 float(nonzero + order), detail))
     return outcomes
 
 
@@ -336,12 +270,10 @@ def ode_suite() -> list[CheckOutcome]:
     G1*G2 = (d-f)^2 + e^2, each proved as a polynomial identity in Z[d, e, m]
     (`_prove_polynomial`), in one check, plus the integration-constant deviations,
     judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
-    proofs = [_prove_polynomial(certificate._ode_gap, "d e m",
-                                "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
-              _prove_polynomial(certificate._residue_gap, "d e m",
-                                "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
-              _prove_polynomial(certificate._g_gap, "d e m",
-                                "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m")]
+    proofs = [_prove_polynomial(_sides(body, "d e m"), what) for body, what in (
+        (certificate._ode_sides, "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
+        (certificate._residue_sides, "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
+        (certificate._g_sides, "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m"))]
     failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]
@@ -394,8 +326,7 @@ def monte_carlo_suite(count: int, seed: int,
 
 # Suite name -> (default count, runner(count, seed, samples)). Runners look
 # the suite functions up at call time, so rebinding them takes effect. The
-# exact suites prove polynomial identities and the telescoping identity on its
-# derived grid, and ignore count and seed.
+# exact suites prove polynomial identities, and ignore count and seed.
 _SUITES = {
     "closed-vs-quadrature": (1000, lambda n, seed, samples: closed_vs_quadrature_suite(n, seed)),
     "certificate": (None, lambda n, seed, samples: certificate_suite()),

@@ -1,4 +1,4 @@
-"""Certificate verification: exact residuals, grid proofs, checksums, tail behavior."""
+"""Certificate verification: exact residuals, polynomial proofs, checksums, tail behavior."""
 
 import itertools
 import json
@@ -180,7 +180,7 @@ def test_scalar_checks_rescale_by_their_degree(monkeypatch):
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
     n, den = certificate.apply_operator(d, e, f, num / den)
     m = rational_sqrt(4 * d * f - e * e)
-    gap, gap_den = certificate._residue_gap(d, e, f, lambda _: m)
+    gap, gap_den = certificate._cross(certificate._residue_sides(d, e, f, lambda _: m))
     p = certificate.certificate_polynomial(d, e, f, Jet.variable(0, 5))
     tail = -2 * p.coefficients[5] / d**3 - psi_limit(d, e, f)
     direct = (telescoping, n / den, gap / gap_den, tail)
@@ -282,8 +282,8 @@ def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
 
 def test_changed_quadratic_fails_the_float_call_and_the_telescoping_proof(monkeypatch):
     # One more a*x^2 in core._quadratic moves q(x) and x^2 + 1 alike: the float
-    # call, primitive B against its derivative, and the telescoping proof, on a
-    # grid sized by the degree bounds of the same changed formula.
+    # call, primitive B against its derivative, and the telescoping proof, which
+    # runs the same changed formula on polynomials.
     _change(monkeypatch, "_quadratic", lambda q, a, b, c, x: q + a * x * x)
     assert core.PositiveQuadratic(1.0, 0.0, 1.0)(1.0) == 3.0
     with pytest.raises(AssertionError):
@@ -415,7 +415,7 @@ def test_failing_checks_name_a_reproducing_witness(monkeypatch):
                         lambda d, e, f, x: shipped(d, e, f, x) + (x + 1) * d**5)
     telescoping = certificate_suite()[1]
     assert not telescoping.passed and "disproved" in telescoping.detail
-    assert "; first nonzero at (d, e, f, x) = (" in telescoping.detail  # on the grid
+    assert "; first nonzero at (d, e, f, x) = (" in telescoping.detail
     point = _witness(telescoping.detail)
     assert len(point) == 4 and verify_telescoping(*point) != 0
 
@@ -434,42 +434,40 @@ def test_phi_partial_d_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(certificate, "phi_partial_d", lambda d, e, f, x: shipped(d, e, f, x) + 1)
     telescoping = certificate_suite()[1]
     assert not telescoping.passed
-    assert _witness(telescoping.detail) == (1, 0, 100, 0)  # the first grid point
-    assert verify_telescoping(1, 0, 100, 0) != 0
+    assert _witness(telescoping.detail) == (1, 0, 1, 0)  # the first small point
+    assert verify_telescoping(1, 0, 1, 0) != 0
 
 
 @pytest.mark.parametrize("name", ["phi_partial_d", "psi"])
 def test_grid_blind_bump_fails_the_certificate_suite(monkeypatch, name):
-    # The telescoping grid is sized from hand-written forms of phi_partial_d and
-    # psi (ROADMAP item 4), so a term that vanishes with its x-derivative at every
-    # grid x passes the grid; the off-grid point catches it and names itself.
+    # A term that vanishes with its x-derivative at every x in 0..10 passed the
+    # telescoping grid once sized from hand-written forms of phi_partial_d and psi;
+    # the polynomial proof runs the shipped ones and names a point beyond x = 10.
     shipped = getattr(certificate, name)
     monkeypatch.setattr(certificate, name, lambda d, e, f, x: shipped(d, e, f, x) + math.prod(
         (x - k) * (x - k) for k in range(11)))
-    if verify_telescoping(1, 1, 100, Fraction(1, 2)) == 0:
-        pytest.fail("the bump must break the telescoping identity off the grid")
+    assert all(verify_telescoping(1, 0, 1, x) == 0 for x in range(11))
     telescoping = certificate_suite()[1]
-    assert not telescoping.passed and telescoping.detail.startswith("308/308 exact-zero")
-    assert telescoping.detail.endswith("; nonzero off the grid at (d, e, f, x) = "
-                                       "(1, 1009, 1000003, 10007)")
-    assert verify_telescoping(*_witness(telescoping.detail)) != 0
+    assert not telescoping.passed and "disproved in Z[d, e, f, x]" in telescoping.detail
+    point = _witness(telescoping.detail)
+    assert point == (1, 0, 1, 11) and verify_telescoping(*point) != 0
 
 
 def test_e_f_bump_off_the_staircase_fails_the_certificate_suite(monkeypatch):
-    # A term in phi_partial_d that vanishes on the 28 (e, f) pairs of the
-    # telescoping staircase, e + (f - 100) <= 6, though not on the other 21 pairs
-    # of the 7 x 7 box it replaced: the tracker does not run it, so only the
-    # off-grid point catches it.
+    # A term in phi_partial_d that vanishes on the 28 (e, f) pairs of the staircase
+    # e + (f - 100) <= 6 that the telescoping grid once had, though not on the
+    # other 21 pairs of the 7 x 7 box: the polynomial proof needs no pairs and
+    # names the first small point.
     shipped = certificate.phi_partial_d
     monkeypatch.setattr(certificate, "phi_partial_d", lambda d, e, f, x: shipped(d, e, f, x)
                         + math.prod(e + f - 100 - i for i in range(7)))
-    e, f = suites._plane_grid(certificate.telescoping_degrees()[0])[1][1:3]
-    assert all(math.prod(a + b - 100 - i for i in range(7)) == 0 for a, b in zip(e.flat, f.flat))
+    staircase = [(e, 100 + j) for e in range(7) for j in range(7 - e)]
+    assert len(staircase) == 28 and all(
+        math.prod(e + f - 100 - i for i in range(7)) == 0 for e, f in staircase)
     telescoping = certificate_suite()[1]
-    assert not telescoping.passed and telescoping.detail.startswith("308/308 exact-zero")
-    assert "disproved" in telescoping.detail
+    assert not telescoping.passed and "disproved in Z[d, e, f, x]" in telescoping.detail
     point = _witness(telescoping.detail)
-    assert point == (1, 1009, 1000003, 10007) and verify_telescoping(*point) != 0
+    assert point == (1, 0, 1, 0) and verify_telescoping(*point) != 0
 
 
 def test_operator_mutation_is_caught(monkeypatch):
@@ -483,11 +481,11 @@ def test_operator_mutation_is_caught(monkeypatch):
     telescoping = certificate_suite()[1]
     ode = ode_suite()[0]
     assert not telescoping.passed and not ode.passed
-    # c0 + 1 is not homogeneous, so d spans the telescoping grid; at x = 0 every
-    # d-derivative of dphi/dd vanishes, so the first nonzero has x = 1. The ODE's
-    # polynomial proof names the first small point where its numerator is nonzero.
-    assert "d spans the grid" in telescoping.detail
-    assert _witness(telescoping.detail) == (1, 0, 100, 1)
+    # At x = 0 every d-derivative of dphi/dd vanishes, so the first nonzero has
+    # x = 1. The ODE's polynomial proof names the first small point where its
+    # cross difference is nonzero.
+    assert _witness(telescoping.detail) == (1, 0, 1, 1)
+    assert verify_telescoping(1, 0, 1, 1) != 0
     assert _proof_witnesses(ode.detail) == {"ode": (1, 0, Fraction(1, 4)), "residues": None,
                                             "factorization": None}
     assert verify_ode_dadd(1, 0, Fraction(1, 4)) != 0
@@ -552,10 +550,6 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
         result = step()
         return len(built) - start, result
 
-    bounds, _ = count(certificate.telescoping_degrees)
-    proofs, _ = count(lambda: (suites._prove_polynomial(certificate._tail_gap, "d e f", ""),
-                               suites._prove_polynomial(certificate._ode_gap, "d e m", ""),
-                               suites._prove_polynomial(certificate._residue_gap, "d e m", "")))
     point = (4, 12, 10)  # 4*4*10 - 12^2 = 4^2
     counts = [count(step) for step in (
         lambda: verify_telescoping(1, 6, 106, 10),
@@ -566,75 +560,33 @@ def test_exact_checks_build_one_fraction_each(monkeypatch):
         lambda: verify_dadd_residues(*rational))]
     tail, limit = count(lambda: verify_tail_limit(1, 6, 106))
     monkeypatch.undo()
-    assert (bounds, proofs) == (0, 0)
     assert [n for n, _ in counts] == [1] * 6
     assert all(residual == 0 for _, residual in counts) and limit == 0
     assert tail == 1  # the residual: the limit is psi_limit's arithmetic without its Fraction
 
 
-def test_derived_grid_degrees():
-    # The bounds the tracker derives from the shipped formulas, which size the
-    # telescoping grid in (d, e, f, x); the residual is homogeneous in (d, e, f).
-    residual, order = certificate.telescoping_degrees()
-    assert tuple(residual.top[:4]) == (4, 6, 6, 10) and residual.homogeneous and order == 0
-    assert residual.top.ef == 6
-    # Its grid: d = 1, the (e, f) pairs with e + (f - 100) <= ef from f = 100 over at
-    # most deg_f + 1 values, x over deg_x + 1.
+def test_polynomial_proofs_name_their_ring_and_their_bound():
+    # Every identity is proved as a polynomial identity: the detail names its ring,
+    # the power of two its last variable takes and the size of the denominators,
+    # and no grid, degree bound or off-grid point.
     telescoping, tail = (outcome.detail for outcome in certificate_suite()[1:])
-    assert ("on the grid d = 1, e in 0..6 and f in 100..106 with e + (f - 100) <= 6, "
-            "x in 0..10 (308 points)") in telescoping
-    assert ("of total degree <= 6 in (e, f), so in Newton's form in e the coefficient "
-            "at the i-th e has degree <= min(6, 6 - i) in f") in telescoping
-    assert telescoping.endswith("; zero off the grid at (d, e, f, x) = (1, 1009, 1000003, 10007)")
-    # The other four identities are polynomial identities, with no grid.
+    assert telescoping.startswith(
+        "L[dphi/dd] - dpsi/dx: proved in Z[d, e, f, x], as a*d - c*b is the zero polynomial "
+        "for its sides a/b and c/d: its coefficients are below 2^24 in size and it vanishes "
+        "at x = 2^25, while b, of 75 terms, and d, of 84 terms, are not zero")
     assert tail.startswith("-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P: proved in "
-                           "Z[d, e, f], as its numerator is the zero polynomial")
+                           "Z[d, e, f], as a*d - c*b is the zero polynomial")
+    assert tail.endswith("; dpsi/dx has x-degree -2 at infinity, so psi has x-degree <= 0 "
+                         "there, psi(1/t) is regular at t = 0 and both tails tend to -2*p5/d^3")
     detail = ode_suite()[0].detail
     ring = ("proved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
-            "4*d*f - e^2 = (4dm)^2, as its numerator is the zero polynomial and its denominator, ")
-    assert [part.split(", is not")[0] for part in detail.split(ring)[1:]] == [
-        "of 25 terms", "of 36 terms", "of 1 term"]
-    assert "grid" not in tail + detail and "exact-zero" not in tail + detail
-
-
-def _exact_rank(matrix) -> int:
-    """The rank of a matrix of ints, by Gaussian elimination over Fractions."""
-    rows, rank = [[Fraction(v) for v in row] for row in matrix], 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is not None:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for r in range(rank + 1, len(rows)):
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-    return rank
-
-
-def _unisolvent(pairs, monomials) -> bool:
-    """Whether as many points as monomials u^j v^l are given, and the monomials
-    evaluated on them form a matrix of full rank: then only the zero polynomial in
-    their span vanishes on the points."""
-    return len(pairs) == len(monomials) == _exact_rank(
-        [[u**j * v**l for j, l in monomials] for u, v in pairs])
-
-
-def _made_bounds(**top):
-    """Homogeneous bounds (so d = 1) with the given `_Top` fields, the rest 0."""
-    return certificate._Degrees(certificate._CONSTANT._replace(**top), 0, 0)
-
-
-def test_staircase_grids_are_unisolvent():
-    # The grid `_prove` builds has as many points as the polynomial space it
-    # claims has dimensions, and only 0 in that space vanishes on it: the (e, f)
-    # plane, capped by deg_e, deg_f and the total degree ef.
-    for deg_e, deg_f in itertools.product(range(5), repeat=2):
-        for ef in range(deg_e + deg_f + 1):
-            bounds = _made_bounds(e=deg_e, f=deg_f, x=1, ef=ef)
-            _, (d, e, f, x), _ = suites._plane_grid(bounds)
-            monomials = [(j, k) for j in range(deg_e + 1) for k in range(deg_f + 1) if j + k <= ef]
-            assert np.broadcast_shapes(d.shape, e.shape, x.shape) == (1, len(monomials), 2)
-            assert _unisolvent(list(zip(e.flat, f.flat)), monomials)
+            "4*d*f - e^2 = (4dm)^2, as a*d - c*b is the zero polynomial")
+    assert [part.split(", are not zero")[0].split("while ")[1]
+            for part in detail.split(ring)[1:]] == [
+        "b, of 25 terms, and d, of 1 term", "b, of 15 terms, and d, of 4 terms",
+        "b, of 1 term, and d, of 1 term"]
+    details = telescoping + tail + detail
+    assert not any(word in details for word in ("grid", "exact-zero", "homogeneous"))
 
 
 def _ode_witnesses(detail):
@@ -735,51 +687,26 @@ def test_polynomial_proofs_fail_under_mutation(monkeypatch, mutation):
         assert _SCALAR_CHECKS[proof](*point) != 0
 
 
-def test_degree_power_is_repeated_product():
-    # p**n scales every bound by n in closed form; n - 1 products of p
-    # give the same bounds (and n = 0 the constant 1).
-    d, e, f, x = certificate._Degrees.variables()
-    for p in (d, e, f, x, d * x * x + e * x + f):
-        product = 1
-        for n in range(13):
-            power = p**n
-            if n == 0:
-                assert power == 1
-            else:
-                assert _bounds(power) == _bounds(product)
-            product = p * product
-
-
-def _bounds(p):
-    return p.top, p.lo, p.hi
-
-
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
+    # psi's x-degree at infinity is read from dpsi/dx on the shipped psi's x-jet,
+    # the telescoping proof's right side: an x^6 term in P gives psi x-degree 1, so
+    # the tails diverge and the tail check fails by that order, while the x^5
+    # coefficient, and so the tail limit's own identity, does not move.
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x * x)
-    residual, order = certificate.telescoping_degrees()
-    assert residual.top.x == 12 and order == 1
     telescoping, tail = certificate_suite()[1:]
-    assert "x in 0..12 (364 points)" in telescoping.detail and not telescoping.passed
+    assert not telescoping.passed
     assert verify_telescoping(*_witness(telescoping.detail)) != 0
-    assert not tail.passed and "the tails diverge" in tail.detail
+    assert not tail.passed and tail.worst == 1 and "proved in Z[d, e, f]" in tail.detail
+    assert tail.detail.endswith("; dpsi/dx has x-degree 0 at infinity, so psi has x-degree 1 "
+                                "there, psi(1/t) has a pole at t = 0 and the tails diverge")
 
-    monkeypatch.setattr(certificate, "certificate_polynomial",
-                        lambda d, e, f, x: shipped(d, e, f, x) + e**7)
-    residual = certificate.telescoping_degrees()[0]
-    assert residual.top.e == 8 and not residual.homogeneous
-
-    # f starts at max(100, deg_e^2): with e^11 in P the telescoping residual has
-    # e-degree 12, and its total degree in (e, f), so rows past e = deg_f take fewer
-    # values of f. P's x^5 coefficient, and so the tail limit, does not move.
+    # e^11 in P is not homogeneous and has no x: the telescoping proof fails at a
+    # point its scalar check reproduces, and psi keeps its x-degree and tail limit.
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + e**11)
-    residual = certificate.telescoping_degrees()[0]
-    assert (residual.top.e, residual.top.ef) == (12, 12)
     telescoping, tail = certificate_suite()[1:]
-    assert ("d in 1..5, e in 0..12 and f in 144..150 with e + (f - 144) <= 12, x in 0..10 "
-            "(3850 points)") in telescoping.detail  # 5 * (7*7 + 6+5+4+3+2+1) * 11
     assert not telescoping.passed and tail.passed
     assert verify_telescoping(*_witness(telescoping.detail)) != 0
 
@@ -788,7 +715,8 @@ def test_polynomial_proof_refuses_a_zero_denominator(monkeypatch):
     # A dA/dd over the zero polynomial makes the residue gap 0/0: no identity is
     # proved, and no point is named, as the residual is defined nowhere.
     _change(monkeypatch, "_dadd_over_pi", lambda num_den, d, e, f, sqrt: (num_den[0], 0))
-    assert suites._prove_polynomial(certificate._residue_gap, "d e m", "gap") == (
+    sides = suites._sides(certificate._residue_sides, "d e m")
+    assert suites._prove_polynomial(sides, "gap") == (
         1, "gap: disproved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
            "4*d*f - e^2 = (4dm)^2, as its denominator is the zero polynomial")
 
@@ -797,7 +725,7 @@ def test_witness_points_are_the_scalar_checks_own_integer_points():
     # Each (d, e, m) witness is named as (d, e, (e^2 + m^2)/(4d)), whose least common
     # denominator is 4d, so `verify_*` runs its core at (4d^2, 4de, e^2 + m^2), the
     # point the polynomial was evaluated at; none lies on the singular set e = 0,
-    # m = 2d. Each (d, e, f) witness lies in the domain 4*d*f > e^2.
+    # m = 2d. Each (d, e, f) or (d, e, f, x) witness lies in the domain 4*d*f > e^2.
     points = itertools.islice(suites._points("d e m"), 300)
     assert next(suites._points("d e m")) == (1, 0, 1)
     for d, e, m in points:
@@ -806,40 +734,37 @@ def test_witness_points_are_the_scalar_checks_own_integer_points():
     assert next(suites._points("d e f")) == (1, 0, 1)
     assert all(4 * d * f > e * e and d >= 1 and f >= 1
                for d, e, f in itertools.islice(suites._points("d e f"), 300))
+    # (d, e, f, x) by their sum, then lexicographically, each (d, e, f) in the domain.
+    points = list(itertools.islice(suites._points("d e f x"), 300))
+    assert points[:3] == [(1, 0, 1, 0), (1, 0, 1, 1), (1, 0, 2, 0)]
+    assert points == sorted(points, key=lambda p: (sum(p), p))
+    assert all(4 * d * f > e * e and d >= 1 and f >= 1 and x >= 0 for d, e, f, x in points)
 
 
-def _sympy_degrees(sympy, expression, variables):
-    return tuple(sympy.Poly(sympy.expand(expression), *variables).degree(v) for v in variables)
+def _sympy_poly(sympy, polynomial, symbols):
+    """A `jets._Poly` as a sympy Poly in `symbols`."""
+    return sympy.Poly.from_dict(
+        {tuple(jets._exponents(k, len(symbols))): c for k, c in polynomial.terms.items()},
+        *symbols)
 
 
-def test_derived_degrees_bound_sympy():
-    # Bounds may exceed the true degrees, never fall short: compare, one
-    # variable at a time, with sympy's degrees of each cleared half of the
-    # telescoping residual, and its total degree in (e, f) with ef.
+def test_telescoping_sides_match_sympy():
+    # The sides the telescoping proof compares, expanded by sympy: the cross
+    # difference a*d - c*b is 0 and b, d are not, so the identity sympy sees is the
+    # one the Kronecker substitution proved.
     sympy = pytest.importorskip("sympy")
-    d, e, f, x = sympy.symbols("d e f x")
-    q, w = d * x**2 + e * x + f, x**2 + 1
-    c3, c2, c1, c0 = operator_coefficients(d, e, f)
-    lhs = sum(c * (-1) ** k * math.factorial(k) * x ** (2 * k + 2) * q ** (3 - k) * w
-              for k, c in enumerate((c0, c1, c2, c3)))
-    rhs = sympy.cancel(sympy.diff(psi(d, e, f, x), x) * q**4 * w**2)
-    top = certificate.telescoping_degrees()[0].top
-    for half in (lhs, rhs):
-        assert _bounded(_sympy_degrees(sympy, half, (d, e, f, x)), top[:4])
-        monomials = sympy.Poly(sympy.expand(half), d, e, f, x).monoms()
-        assert top.ef >= max(j + k for _, j, k, _ in monomials)
-
-
-def _bounded(degrees, bounds) -> bool:
-    """Whether each degree is at most its own bound."""
-    return all(a <= b for a, b in zip(degrees, bounds, strict=True))
+    symbols = sympy.symbols("d e f x")
+    (a, b), (c, d) = ((_sympy_poly(sympy, part, symbols) for part in side)
+                      for side in suites._sides(certificate._telescoping_sides, "d e f x"))
+    assert (a * d - c * b).is_zero and not b.is_zero and not d.is_zero
 
 
 def test_kernels_are_the_expanded_polynomials(monkeypatch):
     # Shared powers and Horner's rule change how c3..c0, p5 and P are
     # evaluated, not what they are: each minus its expanded form is 0 in
-    # sympy, and the degree tracker and the ODE's polynomial proof (the tail
-    # limit reads P on an x-jet, which has no **) give the same from either.
+    # sympy, and the polynomial proofs of the telescoping relation, the tail
+    # limit and the ODE give the same details from either form of c3..c0 and
+    # p5 (P runs on x-jets, which have no **).
     sympy = pytest.importorskip("sympy")
     d, e, f, x = sympy.symbols("d e f x")
     shipped = (*operator_coefficients(d, e, f), certificate._leading_coefficient(d, e, f),
@@ -849,11 +774,9 @@ def test_kernels_are_the_expanded_polynomials(monkeypatch):
     assert all(sympy.expand(a - b) == 0 for a, b in zip(shipped, expanded, strict=True))
 
     def results():
-        residual, order = certificate.telescoping_degrees()
-        return [_bounds(residual), order, ode_suite()[0].detail]
+        return [outcome.detail for outcome in certificate_suite()[1:] + ode_suite()[:1]]
     before = results()
     monkeypatch.setattr(certificate, "operator_coefficients", reference_operator_coefficients)
-    monkeypatch.setattr(certificate, "certificate_polynomial", reference_certificate_polynomial)
     monkeypatch.setattr(certificate, "_leading_coefficient",
                         lambda d, e, f, powers=None: reference_leading_coefficient(d, e, f))
     assert results() == before
@@ -875,8 +798,9 @@ def _random_poly(rng, variables):
 
 def test_poly_arithmetic_matches_sympy():
     # Seeded sums, differences, products and powers, each expanded by sympy;
-    # values at int points; the root of a perfect square and the refusal of a
-    # non-square; and the refusal of any coefficient that is not an int.
+    # values at int points, the last variable at a power of two and the degree
+    # in it; the root of a perfect square and the refusal of a non-square; and
+    # the refusal of any coefficient that is not an int.
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols("d e m")
     variables = jets._Poly.variables("d e m")
@@ -891,6 +815,11 @@ def test_poly_arithmetic_matches_sympy():
             assert (poly == 0) == (sympy.expand(expression) == 0)
             point = tuple(int(v) for v in rng.integers(-6, 7, 3))
             assert poly.at(point) == expression.subs(dict(zip(symbols, point)))
+            bits = int(rng.integers(0, 9))
+            assert poly.at_last(bits).at(point[:2]) == expression.subs(
+                dict(zip(symbols, (*point[:2], 2**bits))))
+            degree = sympy.Poly(expression, *symbols).degree(symbols[2]) if poly != 0 else -1
+            assert poly.last_degree() == degree
         if a != 0:
             root = (a * a).root()
             assert root == a or root == -a
@@ -920,31 +849,29 @@ def _scaled_symbols(sympy):
 
 
 def _polynomial_body(body):
-    """`body`'s (num, den) at (4d^2, 4de, e^2 + m^2) in Z[d, e, m], as `_prove_polynomial`
-    runs it."""
-    d, e, m = jets._Poly.variables("d e m")
-    zero = d * 0
-    return tuple(zero + part for part in body(4 * d * d, 4 * d * e, e * e + m * m))
+    """`body`'s sides ((a, b), (c, d)) at (4d^2, 4de, e^2 + m^2) in Z[d, e, m], as
+    `_prove_polynomial` proves them."""
+    return suites._sides(body, "d e m")
 
 
 @pytest.mark.parametrize("mutation", [None, "G3 + d*e", "dA/dd numerator + d^2"])
 def test_residue_and_factorization_polynomials_match_sympy(monkeypatch, mutation):
     # The same shipped lines on sympy symbols, with the root 4dm of the guard
-    # (4dm)^2, expand to the polynomials the proofs find, numerator and
-    # denominator alike, whether the identity holds or not.
+    # (4dm)^2, expand to the polynomials the proofs find, each side's numerator
+    # and denominator alike, whether the identity holds or not.
     sympy = pytest.importorskip("sympy")
     if mutation:
         name, change, _ = _POLYNOMIAL_MUTATIONS[mutation]
         monkeypatch.setattr(*_shipped(name, change))
     symbols, point = _scaled_symbols(sympy)
     d, _, m = symbols
-    for body in (certificate._residue_gap, certificate._g_gap):
-        expected = body(*point, lambda guard: 4 * d * m)
-        found = _polynomial_body(body)
-        for poly, expression in zip(found, expected):
+    bodies = (certificate._residue_sides, certificate._g_sides)
+    for body in bodies:
+        expected = [part for side in body(*point, lambda guard: 4 * d * m) for part in side]
+        found = [part for side in _polynomial_body(body) for part in side]
+        for poly, expression in zip(found, expected, strict=True):
             assert sympy.expand(_to_sympy(sympy, poly, symbols) - expression) == 0
-    numerators = [_polynomial_body(body)[0] == 0 for body in (certificate._residue_gap,
-                                                              certificate._g_gap)]
+    numerators = [certificate._cross(_polynomial_body(body))[0] == 0 for body in bodies]
     assert numerators == {None: [True, True], "G3 + d*e": [False, False],
                           "dA/dd numerator + d^2": [False, True]}[mutation]
 
@@ -952,7 +879,8 @@ def test_residue_and_factorization_polynomials_match_sympy(monkeypatch, mutation
 @pytest.mark.parametrize("mutation", [None, "c0 + 1"])
 def test_ode_polynomial_matches_sympy(monkeypatch, mutation):
     # L[dA/dd / pi], by sympy differentiation of core's dA/dd / pi in d, at
-    # (4d^2, 4de, e^2 + m^2), equals num/den of the ODE proof's polynomials.
+    # (4d^2, 4de, e^2 + m^2), equals a/b of the ODE proof's polynomials, whose
+    # other side c/d is 0/1.
     sympy = pytest.importorskip("sympy")
     if mutation:
         name, change, _ = _POLYNOMIAL_MUTATIONS[mutation]
@@ -964,8 +892,8 @@ def test_ode_polynomial_matches_sympy(monkeypatch, mutation):
     coefficients = certificate.operator_coefficients(dd, ee, ff)
     operator_on_y = sum(c * sympy.diff(y, dd, k) for k, c in zip((3, 2, 1, 0), coefficients))
     expected = operator_on_y.subs(dict(zip((dd, ee, ff), point)))
-    found_num, found_den = _polynomial_body(certificate._ode_gap)
-    assert found_den != 0
+    (found_num, found_den), (zero, one) = _polynomial_body(certificate._ode_sides)
+    assert found_den != 0 and (zero, one) == (0, 1)
     # Cross-multiplied: sympy's num/den over a common denominator against the proof's.
     num, den = sympy.fraction(sympy.together(expected))
     assert sympy.expand(num * _to_sympy(sympy, found_den, symbols)
@@ -1000,105 +928,80 @@ def test_dadd_residues_catch_a_changed_formula(monkeypatch):
     assert verify_dadd_residues(1, 3, Fraction(5, 2)) != 0
 
 
-def _grid(*ranges):
-    """The product grid of `ranges` as the suites build an open grid: one array per
-    coordinate, each range on its own axis, shaped to broadcast (`np.ix_`)."""
-    return suites._open_grid([(r,) for r in ranges])
+# (integer-point core, unchecked body, ring) for each identity.
+_CORES = ((certificate.residual_telescoping, certificate._telescoping_sides, "d e f x"),
+          (certificate.residual_tail_limit, certificate._tail_sides, "d e f"),
+          (certificate.residual_ode_dadd, certificate._ode_sides, "d e m"),
+          (certificate.residual_dadd_residues, certificate._residue_sides, "d e m"),
+          (certificate.residual_g_factorization, certificate._g_sides, "d e m"))
 
 
-def _points(*arrays):
-    """The arrays broadcast together and ravelled: one element per grid point, in
-    itertools.product order."""
-    return tuple(v.ravel() for v in np.broadcast_arrays(*arrays))
-
-
-def _square(d_range, e_range, m_range):
-    """Integer points (4d^2, 4de, e^2 + m^2) on the open grid, as the ODE suite builds them."""
-    d, e, m = _grid(d_range, e_range, m_range)
+def _integer_point(coordinates, point):
+    """The integer point (d, e, f[, x]) a small point of the ring stands for."""
+    if coordinates != "d e m":
+        return point
+    d, e, m = point
     return 4 * d * d, 4 * d * e, e * e + m * m
 
 
-def _small_grids():
-    """(scalar check, core, grid) for each identity: grids with e = 0 and d beyond 1."""
-    square = _square(range(1, 3), range(3), range(5, 7))
-    return ((verify_telescoping, certificate.residual_telescoping,
-             _grid(range(1, 3), range(3), range(3, 5), range(3))),
-            (verify_tail_limit, certificate.residual_tail_limit,
-             _grid(range(1, 3), range(3), range(3, 5))),
-            (verify_ode_dadd, certificate.residual_ode_dadd, square),
-            (verify_dadd_residues, certificate.residual_dadd_residues, square),
-            (verify_g_factorization, certificate.residual_g_factorization, square))
-
-
-def _grid_matches_scalar(verify, core_check, args):
-    """The core's num/den at every index equals the scalar check at that integer
-    point; returns how many of them are nonzero."""
-    num, den, *points = _points(*core_check(*args), *args)
-    assert len(num) == len(den) == len(points[0]) > 1
+def _polynomial_matches_core(core_check, body, coordinates):
+    """The sides, run once on polynomials and cross-multiplied, equal the core's
+    (num, den) at each of the first 12 small points; returns how many are nonzero."""
+    num, den = certificate._cross(suites._sides(body, coordinates))
     nonzero = 0
-    for k in range(len(num)):
-        scalar = verify(*(v[k] for v in points))
-        assert Fraction(num[k], den[k]) == scalar
-        nonzero += scalar != 0
+    for point in itertools.islice(suites._points(coordinates), 12):
+        assert core_check(*_integer_point(coordinates, point)) == (num.at(point), den.at(point))
+        nonzero += num.at(point) != 0
     return nonzero
 
 
 def test_grid_cores_match_the_scalar_checks(monkeypatch):
-    # The suites run each identity once on a whole grid; the same core at one
-    # integer point is the scalar check, so the two must agree point by point,
-    # on the shipped data and under mutations that make the residuals nonzero.
-    grids = _small_grids()
-    assert [_grid_matches_scalar(*grid) for grid in grids] == [0, 0, 0, 0, 0]
+    # The suites run each identity once on polynomials, and the scalar checks run
+    # the same body at one integer point: evaluated there, the polynomials must
+    # give the core's very numerator and denominator, on the shipped data and
+    # under mutations that make the residuals nonzero.
+    assert [_polynomial_matches_core(*core) for core in _CORES] == [0, 0, 0, 0, 0]
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x)
-    assert [_grid_matches_scalar(*grid) for grid in grids[:2]] == [36 - 12, 12]  # x = 0 vanishes
+    assert [_polynomial_matches_core(*core) for core in _CORES[:2]] == [12 - 7, 12]  # x = 0 vanishes
     dadd_over_pi = core._dadd_over_pi
     monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
         dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
     # The G factorization reads core._g1, which this change keeps.
-    assert [_grid_matches_scalar(*grid) for grid in grids[2:]] == [12, 12, 0]
+    assert [_polynomial_matches_core(*core) for core in _CORES[2:]] == [12, 12, 0]
     monkeypatch.setattr(core, "_dadd_over_pi", dadd_over_pi)
     _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
-    assert _grid_matches_scalar(*grids[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
+    assert _polynomial_matches_core(*_CORES[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
 
 
 def test_grid_cores_check_every_point():
-    # The domain and the singular set are checked elementwise: one bad point
-    # in a grid raises the scalar check's exception.
-    d, e, f = _grid(range(1, 2), range(3), range(1, 3))  # e = 2, f = 1: 4*d*f - e^2 = 0
-    for core_check, args in ((certificate.residual_telescoping, (d, e, f, e)),
-                             (certificate.residual_tail_limit, (d, e, f)),
-                             (certificate.residual_ode_dadd, (d, e, f)),
-                             (certificate.residual_dadd_residues, (d, e, f)),
-                             (certificate.residual_g_factorization, (d, e, f))):
-        with pytest.raises(ParameterError, match=r"\(1, 2, 1\)"):
-            core_check(*args)
+    # Each core checks its point's domain and the singular set, raising the scalar
+    # check's exception, which names the point.
+    for core_check, _, coordinates in _CORES:
+        with pytest.raises(ParameterError, match=r"proportional to \(1, 2, 1\) must satisfy"):
+            core_check(1, 2, 1, *(0,) * (coordinates == "d e f x"))
     with pytest.raises(ParameterError):  # d = -1
-        certificate.residual_tail_limit(*_grid(range(1, -2, -2), range(1), range(1, 2)))
-    # (4, 0, 4) is the square-grid point d = 1, e = 0, m = 2d: d = f, e = 0
-    singular = _square(range(1, 2), range(2), range(2, 3))
-    assert tuple(v[0] for v in _points(*singular)) == (4, 0, 4)
+        certificate.residual_tail_limit(-1, 0, 1)
     for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
-        with pytest.raises(SingularPointError):
-            core_check(*singular)
+        with pytest.raises(SingularPointError):  # d = f, e = 0
+            core_check(4, 0, 4)
     for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues,
                        certificate.residual_g_factorization):
-        with pytest.raises(ParameterError, match="11 is not the square"):  # 16, then 11
-            core_check(*_grid(range(1, 2), range(2, 4), range(5, 6)))
+        with pytest.raises(ParameterError, match="11 is not the square"):
+            core_check(1, 3, 5)
 
 
 def test_grid_runner_refuses_inexact_residuals(monkeypatch):
-    # Through the tracker, the jets and the runner's own check of every part.
+    # Through the jets and the polynomials, and the runner's own check of every
+    # part of both sides: an inexact denominator is refused like a numerator.
     shipped = certificate.operator_coefficients
     monkeypatch.setattr(certificate, "operator_coefficients",
                         lambda d, e, f: (*shipped(d, e, f)[:3], shipped(d, e, f)[3] + 0.5))
-    square = _square(range(1, 2), range(3), range(3, 5))
-    for check, D, args in ((certificate.residual_telescoping, 1,
-                            _grid(range(1, 2), range(3), range(9, 11), range(3))),
-                           (certificate.residual_ode_dadd, 4, square)):
+    for body, coordinates in ((certificate._telescoping_sides, "d e f x"),
+                              (certificate._ode_sides, "d e m")):
         with pytest.raises(TypeError):
-            suites._exact_zeros(check, "(d, e, f)", D, args)
+            suites._sides(body, coordinates)
     with pytest.raises(TypeError):
         ode_suite()
     monkeypatch.undo()
@@ -1107,32 +1010,30 @@ def test_grid_runner_refuses_inexact_residuals(monkeypatch):
                         lambda d, e, f, x: shipped(d, e, f, x) + 0.5 * x)
     with pytest.raises(TypeError):
         certificate_suite()
-    with pytest.raises(TypeError):
-        suites._exact_zeros(certificate.residual_telescoping, "(d, e, f, x)", 1,
-                            _grid(range(1, 2), range(3), range(9, 11), range(3)))
+    for k in range(4):
+        parts = [1, 1, 1, 1]
+        parts[k] = 1.0
+        with pytest.raises(TypeError, match="inexact residual part 1.0"):
+            suites._sides(lambda *point: (parts[:2], parts[2:]), "d e f")
 
 
 def test_grid_runner_builds_no_fraction_when_every_residual_vanishes(monkeypatch):
-    d = _grid(range(1, 3), range(3), range(5, 7))[0]
-    square = _square(range(1, 3), range(3), range(5, 7))
-    grids = ((1, certificate.residual_telescoping, _grid(range(1, 2), range(3), range(9, 11),
-                                                         range(4))),
-             (1, certificate.residual_tail_limit, _grid(range(1, 2), range(3), range(9, 11))),
-             (4 * d, certificate.residual_ode_dadd, square),
-             (4 * d, certificate.residual_dadd_residues, square))
+    # Every polynomial proof runs on ints and polynomials only: no Fraction is
+    # built when the identity holds.
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
-    tallies = [suites._exact_zeros(check, "(d, e, f)", D, args) for D, check, args in grids]
+    results = [suites._prove_polynomial(suites._sides(body, coordinates), "")
+               for _, body, coordinates in _CORES]
     monkeypatch.undo()
     assert built == []
-    assert tallies == [(24, 0, ""), (6, 0, ""), (12, 0, ""), (12, 0, "")]
+    assert [failures for failures, _ in results] == [0] * 5
 
 
 def test_exact_suites_build_a_few_jets(monkeypatch):
-    # Each identity runs once over its whole grid, so the jets built do not
-    # grow with the grid: one per point built about 35 000.
+    # Each identity runs once on polynomials, so the suites build a few jets:
+    # one per point of the grids they once ran on built about 35 000.
     built = []
     make, init = jets.Jet._make.__func__, jets.Jet.__init__
     monkeypatch.setattr(jets.Jet, "_make", classmethod(
@@ -1143,94 +1044,72 @@ def test_exact_suites_build_a_few_jets(monkeypatch):
     assert 0 < len(built) <= 300
 
 
-def _columns(*ranges):
-    """The product grid materialised: one flat column per coordinate, in
-    itertools.product order."""
-    return tuple(np.array(column, dtype=object) for column in zip(*itertools.product(*ranges)))
+def _random_fraction(rng, variables):
+    """A seeded random polynomial that is not zero, for a side's numerator or
+    denominator."""
+    p = 0
+    while p == 0:
+        p = _random_poly(rng, variables)
+    return p
 
 
-def _layouts():
-    """(core, names, (D, open grid), (D, flat columns)) for each identity, on grids
-    with e = 0 and d in 1..2, as a residual that is not homogeneous needs."""
-    telescoping, tail, square = ((range(1, 3), range(3), range(3, 5), range(3)),
-                                 (range(1, 3), range(3), range(3, 5)),
-                                 (range(1, 3), range(3), range(5, 7)))
-    d, e, m = _columns(*square)
-    flat_square = (4 * d, (4 * d * d, 4 * d * e, e * e + m * m))
-    open_square = (4 * _grid(*square)[0], _square(*square))
-    return ((certificate.residual_telescoping, "(d, e, f, x)",
-             (1, _grid(*telescoping)), (1, _columns(*telescoping))),
-            (certificate.residual_tail_limit, "(d, e, f)", (1, _grid(*tail)), (1, _columns(*tail))),
-            (certificate.residual_ode_dadd, "(d, e, f)", open_square, flat_square),
-            (certificate.residual_dadd_residues, "(d, e, f)", open_square, flat_square))
+def _equal_pair(rng, variables):
+    """a*k/(b*k) against a/b."""
+    a, b, k = (_random_fraction(rng, variables) for _ in range(3))
+    return (a * k, b * k), (a, b)
 
 
-def _tallies_on_both_layouts():
-    """Each core's num and den on the open grid, broadcast and ravelled, equal to
-    those on the flat columns element by element; returns the runner's tallies,
-    which must not depend on the layout either."""
-    tallies = []
-    for core_check, names, (D, grid), (flat_D, columns) in _layouts():
-        on_open, on_columns = _points(*core_check(*grid), *grid)[:2], core_check(*columns)
-        for a, b in zip(on_open, on_columns):
-            assert a.shape == b.shape == columns[0].shape
-            assert all(type(v) is int for v in a) and list(a) == list(b)
-        tally = suites._exact_zeros(core_check, names, D, grid)
-        assert tally == suites._exact_zeros(core_check, names, flat_D, columns)
-        tallies.append(tally)
-    return tallies
+def _random_pair(rng, variables):
+    return tuple((_random_fraction(rng, variables), _random_fraction(rng, variables))
+                 for _ in range(2))
 
 
-def test_open_grids_match_flat_columns(monkeypatch):
-    # The suites run each core on an open grid, where every subexpression spans
-    # only its own coordinates; the result, broadcast, is the one the fully
-    # materialised grid gives, and so are the counts and the first witness.
-    assert _tallies_on_both_layouts() == [(36, 0, ""), (12, 0, ""), (12, 0, ""), (12, 0, "")]
-    shipped = certificate.certificate_polynomial
-    monkeypatch.setattr(certificate, "certificate_polynomial",
-                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x)
-    telescoping, tail, *square = _tallies_on_both_layouts()
-    assert telescoping[:2] == (36, 36 - 12) and tail[:2] == (12, 12)  # x = 0 vanishes
-    assert telescoping[2] == "; first nonzero at (d, e, f, x) = (1, 0, 3, 1)"
-    assert tail[2] == "; first nonzero at (d, e, f) = (1, 0, 3)"
-    assert square == [(12, 0, ""), (12, 0, "")]
+_PAIRS = {"equal": (_equal_pair, True), "random": (_random_pair, False),
+          "+bound": (lambda rng, variables: _sides_at_the_bound(rng, variables, 1), False),
+          "-bound": (lambda rng, variables: _sides_at_the_bound(rng, variables, -1), False)}
 
 
-def test_operator_runs_on_the_e_f_plane_only(monkeypatch):
-    # On the telescoping grid d = 1, 28 pairs (e, f) on one axis, 11 values of x,
-    # the operator's coefficients depend on (d, e, f) alone, so on the open grid
-    # every array it receives or returns has at most 28 elements, not 308. Flat
-    # columns would fail here, not only in a timing.
-    sizes = []
-    shipped = certificate.operator_coefficients
+@pytest.mark.parametrize("kind", list(_PAIRS))
+def test_kronecker_zero_test_agrees_with_the_expansion(kind):
+    # Seeded pairs of sides in Z[d, e, f, x]: equal pairs a*k/(b*k) against a/b
+    # compare equal; pairs built so that one coefficient of a*d - c*b is exactly
+    # +bound or -bound, the largest the bound allows, compare unequal; random
+    # pairs compare as the term-by-term expansion of a*d - c*b says.
+    make, equal = _PAIRS[kind]
+    variables = jets._Poly.variables("d e f x")
+    rng = np.random.Generator(np.random.PCG64(167))
+    for _ in range(15):
+        sides = make(rng, variables)
+        (a, b), (c, d) = sides
+        cross = certificate._cross(sides)[0]
+        assert (cross == 0) == equal
+        failures, detail = suites._prove_polynomial(sides, "pair")
+        assert failures == (cross != 0)
+        assert detail.startswith(f"pair: {'disproved' if failures else 'proved'} in Z[d, e, f, x]")
+        if kind.endswith("bound"):
+            bound = suites._norm_product(a, d) + suites._norm_product(c, b)
+            assert (1 if kind == "+bound" else -1) * bound in cross.terms.values()
+            assert max(map(abs, cross.terms.values())) == bound
 
-    def recording(d, e, f):
-        result = shipped(d, e, f)
-        sizes.extend(v.size for v in (d, e, f, *result) if type(v) is np.ndarray)
-        return result
 
-    monkeypatch.setattr(certificate, "operator_coefficients", recording)
-    outcomes = certificate_suite()
-    assert all(outcome.passed for outcome in outcomes)
-    assert "(308 points)" in outcomes[1].detail
-    assert max(sizes) == 28
+def _sides_at_the_bound(rng, variables, sign):
+    """Sides ((a, b), (c, d)) whose a*d - c*b has the coefficient sign * bound at the
+    monomial top: each term of a meets a term of d of the largest size and the same
+    sign there, each term of c one of b of the opposite sign."""
+    top = (3, 3, 3, 3)
 
+    def monomial(exponents):
+        return math.prod(v**j for v, j in zip(variables, exponents))
 
-def test_grid_runner_counts_and_checks_every_point(monkeypatch):
-    # A residual that does not depend on a coordinate spans one element on its
-    # axis; the runner still counts it, and names its witness, at every point of
-    # the grid. An inexact denominator is refused like an inexact numerator.
-    grid = _grid(range(1, 3), range(3), range(3, 5), range(4))
+    def half():
+        exponents = {tuple(int(j) for j in rng.integers(0, 4, 4)) for _ in range(4)}
+        size = int(rng.integers(1, 9))
+        coefficients = [int(rng.integers(1, 10)) * int(rng.choice([-1, 1])) for _ in exponents]
+        numerator = sum(c * monomial(e) for c, e in zip(coefficients, exponents))
+        partner = sum((size if c > 0 else -size) * monomial([t - j for t, j in zip(top, e)])
+                      for c, e in zip(coefficients, exponents))
+        return numerator, partner
 
-    def tail(d, e, f, x):
-        return certificate.residual_tail_limit(d, e, f)
-
-    assert suites._exact_zeros(tail, "(d, e, f, x)", 1, grid) == (48, 0, "")
-    with pytest.raises(TypeError):
-        suites._exact_zeros(lambda *args: (tail(*args)[0], tail(*args)[1] * 1.0),
-                            "(d, e, f, x)", 1, grid)
-    shipped = certificate.certificate_polynomial
-    monkeypatch.setattr(certificate, "certificate_polynomial",
-                        lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x)
-    assert suites._exact_zeros(tail, "(d, e, f, x)", 1, grid) == (
-        48, 48, "; first nonzero at (d, e, f, x) = (1, 0, 3, 0)")
+    a, d = half()
+    c, b = half()
+    return (sign * a, -b), (sign * c, d)

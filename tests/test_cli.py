@@ -1153,12 +1153,14 @@ def test_runtime_imports_no_test_only_package():
 # (e, f) and (e, m) pairs came to form staircases sized by total degree and
 # each proof came to name its off-grid point, and for both when the tail
 # limit, the ODE, the residues and the factorization came to be proved as
-# polynomial identities; any change to a grid, a bound or a figure shows here.
+# polynomial identities, and again when the telescoping identity did too and
+# every proof came to compare two sides by a Kronecker substitution; any
+# change to a ring, a bound or a figure shows here.
 VERIFY_GOLDEN_SHA256 = {
-    ("certificate", 1): "ce89488664d07ec880e1bc8d06690285ce2ddd966a36b24de7a457fb4a8ef84b",
-    ("certificate", 1501): "8eb07a6f72deea7ba225072adf586c6f35c4ac20396caec7db4da121d5c24d47",
-    ("ode", 1): "d1562a4db0e224bfb5ee12be4f3ffd8c77488b202669d1f51429d635fe5aeab7",
-    ("ode", 1501): "76a461832ec1968dea52709b93a36350aada7a4e09ffdbf70a6d75fb629f9e0e",
+    ("certificate", 1): "5be9b2b4356b0b23b6bd57e55bb6c1065f63deab10c341d9e1dfb4d6096f8177",
+    ("certificate", 1501): "3555cc1e0ed0869614c90b28ea4183658e89d0169596b026725f4fafd90b18a4",
+    ("ode", 1): "7c1ccc8e3c7dc02b8a8393883542b1c2f26b33ac0dde35cf5401bbc6eb6f97c5",
+    ("ode", 1501): "e5811087a813300757b9c4c2df934a81a9ed16fa6f8399288d566edc06b722c1",
 }
 
 
@@ -1170,20 +1172,20 @@ def test_verify_exact_suites_match_golden(suite, seed, capsys):
 
 
 def test_exact_check_details_start_with_their_point_counts(capsys):
-    # A grid proof's detail starts "N/N exact-zero", N its grid's point count;
-    # the benchmark's checker reads its machine-independent exact-point count
-    # from that prefix. Only the telescoping identity is proved on a grid; the
-    # polynomial proofs have no points to count.
-    counts = {}
+    # A grid proof's detail once started "N/N exact-zero", N its grid's point count,
+    # which the benchmark's checker reads as its exact-point count. Every exact
+    # identity is now a polynomial identity, with no points to count: no detail
+    # claims a count, and each proof names its ring instead.
+    rings = {}
     for suite in ("certificate", "ode"):
         assert main(["verify", "--suite", suite]) == 0
         for record in map(json.loads, capsys.readouterr().out.splitlines()[:-1]):
-            tallies = re.findall(r"(?:^|; )(\d+)/(\d+) exact-zero", record["detail"])
-            assert all(zero == count for zero, count in tallies)
-            if tallies:
-                assert re.match(r"\d+/\d+ exact-zero", record["detail"])
-                counts[record["check"]] = [int(count) for _, count in tallies]
-    assert counts == {"telescoping residual": [308]}
+            assert not re.search(r"\d+/\d+ exact-zero", record["detail"])
+            found = re.findall(r": proved in (Z\[[a-z, ]+\])", record["detail"])
+            if found:
+                rings[record["check"]] = found
+    assert rings == {"telescoping residual": ["Z[d, e, f, x]"], "psi tail limit": ["Z[d, e, f]"],
+                     "ode residual of dA/dd": ["Z[d, e, m]"] * 3}
 
 
 def _cli_record(capsys, argv):

@@ -1,13 +1,15 @@
 """Exact jet arithmetic against known Taylor expansions."""
 
+import ast
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cauchykl import Jet, ParameterError, core, jets
+from cauchykl import Jet, ParameterError, certificate, core, jets
 from helpers import random_certificate_point, rational_sqrt
 
 
@@ -21,6 +23,11 @@ def test_variable_and_constant():
         Jet.variable(1, 0)
     with pytest.raises(ParameterError):
         Jet(())
+    # A jet reads as its coefficients, and == and hash compare them exactly.
+    s = Jet.variable(Fraction(1, 2), 1)
+    assert repr(s) == "Jet([Fraction(1, 2), Fraction(1, 1)])"
+    assert s == Jet([Fraction(2, 4), 1]) and len({s, Jet([Fraction(2, 4), 1]), 2 * s}) == 2
+    assert s != Jet.variable(Fraction(1, 2), 2) and s != Fraction(1, 2)
 
 
 def test_derivative_extraction():
@@ -70,6 +77,14 @@ def test_exact_sqrt_jet_with_rational_head():
     for not_a_square in (disc + 1, disc / 3, disc - 2):  # heads 2, 1/3, -1
         with pytest.raises(ParameterError):
             not_a_square.sqrt()
+    with pytest.raises(ParameterError, match="2 is not the square of a rational"):
+        (disc + 1).sqrt()
+    # A zero head, an int or the zero polynomial, has no quotient or root series.
+    for zero in (Jet.variable(0, 2), Jet.variable(jets._Poly({}, ("d",)), 2)):
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+        with pytest.raises(ZeroDivisionError):
+            (zero * zero).sqrt()
     # an int jet gives the same root: int / int would be a float, and no step divides
     int_root = (10 * Jet.variable(1, 3) - 9).sqrt()
     assert all(isinstance(c, Fraction) for c in int_root.coefficients)
@@ -192,116 +207,67 @@ def test_derivative_numerator_over_denominator_is_the_derivative():
         g.derivative_numerator(4)
 
 
-def _ints(*values):
-    return np.array(values, dtype=object)
-
-
-def test_object_array_jets_match_scalar_jets_elementwise():
-    # One jet over an object array of ints carries the expansion at every
-    # element: each coefficient is the scalar jet's at that element.
-    heads = (1, 2, 5, -3)
-    t = Jet.variable(_ints(*heads), 3)
-    r = (3 * t * t - _ints(1, 0, 7, 2) * t + Fraction(1, 7)) / (t * t * t + 100)
-    root = (9 * t * t).sqrt()
-    for k, head in enumerate(heads):
-        s = Jet.variable(head, 3)
-        expected = (3 * s * s - (1, 0, 7, 2)[k] * s + Fraction(1, 7)) / (s * s * s + 100)
-        assert tuple(Fraction(n[k], r.denominator[k]) for n in r._num) == expected.coefficients
-        scalar_root = (9 * s * s).sqrt()
-        assert (tuple(Fraction(n[k], root.denominator[k]) for n in root._num)
-                == scalar_root.coefficients)
-    assert all(type(v) is int for n in r._num for v in n)
-
-
 def test_arrays_that_could_wrap_or_round_are_refused():
+    # Jets take no arrays: int64 would wrap, float64 round, and an object array
+    # holds no promise about its elements.
     t = Jet.variable(1, 2)
-    for array in (np.array([1, 2]), np.array([1.0, 2.0])):  # int64 wraps, float64 rounds
+    for array in (np.array([1, 2]), np.array([1.0, 2.0]), np.array([1, 2], dtype=object)):
         for build in (lambda: Jet.variable(array, 2), lambda: Jet.constant(array, 2),
                       lambda: t * array, lambda: array * t, lambda: t + array, lambda: array - t):
             with pytest.raises(TypeError):
                 build()
 
 
-def test_array_heads_are_checked_at_every_element():
-    t = Jet.variable(_ints(1, 0, 2), 2)
-    with pytest.raises(ZeroDivisionError):
-        1 / t
-    with pytest.raises(ZeroDivisionError):
-        (t * t).sqrt()
-    with pytest.raises(ParameterError, match="3 is not the square"):
-        Jet.variable(_ints(4, 3, 2), 1).sqrt()  # 3 is the first element that is not a square
-
-
 _BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
-def _dense(jet, shape):
-    """`jet` with each int numerator and its int denominator as an object array of
-    `shape`: the same values, but no structural 0 or 1 left for an operation to skip."""
-    def fill(v):
-        return np.full(shape, v, dtype=object) if type(v) is int else v
-    return Jet._make(tuple(map(fill, jet._num)), fill(jet._den))
+class _Plain(int):
+    """An int that is not structural: `type(v) is int` fails, so no operation skips it."""
 
 
-def _at_points(jet, shape):
-    """The jet's coefficients as Fractions at every point of `shape`, in C order."""
-    *nums, den = (np.broadcast_to(np.asarray(v, dtype=object), shape)
-                  for v in (*jet._num, jet._den))
-    return [tuple(Fraction(n[i], den[i]) for n in nums) for i in np.ndindex(*shape)]
-
-
-def test_grid_jets_are_readable():
-    # A grid jet's repr names its broadcast shape and its first point, == compares
-    # the exact coefficients at every point, and it has no hash; scalar jets read
-    # as they always did.
-    x = Jet.variable(_ints(1, 2, 5).reshape(3, 1), 2) / _ints(-3, 4).reshape(1, 2)
-    assert repr(x) == ("Jet(grid of shape (3, 2), first point "
-                       "[Fraction(-1, 3), Fraction(-1, 3), Fraction(0, 1)])")
-    last = Jet.constant(_ints(0, 0, 0, 0, 0, 1).reshape(3, 2), 2)
-    assert x == x * 3 / 3 == _dense(x, (3, 2)) and x * 2 == x + x
-    assert x != x + last and x + last != x and x != Jet.variable(1, 2) and x != 1
-    assert Jet.constant(_ints(2, 2), 1) == Jet.constant(2, 1)
-    assert Jet.constant(_ints(2, 3), 1) != Jet.constant(2, 1) != Jet.constant(2, 2)
-    with pytest.raises(TypeError, match="grid is unhashable"):
-        hash(x)
-    s = Jet.variable(Fraction(1, 2), 1)
-    assert repr(s) == "Jet([Fraction(1, 2), Fraction(1, 1)])"
-    assert s == Jet([Fraction(2, 4), 1]) and len({s, Jet([Fraction(2, 4), 1]), 2 * s}) == 2
+def _dense(jet, fill):
+    """`jet` with each int numerator and its int denominator replaced by fill(value):
+    the same values, but no structural 0 or 1 left for an operation to skip."""
+    def dense(v):
+        return fill(v) if type(v) is int else v
+    return Jet._make(tuple(map(dense, jet._num)), dense(jet._den))
 
 
 def test_skipping_structural_zeros_and_ones_changes_no_value():
     # Variable, constant and int-1 jets carry their 0s and 1s as Python ints,
-    # which + - * / and sqrt skip; the same jets with those values as object
-    # arrays ("dense") run every product and sum. Both must give the same
-    # coefficients at every point, over ints, Fractions and an open grid.
-    domains = (((2, -3), (1,)), ((Fraction(2, 3), Fraction(-5, 7)), (1,)),
-               ((_ints(1, 2, 5).reshape(3, 1), _ints(-3, 4).reshape(1, 2)), (3, 2)))
-    for (a, b), shape in domains:
+    # which + - * / and sqrt skip; the same jets with those values as plain ints
+    # or constant polynomials ("dense") run every product and sum. Both must give
+    # the same coefficients, over ints, Fractions and polynomials.
+    d, e = jets._Poly.variables("d e")
+    domains = (((2, -3), _Plain), ((Fraction(2, 3), Fraction(-5, 7)), _Plain),
+               ((d, e), lambda v: jets._Poly({0: v} if v else {}, d.names)))
+    for (a, b), fill in domains:
         for order in (1, 3):
             jets_ = [Jet.variable(a, order), Jet.variable(b, order), Jet.constant(b, order),
                      Jet.variable(1, order), Jet.constant(1, order)]
             jets_.append(jets_[0] * jets_[1] + 1)
             for x in jets_:
-                dx = _dense(x, shape)
+                dx = _dense(x, fill)
                 for y in jets_:
                     for op in _BINARY:
-                        assert (_at_points(op(x, y), shape)
-                                == _at_points(op(dx, _dense(y, shape)), shape))
+                        assert op(x, y) == op(dx, _dense(y, fill))
                 for s in (0, 1, -1, 2, Fraction(1), Fraction(3, 2), a):
                     for op in _BINARY:
-                        assert _at_points(op(s, x), shape) == _at_points(op(s, dx), shape)
+                        assert op(s, x) == op(s, dx)
                     for op in _BINARY[:3] if type(s) is int and s == 0 else _BINARY:
-                        assert _at_points(op(x, s), shape) == _at_points(op(dx, s), shape)
+                        assert op(x, s) == op(dx, s)
                 square = x * x
-                assert (_at_points(square.sqrt(), shape)
-                        == _at_points(_dense(square, shape).sqrt(), shape))
+                if type(a) is not jets._Poly:  # a polynomial denominator has no sign to root
+                    assert square.sqrt() == _dense(square, fill).sqrt()
 
 
 def test_no_operation_updates_an_operand():
-    # A skipped product hands back an operand's own array, so an in-place
-    # update of the result would change the operand. Int-1 heads and
-    # denominators make division and sqrt skip their scalings.
-    g = _ints(1, 2, 5).reshape(3, 1) * _ints(-3, 4).reshape(1, 2)
+    # A skipped product hands back an operand's own value, so an in-place update
+    # of the result would change the operand; polynomials, unlike ints, could be
+    # updated in place. Int-1 heads and denominators make division and sqrt skip
+    # their scalings.
+    d, e = jets._Poly.variables("d e")
+    g = d * e
     head_one = Jet._make((1, g, g + 1, 2 * g), 1)
     squares = (head_one, head_one * head_one, Jet.variable(1, 3), Jet._make((g * g, g, 0, g), 1))
     operands = squares + (Jet.variable(g, 3), Jet.constant(g, 3))
@@ -309,22 +275,20 @@ def test_no_operation_updates_an_operand():
              lambda x: g * x, lambda x: x + g, lambda x: Fraction(1, 3) - x)
 
     def snapshot(*jets_):
-        return [np.array(v, dtype=object) for j in jets_ for v in (*j._num, j._den)]
-
-    def unchanged(before, *jets_):
-        return all(np.array_equal(u, v) for u, v in zip(before, snapshot(*jets_)))
+        return [dict(v.terms) if type(v) is jets._Poly else v
+                for j in jets_ for v in (*j._num, j._den)]
 
     for x in operands:
         for y in operands:
             for op in _BINARY:
                 before = snapshot(x, y)
                 op(x, y)
-                assert unchanged(before, x, y)
+                assert snapshot(x, y) == before
     for x in squares:
         for op in unary:
             before = snapshot(x)
             op(x)
-            assert unchanged(before, x)
+            assert snapshot(x) == before
 
 
 class _Counted(int):
@@ -340,22 +304,25 @@ class _Counted(int):
 
 
 def test_variable_times_constant_skips_the_structural_products():
-    # (v, 1, 0, 0) * (c, 0, 0, 0) over a 4-point grid: only v * c runs, one
-    # product per point. With every 0 and 1 an array of counted ints, the
-    # same product runs all 10 convolution terms and the denominators' product.
-    v = np.array([_Counted(k) for k in (1, 2, 3, 4)], dtype=object)
-    c = np.array([_Counted(k) for k in (5, 6, 7, 8)], dtype=object)
-    t, k = Jet.variable(v, 3), Jet.constant(c, 3)
+    # (v, 1, 0, 0) * (c, 0, 0, 0): only v * c runs. With every 0 and 1 a counted
+    # int, the same product runs all 10 convolution terms and the denominators'
+    # product.
+    t = Jet._make((_Counted(3), 1, 0, 0), 1)
+    k = Jet._make((_Counted(5), 0, 0, 0), 1)
     _Counted.products[0] = 0
     r = t * k
-    assert _Counted.products[0] == 4
-    assert _at_points(r, (4,)) == [(5, 5, 0, 0), (12, 6, 0, 0), (21, 7, 0, 0), (32, 8, 0, 0)]
-
-    def dense(jet):
-        def fill(n):
-            return np.array([_Counted(n)] * 4, dtype=object) if type(n) is int else n
-        return Jet._make(tuple(map(fill, jet._num)), fill(jet._den))
-
+    assert _Counted.products[0] == 1
+    assert r.coefficients == (15, 5, 0, 0)
     _Counted.products[0] = 0
-    assert _at_points(dense(t) * dense(k), (4,)) == _at_points(r, (4,))
-    assert _Counted.products[0] == 4 * 11
+    assert (_dense(t, _Counted) * _dense(k, _Counted)).coefficients == r.coefficients
+    assert _Counted.products[0] == 11
+
+
+def test_exact_modules_import_no_numpy():
+    # The jets and the certificate checks run on ints and exact polynomials only.
+    for module in (jets, certificate):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not any(name and name.split(".")[0] == "numpy" for name in imported), module
