@@ -59,24 +59,14 @@ G1 and m (`core._g1`), in the factorization, and dA/dd / pi
 (`core._dadd_over_pi`) in the ODE and residue checks, with m the exact
 root of the guard (`jets._root`, `Jet.sqrt`).
 
-Every check also has an integer-point core, `residual_*(d, e, f, ...)`,
-that checks its point's domain (and the singular set d = f, e = 0) and
-returns its body's sides cross-multiplied (`_cross`), the residual as
-(numerator, denominator). The operator and P have int coefficients at an
-integer point, and the fraction-free jets (`cauchykl.jets`) keep int
-numerators over one int denominator, each term of c3..c0 and P as
-transcribed but over e^2, f^2, d^2, e^4, f^3 and d*f formed once
-(`_powers`). One runner, `_at_rational`, makes each public scalar check
-`verify_*` from its core and the core's degree of homogeneity: it clears
-the common denominator D of a rational point (`jets._clear`), runs the
-core at the integer point D*(d,e,f) and rescales the residual by
-D**degree into one Fraction. A residual part that is not an int (or a
-polynomial of ints) raises TypeError (`_exact_residual`, which the
-suites run on every side too). The vanishing integration constant, the
-one float check left, is cross-checked against the quadrature oracle:
-`verify_integration_constant` returns the deviation at each of its nine
-points, and the ode suite judges them at 1e-8. Any nonzero residual
-disproves the transcription and is reported, never patched.
+Each public scalar check `verify_*` checks its point, ints or Fractions,
+runs the same body there and returns a/b - c/d as one Fraction, so a
+point that a failing proof names reproduces with one call. The vanishing
+integration constant, the one float check left, is cross-checked against
+the quadrature oracle: `verify_integration_constant` returns the
+deviation at each of its nine points, and the ode suite judges them at
+1e-8. Any nonzero residual disproves the transcription and is reported,
+never patched.
 """
 
 from __future__ import annotations
@@ -87,15 +77,13 @@ from fractions import Fraction
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _Poly, _clear, _root
+from .jets import Jet, _Poly, _root, _split
 from .oracle import integral_a_numeric
 
 __all__ = [
     "phi_partial_d", "operator_coefficients", "apply_operator", "certificate_polynomial",
     "psi", "psi_limit",
     "verify_telescoping", "verify_ode_dadd", "verify_dadd_residues", "verify_tail_limit",
-    "residual_telescoping", "residual_ode_dadd", "residual_dadd_residues",
-    "residual_tail_limit", "residual_g_factorization",
     "verify_integration_constant", "verify_g_factorization",
 ]
 
@@ -133,12 +121,12 @@ def operator_coefficients(d, e, f) -> tuple:
     return c3, c2, c1, c0
 
 
-def apply_operator(d, e, f, y: Jet) -> tuple[int, int]:
-    """L[y] = n / den for a d-jet y of order >= 3 expanded at an integer point (d, e, f).
+def apply_operator(d, e, f, y: Jet) -> tuple:
+    """L[y] = n / den for a d-jet y of order >= 3 expanded at the point (d, e, f).
 
-    There c3..c0 are ints, and with y's coefficients num_k / den the
-    numerator n = sum_k c_k * k! * num_k is one int sum: the pair
-    (n, den) is returned and no Fraction is built.
+    With y's coefficients num_k / den, the numerator n = sum_k c_k * k! * num_k is
+    one sum, of ints at an integer point, of Fractions at a rational one and of
+    polynomials at a symbolic one: the pair (n, den) is returned, not their quotient.
     """
     if y.order < 3:
         raise ParameterError(f"the operator needs a jet of order >= 3, got {y.order}")
@@ -181,29 +169,22 @@ def _psi_limit_parts(d, e, f) -> tuple:
 
 
 def psi_limit(d, e, f) -> Fraction:
-    """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P.
-
-    Exact for int or rational (d, e, f). The limit is homogeneous of
-    degree 2, so at an integer point D*(d, e, f) it is D^2 times the limit
-    at (d, e, f), and p5 is int arithmetic there.
-    """
+    """Common limit -2*p5/d^3 of psi at x -> -/+oo, p5 the x^5 coefficient of P,
+    exact for int or rational (d, e, f)."""
     if d == 0:
         raise ParameterError("the tail limit of psi requires d != 0")
     return Fraction(*_psi_limit_parts(d, e, f))
 
 
 def _check_domain(d, e, f) -> None:
-    """Raise ParameterError if the integer point (d, e, f) lies outside
-    4*d*f - e^2 > 0, d > 0, f > 0; no positive factor changes that."""
+    """Raise TypeError unless d, e and f are ints or Fractions, and ParameterError
+    unless 4*d*f - e^2 > 0, d > 0 and f > 0."""
+    for v in (d, e, f):
+        if type(v) is not int and type(v) is not Fraction:
+            raise TypeError(f"the exact checks take ints and Fractions, got {v!r}")
     if core._guard(d, e, f) <= 0 or d <= 0 or f <= 0:
-        raise ParameterError(f"(d, e, f) proportional to {(d, e, f)} "
+        raise ParameterError(f"(d, e, f) = ({d}, {e}, {f}) "
                              "must satisfy 4*d*f - e^2 > 0, d > 0 and f > 0")
-
-
-def _check_regular(d, e, f) -> None:
-    """`core._check_regular_point` at (d, e, f) if it lies on d = f, e = 0."""
-    if d == f and e == 0:
-        core._check_regular_point(d, e, f)
 
 
 def _exact_residual(*parts) -> tuple:
@@ -216,46 +197,27 @@ def _exact_residual(*parts) -> tuple:
     return parts
 
 
-def _cross(sides) -> tuple:
-    """(a*d - c*b, b*d): the residual a/b - c/d of the two sides (a, b) and (c, d)."""
+def _difference(sides) -> Fraction:
+    """a/b - c/d of the sides (a, b) and (c, d) at a point, one Fraction; a part that
+    is not an int or a Fraction raises TypeError."""
     (a, b), (c, d) = sides
-    return a * d - c * b, b * d
-
-
-def _at_rational(residual, degree: int, d, e, f, *rest) -> Fraction:
-    """The residual of the integer-point core `residual` at a rational point, one Fraction.
-
-    The core runs at D*(d, e, f), D the least common denominator of (d, e, f), with
-    the rest of the point (x) as it is. Its residual is homogeneous of `degree` in
-    (d, e, f), so the one found there is D**degree times the one at (d, e, f).
-    """
-    (d, e, f), D = _clear((d, e, f))
-    num, den = _exact_residual(*residual(d, e, f, *rest))
-    return Fraction(num, den * D**degree) if degree >= 0 else Fraction(num * D**-degree, den)
+    return Fraction(a * d - c * b, b * d)
 
 
 def verify_telescoping(d, e, f, x) -> Fraction:
     """Exact residual L[dphi/dd] - dpsi/dx at a rational point, zero if the certificate
-    data is a valid telescoping pair for dphi/dd: `residual_telescoping`, of degree 2
-    in (d, e, f) at fixed x (c3..c0 have degrees 6..3, the k-th d-derivative of
-    dphi/dd degree -1-k, P degree 5)."""
-    return _at_rational(residual_telescoping, 2, d, e, f, x)
-
-
-def residual_telescoping(d, e, f, x) -> tuple:
-    """(num, den) of L[dphi/dd] - dpsi/dx at an integer point (d, e, f) and a rational
-    x: `_telescoping_sides` once the point is checked, cross-multiplied."""
+    data is a valid telescoping pair for dphi/dd: `_telescoping_sides` once the point
+    is checked."""
     _check_domain(d, e, f)
-    return _cross(_telescoping_sides(d, e, f, x))
+    return _difference(_telescoping_sides(d, e, f, x))
 
 
 def _telescoping_sides(d, e, f, x) -> tuple:
-    """The sides (L[dphi/dd], its den) and (dpsi/dx, its den), unchecked, on ints or
-    `jets._Poly`.
+    """The sides (L[dphi/dd], its den) and (dpsi/dx, its den), unchecked, on ints,
+    Fractions or `jets._Poly`.
 
-    The operator and P have int coefficients there, and x enters the d-jet as a
-    constant jet, so L[dphi/dd] is an int over the d-jet's denominator
-    (`apply_operator`), and dpsi/dx an int over the x-jet's.
+    x enters the d-jet as a constant jet, so L[dphi/dd] is one sum over the d-jet's
+    denominator (`apply_operator`), and dpsi/dx a numerator over the x-jet's.
     """
     lhs = apply_operator(d, e, f, phi_partial_d(Jet.variable(d, 3), e, f, Jet.constant(x, 3)))
     rhs = psi(d, e, f, Jet.variable(x, 1))
@@ -264,52 +226,46 @@ def _telescoping_sides(d, e, f, x) -> tuple:
 
 def verify_ode_dadd(d, e, f) -> Fraction:
     """Exact residual of L[dA/dd / pi] at a rational point whose discriminant
-    4*d*f - e^2 is m^2 for a rational m > 0: `residual_ode_dadd`, of degree 2, as
-    dA/dd / pi has degree -1. D*m is an int, as (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2."""
-    return _at_rational(residual_ode_dadd, 2, d, e, f)
-
-
-def residual_ode_dadd(d, e, f) -> tuple:
-    """(num, den) of L[dA/dd / pi] at an integer point (d, e, f) with square
-    discriminant: `_ode_sides` once the point is checked, cross-multiplied.
+    4*d*f - e^2 is m^2 for a rational m > 0: `_ode_sides` once the point is checked.
 
     Points on the singular set d = f, e = 0 are rejected, as the paper's form of
     dA/dd is undefined there and integral_a_dd raises there.
     """
     _check_domain(d, e, f)
-    _check_regular(d, e, f)
-    return _cross(_ode_sides(d, e, f))
+    core._check_regular_point(d, e, f)
+    return _difference(_ode_sides(d, e, f))
 
 
 def _ode_sides(d, e, f) -> tuple:
-    """The sides (L[dA/dd / pi], its den) and 0, unchecked, on ints or `jets._Poly`.
+    """The sides (L[dA/dd / pi], its den) and 0, unchecked, on ints, Fractions or
+    `jets._Poly`.
 
     dA/dd / pi is core's formula, the one integral_a_dd runs, on a d-jet: `Jet.sqrt`
-    finds the head m, an int or a polynomial, so every Taylor coefficient stays
-    rational. L is linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0.
+    finds the head m, a rational or a polynomial, so every Taylor coefficient stays
+    exact. L is linear, so L[dA/dd] = 0 iff L[dA/dd / pi] = 0.
     """
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
     return apply_operator(d, e, f, num / den), (0, 1)
 
 
 def _square_root(guard):
-    """m = sqrt(guard) of a square guard: an int or a `jets._Poly`."""
-    return _root(guard, 1)[0]
+    """m = sqrt(guard) of a square guard: an int, a Fraction or a `jets._Poly`."""
+    p, q = _root(*_split(guard))
+    return p if q == 1 else Fraction(p, q)
 
 
-def _residue_sides(d, e, f, sqrt=_square_root):
+def _residue_sides(d, e, f):
     """The sides Re(2i*(Res_i + Res_rho)) and num/den, unchecked, each as (numerator,
     denominator), with m = sqrt(guard) and (num, den) = `core._dadd_over_pi`.
 
     The residues are those of x^2 / (q(x) * (x^2 + 1)) at i and
-    rho = (-e + i*m) / (2*d), on Gaussian integers as (real, imaginary)
-    parts: 2i*Res_i = -1/q(i), q(i) = (f - d) + i*e, and 2i*Res_rho =
-    2*rho^2 / (m*(rho^2 + 1)) as q'(rho) = i*m, with 4*d^2*rho^2 = a + i*b
-    and 4*d^2*(rho^2 + 1) = c + i*b; Re(u/v) = Re(u*conj(v)) / |v|^2.
-    Only + - * are used after the root, so the same lines run on ints and
-    `jets._Poly`.
+    rho = (-e + i*m) / (2*d), as (real, imaginary) parts: 2i*Res_i = -1/q(i),
+    q(i) = (f - d) + i*e, and 2i*Res_rho = 2*rho^2 / (m*(rho^2 + 1)) as
+    q'(rho) = i*m, with 4*d^2*rho^2 = a + i*b and 4*d^2*(rho^2 + 1) = c + i*b;
+    Re(u/v) = Re(u*conj(v)) / |v|^2. Only + - * are used after the root, so
+    the same lines run on ints, Fractions and `jets._Poly`.
     """
-    m = sqrt(core._guard(d, e, f))
+    m = _square_root(core._guard(d, e, f))
     g = core._g3(d, e, f)  # |q(i)|^2
     a, b = e * e - m * m, -2 * e * m
     c = a + 4 * d * d
@@ -319,15 +275,9 @@ def _residue_sides(d, e, f, sqrt=_square_root):
 
 
 def verify_dadd_residues(d, e, f) -> Fraction:
-    """Exact residual of core's dA/dd against the residue theorem at a rational point
-    with square discriminant 4*d*f - e^2 = m^2, m > 0: `residual_dadd_residues`, of
-    degree -1."""
-    return _at_rational(residual_dadd_residues, -1, d, e, f)
-
-
-def residual_dadd_residues(d, e, f) -> tuple:
-    """(num, den) of Re(2i*(Res_i + Res_rho)) - dA/dd / pi at an integer point (d, e, f)
-    with square discriminant.
+    """Exact residual Re(2i*(Res_i + Res_rho)) - dA/dd / pi of core's dA/dd against the
+    residue theorem at a rational point with square discriminant 4*d*f - e^2 = m^2,
+    m > 0.
 
     The integrand x^2 / (q(x) * (x^2 + 1)) of dA/dd has simple poles at i and
     rho = (-e + i*m)/(2*d) in the upper half-plane, so dA/dd = 2*pi*i*(Res_i + Res_rho),
@@ -336,32 +286,27 @@ def residual_dadd_residues(d, e, f) -> tuple:
     d = f, e = 0, i is a double pole and SingularPointError is raised.
     """
     _check_domain(d, e, f)
-    _check_regular(d, e, f)
-    return _cross(_residue_sides(d, e, f))
+    core._check_regular_point(d, e, f)
+    return _difference(_residue_sides(d, e, f))
 
 
 def verify_tail_limit(d, e, f) -> Fraction:
     """Exact residual -2*p5/d^3 - psi_limit(d, e, f) at a rational point, p5 the x^5
-    coefficient of the shipped P: `residual_tail_limit`, of degree 2."""
-    return _at_rational(residual_tail_limit, 2, d, e, f)
-
-
-def residual_tail_limit(d, e, f) -> tuple:
-    """(num, den) of -2*p5/d^3 - psi_limit at an integer point (d, e, f).
+    coefficient of the shipped P.
 
     With t = 1/x, psi(1/t) = -2*t^5*P(1/t) / ((d + e*t + f*t^2)^3 * (1 + t^2)),
     regular at t = 0 when psi has x-degree at most 0 at infinity (the certificate
     suite reads that degree from the shipped psi on its x-jet), so both tail limits
-    of psi are -2*p5/d^3: `_tail_sides` once the point is checked, cross-multiplied.
+    of psi are -2*p5/d^3: `_tail_sides` once the point is checked.
     """
     _check_domain(d, e, f)
-    return _cross(_tail_sides(d, e, f))
+    return _difference(_tail_sides(d, e, f))
 
 
 def _tail_sides(d, e, f) -> tuple:
-    """The sides -2*p5/d^3 and psi_limit, unchecked, on ints or `jets._Poly`. p5 is
-    read as the x^5 Taylor coefficient of P at x = 0 from an x-jet of order 5; the
-    limit is `psi_limit`'s own arithmetic (`_psi_limit_parts`).
+    """The sides -2*p5/d^3 and psi_limit, unchecked, on ints, Fractions or `jets._Poly`.
+    p5 is read as the x^5 Taylor coefficient of P at x = 0 from an x-jet of order 5;
+    the limit is `psi_limit`'s own arithmetic (`_psi_limit_parts`).
     """
     p = certificate_polynomial(d, e, f, Jet.variable(0, 5))
     return ((-2 * p.derivative_numerator(5), math.factorial(5) * p.denominator * d**3),
@@ -369,28 +314,22 @@ def _tail_sides(d, e, f) -> tuple:
 
 
 def verify_g_factorization(d, e, f) -> Fraction:
-    """Exact residual m*(G1*G2 - (d-f)^2 - e^2) at a rational point with square
-    discriminant 4*d*f - e^2 = m^2, m > 0: `residual_g_factorization`, of degree 3."""
-    return _at_rational(residual_g_factorization, 3, d, e, f)
-
-
-def residual_g_factorization(d, e, f) -> tuple:
-    """(num, den) of m*(G1*G2 - G3) at an integer point (d, e, f) with square
-    discriminant m^2, where G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
+    """Exact residual m*(G1*G2 - G3) at a rational point with square discriminant
+    4*d*f - e^2 = m^2, m > 0, where G1,2 = d + f +/- m and G3 = (d-f)^2 + e^2.
 
     The identity turns (log G1 - log G2 + log G3)/2 into log G1 in the closed
     form of A. G1 and m are `core._g1`'s, the G1 whose log integral_a_canonical
     takes. On the singular set d = f, e = 0 both sides are 0.
     """
     _check_domain(d, e, f)
-    return _cross(_g_sides(d, e, f))
+    return _difference(_g_sides(d, e, f))
 
 
-def _g_sides(d, e, f, sqrt=_square_root) -> tuple:
+def _g_sides(d, e, f) -> tuple:
     """The sides (m*G1*G2, 1) and (m*G3, 1), unchecked, with G1 and m = sqrt(guard)
     from `core._g1` and G3 from `core._g3`. Only + - * are used after the root, so
-    the same lines run on ints and `jets._Poly`."""
-    g1, m = core._g1(d, e, f, sqrt)
+    the same lines run on ints, Fractions and `jets._Poly`."""
+    g1, m = core._g1(d, e, f, _square_root)
     return (m * g1 * (d + f - m), 1), (m * core._g3(d, e, f), 1)
 
 

@@ -19,7 +19,8 @@ every operation is one arithmetic path on those numerators:
   so the quotient's coefficients are Z_k / v0^(k+1), and put back over
   one denominator;
 * sqrt() runs the analogous recurrence for the square root, after
-  finding the head's root as isqrt(num_0 * den) / |den|.
+  finding the head's root as isqrt(num_0 * den) / |den| (`_root`, which
+  takes polynomials too).
 
 A numerator or denominator that is exactly the Python int 0 or 1 is
 structural, and every jet has some: a variable jet is (v, 1, 0, ...) over
@@ -249,19 +250,24 @@ def _exact_isqrt(square: int) -> int:
     return p if p * p == square else -1
 
 
-def _root(n: int, den: int) -> tuple[int, int]:
-    """(p, q) with p/q the square root of n/den: p = isqrt(n*den), q = |den|.
+def _root(n, den) -> tuple:
+    """(p, q) with p/q the square root of n/den: q = +/-den, the sign making q or,
+    for a `_Poly`, its leading coefficient (at the largest key) positive, and p the
+    root of n*q, isqrt(n*q) or the one `_Poly.root` finds.
 
-    n/den is a rational square exactly when n*den is an integer square,
-    so no Fraction is built and no gcd is taken. A `_Poly` n over an int den
-    has the root `_Poly.root` finds.
+    n/den is a rational square exactly when n*q is an integer square (a polynomial
+    one, by Gauss's lemma, for polynomials), so no Fraction is built and no gcd is
+    taken; otherwise ParameterError is raised.
     """
-    if type(n) is _Poly:
-        return (n * den).root(), abs(den)
-    p = _exact_isqrt(n * den)
+    if (den.terms[max(den.terms)] if type(den) is _Poly else den) < 0:
+        n, den = -n, -den
+    square = n * den
+    if type(square) is _Poly:
+        return square.root(), den
+    p = _exact_isqrt(square)
     if p < 0:
         raise ParameterError(f"{Fraction(n, den)} is not the square of a rational")
-    return p, abs(den)
+    return p, den
 
 
 class Jet:

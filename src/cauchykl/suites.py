@@ -16,8 +16,8 @@ between two sides a/b = c/d, each run once on exact polynomials
 (`_prove_polynomial`): the identity holds when b and d are not the zero
 polynomial and a*d - c*b is, which one Kronecker substitution in the last
 variable decides without expanding a*d or c*b. A failure names the first
-small integer point where a*d - c*b, b and d are nonzero, which a scalar
-`certificate.verify_*` call reproduces.
+small integer point where a*d - c*b, b and d are nonzero, at which a scalar
+`certificate.verify_*` call runs the same body on the same ints.
 """
 
 from __future__ import annotations
@@ -83,17 +83,15 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
 
 def _points(coordinates: str) -> Iterator[tuple]:
     """Small integer points, by the sum of their coordinates and then in lexicographic
-    order, where a residual named at them reproduces: (d, e, f) or (d, e, f, x) with
-    4*d*f - e^2 > 0; or (d, e, m) with gcd(e^2 + m^2, 4d) = 1, where 4d*(d, e, f) at
-    f = (e^2 + m^2)/(4d) is already the least integer multiple, so the scalar check
-    runs its core at the very same integer point. That also keeps them off the
-    singular set e = 0, m = 2d, where e^2 + m^2 is even."""
+    order: (d, e, f) or (d, e, f, x) with 4*d*f - e^2 > 0, or (d, e, m) off the
+    singular set (e, m) = (0, 2d), as (4d^2, 4de, e^2 + m^2) is on d = f, e = 0
+    there."""
     for total in itertools.count(2):
         for d in range(1, total):
             for e in range(total - d):
                 rest = total - d - e
                 if coordinates == "d e m":
-                    if math.gcd(e * e + rest * rest, 4 * d) == 1:
+                    if (e, rest) != (0, 2 * d):
                         yield d, e, rest
                 elif coordinates == "d e f":
                     if 4 * d * rest > e * e:
@@ -150,8 +148,9 @@ def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
     A*D with C*B in one variable fewer and expands neither product of the full
     sides; no degree bound, grid or off-grid point is needed. Otherwise the detail
     ends with the first small point (`_points`) where a*d - c*b, b and d are all
-    nonzero, named in (d, e, f) or (d, e, f, x), where the scalar `verify_*`
-    reproduces a nonzero residual.
+    nonzero, named as the integer point evaluated there, (d, e, f) or (d, e, f, x),
+    and for (d, e, m) the (d, e, f) = (4d^2, 4de, e^2 + m^2): there the scalar
+    `verify_*` runs the same body on the same ints and reproduces a nonzero residual.
     """
     (a, b), (c, d) = sides
     names = a.names
@@ -170,7 +169,7 @@ def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
     at = f"({', '.join(names)})"
     if names == ("d", "e", "m"):
         d0, e0, m0 = point
-        at, point = "(d, e, f)", (d0, e0, Fraction(e0 * e0 + m0 * m0, 4 * d0))
+        at, point = "(d, e, f)", (4 * d0 * d0, 4 * d0 * e0, e0 * e0 + m0 * m0)
     return 1, (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial for "
                f"its sides a/b and c/d{note}; first nonzero at {at} = "
                f"({', '.join(map(str, point))})")

@@ -128,13 +128,15 @@ def test_ode_rejects_singular_and_nonsquare():
 
 
 def test_lcm_of_d_e_f_denominators_clears_m():
-    # verify_ode_dadd scales by D = lcm of the d, e, f denominators only:
-    # (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2 is an integer square, so D*m is an int.
+    # The root m of the guard at a rational point, which the residue and factorization
+    # checks take there, has a denominator dividing D, the lcm of the d, e, f
+    # denominators: (D*m)^2 = 4*(D*d)*(D*f) - (D*e)^2 is an integer square.
     rng = np.random.Generator(np.random.PCG64(109))
     for _ in range(200):
         d, e, f = random_certificate_point(rng)
         D = jets._clear((d, e, f))[1]
-        assert (D * rational_sqrt(4 * d * f - e * e)).denominator == 1
+        m = certificate._square_root(4 * d * f - e * e)
+        assert m > 0 and m * m == 4 * d * f - e * e and (D * m).denominator == 1
 
 
 def test_ode_random_points():
@@ -159,9 +161,10 @@ def test_ode_check_runs_the_shipped_dadd(monkeypatch):
 
 
 def test_scalar_checks_rescale_by_their_degree(monkeypatch):
-    # Each scalar check runs its core at D*(d, e, f) and divides by D^degree. Under
-    # perturbations that keep each residual homogeneous of its degree and nonzero,
-    # it must equal the same formulas run in Fractions at the point itself, D = 2.
+    # Each scalar check runs its body at the point itself, here one with denominator
+    # D = 2, and must equal the same formulas run in Fractions there. Under
+    # perturbations that keep each residual homogeneous of its degree and nonzero, it
+    # is also its value at the integer point D*(d, e, f) over D**degree.
     shipped_p, shipped_dadd = certificate.certificate_polynomial, core._dadd_over_pi
 
     def perturbed_dadd(d, e, f, sqrt):
@@ -179,14 +182,16 @@ def test_scalar_checks_rescale_by_their_degree(monkeypatch):
     telescoping = n / den - Fraction(psi_jet.derivative_numerator(1), psi_jet.denominator)
     num, den = core._dadd_over_pi(Jet.variable(d, 3), e, f, Jet.sqrt)
     n, den = certificate.apply_operator(d, e, f, num / den)
-    m = rational_sqrt(4 * d * f - e * e)
-    gap, gap_den = certificate._cross(certificate._residue_sides(d, e, f, lambda _: m))
+    (a, b), (c, dd) = certificate._residue_sides(d, e, f)
     p = certificate.certificate_polynomial(d, e, f, Jet.variable(0, 5))
     tail = -2 * p.coefficients[5] / d**3 - psi_limit(d, e, f)
-    direct = (telescoping, n / den, gap / gap_den, tail)
+    direct = (telescoping, n / den, a / b - c / dd, tail)
     assert all(type(r) is Fraction and r != 0 for r in direct)
     assert (verify_telescoping(d, e, f, x), verify_ode_dadd(d, e, f),
             verify_dadd_residues(d, e, f), verify_tail_limit(d, e, f)) == direct
+    scaled = (verify_telescoping(2 * d, 2 * e, 2 * f, x), verify_ode_dadd(2 * d, 2 * e, 2 * f),
+              verify_dadd_residues(2 * d, 2 * e, 2 * f), verify_tail_limit(2 * d, 2 * e, 2 * f))
+    assert tuple(r / Fraction(2)**k for r, k in zip(scaled, (2, 2, -1, 2))) == direct
 
 
 def test_integration_constant_report():
@@ -353,8 +358,9 @@ def test_inexact_residual_is_refused(monkeypatch):
 
 
 def test_certificate_is_homogeneous():
-    # The exact checks evaluate at D*(d, e, f) and divide by D^2; that
-    # rests on these degrees, pinned here at random points and scalings.
+    # The (d, e, m) proofs run at (4d^2, 4de, e^2 + m^2), and every point with square
+    # discriminant is a multiple of one of those; that rests on these degrees,
+    # pinned here at random points and scalings.
     rng = np.random.Generator(np.random.PCG64(113))
     for _ in range(30):
         d, e, f = random_certificate_point(rng)
@@ -482,13 +488,13 @@ def test_operator_mutation_is_caught(monkeypatch):
     ode = ode_suite()[0]
     assert not telescoping.passed and not ode.passed
     # At x = 0 every d-derivative of dphi/dd vanishes, so the first nonzero has
-    # x = 1. The ODE's polynomial proof names the first small point where its
-    # cross difference is nonzero.
+    # x = 1. The ODE's polynomial proof names the integer point of the first small
+    # (d, e, m) = (1, 0, 1) where its cross difference is nonzero.
     assert _witness(telescoping.detail) == (1, 0, 1, 1)
     assert verify_telescoping(1, 0, 1, 1) != 0
-    assert _proof_witnesses(ode.detail) == {"ode": (1, 0, Fraction(1, 4)), "residues": None,
+    assert _proof_witnesses(ode.detail) == {"ode": (4, 0, 1), "residues": None,
                                             "factorization": None}
-    assert verify_ode_dadd(1, 0, Fraction(1, 4)) != 0
+    assert verify_ode_dadd(4, 0, 1) != 0
 
 
 def test_inexact_operator_is_refused(monkeypatch):
@@ -531,38 +537,6 @@ def test_tail_limit_catches_a_changed_x5_coefficient(monkeypatch):
     tail = certificate_suite()[2]
     assert not tail.passed and "disproved in Z[d, e, f]" in tail.detail
     assert _witness(tail.detail) == (1, 0, 1) and verify_tail_limit(1, 0, 1) == -2
-
-
-def test_exact_checks_build_one_fraction_each(monkeypatch):
-    # The exact checks run on int numerators from the grid point to the
-    # residual: only the returned residual is a Fraction. Any Fraction
-    # arithmetic on the way would show up here as more constructions.
-    rng = np.random.Generator(np.random.PCG64(149))
-    x = Fraction(-7, 4)
-    rational = random_certificate_point(rng)
-    built = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__",
-                        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
-
-    def count(step):
-        start = len(built)
-        result = step()
-        return len(built) - start, result
-
-    point = (4, 12, 10)  # 4*4*10 - 12^2 = 4^2
-    counts = [count(step) for step in (
-        lambda: verify_telescoping(1, 6, 106, 10),
-        lambda: verify_ode_dadd(*point),
-        lambda: verify_dadd_residues(*point),
-        lambda: verify_telescoping(*rational, x),
-        lambda: verify_ode_dadd(*rational),
-        lambda: verify_dadd_residues(*rational))]
-    tail, limit = count(lambda: verify_tail_limit(1, 6, 106))
-    monkeypatch.undo()
-    assert [n for n, _ in counts] == [1] * 6
-    assert all(residual == 0 for _, residual in counts) and limit == 0
-    assert tail == 1  # the residual: the limit is psi_limit's arithmetic without its Fraction
 
 
 def test_polynomial_proofs_name_their_ring_and_their_bound():
@@ -609,12 +583,10 @@ def _proof_witnesses(detail):
 
 
 def _small_regular_point(point) -> bool:
-    """Whether (d, e, f) is (d, e, (e^2 + m^2)/(4d)) for ints d, m >= 1, e >= 0, all at most
+    """Whether (d, e, f) is (4d^2, 4de, e^2 + m^2) for ints d, m >= 1, e >= 0, all at most
     10, off the singular set m = 2d with e = 0."""
-    d, e, f = point
-    m = rational_sqrt(4 * d * f - e * e)
-    return (all(v.denominator == 1 and 0 <= v <= 10 for v in (d, e, m)) and d >= 1 and m >= 1
-            and not (e == 0 and m == 2 * d))
+    return any(tuple(point) == (4 * d * d, 4 * d * e, e * e + m * m) and (e, m) != (0, 2 * d)
+               for d in range(1, 11) for e in range(11) for m in range(1, 11))
 
 
 # Changes to dA/dd's (numerator, denominator): an odd term in e and a term without m.
@@ -722,15 +694,18 @@ def test_polynomial_proof_refuses_a_zero_denominator(monkeypatch):
 
 
 def test_witness_points_are_the_scalar_checks_own_integer_points():
-    # Each (d, e, m) witness is named as (d, e, (e^2 + m^2)/(4d)), whose least common
-    # denominator is 4d, so `verify_*` runs its core at (4d^2, 4de, e^2 + m^2), the
-    # point the polynomial was evaluated at; none lies on the singular set e = 0,
-    # m = 2d. Each (d, e, f) or (d, e, f, x) witness lies in the domain 4*d*f > e^2.
-    points = itertools.islice(suites._points("d e m"), 300)
-    assert next(suites._points("d e m")) == (1, 0, 1)
-    for d, e, m in points:
-        assert jets._clear((d, e, Fraction(e * e + m * m, 4 * d)))[1] == 4 * d
-        assert m >= 1 and not (e == 0 and m == 2 * d)
+    # Each (d, e, m) point stands for the integer point (4d^2, 4de, e^2 + m^2), whose
+    # guard is (4dm)^2, and a failing proof names that point, where `verify_*` runs the
+    # same body on the same ints; only the singular set e = 0, m = 2d is left out.
+    # Each (d, e, f) or (d, e, f, x) witness lies in the domain 4*d*f > e^2.
+    points = list(itertools.takewhile(lambda p: sum(p) <= 8, suites._points("d e m")))
+    assert points == sorted(points, key=lambda p: (sum(p), p))
+    assert set(points) == {(d, e, m) for d in range(1, 8) for e in range(7) for m in range(1, 8)
+                           if d + e + m <= 8 and (e, m) != (0, 2 * d)}
+    sides = suites._sides(lambda d, e, f: ((e, 1), (0, 1)), "d e m")
+    assert suites._prove_polynomial(sides, "e")[1].endswith(
+        "; first nonzero at (d, e, f) = (4, 4, 2)")  # (d, e, m) = (1, 1, 1)
+    assert verify_ode_dadd(4, 4, 2) == verify_dadd_residues(4, 4, 2) == 0
     assert next(suites._points("d e f")) == (1, 0, 1)
     assert all(4 * d * f > e * e and d >= 1 and f >= 1
                for d, e, f in itertools.islice(suites._points("d e f"), 300))
@@ -866,12 +841,15 @@ def test_residue_and_factorization_polynomials_match_sympy(monkeypatch, mutation
     symbols, point = _scaled_symbols(sympy)
     d, _, m = symbols
     bodies = (certificate._residue_sides, certificate._g_sides)
-    for body in bodies:
-        expected = [part for side in body(*point, lambda guard: 4 * d * m) for part in side]
-        found = [part for side in _polynomial_body(body) for part in side]
-        for poly, expression in zip(found, expected, strict=True):
+    found = [_polynomial_body(body) for body in bodies]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificate, "_square_root", lambda guard: 4 * d * m)
+        expected = [body(*point) for body in bodies]
+    for sides, expressions in zip(found, expected, strict=True):
+        for poly, expression in zip((p for side in sides for p in side),
+                                    (x for side in expressions for x in side), strict=True):
             assert sympy.expand(_to_sympy(sympy, poly, symbols) - expression) == 0
-    numerators = [certificate._cross(_polynomial_body(body))[0] == 0 for body in bodies]
+    numerators = [a * dd - c * b == 0 for (a, b), (c, dd) in found]
     assert numerators == {None: [True, True], "G3 + d*e": [False, False],
                           "dA/dd numerator + d^2": [False, True]}[mutation]
 
@@ -928,12 +906,13 @@ def test_dadd_residues_catch_a_changed_formula(monkeypatch):
     assert verify_dadd_residues(1, 3, Fraction(5, 2)) != 0
 
 
-# (integer-point core, unchecked body, ring) for each identity.
-_CORES = ((certificate.residual_telescoping, certificate._telescoping_sides, "d e f x"),
-          (certificate.residual_tail_limit, certificate._tail_sides, "d e f"),
-          (certificate.residual_ode_dadd, certificate._ode_sides, "d e m"),
-          (certificate.residual_dadd_residues, certificate._residue_sides, "d e m"),
-          (certificate.residual_g_factorization, certificate._g_sides, "d e m"))
+# (scalar check, unchecked body, ring) for each identity.
+_CORES = ((verify_telescoping, certificate._telescoping_sides, "d e f x"),
+          (verify_tail_limit, certificate._tail_sides, "d e f"),
+          (verify_ode_dadd, certificate._ode_sides, "d e m"),
+          (verify_dadd_residues, certificate._residue_sides, "d e m"),
+          (verify_g_factorization, certificate._g_sides, "d e m"))
+_CORE_NAMES = ("telescoping", "tail", "ode", "residues", "factorization")
 
 
 def _integer_point(coordinates, point):
@@ -944,52 +923,69 @@ def _integer_point(coordinates, point):
     return 4 * d * d, 4 * d * e, e * e + m * m
 
 
-def _polynomial_matches_core(core_check, body, coordinates):
-    """The sides, run once on polynomials and cross-multiplied, equal the core's
-    (num, den) at each of the first 12 small points; returns how many are nonzero."""
-    num, den = certificate._cross(suites._sides(body, coordinates))
+def _polynomial_matches_check(check, body, coordinates):
+    """The scalar check at the integer point of each of the first 12 small points is
+    a/b - c/d of the sides, run once on polynomials and evaluated there; returns how
+    many are nonzero."""
+    sides = suites._sides(body, coordinates)
     nonzero = 0
     for point in itertools.islice(suites._points(coordinates), 12):
-        assert core_check(*_integer_point(coordinates, point)) == (num.at(point), den.at(point))
-        nonzero += num.at(point) != 0
+        a, b, c, d = (part.at(point) for side in sides for part in side)
+        residual = check(*_integer_point(coordinates, point))
+        assert type(residual) is Fraction and residual == Fraction(a * d - c * b, b * d)
+        nonzero += residual != 0
     return nonzero
 
 
 def test_grid_cores_match_the_scalar_checks(monkeypatch):
     # The suites run each identity once on polynomials, and the scalar checks run
-    # the same body at one integer point: evaluated there, the polynomials must
-    # give the core's very numerator and denominator, on the shipped data and
-    # under mutations that make the residuals nonzero.
-    assert [_polynomial_matches_core(*core) for core in _CORES] == [0, 0, 0, 0, 0]
+    # the same body at one point: at the integer point of a small point of the
+    # ring, the polynomials evaluated there must give the check's very residual,
+    # on the shipped data and under mutations that make the residuals nonzero.
+    assert [_polynomial_matches_check(*core) for core in _CORES] == [0, 0, 0, 0, 0]
     shipped = certificate.certificate_polynomial
     monkeypatch.setattr(certificate, "certificate_polynomial",
                         lambda d, e, f, x: shipped(d, e, f, x) + d**5 * x * x * x * x * x)
-    assert [_polynomial_matches_core(*core) for core in _CORES[:2]] == [12 - 7, 12]  # x = 0 vanishes
+    assert [_polynomial_matches_check(*core) for core in _CORES[:2]] == [12 - 7, 12]  # x = 0 vanishes
     dadd_over_pi = core._dadd_over_pi
     monkeypatch.setattr(core, "_dadd_over_pi", lambda d, e, f, sqrt: (
         dadd_over_pi(d, e, f, sqrt)[0] + d * d, dadd_over_pi(d, e, f, sqrt)[1]))
     # The G factorization reads core._g1, which this change keeps.
-    assert [_polynomial_matches_core(*core) for core in _CORES[2:]] == [12, 12, 0]
+    assert [_polynomial_matches_check(*core) for core in _CORES[2:]] == [12, 12, 0]
     monkeypatch.setattr(core, "_dadd_over_pi", dadd_over_pi)
     _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
-    assert _polynomial_matches_core(*_CORES[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
+    assert _polynomial_matches_check(*_CORES[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
+    monkeypatch.undo()
+    # The polynomial proofs' mutations, c0 + 1 not homogeneous among them: c0 is the
+    # telescoping operator's too.
+    for mutation, (name, change, failing) in _POLYNOMIAL_MUTATIONS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(*_shipped(name, change))
+            counts = [_polynomial_matches_check(*core) for core in _CORES]
+        assert {proof for proof, n in zip(_CORE_NAMES, counts) if n} == (
+            failing | {"telescoping"} if mutation == "c0 + 1" else failing)
 
 
 def test_grid_cores_check_every_point():
-    # Each core checks its point's domain and the singular set, raising the scalar
-    # check's exception, which names the point.
-    for core_check, _, coordinates in _CORES:
-        with pytest.raises(ParameterError, match=r"proportional to \(1, 2, 1\) must satisfy"):
-            core_check(1, 2, 1, *(0,) * (coordinates == "d e f x"))
+    # Each scalar check checks its point's domain and the singular set, at ints and
+    # Fractions alike, raising an exception that names the point, and refuses a
+    # guard that is not a square.
+    for check, _, coordinates in _CORES:
+        with pytest.raises(ParameterError, match=r"\(d, e, f\) = \(1, 2, 1\) must satisfy"):
+            check(1, 2, 1, *(0,) * (coordinates == "d e f x"))
+        with pytest.raises(ParameterError, match=r"\(d, e, f\) = \(1/2, 1, 1/2\) must"):
+            check(Fraction(1, 2), 1, Fraction(1, 2), *(0,) * (coordinates == "d e f x"))
     with pytest.raises(ParameterError):  # d = -1
-        certificate.residual_tail_limit(-1, 0, 1)
-    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues):
-        with pytest.raises(SingularPointError):  # d = f, e = 0
-            core_check(4, 0, 4)
-    for core_check in (certificate.residual_ode_dadd, certificate.residual_dadd_residues,
-                       certificate.residual_g_factorization):
+        verify_tail_limit(-1, 0, 1)
+    for check in (verify_ode_dadd, verify_dadd_residues):
+        for point in ((4, 0, 4), (Fraction(1, 2), 0, Fraction(1, 2))):  # d = f, e = 0
+            with pytest.raises(SingularPointError, match="lies on the singular set"):
+                check(*point)
+    for check in (verify_ode_dadd, verify_dadd_residues, verify_g_factorization):
         with pytest.raises(ParameterError, match="11 is not the square"):
-            core_check(1, 3, 5)
+            check(1, 3, 5)
+        with pytest.raises(ParameterError, match="is not the square"):
+            check(Fraction(1, 2), 0, 1)  # 4*d*f - e^2 = 2
 
 
 def test_grid_runner_refuses_inexact_residuals(monkeypatch):
@@ -1081,7 +1077,7 @@ def test_kronecker_zero_test_agrees_with_the_expansion(kind):
     for _ in range(15):
         sides = make(rng, variables)
         (a, b), (c, d) = sides
-        cross = certificate._cross(sides)[0]
+        cross = a * d - c * b
         assert (cross == 0) == equal
         failures, detail = suites._prove_polynomial(sides, "pair")
         assert failures == (cross != 0)

@@ -65,6 +65,22 @@ def test_sqrt_over_a_negative_denominator():
         (-g).sqrt()
 
 
+def test_sqrt_over_a_polynomial_denominator():
+    # A jet divided by a polynomial has a polynomial denominator; its root is the
+    # root of num_0 * den over den, the sign of den fixed by its leading coefficient,
+    # so d^2/e^2 has the head d/e whichever sign den carries. A head that is not the
+    # square of a rational function raises ParameterError.
+    d, e = jets._Poly.variables("d e")
+    for sign in (1, -1):
+        g = Jet.variable(sign * d * d, 2) / (sign * e * e)
+        assert type(g.denominator) is jets._Poly
+        root = g.sqrt()
+        assert root * root == g
+        assert root.derivative_numerator(0) * e == d * root.denominator
+    with pytest.raises(ParameterError, match="is not the square of a rational polynomial"):
+        (Jet.variable(d, 2) / e).sqrt()
+
+
 def test_exact_sqrt_jet_with_rational_head():
     # 4*d*f - e^2 at (d, e, f) = (1, 3, 5/2) equals 1; the d-jet of its
     # square root stays rational and squares back exactly.
@@ -257,8 +273,7 @@ def test_skipping_structural_zeros_and_ones_changes_no_value():
                     for op in _BINARY[:3] if type(s) is int and s == 0 else _BINARY:
                         assert op(x, s) == op(dx, s)
                 square = x * x
-                if type(a) is not jets._Poly:  # a polynomial denominator has no sign to root
-                    assert square.sqrt() == _dense(square, fill).sqrt()
+                assert square.sqrt() == _dense(square, fill).sqrt()
 
 
 def test_no_operation_updates_an_operand():
