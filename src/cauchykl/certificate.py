@@ -50,7 +50,8 @@ The identities proved so are
   simplification (`verify_g_factorization`).
 
 The last three run in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), 4d
-times every point with square discriminant, where the guard is (4dm)^2.
+times every point with square discriminant, where the guard is (4dm)^2
+(`suites._scaled_point`).
 
 These run core's own formulas, not copies: the guard (`core._guard`) in
 every domain check and square root, q(x) and x^2 + 1 (`core._quadratic`)

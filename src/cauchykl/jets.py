@@ -7,10 +7,9 @@ every operation is one arithmetic path on those numerators:
 
 * + and - are one combine, which adds or subtracts the numerators, each
   times the other operand's denominator, over the product of the
-  denominators (a denominator the operands share is kept as it is); *
-  convolves the numerators and multiplies the denominators. A scalar p/q
-  enters as the constant jet (p, 0, ...)/q, whose structural 0s (below)
-  leave + and - moving c0 only and * scaling the numerators;
+  denominators; * convolves the numerators and multiplies the
+  denominators. A scalar p/q enters as the constant jet (p, 0, ...)/q,
+  whose structural 0s (below) leave * scaling the numerators;
 * / runs the fraction-free quotient recurrence (in the spirit of
   Bareiss' integer-preserving elimination, Math. Comp. 22, 1968)
 
@@ -20,16 +19,15 @@ every operation is one arithmetic path on those numerators:
   one denominator;
 * sqrt() runs the analogous recurrence for the square root, after
   finding the head's root as isqrt(num_0 * den) / |den| (`_root`, which
-  takes polynomials too).
+  takes polynomials too, if num_0 * den is the square of a monomial).
 
 A numerator or denominator that is exactly the Python int 0 or 1 is
 structural, and every jet has some: a variable jet is (v, 1, 0, ...) over
-1, a constant jet (c, 0, ...) over 1. Every product and sum above goes
-through `_mul`, `_add` or `_sub`, which return the other operand itself,
-0 or its negation for such an int, with no product or sum run; every
-coefficient is the same exact rational. A result may thus be an
-operand's own value, so no operation updates a value in place: each
-step rebinds (acc = _sub(acc, ...), never acc -= ...).
+1, a constant jet (c, 0, ...) over 1. Every product above goes through
+`_mul`, which returns 0 or the other operand itself for such an int, with
+no product run; every coefficient is the same exact rational. A result
+may thus be an operand's own value, so no operation updates a value in
+place: each step rebinds (acc = acc - ..., never acc -= ...).
 
 Jets are exact only. A scalar is an int, a rational
 (`fractions.Fraction`) or an exact polynomial with int coefficients
@@ -66,24 +64,6 @@ def _mul(a, b):
     return a * b
 
 
-def _add(a, b):
-    """a + b, with the int 0 in either place structural: the other operand itself."""
-    if type(a) is int and a == 0:
-        return b
-    if type(b) is int and b == 0:
-        return a
-    return a + b
-
-
-def _sub(a, b):
-    """a - b, with the int 0 in either place structural: a itself, or -b."""
-    if type(b) is int and b == 0:
-        return a
-    if type(a) is int and a == 0:
-        return -b
-    return a - b
-
-
 _FIELD = 16  # bits per exponent in a packed monomial key
 
 
@@ -99,7 +79,8 @@ class _Poly:
     from the last variable. + - * and ** take ints and polynomials in the same
     variables; any other operand is left to its own type (a jet takes a polynomial
     as a scalar) or refused with TypeError, so every coefficient stays an int.
-    `== 0` holds only for the zero polynomial."""
+    `== 0` holds only for the zero polynomial, and `root` takes only the square of
+    a monomial."""
 
     __slots__ = ("terms", "names")
     __array_ufunc__ = __hash__ = None  # numpy defers to a polynomial; it is unhashable
@@ -165,16 +146,6 @@ class _Poly:
         terms = self._terms(other)
         return NotImplemented if terms is None else self.terms == terms
 
-    def at(self, point) -> int:
-        """The value at an int point, one int per variable."""
-        mask, total = (1 << _FIELD) - 1, 0
-        for k, c in self.terms.items():
-            for v in point:
-                c *= v ** (k & mask)
-                k >>= _FIELD
-            total += c
-        return total
-
     def at_last(self, bits: int) -> "_Poly":
         """self with its last variable at 2^bits: a polynomial in the others."""
         shift = _FIELD * (len(self.names) - 1)
@@ -190,31 +161,17 @@ class _Poly:
         return max(self.terms, default=-1) >> (_FIELD * (len(self.names) - 1))
 
     def root(self) -> "_Poly":
-        """The r with r*r == self and a positive leading coefficient (at the largest
-        key); ParameterError if Z[names] has none, and then (Gauss's lemma) neither
-        has Q[names].
-
-        Term by term from the top: the leading term of self - r*r over twice r's
-        leading term is r's next term. The leading key of self - r*r falls at each
-        step and no key is negative, so the descent ends.
-        """
-        n, rest, root = len(self.names), self, _Poly({}, self.names)
-        while rest.terms:
-            k = max(rest.terms)
-            if root.terms:
-                lead = max(root.terms)
-                c, remainder = divmod(rest.terms[k], 2 * root.terms[lead])
-                remainder = remainder or min(map(operator.sub, _exponents(k, n),
-                                                 _exponents(lead, n))) < 0
-                key = k - lead
-            else:
-                c, key = _exact_isqrt(rest.terms[k]), k >> 1
-                remainder = c < 0 or any(j % 2 for j in _exponents(k, n))
-            if remainder:
-                raise ParameterError(f"{self} is not the square of a rational polynomial")
-            term = _Poly({key: c}, self.names)
-            rest, root = rest - term * (root + root + term), root + term
-        return root
+        """The monomial r with r*r == self and a positive coefficient, for self the
+        square of a monomial, or 0 for 0; ParameterError otherwise, naming self.
+        Every root a proof takes is of the guard (4dm)^2."""
+        if not self.terms:
+            return self
+        if len(self.terms) == 1:
+            (k, c), = self.terms.items()
+            r = _exact_isqrt(c)
+            if r > 0 and not any(j % 2 for j in _exponents(k, len(self.names))):
+                return _Poly({k >> 1: r}, self.names)  # every exponent even: halve each
+        raise ParameterError(f"{self} is not the square of a monomial")
 
     def __repr__(self) -> str:
         return " + ".join(
@@ -253,11 +210,11 @@ def _exact_isqrt(square: int) -> int:
 def _root(n, den) -> tuple:
     """(p, q) with p/q the square root of n/den: q = +/-den, the sign making q or,
     for a `_Poly`, its leading coefficient (at the largest key) positive, and p the
-    root of n*q, isqrt(n*q) or the one `_Poly.root` finds.
+    root of n*q, isqrt(n*q) or the monomial `_Poly.root` finds.
 
-    n/den is a rational square exactly when n*q is an integer square (a polynomial
-    one, by Gauss's lemma, for polynomials), so no Fraction is built and no gcd is
-    taken; otherwise ParameterError is raised.
+    n/den is a rational square exactly when n*q is an integer square, so no
+    Fraction is built and no gcd is taken; otherwise, or if a polynomial n*q is not
+    the square of a monomial, ParameterError is raised.
     """
     if (den.terms[max(den.terms)] if type(den) is _Poly else den) < 0:
         n, den = -n, -den
@@ -297,6 +254,9 @@ class Jet:
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "Jet":
+        """The constant jet value, truncated at `order`."""
+        if order < 0:
+            raise ParameterError(f"constant jets need order >= 0, got {order!r}")
         p, q = _split(value)
         return cls._make((p,) + (0,) * order, q)
 
@@ -328,16 +288,14 @@ class Jet:
         return other
 
     def _combine(self, other, op) -> "Jet":
-        """self op other for op `_add` or `_sub`, over the numerator tuples."""
+        """self op other for op + or -, over the numerator tuples."""
         o = self._coerce(other)
         a, da, b, db = self._num, self._den, o._num, o._den
-        if da is db:
-            return Jet._make(tuple([op(x, y) for x, y in zip(a, b)]), da)
         return Jet._make(tuple([op(_mul(x, db), _mul(y, da)) for x, y in zip(a, b)]),
                          _mul(da, db))
 
     def __add__(self, other) -> "Jet":
-        return self._combine(other, _add)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -345,7 +303,7 @@ class Jet:
         return Jet._make(tuple([-x for x in self._num]), self._den)
 
     def __sub__(self, other) -> "Jet":
-        return self._combine(other, _sub)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Jet":
         return -self + other
@@ -355,9 +313,9 @@ class Jet:
         a, b = self._num, o._num
         out = []
         for k in range(len(a)):
-            acc = 0
-            for j in range(k + 1):
-                acc = _add(acc, _mul(a[j], b[k - j]))
+            acc = _mul(a[0], b[k])
+            for j in range(1, k + 1):
+                acc = acc + _mul(a[j], b[k - j])
             out.append(acc)
         return Jet._make(tuple(out), _mul(self._den, o._den))
 
@@ -377,7 +335,7 @@ class Jet:
         for k in range(n + 1):
             acc = _mul(u[k], powers[k])
             for j in range(k):
-                acc = _sub(acc, _mul(z[j], _mul(powers[k - j - 1], v[k - j])))
+                acc = acc - _mul(z[j], _mul(powers[k - j - 1], v[k - j]))
             z.append(acc)
         # U/V has coefficients (Z_k / v0^(k+1)) * (dv / du).
         dv = o._den
@@ -408,7 +366,7 @@ class Jet:
         for k in range(1, n + 1):
             acc = _mul(f[k], scales[k - 1])
             for j in range(1, k):
-                acc = _sub(acc, _mul(t[j], t[k - j]))
+                acc = acc - _mul(t[j], t[k - j])
             t.append(_mul(q, acc))
         # Over the shared denominator q * den^n * c^(2n): numerator k >= 1 is
         # T_k * q * den^(n-k) * c^(2(n-k)+1), and the head's is p * den^n * c^(2n).

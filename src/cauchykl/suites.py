@@ -15,9 +15,10 @@ between two sides a/b = c/d, each run once on exact polynomials
 (`jets._Poly`) by its unchecked body (`_sides`) and proved by one runner
 (`_prove_polynomial`): the identity holds when b and d are not the zero
 polynomial and a*d - c*b is, which one Kronecker substitution in the last
-variable decides without expanding a*d or c*b. A failure names the first
-small integer point where a*d - c*b, b and d are nonzero, at which a scalar
-`certificate.verify_*` call runs the same body on the same ints.
+variable decides without expanding a*d or c*b. A failure runs the body
+itself at small integer points and names the first where its int sides have
+a*d - c*b, b and d nonzero: there a scalar `certificate.verify_*` call runs
+the same body on the same ints.
 """
 
 from __future__ import annotations
@@ -81,18 +82,25 @@ def _random_pairs(rng: np.random.Generator, count: int) -> Iterator[tuple[Cauchy
         yield CauchyDist(float(l1), float(s1)), CauchyDist(float(l2), float(s2))
 
 
+def _scaled_point(d, e, m) -> tuple:
+    """(4d^2, 4de, e^2 + m^2): 4d times the point (d, e, f) at f = (e^2 + m^2)/(4d),
+    which is every point whose guard 4*d*f - e^2 is a square m^2, scaled; there the
+    guard is (4dm)^2 and its root 4dm. On ints and on `jets._Poly` alike."""
+    return 4 * d * d, 4 * d * e, e * e + m * m
+
+
 def _points(coordinates: str) -> Iterator[tuple]:
-    """Small integer points, by the sum of their coordinates and then in lexicographic
-    order: (d, e, f) or (d, e, f, x) with 4*d*f - e^2 > 0, or (d, e, m) off the
-    singular set (e, m) = (0, 2d), as (4d^2, 4de, e^2 + m^2) is on d = f, e = 0
-    there."""
+    """Small integer points of `coordinates`, by the sum of their coordinates and then
+    in lexicographic order, each as the int arguments (d, e, f) or (d, e, f, x) of a
+    body there: (d, e, f) or (d, e, f, x) with 4*d*f - e^2 > 0, or (d, e, m) off the
+    singular set (e, m) = (0, 2d), as its `_scaled_point` is on d = f, e = 0 there."""
     for total in itertools.count(2):
         for d in range(1, total):
             for e in range(total - d):
                 rest = total - d - e
                 if coordinates == "d e m":
                     if (e, rest) != (0, 2 * d):
-                        yield d, e, rest
+                        yield _scaled_point(d, e, rest)
                 elif coordinates == "d e f":
                     if 4 * d * rest > e * e:
                         yield d, e, rest
@@ -104,15 +112,12 @@ def _points(coordinates: str) -> Iterator[tuple]:
 def _sides(body, coordinates: str) -> tuple:
     """`body`'s two sides (a, b) and (c, d), each part a `jets._Poly`: the unchecked
     `certificate` body runs once on the variables of Z[d, e, f] or Z[d, e, f, x] for
-    `coordinates` "d e f" or "d e f x"; for "d e m" at (4d^2, 4de, e^2 + m^2) in
-    Z[d, e, m], 4d times the point (d, e, f) at f = (e^2 + m^2)/(4d), which is every
-    point whose guard 4*d*f - e^2 is a square m^2, scaled; there the guard is
-    (4dm)^2 and its root 4dm. A part that is not an int or a polynomial raises
-    TypeError (`certificate._exact_residual`)."""
+    `coordinates` "d e f" or "d e f x", and for "d e m" on their `_scaled_point` in
+    Z[d, e, m]. A part that is not an int or a polynomial raises TypeError
+    (`certificate._exact_residual`)."""
     variables = _Poly.variables(coordinates)
     if coordinates == "d e m":
-        d, e, m = variables
-        variables = 4 * d * d, 4 * d * e, e * e + m * m
+        variables = _scaled_point(*variables)
     zero = _Poly({}, tuple(coordinates.split()))
     (a, b), (c, d) = body(*variables)
     a, b, c, d = (part + zero for part in certificate._exact_residual(a, b, c, d))
@@ -129,16 +134,20 @@ def _norm_product(p: _Poly, q: _Poly) -> int:
     return sum(map(abs, p.terms.values())) * max(map(abs, q.terms.values()), default=0)
 
 
-def _nonzero_at(sides, point) -> bool:
-    """Whether a*d - c*b, b and d are all nonzero at the int point, for the sides
-    ((a, b), (c, d))."""
-    a, b, c, d = (part.at(point) for side in sides for part in side)
+def _fails_at(body, point) -> bool:
+    """Whether `body`'s int sides ((a, b), (c, d)) at the int point have a*d - c*b, b
+    and d all nonzero. A body that divides by zero there (a jet division by a zero
+    head, say) is no witness: its polynomial b or d vanishes at that point."""
+    try:
+        (a, b), (c, d) = body(*point)
+    except ZeroDivisionError:
+        return False
     return b != 0 and d != 0 and a * d != c * b
 
 
-def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
-    """Prove the identity a/b = c/d of the sides ((a, b), (c, d)) from `_sides` in
-    their ring; return 0 or 1, the number of failures, and the detail.
+def _prove_polynomial(body, sides, what: str, note: str = "") -> tuple[int, str]:
+    """Prove the identity a/b = c/d of `body`'s sides ((a, b), (c, d)) from `_sides`
+    in their ring; return 0 or 1, the number of failures, and the detail.
 
     It holds wherever b*d does not vanish when b and d are not the zero polynomial
     and a*d - c*b is. The coefficients of a*d - c*b are at most bound =
@@ -147,10 +156,10 @@ def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
     is zero exactly when its value at X is. That Kronecker substitution compares
     A*D with C*B in one variable fewer and expands neither product of the full
     sides; no degree bound, grid or off-grid point is needed. Otherwise the detail
-    ends with the first small point (`_points`) where a*d - c*b, b and d are all
-    nonzero, named as the integer point evaluated there, (d, e, f) or (d, e, f, x),
-    and for (d, e, m) the (d, e, f) = (4d^2, 4de, e^2 + m^2): there the scalar
-    `verify_*` runs the same body on the same ints and reproduces a nonzero residual.
+    ends with the first small integer point (`_points`) where the body itself, run
+    there on ints, gives a*d - c*b, b and d all nonzero (`_fails_at`), named as the
+    body's arguments (d, e, f) or (d, e, f, x): there the scalar `verify_*` runs the
+    same body on the same ints and returns that nonzero residual.
     """
     (a, b), (c, d) = sides
     names = a.names
@@ -165,14 +174,10 @@ def _prove_polynomial(sides, what: str, note: str = "") -> tuple[int, str]:
                    f"sides a/b and c/d: its coefficients are below 2^{k} in size and it "
                    f"vanishes at {names[-1]} = 2^{k + 1}, while b, {_terms(b)}, and d, "
                    f"{_terms(d)}, are not zero{note}")
-    point = next(p for p in _points(" ".join(names)) if _nonzero_at(sides, p))
-    at = f"({', '.join(names)})"
-    if names == ("d", "e", "m"):
-        d0, e0, m0 = point
-        at, point = "(d, e, f)", (4 * d0 * d0, 4 * d0 * e0, e0 * e0 + m0 * m0)
+    point = next(p for p in _points(" ".join(names)) if _fails_at(body, p))
     return 1, (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial for "
-               f"its sides a/b and c/d{note}; first nonzero at {at} = "
-               f"({', '.join(map(str, point))})")
+               f"its sides a/b and c/d{note}; first nonzero at "
+               f"({', '.join('defx'[:len(point)])}) = ({', '.join(map(str, point))})")
 
 
 def _rank(residual: float) -> tuple[bool, float]:
@@ -248,14 +253,15 @@ def certificate_suite() -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    sides = _sides(certificate._telescoping_sides, "d e f x")
-    nonzero, detail = _prove_polynomial(sides, "L[dphi/dd] - dpsi/dx")
+    body = certificate._telescoping_sides
+    sides = _sides(body, "d e f x")
+    nonzero, detail = _prove_polynomial(body, sides, "L[dphi/dd] - dpsi/dx")
     outcomes.append(CheckOutcome("telescoping residual", nonzero == 0, float(nonzero), detail))
     slope = sides[1][0].last_degree() - sides[1][1].last_degree()
     order = slope + 1 if slope >= 0 else 0
+    body = certificate._tail_sides
     nonzero, detail = _prove_polynomial(
-        _sides(certificate._tail_sides, "d e f"),
-        "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
+        body, _sides(body, "d e f"), "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
         f"; dpsi/dx has x-degree {slope} at infinity, so psi has x-degree "
         + (f"{order} there, psi(1/t) has a pole at t = 0 and the tails diverge" if order
            else "<= 0 there, psi(1/t) is regular at t = 0 and both tails tend to -2*p5/d^3"))
@@ -269,7 +275,7 @@ def ode_suite() -> list[CheckOutcome]:
     G1*G2 = (d-f)^2 + e^2, each proved as a polynomial identity in Z[d, e, m]
     (`_prove_polynomial`), in one check, plus the integration-constant deviations,
     judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
-    proofs = [_prove_polynomial(_sides(body, "d e m"), what) for body, what in (
+    proofs = [_prove_polynomial(body, _sides(body, "d e m"), what) for body, what in (
         (certificate._ode_sides, "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
         (certificate._residue_sides, "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
         (certificate._g_sides, "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m"))]

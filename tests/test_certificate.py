@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -275,7 +276,7 @@ def test_changed_guard_fails_validation_and_the_ode_proof(monkeypatch, capsys):
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         test_core.test_positive_quadratic_invariants()
     assert main(["verify", "--suite", "ode"]) == 1
-    assert "is not the square of a rational" in capsys.readouterr().err
+    assert "is not the square of a monomial" in capsys.readouterr().err
     # 4 times the guard keeps every domain check and every square, but doubles
     # the root in dA/dd: the ODE proof finds nonzero residuals.
     monkeypatch.undo()
@@ -687,23 +688,31 @@ def test_polynomial_proof_refuses_a_zero_denominator(monkeypatch):
     # A dA/dd over the zero polynomial makes the residue gap 0/0: no identity is
     # proved, and no point is named, as the residual is defined nowhere.
     _change(monkeypatch, "_dadd_over_pi", lambda num_den, d, e, f, sqrt: (num_den[0], 0))
-    sides = suites._sides(certificate._residue_sides, "d e m")
-    assert suites._prove_polynomial(sides, "gap") == (
+    body = certificate._residue_sides
+    assert suites._prove_polynomial(body, suites._sides(body, "d e m"), "gap") == (
         1, "gap: disproved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
            "4*d*f - e^2 = (4dm)^2, as its denominator is the zero polynomial")
 
 
+# Small (d, e, m), off the singular set e = 0, m = 2d, by their sum and then
+# lexicographically: the first ones the (d, e, m) proofs' witness search tries.
+_SMALL_D_E_M = sorted(((d, e, m) for d in range(1, 8) for e in range(7) for m in range(1, 8)
+                       if d + e + m <= 8 and (e, m) != (0, 2 * d)), key=lambda p: (sum(p), p))
+
+
 def test_witness_points_are_the_scalar_checks_own_integer_points():
     # Each (d, e, m) point stands for the integer point (4d^2, 4de, e^2 + m^2), whose
-    # guard is (4dm)^2, and a failing proof names that point, where `verify_*` runs the
-    # same body on the same ints; only the singular set e = 0, m = 2d is left out.
-    # Each (d, e, f) or (d, e, f, x) witness lies in the domain 4*d*f > e^2.
-    points = list(itertools.takewhile(lambda p: sum(p) <= 8, suites._points("d e m")))
-    assert points == sorted(points, key=lambda p: (sum(p), p))
-    assert set(points) == {(d, e, m) for d in range(1, 8) for e in range(7) for m in range(1, 8)
-                           if d + e + m <= 8 and (e, m) != (0, 2 * d)}
-    sides = suites._sides(lambda d, e, f: ((e, 1), (0, 1)), "d e m")
-    assert suites._prove_polynomial(sides, "e")[1].endswith(
+    # guard is (4dm)^2, and a failing proof runs the body there and names that point,
+    # where `verify_*` runs the same body on the same ints; only the singular set
+    # e = 0, m = 2d is left out. Each (d, e, f) or (d, e, f, x) witness lies in the
+    # domain 4*d*f > e^2.
+    points = list(itertools.islice(suites._points("d e m"), len(_SMALL_D_E_M)))
+    assert points == [(4 * d * d, 4 * d * e, e * e + m * m) for d, e, m in _SMALL_D_E_M]
+
+    def body(d, e, f):
+        return (e, 1), (0, 1)
+
+    assert suites._prove_polynomial(body, suites._sides(body, "d e m"), "e")[1].endswith(
         "; first nonzero at (d, e, f) = (4, 4, 2)")  # (d, e, m) = (1, 1, 1)
     assert verify_ode_dadd(4, 4, 2) == verify_dadd_residues(4, 4, 2) == 0
     assert next(suites._points("d e f")) == (1, 0, 1)
@@ -714,6 +723,42 @@ def test_witness_points_are_the_scalar_checks_own_integer_points():
     assert points[:3] == [(1, 0, 1, 0), (1, 0, 1, 1), (1, 0, 2, 0)]
     assert points == sorted(points, key=lambda p: (sum(p), p))
     assert all(4 * d * f > e * e and d >= 1 and f >= 1 and x >= 0 for d, e, f, x in points)
+
+
+def test_witness_search_skips_a_point_where_the_body_divides_by_zero(monkeypatch, capsys):
+    # 1/x on the d-jet's constant x-jet and on psi's x-jet divides by a zero head at
+    # x = 0, the first small point, though not on polynomials: the witness search
+    # runs the body there, skips that point and names the next one, and `cauchykl
+    # verify` prints a failing check, not a traceback.
+    shipped = certificate.phi_partial_d
+    monkeypatch.setattr(certificate, "phi_partial_d",
+                        lambda d, e, f, x: shipped(d, e, f, x) + 1 / x)
+    first, second = itertools.islice(suites._points("d e f x"), 2)
+    with pytest.raises(ZeroDivisionError, match="zero head"):
+        certificate._telescoping_sides(*first)
+    telescoping = certificate_suite()[1]
+    assert not telescoping.passed and _witness(telescoping.detail) == second == (1, 0, 1, 1)
+    assert verify_telescoping(*second) != 0
+    assert main(["verify", "--suite", "certificate"]) == 1
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert err == "" and records[1]["check"] == "telescoping residual"
+    assert records[1]["status"] == "fail"
+    assert records[1]["detail"].endswith("; first nonzero at (d, e, f, x) = (1, 0, 1, 1)")
+
+
+def test_exact_suites_run_each_body_once_on_polynomials(monkeypatch):
+    # Each identity's sides are built once on polynomials, and the telescoping
+    # proof shares its sides with psi's x-degree; a passing proof runs no body at
+    # an integer point.
+    runs = []
+    for _, body, _ in _CORES:
+        def counted(*point, body=body):
+            runs.append((body.__name__, type(point[0]) is jets._Poly))
+            return body(*point)
+        monkeypatch.setattr(certificate, body.__name__, counted)
+    assert all(outcome.passed for outcome in certificate_suite() + ode_suite())
+    assert sorted(runs) == sorted((body.__name__, True) for _, body, _ in _CORES)
 
 
 def _sympy_poly(sympy, polynomial, symbols):
@@ -763,19 +808,30 @@ def _to_sympy(sympy, polynomial, symbols):
                for k, c in polynomial.terms.items())
 
 
+def _random_terms(rng, n):
+    """Seeded random terms (coefficient, exponents) in n variables: up to 6 terms of
+    degree up to 3 per variable."""
+    return [(int(rng.integers(-9, 10)), [int(rng.integers(4)) for _ in range(n)])
+            for _ in range(int(rng.integers(1, 7)))]
+
+
+def _polynomial(terms, variables):
+    """The sum of `terms` on `variables`, ints or `jets._Poly`."""
+    return sum((c * math.prod(v**j for v, j in zip(variables, exponents))
+                for c, exponents in terms), variables[0] * 0)
+
+
 def _random_poly(rng, variables):
     """A seeded random polynomial: up to 6 terms of degree up to 3 per variable."""
-    p = variables[0] * 0
-    for _ in range(int(rng.integers(1, 7))):
-        p = p + int(rng.integers(-9, 10)) * math.prod(v ** int(rng.integers(4)) for v in variables)
-    return p
+    return _polynomial(_random_terms(rng, len(variables)), variables)
 
 
 def test_poly_arithmetic_matches_sympy():
-    # Seeded sums, differences, products and powers, each expanded by sympy;
-    # values at int points, the last variable at a power of two and the degree
-    # in it; the root of a perfect square and the refusal of a non-square; and
-    # the refusal of any coefficient that is not an int.
+    # Seeded sums, differences, products and powers, each expanded by sympy; the
+    # last variable at a power of two, evaluated by sympy at int points, and the
+    # degree in it; the root of the square of a monomial and the refusal of any
+    # other polynomial, naming it; and the refusal of any coefficient that is not
+    # an int.
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols("d e m")
     variables = jets._Poly.variables("d e m")
@@ -789,24 +845,20 @@ def test_poly_arithmetic_matches_sympy():
             assert sympy.expand(_to_sympy(sympy, poly, symbols) - expression) == 0
             assert (poly == 0) == (sympy.expand(expression) == 0)
             point = tuple(int(v) for v in rng.integers(-6, 7, 3))
-            assert poly.at(point) == expression.subs(dict(zip(symbols, point)))
             bits = int(rng.integers(0, 9))
-            assert poly.at_last(bits).at(point[:2]) == expression.subs(
+            assert sympy.sympify(_to_sympy(sympy, poly.at_last(bits), symbols[:2])).subs(
+                dict(zip(symbols, point[:2]))) == expression.subs(
                 dict(zip(symbols, (*point[:2], 2**bits))))
             degree = sympy.Poly(expression, *symbols).degree(symbols[2]) if poly != 0 else -1
             assert poly.last_degree() == degree
-        if a != 0:
-            root = (a * a).root()
-            assert root == a or root == -a
-            lead = max(root.terms)
-            assert root.terms[lead] > 0
-            with pytest.raises(ParameterError, match="is not the square of a rational polynomial"):
-                (a * a + variables[0]).root()
+        for key, coefficient in a.terms.items():
+            monomial = jets._Poly({key: coefficient}, a.names)
+            assert (monomial * monomial).root() == (monomial if coefficient > 0 else -monomial)
     d, e, m = variables
     assert (16 * d * d * m * m).root() == 4 * d * m
-    assert (d * d - 2 * d * e + e * e).root() == e - d  # the leading term is at e^2
-    for square in (2 * d * d, -(d * d), d * e, d * d + 1, d**3):
-        with pytest.raises(ParameterError):
+    for square in ((d - e) * (d - e), -(d * d), d * e, 2 * d * d, d * d + 1, d**3):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{square!r} is not the square of a monomial")):
             square.root()
     assert jets._Poly({}, ("d",)).root() == 0
     for bad in (0.5, Fraction(1, 2), np.int64(2)):
@@ -915,23 +967,21 @@ _CORES = ((verify_telescoping, certificate._telescoping_sides, "d e f x"),
 _CORE_NAMES = ("telescoping", "tail", "ode", "residues", "factorization")
 
 
-def _integer_point(coordinates, point):
-    """The integer point (d, e, f[, x]) a small point of the ring stands for."""
-    if coordinates != "d e m":
-        return point
-    d, e, m = point
-    return 4 * d * d, 4 * d * e, e * e + m * m
-
-
 def _polynomial_matches_check(check, body, coordinates):
-    """The scalar check at the integer point of each of the first 12 small points is
-    a/b - c/d of the sides, run once on polynomials and evaluated there; returns how
-    many are nonzero."""
-    sides = suites._sides(body, coordinates)
+    """The scalar check at each of the first 12 small integer points (`suites._points`)
+    is a/b - c/d of the sides, run once on polynomials and evaluated by sympy at the
+    ring's point there, (d, e, m) for (4d^2, 4de, e^2 + m^2); returns how many are
+    nonzero."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(coordinates)
+    sides = [_sympy_poly(sympy, part, symbols)
+             for side in suites._sides(body, coordinates) for part in side]
+    ring_points = _SMALL_D_E_M if coordinates == "d e m" else suites._points(coordinates)
     nonzero = 0
-    for point in itertools.islice(suites._points(coordinates), 12):
-        a, b, c, d = (part.at(point) for side in sides for part in side)
-        residual = check(*_integer_point(coordinates, point))
+    for point, arguments in zip(ring_points, itertools.islice(suites._points(coordinates), 12)):
+        assert arguments == (suites._scaled_point(*point) if coordinates == "d e m" else point)
+        a, b, c, d = (int(part.eval(dict(zip(symbols, point)))) for part in sides)
+        residual = check(*arguments)
         assert type(residual) is Fraction and residual == Fraction(a * d - c * b, b * d)
         nonzero += residual != 0
     return nonzero
@@ -1020,7 +1070,7 @@ def test_grid_runner_builds_no_fraction_when_every_residual_vanishes(monkeypatch
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
-    results = [suites._prove_polynomial(suites._sides(body, coordinates), "")
+    results = [suites._prove_polynomial(body, suites._sides(body, coordinates), "")
                for _, body, coordinates in _CORES]
     monkeypatch.undo()
     assert built == []
@@ -1042,11 +1092,12 @@ def test_exact_suites_build_a_few_jets(monkeypatch):
 
 def _random_fraction(rng, variables):
     """A seeded random polynomial that is not zero, for a side's numerator or
-    denominator."""
-    p = 0
-    while p == 0:
-        p = _random_poly(rng, variables)
-    return p
+    denominator, on `variables`. Its terms are redrawn while they sum to the zero
+    polynomial of Z[d, e, f, x], so the same draws give it on ints too."""
+    while True:
+        terms = _random_terms(rng, len(variables))
+        if _polynomial(terms, jets._Poly.variables("d e f x")) != 0:
+            return _polynomial(terms, variables)
 
 
 def _equal_pair(rng, variables):
@@ -1070,18 +1121,30 @@ def test_kronecker_zero_test_agrees_with_the_expansion(kind):
     # Seeded pairs of sides in Z[d, e, f, x]: equal pairs a*k/(b*k) against a/b
     # compare equal; pairs built so that one coefficient of a*d - c*b is exactly
     # +bound or -bound, the largest the bound allows, compare unequal; random
-    # pairs compare as the term-by-term expansion of a*d - c*b says.
+    # pairs compare as the term-by-term expansion of a*d - c*b says. Each pair's
+    # body replays its draws on any ring, so an unequal pair names a point where
+    # the body's int sides are unequal.
     make, equal = _PAIRS[kind]
     variables = jets._Poly.variables("d e f x")
     rng = np.random.Generator(np.random.PCG64(167))
     for _ in range(15):
+        state = rng.bit_generator.state
+
+        def body(*point, state=state):
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = state
+            return make(replay, point)
+
         sides = make(rng, variables)
         (a, b), (c, d) = sides
         cross = a * d - c * b
         assert (cross == 0) == equal
-        failures, detail = suites._prove_polynomial(sides, "pair")
+        failures, detail = suites._prove_polynomial(body, sides, "pair")
         assert failures == (cross != 0)
         assert detail.startswith(f"pair: {'disproved' if failures else 'proved'} in Z[d, e, f, x]")
+        if failures:
+            (a0, b0), (c0, d0) = body(*(int(v) for v in _witness(detail)))
+            assert b0 * d0 != 0 and a0 * d0 != c0 * b0
         if kind.endswith("bound"):
             bound = suites._norm_product(a, d) + suites._norm_product(c, b)
             assert (1 if kind == "+bound" else -1) * bound in cross.terms.values()

@@ -21,6 +21,8 @@ def test_variable_and_constant():
     assert c.coefficients == (Fraction(5, 2), 0, 0, 0)
     with pytest.raises(ParameterError):
         Jet.variable(1, 0)
+    with pytest.raises(ParameterError, match="constant jets need order >= 0, got -2"):
+        Jet.constant(3, -2)
     with pytest.raises(ParameterError):
         Jet(())
     # A jet reads as its coefficients, and == and hash compare them exactly.
@@ -68,8 +70,8 @@ def test_sqrt_over_a_negative_denominator():
 def test_sqrt_over_a_polynomial_denominator():
     # A jet divided by a polynomial has a polynomial denominator; its root is the
     # root of num_0 * den over den, the sign of den fixed by its leading coefficient,
-    # so d^2/e^2 has the head d/e whichever sign den carries. A head that is not the
-    # square of a rational function raises ParameterError.
+    # so d^2/e^2 has the head d/e whichever sign den carries. A head whose num_0 * den
+    # is not the square of a monomial raises ParameterError.
     d, e = jets._Poly.variables("d e")
     for sign in (1, -1):
         g = Jet.variable(sign * d * d, 2) / (sign * e * e)
@@ -77,7 +79,7 @@ def test_sqrt_over_a_polynomial_denominator():
         root = g.sqrt()
         assert root * root == g
         assert root.derivative_numerator(0) * e == d * root.denominator
-    with pytest.raises(ParameterError, match="is not the square of a rational polynomial"):
+    with pytest.raises(ParameterError, match=r"1\*d\*e\^5 is not the square of a monomial"):
         (Jet.variable(d, 2) / e).sqrt()
 
 
@@ -171,8 +173,8 @@ def _seeded_jet(rng, order):
 
 
 def test_scalar_fast_paths_match_the_constant_jet_path():
-    # A scalar enters as the constant jet, whose structural 0s leave + and -
-    # moving c0 only and * scaling. The coefficients must be those of an
+    # A scalar enters as the constant jet, so + and - move c0 only and * scales,
+    # its structural 0s skipping the products. The coefficients must be those of an
     # explicit constant jet, for int and Fraction scalars, including a scalar
     # over the jet's own denominator.
     rng = np.random.Generator(np.random.PCG64(151))
@@ -251,9 +253,10 @@ def _dense(jet, fill):
 
 def test_skipping_structural_zeros_and_ones_changes_no_value():
     # Variable, constant and int-1 jets carry their 0s and 1s as Python ints,
-    # which + - * / and sqrt skip; the same jets with those values as plain ints
-    # or constant polynomials ("dense") run every product and sum. Both must give
-    # the same coefficients, over ints, Fractions and polynomials.
+    # which every product in + - * / and sqrt skips; the same jets with those
+    # values as plain ints or constant polynomials ("dense") run every product.
+    # Both must give the same coefficients, over ints, Fractions and polynomials,
+    # where every head is a monomial, so that its square has a root.
     d, e = jets._Poly.variables("d e")
     domains = (((2, -3), _Plain), ((Fraction(2, 3), Fraction(-5, 7)), _Plain),
                ((d, e), lambda v: jets._Poly({0: v} if v else {}, d.names)))
@@ -261,7 +264,7 @@ def test_skipping_structural_zeros_and_ones_changes_no_value():
         for order in (1, 3):
             jets_ = [Jet.variable(a, order), Jet.variable(b, order), Jet.constant(b, order),
                      Jet.variable(1, order), Jet.constant(1, order)]
-            jets_.append(jets_[0] * jets_[1] + 1)
+            jets_.append(jets_[0] * jets_[1])
             for x in jets_:
                 dx = _dense(x, fill)
                 for y in jets_:
