@@ -80,7 +80,8 @@ class _Poly:
     variables; any other operand is left to its own type (a jet takes a polynomial
     as a scalar) or refused with TypeError, so every coefficient stays an int.
     `== 0` holds only for the zero polynomial, and `root` takes only the square of
-    a monomial."""
+    a monomial. No operation updates `terms` in place, so a result may be an
+    operand itself: x + 0, x - 0 and 0 + x are x."""
 
     __slots__ = ("terms", "names")
     __array_ufunc__ = __hash__ = None  # numpy defers to a polynomial; it is unhashable
@@ -105,9 +106,15 @@ class _Poly:
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        out = dict(self.terms)
+        if not terms:
+            return self  # x + 0, x - 0 and (by __radd__) 0 + x
+        if sign == 1 and len(terms) > len(self.terms):
+            out, terms = dict(terms), self.terms  # fold the shorter operand into the longer
+        else:
+            out = dict(self.terms)
+        get = out.get
         for k, c in terms.items():
-            c = out.get(k, 0) + sign * c
+            c = get(k, 0) + sign * c
             if c:
                 out[k] = c
             else:
@@ -129,13 +136,23 @@ class _Poly:
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        out: dict = {}
+        short, long = self.terms, terms
+        if len(short) > len(long):
+            short, long = long, short
+        if not short:
+            return _Poly({}, self.names)
+        rows = iter(short.items())
+        ka, ca = next(rows)
+        # The first row's keys are distinct and its products nonzero: no lookup.
+        out = {ka + kb: ca * cb for kb, cb in long.items()}
         get = out.get
-        for ka, ca in self.terms.items():
-            for kb, cb in terms.items():
+        for ka, ca in rows:
+            for kb, cb in long.items():
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        return _Poly({k: c for k, c in out.items() if c}, self.names)
+        if 0 in out.values():  # a coefficient cancelled
+            out = {k: c for k, c in out.items() if c}
+        return _Poly(out, self.names)
 
     __rmul__ = __mul__
 

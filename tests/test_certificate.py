@@ -855,6 +855,27 @@ def test_poly_arithmetic_matches_sympy():
             monomial = jets._Poly({key: coefficient}, a.names)
             assert (monomial * monomial).root() == (monomial if coefficient > 0 else -monomial)
     d, e, m = variables
+    # Every branch of + - *: the zero polynomial and the int 0 on either side, the
+    # ints +-1 and one near 2^70, one-term operands, cancelling products such as
+    # (d + e)*(d - e) and sums such as x - x, and a longer right operand; each
+    # result as sympy expands it, with no zero coefficient, and no operand's
+    # terms changed. A zero addend hands back the other operand itself.
+    x = d * d - 3 * e * m + 2
+    operands = (jets._Poly({}, d.names), 0, 1, -1, 2**70 + 3, -7 * d * e * e,
+                d + e, d - e, x, x * x + m)
+    expressions = [sympy.sympify(_to_sympy(sympy, p, symbols) if type(p) is jets._Poly else p)
+                   for p in operands]
+    before = [dict(p.terms) if type(p) is jets._Poly else p for p in operands]
+    for (p, sp), (q, sq) in itertools.product(zip(operands, expressions), repeat=2):
+        if type(p) is not jets._Poly and type(q) is not jets._Poly:
+            continue
+        for op in (operator.add, operator.sub, operator.mul):
+            poly = op(p, q)
+            assert type(poly) is jets._Poly and poly.names == d.names
+            assert 0 not in poly.terms.values()
+            assert sympy.expand(_to_sympy(sympy, poly, symbols) - op(sp, sq)) == 0
+        assert [dict(p.terms) if type(p) is jets._Poly else p for p in operands] == before
+    assert x + 0 is x and 0 + x is x and x - 0 is x and x + operands[0] is x
     assert (16 * d * d * m * m).root() == 4 * d * m
     for square in ((d - e) * (d - e), -(d * d), d * e, 2 * d * d, d * d + 1, d**3):
         with pytest.raises(ParameterError,
