@@ -61,8 +61,10 @@ G1 and m (`core._g1`), in the factorization, and dA/dd / pi
 root of the guard (`jets._root`, `Jet.sqrt`).
 
 Each public scalar check `verify_*` checks its point, ints or Fractions,
-runs the same body there and returns a/b - c/d as one Fraction, so a
-point that a failing proof names reproduces with one call. The vanishing
+runs the same body there and returns a/b - c/d as one Fraction. A failing
+proof names as its witness the first small integer point where that check
+returns a nonzero residual (`suites._prove_polynomial`), so the failure
+reproduces with one call. The vanishing
 integration constant, the one float check left, is cross-checked against
 the quadrature oracle: `verify_integration_constant` returns the
 deviation at each of its nine points, and the ode suite judges them at
@@ -78,7 +80,7 @@ from fractions import Fraction
 from . import core
 from .core import PositiveQuadratic, integral_a_canonical
 from .errors import ParameterError
-from .jets import Jet, _Poly, _root, _split
+from .jets import Jet, _root, _split
 from .oracle import integral_a_numeric
 
 __all__ = [
@@ -186,16 +188,6 @@ def _check_domain(d, e, f) -> None:
     if core._guard(d, e, f) <= 0 or d <= 0 or f <= 0:
         raise ParameterError(f"(d, e, f) = ({d}, {e}, {f}) "
                              "must satisfy 4*d*f - e^2 > 0, d > 0 and f > 0")
-
-
-def _exact_residual(*parts) -> tuple:
-    """The parts of a residual or of its sides, each an int or an exact polynomial
-    (`jets._Poly`, whose coefficients are ints); any other raises TypeError, naming
-    the first."""
-    for v in parts:
-        if type(v) is not int and type(v) is not _Poly:
-            raise TypeError(f"the exact check produced an inexact residual part {v!r}")
-    return parts
 
 
 def _difference(sides) -> Fraction:

@@ -15,10 +15,10 @@ between two sides a/b = c/d, each run once on exact polynomials
 (`jets._Poly`) by its unchecked body (`_sides`) and proved by one runner
 (`_prove_polynomial`): the identity holds when b and d are not the zero
 polynomial and a*d - c*b is, which one Kronecker substitution in the last
-variable decides without expanding a*d or c*b. A failure runs the body
-itself at small integer points and names the first where its int sides have
-a*d - c*b, b and d nonzero: there a scalar `certificate.verify_*` call runs
-the same body on the same ints.
+variable decides without expanding a*d or c*b. A failure names the first
+small integer point where the identity's public scalar check,
+`certificate.verify_*`, returns a nonzero residual, skipping the points that
+check refuses, so one call of it reproduces the failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import certificate, core, oracle
 from .core import CauchyDist
-from .errors import ParameterError
+from .errors import ParameterError, SingularPointError
 from .jets import _Poly
 
 __all__ = [
@@ -91,37 +91,35 @@ def _scaled_point(d, e, m) -> tuple:
 
 def _points(coordinates: str) -> Iterator[tuple]:
     """Small integer points of `coordinates`, by the sum of their coordinates and then
-    in lexicographic order, each as the int arguments (d, e, f) or (d, e, f, x) of a
-    body there: (d, e, f) or (d, e, f, x) with 4*d*f - e^2 > 0, or (d, e, m) off the
-    singular set (e, m) = (0, 2d), as its `_scaled_point` is on d = f, e = 0 there."""
+    in lexicographic order, each as the int arguments of a scalar check there: (d, e, f)
+    or (d, e, f, x) as they are, and (d, e, m) as its `_scaled_point`."""
     for total in itertools.count(2):
         for d in range(1, total):
             for e in range(total - d):
                 rest = total - d - e
                 if coordinates == "d e m":
-                    if (e, rest) != (0, 2 * d):
-                        yield _scaled_point(d, e, rest)
+                    yield _scaled_point(d, e, rest)
                 elif coordinates == "d e f":
-                    if 4 * d * rest > e * e:
-                        yield d, e, rest
+                    yield d, e, rest
                 else:
-                    yield from ((d, e, f, rest - f) for f in range(1, rest + 1)
-                                if 4 * d * f > e * e)
+                    yield from ((d, e, f, rest - f) for f in range(1, rest + 1))
 
 
 def _sides(body, coordinates: str) -> tuple:
     """`body`'s two sides (a, b) and (c, d), each part a `jets._Poly`: the unchecked
     `certificate` body runs once on the variables of Z[d, e, f] or Z[d, e, f, x] for
     `coordinates` "d e f" or "d e f x", and for "d e m" on their `_scaled_point` in
-    Z[d, e, m]. A part that is not an int or a polynomial raises TypeError
-    (`certificate._exact_residual`)."""
+    Z[d, e, m]. A part that is not an int or a polynomial raises TypeError, naming
+    the first."""
     variables = _Poly.variables(coordinates)
     if coordinates == "d e m":
         variables = _scaled_point(*variables)
     zero = _Poly({}, tuple(coordinates.split()))
     (a, b), (c, d) = body(*variables)
-    a, b, c, d = (part + zero for part in certificate._exact_residual(a, b, c, d))
-    return (a, b), (c, d)
+    for part in (a, b, c, d):
+        if type(part) is not int and type(part) is not _Poly:
+            raise TypeError(f"the exact check produced an inexact residual part {part!r}")
+    return (a + zero, b + zero), (c + zero, d + zero)
 
 
 def _terms(polynomial: _Poly) -> str:
@@ -134,20 +132,10 @@ def _norm_product(p: _Poly, q: _Poly) -> int:
     return sum(map(abs, p.terms.values())) * max(map(abs, q.terms.values()), default=0)
 
 
-def _fails_at(body, point) -> bool:
-    """Whether `body`'s int sides ((a, b), (c, d)) at the int point have a*d - c*b, b
-    and d all nonzero. A body that divides by zero there (a jet division by a zero
-    head, say) is no witness: its polynomial b or d vanishes at that point."""
-    try:
-        (a, b), (c, d) = body(*point)
-    except ZeroDivisionError:
-        return False
-    return b != 0 and d != 0 and a * d != c * b
-
-
-def _prove_polynomial(body, sides, what: str, note: str = "") -> tuple[int, str]:
-    """Prove the identity a/b = c/d of `body`'s sides ((a, b), (c, d)) from `_sides`
-    in their ring; return 0 or 1, the number of failures, and the detail.
+def _prove_polynomial(check, sides, what: str, note: str = "") -> tuple[int, str]:
+    """Prove the identity a/b = c/d of the sides ((a, b), (c, d)) from `_sides` in their
+    ring, `check` its public scalar `certificate.verify_*`; return 0 or 1, the number of
+    failures, and the detail.
 
     It holds wherever b*d does not vanish when b and d are not the zero polynomial
     and a*d - c*b is. The coefficients of a*d - c*b are at most bound =
@@ -156,10 +144,10 @@ def _prove_polynomial(body, sides, what: str, note: str = "") -> tuple[int, str]
     is zero exactly when its value at X is. That Kronecker substitution compares
     A*D with C*B in one variable fewer and expands neither product of the full
     sides; no degree bound, grid or off-grid point is needed. Otherwise the detail
-    ends with the first small integer point (`_points`) where the body itself, run
-    there on ints, gives a*d - c*b, b and d all nonzero (`_fails_at`), named as the
-    body's arguments (d, e, f) or (d, e, f, x): there the scalar `verify_*` runs the
-    same body on the same ints and returns that nonzero residual.
+    ends with the witness: the first small integer point (`_points`), named as the
+    check's arguments (d, e, f) or (d, e, f, x), where `check` returns a nonzero
+    residual. A point the check refuses (ParameterError, SingularPointError) or where
+    it divides by zero is skipped; a TypeError propagates.
     """
     (a, b), (c, d) = sides
     names = a.names
@@ -174,7 +162,12 @@ def _prove_polynomial(body, sides, what: str, note: str = "") -> tuple[int, str]
                    f"sides a/b and c/d: its coefficients are below 2^{k} in size and it "
                    f"vanishes at {names[-1]} = 2^{k + 1}, while b, {_terms(b)}, and d, "
                    f"{_terms(d)}, are not zero{note}")
-    point = next(p for p in _points(" ".join(names)) if _fails_at(body, p))
+    for point in _points(" ".join(names)):
+        try:
+            if check(*point) != 0:
+                break
+        except (ParameterError, SingularPointError, ZeroDivisionError):
+            pass
     return 1, (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial for "
                f"its sides a/b and c/d{note}; first nonzero at "
                f"({', '.join('defx'[:len(point)])}) = ({', '.join(map(str, point))})")
@@ -253,15 +246,15 @@ def certificate_suite() -> list[CheckOutcome]:
         if not mismatches else f"MISMATCH in {mismatches}",
     ))
 
-    body = certificate._telescoping_sides
-    sides = _sides(body, "d e f x")
-    nonzero, detail = _prove_polynomial(body, sides, "L[dphi/dd] - dpsi/dx")
+    sides = _sides(certificate._telescoping_sides, "d e f x")
+    nonzero, detail = _prove_polynomial(certificate.verify_telescoping, sides,
+                                        "L[dphi/dd] - dpsi/dx")
     outcomes.append(CheckOutcome("telescoping residual", nonzero == 0, float(nonzero), detail))
     slope = sides[1][0].last_degree() - sides[1][1].last_degree()
     order = slope + 1 if slope >= 0 else 0
-    body = certificate._tail_sides
     nonzero, detail = _prove_polynomial(
-        body, _sides(body, "d e f"), "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
+        certificate.verify_tail_limit, _sides(certificate._tail_sides, "d e f"),
+        "-2*p5/d^3 - psi_limit, p5 the x^5 coefficient of P",
         f"; dpsi/dx has x-degree {slope} at infinity, so psi has x-degree "
         + (f"{order} there, psi(1/t) has a pole at t = 0 and the tails diverge" if order
            else "<= 0 there, psi(1/t) is regular at t = 0 and both tails tend to -2*p5/d^3"))
@@ -275,10 +268,13 @@ def ode_suite() -> list[CheckOutcome]:
     G1*G2 = (d-f)^2 + e^2, each proved as a polynomial identity in Z[d, e, m]
     (`_prove_polynomial`), in one check, plus the integration-constant deviations,
     judged at `_FLOAT_TOLERANCE`, naming the worst (d, e, f)."""
-    proofs = [_prove_polynomial(body, _sides(body, "d e m"), what) for body, what in (
-        (certificate._ode_sides, "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
-        (certificate._residue_sides, "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
-        (certificate._g_sides, "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m"))]
+    proofs = [_prove_polynomial(check, _sides(body, "d e m"), what) for check, body, what in (
+        (certificate.verify_ode_dadd, certificate._ode_sides,
+         "L[dA/dd / pi] for core's dA/dd / pi on a d-jet"),
+        (certificate.verify_dadd_residues, certificate._residue_sides,
+         "Re(2i*(Res_i + Res_rho)) - dA/dd / pi"),
+        (certificate.verify_g_factorization, certificate._g_sides,
+         "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m"))]
     failures = sum(nonzero for nonzero, _ in proofs)
     outcomes = [CheckOutcome("ode residual of dA/dd", failures == 0, float(failures),
                              "; ".join(detail for _, detail in proofs))]

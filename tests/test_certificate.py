@@ -540,6 +540,20 @@ def test_tail_limit_catches_a_changed_x5_coefficient(monkeypatch):
     assert _witness(tail.detail) == (1, 0, 1) and verify_tail_limit(1, 0, 1) == -2
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the psi tail limit FOUND in CHANGES.md (ROADMAP Blocking): the check compares psi_limit "
+    "with P's x^5 coefficient and never reads psi; at (1, 1, 1) this psi tends to 104 at "
+    "x = +-1e6, while psi_limit is 52"))
+def test_doubled_psi_and_operator_fail_the_tail_limit(monkeypatch):
+    # 2*psi and 2*L still telescope, as L is linear, and only the transcription
+    # checksums see the change, though psi's tails tend to twice psi_limit.
+    shipped_psi, shipped_operator = certificate.psi, certificate.operator_coefficients
+    monkeypatch.setattr(certificate, "psi", lambda d, e, f, x: 2 * shipped_psi(d, e, f, x))
+    monkeypatch.setattr(certificate, "operator_coefficients",
+                        lambda d, e, f: tuple(2 * c for c in shipped_operator(d, e, f)))
+    assert [outcome.passed for outcome in certificate_suite()] == [False, True, False]
+
+
 def test_polynomial_proofs_name_their_ring_and_their_bound():
     # Every identity is proved as a polynomial identity: the detail names its ring,
     # the power of two its last variable takes and the size of the denominators,
@@ -631,6 +645,8 @@ _POLYNOMIAL_MUTATIONS = {
     "G3 + d*e": ("_g3", lambda g3, d, e, f: g3 + d * e, {"residues", "factorization"}),
     "limit + d^2": ("_psi_limit_parts", lambda parts, d, e, f: (parts[0] + d * d, parts[1]),
                     {"tail"}),
+    "m*G3 + f - 1": ("_g_sides", lambda sides, d, e, f: (sides[0], (sides[1][0] + f - 1, 1)),
+                     {"factorization"}),
 }
 _SCALAR_CHECKS = {"ode": verify_ode_dadd, "residues": verify_dadd_residues,
                   "factorization": verify_g_factorization, "tail": verify_tail_limit}
@@ -639,8 +655,9 @@ _SCALAR_CHECKS = {"ode": verify_ode_dadd, "residues": verify_dadd_residues,
 @pytest.mark.parametrize("mutation", sorted(_POLYNOMIAL_MUTATIONS))
 def test_polynomial_proofs_fail_under_mutation(monkeypatch, mutation):
     # Each mutation fails exactly the polynomial proofs that run it, with no grid
-    # and no off-grid point; each names a small integer point, off the singular
-    # set, where the matching scalar check returns a nonzero residual.
+    # and no off-grid point; each names a small integer point, the first where the
+    # matching public scalar check returns a nonzero residual: every point before
+    # it the check refuses, or gives 0 at.
     name, change, failing = _POLYNOMIAL_MUTATIONS[mutation]
     monkeypatch.setattr(*_shipped(name, change))
     tail = certificate_suite()[2]
@@ -650,14 +667,30 @@ def test_polynomial_proofs_fail_under_mutation(monkeypatch, mutation):
     assert {proof for proof, point in witnesses.items() if point is not None} == failing
     assert (tail.passed, ode.passed) == ("tail" not in failing, not failing & set(_PROOFS))
     for proof in failing:
-        point = witnesses[proof]
-        if proof == "tail":
-            d, e, f = point
-            assert all(type(v) is Fraction and v.denominator == 1 and 0 <= v <= 10 for v in point)
-            assert 4 * d * f > e * e
-        else:
-            assert _small_regular_point(point)
-        assert _SCALAR_CHECKS[proof](*point) != 0
+        point, check = witnesses[proof], _SCALAR_CHECKS[proof]
+        assert all(type(v) is Fraction and v.denominator == 1 for v in point)
+        points = (_small_points("d e f", 8) if proof == "tail"
+                  else [suites._scaled_point(*p) for p in _SMALL_D_E_M])
+        assert all(_refused_or_zero(check, p) for p in points[:points.index(point)])
+        assert check(*point) != 0
+
+
+def _refused_or_zero(check, point) -> bool:
+    """Whether the scalar check refuses the point or gives 0 there."""
+    try:
+        return check(*point) == 0
+    except (ParameterError, SingularPointError, ZeroDivisionError):
+        return True
+
+
+def test_factorization_witness_is_where_its_public_check_is_nonzero(monkeypatch):
+    # verify_g_factorization accepts the singular set d = f, e = 0, where its sides
+    # are 0: f - 1 on the right numerator is first nonzero at (d, e, m) = (1, 0, 2),
+    # whose point (4, 0, 4) lies on that set, and the search names it there.
+    monkeypatch.setattr(*_shipped(*_POLYNOMIAL_MUTATIONS["m*G3 + f - 1"][:2]))
+    assert verify_g_factorization(4, 0, 1) == 0 and verify_g_factorization(4, 0, 4) == -3
+    assert _proof_witnesses(ode_suite()[0].detail) == {"ode": None, "residues": None,
+                                                      "factorization": (4, 0, 4)}
 
 
 def test_higher_degree_term_in_p_grows_the_grid(monkeypatch):
@@ -688,41 +721,62 @@ def test_polynomial_proof_refuses_a_zero_denominator(monkeypatch):
     # A dA/dd over the zero polynomial makes the residue gap 0/0: no identity is
     # proved, and no point is named, as the residual is defined nowhere.
     _change(monkeypatch, "_dadd_over_pi", lambda num_den, d, e, f, sqrt: (num_den[0], 0))
-    body = certificate._residue_sides
-    assert suites._prove_polynomial(body, suites._sides(body, "d e m"), "gap") == (
+    sides = suites._sides(certificate._residue_sides, "d e m")
+    assert suites._prove_polynomial(verify_dadd_residues, sides, "gap") == (
         1, "gap: disproved in Z[d, e, m] at (d, e, f) = (4d^2, 4de, e^2 + m^2), where "
            "4*d*f - e^2 = (4dm)^2, as its denominator is the zero polynomial")
 
 
-# Small (d, e, m), off the singular set e = 0, m = 2d, by their sum and then
-# lexicographically: the first ones the (d, e, m) proofs' witness search tries.
-_SMALL_D_E_M = sorted(((d, e, m) for d in range(1, 8) for e in range(7) for m in range(1, 8)
-                       if d + e + m <= 8 and (e, m) != (0, 2 * d)), key=lambda p: (sum(p), p))
+def _small_points(coordinates, total):
+    """Every point of ints d, f or m >= 1 and e, x >= 0 in `coordinates` whose sum is at
+    most `total`, by the sum and then lexicographically."""
+    n = len(coordinates.split())
+    return sorted((p for p in itertools.product(range(total + 1), repeat=n)
+                   if sum(p) <= total and p[0] >= 1 and p[2] >= 1), key=lambda p: (sum(p), p))
+
+
+# Small (d, e, m) by their sum and then lexicographically: the first ones the
+# (d, e, m) proofs' witness search tries.
+_SMALL_D_E_M = _small_points("d e m", 8)
 
 
 def test_witness_points_are_the_scalar_checks_own_integer_points():
-    # Each (d, e, m) point stands for the integer point (4d^2, 4de, e^2 + m^2), whose
-    # guard is (4dm)^2, and a failing proof runs the body there and names that point,
-    # where `verify_*` runs the same body on the same ints; only the singular set
-    # e = 0, m = 2d is left out. Each (d, e, f) or (d, e, f, x) witness lies in the
-    # domain 4*d*f > e^2.
+    # `_points` enumerates small points by their sum and then lexicographically, each
+    # as the int arguments of a scalar check: (d, e, f) and (d, e, f, x) as they are,
+    # and (d, e, m) as (4d^2, 4de, e^2 + m^2), whose guard is (4dm)^2. It leaves no
+    # point out: the check itself refuses one outside its domain.
     points = list(itertools.islice(suites._points("d e m"), len(_SMALL_D_E_M)))
     assert points == [(4 * d * d, 4 * d * e, e * e + m * m) for d, e, m in _SMALL_D_E_M]
+    for coordinates in ("d e f", "d e f x"):
+        small = _small_points(coordinates, 8)
+        assert list(itertools.islice(suites._points(coordinates), len(small))) == small
 
     def body(d, e, f):
         return (e, 1), (0, 1)
 
-    assert suites._prove_polynomial(body, suites._sides(body, "d e m"), "e")[1].endswith(
+    def check(*point):
+        return certificate._difference(body(*point))
+
+    assert suites._prove_polynomial(check, suites._sides(body, "d e m"), "e")[1].endswith(
         "; first nonzero at (d, e, f) = (4, 4, 2)")  # (d, e, m) = (1, 1, 1)
     assert verify_ode_dadd(4, 4, 2) == verify_dadd_residues(4, 4, 2) == 0
-    assert next(suites._points("d e f")) == (1, 0, 1)
-    assert all(4 * d * f > e * e and d >= 1 and f >= 1
-               for d, e, f in itertools.islice(suites._points("d e f"), 300))
-    # (d, e, f, x) by their sum, then lexicographically, each (d, e, f) in the domain.
-    points = list(itertools.islice(suites._points("d e f x"), 300))
-    assert points[:3] == [(1, 0, 1, 0), (1, 0, 1, 1), (1, 0, 2, 0)]
-    assert points == sorted(points, key=lambda p: (sum(p), p))
-    assert all(4 * d * f > e * e and d >= 1 and f >= 1 and x >= 0 for d, e, f, x in points)
+    # The witness is the first point where the check is nonzero: a point it refuses
+    # (ParameterError, SingularPointError) or where it divides by zero is skipped,
+    # and a TypeError propagates.
+    refusals = {(1, 0, 1): ParameterError, (1, 0, 2): SingularPointError,
+                (1, 1, 1): ZeroDivisionError}
+
+    def refusing(*point):
+        if point in refusals:
+            raise refusals[point]
+        return Fraction(1)
+
+    sides = suites._sides(body, "d e f")
+    assert suites._prove_polynomial(refusing, sides, "e")[1].endswith(
+        "; first nonzero at (d, e, f) = (2, 0, 1)")
+    refusals[2, 0, 1] = TypeError
+    with pytest.raises(TypeError):
+        suites._prove_polynomial(refusing, sides, "e")
 
 
 def test_witness_search_skips_a_point_where_the_body_divides_by_zero(monkeypatch, capsys):
@@ -990,22 +1044,26 @@ _CORE_NAMES = ("telescoping", "tail", "ode", "residues", "factorization")
 
 def _polynomial_matches_check(check, body, coordinates):
     """The scalar check at each of the first 12 small integer points (`suites._points`)
-    is a/b - c/d of the sides, run once on polynomials and evaluated by sympy at the
-    ring's point there, (d, e, m) for (4d^2, 4de, e^2 + m^2); returns how many are
-    nonzero."""
+    that it does not refuse is a/b - c/d of the sides, run once on polynomials and
+    evaluated by sympy at the ring's point there, (d, e, m) for (4d^2, 4de, e^2 + m^2);
+    returns how many are nonzero. The body is looked up as rebound, if it is."""
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols(coordinates)
-    sides = [_sympy_poly(sympy, part, symbols)
-             for side in suites._sides(body, coordinates) for part in side]
+    sides = [_sympy_poly(sympy, part, symbols) for side in suites._sides(
+        getattr(certificate, body.__name__), coordinates) for part in side]
     ring_points = _SMALL_D_E_M if coordinates == "d e m" else suites._points(coordinates)
-    nonzero = 0
-    for point, arguments in zip(ring_points, itertools.islice(suites._points(coordinates), 12)):
+    residuals = []
+    for point, arguments in zip(ring_points, suites._points(coordinates)):
         assert arguments == (suites._scaled_point(*point) if coordinates == "d e m" else point)
+        try:
+            residual = check(*arguments)
+        except (ParameterError, SingularPointError):
+            continue
         a, b, c, d = (int(part.eval(dict(zip(symbols, point)))) for part in sides)
-        residual = check(*arguments)
         assert type(residual) is Fraction and residual == Fraction(a * d - c * b, b * d)
-        nonzero += residual != 0
-    return nonzero
+        residuals.append(residual)
+        if len(residuals) == 12:
+            return sum(r != 0 for r in residuals)
 
 
 def test_grid_cores_match_the_scalar_checks(monkeypatch):
@@ -1025,7 +1083,8 @@ def test_grid_cores_match_the_scalar_checks(monkeypatch):
     assert [_polynomial_matches_check(*core) for core in _CORES[2:]] == [12, 12, 0]
     monkeypatch.setattr(core, "_dadd_over_pi", dadd_over_pi)
     _change(monkeypatch, "_g1", lambda g1_r, d, e, f, sqrt: (g1_r[0] + d, g1_r[1]))
-    assert _polynomial_matches_check(*_CORES[4]) == 12  # m*d*G2, and G2 > 0 off d = f, e = 0
+    # m*d*G2, and G2 > 0 off d = f, e = 0; on it, at (4, 0, 4), G2 = 0.
+    assert _polynomial_matches_check(*_CORES[4]) == 12 - 1
     monkeypatch.undo()
     # The polynomial proofs' mutations, c0 + 1 not homogeneous among them: c0 is the
     # telescoping operator's too.
@@ -1057,6 +1116,15 @@ def test_grid_cores_check_every_point():
             check(1, 3, 5)
         with pytest.raises(ParameterError, match="is not the square"):
             check(Fraction(1, 2), 0, 1)  # 4*d*f - e^2 = 2
+    # The witness search skips what its check refuses: every small point with
+    # 4*d*f <= e^2, and, for the ODE and residue checks alone, the singular set,
+    # where the factorization's sides are both 0.
+    for check, _, coordinates in _CORES:
+        for point in itertools.islice(suites._points(coordinates), 300):
+            if 4 * point[0] * point[2] <= point[1] ** 2:
+                with pytest.raises(ParameterError, match="must satisfy"):
+                    check(*point)
+    assert verify_g_factorization(4, 0, 4) == 0
 
 
 def test_grid_runner_refuses_inexact_residuals(monkeypatch):
@@ -1091,8 +1159,8 @@ def test_grid_runner_builds_no_fraction_when_every_residual_vanishes(monkeypatch
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
-    results = [suites._prove_polynomial(body, suites._sides(body, coordinates), "")
-               for _, body, coordinates in _CORES]
+    results = [suites._prove_polynomial(check, suites._sides(body, coordinates), "")
+               for check, body, coordinates in _CORES]
     monkeypatch.undo()
     assert built == []
     assert [failures for failures, _ in results] == [0] * 5
@@ -1143,8 +1211,8 @@ def test_kronecker_zero_test_agrees_with_the_expansion(kind):
     # compare equal; pairs built so that one coefficient of a*d - c*b is exactly
     # +bound or -bound, the largest the bound allows, compare unequal; random
     # pairs compare as the term-by-term expansion of a*d - c*b says. Each pair's
-    # body replays its draws on any ring, so an unequal pair names a point where
-    # the body's int sides are unequal.
+    # body replays its draws on any ring, and its check takes a/b - c/d of the
+    # body's sides, so an unequal pair names a point where the int sides are unequal.
     make, equal = _PAIRS[kind]
     variables = jets._Poly.variables("d e f x")
     rng = np.random.Generator(np.random.PCG64(167))
@@ -1160,7 +1228,11 @@ def test_kronecker_zero_test_agrees_with_the_expansion(kind):
         (a, b), (c, d) = sides
         cross = a * d - c * b
         assert (cross == 0) == equal
-        failures, detail = suites._prove_polynomial(body, sides, "pair")
+
+        def check(*point, body=body):
+            return certificate._difference(body(*point))
+
+        failures, detail = suites._prove_polynomial(check, sides, "pair")
         assert failures == (cross != 0)
         assert detail.startswith(f"pair: {'disproved' if failures else 'proved'} in Z[d, e, f, x]")
         if failures:

@@ -29,7 +29,7 @@ from cauchykl import (
     standardize_pair,
 )
 from cauchykl import core
-from cauchykl.core import integral_a_floats
+from cauchykl.core import cross_entropy_floats, entropy_floats, integral_a_floats
 from helpers import draw_pairs, random_tame_point, rel_err, ulps_apart
 
 locations = st.floats(-100.0, 100.0)
@@ -748,3 +748,40 @@ def test_integral_a_of_a_huge_quadratic_is_within_eight_ulps():
     "PositiveQuadratic(1e-200, 0, 1e-200) is rejected"))
 def test_tiny_positive_quadratic_is_accepted():
     assert PositiveQuadratic(1e-200, 0.0, 1e-200)(0.0) == 1e-200
+
+
+# ---------------------------------------------------------------------------
+# Known defect of ROADMAP item 16 (Blocking), pinned as strict xfails that
+# measure relative error: near a zero of the log, a rounded argument is no
+# longer a few ulps of the result. Each turns into a failing XPASS once item
+# 16 mends it, and its marker goes then.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 16, the cross-entropy and entropy FOUND in CHANGES.md: log(4*pi*s) of a "
+    "rounded argument near 1; at s = 0.07957747154594767 it is 0.0, against 6.18e-17"))
+def test_entropy_near_its_zero_is_within_eight_eps_relative():
+    # The double nearest 1/(4*pi) and seeded s within 1e-3 relative of it.
+    mp = _mp50()
+    zero = 0.07957747154594767
+    rng = np.random.Generator(np.random.PCG64(181))
+    for s in (zero, *(zero * (1.0 + float(u)) for u in rng.uniform(-1e-3, 1e-3, 200))):
+        exact = float(mp.log(4 * mp.pi * mp.mpf(s)))
+        assert abs(entropy_floats(0.0, s) - exact) <= 8 * 2.0 ** -52 * abs(exact), s
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 16, the cross-entropy and entropy FOUND in CHANGES.md: the log of "
+    "pi*((l1-l2)^2 + (s1+s2)^2)/s2 rounded near 1; up to 3.9e17 eps relative on these zeros"))
+def test_cross_entropy_near_its_zeros_is_within_eight_eps_relative():
+    # Seeded constructed zeros: l1 - l2 = sqrt(s2/pi - (s1+s2)^2), with s2 < 0.07 and
+    # s1 + s2 below sqrt(s2/pi), so the exact argument is 1 up to the rounding of l1.
+    mp = _mp50()
+    rng = np.random.Generator(np.random.PCG64(191))
+    for _ in range(200):
+        s2 = float(rng.uniform(0.01, 0.07))
+        s1 = float(rng.uniform(0.1, 0.9)) * (math.sqrt(s2 / math.pi) - s2)
+        l1 = math.sqrt(s2 / math.pi - (s1 + s2) ** 2)
+        exact = float(_cross_entropy_exact(mp, l1, s1, 0.0, s2))
+        value = cross_entropy_floats(l1, s1, 0.0, s2)
+        assert abs(value - exact) <= 8 * 2.0 ** -52 * abs(exact), (l1, s1, s2)
