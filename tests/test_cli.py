@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -524,14 +525,17 @@ def test_batch_mc_unallocatable_samples_keeps_stream(monkeypatch, capsys):
 
 
 def test_mc_whose_log_ratios_overflow_is_an_error_record():
-    # beta*beta or alpha*alpha overflows in p1's frame: the record reports a
-    # non-finite result, and numpy's RuntimeWarning (an error under this
-    # suite's warning filter) is not raised.
-    for params in ({"l1": 0, "s1": 1, "l2": 0, "s2": 1e160},
-                   {"l1": 0, "s1": 1, "l2": 1e160, "s2": 1}):
+    # beta*beta or (t - alpha)^2 overflows in p1's frame (inf), or beta itself
+    # does (inf/inf, nan): the record reports the non-finite estimate, and
+    # numpy's RuntimeWarning (an error under this suite's warning filter) is
+    # not raised.
+    for params, value in (({"l1": 0, "s1": 1, "l2": 0, "s2": 1e160}, "inf"),
+                          ({"l1": 0, "s1": 1e-300, "l2": 0, "s2": 1e300}, "nan"),
+                          ({"l1": 0, "s1": 1, "l2": 1e200, "s2": 1}, "inf"),
+                          ({"l1": 0, "s1": 1, "l2": 1e160, "s2": 1}, "inf")):
         record = execute_job({"op": "mc", "params": params, "config": {"samples": 1000}})
         assert record["status"] == "error"
-        assert "not finite" in record["error"]
+        assert record["error"] == f"result is not finite: {value}"
 
 
 def test_integral_a_whose_guard_overflows():
@@ -1385,8 +1389,14 @@ def test_every_traced_name_resolves():
             assert callable(getattr(importlib.import_module(f"cauchykl.{module}"), name)), (module, name)
 
 
-@pytest.mark.parametrize("module", ["cauchykl", "cauchykl.core", "cauchykl.oracle", "cauchykl.jets",
-                                    "cauchykl.certificate", "cauchykl.suites", "cauchykl.cli"])
+# The package and each of its modules that declares __all__, found by walking
+# the package, so a module added later is covered too.
+_EXPORTING_MODULES = [name for name in ["cauchykl"] + [
+    f"cauchykl.{info.name}" for info in pkgutil.iter_modules(cauchykl.__path__)]
+    if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("module", _EXPORTING_MODULES)
 def test_every_exported_name_resolves(module):
     # A name left in __all__ after its definition is gone breaks `import *`.
     names = importlib.import_module(module).__all__

@@ -31,7 +31,7 @@ from cauchykl import (
     standardize_pair,
 )
 from cauchykl import oracle, suites
-from cauchykl.oracle import _BLOCK, _log, correctly_rounded_sum
+from cauchykl.oracle import _BLOCK, _U, _log, _tree_sum
 from helpers import (
     draw_pairs,
     reference_cross_entropy,
@@ -789,8 +789,27 @@ def test_monte_carlo_rejects_tiny_sample_counts():
 
 
 # ---------------------------------------------------------------------------
-# correctly rounded sums and the Monte-Carlo moments built on them
+# lane-and-tree sums and the Monte-Carlo moments built on them
 # ---------------------------------------------------------------------------
+
+def _lane_tree_sum(values):
+    """kl_monte_carlo's sum in plain Python: value i into lane i mod _BLOCK
+    (lanes start at -0.0), then halve: the second half onto the first, an odd
+    last value carried up."""
+    lanes = [-0.0] * min(len(values), _BLOCK)
+    for i, v in enumerate(values):
+        lanes[i % _BLOCK] += v
+    while len(lanes) > 1:
+        h = len(lanes) // 2
+        lanes = [a + b for a, b in zip(lanes[:h], lanes[h:2 * h])] + lanes[2 * h:]
+    return lanes[0]
+
+
+def _gamma(n):
+    """gamma_k = k*u/(1 - k*u), k the additions on any path of an n-value lane-and-tree sum."""
+    k = -(-n // _BLOCK) - 1 + (min(n, _BLOCK) - 1).bit_length()
+    return k * _U / (1.0 - k * _U)
+
 
 def _adversarial_arrays():
     rng = np.random.Generator(np.random.PCG64(2024))
@@ -808,94 +827,73 @@ def _adversarial_arrays():
         yield np.abs(rng.standard_normal(n)) + 0.3
 
 
-def test_correctly_rounded_sum_equals_fsum_bit_for_bit():
+def test_lane_tree_sum_is_within_gamma_k_of_fsum():
+    # The lanes filled block by block as kl_monte_carlo fills them, then
+    # _tree_sum: the plain-Python definition's bits, and within Higham's
+    # pairwise bound gamma_k * sum|x| of the correctly rounded sum.
+    def lane_tree_sum(x):
+        lanes = np.full(min(x.size, _BLOCK), -0.0)
+        for i in range(0, x.size, _BLOCK):
+            block = x[i:i + _BLOCK]
+            lanes[:block.size] += block
+        return _tree_sum(lanes)
+
     for x in _adversarial_arrays():
-        expected = math.fsum(x).hex()
-        assert correctly_rounded_sum(x).hex() == expected
+        total = lane_tree_sum(x)
+        assert total.hex() == _lane_tree_sum(x.tolist()).hex()
+        assert abs(total - math.fsum(x)) <= _gamma(x.size) * math.fsum(np.abs(x))
+    # Signed zeros sum as IEEE additions do (math.fsum gives +0.0 for all -0.0).
+    for x, zero in (([0.0, -0.0], 0.0), ([-0.0, -0.0], -0.0), ([-0.0, -0.0, -0.0], -0.0)):
+        assert lane_tree_sum(np.array(x)).hex() == zero.hex()
+    assert math.isnan(lane_tree_sum(np.array([1.0, math.nan, 2.0])))
+    assert lane_tree_sum(np.array([1.0, math.inf, 2.0])) == math.inf
 
 
-def test_correctly_rounded_sum_owns_one_block_buffer():
-    x = np.random.Generator(np.random.PCG64(9)).standard_normal(4 * _BLOCK + 3)
-    correctly_rounded_sum(x[:100])  # warm up numpy
-    tracemalloc.start()
-    try:
-        correctly_rounded_sum(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * _BLOCK + 4096
-
-
-def test_correctly_rounded_sum_of_zeros_and_non_finite():
-    assert correctly_rounded_sum(np.zeros(0)) == 0.0
-    assert correctly_rounded_sum(np.array([0.0, -0.0])).hex() == math.fsum([0.0, -0.0]).hex()
-    assert correctly_rounded_sum(np.array([-0.0, -0.0])).hex() == math.fsum([-0.0, -0.0]).hex()
-    assert math.isnan(correctly_rounded_sum(np.array([1.0, math.nan])))
-    assert correctly_rounded_sum(np.array([1.0, math.inf])) == math.inf
-
-
-def test_correctly_rounded_sum_falls_back_at_the_ends_of_the_exponent_range():
-    # The extraction constant 2**(exponent(max|x|) + bit_length(n)) would
-    # overflow, or its residual bound underflow: math.fsum's bits instead.
-    for x in ([1e308, -1e308, 1.0], [5e-324, 5e-324, -1e-323]):
-        assert correctly_rounded_sum(np.array(x)).hex() == math.fsum(x).hex()
-
-
-def test_correctly_rounded_sum_fast_path_on_sample_moments(monkeypatch):
-    # Log-ratio sized data must not fall back to math.fsum (48 ms per
-    # 200k values against about 1 ms for the vectorised path).
-    rng = np.random.Generator(np.random.PCG64(5))
-    x = rng.standard_normal(200_000) + 0.25
-    expected = math.fsum(x)
-
-    def no_fsum(values):
-        raise AssertionError("fell back to math.fsum")
-
-    monkeypatch.setattr(math, "fsum", no_fsum)
-    assert correctly_rounded_sum(x) == expected
-
-
-def _reference_monte_carlo(p1, p2, samples, seed):
-    """The per-sample log-ratios in p1's frame, written out, moments by math.fsum."""
+def _log_ratios(p1, p2, samples, seed):
+    """The per-sample log-ratios in p1's frame, written out on the whole array."""
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(samples)
     t = np.tan(np.pi * (u - 0.5))
     alpha = (p2.location - p1.location) / p1.scale
     beta = p2.scale / p1.scale
     ratio = (beta * beta + (t - alpha) * (t - alpha)) / (beta * (1.0 + t * t))
-    log_ratio = np.log(ratio)
-    estimate = math.fsum(log_ratio) / samples
-    variance = math.fsum((log_ratio - estimate) ** 2) / (samples - 1)
-    return estimate, math.sqrt(variance) / math.sqrt(samples)
+    return np.log(ratio)
 
 
-@pytest.mark.parametrize("samples", [2, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
-                                     200_000])
-def test_monte_carlo_moments_match_fsum_reference(samples):
-    cases = [
-        (CauchyDist(0, 1), CauchyDist(0, 3), 7),
-        (CauchyDist(1, 2), CauchyDist(3, 5), 11),
-        (CauchyDist(-40.0, 0.05), CauchyDist(60.0, 90.0), 12),
-    ]
-    for p1, p2, seed in cases:
+_MOMENT_SIZES = [2, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 200_000]
+_MOMENT_CASES = [
+    (CauchyDist(0, 1), CauchyDist(0, 3), 7),
+    (CauchyDist(1, 2), CauchyDist(3, 5), 11),
+    (CauchyDist(-40.0, 0.05), CauchyDist(60.0, 90.0), 12),
+]
+
+
+@pytest.mark.parametrize("samples", _MOMENT_SIZES)
+def test_monte_carlo_moments_match_lane_tree_reference(samples):
+    # Bit for bit: the moments from _lane_tree_sum over the whole-array log-ratios.
+    for p1, p2, seed in _MOMENT_CASES:
         r = kl_monte_carlo(p1, p2, samples, seed=seed)
-        estimate, standard_error = _reference_monte_carlo(p1, p2, samples, seed)
+        log_ratio = _log_ratios(p1, p2, samples, seed)
+        estimate = _lane_tree_sum(log_ratio.tolist()) / samples
+        variance = _lane_tree_sum(((log_ratio - estimate) ** 2).tolist()) / (samples - 1)
         assert r.estimate.hex() == estimate.hex()
-        assert r.standard_error.hex() == standard_error.hex()
+        assert r.standard_error.hex() == (math.sqrt(variance) / math.sqrt(samples)).hex()
 
 
-def test_monte_carlo_moments_take_the_fast_path(monkeypatch):
-    # Both block-wise sums of a 200 000-sample estimate stay on the
-    # vectorised path; the reference moments are taken before fsum goes.
-    p1, p2 = CauchyDist(1, 2), CauchyDist(3, 5)
-    estimate, standard_error = _reference_monte_carlo(p1, p2, 200_000, 11)
-
-    def no_fsum(values):
-        raise AssertionError("fell back to math.fsum")
-
-    monkeypatch.setattr(math, "fsum", no_fsum)
-    r = kl_monte_carlo(p1, p2, 200_000, seed=11)
-    assert (r.estimate, r.standard_error) == (estimate, standard_error)
+@pytest.mark.parametrize("samples", _MOMENT_SIZES)
+def test_monte_carlo_moments_match_fsum_reference(samples):
+    # The moments from math.fsum, the correctly rounded sums, differ by no more
+    # than gamma_k of the summed magnitudes plus the rounding of the divisions.
+    # The deviations are taken from the estimator's own estimate, as it takes them.
+    gamma = _gamma(samples)
+    for p1, p2, seed in _MOMENT_CASES:
+        r = kl_monte_carlo(p1, p2, samples, seed=seed)
+        log_ratio = _log_ratios(p1, p2, samples, seed)
+        estimate = math.fsum(log_ratio) / samples
+        assert abs(r.estimate - estimate) <= (gamma + 4 * _U) * math.fsum(np.abs(log_ratio)) / samples
+        variance = math.fsum((log_ratio - r.estimate) ** 2) / (samples - 1)
+        standard_error = math.sqrt(variance) / math.sqrt(samples)
+        assert abs(r.standard_error - standard_error) <= (gamma + 8 * _U) * standard_error
 
 
 @pytest.mark.xfail(strict=True, raises=IntegrandEvaluationError, reason=(
