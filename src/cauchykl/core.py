@@ -39,9 +39,10 @@ Each closed form is a constant times the log of one expression, formed
 in one function from + - * (prudnikov's also max, min and a division)
 and a square root the caller passes in: `_guard` (4*a*c - b^2, read by
 every domain check), `_g1` (G1 and its root), `_integral_a_arg` (A's
-num/den, given both roots), `_prudnikov_arg`, and for KL and
-cross-entropy `_scaled_ratio`, which scales by powers of two where a
-term would leave the normal range, so KL, cross-entropy and entropy hold
+num/den, given both roots), `_prudnikov_arg`, and for KL, cross-entropy
+and the density (the inverse of cross-entropy's argument at s1 = 0)
+`_scaled_ratio`, which scales by powers of two where a term would leave
+the normal range, so KL, cross-entropy, entropy and the density hold
 over every finite input. q(x) by Horner's rule (`_quadratic`; x^2 + 1 is
 `_quadratic(1, 0, 1, x)`) and G3 = (d-f)^2 + e^2 = G1*G2 (`_g3`), read by
 PositiveQuadratic and primitive B, are formed once too. The float kernels
@@ -215,21 +216,11 @@ class CanonicalReduction:
 def density(dist: CauchyDist, x: float) -> float:
     """Density s / (pi * (s^2 + (x - l)^2)); strictly positive on R.
 
-    While s^2 + u^2, u = x - l, lies in (2^-969, 2^1021) this is the direct
-    formula. Otherwise s and u are scaled by one power of two (exact), u
-    halved first if it overflows, as `_scaled_ratio` does, so the value is
-    not lost to an underflowing or overflowing square.
+    The inverse of pi times `_scaled_ratio`'s num/den * 2**e at (x, s; l, s), t = 0 and
+    c = 1: the direct formula in its window, scaled by powers of two outside it.
     """
-    s, u = dist.scale, x - dist.location
-    num = s * s + u * u
-    if 2.0 ** -969 < num < 2.0 ** 1021:
-        return s / (math.pi * num)
-    h = math.isinf(u)
-    if h:  # x - l overflows: carry half of it
-        u = 0.5 * x - 0.5 * dist.location
-    j = math.frexp(max(s, abs(u)))[1]
-    a, b = math.ldexp(s, -j - h), math.ldexp(u, -j)
-    return math.ldexp(a / (math.pi * (a * a + b * b)), -j - h)
+    num, den, e = _scaled_ratio(x, dist.scale, dist.location, dist.scale, 0.0, 1.0)
+    return math.ldexp(den / (math.pi * num), -e)
 
 
 def quantile(dist: CauchyDist, u: float) -> float:
@@ -250,31 +241,31 @@ def quantile(dist: CauchyDist, u: float) -> float:
 
 
 def _scaled_ratio(l1: float, s1: float, l2: float, s2: float,
-                  t: float, k: float, c: float) -> tuple[float, int]:
-    """x and e with x * 2**e = k*((l1-l2)^2 + (s1+t)^2) / (c*s2), for every finite input.
+                  t: float, c: float) -> tuple[float, float, int]:
+    """num, den, e with num/den * 2**e = ((l1-l2)^2 + (s1+t)^2) / (c*s2), for every finite input.
 
-    kl_floats passes t = -s2, k = 1/4, c = s1 (so 4*s1 cannot overflow),
-    cross_entropy_floats t = s2, k = pi, c = 1. While the sum of squares
-    lies in (2^-969, 2^511) and c*s2 in (2^-511, 2^1023) it is the direct
-    quotient with e = 0: every product, and for cross-entropy (num/s2 >= s2)
-    the quotient, stays normal. Otherwise the terms are scaled by powers of
-    two (exact), both differences halved first if either overflows: the
-    direct bits wherever those stay normal, and x in [1/16, 8*pi] unless
-    both differences are 0.
+    kl_floats passes t = -s2, c = s1 and forms 0.25 * num / den (so 4*s1 cannot
+    overflow), cross_entropy_floats t = s2, c = 1 and forms pi * num / den, and
+    density t = 0, c = 1 at (x, s; l, s) and forms den / (pi * num). While the sum of
+    squares lies in (2^-969, 2^511) and c*s2 in (2^-511, 2^1023) they are that sum
+    and c*s2 with e = 0: every product, and for cross-entropy (num/s2 >= s2) the
+    quotient, stays normal. Otherwise the terms are scaled by powers of two (exact),
+    both differences halved first if either overflows: the direct bits wherever those
+    stay normal, and num/den in (1/4, 8) unless both differences are 0.
     """
     dl = l1 - l2
     ds = s1 + t
     num = dl * dl + ds * ds
     den = c * s2
     if 2.0 ** -969 < num < 2.0 ** 511 and 2.0 ** -511 < den < 2.0 ** 1023:
-        return k * num / den, 0
+        return num, den, 0
     h = math.isinf(dl) or math.isinf(ds)
     if h:  # a difference overflows: carry half of each
         dl, ds = 0.5 * l1 - 0.5 * l2, 0.5 * s1 + 0.5 * t
     j = math.frexp(max(abs(dl), abs(ds)))[1]
     (u, m), (v, n) = math.frexp(c), math.frexp(s2)
     a, b = math.ldexp(dl, -j), math.ldexp(ds, -j)
-    return k * (a * a + b * b) / (u * v), 2 * (j + h) - m - n
+    return a * a + b * b, u * v, 2 * (j + h) - m - n
 
 
 def kl_floats(l1: float, s1: float, l2: float, s2: float) -> float:
@@ -292,7 +283,8 @@ def kl_floats(l1: float, s1: float, l2: float, s2: float) -> float:
     """
     _require_scale(s1)
     _require_scale(s2)
-    x, e = _scaled_ratio(l1, s1, l2, s2, -s2, 0.25, s1)
+    num, den, e = _scaled_ratio(l1, s1, l2, s2, -s2, s1)
+    x = 0.25 * num / den
     if e > 1000 and x > 0.0:  # log1p(x * 2**e) = log(x) + e*log(2) + O(2**-1000)
         return math.log(x) + e * math.log(2.0)
     return math.log1p(math.ldexp(x, e))
@@ -313,7 +305,8 @@ def cross_entropy_floats(l1: float, s1: float, l2: float, s2: float) -> float:
     """
     _require_scale(s1)
     _require_scale(s2)
-    x, e = _scaled_ratio(l1, s1, l2, s2, s2, math.pi, 1.0)
+    num, den, e = _scaled_ratio(l1, s1, l2, s2, s2, 1.0)
+    x = math.pi * num / den
     if -1000 <= e <= 1000:
         return math.log(math.ldexp(x, e))
     return math.log(x) + e * math.log(2.0)  # x * 2**e may be out of the normal range

@@ -63,6 +63,9 @@ CHECKSUMS = {
 }
 # Largest deviation the float checks against the quadrature oracle accept.
 _FLOAT_TOLERANCE = 1e-8
+# Small points a disproof tries for a witness before it reports that the polynomial
+# path and the scalar check disagree; the furthest witness a test names is the 1002nd.
+_WITNESS_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,9 @@ def _prove_polynomial(check, sides, what: str, note: str = "") -> tuple[int, str
     ends with the witness: the first small integer point (`_points`), named as the
     check's arguments (d, e, f) or (d, e, f, x), where `check` returns a nonzero
     residual. A point the check refuses (ParameterError, SingularPointError) or where
-    it divides by zero is skipped; a TypeError propagates.
+    it divides by zero is skipped; a TypeError propagates. If none of the first
+    `_WITNESS_POINTS` points gives one, the detail says so: the polynomial path and
+    the scalar check disagree.
     """
     (a, b), (c, d) = sides
     names = a.names
@@ -162,15 +167,18 @@ def _prove_polynomial(check, sides, what: str, note: str = "") -> tuple[int, str
                    f"sides a/b and c/d: its coefficients are below 2^{k} in size and it "
                    f"vanishes at {names[-1]} = 2^{k + 1}, while b, {_terms(b)}, and d, "
                    f"{_terms(d)}, are not zero{note}")
-    for point in _points(" ".join(names)):
+    disproved = (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial "
+                 f"for its sides a/b and c/d{note}")
+    for point in itertools.islice(_points(" ".join(names)), _WITNESS_POINTS):
         try:
             if check(*point) != 0:
-                break
+                return 1, (f"{disproved}; first nonzero at "
+                           f"({', '.join('defx'[:len(point)])}) = ({', '.join(map(str, point))})")
         except (ParameterError, SingularPointError, ZeroDivisionError):
             pass
-    return 1, (f"{what}: disproved in {ring}, as a*d - c*b is not the zero polynomial for "
-               f"its sides a/b and c/d{note}; first nonzero at "
-               f"({', '.join('defx'[:len(point)])}) = ({', '.join(map(str, point))})")
+    return 1, (f"{disproved}; yet no small point disagrees: {check.__name__} is 0 or refuses "
+               f"at the first {_WITNESS_POINTS} points, so the polynomial path and the scalar "
+               f"check disagree")
 
 
 def _rank(residual: float) -> tuple[bool, float]:

@@ -801,6 +801,43 @@ def test_witness_search_skips_a_point_where_the_body_divides_by_zero(monkeypatch
     assert records[1]["detail"].endswith("; first nonzero at (d, e, f, x) = (1, 0, 1, 1)")
 
 
+def test_a_disproof_with_no_scalar_witness_stops_at_the_cap(monkeypatch, capsys):
+    # A factorization body whose polynomial sides differ while its int sides agree,
+    # a defect that lives only in the polynomial ring: no small point is nonzero, so
+    # the witness search stops after suites._WITNESS_POINTS points, and `cauchykl
+    # verify` prints a failing check instead of searching forever. The cap lies far
+    # beyond the furthest witness a test names, (1, 0, 1, 11), the 1002nd point.
+    assert list(itertools.islice(suites._points("d e f x"), 1002))[-1] == (1, 0, 1, 11)
+    assert suites._WITNESS_POINTS >= 5 * 1002
+    shipped = certificate._g_sides
+
+    def body(d, e, f):
+        (a, b), (c, d_) = shipped(d, e, f)
+        return (a + (d if type(d) is jets._Poly else 0), b), (c, d_)
+
+    calls = []
+
+    def capped(*point):
+        calls.append(point)
+        if len(calls) > suites._WITNESS_POINTS:
+            raise AssertionError("the witness search ran past its cap")
+        return verify_g_factorization(*point)
+
+    monkeypatch.setattr(certificate, "_g_sides", body)
+    monkeypatch.setattr(certificate, "verify_g_factorization", capped)
+    assert main(["verify", "--suite", "ode"]) == 1
+    out, err = capsys.readouterr()
+    record = json.loads(out.splitlines()[0])
+    assert err == "" and record["check"] == "ode residual of dA/dd"
+    assert record["status"] == "fail" and len(calls) == suites._WITNESS_POINTS
+    assert record["detail"].endswith(
+        "m*(G1*G2 - (d-f)^2 - e^2), G1,2 = d + f +/- m: disproved in Z[d, e, m] at (d, e, f) "
+        "= (4d^2, 4de, e^2 + m^2), where 4*d*f - e^2 = (4dm)^2, as a*d - c*b is not the zero "
+        "polynomial for its sides a/b and c/d; yet no small point disagrees: capped is 0 or "
+        f"refuses at the first {suites._WITNESS_POINTS} points, so the polynomial path and "
+        "the scalar check disagree")
+
+
 def test_exact_suites_run_each_body_once_on_polynomials(monkeypatch):
     # Each identity's sides are built once on polynomials, and the telescoping
     # proof shares its sides with psi's x-degree; a passing proof runs no body at

@@ -141,6 +141,57 @@ def test_density_is_within_three_ulps_over_the_full_range():
         assert ulps_apart(density(CauchyDist(l, s), x), exact, exact) <= 3.0, (l, s, x)
 
 
+def test_density_where_x_minus_l_overflows():
+    # |x| and |l| in 10^[307.9, 308.25] with opposite signs, s in 10^[300, 308.25]:
+    # x - l overflows in most draws, and the kernel carries half of each difference.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    rng = np.random.Generator(np.random.PCG64(229))
+    overflows = 0
+    for _ in range(1000):
+        x, l = (float(10.0 ** rng.uniform(307.9, 308.25)) for _ in range(2))
+        x, l = (x, -l) if rng.integers(2) else (-x, l)
+        s = float(10.0 ** rng.uniform(300, 308.25))
+        overflows += math.isinf(x - l)
+        u = mp.mpf(x) - mp.mpf(l)
+        exact = float(mp.mpf(s) / (mp.pi * (mp.mpf(s) ** 2 + u * u)))
+        value = density(CauchyDist(l, s), x)
+        assert value > 0.0 and ulps_apart(value, exact, exact) <= 1.0, (l, s, x)
+    assert overflows > 500
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason=(
+    "ROADMAP Blocking, the density OverflowError FOUND in CHANGES.md: where s/(pi*s^2) "
+    "exceeds the largest double, math.ldexp raises OverflowError"))
+def test_density_above_the_largest_double_is_inf():
+    assert density(CauchyDist(0.0, 1e-309), 0.0) == math.inf
+
+
+def test_density_and_the_divergences_run_the_one_kernel(monkeypatch):
+    # density, KL, cross-entropy and entropy each form their log argument (or its
+    # inverse) in one call of core._scaled_ratio, and carry no scaling of their own.
+    kernel, calls = core._scaled_ratio, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "_scaled_ratio", counted)
+    for l, s, x in ((0.0, 1.0, 0.5), (1e308, 1e300, -1e308), (0.0, 5e-324, 1e-300)):
+        assert math.isfinite(density(CauchyDist(l, s), x))
+        assert len(calls) == 1, calls
+        calls.clear()
+    for function, args in ((core.kl_floats, (0.0, 1.0, 2.0, 3.0)),
+                           (core.kl_floats, (-1e308, 1e-300, 1e308, 1e308)),
+                           (cross_entropy_floats, (0.0, 1.0, 2.0, 3.0)),
+                           (cross_entropy_floats, (-1e308, 5e-324, 1e308, 1e-300)),
+                           (entropy_floats, (1.0, 2.0)), (entropy_floats, (0.0, 5e-324))):
+        assert math.isfinite(function(*args))
+        assert len(calls) == 1, (function.__name__, calls)
+        calls.clear()
+
+
 def test_quantile_fixtures():
     assert quantile(CauchyDist(0, 1), 0.5) == 0.0
     assert quantile(CauchyDist(0, 1), 0.75) == pytest.approx(1.0, rel=1e-15)
